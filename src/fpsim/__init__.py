@@ -28,6 +28,8 @@ from fpsim.accounting import (
     brute_force_sensitivity_sq,
     loose_eps,
     sweep,
+    prefix_sensitivity_sq,
+    prefix_zcdp,
     worst_case_sensitivity_sq,
     zcdp,
     zcdp_to_delta,
@@ -81,7 +83,9 @@ __all__ = [
     "PrivacyLedger",
     "brute_force_sensitivity_sq",
     "worst_case_sensitivity_sq",
+    "prefix_sensitivity_sq",
     "zcdp",
+    "prefix_zcdp",
     "zcdp_to_delta",
     "zcdp_to_eps",
     "loose_eps",

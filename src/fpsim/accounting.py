@@ -17,7 +17,12 @@ and converts it to rho-zCDP via rho = sensitivity^2 / (2 z^2) and on to
 Two solvers compute the worst-case sensitivity: an exponential brute force
 over patterns (the test oracle, capped at 24 rounds) and an exact dynamic
 program over subtrees that shares tables across trees and scales to the
-production-sized schedules this simulator models.
+production-sized schedules this simulator models.  The dynamic program
+folds the forest's trees left to right, and the fold state after each tree
+answers for the forest up to that tree.  ``prefix_sensitivity_sq`` (and
+``prefix_zcdp`` on top of it) keeps those states on a stack, one per tree,
+and so returns the value of every prefix of a run in one pass: each new
+round pops the trees it changes and refolds only those.
 """
 
 from __future__ import annotations
@@ -35,7 +40,9 @@ __all__ = [
     "pattern_sensitivity_sq",
     "brute_force_sensitivity_sq",
     "worst_case_sensitivity_sq",
+    "prefix_sensitivity_sq",
     "zcdp",
+    "prefix_zcdp",
     "zcdp_to_eps",
     "zcdp_to_delta",
     "loose_eps",
@@ -184,10 +191,14 @@ class _SensitivitySolver:
     matrix product evaluated with numpy, which is what makes
     production-sized schedules (min_sep in the hundreds) fast.
 
-    A forest (trees left to right, adjacent in time) is folded right to
-    left: G[j][p][a] is the best total over trees j.. with p placements and
-    left margin >= a, choosing per tree to skip it, fill it, or split with
-    the same complementary-margin coupling across tree boundaries.
+    A forest (trees left to right, adjacent in time) is folded left to
+    right: H[j][p][b] is the best total over trees 0..j with exactly p
+    placements and right margin >= b (empty leaves after the last one, up
+    to the end of tree j), choosing per tree to skip it, fill it, or split
+    with the same complementary-margin coupling across tree boundaries.
+    The fold state after each tree is a complete answer for the forest so
+    far, which is what lets ``prefix_sensitivity_sq`` keep one state per
+    tree and refold only the trees a new round changes.
     """
 
     def __init__(self, min_sep: int, max_level: int) -> None:
@@ -196,6 +207,9 @@ class _SensitivitySolver:
         # Margin axis size for the per-tree tables.
         self.width = min(min_sep, (1 << max_level) + 1)
         self._tables: dict[tuple[int, int], np.ndarray] = {}
+        # Fold-state margins: requirements beyond min_sep - 1 never arise.
+        self._margins = np.arange(min_sep)
+        self.empty_state = [np.zeros(min_sep)]
 
     def _table(self, k: int, p: int) -> np.ndarray:
         """F[k][p] over the (a, b) margin grid; built lazily, memoized."""
@@ -231,35 +245,54 @@ class _SensitivitySolver:
         self._tables[key] = table
         return table
 
-    def solve(self, tree_levels: tuple[int, ...], max_part: int, total_rounds: int) -> float:
-        if max_part == 0 or not tree_levels:
-            return 0.0
-        if any(k > self.max_level for k in tree_levels):
+    def fold(
+        self, state: list[np.ndarray], k: int, end: int, max_part: int
+    ) -> list[np.ndarray]:
+        """Fold one tree of 2^k leaves, ending at round ``end``, onto the
+        state of the trees before it.
+
+        ``state[p]`` is H[p] over the right-margin requirement; p past the
+        end of the list is infeasible.  The new state stops at the most
+        participations rounds [0, end) can hold, capped at ``max_part``.
+        """
+        if k > self.max_level:
             raise ValueError("tree exceeds this solver's max level")
-        p_cap = min(max_part, 1 + (total_rounds - 1) // self.min_sep)
-        g_width = self.min_sep
-        g_margins = np.arange(g_width)
-        # fold[p] = G[j][p] as a vector over the left-margin requirement.
-        fold = [np.zeros(g_width)] + [np.full(g_width, _NEG_INF) for _ in range(p_cap)]
-        for k in reversed(tree_levels):
-            size = 1 << k
-            skipped = np.maximum(g_margins - size, 0)
-            clamped = np.minimum(g_margins, self.width - 1)
-            u_count = min(self.min_sep, size)
-            complement = np.minimum(
-                np.maximum(self.min_sep - 1 - np.arange(u_count), 0), g_width - 1
-            )
-            new_fold = [np.zeros(g_width)]
-            for p in range(1, p_cap + 1):
-                best = fold[p][skipped]  # this tree left empty
-                best = np.maximum(best, self._table(k, p)[clamped, 0])  # all p here
-                for q in range(1, p):
-                    here = self._table(k, q)[clamped, :u_count]
-                    rest = fold[p - q][complement]
-                    best = np.maximum(best, (here + rest[None, :]).max(axis=1))
-                new_fold.append(best)
-            fold = new_fold
-        return float(max(vec[0] for vec in fold))
+        size = 1 << k
+        margins = self._margins
+        tree_cap = 1 + (size - 1) // self.min_sep
+        new_cap = min(max_part, 1 + (end - 1) // self.min_sep)
+        u_count = min(self.min_sep, size)
+        # With u empty leaves before this tree's first placement, the earlier
+        # trees need right margin min_sep - 1 - u for a gap of min_sep.
+        complement = self.min_sep - 1 - np.arange(u_count)
+        # Tree-side terms by table row b (this tree's right margin) and
+        # column u (its left margin, by symmetry of the tables); margins
+        # past width - 1 read the last row, through `clamped`.
+        clamped = np.minimum(margins, self.width - 1)
+        skipped = np.maximum(margins - size, 0)
+        here = [self._table(k, q)[:, :u_count] for q in range(1, min(tree_cap, new_cap) + 1)]
+        rest = [vec[complement] for vec in state]
+        new_state = [state[0]]
+        for p in range(1, new_cap + 1):
+            if p <= tree_cap:
+                inside = self._table(k, p)[:, 0]  # all p here
+            else:
+                inside = np.full(self.width, _NEG_INF)
+            for q in range(max(1, p + 1 - len(state)), min(p - 1, tree_cap) + 1):
+                inside = np.maximum(inside, (here[q - 1] + rest[p - q][None, :]).max(axis=1))
+            best = inside[clamped]
+            if p < len(state):
+                best = np.maximum(best, state[p][skipped])  # this tree left empty
+            new_state.append(best)
+        return new_state
+
+    def solve(self, tree_levels: tuple[int, ...], max_part: int) -> float:
+        state = self.empty_state
+        end = 0
+        for k in tree_levels:
+            end += 1 << k
+            state = self.fold(state, k, end, max_part)
+        return _best(state)
 
 
 def _maxplus(left: np.ndarray, right: np.ndarray, cell_budget: int = 4_000_000) -> np.ndarray:
@@ -276,6 +309,11 @@ def _maxplus(left: np.ndarray, right: np.ndarray, cell_budget: int = 4_000_000) 
     return out
 
 
+def _best(state: list[np.ndarray]) -> float:
+    """Forest answer from a fold state: the best p at right margin 0."""
+    return float(max(vec[0] for vec in state))
+
+
 _SOLVER_CACHE: dict[tuple[int, int], _SensitivitySolver] = {}
 
 
@@ -284,11 +322,14 @@ def _solver_for(schema: ParticipationSchema) -> _SensitivitySolver:
     width = min(schema.min_sep, (1 << max_level) + 1)
     key = (schema.min_sep, width)
     solver = _SOLVER_CACHE.get(key)
-    if solver is None or solver.max_level < max_level:
+    if solver is None:
         solver = _SensitivitySolver(schema.min_sep, max_level)
         if len(_SOLVER_CACHE) > 32:
             _SOLVER_CACHE.clear()
         _SOLVER_CACHE[key] = solver
+    # Tables depend on (min_sep, width, k, p) alone, so a solver with this
+    # key serves taller trees with the tables it already holds.
+    solver.max_level = max(solver.max_level, max_level)
     return solver
 
 
@@ -298,9 +339,37 @@ def worst_case_sensitivity_sq(schema: ParticipationSchema) -> float:
     Exact (agrees with brute_force_sensitivity_sq wherever that runs) and
     fast enough for multi-thousand-round schedules.
     """
-    return _solver_for(schema).solve(
-        schema.tree_levels(), schema.max_part, schema.total_rounds
-    )
+    return _solver_for(schema).solve(schema.tree_levels(), schema.max_part)
+
+
+def prefix_sensitivity_sq(schema: ParticipationSchema) -> list[float]:
+    """worst_case_sensitivity_sq of every prefix of ``schema``, in one pass.
+
+    Entry n - 1 equals worst_case_sensitivity_sq(ParticipationSchema(n,
+    schema.min_sep, schema.max_part, schema.restart_rounds)).  Going from
+    n - 1 rounds to n replaces only the open segment's trees below the
+    lowest set bit of its new length by one tree, so the fold state after
+    each tree of the prefix is kept on a stack: each round pops the
+    replaced trees and folds the new one, about two tree folds per round
+    amortised.
+    """
+    solver = _solver_for(schema)
+    restarts = set(schema.restart_rounds)
+    stack: list[tuple[int, list[np.ndarray]]] = []  # (level, state after it)
+    segment_start = segment_base = 0
+    values = []
+    for n in range(1, schema.total_rounds + 1):
+        if n - 1 in restarts:
+            segment_start, segment_base = n - 1, len(stack)
+        length = n - segment_start
+        level = (length & -length).bit_length() - 1
+        while len(stack) > segment_base and stack[-1][0] < level:
+            stack.pop()
+        state = stack[-1][1] if stack else solver.empty_state
+        state = solver.fold(state, level, n, schema.max_part)
+        stack.append((level, state))
+        values.append(_best(state))
+    return values
 
 
 def zcdp(z: float, schema: ParticipationSchema) -> float:
@@ -314,6 +383,16 @@ def zcdp(z: float, schema: ParticipationSchema) -> float:
     if z == 0:
         return math.inf
     return worst_case_sensitivity_sq(schema) / (2.0 * z * z)
+
+
+def prefix_zcdp(z: float, schema: ParticipationSchema) -> list[float]:
+    """rho-zCDP after every round: entry n - 1 equals zcdp(z, the n-round
+    prefix of ``schema``), from one prefix_sensitivity_sq pass."""
+    if z < 0:
+        raise ValueError("z must be >= 0")
+    if z == 0:
+        return [math.inf] * schema.total_rounds
+    return [value / (2.0 * z * z) for value in prefix_sensitivity_sq(schema)]
 
 
 def zcdp_to_delta(rho: float, eps: float) -> float:

@@ -19,6 +19,7 @@ privacy accountant consumes post hoc.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -338,20 +339,23 @@ def run_round(server: ServerState, cohort: list[ClientRecord]) -> RoundMetrics:
     )
 
 
-def observed_limits(clients: list[ClientRecord], total_rounds: int) -> tuple[int, int]:
+def observed_limits(
+    participation: Iterable[Sequence[int]], total_rounds: int
+) -> tuple[int, int]:
     """Post-hoc participation statistics for the accountant.
 
-    Returns (max participations of any client, minimum gap between any
-    client's consecutive participations).  When no client participated
-    twice the separation is unconstrained and reported as total_rounds by
+    ``participation`` holds each client's participation rounds.  Returns
+    (max participations of any client, minimum gap between any client's
+    consecutive participations).  When no client participated twice the
+    separation is unconstrained and reported as total_rounds by
     convention.
     """
     if total_rounds < 1:
         raise ValueError("total_rounds must be >= 1")
     max_part = 0
     min_sep = total_rounds
-    for rec in clients:
-        rounds = rec.participation_rounds
+    for rounds in participation:
+        rounds = sorted(rounds)
         max_part = max(max_part, len(rounds))
         for a, b in zip(rounds, rounds[1:]):
             min_sep = min(min_sep, b - a)

@@ -219,46 +219,36 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunResult:
         availability=config.availability(),
     )
 
-    worst_max_part = -(-config.rounds // config.timer_rounds)
-    metrics_rows = []
-    secagg_rows = []
+    history = []
     for t in range(config.rounds):
         cohort_ids = select_cohort(records, cohort_cfg, t, root.child("selection"))
         cohort = [records[i] for i in cohort_ids]
         round_metrics = run_round(server, cohort)
         eval_acc = model.accuracy(server.theta, eval_set.contexts, eval_set.labels)
-        if z_equiv == 0:
-            rho_so_far = math.inf
-        else:
-            prefix_schema = ParticipationSchema(
-                total_rounds=t + 1,
-                min_sep=config.timer_rounds,
-                max_part=worst_max_part,
-                restart_rounds=schedule.rounds,
-            )
-            rho_so_far = accounting.zcdp(z_equiv, prefix_schema) * sensitivity_scale**2
-        metrics_rows.append(
-            (
-                t,
-                eval_acc,
-                round_metrics.train_loss,
-                round_metrics.active_clip,
-                round_metrics.quantile_estimate,
-                round_metrics.cohort_size,
-                rho_so_far,
-                round_metrics.bits_per_update,
-            )
-        )
-        if secagg_cfg is not None:
-            secagg_rows.append(
-                (
-                    t,
-                    round_metrics.bits_per_update,
-                    round_metrics.secagg_clamp_fraction,
-                    round_metrics.secagg_residual,
-                )
-            )
+        history.append((eval_acc, round_metrics))
 
+    # The worst case the timer allows after each round, all prefixes in one
+    # accountant pass.
+    timer_schema = ParticipationSchema(
+        total_rounds=config.rounds,
+        min_sep=config.timer_rounds,
+        max_part=-(-config.rounds // config.timer_rounds),
+        restart_rounds=schedule.rounds,
+    )
+    cumulative_rho = accounting.prefix_zcdp(z_equiv, timer_schema)
+    metrics_rows = [
+        (
+            m.round,
+            eval_acc,
+            m.train_loss,
+            m.active_clip,
+            m.quantile_estimate,
+            m.cohort_size,
+            rho * sensitivity_scale**2,
+            m.bits_per_update,
+        )
+        for (eval_acc, m), rho in zip(history, cumulative_rho)
+    ]
     _write_csv(out / "metrics.csv", METRICS_COLUMNS, metrics_rows)
     write_checkpoint(out / "checkpoint.bin", server.theta)
     participation = [
@@ -269,11 +259,16 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunResult:
         _write_csv(
             out / "secagg.csv",
             ("round", "bits_per_update", "linf_clamp_fraction", "roundtrip_residual"),
-            secagg_rows,
+            [
+                (m.round, m.bits_per_update, m.secagg_clamp_fraction, m.secagg_residual)
+                for _, m in history
+            ],
         )
     (out / "config.resolved").write_text(config.canonical_text())
 
-    max_part, min_sep = observed_limits(records, config.rounds)
+    max_part, min_sep = observed_limits(
+        (rec.participation_rounds for rec in records), config.rounds
+    )
     ledger = _build_ledger(
         config.rounds, min_sep, max_part, schedule.rounds, z_equiv, sensitivity_scale
     )
@@ -386,12 +381,7 @@ def post_hoc_report(run_dir: str | Path) -> dict[str, object]:
     with open(run / "participation.csv", newline="") as fh:
         for row in csv.DictReader(fh):
             by_client.setdefault(int(row["client_id"]), []).append(int(row["round"]))
-    max_part = max((len(v) for v in by_client.values()), default=0)
-    min_sep = config.rounds
-    for rounds in by_client.values():
-        rounds.sort()
-        for a, b in zip(rounds, rounds[1:]):
-            min_sep = min(min_sep, b - a)
+    max_part, min_sep = observed_limits(by_client.values(), config.rounds)
     _, z_equiv = _equivalent_multiplier(config)
     sensitivity_scale = 1.0
     if config.secagg_enabled:

@@ -11,19 +11,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpsim import (
     ParticipationSchema,
     PrivacyLedger,
     brute_force_sensitivity_sq,
     loose_eps,
+    prefix_sensitivity_sq,
+    prefix_zcdp,
     sweep,
     worst_case_sensitivity_sq,
     zcdp,
     zcdp_to_delta,
     zcdp_to_eps,
 )
-from fpsim.accounting import SWEEP_COLUMNS, pattern_sensitivity_sq
+from fpsim.accounting import SWEEP_COLUMNS, _solver_for, pattern_sensitivity_sq
 
 
 def _schema(t, min_sep=1, max_part=None, restarts=()):
@@ -97,6 +101,60 @@ class TestSolverExactness:
         split = worst_case_sensitivity_sq(_schema(16, max_part=1, restarts=(8,)))
         assert whole == 5.0  # 16-round tree: depth 4 path -> 5 nodes
         assert split == 4.0  # best segment is an 8-round tree: 4 nodes
+
+
+@st.composite
+def _schemas(draw, max_rounds, max_sep, max_part):
+    """Random schemas; restarts may fall past the horizon (they never fire)."""
+    total_rounds = draw(st.integers(1, max_rounds))
+    restarts = draw(st.sets(st.integers(1, max_rounds + 20), max_size=3))
+    return ParticipationSchema(
+        total_rounds,
+        draw(st.integers(1, max_sep)),
+        draw(st.integers(1, max_part)),
+        tuple(sorted(restarts)),
+    )
+
+
+class TestPrefixAccounting:
+    """The one-pass prefix column must equal a fresh solve of every prefix
+    exactly, and brute force wherever that runs."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_schemas(max_rounds=200, max_sep=45, max_part=12))
+    def test_every_prefix_matches_a_fresh_solve(self, schema):
+        values = prefix_sensitivity_sq(schema)
+        assert len(values) == schema.total_rounds
+        for n, value in enumerate(values, start=1):
+            prefix = ParticipationSchema(n, schema.min_sep, schema.max_part, schema.restart_rounds)
+            assert value == worst_case_sensitivity_sq(prefix), n
+
+    @settings(max_examples=40, deadline=None)
+    @given(_schemas(max_rounds=16, max_sep=6, max_part=5))
+    def test_short_prefixes_match_brute_force(self, schema):
+        for n, value in enumerate(prefix_sensitivity_sq(schema), start=1):
+            oracle = brute_force_sensitivity_sq(
+                n, schema.min_sep, schema.max_part, schema.restart_rounds
+            )
+            assert value == oracle, n
+
+    def test_zcdp_column_matches_zcdp(self):
+        schema = _schema(40, min_sep=3, restarts=(16,))
+        column = prefix_zcdp(2.0, schema)
+        for n, rho in enumerate(column, start=1):
+            assert rho == zcdp(2.0, _schema(n, min_sep=3, max_part=schema.max_part, restarts=(16,)))
+        assert prefix_zcdp(0.0, schema) == [math.inf] * 40
+
+    def test_taller_schedule_keeps_built_tables(self):
+        """Tables depend on (min_sep, width, level, p) alone: a longer
+        schedule at the same min_sep reuses the solver and its tables."""
+        short, tall = _schema(64, min_sep=5), _schema(128, min_sep=5)
+        worst_case_sensitivity_sq(short)
+        solver = _solver_for(short)
+        built = dict(solver._tables)
+        worst_case_sensitivity_sq(tall)
+        assert _solver_for(tall) is solver
+        assert all(solver._tables[key] is table for key, table in built.items())
 
 
 class TestPatternSensitivity:

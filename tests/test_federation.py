@@ -408,18 +408,11 @@ class TestSecureAggregationRound:
 
 class TestObservedLimits:
     def test_repeating_participant(self):
-        records = _records(population=3)
-        records[0].participation_rounds = [0, 5, 8]
-        records[1].participation_rounds = [2]
-        records[2].participation_rounds = []
-        max_part, min_sep = observed_limits(records, total_rounds=10)
+        max_part, min_sep = observed_limits([[0, 5, 8], [2], []], total_rounds=10)
         assert max_part == 3
         assert min_sep == 3  # the 5 -> 8 gap
 
     def test_no_repeats_defaults_to_horizon(self):
-        records = _records(population=3)
-        records[0].participation_rounds = [1]
-        records[1].participation_rounds = [4]
-        max_part, min_sep = observed_limits(records, total_rounds=12)
+        max_part, min_sep = observed_limits([[1], [4], []], total_rounds=12)
         assert max_part == 1
         assert min_sep == 12

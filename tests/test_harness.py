@@ -24,6 +24,7 @@ from fpsim import (
     post_hoc_report,
     run_experiment,
     sweep_privacy,
+    zcdp,
     zcdp_to_eps,
 )
 from fpsim.cli import main as cli_main
@@ -49,6 +50,24 @@ clip.mode = adaptive
 clip.c0 = 0.4
 restart.mode = explicit
 restart.rounds = 5, 9
+"""
+
+
+SECAGG_CONFIG = """
+seed = 3
+rounds = 10
+report_goal = 6
+population = 60
+timer_rounds = 4
+noise_multiplier = 0.8
+model.vocab_size = 8
+data.examples_per_client = 10
+data.eval_examples = 100
+clip.mode = fixed
+clip.c0 = 0.5
+secagg.enabled = true
+restart.mode = explicit
+restart.rounds = 6
 """
 
 
@@ -135,6 +154,34 @@ class TestRunArtifacts:
         active = metrics["active_clip"]
         changes = [t for t in range(1, 12) if active[t] != active[t - 1]]
         assert set(changes) <= {5, 9}
+
+
+def _timer_prefix_rhos(config, run_dir):
+    """cumulative_zcdp recomputed round by round: zcdp of each prefix's
+    timer-worst-case schema, scaled like the run's final report."""
+    report = post_hoc_report(run_dir)
+    z, scale = report["z_equivalent"], report["sensitivity_scale"]
+    worst_max_part = math.ceil(config.rounds / config.timer_rounds)
+    restarts = config.restart_schedule().rounds
+    rhos = [
+        zcdp(z, ParticipationSchema(n, config.timer_rounds, worst_max_part, restarts)) * scale**2
+        for n in range(1, config.rounds + 1)
+    ]
+    return rhos, scale
+
+
+class TestCumulativeZcdp:
+    def test_adaptive_run_with_restarts(self, small_run):
+        config, result = small_run
+        expected, _ = _timer_prefix_rhos(config, result.directory)
+        assert read_metrics(result.directory)["cumulative_zcdp"] == expected
+
+    def test_secagg_run_scales_every_row(self, tmp_path):
+        config = ExperimentConfig.from_text(SECAGG_CONFIG)
+        result = run_experiment(config, tmp_path / "secagg")
+        expected, scale = _timer_prefix_rhos(config, result.directory)
+        assert scale != 1.0
+        assert read_metrics(result.directory)["cumulative_zcdp"] == expected
 
 
 class TestReportConsistency:
