@@ -1,0 +1,91 @@
+"""Golden digests: the bytes of three small runs, pinned across versions.
+
+The determinism tests compare two runs of the same code, so they cannot see
+a refactor that silently changes outputs.  These tests pin the SHA-256 of
+each deterministic artifact instead.  A change that shifts a digest on
+purpose updates the pinned value in the same commit and says why in
+CHANGES.md.
+
+The configs are the adaptive and SecAgg configs of test_harness.py, plus the
+adaptive one with a fixed clip norm.  Each run takes about 0.1 s.
+"""
+
+import hashlib
+
+import pytest
+
+from fpsim import ExperimentConfig, run_experiment
+
+ADAPTIVE_CONFIG = """
+seed = 7
+rounds = 12
+report_goal = 8
+population = 120
+timer_rounds = 3
+noise_multiplier = 0.5
+model.vocab_size = 10
+data.examples_per_client = 30
+data.eval_examples = 200
+clip.mode = adaptive
+clip.c0 = 0.4
+restart.mode = explicit
+restart.rounds = 5, 9
+"""
+
+FIXED_CONFIG = ADAPTIVE_CONFIG.replace("clip.mode = adaptive", "clip.mode = fixed")
+
+SECAGG_CONFIG = """
+seed = 3
+rounds = 10
+report_goal = 6
+population = 60
+timer_rounds = 4
+noise_multiplier = 0.8
+model.vocab_size = 8
+data.examples_per_client = 10
+data.eval_examples = 100
+clip.mode = fixed
+clip.c0 = 0.5
+secagg.enabled = true
+restart.mode = explicit
+restart.rounds = 6
+"""
+
+GOLDEN = {
+    "adaptive": (
+        ADAPTIVE_CONFIG,
+        {
+            "metrics.csv": "adf40319314d9aca59ffefbcab253ab9af73ad4741be2eedb51d39d7c07334df",
+            "checkpoint.bin": "2a110445e8cfe14177970bd0d400ab8a2f6068b45c378486f3910cbfebed32de",
+            "report.csv": "1e1b613fcae33d55b7ed7a5aab992e96b42bd75c5cbb8300b47b1b7c75398feb",
+        },
+    ),
+    "fixed": (
+        FIXED_CONFIG,
+        {
+            "metrics.csv": "c1a9f8eebfff0cb43ed74f3e530e61996d2cc2190879637890e6a71dfb5ef7e7",
+            "checkpoint.bin": "67da05d19838c94ea11ea2ce8bf64b171e37a1158d6061b00ae79a502c03a57a",
+            "report.csv": "9ac8c4d9ddd799ba5a12bfb8d9aa03617d197304a78438c5c7db6d6ae23af59c",
+        },
+    ),
+    "secagg": (
+        SECAGG_CONFIG,
+        {
+            "metrics.csv": "da422ad7d78872640082a8ce8f5b693221ccd6edf5f9d3034bc45cdf9e2f07c9",
+            "checkpoint.bin": "b35000712de1f0015ceec306b41a0b1a2c1ffb744a611370bc3ba0dfb034003d",
+            "report.csv": "11cb4e404c44f33a2bd5b3c84e4de1d0303f0265da06ba006e381bf571cdb063",
+            "secagg.csv": "211764a23f6354a35dc11434d25470d6563e0e794daaea425b253e110599015b",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_artifact_digests_pinned(name, tmp_path):
+    text, expected = GOLDEN[name]
+    run_experiment(ExperimentConfig.from_text(text), tmp_path)
+    got = {
+        artifact: hashlib.sha256((tmp_path / artifact).read_bytes()).hexdigest()
+        for artifact in expected
+    }
+    assert got == expected
