@@ -1,7 +1,5 @@
-"""Benchmark the compiled kernels against the pure-numpy fallback.
-
-Both backends produce bit-identical results (asserted below); this script
-measures what the compiled path buys in speed. Run from the repo root:
+"""Time the two hot kernels: the fast Walsh-Hadamard transform and
+stochastic rounding (fpsim._kernels, numpy). Run from the repo root:
 
     python benchmarks/bench_kernels.py
     python benchmarks/bench_kernels.py --sizes 4096 262144 --repeats 50
@@ -14,12 +12,7 @@ import time
 
 import numpy as np
 
-from fpsim._kernels import _fallback
-
-try:
-    from fpsim._kernels import _fwht_cy as _compiled
-except ImportError:
-    _compiled = None
+from fpsim._kernels import fwht_inplace, stochastic_round
 
 
 def _time_per_call(fn, repeats: int) -> float:
@@ -34,15 +27,13 @@ def _time_per_call(fn, repeats: int) -> float:
 
 
 def bench_fwht(size: int, repeats: int) -> dict[str, float]:
-    rng = np.random.default_rng(0)
-    base = rng.normal(size=size)
-    results = {"copy only": _time_per_call(base.copy, repeats)}
-    for name, impl in _backends():
-        def call(impl=impl):
-            x = base.copy()
-            impl.fwht_inplace(x)
-        results[name] = _time_per_call(call, repeats)
-    return results
+    """The transform includes one copy of its input; "copy only" is that cost."""
+    base = np.random.default_rng(0).normal(size=size)
+
+    def call():
+        fwht_inplace(base.copy())
+
+    return {"copy only": _time_per_call(base.copy, repeats), "fwht": _time_per_call(call, repeats)}
 
 
 def bench_round(size: int, repeats: int) -> dict[str, float]:
@@ -50,32 +41,7 @@ def bench_round(size: int, repeats: int) -> dict[str, float]:
     x = rng.normal(size=size) * 100
     u = rng.uniform(size=size)
     out = np.empty(size)
-    results = {}
-    for name, impl in _backends():
-        results[name] = _time_per_call(lambda impl=impl: impl.stochastic_round(x, u, out), repeats)
-    return results
-
-
-def _backends():
-    yield "numpy", _fallback
-    if _compiled is not None:
-        yield "compiled", _compiled
-
-
-def _check_equivalence(size: int) -> None:
-    if _compiled is None:
-        return
-    rng = np.random.default_rng(2)
-    x = rng.normal(size=size)
-    a, b = x.copy(), x.copy()
-    _fallback.fwht_inplace(a)
-    _compiled.fwht_inplace(b)
-    assert np.array_equal(a, b), "backends disagree on fwht"
-    u = rng.uniform(size=size)
-    out_a, out_b = np.empty(size), np.empty(size)
-    _fallback.stochastic_round(x * 100, u, out_a)
-    _compiled.stochastic_round(x * 100, u, out_b)
-    assert np.array_equal(out_a, out_b), "backends disagree on stochastic_round"
+    return {"round": _time_per_call(lambda: stochastic_round(x, u, out), repeats)}
 
 
 def main() -> None:
@@ -87,28 +53,13 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=100, help="calls per timing loop")
     args = parser.parse_args()
 
-    if _compiled is None:
-        print("compiled extension not available - timing the numpy fallback only\n")
-    else:
-        _check_equivalence(max(args.sizes))
-        print("backends verified bit-identical\n")
-
     for label, bench in (("fwht_inplace", bench_fwht), ("stochastic_round", bench_round)):
         print(f"{label} (microseconds per call, best of 3)")
-        header = f"  {'size':>8}"
-        rows = []
-        for size in args.sizes:
-            result = bench(size, args.repeats)
-            rows.append((size, result))
+        rows = [(size, bench(size, args.repeats)) for size in args.sizes]
         names = list(rows[0][1])
-        print(header + "".join(f"{name:>14}" for name in names) + f"{'speedup':>10}")
+        print(f"  {'size':>8}" + "".join(f"{name:>14}" for name in names))
         for size, result in rows:
-            cells = "".join(f"{result[name]:>14.1f}" for name in names)
-            if "compiled" in result and result["compiled"] > 0:
-                speedup = f"{result['numpy'] / result['compiled']:>9.1f}x"
-            else:
-                speedup = f"{'-':>10}"
-            print(f"  {size:>8}{cells}{speedup}")
+            print(f"  {size:>8}" + "".join(f"{result[name]:>14.1f}" for name in names))
         print()
 
 

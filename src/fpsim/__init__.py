@@ -16,12 +16,11 @@ The pieces, bottom up:
 - ``harness``    full runs, sweeps, comparison, artifacts
 - ``cli``        the ``fpsim`` command
 
-Heavy kernels (Hadamard transform, stochastic rounding) use a compiled
-extension when available and a bit-identical numpy fallback otherwise; see
-``fpsim._kernels.BACKEND``.
+The hot kernels (Hadamard transform, stochastic rounding) live in
+``fpsim._kernels`` and have one implementation, in numpy; ``BACKEND`` names
+it and is always ``"numpy"``.
 """
 
-from fpsim._kernels import BACKEND
 from fpsim.accounting import (
     ParticipationSchema,
     PrivacyLedger,
@@ -64,7 +63,7 @@ from fpsim.secagg import (
     modular_sum,
 )
 from fpsim.seeds import SeedPath, gaussian_vector, sign_vector
-from fpsim.tree import RestartSchedule, TreeState, add_round, init_tree, naive_private_sum, restart
+from fpsim.tree import RestartSchedule, TreeState, init_tree, naive_private_sum
 from fpsim.vectors import (
     as_param_vector,
     clip_l2,
@@ -74,6 +73,8 @@ from fpsim.vectors import (
 )
 
 __version__ = "0.1.0"
+
+BACKEND = "numpy"
 
 __all__ = [
     "BACKEND",
@@ -144,8 +145,6 @@ __all__ = [
     "RestartSchedule",
     "TreeState",
     "init_tree",
-    "add_round",
-    "restart",
     "naive_private_sum",
     # vectors
     "as_param_vector",

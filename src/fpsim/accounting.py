@@ -207,9 +207,16 @@ class _SensitivitySolver:
         # Margin axis size for the per-tree tables.
         self.width = min(min_sep, (1 << max_level) + 1)
         self._tables: dict[tuple[int, int], np.ndarray] = {}
-        # Fold-state margins: requirements beyond min_sep - 1 never arise.
-        self._margins = np.arange(min_sep)
-        self.empty_state = [np.zeros(min_sep)]
+
+    def empty_state(self, total_rounds: int) -> list[np.ndarray]:
+        """Fold state of an empty forest, for forests of at most total_rounds.
+
+        The fold's right-margin axis stops at min(min_sep, total_rounds + 1):
+        requirements beyond min_sep - 1 never arise, and past total_rounds
+        every requirement is equally infeasible, so ``fold`` reads the last
+        entry for any larger one.
+        """
+        return [np.zeros(min(self.min_sep, total_rounds + 1))]
 
     def _table(self, k: int, p: int) -> np.ndarray:
         """F[k][p] over the (a, b) margin grid; built lazily, memoized."""
@@ -258,13 +265,13 @@ class _SensitivitySolver:
         if k > self.max_level:
             raise ValueError("tree exceeds this solver's max level")
         size = 1 << k
-        margins = self._margins
+        margins = np.arange(state[0].shape[0])
         tree_cap = 1 + (size - 1) // self.min_sep
         new_cap = min(max_part, 1 + (end - 1) // self.min_sep)
         u_count = min(self.min_sep, size)
         # With u empty leaves before this tree's first placement, the earlier
         # trees need right margin min_sep - 1 - u for a gap of min_sep.
-        complement = self.min_sep - 1 - np.arange(u_count)
+        complement = np.minimum(self.min_sep - 1 - np.arange(u_count), margins[-1])
         # Tree-side terms by table row b (this tree's right margin) and
         # column u (its left margin, by symmetry of the tables); margins
         # past width - 1 read the last row, through `clamped`.
@@ -287,7 +294,7 @@ class _SensitivitySolver:
         return new_state
 
     def solve(self, tree_levels: tuple[int, ...], max_part: int) -> float:
-        state = self.empty_state
+        state = self.empty_state(sum(1 << k for k in tree_levels))
         end = 0
         for k in tree_levels:
             end += 1 << k
@@ -365,7 +372,7 @@ def prefix_sensitivity_sq(schema: ParticipationSchema) -> list[float]:
         level = (length & -length).bit_length() - 1
         while len(stack) > segment_base and stack[-1][0] < level:
             stack.pop()
-        state = stack[-1][1] if stack else solver.empty_state
+        state = stack[-1][1] if stack else solver.empty_state(schema.total_rounds)
         state = solver.fold(state, level, n, schema.max_part)
         stack.append((level, state))
         values.append(_best(state))

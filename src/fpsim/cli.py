@@ -67,11 +67,10 @@ def _cmd_account(args: argparse.Namespace) -> int:
                 f"account needs --run or explicit schema flags; missing {' '.join(missing)}"
             )
         restarts = tuple(int(r) for r in args.restarts.split(",")) if args.restarts else ()
-        ledger = harness._build_ledger(
+        row = harness.privacy_report(
             args.rounds, args.min_sep, args.max_part, restarts, args.z,
             args.sensitivity_scale,
         )
-        row = harness._report_row(None, ledger, args.max_part, args.min_sep)
     if args.delta != harness.REPORT_DELTA:
         rho = float(row["rho"])
         row["delta"] = args.delta

@@ -35,7 +35,7 @@ from fpsim.secagg import (
 )
 from fpsim.seeds import SeedPath, sign_vector
 from fpsim.tree import RestartSchedule, TreeState
-from fpsim.vectors import as_param_vector, clip_l2, randomized_hadamard
+from fpsim.vectors import as_param_vector, clip_l2
 
 __all__ = [
     "AvailabilityModel",
@@ -291,18 +291,13 @@ def run_round(server: ServerState, cohort: list[ClientRecord]) -> RoundMetrics:
     if server.secagg is not None:
         cfg = server.secagg
         signs = sign_vector(server.seed.child("rotation", t), cfg.padded_dim)
-        encoded = []
+        encoded = np.empty((len(cohort), cfg.padded_dim), dtype=np.int64)
         clamped = 0
-        for rec, delta in zip(cohort, deltas):
-            encoded.append(
-                encode_client(
-                    delta, cfg, signs, server.seed.child("rounding", t).child("client", rec.id)
-                )
+        for i, (rec, delta) in enumerate(zip(cohort, deltas)):
+            encoded[i], clamped_count = encode_client(
+                delta, cfg, signs, server.seed.child("rounding", t).child("client", rec.id)
             )
-            padded = np.zeros(cfg.padded_dim)
-            padded[: delta.shape[0]] = clip_l2(delta * cfg.scale, cfg.scale * cfg.clip_norm)
-            rotated = randomized_hadamard(padded, signs)
-            clamped += int(np.count_nonzero(np.abs(rotated) > cfg.infinity_bound))
+            clamped += clamped_count
         total = modular_sum(encoded, cfg.modulus)
         round_sum = decode(total, cfg, signs, len(cohort), server.model.num_params)
         bits = bits_per_update(cfg)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import math
 import struct
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,7 +43,7 @@ from fpsim.federation import (
     select_cohort,
 )
 from fpsim.models import NextTokenBOW
-from fpsim.secagg import bits_per_update, derive_config, inflated_clip_norm
+from fpsim.secagg import SecAggConfig, derive_config, inflated_clip_norm
 from fpsim.seeds import SeedPath
 from fpsim.tree import init_tree
 
@@ -56,6 +57,8 @@ __all__ = [
     "read_checkpoint",
     "read_metrics",
     "post_hoc_report",
+    "privacy_terms",
+    "privacy_report",
 ]
 
 METRICS_COLUMNS = (
@@ -142,10 +145,38 @@ def _equivalent_multiplier(config: ExperimentConfig) -> tuple[float, float]:
     return z, z
 
 
+def _secagg_config(config: ExperimentConfig) -> SecAggConfig | None:
+    """The run's shared SecAgg encoding parameters; None when SecAgg is off."""
+    if not config.secagg_enabled:
+        return None
+    model = NextTokenBOW(vocab_size=config.vocab_size, window=config.window)
+    return derive_config(
+        clip_norm=config.clip_c0,
+        scale=config.secagg_scale,
+        model_dim=model.num_params,
+        cohort_size=config.report_goal,
+        retry_cap=config.secagg_retry_cap,
+    )
+
+
+def privacy_terms(config: ExperimentConfig) -> tuple[float, float]:
+    """(z_equiv, sensitivity_scale) of a run: the guarantee-side noise
+    multiplier, and the factor SecAgg rounding inflates the per-client
+    sensitivity by (1.0 without SecAgg)."""
+    _, z_equiv = _equivalent_multiplier(config)
+    secagg_cfg = _secagg_config(config)
+    if secagg_cfg is None:
+        return z_equiv, 1.0
+    return z_equiv, inflated_clip_norm(secagg_cfg) / config.clip_c0
+
+
 def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunResult:
     """Execute the full training loop and write the run directory."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    secagg_cfg = _secagg_config(config)
+    z_delta, _ = _equivalent_multiplier(config)
+    z_equiv, sensitivity_scale = privacy_terms(config)
 
     root = SeedPath(config.seed)
     data_cfg = DataConfig(
@@ -171,7 +202,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunResult:
     else:
         theta0 = model.init_params(root.child("init"))
 
-    z_delta, z_equiv = _equivalent_multiplier(config)
     clip_state = None
     if config.clip_mode == "adaptive":
         clip_state = ClipState(
@@ -182,18 +212,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunResult:
             cohort_size=config.report_goal,
             seed=root.child("clip"),
         )
-
-    secagg_cfg = None
-    sensitivity_scale = 1.0
-    if config.secagg_enabled:
-        secagg_cfg = derive_config(
-            clip_norm=config.clip_c0,
-            scale=config.secagg_scale,
-            model_dim=model.num_params,
-            cohort_size=config.report_goal,
-            retry_cap=config.secagg_retry_cap,
-        )
-        sensitivity_scale = inflated_clip_norm(secagg_cfg) / config.clip_c0
 
     schedule = config.restart_schedule()
     server = ServerState(
@@ -266,39 +284,18 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunResult:
         )
     (out / "config.resolved").write_text(config.canonical_text())
 
-    max_part, min_sep = observed_limits(
-        (rec.participation_rounds for rec in records), config.rounds
-    )
-    ledger = _build_ledger(
-        config.rounds, min_sep, max_part, schedule.rounds, z_equiv, sensitivity_scale
-    )
-    _write_report(out, config, ledger, max_part, min_sep)
+    row = _observed_report(config, (rec.participation_rounds for rec in records))
+    _write_csv(out / "report.csv", REPORT_COLUMNS, [tuple(row[k] for k in REPORT_COLUMNS)])
+    (out / "report.txt").write_text(render_report_text(row))
 
     return RunResult(
         directory=out,
         final_accuracy=metrics_rows[-1][1],
-        final_rho=ledger.rho,
-        observed_max_part=max_part,
-        observed_min_sep=min_sep,
+        final_rho=row["rho"],
+        observed_max_part=row["observed_max_part"],
+        observed_min_sep=row["observed_min_sep"],
         config_hash=config.config_hash(),
     )
-
-
-def _build_ledger(
-    total_rounds: int,
-    min_sep: int,
-    max_part: int,
-    restart_rounds: tuple[int, ...],
-    z_equiv: float,
-    sensitivity_scale: float,
-) -> PrivacyLedger:
-    schema = ParticipationSchema(
-        total_rounds=total_rounds,
-        min_sep=min_sep,
-        max_part=max(1, max_part),
-        restart_rounds=restart_rounds,
-    )
-    return PrivacyLedger(schema=schema, z=z_equiv, sensitivity_scale=sensitivity_scale)
 
 
 REPORT_COLUMNS = (
@@ -338,12 +335,27 @@ def render_report_text(row: dict[str, object]) -> str:
     return "\n".join(lines)
 
 
-def _report_row(
-    config: ExperimentConfig | None,
-    ledger: PrivacyLedger,
-    max_part: int,
+def privacy_report(
+    total_rounds: int,
     min_sep: int,
+    max_part: int,
+    restart_rounds: tuple[int, ...],
+    z_equiv: float,
+    sensitivity_scale: float = 1.0,
+    config: ExperimentConfig | None = None,
 ) -> dict[str, object]:
+    """The report row (REPORT_COLUMNS) for one participation schema.
+
+    ``config``, when given, supplies the configured noise multiplier and the
+    config hash; without it they are ``z_equiv`` and empty.
+    """
+    schema = ParticipationSchema(
+        total_rounds=total_rounds,
+        min_sep=min_sep,
+        max_part=max(1, max_part),
+        restart_rounds=restart_rounds,
+    )
+    ledger = PrivacyLedger(schema=schema, z=z_equiv, sensitivity_scale=sensitivity_scale)
     return {
         "total_rounds": ledger.schema.total_rounds,
         "observed_max_part": max_part,
@@ -360,16 +372,22 @@ def _report_row(
     }
 
 
-def _write_report(
-    out: Path,
-    config: ExperimentConfig,
-    ledger: PrivacyLedger,
-    max_part: int,
-    min_sep: int,
-) -> None:
-    row = _report_row(config, ledger, max_part, min_sep)
-    _write_csv(out / "report.csv", REPORT_COLUMNS, [tuple(row[k] for k in REPORT_COLUMNS)])
-    (out / "report.txt").write_text(render_report_text(row))
+def _observed_report(
+    config: ExperimentConfig, participation: Iterable[Sequence[int]]
+) -> dict[str, object]:
+    """A run's report row from its per-client participation rounds: the
+    schema the log attains, accounted at the run's privacy_terms."""
+    max_part, min_sep = observed_limits(participation, config.rounds)
+    z_equiv, sensitivity_scale = privacy_terms(config)
+    return privacy_report(
+        config.rounds,
+        min_sep,
+        max_part,
+        config.restart_schedule().rounds,
+        z_equiv,
+        sensitivity_scale,
+        config,
+    )
 
 
 def post_hoc_report(run_dir: str | Path) -> dict[str, object]:
@@ -381,25 +399,7 @@ def post_hoc_report(run_dir: str | Path) -> dict[str, object]:
     with open(run / "participation.csv", newline="") as fh:
         for row in csv.DictReader(fh):
             by_client.setdefault(int(row["client_id"]), []).append(int(row["round"]))
-    max_part, min_sep = observed_limits(by_client.values(), config.rounds)
-    _, z_equiv = _equivalent_multiplier(config)
-    sensitivity_scale = 1.0
-    if config.secagg_enabled:
-        model = NextTokenBOW(vocab_size=config.vocab_size, window=config.window)
-        secagg_cfg = derive_config(
-            config.clip_c0, config.secagg_scale, model.num_params, config.report_goal,
-            config.secagg_retry_cap,
-        )
-        sensitivity_scale = inflated_clip_norm(secagg_cfg) / config.clip_c0
-    ledger = _build_ledger(
-        config.rounds,
-        min_sep,
-        max_part,
-        config.restart_schedule().rounds,
-        z_equiv,
-        sensitivity_scale,
-    )
-    return _report_row(config, ledger, max_part, min_sep)
+    return _observed_report(config, by_client.values())
 
 
 def sweep_privacy(sweep_cfg: SweepConfig, out_path: str | Path) -> list[tuple]:

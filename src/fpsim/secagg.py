@@ -17,13 +17,15 @@ of) the true sum.  The pipeline, per client:
 
 The server sums modulo M = 2 * infinity_bound * cohort_size + 1, which is
 wide enough that no wraparound occurs, then undoes shift, rotation, scale
-and padding.  Noise calibrated for central DP must use the rounded vectors'
+and padding.  The sum runs in int64, so SecAggConfig refuses a modulus with
+cohort_size * (M - 1) >= 2**63.  Noise calibrated for central DP must use the rounded vectors'
 inflated norm bound (inflated_clip_norm) rather than the raw clip norm.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +62,11 @@ class RoundingRetriesExhausted(RuntimeError):
     """Conditional stochastic rounding failed retry_cap times in a row."""
 
 
+def _sum_fits_int64(count: int, modulus: int) -> bool:
+    """Whether count residues in [0, modulus) always sum below 2**63."""
+    return count * (modulus - 1) < 2**63
+
+
 @dataclass(frozen=True)
 class SecAggConfig:
     """Fixed per-run encoding parameters shared by clients and server."""
@@ -83,6 +90,11 @@ class SecAggConfig:
             raise ValueError("infinity_bound must be >= 1")
         if self.modulus != 2 * self.infinity_bound * self.cohort_size + 1:
             raise ValueError("modulus must equal 2*infinity_bound*cohort_size + 1")
+        if not _sum_fits_int64(self.cohort_size, self.modulus):
+            raise ValueError(
+                f"modulus {self.modulus} is too wide: a cohort of {self.cohort_size} "
+                "residues overflows int64; lower secagg.s"
+            )
         if self.retry_cap < 1:
             raise ValueError("retry_cap must be >= 1")
 
@@ -151,13 +163,15 @@ def encode_client(
     config: SecAggConfig,
     rotation_signs: np.ndarray,
     seed: SeedPath,
-) -> np.ndarray:
+) -> tuple[np.ndarray, int]:
     """Map one client's real update to non-negative integers mod M.
 
     rotation_signs is the round's shared Rademacher vector (all cohort
     clients must use the same one); seed drives this client's private
-    rounding randomness.  Raises RoundingRetriesExhausted if the rounded
-    norm check fails retry_cap consecutive times.
+    rounding randomness.  Returns the encoded int64 vector and the number
+    of rotated coordinates the L-infinity clamp cut (|x| > infinity_bound).
+    Raises RoundingRetriesExhausted if the rounded norm check fails
+    retry_cap consecutive times.
     """
     delta = as_param_vector(delta)
     if delta.shape[0] > config.padded_dim:
@@ -167,6 +181,7 @@ def encode_client(
     padded[: delta.shape[0]] = scaled
     rotated = randomized_hadamard(padded, rotation_signs)
     bound = float(config.infinity_bound)
+    clamped_count = int(np.count_nonzero(np.abs(rotated) > bound))
     clamped = np.clip(rotated, -bound, bound)
 
     norm_bound_sq = _rounded_norm_bound_sq(config)
@@ -176,25 +191,32 @@ def encode_client(
         stochastic_round(clamped, uniforms, rounded)
         if float(rounded @ rounded) <= norm_bound_sq:
             shifted = rounded + bound
-            return shifted.astype(np.int64)
+            return shifted.astype(np.int64), clamped_count
     raise RoundingRetriesExhausted(
         f"stochastic rounding exceeded the norm bound {config.retry_cap} times"
     )
 
 
-def modular_sum(updates: list[np.ndarray], modulus: int) -> np.ndarray:
-    """Sum integer vectors modulo modulus (the secure-aggregation server op)."""
-    if not updates:
+def modular_sum(updates: Sequence[np.ndarray] | np.ndarray, modulus: int) -> np.ndarray:
+    """Sum residue vectors modulo modulus (the secure-aggregation server op).
+
+    ``updates`` is a list of vectors or the rows of one 2-d array (which is
+    summed without a copy).  One int64 sum over the stacked updates, reduced
+    once: exact because len(updates) residues in [0, modulus) cannot
+    overflow int64, which is checked.
+    """
+    if len(updates) == 0:
         raise ValueError("updates must be nonempty")
-    total = np.zeros(updates[0].shape[0], dtype=np.int64)
-    for u in updates:
-        u = np.asarray(u)
-        if u.dtype.kind not in "iu":
-            raise ValueError("modular_sum takes integer vectors")
-        if u.shape != total.shape:
-            raise ValueError("all updates must have the same shape")
-        total = (total + u) % modulus
-    return total
+    if len({np.shape(u) for u in updates}) != 1 or np.ndim(updates[0]) != 1:
+        raise ValueError("all updates must be vectors of the same shape")
+    stack = np.asarray(updates)
+    if stack.dtype.kind not in "iu":
+        raise ValueError("modular_sum takes integer vectors")
+    if not _sum_fits_int64(len(updates), modulus):
+        raise ValueError(f"{len(updates)} residues mod {modulus} overflow int64")
+    if stack.min() < 0 or stack.max() >= modulus:
+        raise ValueError("modular_sum takes residues in [0, modulus)")
+    return np.sum(stack, axis=0, dtype=np.int64) % modulus
 
 
 def decode(

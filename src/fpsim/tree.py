@@ -28,8 +28,6 @@ __all__ = [
     "RestartSchedule",
     "TreeState",
     "init_tree",
-    "add_round",
-    "restart",
     "naive_private_sum",
     "prefix_decomposition",
 ]
@@ -188,17 +186,6 @@ class TreeState:
 def init_tree(z: float, clip_norm: float, d: int, seed: SeedPath) -> TreeState:
     """Empty tree at segment 0, round 0."""
     return TreeState(z=float(z), clip_norm=float(clip_norm), d=int(d), seed=seed)
-
-
-def add_round(tree: TreeState, x: np.ndarray) -> np.ndarray:
-    """Functional wrapper over TreeState.add_round."""
-    return tree.add_round(x)
-
-
-def restart(tree: TreeState, new_clip_norm: float) -> TreeState:
-    """Functional wrapper over TreeState.restart; returns the same object."""
-    tree.restart(new_clip_norm)
-    return tree
 
 
 def naive_private_sum(

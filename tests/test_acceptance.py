@@ -23,7 +23,6 @@ from fpsim import (
     RestartSchedule,
     SeedPath,
     ServerState,
-    add_round,
     brute_force_sensitivity_sq,
     client_update,
     clip_l2,
@@ -37,7 +36,6 @@ from fpsim import (
     modular_sum,
     naive_private_sum,
     noise_split,
-    restart,
     run_experiment,
     run_round,
     select_cohort,
@@ -73,9 +71,9 @@ def test_01_private_sum_matches_naive_oracle():
         tree = init_tree(z, clip_norm, dim, path)
         reports = []
         for t in range(total_rounds):
-            reports.append(add_round(tree, history[t]))
+            reports.append(tree.add_round(history[t]))
             if (t + 1) in restarts:
-                restart(tree, clip_norm)
+                tree.restart(clip_norm)
         oracle = naive_private_sum(history, z, clip_norm, path, restart_rounds=restarts)
         max_diff = max(max_diff, float(np.abs(np.asarray(reports) - oracle).max()))
     elapsed = time.monotonic() - started
@@ -105,7 +103,7 @@ def test_02_prefix_noise_variance_follows_popcount_law():
     worst = 0.0
     lines = []
     for t in range(15):
-        report = add_round(tree, zero)
+        report = tree.add_round(zero)
         if t in checkpoints:
             expected = bin(t + 1).count("1") * (z * clip_norm) ** 2
             rel = abs(float(report.var()) - expected) / expected
@@ -259,7 +257,7 @@ def test_06_secagg_round_trip_50_cohorts():
             x *= rng.uniform(2.0, 8.0) / np.linalg.norm(x)  # some norms exceed c
             deltas.append(x)
         encoded = [
-            encode_client(x, cfg, signs, path.child("rounding").child("client", i))
+            encode_client(x, cfg, signs, path.child("rounding").child("client", i))[0]
             for i, x in enumerate(deltas)
         ]
         for enc in encoded:

@@ -8,6 +8,7 @@ plus the standard loose closed form as an upper bound.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,23 @@ class TestSolverExactness:
         expected = sum((t >> level) * (2**level) ** 2 for level in range(11))
         got = worst_case_sensitivity_sq(_schema(t, min_sep=1))
         assert got == expected
+
+    def test_min_sep_past_the_horizon_costs_no_memory(self):
+        """Every min_sep at or past the horizon gives the same value, and a
+        huge one allocates no margin axis of that size."""
+        values = {
+            min_sep: worst_case_sensitivity_sq(ParticipationSchema(64, min_sep, 1))
+            for min_sep in (64, 65, 1000, 2_000_000)
+        }
+        assert set(values.values()) == {7.0}
+        tracemalloc.start()
+        try:
+            worst_case_sensitivity_sq(ParticipationSchema(64, 2_000_001, 1))
+            prefix_sensitivity_sq(ParticipationSchema(64, 2_000_001, 1, (16,)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_restart_splits_the_horizon(self):
         """With a restart, patterns confined to one segment accumulate only

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import hadamard
 
 from fpsim import (
     AvailabilityModel,
@@ -19,17 +20,21 @@ from fpsim import (
     DataConfig,
     NextTokenBOW,
     RestartSchedule,
+    SecAggConfig,
     SeedPath,
     ServerState,
     TrainingDiverged,
     client_update,
+    clip_l2,
     derive_config,
+    encode_client,
     init_tree,
     observed_limits,
     run_round,
     select_cohort,
     synthesize_clients,
 )
+from fpsim import federation
 from fpsim.clipping import ClipState
 
 
@@ -370,6 +375,44 @@ class TestSecureAggregationRound:
         assert metrics_coded.secagg_residual <= m * math.sqrt(cfg.padded_dim) / 100.0
         assert 0.0 <= metrics_coded.secagg_clamp_fraction <= 1.0
         assert metrics_plain.bits_per_update == 0
+
+    def test_clamp_fraction_counts_clamped_coordinates(self, monkeypatch):
+        """A hand-built config with infinity_bound 1 clamps many rotated
+        coordinates; the round's clamp fraction equals an independent
+        recount over the deltas the codec received."""
+        m = 4
+        records = _records(population=8)
+        model_dim = NextTokenBOW(vocab_size=8).num_params
+        padded_dim = 1 << (model_dim - 1).bit_length()
+        cfg = SecAggConfig(
+            clip_norm=1.0,
+            scale=100.0,
+            padded_dim=padded_dim,
+            cohort_size=m,
+            infinity_bound=1,
+            modulus=2 * m + 1,
+        )
+        server = _server(records, m=m, clip=1.0, seed=42, secagg=cfg)
+        received = []
+
+        def recording_encode(delta, config, signs, seed):
+            received.append((delta.copy(), signs.copy()))
+            return encode_client(delta, config, signs, seed)
+
+        monkeypatch.setattr(federation, "encode_client", recording_encode)
+        metrics = run_round(server, records[:m])
+        monkeypatch.undo()
+
+        rotation = hadamard(padded_dim) / math.sqrt(padded_dim)
+        recount = 0
+        for delta, signs in received:
+            padded = np.zeros(padded_dim)
+            padded[:model_dim] = clip_l2(delta * cfg.scale, cfg.scale * cfg.clip_norm)
+            rotated = rotation @ (signs * padded)
+            recount += int(np.count_nonzero(np.abs(rotated) > cfg.infinity_bound))
+        assert len(received) == m
+        assert metrics.secagg_clamp_fraction > 0
+        assert metrics.secagg_clamp_fraction == recount / (m * padded_dim)
 
     def test_secagg_requires_fixed_clip(self):
         records = _records()

@@ -330,6 +330,17 @@ class TestCli:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    def test_secagg_modulus_overflow_fails_before_training(self, tmp_path, capsys):
+        """A scale whose modulus cannot be summed in int64 stops the run at
+        setup with an error naming the key, not mid-round."""
+        cfg_path = tmp_path / "wide.cfg"
+        cfg_path.write_text(SECAGG_CONFIG + "secagg.s = 1e19\n")
+        out = tmp_path / "wide"
+        rc = cli_main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 1
+        assert "secagg.s" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
+
     def test_output_root_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FPSIM_OUTPUT_ROOT", str(tmp_path / "root"))
         cfg_path = tmp_path / "exp.cfg"

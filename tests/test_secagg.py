@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import hadamard
 
 from fpsim import (
     RoundingRetriesExhausted,
@@ -116,7 +117,7 @@ class TestRoundTrip:
         signs = sign_vector(SeedPath(1).child("rot"), cfg.padded_dim)
         deltas = [rng.normal(size=model_dim) for _ in range(m)]
         encoded = [
-            encode_client(x, cfg, signs, SeedPath(1).child("round").child("client", i))
+            encode_client(x, cfg, signs, SeedPath(1).child("round").child("client", i))[0]
             for i, x in enumerate(deltas)
         ]
         total = modular_sum(encoded, cfg.modulus)
@@ -133,7 +134,7 @@ class TestRoundTrip:
         signs = sign_vector(SeedPath(2).child("rot"), cfg.padded_dim)
         x = rng.normal(size=model_dim)
         x = clip_l2(x, 1.0)
-        enc = encode_client(x, cfg, signs, SeedPath(2).child("c"))
+        enc, _ = encode_client(x, cfg, signs, SeedPath(2).child("c"))
         out = decode(enc.copy(), cfg, signs, n_clients=1, model_dim=model_dim)
         np.testing.assert_allclose(out, x, atol=1e-4)
 
@@ -145,7 +146,7 @@ class TestRoundTrip:
         signs = sign_vector(SeedPath(3).child("rot"), cfg.padded_dim)
         for i in range(10):
             x = rng.normal(size=256) * rng.uniform(0.1, 10)
-            enc = encode_client(x, cfg, signs, SeedPath(3).child("c", i))
+            enc, _ = encode_client(x, cfg, signs, SeedPath(3).child("c", i))
             assert enc.dtype == np.int64
             assert enc.min() >= 0
             assert enc.max() <= 2 * cfg.infinity_bound
@@ -157,7 +158,7 @@ class TestRoundTrip:
         cfg = derive_config(5.0, 100.0, 256, m)
         signs = sign_vector(SeedPath(4).child("rot"), cfg.padded_dim)
         encoded = [
-            encode_client(rng.normal(size=256) * 5, cfg, signs, SeedPath(4).child("c", i))
+            encode_client(rng.normal(size=256) * 5, cfg, signs, SeedPath(4).child("c", i))[0]
             for i in range(m)
         ]
         raw = np.sum(np.stack(encoded).astype(np.int64), axis=0)
@@ -171,7 +172,7 @@ class TestRoundTrip:
         bound = _rounded_norm_bound_sq(cfg)
         for i in range(20):
             x = rng.normal(size=256) * rng.uniform(0.1, 10)
-            enc = encode_client(x, cfg, signs, SeedPath(5).child("c", i))
+            enc, _ = encode_client(x, cfg, signs, SeedPath(5).child("c", i))
             unshifted = enc.astype(np.float64) - cfg.infinity_bound
             assert float(unshifted @ unshifted) <= bound
 
@@ -179,9 +180,10 @@ class TestRoundTrip:
         cfg = derive_config(2.0, 50.0, 128, 4)
         signs = sign_vector(SeedPath(6).child("rot"), cfg.padded_dim)
         x = np.linspace(-1, 1, 128)
-        a = encode_client(x, cfg, signs, SeedPath(6).child("c"))
-        b = encode_client(x, cfg, signs, SeedPath(6).child("c"))
+        a, a_clamped = encode_client(x, cfg, signs, SeedPath(6).child("c"))
+        b, b_clamped = encode_client(x, cfg, signs, SeedPath(6).child("c"))
         np.testing.assert_array_equal(a, b)
+        assert a_clamped == b_clamped
 
 
 class TestClamping:
@@ -198,9 +200,14 @@ class TestClamping:
         )
         signs = sign_vector(SeedPath(7).child("rot"), 16)
         x = np.full(16, 50.0)
-        enc = encode_client(x, cfg, signs, SeedPath(7).child("c"))
+        enc, clamped = encode_client(x, cfg, signs, SeedPath(7).child("c"))
         assert enc.min() >= 0
         assert enc.max() <= 2
+        # Independent recount: the rotation as an explicit matrix product.
+        rotated = hadamard(16) @ (signs * clip_l2(x, cfg.clip_norm)) / 4.0
+        recount = int(np.count_nonzero(np.abs(rotated) > cfg.infinity_bound))
+        assert recount > 0
+        assert clamped == recount
 
 
 class TestFailureModes:
@@ -237,6 +244,35 @@ class TestFailureModes:
             modular_sum([np.zeros(cfg.padded_dim, dtype=np.float64)], cfg.modulus)
         with pytest.raises(ValueError):
             modular_sum([], cfg.modulus)
+        with pytest.raises(ValueError):
+            modular_sum([a, a + cfg.modulus], cfg.modulus)  # not a residue
+        with pytest.raises(ValueError):
+            modular_sum([a, a - 1], cfg.modulus)
+
+    def test_modular_sum_reduces_the_stacked_sum(self):
+        rng = np.random.default_rng(10)
+        modulus = 1_000_003
+        updates = [rng.integers(0, modulus, size=64) for _ in range(7)]
+        want = np.zeros(64, dtype=np.int64)
+        for u in updates:
+            want = (want + u) % modulus
+        np.testing.assert_array_equal(modular_sum(updates, modulus), want)
+
+    def test_int64_overflow_bound_checked(self):
+        """A modulus whose cohort sum cannot fit int64 is refused when the
+        config is built, naming the scale key, instead of failing mid-run."""
+        with pytest.raises(ValueError, match="secagg.s"):
+            derive_config(1.0, 1e19, 4096, 20)
+        # The bound is exact: cohort_size * (modulus - 1) < 2**63.
+        cohort, infinity_bound = 2, 2**60 - 1
+        fits = SecAggConfig(1.0, 1.0, 4, cohort, infinity_bound, 2 * infinity_bound * cohort + 1)
+        assert cohort * (fits.modulus - 1) == 2**63 - 8
+        with pytest.raises(ValueError, match="secagg.s"):
+            SecAggConfig(1.0, 1.0, 4, cohort, 2**60, 2**62 + 1)
+        # modular_sum checks the same bound for its own input count.
+        a = np.zeros(4, dtype=np.int64)
+        with pytest.raises(ValueError, match="overflow"):
+            modular_sum([a] * 3, 2**62)
 
     def test_decode_validates_client_count(self):
         cfg = derive_config(1.0, 10.0, 8, 2)

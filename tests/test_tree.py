@@ -10,7 +10,7 @@ implementation breaks equality at machine precision zero.
 import numpy as np
 import pytest
 
-from fpsim import RestartSchedule, SeedPath, add_round, init_tree, naive_private_sum, restart
+from fpsim import RestartSchedule, SeedPath, init_tree, naive_private_sum
 from fpsim.tree import prefix_decomposition
 
 
@@ -53,14 +53,14 @@ class TestZeroNoise:
         total = 0.0
         for x in (1.0, 2.0, 4.0):
             total += x
-            report = add_round(tree, np.array([x]))
+            report = tree.add_round(np.array([x]))
             np.testing.assert_array_equal(report, np.array([total]))
         assert total == 7.0
 
     def test_zero_noise_with_unbounded_clip(self):
         """z=0 with an infinite clip level must not poison the sum with NaN."""
         tree = init_tree(0.0, np.inf, 3, SeedPath(1).child("t"))
-        out = add_round(tree, np.array([1.0, -2.0, 3.0]))
+        out = tree.add_round(np.array([1.0, -2.0, 3.0]))
         np.testing.assert_array_equal(out, np.array([1.0, -2.0, 3.0]))
 
 
@@ -73,7 +73,7 @@ class TestOracleEquivalence:
         oracle = naive_private_sum(history, z=0.7, clip_norm=1.3, seed=seed)
         tree = init_tree(0.7, 1.3, 4, seed)
         for t in range(rounds):
-            got = add_round(tree, history[t])
+            got = tree.add_round(history[t])
             np.testing.assert_array_equal(got, oracle[t])
 
     def test_with_restarts_and_clip_changes(self):
@@ -96,8 +96,8 @@ class TestOracleEquivalence:
         for t in range(rounds):
             if t in restarts:
                 seg += 1
-                restart(tree, clips[seg])
-            got = add_round(tree, history[t])
+                tree.restart(clips[seg])
+            got = tree.add_round(history[t])
             np.testing.assert_array_equal(got, oracle[t])
 
     def test_many_random_restart_schedules(self):
@@ -117,8 +117,8 @@ class TestOracleEquivalence:
             tree = init_tree(0.5, 1.0, 2, seed)
             for t in range(rounds):
                 if t in restarts:
-                    restart(tree, 1.0)
-                np.testing.assert_array_equal(add_round(tree, history[t]), oracle[t])
+                    tree.restart(1.0)
+                np.testing.assert_array_equal(tree.add_round(history[t]), oracle[t])
 
 
 class TestRestartSemantics:
@@ -130,19 +130,19 @@ class TestRestartSemantics:
         tree = init_tree(1.0, 1.0, 2, seed)
         last = None
         for t in range(5):
-            last = add_round(tree, np.array([1.0, -1.0]))
-        restart(tree, 1.0)
+            last = tree.add_round(np.array([1.0, -1.0]))
+        tree.restart(1.0)
         np.testing.assert_array_equal(tree.finalized_totals, last)
         # A fresh segment adds on top of the frozen realization.
-        nxt = add_round(tree, np.array([2.0, 2.0]))
+        nxt = tree.add_round(np.array([2.0, 2.0]))
         fresh_only = nxt - last
         # The fresh part must be 2 + new-segment node noise; replaying an
         # identical single-round segment from the same seed reproduces it.
         twin = init_tree(1.0, 1.0, 2, seed)
         for t in range(5):
-            add_round(twin, np.array([0.0, 0.0]))
-        restart(twin, 1.0)
-        twin_next = add_round(twin, np.array([2.0, 2.0]))
+            twin.add_round(np.array([0.0, 0.0]))
+        twin.restart(1.0)
+        twin_next = twin.add_round(np.array([2.0, 2.0]))
         # Subtracting differing frozen baselines cancels to within one ulp.
         np.testing.assert_allclose(
             twin_next - twin.finalized_totals, fresh_only, rtol=0, atol=1e-12
@@ -151,11 +151,11 @@ class TestRestartSemantics:
     def test_restart_requires_progress(self):
         tree = init_tree(1.0, 1.0, 1, SeedPath(8).child("t"))
         with pytest.raises(ValueError):
-            restart(tree, 1.0)
-        add_round(tree, np.array([1.0]))
-        restart(tree, 1.0)  # now legal
+            tree.restart(1.0)
+        tree.add_round(np.array([1.0]))
+        tree.restart(1.0)  # now legal
         with pytest.raises(ValueError):
-            restart(tree, 1.0)  # and immediately again is not
+            tree.restart(1.0)  # and immediately again is not
 
     def test_new_segment_uses_new_clip_scale(self):
         """Node noise in segment s is z * C_s; doubling C at restart doubles the
@@ -164,9 +164,9 @@ class TestRestartSemantics:
 
         def run(second_clip):
             tree = init_tree(1.0, 1.0, 1, seed)
-            add_round(tree, np.array([0.0]))
-            restart(tree, second_clip)
-            return add_round(tree, np.array([0.0])) - tree.finalized_totals
+            tree.add_round(np.array([0.0]))
+            tree.restart(second_clip)
+            return tree.add_round(np.array([0.0])) - tree.finalized_totals
 
         one = run(1.0)
         two = run(2.0)
@@ -179,15 +179,15 @@ class TestNoiseStructure:
         report difference between t=1 and t=2 is input + the new leaf noise only."""
         seed = SeedPath(20).child("tree")
         tree = init_tree(1.0, 1.0, 1, seed)
-        add_round(tree, np.array([0.0]))
-        r1 = add_round(tree, np.array([0.0]))
-        r2 = add_round(tree, np.array([0.0]))
+        tree.add_round(np.array([0.0]))
+        r1 = tree.add_round(np.array([0.0]))
+        r2 = tree.add_round(np.array([0.0]))
         # prefix(2) = {node(1,0)}; prefix(3) = {node(1,0), node(0,2)}
         # so r2 - r1 is exactly the fresh leaf node's noise, shared with a twin.
         twin = init_tree(1.0, 1.0, 1, seed)
-        add_round(twin, np.array([0.0]))
-        t1 = add_round(twin, np.array([0.0]))
-        t2 = add_round(twin, np.array([0.0]))
+        twin.add_round(np.array([0.0]))
+        t1 = twin.add_round(np.array([0.0]))
+        t2 = twin.add_round(np.array([0.0]))
         np.testing.assert_array_equal(r2 - r1, t2 - t1)
         assert not np.array_equal(r1, r2)
 
@@ -200,7 +200,7 @@ class TestNoiseStructure:
         tree = init_tree(z, c, d, SeedPath(21).child("mc"))
         zero = np.zeros(d)
         for t in range(8):
-            report = add_round(tree, zero)
+            report = tree.add_round(zero)
             expected = bin(t + 1).count("1") * (z * c) ** 2
             observed = report.var()
             assert abs(observed - expected) / expected < 0.05, (t, observed, expected)
@@ -210,7 +210,7 @@ class TestNoiseStructure:
         tree = init_tree(1.0, 1.0, 1, SeedPath(22).child("t"))
         max_cached = 0
         for t in range(512):
-            add_round(tree, np.array([0.0]))
+            tree.add_round(np.array([0.0]))
             max_cached = max(max_cached, len(tree._node_cache))
         assert max_cached <= 10  # log2(512) + 1
 
@@ -220,12 +220,12 @@ class TestNoiseStructure:
         b = init_tree(0.9, 1.0, 5, seed)
         x = np.ones(5)
         for _ in range(17):
-            np.testing.assert_array_equal(add_round(a, x), add_round(b, x))
+            np.testing.assert_array_equal(a.add_round(x), b.add_round(x))
 
     def test_input_validation(self):
         tree = init_tree(1.0, 1.0, 3, SeedPath(24).child("t"))
         with pytest.raises(ValueError):
-            add_round(tree, np.ones(4))
+            tree.add_round(np.ones(4))
         with pytest.raises(ValueError):
             init_tree(-1.0, 1.0, 3, SeedPath(0).child("x"))
 
