@@ -8,13 +8,17 @@ CHANGES.md.
 
 The configs are the adaptive and SecAgg configs of test_harness.py, plus the
 adaptive one with a fixed clip norm.  Each run takes about 0.1 s.
+
+The accountant's wide-table path is pinned the same way: the min_sep 1000
+sweep row and the two test_11 rho values, compared with ==.
 """
 
 import hashlib
 
 import pytest
 
-from fpsim import ExperimentConfig, run_experiment
+from fpsim import ExperimentConfig, ParticipationSchema, RestartSchedule, run_experiment, zcdp
+from fpsim.accounting import sweep
 
 ADAPTIVE_CONFIG = """
 seed = 7
@@ -89,3 +93,16 @@ def test_artifact_digests_pinned(name, tmp_path):
         for artifact in expected
     }
     assert got == expected
+
+
+def test_wide_sweep_row_pinned():
+    """One 2048-round tree at min_sep 1000: 1000-wide DP tables."""
+    assert sweep(7.0, 100, 100_000, (2048,)) == [(2048, 100, 7.0, 1000, 3, 0.4489795918367347)]
+
+
+def test_production_schema_rho_pinned():
+    """test_11's schema (min_sep 313, at most 7 participations), with the
+    periodic restarts and as one segment."""
+    restarts = RestartSchedule.periodic(2048).rounds
+    assert zcdp(7.0, ParticipationSchema(2048, 313, 7, restarts)) == 0.8877551020408163
+    assert zcdp(7.0, ParticipationSchema(2048, 313, 7, ())) == 1.530612244897959
