@@ -188,8 +188,15 @@ class _SensitivitySolver:
     Margins only matter up to min(min_sep, largest tree size + 1): beyond
     the tree size every margin is equally infeasible, so tables are clamped
     there.  The inner maximization over the midline margin u is a max-plus
-    matrix product evaluated with numpy, which is what makes
-    production-sized schedules (min_sep in the hundreds) fast.
+    matrix product, batched over the split i.  Every table is non-increasing
+    in both margins (a larger requirement only removes patterns), so a left
+    row F[k-1][i][a, u] is non-increasing in u while the right side,
+    F[k-1][p-i] read at row min_sep - 1 - u, is non-decreasing in u: only
+    the last u of each constant step of a left row can attain the max.
+    Tables hold few distinct values (one or two per row at min_sep 1000),
+    so reading step ends only turns the O(width^3) product into roughly
+    O(width^2) work with the same float sums, which is what makes
+    production-sized schedules (min_sep in the hundreds to thousands) fast.
 
     A forest (trees left to right, adjacent in time) is folded left to
     right: H[j][p][b] is the best total over trees 0..j with exactly p
@@ -218,37 +225,52 @@ class _SensitivitySolver:
         """
         return [np.zeros(min(self.min_sep, total_rounds + 1))]
 
+    def capacity(self, k: int) -> int:
+        """Most participations 2^k adjacent rounds can hold at this min_sep."""
+        return 1 + ((1 << k) - 1) // self.min_sep
+
     def _table(self, k: int, p: int) -> np.ndarray:
-        """F[k][p] over the (a, b) margin grid; built lazily, memoized."""
-        assert p >= 1
+        """F[k][p] over the (a, b) margin grid; built lazily, memoized.
+
+        Only feasible tables are built (1 <= p <= capacity(k)): a split that
+        puts more than a half's capacity on one side is skipped, not read
+        from an all -inf table.
+        """
         key = (k, p)
         cached = self._tables.get(key)
         if cached is not None:
             return cached
+        assert 1 <= p <= self.capacity(k)
         width = self.width
         margins = np.arange(width)
         if p == 1:
             # One placement covered by its root path: k + 1 nodes of count 1.
             feasible = margins[:, None] + margins[None, :] <= (1 << k) - 1
             table = np.where(feasible, float(k + 1), _NEG_INF)
-        elif (p - 1) * self.min_sep + 1 > (1 << k):
-            table = np.full((width, width), _NEG_INF)
         else:
             half = 1 << (k - 1)
-            shifted = np.maximum(margins - half, 0)
-            prev_same = self._table(k - 1, p)
-            # All p in the left half (right margin shrinks by the half
-            # width) or all in the right half (left margin shrinks).
-            best = np.maximum(prev_same[:, shifted], prev_same[shifted, :])
+            half_cap = self.capacity(k - 1)
+            if p <= half_cap:
+                # All p in the left half (right margin shrinks by the half
+                # width) or all in the right half (left margin shrinks).
+                shifted = np.maximum(margins - half, 0)
+                prev_same = self._table(k - 1, p)
+                best = np.maximum(prev_same[:, shifted], prev_same[shifted, :])
+            else:
+                best = np.full((width, width), _NEG_INF)
             u_count = min(self.min_sep, half)
             complement = np.minimum(
                 np.maximum(self.min_sep - 1 - np.arange(u_count), 0), width - 1
             )
-            for i in range(1, p):
-                left = self._table(k - 1, i)[:, :u_count]
-                right = self._table(k - 1, p - i)[complement, :]
-                best = np.maximum(best, _maxplus(left, right))
-            table = best + float(p * p)
+            splits = range(max(1, p - half_cap), min(p - 1, half_cap) + 1)
+            if splits:
+                # The splits' right-half counts p - i are their left-half
+                # counts reversed, so one stack serves both sides.
+                halves = np.stack([self._table(k - 1, i) for i in splits])
+                right = halves[::-1][:, complement, :]
+                _step_end_maxplus(halves[:, :, :u_count], right, best)
+            table = best
+            table += float(p * p)
         self._tables[key] = table
         return table
 
@@ -266,7 +288,7 @@ class _SensitivitySolver:
             raise ValueError("tree exceeds this solver's max level")
         size = 1 << k
         margins = np.arange(state[0].shape[0])
-        tree_cap = 1 + (size - 1) // self.min_sep
+        tree_cap = self.capacity(k)
         new_cap = min(max_part, 1 + (end - 1) // self.min_sep)
         u_count = min(self.min_sep, size)
         # With u empty leaves before this tree's first placement, the earlier
@@ -302,18 +324,36 @@ class _SensitivitySolver:
         return _best(state)
 
 
-def _maxplus(left: np.ndarray, right: np.ndarray, cell_budget: int = 4_000_000) -> np.ndarray:
-    """Max-plus matrix product max_u(left[a, u] + right[u, b]), chunked over
-    u so the broadcast temporary stays within cell_budget cells."""
-    rows, inner = left.shape
-    cols = right.shape[1]
-    step = max(1, cell_budget // max(1, rows * cols))
-    out = np.full((rows, cols), _NEG_INF)
-    for lo in range(0, inner, step):
-        hi = min(inner, lo + step)
-        block = (left[:, lo:hi, None] + right[None, lo:hi, :]).max(axis=1)
-        np.maximum(out, block, out=out)
-    return out
+# Candidate rows gathered per chunk of _step_end_maxplus (2 MB of float64).
+_CANDIDATE_CELLS = 1 << 18
+
+
+def _step_end_maxplus(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> None:
+    """out[a, b] = max(out[a, b], max over i, u of left[i, a, u] + right[i, u, b]).
+
+    ``left`` (splits, rows, inner) must be non-increasing along u in every
+    row and ``right`` (splits, inner, cols) non-decreasing along u in every
+    column.  Then within a run of equal left[i, a, u] the last u attains the
+    run's max, so only those step ends (with finite values) are candidates:
+    the same float sums as the dense product, over far fewer u.  Candidates
+    are taken row by row and reduced per row in chunks of gathered right
+    rows.
+    """
+    by_row = left.transpose(1, 0, 2)
+    ends = by_row > _NEG_INF
+    ends[..., :-1] &= by_row[..., :-1] != by_row[..., 1:]
+    rows, splits, inner = np.nonzero(ends)
+    weights = by_row[rows, splits, inner]
+    step = max(1, _CANDIDATE_CELLS // right.shape[2])
+    for lo in range(0, rows.size, step):
+        hi = min(rows.size, lo + step)
+        block = right[splits[lo:hi], inner[lo:hi]]
+        block += weights[lo:hi, None]
+        chunk_rows = rows[lo:hi]
+        starts = np.flatnonzero(np.diff(chunk_rows, prepend=-1))
+        targets = chunk_rows[starts]
+        reduced = np.maximum.reduceat(block, starts, axis=0)
+        out[targets] = np.maximum(out[targets], reduced, out=reduced)
 
 
 def _best(state: list[np.ndarray]) -> float:

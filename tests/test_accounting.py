@@ -9,11 +9,13 @@ plus the standard loose closed form as an upper bound.
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fpsim import (
     ParticipationSchema,
@@ -28,7 +30,13 @@ from fpsim import (
     zcdp_to_delta,
     zcdp_to_eps,
 )
-from fpsim.accounting import SWEEP_COLUMNS, _solver_for, pattern_sensitivity_sq
+from fpsim import accounting
+from fpsim.accounting import (
+    SWEEP_COLUMNS,
+    _solver_for,
+    _step_end_maxplus,
+    pattern_sensitivity_sq,
+)
 
 
 def _schema(t, min_sep=1, max_part=None, restarts=()):
@@ -119,6 +127,69 @@ class TestSolverExactness:
         split = worst_case_sensitivity_sq(_schema(16, max_part=1, restarts=(8,)))
         assert whole == 5.0  # 16-round tree: depth 4 path -> 5 nodes
         assert split == 4.0  # best segment is an 8-round tree: 4 nodes
+
+
+_STEPS = st.sampled_from([0.0, 0.0, 0.0, 0.25, 1.0 / 3.0, 2.0])
+
+
+@st.composite
+def _monotone_stacks(draw):
+    """(left, right, out) with every left row non-increasing and every right
+    column non-decreasing along the shared axis u: random steps (many
+    zero, so ties), a -inf tail on left rows and a -inf head on right
+    columns, 1-4 stacked splits, sides 1-40."""
+    splits = draw(st.integers(1, 4))
+    rows, inner, cols = (draw(st.integers(1, 40)) for _ in range(3))
+    u = np.arange(inner)
+    left_steps = draw(arrays(np.float64, (splits, rows, inner), elements=_STEPS))
+    left_ends = draw(arrays(np.int64, (splits, rows, 1), elements=st.integers(0, inner)))
+    left = np.where(u < left_ends, 10.0 - np.cumsum(left_steps, axis=2), -np.inf)
+    right_steps = draw(arrays(np.float64, (splits, inner, cols), elements=_STEPS))
+    right_starts = draw(arrays(np.int64, (splits, 1, cols), elements=st.integers(0, inner)))
+    right = np.where(u[:, None] >= right_starts, np.cumsum(right_steps, axis=1), -np.inf)
+    out = draw(arrays(np.float64, (rows, cols), elements=st.sampled_from([-np.inf, 0.0, 9.5])))
+    return left, right, out
+
+
+class TestStepEndMaxplus:
+    """The table build's max-plus reads only the step ends of each left
+    row; it must equal the dense product bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_monotone_stacks())
+    def test_matches_dense_maxplus(self, case):
+        left, right, out = case
+        dense = (left[:, :, :, None] + right[:, None, :, :]).max(axis=(0, 2))
+        expected = np.maximum(out, dense)
+        chunked = out.copy()
+        _step_end_maxplus(left, right, out)
+        assert out.tobytes() == expected.tobytes()
+        # Chunks of a few candidate rows split one row's candidates across
+        # chunks; the result must not change.
+        with mock.patch.object(accounting, "_CANDIDATE_CELLS", 3 * right.shape[2]):
+            _step_end_maxplus(left, right, chunked)
+        assert chunked.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "schema",
+        [
+            ParticipationSchema(256, 1, 256, (128,)),
+            ParticipationSchema(512, 3, 171),
+            ParticipationSchema(1024, 20, 52, (128,)),
+            ParticipationSchema(2048, 313, 7),
+        ],
+        ids=lambda schema: f"min_sep{schema.min_sep}",
+    )
+    def test_tables_nonincreasing_in_both_margins(self, schema):
+        """The monotonicity the step ends rest on holds for every table a
+        solver builds, and no table is all -inf (infeasible p is skipped)."""
+        worst_case_sensitivity_sq(schema)
+        tables = _solver_for(schema)._tables
+        assert tables
+        for key, table in tables.items():
+            assert np.all(table[1:, :] <= table[:-1, :]), key
+            assert np.all(table[:, 1:] <= table[:, :-1]), key
+            assert np.isfinite(table).any(), key
 
 
 @st.composite
