@@ -6,8 +6,12 @@ each deterministic artifact instead.  A change that shifts a digest on
 purpose updates the pinned value in the same commit and says why in
 CHANGES.md.
 
-The configs are the adaptive and SecAgg configs of test_harness.py, plus the
-adaptive one with a fixed clip norm.  Each run takes about 0.1 s.
+The pinned artifacts are metrics.csv, checkpoint.bin, report.csv and
+participation.csv (the post-hoc privacy log, whose bytes depend only on
+cohort selection), plus secagg.csv for the SecAgg run.  The configs are the
+adaptive and SecAgg configs of test_harness.py, plus the adaptive one with a
+fixed clip norm; the adaptive and fixed-clip runs select the same cohorts, so
+their participation.csv digests agree.  Each run takes about 0.1 s.
 
 The accountant's wide-table path is pinned the same way: the min_sep 1000
 sweep row and the two test_11 rho values, compared with ==.
@@ -62,6 +66,7 @@ GOLDEN = {
             "metrics.csv": "adf40319314d9aca59ffefbcab253ab9af73ad4741be2eedb51d39d7c07334df",
             "checkpoint.bin": "2a110445e8cfe14177970bd0d400ab8a2f6068b45c378486f3910cbfebed32de",
             "report.csv": "1e1b613fcae33d55b7ed7a5aab992e96b42bd75c5cbb8300b47b1b7c75398feb",
+            "participation.csv": "51e83eb51ef2a9609e1246969536d14b66f469e93f179fe350a7ae071bc6163d",
         },
     ),
     "fixed": (
@@ -70,6 +75,7 @@ GOLDEN = {
             "metrics.csv": "c1a9f8eebfff0cb43ed74f3e530e61996d2cc2190879637890e6a71dfb5ef7e7",
             "checkpoint.bin": "67da05d19838c94ea11ea2ce8bf64b171e37a1158d6061b00ae79a502c03a57a",
             "report.csv": "9ac8c4d9ddd799ba5a12bfb8d9aa03617d197304a78438c5c7db6d6ae23af59c",
+            "participation.csv": "51e83eb51ef2a9609e1246969536d14b66f469e93f179fe350a7ae071bc6163d",
         },
     ),
     "secagg": (
@@ -78,6 +84,7 @@ GOLDEN = {
             "metrics.csv": "da422ad7d78872640082a8ce8f5b693221ccd6edf5f9d3034bc45cdf9e2f07c9",
             "checkpoint.bin": "b35000712de1f0015ceec306b41a0b1a2c1ffb744a611370bc3ba0dfb034003d",
             "report.csv": "11cb4e404c44f33a2bd5b3c84e4de1d0303f0265da06ba006e381bf571cdb063",
+            "participation.csv": "bc079d68c703287a21dc50dbac1b8036e1606a30854638dc7a3699ef8f11766d",
             "secagg.csv": "211764a23f6354a35dc11434d25470d6563e0e794daaea425b253e110599015b",
         },
     ),
