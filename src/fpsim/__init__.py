@@ -39,7 +39,6 @@ from fpsim.config import ConfigError, ExperimentConfig, SweepConfig
 from fpsim.data import DataConfig, TokenDataset, synthesize_clients, synthesize_eval_set
 from fpsim.federation import (
     AvailabilityModel,
-    ClientRecord,
     CohortConfig,
     CohortExhausted,
     RoundMetrics,
@@ -108,7 +107,6 @@ __all__ = [
     "synthesize_eval_set",
     # federation
     "AvailabilityModel",
-    "ClientRecord",
     "CohortConfig",
     "CohortExhausted",
     "RoundMetrics",

@@ -19,7 +19,7 @@ privacy accountant consumes post hoc.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +40,6 @@ from fpsim.vectors import as_param_vector, clip_l2
 __all__ = [
     "AvailabilityModel",
     "CohortConfig",
-    "ClientRecord",
     "ServerState",
     "RoundMetrics",
     "CohortExhausted",
@@ -92,7 +91,6 @@ class AvailabilityModel:
 class CohortConfig:
     """Population-side selection parameters."""
 
-    population: int
     report_goal: int
     timer_rounds: int
     availability: AvailabilityModel = AvailabilityModel()
@@ -100,20 +98,8 @@ class CohortConfig:
     def __post_init__(self) -> None:
         if self.report_goal < 1:
             raise ValueError("report_goal must be >= 1")
-        if self.population < self.report_goal:
-            raise ValueError("population must be >= report_goal")
         if self.timer_rounds < 1:
             raise ValueError("timer_rounds must be >= 1")
-
-
-@dataclass
-class ClientRecord:
-    """One simulated device: its data, its timer, and its history."""
-
-    id: int
-    dataset: object
-    next_eligible_round: int = 0
-    participation_rounds: list[int] = field(default_factory=list)
 
 
 def client_update(
@@ -159,39 +145,37 @@ def client_update(
 
 
 def select_cohort(
-    clients: list[ClientRecord], cfg: CohortConfig, round_index: int, seed: SeedPath
+    next_eligible: np.ndarray,
+    sizes: np.ndarray,
+    cfg: CohortConfig,
+    round_index: int,
+    seed: SeedPath,
 ) -> list[int]:
     """Draw exactly report_goal eligible clients and start their timers.
 
-    Eligible means the timer has expired and the dataset is nonempty
-    (empty-data clients can never contribute, so they are replaced at
-    selection time).  Sampling is uniform, or availability-weighted via
-    exponential-race keys, and deterministic in (seed, round).  Returns the
-    selected ids in ascending order, the canonical aggregation order.
+    ``next_eligible[i]`` (int64, set in place for the chosen) is the first
+    round client i may report in and ``sizes[i]`` its dataset size; clients
+    without data are never eligible.  Sampling is uniform, or
+    availability-weighted via exponential-race keys, and deterministic in
+    (seed, round).  Returns the ids in ascending (aggregation) order.
     """
     if round_index < 0:
         raise ValueError("round_index must be >= 0")
-    eligible = [
-        rec
-        for rec in clients
-        if rec.next_eligible_round <= round_index and len(rec.dataset) > 0
-    ]
-    if len(eligible) < cfg.report_goal:
-        raise CohortExhausted("population exhausted: raise timer or population")
-    ids = np.array([rec.id for rec in eligible], dtype=np.int64)
+    ids = np.flatnonzero((next_eligible <= round_index) & (sizes > 0))
+    if ids.shape[0] < cfg.report_goal:
+        raise CohortExhausted(
+            f"population exhausted at round {round_index}: {ids.shape[0]} eligible "
+            f"clients for report_goal {cfg.report_goal}; lower timer_rounds or raise population"
+        )
     weights = np.maximum(cfg.availability.weights(ids, round_index), 1e-12)
     rng = seed.child("cohort", round_index).generator()
     # Weighted sampling without replacement: top-m exponential-race keys
     # (with uniform weights this reduces to a uniform m-subset).
     keys = np.log(rng.random(ids.shape[0])) / weights
     chosen = np.argpartition(keys, -cfg.report_goal)[-cfg.report_goal :]
-    selected = sorted(int(ids[i]) for i in chosen)
-    by_id = {rec.id: rec for rec in eligible}
-    for client_id in selected:
-        rec = by_id[client_id]
-        rec.next_eligible_round = round_index + cfg.timer_rounds
-        rec.participation_rounds.append(round_index)
-    return selected
+    selected = np.sort(ids[chosen])
+    next_eligible[selected] = round_index + cfg.timer_rounds
+    return selected.tolist()
 
 
 @dataclass
@@ -256,10 +240,11 @@ class RoundMetrics:
     secagg_clamp_fraction: float = 0.0
 
 
-def run_round(server: ServerState, cohort: list[ClientRecord]) -> RoundMetrics:
+def run_round(server: ServerState, cohort_ids: Sequence[int], datasets: Sequence) -> RoundMetrics:
     """Advance one round: local updates, aggregation, tree noise, anchored
-    momentum step, clip-estimate update, and scheduled restarts."""
-    if len(cohort) != server.report_goal:
+    momentum step, clip-estimate update, and scheduled restarts.  The cohort
+    is its client ids (Python ints); ``datasets[i]`` is client i's data."""
+    if len(cohort_ids) != server.report_goal:
         raise ValueError("cohort size must equal the report goal")
     t = server.round
     active = server.active_clip
@@ -268,17 +253,17 @@ def run_round(server: ServerState, cohort: list[ClientRecord]) -> RoundMetrics:
     deltas = []
     indicator_sum = 0
     loss_sum = 0.0
-    for rec in cohort:
+    for client_id in cohort_ids:
         delta, indicator, loss = client_update(
             server.model,
             server.theta,
-            rec.dataset,
+            datasets[client_id],
             server.eta_c,
             active,
             quantile,
             server.batch_size,
             server.epochs,
-            server.seed.child("local-order", t).child("client", rec.id),
+            server.seed.child("local-order", t).child("client", client_id),
         )
         deltas.append(delta)
         indicator_sum += indicator
@@ -291,18 +276,18 @@ def run_round(server: ServerState, cohort: list[ClientRecord]) -> RoundMetrics:
     if server.secagg is not None:
         cfg = server.secagg
         signs = sign_vector(server.seed.child("rotation", t), cfg.padded_dim)
-        encoded = np.empty((len(cohort), cfg.padded_dim), dtype=np.int64)
+        encoded = np.empty((len(cohort_ids), cfg.padded_dim), dtype=np.int64)
         clamped = 0
-        for i, (rec, delta) in enumerate(zip(cohort, deltas)):
+        for i, (client_id, delta) in enumerate(zip(cohort_ids, deltas)):
             encoded[i], clamped_count = encode_client(
-                delta, cfg, signs, server.seed.child("rounding", t).child("client", rec.id)
+                delta, cfg, signs, server.seed.child("rounding", t).child("client", client_id)
             )
             clamped += clamped_count
         total = modular_sum(encoded, cfg.modulus)
-        round_sum = decode(total, cfg, signs, len(cohort), server.model.num_params)
+        round_sum = decode(total, cfg, signs, len(cohort_ids), server.model.num_params)
         bits = bits_per_update(cfg)
         residual = float(np.linalg.norm(round_sum - plain_sum))
-        clamp_fraction = clamped / (len(cohort) * cfg.padded_dim)
+        clamp_fraction = clamped / (len(cohort_ids) * cfg.padded_dim)
     else:
         round_sum = plain_sum
 
@@ -313,7 +298,7 @@ def run_round(server: ServerState, cohort: list[ClientRecord]) -> RoundMetrics:
     if server.clip is not None:
         server.clip.add_round(float(indicator_sum))
 
-    train_loss = loss_sum / len(cohort)
+    train_loss = loss_sum / len(cohort_ids)
     if not math.isfinite(train_loss) or not np.isfinite(server.theta).all():
         raise TrainingDiverged(f"non-finite loss or parameters at round {t}")
 
@@ -325,7 +310,7 @@ def run_round(server: ServerState, cohort: list[ClientRecord]) -> RoundMetrics:
     return RoundMetrics(
         round=t,
         train_loss=train_loss,
-        cohort_size=len(cohort),
+        cohort_size=len(cohort_ids),
         active_clip=active,
         quantile_estimate=server.quantile_estimate,
         bits_per_update=bits,
@@ -335,23 +320,24 @@ def run_round(server: ServerState, cohort: list[ClientRecord]) -> RoundMetrics:
 
 
 def observed_limits(
-    participation: Iterable[Sequence[int]], total_rounds: int
+    client_ids: np.ndarray, rounds: np.ndarray, total_rounds: int
 ) -> tuple[int, int]:
     """Post-hoc participation statistics for the accountant.
 
-    ``participation`` holds each client's participation rounds.  Returns
-    (max participations of any client, minimum gap between any client's
-    consecutive participations).  When no client participated twice the
-    separation is unconstrained and reported as total_rounds by
-    convention.
+    The log is (client_id, round) pair arrays in any order, as in
+    participation.csv.  Returns (max participations of any client, minimum
+    gap between any client's consecutive participations).  When no client
+    participated twice the separation is reported as total_rounds.
     """
     if total_rounds < 1:
         raise ValueError("total_rounds must be >= 1")
-    max_part = 0
-    min_sep = total_rounds
-    for rounds in participation:
-        rounds = sorted(rounds)
-        max_part = max(max_part, len(rounds))
-        for a, b in zip(rounds, rounds[1:]):
-            min_sep = min(min_sep, b - a)
+    client_ids = np.asarray(client_ids, dtype=np.int64)
+    rounds = np.asarray(rounds, dtype=np.int64)
+    if client_ids.ndim != 1 or client_ids.shape != rounds.shape:
+        raise ValueError("client_ids and rounds must be 1-d arrays of equal length")
+    order = np.lexsort((rounds, client_ids))
+    client_ids = client_ids[order]
+    repeat = client_ids[1:] == client_ids[:-1]
+    min_sep = int(np.diff(rounds[order])[repeat].min(initial=total_rounds))
+    max_part = int(np.unique(client_ids, return_counts=True)[1].max(initial=0))
     return max_part, min_sep

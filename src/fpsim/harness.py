@@ -23,7 +23,6 @@ from __future__ import annotations
 import csv
 import math
 import struct
-from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,7 +34,6 @@ from fpsim.clipping import ClipState, combined_multiplier, noise_split
 from fpsim.config import ExperimentConfig, SweepConfig
 from fpsim.data import DataConfig, synthesize_clients, synthesize_eval_set
 from fpsim.federation import (
-    ClientRecord,
     CohortConfig,
     ServerState,
     observed_limits,
@@ -190,7 +188,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunResult:
     model = NextTokenBOW(vocab_size=config.vocab_size, window=config.window)
     datasets = synthesize_clients(data_cfg, config.population, root)
     eval_set = synthesize_eval_set(data_cfg, root)
-    records = [ClientRecord(id=i, dataset=ds) for i, ds in enumerate(datasets)]
+    sizes = np.array([len(ds) for ds in datasets], dtype=np.int64)
+    next_eligible = np.zeros(config.population, dtype=np.int64)
 
     if config.warm_start:
         theta0 = read_checkpoint(config.warm_start)
@@ -231,17 +230,18 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunResult:
         secagg=secagg_cfg,
     )
     cohort_cfg = CohortConfig(
-        population=config.population,
         report_goal=config.report_goal,
         timer_rounds=config.timer_rounds,
         availability=config.availability(),
     )
 
     history = []
+    # Row t holds round t's cohort: the participation log.
+    log = np.empty((config.rounds, config.report_goal), dtype=np.int64)
     for t in range(config.rounds):
-        cohort_ids = select_cohort(records, cohort_cfg, t, root.child("selection"))
-        cohort = [records[i] for i in cohort_ids]
-        round_metrics = run_round(server, cohort)
+        cohort_ids = select_cohort(next_eligible, sizes, cohort_cfg, t, root.child("selection"))
+        log[t] = cohort_ids
+        round_metrics = run_round(server, cohort_ids, datasets)
         eval_acc = model.accuracy(server.theta, eval_set.contexts, eval_set.labels)
         history.append((eval_acc, round_metrics))
 
@@ -269,10 +269,11 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunResult:
     ]
     _write_csv(out / "metrics.csv", METRICS_COLUMNS, metrics_rows)
     write_checkpoint(out / "checkpoint.bin", server.theta)
-    participation = [
-        (rec.id, r) for rec in records for r in rec.participation_rounds
-    ]
-    _write_csv(out / "participation.csv", ("client_id", "round"), participation)
+    client_ids = log.ravel()
+    rounds = np.repeat(np.arange(config.rounds), config.report_goal)
+    order = np.lexsort((rounds, client_ids))
+    pairs = list(zip(client_ids[order].tolist(), rounds[order].tolist()))
+    _write_csv(out / "participation.csv", ("client_id", "round"), pairs)
     if secagg_cfg is not None:
         _write_csv(
             out / "secagg.csv",
@@ -284,7 +285,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunResult:
         )
     (out / "config.resolved").write_text(config.canonical_text())
 
-    row = _observed_report(config, (rec.participation_rounds for rec in records))
+    row = _observed_report(config, client_ids, rounds)
     _write_csv(out / "report.csv", REPORT_COLUMNS, [tuple(row[k] for k in REPORT_COLUMNS)])
     (out / "report.txt").write_text(render_report_text(row))
 
@@ -373,11 +374,11 @@ def privacy_report(
 
 
 def _observed_report(
-    config: ExperimentConfig, participation: Iterable[Sequence[int]]
+    config: ExperimentConfig, client_ids: np.ndarray, rounds: np.ndarray
 ) -> dict[str, object]:
-    """A run's report row from its per-client participation rounds: the
-    schema the log attains, accounted at the run's privacy_terms."""
-    max_part, min_sep = observed_limits(participation, config.rounds)
+    """A run's report row from its (client_id, round) log: the schema the
+    log attains, accounted at the run's privacy_terms."""
+    max_part, min_sep = observed_limits(client_ids, rounds, config.rounds)
     z_equiv, sensitivity_scale = privacy_terms(config)
     return privacy_report(
         config.rounds,
@@ -392,14 +393,26 @@ def _observed_report(
 
 def post_hoc_report(run_dir: str | Path) -> dict[str, object]:
     """Recompute a finished run's privacy report from its participation log
-    and resolved config (the `account --run` path)."""
+    and resolved config (the `account --run` path).  A log no run could have
+    written (a round outside the run, a negative id, a repeated pair) is a
+    ValueError naming the file."""
     run = Path(run_dir)
     config = ExperimentConfig.from_file(run / "config.resolved")
-    by_client: dict[int, list[int]] = {}
-    with open(run / "participation.csv", newline="") as fh:
-        for row in csv.DictReader(fh):
-            by_client.setdefault(int(row["client_id"]), []).append(int(row["round"]))
-    return _observed_report(config, by_client.values())
+    path = run / "participation.csv"
+    with open(path, newline="") as fh:
+        rows = [(int(row["client_id"]), int(row["round"])) for row in csv.DictReader(fh)]
+    pairs = np.array(rows, dtype=np.int64).reshape(-1, 2)
+    client_ids, rounds = pairs.T
+    outside = rounds[(rounds < 0) | (rounds >= config.rounds)]
+    if outside.size:
+        raise ValueError(f"{path}: round {outside[0]} lies outside [0, {config.rounds})")
+    if client_ids.min(initial=0) < 0:
+        raise ValueError(f"{path}: negative client id {client_ids.min()}")
+    unique, counts = np.unique(pairs, axis=0, return_counts=True)
+    if (counts > 1).any():
+        client_id, round_index = unique[counts > 1][0]
+        raise ValueError(f"{path}: client {client_id} is listed twice for round {round_index}")
+    return _observed_report(config, client_ids, rounds)
 
 
 def sweep_privacy(sweep_cfg: SweepConfig, out_path: str | Path) -> list[tuple]:

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from fpsim import (
-    ClientRecord,
     ClipState,
     CohortConfig,
     DataConfig,
@@ -130,14 +129,19 @@ def test_03_zero_noise_run_reduces_to_fedavgm():
     m, beta, eta_s, rounds = 4, 0.9, 0.5, 200
     population, vocab = 16, 8
 
-    def make_records():
+    def make_datasets():
         cfg = DataConfig(
             vocab_size=vocab, window=1, examples_per_client=30, eval_examples=10
         )
-        datasets = synthesize_clients(cfg, population, SeedPath(0).child("data"))
-        return [ClientRecord(id=i, dataset=ds) for i, ds in enumerate(datasets)]
+        return synthesize_clients(cfg, population, SeedPath(0).child("data"))
 
-    records = make_records()
+    def make_population(datasets):
+        """(next_eligible, sizes): the arrays select_cohort reads."""
+        sizes = np.array([len(ds) for ds in datasets], dtype=np.int64)
+        return np.zeros(population, dtype=np.int64), sizes
+
+    datasets = make_datasets()
+    pool = make_population(datasets)
     model = NextTokenBOW(vocab_size=vocab, window=1)
     root = SeedPath(21).child("run")
     server = ServerState(
@@ -152,24 +156,25 @@ def test_03_zero_noise_run_reduces_to_fedavgm():
         restart_schedule=RestartSchedule(()),
         seed=root.child("federation"),
     )
-    sel_cfg = CohortConfig(population=population, report_goal=m, timer_rounds=2)
+    sel_cfg = CohortConfig(report_goal=m, timer_rounds=2)
     sel_seed = server.seed.child("selection")
 
-    twins = make_records()
+    twins = make_datasets()
+    twin_pool = make_population(twins)
     theta = server.theta0.copy()
     velocity = np.zeros_like(theta)
     max_diff = 0.0
     for t in range(rounds):
-        cohort_ids = select_cohort(records, sel_cfg, t, sel_seed)
-        run_round(server, [records[i] for i in cohort_ids])
+        cohort_ids = select_cohort(*pool, sel_cfg, t, sel_seed)
+        run_round(server, cohort_ids, datasets)
 
-        twin_ids = select_cohort(twins, sel_cfg, t, sel_seed)
+        twin_ids = select_cohort(*twin_pool, sel_cfg, t, sel_seed)
         assert twin_ids == cohort_ids
         deltas = [
             client_update(
                 server.model,
                 theta,
-                twins[i].dataset,
+                twins[i],
                 server.eta_c,
                 math.inf,
                 math.inf,

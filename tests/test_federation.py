@@ -10,11 +10,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import hadamard
 
 from fpsim import (
     AvailabilityModel,
-    ClientRecord,
     CohortConfig,
     CohortExhausted,
     DataConfig,
@@ -38,7 +39,7 @@ from fpsim import federation
 from fpsim.clipping import ClipState
 
 
-def _records(population=20, vocab=8, examples=30, seed=0, window=1):
+def _datasets(population=20, vocab=8, examples=30, seed=0, window=1):
     cfg = DataConfig(
         vocab_size=vocab,
         window=window,
@@ -47,13 +48,16 @@ def _records(population=20, vocab=8, examples=30, seed=0, window=1):
         concentration=0.1,
         eval_examples=50,
     )
-    datasets = synthesize_clients(cfg, population, SeedPath(seed).child("data"))
-    return [ClientRecord(id=i, dataset=ds) for i, ds in enumerate(datasets)]
+    return synthesize_clients(cfg, population, SeedPath(seed).child("data"))
 
 
-def _server(records, z=0.0, clip=math.inf, m=4, beta=0.0, eta_s=1.0, seed=11, **kw):
-    model = NextTokenBOW(vocab_size=records[0].dataset.contexts.max() + 1)
-    # Use the model vocab implied by the data config instead: rebuild cleanly.
+def _population(datasets):
+    """Fresh population arrays for select_cohort: (next_eligible, sizes)."""
+    next_eligible = np.zeros(len(datasets), dtype=np.int64)
+    return next_eligible, np.array([len(ds) for ds in datasets], dtype=np.int64)
+
+
+def _server(z=0.0, clip=math.inf, m=4, beta=0.0, eta_s=1.0, seed=11, **kw):
     model = NextTokenBOW(vocab_size=8)
     theta0 = model.init_params()
     root = SeedPath(seed).child("run")
@@ -104,69 +108,75 @@ class TestAvailabilityModel:
 
 class TestSelectCohort:
     def test_returns_sorted_unique_ids(self):
-        records = _records()
-        cfg = CohortConfig(population=20, report_goal=6, timer_rounds=3)
-        ids = select_cohort(records, cfg, 0, SeedPath(1).child("sel"))
+        population = _population(_datasets())
+        cfg = CohortConfig(report_goal=6, timer_rounds=3)
+        ids = select_cohort(*population, cfg, 0, SeedPath(1).child("sel"))
         assert len(ids) == 6
         assert ids == sorted(set(ids))
 
     def test_timer_blocks_reselection(self):
         """A selected client is ineligible for exactly timer_rounds rounds."""
-        records = _records(population=8)
-        cfg = CohortConfig(population=8, report_goal=4, timer_rounds=2)
+        population = _population(_datasets(population=8))
+        cfg = CohortConfig(report_goal=4, timer_rounds=2)
         seed = SeedPath(2).child("sel")
-        first = select_cohort(records, cfg, 0, seed)
-        second = select_cohort(records, cfg, 1, seed)
+        first = select_cohort(*population, cfg, 0, seed)
+        second = select_cohort(*population, cfg, 1, seed)
         assert not set(first) & set(second)
-        third = select_cohort(records, cfg, 2, seed)  # round 0 picks are back
+        third = select_cohort(*population, cfg, 2, seed)  # round 0 picks are back
         assert set(third) <= set(first)
 
     def test_exhaustion_error(self):
-        records = _records(population=6)
-        cfg = CohortConfig(population=6, report_goal=4, timer_rounds=5)
+        """The error names the round, the eligible count and the goal."""
+        population = _population(_datasets(population=6))
+        cfg = CohortConfig(report_goal=4, timer_rounds=5)
         seed = SeedPath(3).child("sel")
-        select_cohort(records, cfg, 0, seed)
-        with pytest.raises(CohortExhausted, match="population exhausted"):
-            select_cohort(records, cfg, 1, seed)
+        select_cohort(*population, cfg, 0, seed)
+        with pytest.raises(
+            CohortExhausted,
+            match=r"^population exhausted at round 1: 2 eligible clients for report_goal 4;",
+        ):
+            select_cohort(*population, cfg, 1, seed)
 
     def test_empty_dataset_clients_skipped(self):
         """Clients with no local data are replaced at selection time."""
-        records = _records(population=10)
-        empty = records[0].dataset.__class__(
-            contexts=records[0].dataset.contexts[:0], labels=records[0].dataset.labels[:0]
+        datasets = _datasets(population=10)
+        datasets[3] = datasets[0].__class__(
+            contexts=datasets[0].contexts[:0], labels=datasets[0].labels[:0]
         )
-        records[3] = ClientRecord(id=3, dataset=empty)
-        cfg = CohortConfig(population=10, report_goal=8, timer_rounds=1)
+        population = _population(datasets)
+        cfg = CohortConfig(report_goal=8, timer_rounds=1)
         for r in range(10):
-            ids = select_cohort(records, cfg, r, SeedPath(4).child("sel"))
+            ids = select_cohort(*population, cfg, r, SeedPath(4).child("sel"))
             assert 3 not in ids
 
     def test_participation_log_updated(self):
-        records = _records(population=8)
-        cfg = CohortConfig(population=8, report_goal=4, timer_rounds=1)
+        """Each pick's timer restarts at the round it reported in; the
+        harness logs the returned ids as that round's row."""
+        next_eligible, sizes = _population(_datasets(population=8))
+        cfg = CohortConfig(report_goal=4, timer_rounds=1)
         seed = SeedPath(5).child("sel")
         for r in range(6):
-            for cid in select_cohort(records, cfg, r, seed):
-                assert records[cid].participation_rounds[-1] == r
+            for cid in select_cohort(next_eligible, sizes, cfg, r, seed):
+                assert next_eligible[cid] - cfg.timer_rounds == r
 
     def test_deterministic_in_seed_and_round(self):
-        a = _records(population=12)
-        b = _records(population=12)
-        cfg = CohortConfig(population=12, report_goal=5, timer_rounds=2)
+        a = _population(_datasets(population=12))
+        b = _population(_datasets(population=12))
+        cfg = CohortConfig(report_goal=5, timer_rounds=2)
         for r in range(4):
-            assert select_cohort(a, cfg, r, SeedPath(6).child("s")) == select_cohort(
-                b, cfg, r, SeedPath(6).child("s")
+            assert select_cohort(*a, cfg, r, SeedPath(6).child("s")) == select_cohort(
+                *b, cfg, r, SeedPath(6).child("s")
             )
 
     def test_uniform_selection_is_balanced(self):
         """With uniform availability and no timer pressure every client is
         picked at close to the m/N rate."""
-        records = _records(population=30)
-        cfg = CohortConfig(population=30, report_goal=6, timer_rounds=1)
+        population = _population(_datasets(population=30))
+        cfg = CohortConfig(report_goal=6, timer_rounds=1)
         counts = np.zeros(30)
         rounds = 500
         for r in range(rounds):
-            for cid in select_cohort(records, cfg, r, SeedPath(7).child("s")):
+            for cid in select_cohort(*population, cfg, r, SeedPath(7).child("s")):
                 counts[cid] += 1
         expected = rounds * 6 / 30
         assert np.all(np.abs(counts - expected) < 5 * math.sqrt(expected))
@@ -174,89 +184,89 @@ class TestSelectCohort:
 
 class TestClientUpdate:
     def test_indicator_uses_unclipped_norm(self):
-        records = _records(population=2)
+        datasets = _datasets(population=2)
         model = NextTokenBOW(vocab_size=8)
         params = model.init_params()
         raw, _, _ = client_update(
-            model, params, records[0].dataset, 0.5, math.inf, math.inf
+            model, params, datasets[0], 0.5, math.inf, math.inf
         )
         norm = np.linalg.norm(raw)
         # Clip far below the raw norm; indicator still reflects the raw norm.
         _, ind_tight, _ = client_update(
-            model, params, records[0].dataset, 0.5, norm / 10, norm / 2
+            model, params, datasets[0], 0.5, norm / 10, norm / 2
         )
         assert ind_tight == 0
         _, ind_loose, _ = client_update(
-            model, params, records[0].dataset, 0.5, norm / 10, norm * 2
+            model, params, datasets[0], 0.5, norm / 10, norm * 2
         )
         assert ind_loose == 1
 
     def test_clipping_bounds_the_delta(self):
-        records = _records(population=1)
+        datasets = _datasets(population=1)
         model = NextTokenBOW(vocab_size=8)
         params = model.init_params()
         delta, _, _ = client_update(
-            model, params, records[0].dataset, 2.0, 0.05, math.inf
+            model, params, datasets[0], 2.0, 0.05, math.inf
         )
         assert np.linalg.norm(delta) <= 0.05 * (1 + 1e-12)
 
     def test_local_steps_reduce_local_loss(self):
-        records = _records(population=1, examples=60)
+        datasets = _datasets(population=1, examples=60)
         model = NextTokenBOW(vocab_size=8)
         params = model.init_params()
-        ds = records[0].dataset
+        ds = datasets[0]
         delta, _, _ = client_update(model, params, ds, 0.5, math.inf, math.inf, epochs=3)
         before, _ = model.loss_grad(params, ds.contexts, ds.labels)
         after, _ = model.loss_grad(params + delta, ds.contexts, ds.labels)
         assert after < before
 
     def test_order_seed_determinism(self):
-        records = _records(population=1, examples=40)
+        datasets = _datasets(population=1, examples=40)
         model = NextTokenBOW(vocab_size=8)
         params = model.init_params()
         seed = SeedPath(8).child("order")
-        a = client_update(model, params, records[0].dataset, 0.5, 1.0, 1.0, 8, 2, seed)
-        b = client_update(model, params, records[0].dataset, 0.5, 1.0, 1.0, 8, 2, seed)
+        a = client_update(model, params, datasets[0], 0.5, 1.0, 1.0, 8, 2, seed)
+        b = client_update(model, params, datasets[0], 0.5, 1.0, 1.0, 8, 2, seed)
         np.testing.assert_array_equal(a[0], b[0])
         assert a[1:] == b[1:]
 
     def test_validation(self):
-        records = _records(population=1)
+        datasets = _datasets(population=1)
         model = NextTokenBOW(vocab_size=8)
         params = model.init_params()
         with pytest.raises(ValueError):
-            client_update(model, params, records[0].dataset, 0.0, 1.0, 1.0)
+            client_update(model, params, datasets[0], 0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            client_update(model, params, records[0].dataset, 0.5, 1.0, 1.0, batch_size=0)
+            client_update(model, params, datasets[0], 0.5, 1.0, 1.0, batch_size=0)
 
 
 class TestRunRound:
     def test_cohort_size_enforced(self):
-        records = _records()
-        server = _server(records, m=4)
+        datasets = _datasets()
+        server = _server(m=4)
         with pytest.raises(ValueError):
-            run_round(server, records[:3])
+            run_round(server, [0, 1, 2], datasets)
 
     def test_single_round_zero_noise_identity(self):
         """theta after one round is exactly theta0 + eta_s * mean client delta."""
-        records = _records()
-        server = _server(records, m=4, eta_s=0.7)
-        cohort = records[:4]
+        datasets = _datasets()
+        server = _server(m=4, eta_s=0.7)
+        cohort_ids = [0, 1, 2, 3]
         deltas = [
             client_update(
                 server.model,
                 server.theta0,
-                rec.dataset,
+                datasets[i],
                 server.eta_c,
                 math.inf,
                 math.inf,
                 server.batch_size,
                 server.epochs,
-                server.seed.child("local-order", 0).child("client", rec.id),
+                server.seed.child("local-order", 0).child("client", i),
             )[0]
-            for rec in cohort
+            for i in cohort_ids
         ]
-        run_round(server, cohort)
+        run_round(server, cohort_ids, datasets)
         expected = server.theta0 + 0.7 * np.sum(deltas, axis=0) / 4
         np.testing.assert_allclose(server.theta, expected, rtol=0, atol=1e-12)
 
@@ -269,26 +279,28 @@ class TestRunRound:
         and must agree with the anchored cumulative form to float precision.
         """
         m, beta, eta_s, rounds = 4, 0.9, 0.5, 20
-        records = _records(population=16)
-        server = _server(records, m=m, beta=beta, eta_s=eta_s, seed=21)
-        sel_cfg = CohortConfig(population=16, report_goal=m, timer_rounds=2)
+        datasets = _datasets(population=16)
+        population = _population(datasets)
+        server = _server(m=m, beta=beta, eta_s=eta_s, seed=21)
+        sel_cfg = CohortConfig(report_goal=m, timer_rounds=2)
         sel_seed = server.seed.child("selection")
 
-        twins = _records(population=16)
+        twins = _datasets(population=16)
+        twin_population = _population(twins)
         theta = server.theta0.copy()
         velocity = np.zeros_like(theta)
 
         for t in range(rounds):
-            cohort_ids = select_cohort(records, sel_cfg, t, sel_seed)
-            run_round(server, [records[i] for i in cohort_ids])
+            cohort_ids = select_cohort(*population, sel_cfg, t, sel_seed)
+            run_round(server, cohort_ids, datasets)
 
-            twin_ids = select_cohort(twins, sel_cfg, t, sel_seed)
+            twin_ids = select_cohort(*twin_population, sel_cfg, t, sel_seed)
             assert twin_ids == cohort_ids
             deltas = [
                 client_update(
                     server.model,
                     theta,
-                    twins[i].dataset,
+                    twins[i],
                     server.eta_c,
                     math.inf,
                     math.inf,
@@ -303,7 +315,7 @@ class TestRunRound:
             np.testing.assert_allclose(server.theta, theta, rtol=0, atol=1e-11)
 
     def test_adaptive_clip_state_advances(self):
-        records = _records()
+        datasets = _datasets()
         root = SeedPath(30).child("run")
         model = NextTokenBOW(vocab_size=8)
         clip = ClipState(
@@ -326,10 +338,10 @@ class TestRunRound:
             restart_schedule=RestartSchedule((2,)),
             seed=root,
         )
-        run_round(server, records[:4])
+        run_round(server, [0, 1, 2, 3], datasets)
         assert clip.rounds_seen == 1
         assert server.active_clip == 0.5  # not yet activated
-        run_round(server, records[4:8])
+        run_round(server, [4, 5, 6, 7], datasets)
         # Round 2 is a restart boundary: the estimate became the active norm
         # and the tree opened a new segment.
         assert server.active_clip == clip.estimate
@@ -339,16 +351,16 @@ class TestRunRound:
         """A noise multiplier so large its Gaussian draws overflow float64
         must stop the run with the divergence diagnostic, not march on with
         non-finite parameters."""
-        records = _records()
-        server = _server(records, m=4, z=1e308, clip=1.0, seed=50)
+        datasets = _datasets()
+        server = _server(m=4, z=1e308, clip=1.0, seed=50)
         with np.errstate(over="ignore"), pytest.raises(TrainingDiverged):
             for t in range(4):
-                run_round(server, records[:4])
+                run_round(server, [0, 1, 2, 3], datasets)
 
     def test_metrics_fields(self):
-        records = _records()
-        server = _server(records, m=4)
-        metrics = run_round(server, records[:4])
+        datasets = _datasets()
+        server = _server(m=4)
+        metrics = run_round(server, [0, 1, 2, 3], datasets)
         assert metrics.round == 0
         assert metrics.cohort_size == 4
         assert math.isfinite(metrics.train_loss)
@@ -361,15 +373,15 @@ class TestSecureAggregationRound:
         """Running the same round with and without the integer codec agrees
         to the codec's rounding tolerance."""
         m = 4
-        records = _records(population=8)
-        plain = _server(records, m=m, clip=1.0, seed=40)
+        datasets = _datasets(population=8)
+        plain = _server(m=m, clip=1.0, seed=40)
         model_dim = plain.model.num_params
         cfg = derive_config(1.0, 100.0, model_dim, m)
-        coded = _server(_records(population=8), m=m, clip=1.0, seed=40, secagg=cfg)
+        coded = _server(m=m, clip=1.0, seed=40, secagg=cfg)
         cohort_ids = list(range(m))
-        metrics_plain = run_round(plain, [r for r in records if r.id in cohort_ids])
-        twins = _records(population=8)
-        metrics_coded = run_round(coded, [r for r in twins if r.id in cohort_ids])
+        metrics_plain = run_round(plain, cohort_ids, datasets)
+        twins = _datasets(population=8)
+        metrics_coded = run_round(coded, cohort_ids, twins)
         assert np.linalg.norm(plain.theta - coded.theta) <= m * math.sqrt(cfg.padded_dim) / 100.0
         assert metrics_coded.bits_per_update > 0
         assert metrics_coded.secagg_residual <= m * math.sqrt(cfg.padded_dim) / 100.0
@@ -381,7 +393,7 @@ class TestSecureAggregationRound:
         coordinates; the round's clamp fraction equals an independent
         recount over the deltas the codec received."""
         m = 4
-        records = _records(population=8)
+        datasets = _datasets(population=8)
         model_dim = NextTokenBOW(vocab_size=8).num_params
         padded_dim = 1 << (model_dim - 1).bit_length()
         cfg = SecAggConfig(
@@ -392,7 +404,7 @@ class TestSecureAggregationRound:
             infinity_bound=1,
             modulus=2 * m + 1,
         )
-        server = _server(records, m=m, clip=1.0, seed=42, secagg=cfg)
+        server = _server(m=m, clip=1.0, seed=42, secagg=cfg)
         received = []
 
         def recording_encode(delta, config, signs, seed):
@@ -400,7 +412,7 @@ class TestSecureAggregationRound:
             return encode_client(delta, config, signs, seed)
 
         monkeypatch.setattr(federation, "encode_client", recording_encode)
-        metrics = run_round(server, records[:m])
+        metrics = run_round(server, list(range(m)), datasets)
         monkeypatch.undo()
 
         rotation = hadamard(padded_dim) / math.sqrt(padded_dim)
@@ -415,7 +427,7 @@ class TestSecureAggregationRound:
         assert metrics.secagg_clamp_fraction == recount / (m * padded_dim)
 
     def test_secagg_requires_fixed_clip(self):
-        records = _records()
+        datasets = _datasets()
         root = SeedPath(41).child("run")
         model = NextTokenBOW(vocab_size=8)
         cfg = derive_config(1.0, 100.0, model.num_params, 4)
@@ -443,19 +455,65 @@ class TestSecureAggregationRound:
             )
 
     def test_secagg_cohort_size_must_match_report_goal(self):
-        records = _records()
         cfg = derive_config(1.0, 100.0, 64, 5)  # cohort 5 != report goal 4
         with pytest.raises(ValueError):
-            _server(records, m=4, clip=1.0, secagg=cfg)
+            _server(m=4, clip=1.0, secagg=cfg)
+
+
+def _reference_limits(client_ids, rounds, total_rounds):
+    """Per-client sort-and-gap: group the pairs by client, sort each
+    client's rounds, and take the largest count and the smallest gap."""
+    by_client = {}
+    for client_id, r in zip(client_ids, rounds):
+        by_client.setdefault(client_id, []).append(r)
+    max_part = 0
+    min_sep = total_rounds
+    for history in by_client.values():
+        history = sorted(history)
+        max_part = max(max_part, len(history))
+        for a, b in zip(history, history[1:]):
+            min_sep = min(min_sep, b - a)
+    return max_part, min_sep
+
+
+@st.composite
+def _participation_logs(draw):
+    """(client_ids, rounds, total_rounds): distinct pairs in shuffled order,
+    from empty logs and logs with no repeats to crowded ones."""
+    total_rounds = draw(st.integers(1, 40))
+    population = draw(st.integers(1, 12))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, population - 1), st.integers(0, total_rounds - 1)),
+            unique=True,
+            max_size=60,
+        )
+    )
+    if draw(st.booleans()):
+        # One participation per client: the no-repeat convention.
+        pairs = list({client_id: (client_id, r) for client_id, r in pairs}.values())
+    client_ids = [client_id for client_id, _ in pairs]
+    rounds = [r for _, r in pairs]
+    return client_ids, rounds, total_rounds
 
 
 class TestObservedLimits:
     def test_repeating_participant(self):
-        max_part, min_sep = observed_limits([[0, 5, 8], [2], []], total_rounds=10)
+        max_part, min_sep = observed_limits([0, 0, 0, 1], [0, 5, 8, 2], total_rounds=10)
         assert max_part == 3
         assert min_sep == 3  # the 5 -> 8 gap
 
     def test_no_repeats_defaults_to_horizon(self):
-        max_part, min_sep = observed_limits([[1], [4], []], total_rounds=12)
+        max_part, min_sep = observed_limits([0, 1], [1, 4], total_rounds=12)
         assert max_part == 1
         assert min_sep == 12
+
+    @settings(max_examples=300, deadline=None)
+    @given(_participation_logs())
+    def test_matches_per_client_reference(self, log):
+        client_ids, rounds, total_rounds = log
+        got = observed_limits(
+            np.array(client_ids, dtype=np.int64), np.array(rounds, dtype=np.int64), total_rounds
+        )
+        assert got == _reference_limits(client_ids, rounds, total_rounds)
+        assert all(type(v) is int for v in got)

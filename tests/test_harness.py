@@ -224,6 +224,50 @@ class TestReportConsistency:
         assert "Hyperparameter" in text
         assert "participation log" in text
 
+    def test_run_result_limits_are_python_ints(self, small_run):
+        _, result = small_run
+        assert type(result.observed_max_part) is int
+        assert type(result.observed_min_sep) is int
+
+
+def _tampered_log(small_run, tmp_path, edit):
+    """A copy of the small run's config and participation log, with the
+    log's data rows passed through ``edit``."""
+    _, result = small_run
+    (tmp_path / "config.resolved").write_bytes((result.directory / "config.resolved").read_bytes())
+    header, *rows = (result.directory / "participation.csv").read_text().splitlines()
+    (tmp_path / "participation.csv").write_text("\n".join([header, *edit(rows)]) + "\n")
+    return tmp_path
+
+
+class TestParticipationLogValidation:
+    """participation.csv is input from outside the program: post_hoc_report
+    rejects a log no run could have written, naming the file."""
+
+    def test_untampered_copy_accepted(self, small_run, tmp_path):
+        _, result = small_run
+        copy = _tampered_log(small_run, tmp_path, lambda rows: rows)
+        assert post_hoc_report(copy)["rho"] == result.final_rho
+
+    def test_round_outside_run_rejected(self, small_run, tmp_path):
+        copy = _tampered_log(small_run, tmp_path, lambda rows: [*rows, "119,12"])
+        with pytest.raises(ValueError, match=r"participation\.csv: round 12 lies outside \[0, 12\)"):
+            post_hoc_report(copy)
+
+    def test_negative_client_id_rejected(self, small_run, tmp_path):
+        copy = _tampered_log(small_run, tmp_path, lambda rows: ["-1,0", *rows])
+        with pytest.raises(ValueError, match=r"participation\.csv: negative client id -1"):
+            post_hoc_report(copy)
+
+    def test_repeated_pair_rejected(self, small_run, tmp_path):
+        copy = _tampered_log(small_run, tmp_path, lambda rows: [rows[0], *rows])
+        client_id, round_index = (copy / "participation.csv").read_text().splitlines()[1].split(",")
+        with pytest.raises(
+            ValueError,
+            match=rf"participation\.csv: client {client_id} is listed twice for round {round_index}",
+        ):
+            post_hoc_report(copy)
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
