@@ -1,0 +1,90 @@
+"""Time the data and training layers: population synthesis, one stacked
+cohort SGD step, and one eval-set accuracy, at the default config's shapes
+(V = 100, window 1, 50 examples per client, cohort 100, batch 16, 1000 eval
+examples).  Run from the repo root:
+
+    PYTHONPATH=src python benchmarks/bench_training.py
+    PYTHONPATH=src python benchmarks/bench_training.py --repeats 5
+
+Each number is the best of ``--repeats`` timings, in milliseconds per call.
+The last line is the same record as JSON, with the core count.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import time
+
+import numpy as np
+
+from fpsim import (
+    DataConfig,
+    NextTokenBOW,
+    SeedPath,
+    cohort_update,
+    synthesize_clients,
+    synthesize_eval_set,
+)
+
+COHORT = 100
+BATCH_SIZE = 16
+
+
+def _best_ms(fn, repeats: int, calls: int = 1) -> float:
+    """Best-of-``repeats`` wall time per call of ``fn``, in milliseconds."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        best = min(best, (time.perf_counter() - start) / calls)
+    return best * 1e3
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=3, help="timings per case (best is kept)")
+    args = parser.parse_args()
+
+    cfg = DataConfig()
+    seed = SeedPath(0)
+    record: dict[str, object] = {
+        "nproc": os.cpu_count(),
+        "numpy": np.__version__,
+        "repeats": args.repeats,
+    }
+    for population in (10_000, 100_000):
+        record[f"synthesize_clients_{population}_ms"] = _best_ms(
+            lambda: synthesize_clients(cfg, population, seed), args.repeats
+        )
+
+    data = synthesize_clients(cfg, 10_000, seed)
+    model = NextTokenBOW(vocab_size=cfg.vocab_size, window=cfg.window)
+    theta = np.random.default_rng(0).normal(size=model.num_params) * 0.01
+    cohort = np.arange(0, 10_000, 10_000 // COHORT)
+    contexts, labels = data.contexts[cohort], data.labels[cohort]
+
+    def step():
+        rng = seed.child("local-order").generator()
+        cohort_update(model, theta, contexts, labels, 0.1, 1.0, 1.0, BATCH_SIZE, 1, rng)
+
+    record["cohort_update_ms"] = _best_ms(step, args.repeats, calls=20)
+
+    eval_set = synthesize_eval_set(cfg, seed)
+    eval_contexts, eval_labels = eval_set.contexts[0], eval_set.labels[0]
+    record["accuracy_ms"] = _best_ms(
+        lambda: model.accuracy(theta, eval_contexts, eval_labels), args.repeats, calls=50
+    )
+
+    cores = record["nproc"]
+    print(f"data and training layers (ms per call, best of {args.repeats}, {cores} cores)")
+    for name, value in record.items():
+        if name.endswith("_ms"):
+            print(f"  {name:<32}{value:>10.2f}")
+    print(json.dumps(record))
+
+
+if __name__ == "__main__":
+    main()

@@ -10,7 +10,7 @@ The pieces, bottom up:
 - ``secagg``     integer encoding pipeline for modular secure aggregation
 - ``federation`` clients, timers, cohorts, and the training round loop
 - ``accounting`` participation-aware zCDP accountant and conversions
-- ``models``     built-in linear softmax models
+- ``models``     the built-in bag-of-words softmax model
 - ``data``       synthetic federated token corpus
 - ``config``     flat key=value experiment configuration
 - ``harness``    full runs, sweeps, comparison, artifacts
@@ -44,13 +44,13 @@ from fpsim.federation import (
     RoundMetrics,
     ServerState,
     TrainingDiverged,
-    client_update,
+    cohort_update,
     observed_limits,
     run_round,
     select_cohort,
 )
 from fpsim.harness import RunResult, compare, post_hoc_report, run_experiment, sweep_privacy
-from fpsim.models import NextTokenBOW, SoftmaxRegression, build_model
+from fpsim.models import NextTokenBOW
 from fpsim.secagg import (
     RoundingRetriesExhausted,
     SecAggConfig,
@@ -112,7 +112,7 @@ __all__ = [
     "RoundMetrics",
     "ServerState",
     "TrainingDiverged",
-    "client_update",
+    "cohort_update",
     "select_cohort",
     "run_round",
     "observed_limits",
@@ -123,9 +123,7 @@ __all__ = [
     "compare",
     "post_hoc_report",
     # models
-    "SoftmaxRegression",
     "NextTokenBOW",
-    "build_model",
     # secagg
     "SecAggConfig",
     "derive_config",

@@ -250,11 +250,7 @@ class ExperimentConfig:
             except ValueError as exc:
                 fail("restart.rounds", str(exc))
         if self.model_kind != "next_token_bow":
-            fail(
-                "model.kind",
-                "only 'next_token_bow' has a synthetic data generator; "
-                "other models are library-level only",
-            )
+            fail("model.kind", "the only built-in model is 'next_token_bow'")
         if self.vocab_size < 2:
             fail("model.vocab_size", "must be >= 2")
         if self.window < 1:

@@ -6,16 +6,21 @@ one:
 
     P_i(next | prev) = (1 - heterogeneity) * global[prev] + heterogeneity * local_i[prev]
 
-All rows are Dirichlet draws; a small concentration makes them peaked, so
-next-token prediction is learnable well above chance.  heterogeneity = 0
-gives every client the same (public) distribution — the pretraining corpus
-for warm starts; larger values push clients apart, the desk-scale stand-in
-for real federated text.
+All rows are Dirichlet(concentration * 1) draws; a small concentration
+makes them peaked, so next-token prediction is learnable well above chance.
+heterogeneity = 0 gives every client the same (public) distribution — the
+pretraining corpus for warm starts; larger values push clients apart, the
+desk-scale stand-in for real federated text.
 
-Per-client rows are materialized lazily (only for contexts the client's
-stream actually visits) and derived from per-client seeds, so a population
-of 10^4 clients synthesizes in seconds and any client is reproducible in
-isolation.
+The population is one packed (population, examples + window) int64 token
+matrix, and every client's chain advances in the same vectorised step, one
+step per token.  Local rows are never materialised: repeated draws from one
+Dirichlet(alpha * 1) row are a Pólya urn (Blackwell & MacQueen 1973), so a
+client's local draw at context c copies one of its N earlier local draws at
+c, chosen uniformly, with probability N / (V * alpha + N), and otherwise is
+a uniform token.  The urn's only state is a bool mask of which tokens were
+local draws.  All clients' streams come from one generator, so the data is
+a pure function of (seed, population), not of the client id alone.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from fpsim.seeds import SeedPath
 
@@ -57,13 +63,20 @@ class DataConfig:
 
 @dataclass(frozen=True)
 class TokenDataset:
-    """(context window, next token) pairs for one client or an eval set."""
+    """(context window, next token) pairs of every client, as views of one
+    (clients, n + window) token matrix: ``contexts`` (clients, n, window)
+    slides over each row and ``labels`` (clients, n) is its tail."""
 
-    contexts: np.ndarray  # (n, window) int64
-    labels: np.ndarray  # (n,) int64
+    tokens: np.ndarray
+    window: int
 
-    def __len__(self) -> int:
-        return int(self.labels.shape[0])
+    @property
+    def contexts(self) -> np.ndarray:
+        return sliding_window_view(self.tokens[:, :-1], self.window, axis=1)
+
+    @property
+    def labels(self) -> np.ndarray:
+        return self.tokens[:, self.window :]
 
 
 def _global_table(cfg: DataConfig, seed: SeedPath) -> np.ndarray:
@@ -73,59 +86,69 @@ def _global_table(cfg: DataConfig, seed: SeedPath) -> np.ndarray:
     return rows.cumsum(axis=1)
 
 
-def _stream(
-    cfg: DataConfig,
+def _chains(
     global_cdf: np.ndarray,
-    rng: np.random.Generator,
+    concentration: float,
+    population: int,
     length: int,
     heterogeneity: float,
+    rng: np.random.Generator,
 ) -> np.ndarray:
-    """Sample a token stream from the mixed Markov chain, materializing
-    per-client rows only for visited contexts.  Sampling a mixture is a
-    coin flip selecting which component row to draw from."""
-    local_cdfs: dict[int, np.ndarray] = {}
-    alpha = np.full(cfg.vocab_size, cfg.concentration)
-    last = cfg.vocab_size - 1
-    tokens = np.empty(length, dtype=np.int64)
-    current = int(rng.integers(cfg.vocab_size))
-    for i in range(length):
-        if heterogeneity > 0.0 and rng.random() < heterogeneity:
-            cdf = local_cdfs.get(current)
-            if cdf is None:
-                cdf = rng.dirichlet(alpha).cumsum()
-                local_cdfs[current] = cdf
-        else:
-            cdf = global_cdf[current]
-        current = min(int(np.searchsorted(cdf, rng.random(), side="right")), last)
-        tokens[i] = current
-    return tokens
+    """(population, length) token streams of the mixed chain, each the
+    view past a uniform start token that is not part of the stream.
+    Sampling a mixture is a coin flip selecting the row."""
+    vocab = global_cdf.shape[0]
+    # Row r's CDF shifted by r: one sorted array inverts every row's CDF.
+    shifted_cdf = (global_cdf + np.arange(vocab)[:, None]).ravel()
+    tokens = np.empty((population, length + 1), dtype=np.int64)
+    local = np.zeros((population, length + 1), dtype=bool)
+    tokens[:, 0] = rng.integers(vocab, size=population)
+    for s in range(1, length + 1):
+        prev = tokens[:, s - 1]
+        draws = np.searchsorted(shifted_cdf, prev + rng.random(population), side="right")
+        np.clip(draws - prev * vocab, 0, vocab - 1, out=tokens[:, s])
+        if heterogeneity == 0.0:
+            continue
+        rows = np.flatnonzero(rng.random(population) < heterogeneity)
+        local[rows, s] = True
+        # The urn's balls: each client's earlier local draws at this context.
+        balls = local[rows, 1:s] & (tokens[rows, : s - 1] == prev[rows, None])
+        count = balls.sum(axis=1)
+        pick = rng.random(rows.shape[0]) * (vocab * concentration + count)
+        fresh = rng.integers(vocab, size=rows.shape[0])
+        copy = pick < count
+        if copy.any():
+            # floor(pick) indexes the copied ball among the row's balls.
+            ball = (balls[copy].cumsum(axis=1) > pick[copy, None]).argmax(axis=1)
+            fresh[copy] = tokens[rows[copy], 1 + ball]
+        tokens[rows, s] = fresh
+    return tokens[:, 1:]
 
 
-def _windows(tokens: np.ndarray, window: int) -> TokenDataset:
-    n = tokens.shape[0] - window
-    idx = np.arange(window)[None, :] + np.arange(n)[:, None]
-    return TokenDataset(contexts=tokens[idx], labels=tokens[window:].copy())
-
-
-def synthesize_clients(
-    cfg: DataConfig, population: int, seed: SeedPath
-) -> list[TokenDataset]:
-    """One TokenDataset per client, reproducible per client id."""
+def synthesize_clients(cfg: DataConfig, population: int, seed: SeedPath) -> TokenDataset:
+    """Every client's examples_per_client examples, in one TokenDataset."""
     if population < 1:
         raise ValueError("population must be >= 1")
-    table = _global_table(cfg, seed)
-    datasets = []
-    length = cfg.examples_per_client + cfg.window
-    for client_id in range(population):
-        rng = seed.child("client-stream", client_id).generator()
-        tokens = _stream(cfg, table, rng, length, cfg.heterogeneity)
-        datasets.append(_windows(tokens, cfg.window))
-    return datasets
+    tokens = _chains(
+        _global_table(cfg, seed),
+        cfg.concentration,
+        population,
+        cfg.examples_per_client + cfg.window,
+        cfg.heterogeneity,
+        seed.child("client-streams").generator(),
+    )
+    return TokenDataset(tokens, cfg.window)
 
 
 def synthesize_eval_set(cfg: DataConfig, seed: SeedPath) -> TokenDataset:
-    """Held-out stream from the global (public) distribution only."""
-    table = _global_table(cfg, seed)
-    rng = seed.child("eval-stream").generator()
-    tokens = _stream(cfg, table, rng, cfg.eval_examples + cfg.window, heterogeneity=0.0)
-    return _windows(tokens, cfg.window)
+    """Held-out stream from the global (public) distribution only: one
+    client of eval_examples examples."""
+    tokens = _chains(
+        _global_table(cfg, seed),
+        cfg.concentration,
+        1,
+        cfg.eval_examples + cfg.window,
+        0.0,
+        seed.child("eval-stream").generator(),
+    )
+    return TokenDataset(tokens, cfg.window)

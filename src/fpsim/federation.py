@@ -1,10 +1,10 @@
 """The federated training round loop.
 
 Each round the server selects a cohort of exactly ``report_goal`` clients
-among those whose re-participation timer has expired, runs local SGD on
-each, aggregates the clipped updates (plainly or through the secure
-aggregation pipeline), feeds the un-normalized sum to the noise tree, and
-applies the anchored momentum update
+among those whose re-participation timer has expired, runs the cohort's
+local SGD as one stacked step, aggregates the clipped updates (plainly or
+through the secure aggregation pipeline), feeds the un-normalized sum to
+the noise tree, and applies the anchored momentum update
 
     momentum <- beta * momentum + (noised cumulative sum) / report_goal
     theta    <- theta0 + eta_s * momentum
@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from fpsim.clipping import ClipState
-from fpsim.models import SoftmaxRegression
+from fpsim.data import TokenDataset
+from fpsim.models import NextTokenBOW
 from fpsim.secagg import (
     SecAggConfig,
     bits_per_update,
@@ -35,7 +36,7 @@ from fpsim.secagg import (
 )
 from fpsim.seeds import SeedPath, sign_vector
 from fpsim.tree import RestartSchedule, TreeState
-from fpsim.vectors import as_param_vector, clip_l2
+from fpsim.vectors import as_param_vector
 
 __all__ = [
     "AvailabilityModel",
@@ -44,7 +45,7 @@ __all__ = [
     "RoundMetrics",
     "CohortExhausted",
     "TrainingDiverged",
-    "client_update",
+    "cohort_update",
     "select_cohort",
     "run_round",
     "observed_limits",
@@ -102,46 +103,56 @@ class CohortConfig:
             raise ValueError("timer_rounds must be >= 1")
 
 
-def client_update(
-    model: SoftmaxRegression,
+def cohort_update(
+    model: NextTokenBOW,
     params: np.ndarray,
-    dataset,
+    contexts: np.ndarray,
+    labels: np.ndarray,
     eta_c: float,
     clip_active: float,
     clip_quantile: float,
     batch_size: int = 16,
     epochs: int = 1,
-    order_seed: SeedPath | None = None,
-) -> tuple[np.ndarray, int, float]:
-    """Local SGD from the current model; returns the clipped delta, the
-    below-quantile indicator, and the mean minibatch loss.
+    rng: np.random.Generator | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Local SGD of a whole cohort from the current model, as one stacked
+    step per minibatch; returns the (cohort, d) clipped deltas, the
+    below-quantile indicators, and each client's mean minibatch loss.
 
-    The indicator compares the *unclipped* delta norm against
-    clip_quantile (the server's current estimate); clipping itself uses
-    clip_active.  Batch order is shuffled per epoch from order_seed; pass
-    None for sequential order.
+    Client c's data is ``contexts[c]`` (n, window) and ``labels[c]`` (n,).
+    The indicator compares the *unclipped* delta norm against clip_quantile
+    (the server's current estimate); clipping itself uses clip_active.
+    Each epoch shuffles every client's batch order from ``rng``, one row
+    of ``rng.permuted`` per client; pass None for sequential order.
     """
-    if len(dataset) == 0:
-        raise ValueError("client dataset is empty")
+    cohort, n = labels.shape
+    if n == 0:
+        raise ValueError("client datasets are empty")
     if not eta_c > 0:
         raise ValueError("eta_c must be > 0")
+    if not clip_active > 0:
+        raise ValueError("clip_active must be > 0")
     if batch_size < 1 or epochs < 1:
         raise ValueError("batch_size and epochs must be >= 1")
-    params = as_param_vector(params)
-    local = params.copy()
-    rng = order_seed.generator() if order_seed is not None else None
-    n = len(dataset)
-    losses = []
+    params = as_param_vector(params, model.num_params)
+    stack = np.tile(params, (cohort, 1))
+    orders = np.tile(np.arange(n), (cohort, 1))
+    rows = np.arange(cohort)[:, None]
+    losses = np.zeros(cohort)
+    steps = 0
     for _ in range(epochs):
-        order = rng.permutation(n) if rng is not None else np.arange(n)
+        if rng is not None:
+            rng.permuted(orders, axis=1, out=orders)
         for start in range(0, n, batch_size):
-            batch = order[start : start + batch_size]
-            loss, grad = model.loss_grad(local, dataset.contexts[batch], dataset.labels[batch])
-            local -= eta_c * grad
-            losses.append(loss)
-    delta = local - params
-    indicator = 1 if float(np.linalg.norm(delta)) <= clip_quantile else 0
-    return clip_l2(delta, clip_active), indicator, float(np.mean(losses))
+            batch = orders[:, start : start + batch_size]
+            losses += model.sgd_step(stack, contexts[rows, batch], labels[rows, batch], eta_c)
+            steps += 1
+    stack -= params
+    norms = np.sqrt(np.einsum("ij,ij->i", stack, stack))
+    indicators = (norms <= clip_quantile).astype(np.int64)
+    if math.isfinite(clip_active):
+        stack *= (clip_active / np.maximum(norms, clip_active))[:, None]
+    return stack, indicators, losses / steps
 
 
 def select_cohort(
@@ -182,7 +193,7 @@ def select_cohort(
 class ServerState:
     """Mutable training-loop state (Algorithm state plus run knobs)."""
 
-    model: SoftmaxRegression
+    model: NextTokenBOW
     theta0: np.ndarray
     eta_s: float
     beta: float
@@ -240,36 +251,30 @@ class RoundMetrics:
     secagg_clamp_fraction: float = 0.0
 
 
-def run_round(server: ServerState, cohort_ids: Sequence[int], datasets: Sequence) -> RoundMetrics:
+def run_round(server: ServerState, cohort_ids: Sequence[int], data: TokenDataset) -> RoundMetrics:
     """Advance one round: local updates, aggregation, tree noise, anchored
     momentum step, clip-estimate update, and scheduled restarts.  The cohort
-    is its client ids (Python ints); ``datasets[i]`` is client i's data."""
+    is its client ids (Python ints), rows of the population's ``data``."""
     if len(cohort_ids) != server.report_goal:
         raise ValueError("cohort size must equal the report goal")
     t = server.round
     active = server.active_clip
     quantile = server.clip.estimate if server.clip is not None else math.inf
 
-    deltas = []
-    indicator_sum = 0
-    loss_sum = 0.0
-    for client_id in cohort_ids:
-        delta, indicator, loss = client_update(
-            server.model,
-            server.theta,
-            datasets[client_id],
-            server.eta_c,
-            active,
-            quantile,
-            server.batch_size,
-            server.epochs,
-            server.seed.child("local-order", t).child("client", client_id),
-        )
-        deltas.append(delta)
-        indicator_sum += indicator
-        loss_sum += loss
+    deltas, indicators, losses = cohort_update(
+        server.model,
+        server.theta,
+        data.contexts[cohort_ids],
+        data.labels[cohort_ids],
+        server.eta_c,
+        active,
+        quantile,
+        server.batch_size,
+        server.epochs,
+        server.seed.child("local-order", t).generator(),
+    )
 
-    plain_sum = np.sum(deltas, axis=0)
+    plain_sum = deltas.sum(axis=0)
     bits = 0
     residual = 0.0
     clamp_fraction = 0.0
@@ -296,9 +301,9 @@ def run_round(server: ServerState, cohort_ids: Sequence[int], datasets: Sequence
     server.theta = server.theta0 + server.eta_s * server.momentum
 
     if server.clip is not None:
-        server.clip.add_round(float(indicator_sum))
+        server.clip.add_round(float(indicators.sum()))
 
-    train_loss = loss_sum / len(cohort_ids)
+    train_loss = float(losses.mean())
     if not math.isfinite(train_loss) or not np.isfinite(server.theta).all():
         raise TrainingDiverged(f"non-finite loss or parameters at round {t}")
 

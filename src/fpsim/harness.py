@@ -186,9 +186,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunResult:
         eval_examples=config.eval_examples,
     )
     model = NextTokenBOW(vocab_size=config.vocab_size, window=config.window)
-    datasets = synthesize_clients(data_cfg, config.population, root)
+    data = synthesize_clients(data_cfg, config.population, root)
     eval_set = synthesize_eval_set(data_cfg, root)
-    sizes = np.array([len(ds) for ds in datasets], dtype=np.int64)
+    eval_contexts, eval_labels = eval_set.contexts[0], eval_set.labels[0]
+    sizes = np.full(config.population, data.labels.shape[1], dtype=np.int64)
     next_eligible = np.zeros(config.population, dtype=np.int64)
 
     if config.warm_start:
@@ -241,8 +242,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunResult:
     for t in range(config.rounds):
         cohort_ids = select_cohort(next_eligible, sizes, cohort_cfg, t, root.child("selection"))
         log[t] = cohort_ids
-        round_metrics = run_round(server, cohort_ids, datasets)
-        eval_acc = model.accuracy(server.theta, eval_set.contexts, eval_set.labels)
+        round_metrics = run_round(server, cohort_ids, data)
+        eval_acc = model.accuracy(server.theta, eval_contexts, eval_labels)
         history.append((eval_acc, round_metrics))
 
     # The worst case the timer allows after each round, all prefixes in one

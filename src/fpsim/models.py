@@ -1,12 +1,13 @@
-"""Built-in models: multinomial logistic regression and a bag-of-words
-next-token predictor.
+"""The built-in model: a bag-of-words next-token predictor.
 
 A model, to the training loop, is three things: initial parameters (a flat
-float64 vector), a mean loss-and-gradient on a minibatch, and a top-1
-accuracy evaluator.  Both built-ins are linear softmax classifiers; the
-next-token model additionally turns integer token windows into normalized
-bag-of-words feature vectors, so a vocabulary of V tokens costs V*V
-parameters — a few-megabyte model that trains in seconds at desk scale.
+float64 vector), a stacked minibatch SGD step, and a top-1 accuracy
+evaluator.  NextTokenBOW is a linear softmax classifier over the vocabulary
+whose features are the mean of the context window's one-hot vectors, so a
+vocabulary of V tokens costs V*V parameters — a few-megabyte model that
+trains in seconds at desk scale.  The features are never built: the logits
+of a window are the mean of its tokens' weight columns, and the gradient is
+scattered back into those columns.
 """
 
 from __future__ import annotations
@@ -17,36 +18,37 @@ import numpy as np
 
 from fpsim.seeds import SeedPath
 
-__all__ = ["SoftmaxRegression", "NextTokenBOW", "build_model"]
+__all__ = ["NextTokenBOW"]
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     np.exp(shifted, out=shifted)
-    shifted /= shifted.sum(axis=1, keepdims=True)
+    shifted /= shifted.sum(axis=-1, keepdims=True)
     return shifted
 
 
 @dataclass(frozen=True)
-class SoftmaxRegression:
-    """Multinomial logistic regression over dense feature vectors.
+class NextTokenBOW:
+    """Next-token prediction from a bag-of-words context window.
 
-    Parameters are the flattened (num_classes x num_features) weight
-    matrix; no bias terms (a constant feature can supply one).
+    Parameters are the flattened (vocab_size x vocab_size) weight matrix,
+    class by feature, with no bias terms.  Inputs are integer arrays of
+    token ids whose last axis is the window.
     """
 
-    num_classes: int
-    num_features: int
+    vocab_size: int
+    window: int = 1
 
     def __post_init__(self) -> None:
-        if self.num_classes < 2:
-            raise ValueError("num_classes must be >= 2")
-        if self.num_features < 1:
-            raise ValueError("num_features must be >= 1")
+        if self.vocab_size < 2:
+            raise ValueError("vocab_size must be >= 2")
+        if self.window < 1:
+            raise ValueError("window must be >= 1")
 
     @property
     def num_params(self) -> int:
-        return self.num_classes * self.num_features
+        return self.vocab_size * self.vocab_size
 
     def init_params(self, seed: SeedPath | None = None) -> np.ndarray:
         """Zero weights: the canonical convex starting point; the seed is
@@ -54,82 +56,51 @@ class SoftmaxRegression:
         del seed
         return np.zeros(self.num_params, dtype=np.float64)
 
-    def _weights(self, params: np.ndarray) -> np.ndarray:
-        if params.shape != (self.num_params,):
-            raise ValueError("params have the wrong length for this model")
-        return params.reshape(self.num_classes, self.num_features)
-
-    def featurize(self, inputs: np.ndarray) -> np.ndarray:
-        features = np.asarray(inputs, dtype=np.float64)
-        if features.ndim != 2 or features.shape[1] != self.num_features:
-            raise ValueError("inputs must be (batch, num_features)")
-        return features
-
-    def loss_grad(
-        self, params: np.ndarray, inputs: np.ndarray, labels: np.ndarray
-    ) -> tuple[float, np.ndarray]:
-        """Mean cross-entropy over the batch and its flat gradient."""
-        features = self.featurize(inputs)
-        labels = np.asarray(labels)
-        batch = features.shape[0]
-        if batch == 0:
-            raise ValueError("empty batch")
-        probs = _softmax_rows(features @ self._weights(params).T)
-        rows = np.arange(batch)
-        loss = float(-np.log(np.maximum(probs[rows, labels], 1e-300)).mean())
-        probs[rows, labels] -= 1.0
-        grad = (probs.T @ features) / batch
-        return loss, grad.reshape(-1)
-
-    def accuracy(self, params: np.ndarray, inputs: np.ndarray, labels: np.ndarray) -> float:
-        """Top-1 accuracy; argmax ties resolve to the lowest class index."""
-        features = self.featurize(inputs)
-        predictions = (features @ self._weights(params).T).argmax(axis=1)
-        return float((predictions == np.asarray(labels)).mean())
-
-
-@dataclass(frozen=True)
-class NextTokenBOW(SoftmaxRegression):
-    """Next-token prediction from a bag-of-words context window.
-
-    Inputs are integer arrays (batch, window) of token ids; each window is
-    embedded as the mean of its tokens' one-hot vectors, and the classes
-    are the vocabulary itself.
-    """
-
-    window: int = 1
-
-    def __init__(self, vocab_size: int, window: int = 1) -> None:
-        object.__setattr__(self, "window", int(window))
-        super().__init__(num_classes=int(vocab_size), num_features=int(vocab_size))
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-
-    @property
-    def vocab_size(self) -> int:
-        return self.num_classes
-
-    def featurize(self, inputs: np.ndarray) -> np.ndarray:
-        contexts = np.asarray(inputs)
-        if contexts.ndim != 2 or contexts.shape[1] != self.window:
-            raise ValueError("inputs must be (batch, window) token ids")
+    def _columns(self, stack: np.ndarray, contexts: np.ndarray) -> np.ndarray:
+        """Flat indices into ``stack`` of every window token's weight column,
+        (rows, batch, window, vocab_size)."""
+        if stack.ndim != 2 or stack.shape[1] != self.num_params:
+            raise ValueError("params must be (rows, num_params) for this model")
+        if not stack.flags.c_contiguous:
+            raise ValueError("params must be C-contiguous")
+        if contexts.ndim != 3 or contexts.shape[::2] != (stack.shape[0], self.window):
+            raise ValueError("inputs must be (rows, batch, window) token ids")
         if contexts.size and (contexts.min() < 0 or contexts.max() >= self.vocab_size):
             raise ValueError("token ids out of vocabulary range")
-        batch = contexts.shape[0]
-        features = np.zeros((batch, self.vocab_size), dtype=np.float64)
-        np.add.at(features, (np.arange(batch)[:, None], contexts), 1.0 / self.window)
-        return features
+        v = self.vocab_size
+        rows = np.arange(stack.shape[0]) * self.num_params
+        return rows[:, None, None, None] + np.arange(v) * v + contexts[..., None]
 
+    def logits(self, stack: np.ndarray, contexts: np.ndarray) -> np.ndarray:
+        """(rows, batch, vocab_size) logits of row r's parameters on row r's
+        windows: the mean of the window tokens' weight columns."""
+        return stack.reshape(-1)[self._columns(stack, contexts)].mean(axis=2)
 
-def build_model(kind: str, **kwargs) -> SoftmaxRegression:
-    """Construct a built-in model from a config-style spec."""
-    if kind == "logistic":
-        return SoftmaxRegression(
-            num_classes=int(kwargs["num_classes"]),
-            num_features=int(kwargs["num_features"]),
-        )
-    if kind == "next_token_bow":
-        return NextTokenBOW(
-            vocab_size=int(kwargs["vocab_size"]), window=int(kwargs.get("window", 1))
-        )
-    raise ValueError(f"unknown model kind: {kind!r}")
+    def sgd_step(
+        self, stack: np.ndarray, contexts: np.ndarray, labels: np.ndarray, lr: float
+    ) -> np.ndarray:
+        """One minibatch SGD step of every row of ``stack``, in place.
+
+        Row r holds one client's flat parameters; ``contexts[r]`` (batch,
+        window) and ``labels[r]`` (batch,) are its minibatch.  Returns each
+        row's mean cross-entropy before the step.
+        """
+        columns = self._columns(stack, contexts)
+        if labels.shape != contexts.shape[:2]:
+            raise ValueError("labels must be (rows, batch)")
+        flat = stack.reshape(-1)
+        probs = _softmax_rows(flat[columns].mean(axis=2))
+        picked = np.take_along_axis(probs, labels[..., None], axis=2)
+        losses = -np.log(np.maximum(picked[..., 0], 1e-300)).mean(axis=1)
+        np.put_along_axis(probs, labels[..., None], picked - 1.0, axis=2)
+        probs *= -lr / (labels.shape[1] * self.window)
+        scatter = np.broadcast_to(probs[:, :, None, :], columns.shape)
+        np.add.at(flat, columns.ravel(), scatter.ravel())
+        return losses
+
+    def accuracy(self, params: np.ndarray, contexts: np.ndarray, labels: np.ndarray) -> float:
+        """Top-1 accuracy on (n, window) contexts; argmax ties resolve to the
+        lowest token id."""
+        stack = np.asarray(params, dtype=np.float64).reshape(1, -1)
+        predictions = self.logits(stack, np.asarray(contexts)[None])[0].argmax(axis=1)
+        return float((predictions == np.asarray(labels)).mean())

@@ -23,7 +23,6 @@ from fpsim import (
     SeedPath,
     ServerState,
     brute_force_sensitivity_sq,
-    client_update,
     clip_l2,
     combined_multiplier,
     decode,
@@ -117,6 +116,30 @@ def test_02_prefix_noise_variance_follows_popcount_law():
     )
 
 
+def _dense_local_sgd(theta, contexts, labels, eta_c, batch_size, epochs, rng, vocab):
+    """Client-by-client local SGD of the window-1 bag-of-words softmax model,
+    written densely (one-hot features F, softmax P, gradient (P - Y).T @ F /
+    batch), with the round's batch orders: per epoch, one rng.permuted row
+    per client.  Returns the (cohort, d) deltas."""
+    cohort, n = labels.shape
+    orders = np.tile(np.arange(n), (cohort, 1))
+    epoch_orders = [rng.permuted(orders, axis=1, out=orders).copy() for _ in range(epochs)]
+    deltas = []
+    for c in range(cohort):
+        local = theta.copy()
+        for order in epoch_orders:
+            for start in range(0, n, batch_size):
+                batch = order[c, start : start + batch_size]
+                features = np.eye(vocab)[contexts[c, batch, 0]]
+                logits = features @ local.reshape(vocab, vocab).T
+                probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+                probs /= probs.sum(axis=1, keepdims=True)
+                probs[np.arange(batch.shape[0]), labels[c, batch]] -= 1.0
+                local -= eta_c * (probs.T @ features).ravel() / batch.shape[0]
+        deltas.append(local - theta)
+    return np.array(deltas)
+
+
 def test_03_zero_noise_run_reduces_to_fedavgm():
     """With the noise multiplier at zero and the clip disabled, the server
     loop is federated averaging with server momentum. A reference
@@ -125,23 +148,24 @@ def test_03_zero_noise_run_reduces_to_fedavgm():
         velocity <- beta * velocity + mean_delta
         theta    <- theta + eta_s * velocity
 
-    must match the production loop's parameters to 1e-9 over 200 rounds."""
+    with client-by-client dense local SGD must match the production loop's
+    parameters to 1e-9 over 200 rounds."""
     m, beta, eta_s, rounds = 4, 0.9, 0.5, 200
     population, vocab = 16, 8
 
-    def make_datasets():
+    def make_data():
         cfg = DataConfig(
             vocab_size=vocab, window=1, examples_per_client=30, eval_examples=10
         )
         return synthesize_clients(cfg, population, SeedPath(0).child("data"))
 
-    def make_population(datasets):
+    def make_population(data):
         """(next_eligible, sizes): the arrays select_cohort reads."""
-        sizes = np.array([len(ds) for ds in datasets], dtype=np.int64)
+        sizes = np.full(population, data.labels.shape[1], dtype=np.int64)
         return np.zeros(population, dtype=np.int64), sizes
 
-    datasets = make_datasets()
-    pool = make_population(datasets)
+    data = make_data()
+    pool = make_population(data)
     model = NextTokenBOW(vocab_size=vocab, window=1)
     root = SeedPath(21).child("run")
     server = ServerState(
@@ -159,31 +183,27 @@ def test_03_zero_noise_run_reduces_to_fedavgm():
     sel_cfg = CohortConfig(report_goal=m, timer_rounds=2)
     sel_seed = server.seed.child("selection")
 
-    twins = make_datasets()
+    twins = make_data()
     twin_pool = make_population(twins)
     theta = server.theta0.copy()
     velocity = np.zeros_like(theta)
     max_diff = 0.0
     for t in range(rounds):
         cohort_ids = select_cohort(*pool, sel_cfg, t, sel_seed)
-        run_round(server, cohort_ids, datasets)
+        run_round(server, cohort_ids, data)
 
         twin_ids = select_cohort(*twin_pool, sel_cfg, t, sel_seed)
         assert twin_ids == cohort_ids
-        deltas = [
-            client_update(
-                server.model,
-                theta,
-                twins[i],
-                server.eta_c,
-                math.inf,
-                math.inf,
-                server.batch_size,
-                server.epochs,
-                server.seed.child("local-order", t).child("client", i),
-            )[0]
-            for i in twin_ids
-        ]
+        deltas = _dense_local_sgd(
+            theta,
+            twins.contexts[twin_ids],
+            twins.labels[twin_ids],
+            server.eta_c,
+            server.batch_size,
+            server.epochs,
+            server.seed.child("local-order", t).generator(),
+            vocab,
+        )
         velocity = beta * velocity + np.mean(deltas, axis=0)
         theta = theta + eta_s * velocity
         max_diff = max(max_diff, float(np.abs(server.theta - theta).max()))

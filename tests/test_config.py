@@ -67,6 +67,12 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="population"):
             ExperimentConfig.from_text("population = 50\nreport_goal = 100\n")
 
+    def test_unknown_model_kind_rejected(self):
+        """next_token_bow is the one model; the dense "logistic" kind is gone."""
+        for kind in ("logistic", "transformer"):
+            with pytest.raises(ConfigError, match="model.kind"):
+                ExperimentConfig.from_text(f"model.kind = {kind}\n")
+
     def test_count_noise_budget_guard(self):
         """Adaptive clipping with a noise multiplier too large for the count
         channel is a configuration error naming the knob to raise."""

@@ -2,9 +2,13 @@
 
 Clients draw token streams from a mixture of one shared transition table and
 a per-client table, with the mixture weight controlling heterogeneity. The
-tests pin determinism, shape contracts, the sliding-window construction, and
-the statistical fingerprints that federated experiments rely on.
+per-client tables are never built: local draws follow the Pólya urn that
+marginalises a Dirichlet row. The tests pin determinism, shape contracts,
+the sliding-window views, the urn's exactness, the memory bound, and the
+statistical fingerprints that federated experiments rely on.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,22 +34,20 @@ class TestDeterminism:
         cfg = _cfg()
         a = synthesize_clients(cfg, population=5, seed=SeedPath(1).child("data"))
         b = synthesize_clients(cfg, population=5, seed=SeedPath(1).child("data"))
-        for da, db in zip(a, b):
-            np.testing.assert_array_equal(da.contexts, db.contexts)
-            np.testing.assert_array_equal(da.labels, db.labels)
+        np.testing.assert_array_equal(a.tokens, b.tokens)
+        np.testing.assert_array_equal(a.contexts, b.contexts)
+        np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_different_seed_different_data(self):
         cfg = _cfg()
         a = synthesize_clients(cfg, population=3, seed=SeedPath(1).child("data"))
         b = synthesize_clients(cfg, population=3, seed=SeedPath(2).child("data"))
-        assert any(
-            not np.array_equal(da.labels, db.labels) for da, db in zip(a, b)
-        )
+        assert not np.array_equal(a.labels, b.labels)
 
     def test_clients_differ_from_each_other(self):
         cfg = _cfg()
         data = synthesize_clients(cfg, population=4, seed=SeedPath(3).child("data"))
-        assert not np.array_equal(data[0].labels, data[1].labels)
+        assert not np.array_equal(data.labels[0], data.labels[1])
 
     def test_eval_set_deterministic(self):
         cfg = _cfg()
@@ -59,34 +61,37 @@ class TestShapes:
     def test_client_dataset_shapes(self):
         cfg = _cfg(window=2, examples_per_client=25)
         data = synthesize_clients(cfg, population=3, seed=SeedPath(5).child("data"))
-        assert len(data) == 3
-        for ds in data:
-            assert len(ds) == 25
-            assert ds.contexts.shape == (25, 2)
-            assert ds.labels.shape == (25,)
+        assert data.tokens.shape == (3, 27)
+        assert data.tokens.dtype == np.int64
+        assert data.contexts.shape == (3, 25, 2)
+        assert data.labels.shape == (3, 25)
 
     def test_tokens_in_vocabulary(self):
         cfg = _cfg(vocab_size=7)
         data = synthesize_clients(cfg, population=5, seed=SeedPath(6).child("data"))
-        for ds in data:
-            assert ds.contexts.min() >= 0 and ds.contexts.max() < 7
-            assert ds.labels.min() >= 0 and ds.labels.max() < 7
+        assert data.tokens.min() >= 0 and data.tokens.max() < 7
 
     def test_eval_set_size(self):
         cfg = _cfg(eval_examples=333)
         ds = synthesize_eval_set(cfg, seed=SeedPath(7).child("data"))
-        assert len(ds) == 333
+        assert ds.contexts.shape == (1, 333, 1)
+        assert ds.labels.shape == (1, 333)
 
 
 class TestWindowStructure:
     def test_examples_slide_over_one_stream(self):
         """Consecutive examples come from one token stream: each label becomes
-        the last context token of the next example."""
+        the last context token of the next example, for every client."""
         cfg = _cfg(window=3, examples_per_client=30)
-        ds = synthesize_clients(cfg, population=1, seed=SeedPath(8).child("data"))[0]
-        for i in range(len(ds) - 1):
-            np.testing.assert_array_equal(ds.contexts[i + 1, :-1], ds.contexts[i, 1:])
-            assert ds.contexts[i + 1, -1] == ds.labels[i]
+        data = synthesize_clients(cfg, population=4, seed=SeedPath(8).child("data"))
+        contexts, labels = data.contexts, data.labels
+        np.testing.assert_array_equal(contexts[:, 1:, :-1], contexts[:, :-1, 1:])
+        np.testing.assert_array_equal(contexts[:, 1:, -1], labels[:, :-1])
+
+    def test_contexts_and_labels_are_views_of_the_token_matrix(self):
+        data = synthesize_clients(_cfg(window=2), population=3, seed=SeedPath(8).child("data"))
+        assert np.shares_memory(data.contexts, data.tokens)
+        assert np.shares_memory(data.labels, data.tokens)
 
 
 class TestHeterogeneity:
@@ -97,15 +102,13 @@ class TestHeterogeneity:
         cfg = _cfg(vocab_size=5, heterogeneity=0.0, examples_per_client=400)
         data = synthesize_clients(cfg, population=20, seed=SeedPath(9).child("data"))
 
-        def empirical_row(datasets, token):
-            nxt = np.concatenate(
-                [ds.labels[ds.contexts[:, -1] == token] for ds in datasets]
-            )
+        def empirical_row(contexts, labels, token):
+            nxt = labels[contexts[:, :, -1] == token]
             return np.bincount(nxt, minlength=5) / max(len(nxt), 1)
 
         for token in range(5):
-            a = empirical_row(data[:10], token)
-            b = empirical_row(data[10:], token)
+            a = empirical_row(data.contexts[:10], data.labels[:10], token)
+            b = empirical_row(data.contexts[10:], data.labels[10:], token)
             assert np.abs(a - b).sum() < 0.25
 
     def test_high_heterogeneity_separates_clients(self):
@@ -117,10 +120,10 @@ class TestHeterogeneity:
             cfg = _cfg(vocab_size=5, heterogeneity=h, examples_per_client=400)
             data = synthesize_clients(cfg, population=6, seed=seed)
             rows = []
-            for ds in data:
+            for contexts, labels in zip(data.contexts, data.labels):
                 row = np.zeros((5, 5))
                 for token in range(5):
-                    nxt = ds.labels[ds.contexts[:, -1] == token]
+                    nxt = labels[contexts[:, -1] == token]
                     if len(nxt):
                         row[token] = np.bincount(nxt, minlength=5) / len(nxt)
                 rows.append(row)
@@ -134,6 +137,31 @@ class TestHeterogeneity:
         seed = SeedPath(10).child("data")
         assert mean_pairwise_row_distance(0.95, seed) > 2 * mean_pairwise_row_distance(0.0, seed)
 
+    @pytest.mark.parametrize("alpha", [0.1, 1.0])
+    def test_local_draws_coincide_at_the_dirichlet_rate(self, alpha):
+        """Two draws from one Dirichlet(alpha * 1) row over V tokens are
+        equal with probability (alpha + 1) / (V alpha + 1).  At
+        heterogeneity 1 every draw is local, so the first two draws at each
+        (client, context) pair coincide at that rate, pooled over pairs
+        (2000 clients give ~15k-25k pairs; the bound is ~4.5 standard
+        errors)."""
+        vocab = 10
+        cfg = _cfg(vocab_size=vocab, heterogeneity=1.0, concentration=alpha)
+        data = synthesize_clients(cfg, population=2000, seed=SeedPath(12).child("data"))
+        contexts, labels = data.contexts[:, :, 0], data.labels
+        hits = pairs = 0
+        for token in range(vocab):
+            at = contexts == token
+            rows = np.flatnonzero(at.sum(axis=1) >= 2)
+            first = at[rows].argmax(axis=1)
+            at[rows, first] = False
+            second = at[rows].argmax(axis=1)
+            hits += int((labels[rows, first] == labels[rows, second]).sum())
+            pairs += rows.shape[0]
+        expected = (alpha + 1) / (vocab * alpha + 1)
+        assert pairs > 10_000
+        assert abs(hits / pairs - expected) < 4.5 * np.sqrt(expected * (1 - expected) / pairs)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             _cfg(vocab_size=1)
@@ -141,3 +169,17 @@ class TestHeterogeneity:
             _cfg(heterogeneity=1.5)
         with pytest.raises(ValueError):
             _cfg(window=0)
+
+
+def test_synthesis_memory_is_a_small_multiple_of_the_token_matrix():
+    """A population of 10^5 at the default corpus shape peaks (tracemalloc)
+    under 3x the bytes of its token matrix: no per-client rows, no
+    (population, vocab) temporaries."""
+    tracemalloc.start()
+    try:
+        data = synthesize_clients(DataConfig(), population=100_000, seed=SeedPath(13))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert data.tokens.shape == (100_000, 51)
+    assert peak < 3 * data.tokens.nbytes

@@ -2,8 +2,10 @@
 
 The round loop's anchored momentum update is held to an exact reduction: at
 zero noise with clipping disabled it must reproduce, parameter for
-parameter, a plainly written federated-averaging-with-momentum loop that
-shares only the client-update plumbing.
+parameter, a plainly written federated-averaging-with-momentum loop.  Its
+local updates come from a per-client dense reference kept in this file
+(one-hot features, softmax, P.T @ F), fed the same per-round batch orders,
+so the stacked cohort step is checked against code it shares nothing with.
 """
 
 import math
@@ -25,8 +27,8 @@ from fpsim import (
     SeedPath,
     ServerState,
     TrainingDiverged,
-    client_update,
     clip_l2,
+    cohort_update,
     derive_config,
     encode_client,
     init_tree,
@@ -39,7 +41,7 @@ from fpsim import federation
 from fpsim.clipping import ClipState
 
 
-def _datasets(population=20, vocab=8, examples=30, seed=0, window=1):
+def _data(population=20, vocab=8, examples=30, seed=0, window=1):
     cfg = DataConfig(
         vocab_size=vocab,
         window=window,
@@ -51,10 +53,53 @@ def _datasets(population=20, vocab=8, examples=30, seed=0, window=1):
     return synthesize_clients(cfg, population, SeedPath(seed).child("data"))
 
 
-def _population(datasets):
+def _population(data):
     """Fresh population arrays for select_cohort: (next_eligible, sizes)."""
-    next_eligible = np.zeros(len(datasets), dtype=np.int64)
-    return next_eligible, np.array([len(ds) for ds in datasets], dtype=np.int64)
+    clients, n = data.labels.shape
+    return np.zeros(clients, dtype=np.int64), np.full(clients, n, dtype=np.int64)
+
+
+def _dense_loss_grad(theta, contexts, labels, vocab, window):
+    """One client's minibatch loss and flat gradient, written densely:
+    window-mean one-hot features F, softmax P, gradient (P - Y).T @ F / batch."""
+    batch = labels.shape[0]
+    features = np.zeros((batch, vocab))
+    np.add.at(features, (np.arange(batch)[:, None], contexts), 1.0 / window)
+    logits = features @ theta.reshape(vocab, vocab).T
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    rows = np.arange(batch)
+    loss = float(-np.log(probs[rows, labels]).mean())
+    probs[rows, labels] -= 1.0
+    return loss, (probs.T @ features).ravel() / batch
+
+
+def _reference_update(theta, contexts, labels, eta_c, batch_size, epochs, rng, vocab, window):
+    """Client-by-client local SGD with the dense gradient.  The batch orders
+    are drawn as the round draws them: per epoch, one rng.permuted row per
+    client.  Returns the unclipped (cohort, d) deltas and mean losses."""
+    cohort, n = labels.shape
+    orders = np.tile(np.arange(n), (cohort, 1))
+    epoch_orders = []
+    for _ in range(epochs):
+        if rng is not None:
+            rng.permuted(orders, axis=1, out=orders)
+        epoch_orders.append(orders.copy())
+    deltas, losses = [], []
+    for c in range(cohort):
+        local = theta.copy()
+        batch_losses = []
+        for order in epoch_orders:
+            for start in range(0, n, batch_size):
+                batch = order[c, start : start + batch_size]
+                loss, grad = _dense_loss_grad(
+                    local, contexts[c, batch], labels[c, batch], vocab, window
+                )
+                local -= eta_c * grad
+                batch_losses.append(loss)
+        deltas.append(local - theta)
+        losses.append(np.mean(batch_losses))
+    return np.array(deltas), np.array(losses)
 
 
 def _server(z=0.0, clip=math.inf, m=4, beta=0.0, eta_s=1.0, seed=11, **kw):
@@ -108,7 +153,7 @@ class TestAvailabilityModel:
 
 class TestSelectCohort:
     def test_returns_sorted_unique_ids(self):
-        population = _population(_datasets())
+        population = _population(_data())
         cfg = CohortConfig(report_goal=6, timer_rounds=3)
         ids = select_cohort(*population, cfg, 0, SeedPath(1).child("sel"))
         assert len(ids) == 6
@@ -116,7 +161,7 @@ class TestSelectCohort:
 
     def test_timer_blocks_reselection(self):
         """A selected client is ineligible for exactly timer_rounds rounds."""
-        population = _population(_datasets(population=8))
+        population = _population(_data(population=8))
         cfg = CohortConfig(report_goal=4, timer_rounds=2)
         seed = SeedPath(2).child("sel")
         first = select_cohort(*population, cfg, 0, seed)
@@ -127,7 +172,7 @@ class TestSelectCohort:
 
     def test_exhaustion_error(self):
         """The error names the round, the eligible count and the goal."""
-        population = _population(_datasets(population=6))
+        population = _population(_data(population=6))
         cfg = CohortConfig(report_goal=4, timer_rounds=5)
         seed = SeedPath(3).child("sel")
         select_cohort(*population, cfg, 0, seed)
@@ -139,11 +184,8 @@ class TestSelectCohort:
 
     def test_empty_dataset_clients_skipped(self):
         """Clients with no local data are replaced at selection time."""
-        datasets = _datasets(population=10)
-        datasets[3] = datasets[0].__class__(
-            contexts=datasets[0].contexts[:0], labels=datasets[0].labels[:0]
-        )
-        population = _population(datasets)
+        population = _population(_data(population=10))
+        population[1][3] = 0
         cfg = CohortConfig(report_goal=8, timer_rounds=1)
         for r in range(10):
             ids = select_cohort(*population, cfg, r, SeedPath(4).child("sel"))
@@ -152,7 +194,7 @@ class TestSelectCohort:
     def test_participation_log_updated(self):
         """Each pick's timer restarts at the round it reported in; the
         harness logs the returned ids as that round's row."""
-        next_eligible, sizes = _population(_datasets(population=8))
+        next_eligible, sizes = _population(_data(population=8))
         cfg = CohortConfig(report_goal=4, timer_rounds=1)
         seed = SeedPath(5).child("sel")
         for r in range(6):
@@ -160,8 +202,8 @@ class TestSelectCohort:
                 assert next_eligible[cid] - cfg.timer_rounds == r
 
     def test_deterministic_in_seed_and_round(self):
-        a = _population(_datasets(population=12))
-        b = _population(_datasets(population=12))
+        a = _population(_data(population=12))
+        b = _population(_data(population=12))
         cfg = CohortConfig(report_goal=5, timer_rounds=2)
         for r in range(4):
             assert select_cohort(*a, cfg, r, SeedPath(6).child("s")) == select_cohort(
@@ -171,7 +213,7 @@ class TestSelectCohort:
     def test_uniform_selection_is_balanced(self):
         """With uniform availability and no timer pressure every client is
         picked at close to the m/N rate."""
-        population = _population(_datasets(population=30))
+        population = _population(_data(population=30))
         cfg = CohortConfig(report_goal=6, timer_rounds=1)
         counts = np.zeros(30)
         rounds = 500
@@ -183,90 +225,142 @@ class TestSelectCohort:
 
 
 class TestClientUpdate:
+    """The stacked cohort step, one row per client."""
+
     def test_indicator_uses_unclipped_norm(self):
-        datasets = _datasets(population=2)
+        data = _data(population=2)
         model = NextTokenBOW(vocab_size=8)
         params = model.init_params()
-        raw, _, _ = client_update(
-            model, params, datasets[0], 0.5, math.inf, math.inf
-        )
-        norm = np.linalg.norm(raw)
-        # Clip far below the raw norm; indicator still reflects the raw norm.
-        _, ind_tight, _ = client_update(
-            model, params, datasets[0], 0.5, norm / 10, norm / 2
-        )
-        assert ind_tight == 0
-        _, ind_loose, _ = client_update(
-            model, params, datasets[0], 0.5, norm / 10, norm * 2
-        )
-        assert ind_loose == 1
+        args = (model, params, data.contexts, data.labels, 0.5)
+        raw, _, _ = cohort_update(*args, math.inf, math.inf)
+        norms = np.linalg.norm(raw, axis=1)
+        # Clip far below the raw norms; indicators still reflect the raw norms.
+        clip = norms.min() / 10
+        _, tight, _ = cohort_update(*args, clip, norms.min() / 2)
+        np.testing.assert_array_equal(tight, [0, 0])
+        _, loose, _ = cohort_update(*args, clip, norms.max() * 2)
+        np.testing.assert_array_equal(loose, [1, 1])
+        _, mixed, _ = cohort_update(*args, clip, norms[0])
+        np.testing.assert_array_equal(mixed, norms <= norms[0])
 
     def test_clipping_bounds_the_delta(self):
-        datasets = _datasets(population=1)
+        data = _data(population=3)
         model = NextTokenBOW(vocab_size=8)
-        params = model.init_params()
-        delta, _, _ = client_update(
-            model, params, datasets[0], 2.0, 0.05, math.inf
+        raw, _, _ = cohort_update(
+            model, model.init_params(), data.contexts, data.labels, 2.0, math.inf, math.inf
         )
-        assert np.linalg.norm(delta) <= 0.05 * (1 + 1e-12)
+        deltas, _, _ = cohort_update(
+            model, model.init_params(), data.contexts, data.labels, 2.0, 0.05, math.inf
+        )
+        np.testing.assert_array_less(np.linalg.norm(deltas, axis=1), 0.05 * (1 + 1e-12))
+        for row, clipped in zip(raw, deltas):
+            np.testing.assert_allclose(clipped, clip_l2(row, 0.05), rtol=0, atol=1e-15)
 
     def test_local_steps_reduce_local_loss(self):
-        datasets = _datasets(population=1, examples=60)
+        data = _data(population=2, examples=60)
         model = NextTokenBOW(vocab_size=8)
         params = model.init_params()
-        ds = datasets[0]
-        delta, _, _ = client_update(model, params, ds, 0.5, math.inf, math.inf, epochs=3)
-        before, _ = model.loss_grad(params, ds.contexts, ds.labels)
-        after, _ = model.loss_grad(params + delta, ds.contexts, ds.labels)
-        assert after < before
+        deltas, _, _ = cohort_update(
+            model, params, data.contexts, data.labels, 0.5, math.inf, math.inf, epochs=3
+        )
+        for c in range(2):
+            args = (data.contexts[c], data.labels[c], 8, 1)
+            before, _ = _dense_loss_grad(params, *args)
+            after, _ = _dense_loss_grad(params + deltas[c], *args)
+            assert after < before
 
     def test_order_seed_determinism(self):
-        datasets = _datasets(population=1, examples=40)
+        data = _data(population=3, examples=40)
         model = NextTokenBOW(vocab_size=8)
         params = model.init_params()
-        seed = SeedPath(8).child("order")
-        a = client_update(model, params, datasets[0], 0.5, 1.0, 1.0, 8, 2, seed)
-        b = client_update(model, params, datasets[0], 0.5, 1.0, 1.0, 8, 2, seed)
-        np.testing.assert_array_equal(a[0], b[0])
-        assert a[1:] == b[1:]
+
+        def update(seed):
+            rng = SeedPath(8).child("order", seed).generator()
+            return cohort_update(
+                model, params, data.contexts, data.labels, 0.5, 1.0, 1.0, 8, 2, rng
+            )
+
+        a, b, other = update(0), update(0), update(1)
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
+        assert not np.array_equal(a[0], other[0])
 
     def test_validation(self):
-        datasets = _datasets(population=1)
+        data = _data(population=1)
         model = NextTokenBOW(vocab_size=8)
         params = model.init_params()
+        args = (model, params, data.contexts, data.labels)
         with pytest.raises(ValueError):
-            client_update(model, params, datasets[0], 0.0, 1.0, 1.0)
+            cohort_update(*args, 0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            client_update(model, params, datasets[0], 0.5, 1.0, 1.0, batch_size=0)
+            cohort_update(*args, 0.5, 1.0, 1.0, batch_size=0)
+        with pytest.raises(ValueError):
+            cohort_update(*args, 0.5, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            cohort_update(model, params, data.contexts[:, :0], data.labels[:, :0], 0.5, 1.0, 1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        window=st.integers(1, 3),
+        vocab=st.integers(2, 16),
+        cohort=st.integers(1, 8),
+        n=st.integers(1, 20),
+        batch_size=st.integers(1, 8),
+        epochs=st.integers(1, 2),
+        shuffle=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_stacked_step_matches_dense_reference(
+        self, window, vocab, cohort, n, batch_size, epochs, shuffle, seed
+    ):
+        """Any window, vocabulary, cohort size and (possibly ragged) batch
+        split: the stacked step's deltas and losses equal the per-client
+        dense reference's, fed the same batch orders."""
+        rng = np.random.default_rng(seed)
+        model = NextTokenBOW(vocab_size=vocab, window=window)
+        theta = rng.normal(size=model.num_params) * 0.3
+        contexts = rng.integers(0, vocab, size=(cohort, n, window))
+        labels = rng.integers(0, vocab, size=(cohort, n))
+
+        def order_rng():
+            return np.random.default_rng(seed + 1) if shuffle else None
+
+        deltas, indicators, losses = cohort_update(
+            model, theta, contexts, labels, 0.3, math.inf, 1.0, batch_size, epochs, order_rng()
+        )
+        expected, expected_losses = _reference_update(
+            theta, contexts, labels, 0.3, batch_size, epochs, order_rng(), vocab, window
+        )
+        np.testing.assert_allclose(deltas, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(losses, expected_losses, rtol=1e-12)
+        np.testing.assert_array_equal(indicators, np.linalg.norm(expected, axis=1) <= 1.0)
 
 
 class TestRunRound:
     def test_cohort_size_enforced(self):
-        datasets = _datasets()
+        data = _data()
         server = _server(m=4)
         with pytest.raises(ValueError):
-            run_round(server, [0, 1, 2], datasets)
+            run_round(server, [0, 1, 2], data)
 
     def test_single_round_zero_noise_identity(self):
-        """theta after one round is exactly theta0 + eta_s * mean client delta."""
-        datasets = _datasets()
+        """theta after one round is exactly theta0 + eta_s * mean client
+        delta, the deltas from the dense reference."""
+        data = _data()
         server = _server(m=4, eta_s=0.7)
         cohort_ids = [0, 1, 2, 3]
-        deltas = [
-            client_update(
-                server.model,
-                server.theta0,
-                datasets[i],
-                server.eta_c,
-                math.inf,
-                math.inf,
-                server.batch_size,
-                server.epochs,
-                server.seed.child("local-order", 0).child("client", i),
-            )[0]
-            for i in cohort_ids
-        ]
-        run_round(server, cohort_ids, datasets)
+        deltas, _ = _reference_update(
+            server.theta0,
+            data.contexts[cohort_ids],
+            data.labels[cohort_ids],
+            server.eta_c,
+            server.batch_size,
+            server.epochs,
+            server.seed.child("local-order", 0).generator(),
+            8,
+            1,
+        )
+        run_round(server, cohort_ids, data)
         expected = server.theta0 + 0.7 * np.sum(deltas, axis=0) / 4
         np.testing.assert_allclose(server.theta, expected, rtol=0, atol=1e-12)
 
@@ -276,46 +370,44 @@ class TestRunRound:
         The reference below implements the textbook recursion
             momentum <- beta * momentum + mean_delta
             theta    <- theta + eta_s * momentum
-        and must agree with the anchored cumulative form to float precision.
+        with per-client dense local SGD, and must agree with the anchored
+        cumulative form to float precision.
         """
         m, beta, eta_s, rounds = 4, 0.9, 0.5, 20
-        datasets = _datasets(population=16)
-        population = _population(datasets)
+        data = _data(population=16)
+        population = _population(data)
         server = _server(m=m, beta=beta, eta_s=eta_s, seed=21)
         sel_cfg = CohortConfig(report_goal=m, timer_rounds=2)
         sel_seed = server.seed.child("selection")
 
-        twins = _datasets(population=16)
+        twins = _data(population=16)
         twin_population = _population(twins)
         theta = server.theta0.copy()
         velocity = np.zeros_like(theta)
 
         for t in range(rounds):
             cohort_ids = select_cohort(*population, sel_cfg, t, sel_seed)
-            run_round(server, cohort_ids, datasets)
+            run_round(server, cohort_ids, data)
 
             twin_ids = select_cohort(*twin_population, sel_cfg, t, sel_seed)
             assert twin_ids == cohort_ids
-            deltas = [
-                client_update(
-                    server.model,
-                    theta,
-                    twins[i],
-                    server.eta_c,
-                    math.inf,
-                    math.inf,
-                    server.batch_size,
-                    server.epochs,
-                    server.seed.child("local-order", t).child("client", i),
-                )[0]
-                for i in twin_ids
-            ]
+            deltas, _ = _reference_update(
+                theta,
+                twins.contexts[twin_ids],
+                twins.labels[twin_ids],
+                server.eta_c,
+                server.batch_size,
+                server.epochs,
+                server.seed.child("local-order", t).generator(),
+                8,
+                1,
+            )
             velocity = beta * velocity + np.mean(deltas, axis=0)
             theta = theta + eta_s * velocity
             np.testing.assert_allclose(server.theta, theta, rtol=0, atol=1e-11)
 
     def test_adaptive_clip_state_advances(self):
-        datasets = _datasets()
+        data = _data()
         root = SeedPath(30).child("run")
         model = NextTokenBOW(vocab_size=8)
         clip = ClipState(
@@ -338,10 +430,10 @@ class TestRunRound:
             restart_schedule=RestartSchedule((2,)),
             seed=root,
         )
-        run_round(server, [0, 1, 2, 3], datasets)
+        run_round(server, [0, 1, 2, 3], data)
         assert clip.rounds_seen == 1
         assert server.active_clip == 0.5  # not yet activated
-        run_round(server, [4, 5, 6, 7], datasets)
+        run_round(server, [4, 5, 6, 7], data)
         # Round 2 is a restart boundary: the estimate became the active norm
         # and the tree opened a new segment.
         assert server.active_clip == clip.estimate
@@ -351,16 +443,16 @@ class TestRunRound:
         """A noise multiplier so large its Gaussian draws overflow float64
         must stop the run with the divergence diagnostic, not march on with
         non-finite parameters."""
-        datasets = _datasets()
+        data = _data()
         server = _server(m=4, z=1e308, clip=1.0, seed=50)
         with np.errstate(over="ignore"), pytest.raises(TrainingDiverged):
             for t in range(4):
-                run_round(server, [0, 1, 2, 3], datasets)
+                run_round(server, [0, 1, 2, 3], data)
 
     def test_metrics_fields(self):
-        datasets = _datasets()
+        data = _data()
         server = _server(m=4)
-        metrics = run_round(server, [0, 1, 2, 3], datasets)
+        metrics = run_round(server, [0, 1, 2, 3], data)
         assert metrics.round == 0
         assert metrics.cohort_size == 4
         assert math.isfinite(metrics.train_loss)
@@ -373,14 +465,14 @@ class TestSecureAggregationRound:
         """Running the same round with and without the integer codec agrees
         to the codec's rounding tolerance."""
         m = 4
-        datasets = _datasets(population=8)
+        data = _data(population=8)
         plain = _server(m=m, clip=1.0, seed=40)
         model_dim = plain.model.num_params
         cfg = derive_config(1.0, 100.0, model_dim, m)
         coded = _server(m=m, clip=1.0, seed=40, secagg=cfg)
         cohort_ids = list(range(m))
-        metrics_plain = run_round(plain, cohort_ids, datasets)
-        twins = _datasets(population=8)
+        metrics_plain = run_round(plain, cohort_ids, data)
+        twins = _data(population=8)
         metrics_coded = run_round(coded, cohort_ids, twins)
         assert np.linalg.norm(plain.theta - coded.theta) <= m * math.sqrt(cfg.padded_dim) / 100.0
         assert metrics_coded.bits_per_update > 0
@@ -393,7 +485,7 @@ class TestSecureAggregationRound:
         coordinates; the round's clamp fraction equals an independent
         recount over the deltas the codec received."""
         m = 4
-        datasets = _datasets(population=8)
+        data = _data(population=8)
         model_dim = NextTokenBOW(vocab_size=8).num_params
         padded_dim = 1 << (model_dim - 1).bit_length()
         cfg = SecAggConfig(
@@ -412,7 +504,7 @@ class TestSecureAggregationRound:
             return encode_client(delta, config, signs, seed)
 
         monkeypatch.setattr(federation, "encode_client", recording_encode)
-        metrics = run_round(server, list(range(m)), datasets)
+        metrics = run_round(server, list(range(m)), data)
         monkeypatch.undo()
 
         rotation = hadamard(padded_dim) / math.sqrt(padded_dim)
@@ -427,7 +519,7 @@ class TestSecureAggregationRound:
         assert metrics.secagg_clamp_fraction == recount / (m * padded_dim)
 
     def test_secagg_requires_fixed_clip(self):
-        datasets = _datasets()
+        data = _data()
         root = SeedPath(41).child("run")
         model = NextTokenBOW(vocab_size=8)
         cfg = derive_config(1.0, 100.0, model.num_params, 4)

@@ -63,8 +63,8 @@ GOLDEN = {
     "adaptive": (
         ADAPTIVE_CONFIG,
         {
-            "metrics.csv": "adf40319314d9aca59ffefbcab253ab9af73ad4741be2eedb51d39d7c07334df",
-            "checkpoint.bin": "2a110445e8cfe14177970bd0d400ab8a2f6068b45c378486f3910cbfebed32de",
+            "metrics.csv": "da9f4476b172cd66d020809c47f79e684181f128250836dfc3b5c881434a5fb4",
+            "checkpoint.bin": "21761255383aec6563d0a8cf8874bd2ee4c0594ce3e1395e73017d2655d2f0a6",
             "report.csv": "1e1b613fcae33d55b7ed7a5aab992e96b42bd75c5cbb8300b47b1b7c75398feb",
             "participation.csv": "51e83eb51ef2a9609e1246969536d14b66f469e93f179fe350a7ae071bc6163d",
         },
@@ -72,8 +72,8 @@ GOLDEN = {
     "fixed": (
         FIXED_CONFIG,
         {
-            "metrics.csv": "c1a9f8eebfff0cb43ed74f3e530e61996d2cc2190879637890e6a71dfb5ef7e7",
-            "checkpoint.bin": "67da05d19838c94ea11ea2ce8bf64b171e37a1158d6061b00ae79a502c03a57a",
+            "metrics.csv": "466d62f98bb31266ebb9bac4178328e64f8ef0f8e9d09303685a3b19012fe6e8",
+            "checkpoint.bin": "ac68ff66cd0de82306177e6124280b78c3c95b3a88cf44ec3fe2605b3c5ce2ef",
             "report.csv": "9ac8c4d9ddd799ba5a12bfb8d9aa03617d197304a78438c5c7db6d6ae23af59c",
             "participation.csv": "51e83eb51ef2a9609e1246969536d14b66f469e93f179fe350a7ae071bc6163d",
         },
@@ -81,11 +81,11 @@ GOLDEN = {
     "secagg": (
         SECAGG_CONFIG,
         {
-            "metrics.csv": "da422ad7d78872640082a8ce8f5b693221ccd6edf5f9d3034bc45cdf9e2f07c9",
-            "checkpoint.bin": "b35000712de1f0015ceec306b41a0b1a2c1ffb744a611370bc3ba0dfb034003d",
+            "metrics.csv": "8e7851ffade921ba17bf23ad99d3f92796264dcddedde3041886d581f6f90700",
+            "checkpoint.bin": "593f128690a1727c34e82b2ca00a24e1e7575615a02254f7dac180fa2894f493",
             "report.csv": "11cb4e404c44f33a2bd5b3c84e4de1d0303f0265da06ba006e381bf571cdb063",
             "participation.csv": "bc079d68c703287a21dc50dbac1b8036e1606a30854638dc7a3699ef8f11766d",
-            "secagg.csv": "211764a23f6354a35dc11434d25470d6563e0e794daaea425b253e110599015b",
+            "secagg.csv": "2c3aa49679d926133e8087f613663391863293826419b147184e2e051b278198",
         },
     ),
 }

@@ -1,110 +1,162 @@
-"""Tests for the flat-parameter softmax models.
+"""Tests for the bag-of-words softmax model and its stacked SGD step.
 
 The gradient is the one quantity everything downstream trusts blindly, so it
 is checked against central finite differences of the loss — an oracle that
-shares no code with the analytic backward pass.
+shares no code with the analytic backward pass.  The step updates a stack
+of parameter rows in place, so the gradient is read off one step of rate 1.
 """
 
 import numpy as np
 import pytest
 
-from fpsim import NextTokenBOW, SoftmaxRegression, build_model
+from fpsim import NextTokenBOW
+
+
+def _loss_grad(model, stack, contexts, labels):
+    """Each row's minibatch loss and gradient, read off one stacked SGD step
+    of rate 1 on a copy."""
+    after = stack.copy()
+    losses = model.sgd_step(after, contexts, labels, 1.0)
+    return losses, stack - after
+
+
+def _losses(model, stack, contexts, labels):
+    return _loss_grad(model, stack, contexts, labels)[0]
+
+
+def _check_finite_differences(model, stack, contexts, labels, rng, checks_per_row=6):
+    _, grad = _loss_grad(model, stack, contexts, labels)
+    h = 1e-6
+    for row in range(stack.shape[0]):
+        for i in rng.choice(model.num_params, size=checks_per_row, replace=False):
+            up, down = stack.copy(), stack.copy()
+            up[row, i] += h
+            down[row, i] -= h
+            numeric = (
+                _losses(model, up, contexts, labels) - _losses(model, down, contexts, labels)
+            ) / (2 * h)
+            # A row's loss depends on that row's parameters only.
+            expected = np.zeros(stack.shape[0])
+            expected[row] = grad[row, i]
+            np.testing.assert_allclose(numeric, expected, rtol=0, atol=1e-6)
 
 
 class TestSoftmaxRegression:
+    """NextTokenBOW is multinomial logistic (softmax) regression on the
+    window-mean one-hot features; these pin its softmax-regression
+    properties through the stacked step."""
+
     def test_parameter_count(self):
-        m = SoftmaxRegression(num_classes=3, num_features=5)
-        assert m.num_params == 15
-        assert m.init_params().shape == (15,)
+        m = NextTokenBOW(vocab_size=5, window=3)
+        assert m.num_params == 25
+        assert m.init_params().shape == (25,)
 
     def test_initial_loss_is_log_k(self):
-        """Zero weights give uniform class probabilities: loss = ln(K)."""
-        m = SoftmaxRegression(num_classes=7, num_features=4)
+        """Zero weights give uniform class probabilities: loss = ln(V) in
+        every row."""
+        m = NextTokenBOW(vocab_size=7, window=2)
         rng = np.random.default_rng(0)
-        x = rng.normal(size=(10, 4))
-        y = rng.integers(0, 7, size=10)
-        loss, _ = m.loss_grad(m.init_params(), x, y)
-        assert loss == pytest.approx(np.log(7), rel=1e-12)
+        contexts = rng.integers(0, 7, size=(3, 10, 2))
+        labels = rng.integers(0, 7, size=(3, 10))
+        losses = _losses(m, np.zeros((3, m.num_params)), contexts, labels)
+        np.testing.assert_allclose(losses, np.log(7), rtol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
-        """Central differences of the loss reproduce the analytic gradient."""
-        m = SoftmaxRegression(num_classes=4, num_features=3)
+        """One row (C = 1): central differences of the loss reproduce the
+        gradient the step applies."""
+        m = NextTokenBOW(vocab_size=4, window=1)
         rng = np.random.default_rng(1)
-        params = rng.normal(size=m.num_params) * 0.5
-        x = rng.normal(size=(6, 3))
-        y = rng.integers(0, 4, size=6)
-        _, grad = m.loss_grad(params, x, y)
-        h = 1e-6
-        for i in range(m.num_params):
-            up, down = params.copy(), params.copy()
-            up[i] += h
-            down[i] -= h
-            numeric = (m.loss_grad(up, x, y)[0] - m.loss_grad(down, x, y)[0]) / (2 * h)
-            assert grad[i] == pytest.approx(numeric, abs=1e-6), i
+        stack = rng.normal(size=(1, m.num_params)) * 0.5
+        contexts = rng.integers(0, 4, size=(1, 6, 1))
+        labels = rng.integers(0, 4, size=(1, 6))
+        _check_finite_differences(m, stack, contexts, labels, rng, checks_per_row=m.num_params)
 
     def test_gradient_descent_reduces_loss(self):
-        m = SoftmaxRegression(num_classes=3, num_features=2)
+        """Full-batch steps on a noisy token map lower every row's loss
+        monotonically."""
+        m = NextTokenBOW(vocab_size=3, window=2)
         rng = np.random.default_rng(2)
-        x = rng.normal(size=(60, 2))
-        y = (x[:, 0] > 0).astype(np.int64) + (x[:, 1] > 0)
-        params = m.init_params()
-        losses = []
-        for _ in range(150):
-            loss, grad = m.loss_grad(params, x, y)
-            losses.append(loss)
-            params = params - 0.5 * grad
-        assert losses[-1] < losses[0] * 0.75
-        assert all(a >= b for a, b in zip(losses, losses[1:]))
+        contexts = rng.integers(0, 3, size=(2, 60, 2))
+        noise = rng.integers(0, 3, size=(2, 60))
+        labels = np.where(rng.random((2, 60)) < 0.8, contexts[:, :, 0], noise)
+        stack = np.zeros((2, m.num_params))
+        losses = [m.sgd_step(stack, contexts, labels, 0.5) for _ in range(150)]
+        losses = np.array(losses)
+        assert np.all(losses[-1] < losses[0] * 0.75)
+        assert np.all(losses[:-1] >= losses[1:])
 
     def test_accuracy_on_separable_data(self):
-        m = SoftmaxRegression(num_classes=2, num_features=2)
-        x = np.array([[1.0, 0.0], [-1.0, 0.0], [2.0, 0.0], [-2.0, 0.0]])
-        y = np.array([1, 0, 1, 0])
-        params = m.init_params()
-        for _ in range(100):
-            _, grad = m.loss_grad(params, x, y)
-            params = params - 1.0 * grad
-        assert m.accuracy(params, x, y) == 1.0
+        """Windows (a, a + 1 mod V) labelled a are linearly separable in the
+        bag-of-words features."""
+        m = NextTokenBOW(vocab_size=4, window=2)
+        tokens = np.arange(4)
+        contexts = np.stack([tokens, (tokens + 1) % 4], axis=1)
+        stack = np.zeros((1, m.num_params))
+        for _ in range(200):
+            m.sgd_step(stack, contexts[None], tokens[None], 1.0)
+        assert m.accuracy(stack[0], contexts, tokens) == 1.0
 
     def test_uniform_model_accuracy_is_chance_like(self):
         """With zero weights argmax ties break consistently; accuracy is that
         of a constant prediction."""
-        m = SoftmaxRegression(num_classes=4, num_features=3)
+        m = NextTokenBOW(vocab_size=4, window=2)
         rng = np.random.default_rng(3)
-        x = rng.normal(size=(1000, 3))
-        y = rng.integers(0, 4, size=1000)
-        acc = m.accuracy(m.init_params(), x, y)
-        assert acc == pytest.approx((y == 0).mean())
+        contexts = rng.integers(0, 4, size=(1000, 2))
+        labels = rng.integers(0, 4, size=1000)
+        acc = m.accuracy(m.init_params(), contexts, labels)
+        assert acc == pytest.approx((labels == 0).mean())
 
     def test_input_validation(self):
-        m = SoftmaxRegression(num_classes=3, num_features=5)
+        m = NextTokenBOW(vocab_size=3, window=2)
+        contexts = np.zeros((1, 2, 2), dtype=np.int64)
+        labels = np.zeros((1, 2), dtype=np.int64)
         with pytest.raises(ValueError):
-            m.loss_grad(np.zeros(7), np.zeros((2, 5)), np.zeros(2, dtype=np.int64))
+            m.sgd_step(np.zeros((1, 7)), contexts, labels, 0.1)
         with pytest.raises(ValueError):
-            m.loss_grad(m.init_params(), np.zeros((2, 4)), np.zeros(2, dtype=np.int64))
+            m.sgd_step(np.zeros((1, 9)), contexts[:, :, :1], labels, 0.1)
+        with pytest.raises(ValueError):
+            m.sgd_step(np.zeros((2, 9)), contexts, labels, 0.1)
+        with pytest.raises(ValueError):
+            m.sgd_step(np.zeros((9, 2)).T, contexts, labels, 0.1)
+        with pytest.raises(ValueError):
+            m.sgd_step(np.zeros((1, 9)), contexts, labels[:, :1], 0.1)
+        with pytest.raises(ValueError):
+            m.sgd_step(np.zeros((1, 9)), contexts[0], labels, 0.1)
+        with pytest.raises(ValueError):
+            m.accuracy(np.zeros(7), contexts[0], labels[0])
+        with pytest.raises(ValueError):
+            NextTokenBOW(vocab_size=1)
+        with pytest.raises(ValueError):
+            NextTokenBOW(vocab_size=3, window=0)
 
 
 class TestNextTokenBOW:
     def test_dimensions(self):
         m = NextTokenBOW(vocab_size=50)
-        assert m.num_classes == 50
-        assert m.num_features == 50
+        assert m.vocab_size == 50
+        assert m.window == 1
         assert m.num_params == 2500
 
     def test_featurize_single_token_window(self):
-        """Window 1: features are exact one-hot rows."""
+        """Window 1: the features are exact one-hot rows, so the logits are
+        exact weight columns, row by row of the stack."""
         m = NextTokenBOW(vocab_size=5, window=1)
-        contexts = np.array([[0], [3], [4]])
-        f = m.featurize(contexts)
-        expected = np.zeros((3, 5))
-        expected[0, 0] = expected[1, 3] = expected[2, 4] = 1.0
-        np.testing.assert_array_equal(f, expected)
+        stack = np.random.default_rng(5).normal(size=(2, 25))
+        contexts = np.array([[[0], [3], [4]], [[2], [2], [1]]])
+        logits = m.logits(stack, contexts)
+        for row in range(2):
+            weights = stack[row].reshape(5, 5)
+            np.testing.assert_array_equal(logits[row], weights[:, contexts[row, :, 0]].T)
 
     def test_featurize_multi_token_window_averages(self):
+        """The features of a window are the mean of its one-hot rows, so the
+        logits are the mean of its tokens' weight columns."""
         m = NextTokenBOW(vocab_size=4, window=2)
-        f = m.featurize(np.array([[1, 3], [2, 2]]))
-        np.testing.assert_array_equal(f[0], [0.0, 0.5, 0.0, 0.5])
-        np.testing.assert_array_equal(f[1], [0.0, 0.0, 1.0, 0.0])
+        stack = np.random.default_rng(6).normal(size=(1, 16))
+        weights = stack[0].reshape(4, 4)
+        logits = m.logits(stack, np.array([[[1, 3], [2, 2]]]))[0]
+        np.testing.assert_array_equal(logits[0], (weights[:, 1] + weights[:, 3]) / 2)
+        np.testing.assert_array_equal(logits[1], weights[:, 2])
 
     def test_learns_a_deterministic_successor_map(self):
         """Token i is always followed by (i+1) mod V; the model must learn
@@ -113,43 +165,26 @@ class TestNextTokenBOW:
         m = NextTokenBOW(vocab_size=v, window=1)
         contexts = np.arange(v).reshape(-1, 1)
         labels = (np.arange(v) + 1) % v
-        params = m.init_params()
+        stack = m.init_params().reshape(1, -1)
         for _ in range(300):
-            _, grad = m.loss_grad(params, contexts, labels)
-            params = params - 2.0 * grad
-        assert m.accuracy(params, contexts, labels) == 1.0
+            m.sgd_step(stack, contexts[None], labels[None], 2.0)
+        assert m.accuracy(stack[0], contexts, labels) == 1.0
 
     def test_gradient_matches_finite_differences(self):
+        """A stack of four rows (C > 1) with window 2: every row's gradient
+        matches central differences of that row's loss, and no row's loss
+        moves with another row's parameters."""
         m = NextTokenBOW(vocab_size=3, window=2)
         rng = np.random.default_rng(4)
-        params = rng.normal(size=m.num_params) * 0.3
-        contexts = rng.integers(0, 3, size=(5, 2))
-        labels = rng.integers(0, 3, size=5)
-        _, grad = m.loss_grad(params, contexts, labels)
-        h = 1e-6
-        flat_checks = rng.choice(m.num_params, size=5, replace=False)
-        for i in flat_checks:
-            up, down = params.copy(), params.copy()
-            up[i] += h
-            down[i] -= h
-            numeric = (
-                m.loss_grad(up, contexts, labels)[0] - m.loss_grad(down, contexts, labels)[0]
-            ) / (2 * h)
-            assert grad[i] == pytest.approx(numeric, abs=1e-6)
+        stack = rng.normal(size=(4, m.num_params)) * 0.3
+        contexts = rng.integers(0, 3, size=(4, 5, 2))
+        labels = rng.integers(0, 3, size=(4, 5))
+        _check_finite_differences(m, stack, contexts, labels, rng)
 
     def test_token_range_validated(self):
         m = NextTokenBOW(vocab_size=4)
+        stack = np.zeros((1, 16))
         with pytest.raises(ValueError):
-            m.featurize(np.array([[4]]))
+            m.logits(stack, np.array([[[4]]]))
         with pytest.raises(ValueError):
-            m.featurize(np.array([[-1]]))
-
-
-class TestBuildModel:
-    def test_known_kinds(self):
-        assert isinstance(build_model("logistic", num_classes=3, num_features=2), SoftmaxRegression)
-        assert isinstance(build_model("next_token_bow", vocab_size=8), NextTokenBOW)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            build_model("transformer")
+            m.logits(stack, np.array([[[-1]]]))
