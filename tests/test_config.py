@@ -7,6 +7,8 @@ and produce a canonical serialization whose hash changes with any field.
 """
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fpsim import ExperimentConfig, SweepConfig
 from fpsim.config import ConfigError, parse_kv_text
@@ -114,7 +116,100 @@ class TestExperimentConfig:
         assert model.amplitude == 0.25
 
 
+def _floats(low=None, high=None, **kwargs):
+    return st.floats(low, high, allow_nan=False, allow_infinity=False, **kwargs)
+
+
+_POSITIVE = _floats(0.0, 1e6, exclude_min=True)
+_UNIT = _floats(0.0, 1.0)
+# Single-line strings without surrounding whitespace: what a value can hold
+# once parse_kv_text has stripped its line.
+_VALUE_TEXT = st.text(
+    st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=20
+).filter(lambda s: s == s.strip())
+
+
+@st.composite
+def _valid_configs(draw) -> tuple[ExperimentConfig, int]:
+    """A random valid config and the timer_rounds it was built with
+    (0 asks the config to derive it)."""
+    report_goal = draw(st.integers(1, 10_000))
+    population = draw(st.integers(report_goal, report_goal + 10**6))
+    timer_rounds = draw(st.one_of(st.just(0), st.integers(1, 10**6)))
+    clip_mode = draw(st.sampled_from(["fixed", "adaptive"]))
+    if clip_mode == "adaptive":
+        # The noise split inverts z**2, which overflows below ~1e-154, and the
+        # count noise must absorb it: 2 * report_goal * sigma_b_fraction > z.
+        noise = draw(st.just(0.0) | _floats(1e-100, 1e6))
+        sigma_b_fraction = draw(_floats(noise / (2 * report_goal), 1e6, exclude_min=True))
+        assume(2.0 * (report_goal * sigma_b_fraction) > noise)  # rounding at the boundary
+    else:
+        noise = draw(_floats(0.0, 1e6))
+        sigma_b_fraction = draw(_POSITIVE)
+    restart_mode = draw(st.sampled_from(["periodic", "explicit", "none"]))
+    any_ints = st.integers(-(10**6), 10**6)
+    if restart_mode == "explicit":
+        restart_rounds = draw(
+            st.lists(st.integers(1, 10**6), unique=True, max_size=6).map(sorted).map(tuple)
+        )
+    else:
+        restart_rounds = tuple(draw(st.lists(any_ints, max_size=6)))
+    periodic_int = st.integers(1, 10**6) if restart_mode == "periodic" else any_ints
+    secagg_enabled = clip_mode == "fixed" and draw(st.booleans())
+    config = ExperimentConfig(
+        seed=draw(st.integers(0, 2**64 - 1)),
+        rounds=draw(st.integers(1, 10**6)),
+        report_goal=report_goal,
+        population=population,
+        noise_multiplier=noise,
+        timer_rounds=timer_rounds,
+        availability_kind=draw(st.sampled_from(["uniform", "diurnal"])),
+        availability_period=draw(_POSITIVE),
+        availability_amplitude=draw(_UNIT),
+        eta_c=draw(_POSITIVE),
+        eta_s=draw(_POSITIVE),
+        beta=draw(_floats(0.0, 1.0, exclude_max=True)),
+        batch_size=draw(st.integers(1, 10**4)),
+        epochs=draw(st.integers(1, 100)),
+        clip_mode=clip_mode,
+        clip_c0=draw(_POSITIVE),
+        clip_gamma=draw(_UNIT),
+        clip_eta_gamma=draw(_floats(0.0, 1e6)),
+        clip_sigma_b_fraction=sigma_b_fraction,
+        restart_mode=restart_mode,
+        restart_first=draw(periodic_int),
+        restart_period=draw(periodic_int),
+        restart_rounds=restart_rounds,
+        model_kind="next_token_bow",
+        vocab_size=draw(st.integers(2, 10**5)),
+        window=draw(st.integers(1, 64)),
+        examples_per_client=draw(st.integers(1, 10**5)),
+        heterogeneity=draw(_UNIT),
+        concentration=draw(_POSITIVE),
+        eval_examples=draw(st.integers(1, 10**6)),
+        secagg_enabled=secagg_enabled,
+        secagg_scale=draw(_POSITIVE if secagg_enabled else _floats(-1e6, 1e6)),
+        secagg_retry_cap=draw(st.integers(1, 10**4)),
+        warm_start=draw(_VALUE_TEXT),
+    )
+    return config, timer_rounds
+
+
 class TestCanonicalization:
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=_valid_configs())
+    def test_canonical_text_round_trips(self, drawn):
+        """Any valid config reparses from its canonical text to an equal
+        config with an equal hash, and a zero timer is derived on the way."""
+        assert ExperimentConfig() == ExperimentConfig.from_text("")
+        config, timer_rounds = drawn
+        if timer_rounds == 0:
+            assert config.timer_rounds == max(1, config.population // (2 * config.report_goal))
+        again = ExperimentConfig.from_text(config.canonical_text())
+        assert again == config
+        assert again.canonical_text() == config.canonical_text()
+        assert again.config_hash() == config.config_hash()
+
     def test_round_trips_through_text(self):
         cfg = ExperimentConfig.from_text("seed = 5\nnoise_multiplier = 0.25\n")
         again = ExperimentConfig.from_text(cfg.canonical_text())
