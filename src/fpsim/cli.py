@@ -14,12 +14,11 @@ configuration or runtime failure, with a diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
 
-from fpsim import accounting, harness
+from fpsim import harness
 from fpsim.config import ConfigError, ExperimentConfig, SweepConfig
 
 __all__ = ["main"]
@@ -50,7 +49,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_account(args: argparse.Namespace) -> int:
     if args.run:
-        row = harness.post_hoc_report(args.run)
+        row = harness.post_hoc_report(args.run, args.delta)
     else:
         missing = [
             name
@@ -69,14 +68,7 @@ def _cmd_account(args: argparse.Namespace) -> int:
         restarts = tuple(int(r) for r in args.restarts.split(",")) if args.restarts else ()
         row = harness.privacy_report(
             args.rounds, args.min_sep, args.max_part, restarts, args.z,
-            args.sensitivity_scale,
-        )
-    if args.delta != harness.REPORT_DELTA:
-        rho = float(row["rho"])
-        row["delta"] = args.delta
-        row["epsilon"] = accounting.zcdp_to_eps(rho, args.delta) if math.isfinite(rho) else math.inf
-        row["epsilon_loose"] = (
-            accounting.loose_eps(rho, args.delta) if math.isfinite(rho) else math.inf
+            args.sensitivity_scale, delta=args.delta,
         )
     print(harness.render_report_text(row), end="")
     return 0

@@ -8,17 +8,21 @@ Grammar (one setting per line):
 Keys are dotted, lowercase; values are integers, floats, booleans
 (true/false), strings, or comma-separated lists.  Unknown keys are errors
 (they are almost always typos), and every validation failure names the
-offending key.  A config resolves to a canonical sorted text rendering,
-whose SHA-256 is the config hash recorded in run outputs: any field change
-changes the hash.
+offending key.  Each key, its type and its default are declared once, on
+the fields of the config dataclasses below.  A config resolves to a
+canonical sorted text rendering, whose SHA-256 is the config hash recorded
+in run outputs: any field change changes the hash.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
 from pathlib import Path
+from typing import Any, NoReturn, get_args, get_origin, get_type_hints
 
+from fpsim.clipping import noise_split
 from fpsim.federation import AvailabilityModel
 from fpsim.tree import RestartSchedule
 
@@ -49,89 +53,28 @@ def parse_kv_text(text: str) -> dict[str, str]:
     return mapping
 
 
-def _parse_bool(key: str, value: str) -> bool:
-    lowered = value.lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"config key {key!r}: expected a boolean, got {value!r}")
-
-
-def _parse_int(key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"config key {key!r}: expected an integer, got {value!r}") from None
-
-
-def _parse_float(key: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"config key {key!r}: expected a number, got {value!r}") from None
-
-
-def _parse_int_list(key: str, value: str) -> tuple[int, ...]:
-    if not value:
-        return ()
-    return tuple(_parse_int(key, item.strip()) for item in value.split(","))
-
-
-def _parse_float_list(key: str, value: str) -> tuple[float, ...]:
-    if not value:
-        return ()
-    return tuple(_parse_float(key, item.strip()) for item in value.split(","))
-
-
-# (config key, attribute, parser kind, default). Defaults of None are
-# computed in validation; the canonical rendering always shows the
-# resolved value.
-_SCHEMA: tuple[tuple[str, str, str, object], ...] = (
-    ("seed", "seed", "int", 0),
-    ("rounds", "rounds", "int", 200),
-    ("report_goal", "report_goal", "int", 100),
-    ("population", "population", "int", 10_000),
-    ("noise_multiplier", "noise_multiplier", "float", 1.0),
-    ("timer_rounds", "timer_rounds", "int", None),
-    ("availability.kind", "availability_kind", "str", "uniform"),
-    ("availability.period", "availability_period", "float", 24.0),
-    ("availability.amplitude", "availability_amplitude", "float", 0.5),
-    ("eta_c", "eta_c", "float", 0.1),
-    ("eta_s", "eta_s", "float", 1.0),
-    ("beta", "beta", "float", 0.9),
-    ("batch_size", "batch_size", "int", 16),
-    ("epochs", "epochs", "int", 1),
-    ("clip.mode", "clip_mode", "str", "adaptive"),
-    ("clip.c0", "clip_c0", "float", 1.0),
-    ("clip.gamma", "clip_gamma", "float", 0.5),
-    ("clip.eta_gamma", "clip_eta_gamma", "float", 0.2),
-    ("clip.sigma_b_fraction", "clip_sigma_b_fraction", "float", 0.05),
-    ("restart.mode", "restart_mode", "str", "periodic"),
-    ("restart.first", "restart_first", "int", 128),
-    ("restart.period", "restart_period", "int", 1024),
-    ("restart.rounds", "restart_rounds", "int_list", ()),
-    ("model.kind", "model_kind", "str", "next_token_bow"),
-    ("model.vocab_size", "vocab_size", "int", 100),
-    ("model.window", "window", "int", 1),
-    ("data.examples_per_client", "examples_per_client", "int", 50),
-    ("data.heterogeneity", "heterogeneity", "float", 0.3),
-    ("data.concentration", "concentration", "float", 0.1),
-    ("data.eval_examples", "eval_examples", "int", 1000),
-    ("secagg.enabled", "secagg_enabled", "bool", False),
-    ("secagg.s", "secagg_scale", "float", 100.0),
-    ("secagg.retry_cap", "secagg_retry_cap", "int", 100),
-    ("warm_start", "warm_start", "str", ""),
-)
-
-_PARSERS = {
-    "int": _parse_int,
-    "float": _parse_float,
-    "bool": _parse_bool,
-    "str": lambda key, value: value,
-    "int_list": _parse_int_list,
-    "float_list": _parse_float_list,
+_BOOLEANS = {
+    **dict.fromkeys(("true", "1", "yes", "on"), True),
+    **dict.fromkeys(("false", "0", "no", "off"), False),
 }
+_EXPECTED = {bool: "a boolean", int: "an integer", float: "a number"}
+
+
+def _parse(key: str, value: str, kind: type) -> object:
+    """Parse one raw value by its field annotation: str, bool, int, float,
+    or a comma-separated tuple of one of them."""
+    if get_origin(kind) is tuple:
+        if not value:
+            return ()
+        item = get_args(kind)[0]
+        return tuple(_parse(key, part.strip(), item) for part in value.split(","))
+    if kind is str:
+        return value
+    try:
+        return _BOOLEANS[value.lower()] if kind is bool else kind(value)
+    except (KeyError, ValueError):
+        why = f"expected {_EXPECTED[kind]}, got {value!r}"
+        raise ConfigError(f"config key {key!r}: {why}") from None
 
 
 def _render(value: object) -> str:
@@ -144,6 +87,36 @@ def _render(value: object) -> str:
     return str(value)
 
 
+def _keyed(key: str, default: object = MISSING) -> Any:
+    """A config field whose key differs from its attribute name."""
+    return field(default=default, metadata={"key": key})
+
+
+def _key(config_cls: type, name: str) -> str:
+    """The config key of field ``name``: its declared key, or else its name."""
+    return config_cls.__dataclass_fields__[name].metadata.get("key", name)
+
+
+def _fail(config: object, name: str, why: str) -> NoReturn:
+    raise ConfigError(f"config key {_key(type(config), name)!r}: {why}")
+
+
+def _from_mapping(config_cls: type, mapping: dict[str, str]) -> Any:
+    """Build a config dataclass from raw strings.  Its fields are the
+    schema: each key, its type (the annotation) and its default (the field
+    default) are declared once, on the dataclass."""
+    types = get_type_hints(config_cls)
+    by_key = {_key(config_cls, f.name): f for f in fields(config_cls)}
+    for key in mapping:
+        if key not in by_key:
+            raise ConfigError(f"unknown config key {key!r}")
+    missing = sorted(k for k, f in by_key.items() if k not in mapping and f.default is MISSING)
+    if missing:
+        raise ConfigError(f"missing config keys: {missing}")
+    kwargs = {f.name: _parse(k, mapping[k], types[f.name]) for k, f in by_key.items() if k in mapping}
+    return config_cls(**kwargs)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully resolved, validated run configuration."""
@@ -154,39 +127,37 @@ class ExperimentConfig:
     population: int = 10_000
     noise_multiplier: float = 1.0
     timer_rounds: int = 0  # 0 means: derive the default in __post_init__
-    availability_kind: str = "uniform"
-    availability_period: float = 24.0
-    availability_amplitude: float = 0.5
+    availability_kind: str = _keyed("availability.kind", "uniform")
+    availability_period: float = _keyed("availability.period", 24.0)
+    availability_amplitude: float = _keyed("availability.amplitude", 0.5)
     eta_c: float = 0.1
     eta_s: float = 1.0
     beta: float = 0.9
     batch_size: int = 16
     epochs: int = 1
-    clip_mode: str = "adaptive"
-    clip_c0: float = 1.0
-    clip_gamma: float = 0.5
-    clip_eta_gamma: float = 0.2
-    clip_sigma_b_fraction: float = 0.05
-    restart_mode: str = "periodic"
-    restart_first: int = 128
-    restart_period: int = 1024
-    restart_rounds: tuple[int, ...] = ()
-    model_kind: str = "next_token_bow"
-    vocab_size: int = 100
-    window: int = 1
-    examples_per_client: int = 50
-    heterogeneity: float = 0.3
-    concentration: float = 0.1
-    eval_examples: int = 1000
-    secagg_enabled: bool = False
-    secagg_scale: float = 100.0
-    secagg_retry_cap: int = 100
+    clip_mode: str = _keyed("clip.mode", "adaptive")
+    clip_c0: float = _keyed("clip.c0", 1.0)
+    clip_gamma: float = _keyed("clip.gamma", 0.5)
+    clip_eta_gamma: float = _keyed("clip.eta_gamma", 0.2)
+    clip_sigma_b_fraction: float = _keyed("clip.sigma_b_fraction", 0.05)
+    restart_mode: str = _keyed("restart.mode", "periodic")
+    restart_first: int = _keyed("restart.first", 128)
+    restart_period: int = _keyed("restart.period", 1024)
+    restart_rounds: tuple[int, ...] = _keyed("restart.rounds", ())
+    model_kind: str = _keyed("model.kind", "next_token_bow")
+    vocab_size: int = _keyed("model.vocab_size", 100)
+    window: int = _keyed("model.window", 1)
+    examples_per_client: int = _keyed("data.examples_per_client", 50)
+    heterogeneity: float = _keyed("data.heterogeneity", 0.3)
+    concentration: float = _keyed("data.concentration", 0.1)
+    eval_examples: int = _keyed("data.eval_examples", 1000)
+    secagg_enabled: bool = _keyed("secagg.enabled", False)
+    secagg_scale: float = _keyed("secagg.s", 100.0)
+    secagg_retry_cap: int = _keyed("secagg.retry_cap", 100)
     warm_start: str = ""
 
     def __post_init__(self) -> None:
-        def fail(key: str, why: str) -> None:
-            raise ConfigError(f"config key {key!r}: {why}")
-
+        fail = partial(_fail, self)
         if self.seed < 0 or self.seed >= 2**64:
             fail("seed", "must be in [0, 2^64)")
         if self.rounds < 1:
@@ -204,11 +175,11 @@ class ExperimentConfig:
         if self.timer_rounds < 1:
             fail("timer_rounds", "must be >= 1")
         if self.availability_kind not in ("uniform", "diurnal"):
-            fail("availability.kind", "must be 'uniform' or 'diurnal'")
+            fail("availability_kind", "must be 'uniform' or 'diurnal'")
         if not self.availability_period > 0:
-            fail("availability.period", "must be > 0")
+            fail("availability_period", "must be > 0")
         if not 0.0 <= self.availability_amplitude <= 1.0:
-            fail("availability.amplitude", "must be in [0, 1]")
+            fail("availability_amplitude", "must be in [0, 1]")
         if not self.eta_c > 0:
             fail("eta_c", "must be > 0")
         if not self.eta_s > 0:
@@ -220,71 +191,65 @@ class ExperimentConfig:
         if self.epochs < 1:
             fail("epochs", "must be >= 1")
         if self.clip_mode not in ("fixed", "adaptive"):
-            fail("clip.mode", "must be 'fixed' or 'adaptive'")
+            fail("clip_mode", "must be 'fixed' or 'adaptive'")
         if not self.clip_c0 > 0:
-            fail("clip.c0", "must be > 0")
+            fail("clip_c0", "must be > 0")
         if not 0.0 <= self.clip_gamma <= 1.0:
-            fail("clip.gamma", "must be in [0, 1]")
+            fail("clip_gamma", "must be in [0, 1]")
         if self.clip_eta_gamma < 0:
-            fail("clip.eta_gamma", "must be >= 0")
+            fail("clip_eta_gamma", "must be >= 0")
         if not self.clip_sigma_b_fraction > 0:
-            fail("clip.sigma_b_fraction", "must be > 0")
-        if self.clip_mode == "adaptive" and self.noise_multiplier > 0:
-            sigma_b = self.report_goal * self.clip_sigma_b_fraction
-            if not 2.0 * sigma_b > self.noise_multiplier:
+            fail("clip_sigma_b_fraction", "must be > 0")
+        if self.clip_mode == "adaptive":
+            try:
+                noise_split(self.noise_multiplier, self.sigma_b())
+            except OverflowError:
+                fail("noise_multiplier", "too small to split: its inverse square overflows")
+            except ValueError:
                 fail(
-                    "clip.sigma_b_fraction",
+                    "clip_sigma_b_fraction",
                     "clip-count noise too small to absorb: need "
                     "2 * report_goal * sigma_b_fraction > noise_multiplier",
                 )
         if self.restart_mode not in ("periodic", "explicit", "none"):
-            fail("restart.mode", "must be 'periodic', 'explicit', or 'none'")
+            fail("restart_mode", "must be 'periodic', 'explicit', or 'none'")
         if self.restart_mode == "periodic":
             if self.restart_first < 1:
-                fail("restart.first", "must be >= 1")
+                fail("restart_first", "must be >= 1")
             if self.restart_period < 1:
-                fail("restart.period", "must be >= 1")
+                fail("restart_period", "must be >= 1")
         if self.restart_mode == "explicit":
             try:
                 RestartSchedule(self.restart_rounds)
             except ValueError as exc:
-                fail("restart.rounds", str(exc))
+                fail("restart_rounds", str(exc))
         if self.model_kind != "next_token_bow":
-            fail("model.kind", "the only built-in model is 'next_token_bow'")
+            fail("model_kind", "the only built-in model is 'next_token_bow'")
         if self.vocab_size < 2:
-            fail("model.vocab_size", "must be >= 2")
+            fail("vocab_size", "must be >= 2")
         if self.window < 1:
-            fail("model.window", "must be >= 1")
+            fail("window", "must be >= 1")
         if self.examples_per_client < 1:
-            fail("data.examples_per_client", "must be >= 1")
+            fail("examples_per_client", "must be >= 1")
         if not 0.0 <= self.heterogeneity <= 1.0:
-            fail("data.heterogeneity", "must be in [0, 1]")
+            fail("heterogeneity", "must be in [0, 1]")
         if not self.concentration > 0:
-            fail("data.concentration", "must be > 0")
+            fail("concentration", "must be > 0")
         if self.eval_examples < 1:
-            fail("data.eval_examples", "must be >= 1")
+            fail("eval_examples", "must be >= 1")
         if self.secagg_enabled and self.clip_mode != "fixed":
-            fail("secagg.enabled", "secure aggregation requires clip.mode=fixed")
+            clip_mode = _key(ExperimentConfig, "clip_mode")
+            fail("secagg_enabled", f"secure aggregation requires {clip_mode}=fixed")
         if self.secagg_enabled and not self.secagg_scale > 0:
-            fail("secagg.s", "must be > 0")
+            fail("secagg_scale", "must be > 0")
         if self.secagg_retry_cap < 1:
-            fail("secagg.retry_cap", "must be >= 1")
+            fail("secagg_retry_cap", "must be >= 1")
 
     # -- construction ---------------------------------------------------
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> "ExperimentConfig":
-        known = {key for key, _, _, _ in _SCHEMA}
-        for key in mapping:
-            if key not in known:
-                raise ConfigError(f"unknown config key {key!r}")
-        kwargs = {}
-        for key, attr, kind, default in _SCHEMA:
-            if key in mapping:
-                kwargs[attr] = _PARSERS[kind](key, mapping[key])
-            elif default is not None:
-                kwargs[attr] = default
-        return cls(**kwargs)
+        return _from_mapping(cls, mapping)
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
@@ -314,11 +279,9 @@ class ExperimentConfig:
         return self.report_goal * self.clip_sigma_b_fraction
 
     def canonical_text(self) -> str:
-        by_attr = {attr: key for key, attr, _, _ in _SCHEMA}
-        lines = []
-        for field_info in fields(self):
-            key = by_attr[field_info.name]
-            lines.append(f"{key} = {_render(getattr(self, field_info.name))}")
+        lines = [
+            f"{_key(type(self), f.name)} = {_render(getattr(self, f.name))}" for f in fields(self)
+        ]
         return "\n".join(sorted(lines)) + "\n"
 
     def config_hash(self) -> str:
@@ -329,44 +292,28 @@ class ExperimentConfig:
 class SweepConfig:
     """Grid for privacy sweeps (the `sweep` CLI subcommand)."""
 
-    z: float
-    report_goal: int
-    population: int
-    rounds: tuple[int, ...]
-    scaling: tuple[float, ...] = (1.0,)
+    z: float = _keyed("sweep.z")
+    report_goal: int = _keyed("sweep.report_goal")
+    population: int = _keyed("sweep.population")
+    rounds: tuple[int, ...] = _keyed("sweep.rounds")
+    scaling: tuple[float, ...] = _keyed("sweep.scaling", (1.0,))
 
     def __post_init__(self) -> None:
+        fail = partial(_fail, self)
         if not self.z > 0:
-            raise ConfigError("config key 'sweep.z': must be > 0")
+            fail("z", "must be > 0")
         if self.report_goal < 1:
-            raise ConfigError("config key 'sweep.report_goal': must be >= 1")
+            fail("report_goal", "must be >= 1")
         if self.population < self.report_goal:
-            raise ConfigError("config key 'sweep.population': must be >= sweep.report_goal")
+            fail("population", f"must be >= {_key(SweepConfig, 'report_goal')}")
         if not self.rounds or any(r < 1 for r in self.rounds):
-            raise ConfigError("config key 'sweep.rounds': need a list of integers >= 1")
+            fail("rounds", "need a list of integers >= 1")
         if not self.scaling or any(not f > 0 for f in self.scaling):
-            raise ConfigError("config key 'sweep.scaling': need a list of factors > 0")
+            fail("scaling", "need a list of factors > 0")
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> "SweepConfig":
-        known = {
-            "sweep.z": ("z", "float"),
-            "sweep.report_goal": ("report_goal", "int"),
-            "sweep.population": ("population", "int"),
-            "sweep.rounds": ("rounds", "int_list"),
-            "sweep.scaling": ("scaling", "float_list"),
-        }
-        for key in mapping:
-            if key not in known:
-                raise ConfigError(f"unknown config key {key!r}")
-        kwargs = {}
-        for key, (attr, kind) in known.items():
-            if key in mapping:
-                kwargs[attr] = _PARSERS[kind](key, mapping[key])
-        missing = {"z", "report_goal", "population", "rounds"} - set(kwargs)
-        if missing:
-            raise ConfigError(f"missing sweep config keys: {sorted(missing)}")
-        return cls(**kwargs)
+        return _from_mapping(cls, mapping)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SweepConfig":

@@ -157,7 +157,6 @@ def cohort_update(
 
 def select_cohort(
     next_eligible: np.ndarray,
-    sizes: np.ndarray,
     cfg: CohortConfig,
     round_index: int,
     seed: SeedPath,
@@ -165,14 +164,13 @@ def select_cohort(
     """Draw exactly report_goal eligible clients and start their timers.
 
     ``next_eligible[i]`` (int64, set in place for the chosen) is the first
-    round client i may report in and ``sizes[i]`` its dataset size; clients
-    without data are never eligible.  Sampling is uniform, or
+    round client i may report in.  Sampling is uniform, or
     availability-weighted via exponential-race keys, and deterministic in
     (seed, round).  Returns the ids in ascending (aggregation) order.
     """
     if round_index < 0:
         raise ValueError("round_index must be >= 0")
-    ids = np.flatnonzero((next_eligible <= round_index) & (sizes > 0))
+    ids = np.flatnonzero(next_eligible <= round_index)
     if ids.shape[0] < cfg.report_goal:
         raise CohortExhausted(
             f"population exhausted at round {round_index}: {ids.shape[0]} eligible "

@@ -157,15 +157,19 @@ def _secagg_config(config: ExperimentConfig) -> SecAggConfig | None:
     )
 
 
+def _sensitivity_scale(config: ExperimentConfig, secagg_cfg: SecAggConfig | None) -> float:
+    """The factor SecAgg rounding inflates the per-client sensitivity by."""
+    if secagg_cfg is None:
+        return 1.0
+    return inflated_clip_norm(secagg_cfg) / config.clip_c0
+
+
 def privacy_terms(config: ExperimentConfig) -> tuple[float, float]:
     """(z_equiv, sensitivity_scale) of a run: the guarantee-side noise
     multiplier, and the factor SecAgg rounding inflates the per-client
     sensitivity by (1.0 without SecAgg)."""
     _, z_equiv = _equivalent_multiplier(config)
-    secagg_cfg = _secagg_config(config)
-    if secagg_cfg is None:
-        return z_equiv, 1.0
-    return z_equiv, inflated_clip_norm(secagg_cfg) / config.clip_c0
+    return z_equiv, _sensitivity_scale(config, _secagg_config(config))
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunResult:
@@ -173,8 +177,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunResult:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     secagg_cfg = _secagg_config(config)
-    z_delta, _ = _equivalent_multiplier(config)
-    z_equiv, sensitivity_scale = privacy_terms(config)
+    z_delta, z_equiv = _equivalent_multiplier(config)
+    sensitivity_scale = _sensitivity_scale(config, secagg_cfg)
 
     root = SeedPath(config.seed)
     data_cfg = DataConfig(
@@ -189,7 +193,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunResult:
     data = synthesize_clients(data_cfg, config.population, root)
     eval_set = synthesize_eval_set(data_cfg, root)
     eval_contexts, eval_labels = eval_set.contexts[0], eval_set.labels[0]
-    sizes = np.full(config.population, data.labels.shape[1], dtype=np.int64)
     next_eligible = np.zeros(config.population, dtype=np.int64)
 
     if config.warm_start:
@@ -240,7 +243,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunResult:
     # Row t holds round t's cohort: the participation log.
     log = np.empty((config.rounds, config.report_goal), dtype=np.int64)
     for t in range(config.rounds):
-        cohort_ids = select_cohort(next_eligible, sizes, cohort_cfg, t, root.child("selection"))
+        cohort_ids = select_cohort(next_eligible, cohort_cfg, t, root.child("selection"))
         log[t] = cohort_ids
         round_metrics = run_round(server, cohort_ids, data)
         eval_acc = model.accuracy(server.theta, eval_contexts, eval_labels)
@@ -286,7 +289,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunResult:
         )
     (out / "config.resolved").write_text(config.canonical_text())
 
-    row = _observed_report(config, client_ids, rounds)
+    row = _observed_report(config, client_ids, rounds, z_equiv, sensitivity_scale)
     _write_csv(out / "report.csv", REPORT_COLUMNS, [tuple(row[k] for k in REPORT_COLUMNS)])
     (out / "report.txt").write_text(render_report_text(row))
 
@@ -345,8 +348,10 @@ def privacy_report(
     z_equiv: float,
     sensitivity_scale: float = 1.0,
     config: ExperimentConfig | None = None,
+    delta: float = REPORT_DELTA,
 ) -> dict[str, object]:
-    """The report row (REPORT_COLUMNS) for one participation schema.
+    """The report row (REPORT_COLUMNS) for one participation schema, with
+    epsilon at ``delta``.
 
     ``config``, when given, supplies the configured noise multiplier and the
     config hash; without it they are ``z_equiv`` and empty.
@@ -367,20 +372,24 @@ def privacy_report(
         "z_equivalent": ledger.z,
         "sensitivity_scale": ledger.sensitivity_scale,
         "rho": ledger.rho,
-        "delta": REPORT_DELTA,
-        "epsilon": ledger.epsilon(REPORT_DELTA),
-        "epsilon_loose": ledger.loose_epsilon(REPORT_DELTA),
+        "delta": delta,
+        "epsilon": ledger.epsilon(delta),
+        "epsilon_loose": ledger.loose_epsilon(delta),
         "config_hash": config.config_hash() if config else "",
     }
 
 
 def _observed_report(
-    config: ExperimentConfig, client_ids: np.ndarray, rounds: np.ndarray
+    config: ExperimentConfig,
+    client_ids: np.ndarray,
+    rounds: np.ndarray,
+    z_equiv: float,
+    sensitivity_scale: float,
+    delta: float = REPORT_DELTA,
 ) -> dict[str, object]:
     """A run's report row from its (client_id, round) log: the schema the
     log attains, accounted at the run's privacy_terms."""
     max_part, min_sep = observed_limits(client_ids, rounds, config.rounds)
-    z_equiv, sensitivity_scale = privacy_terms(config)
     return privacy_report(
         config.rounds,
         min_sep,
@@ -389,14 +398,15 @@ def _observed_report(
         z_equiv,
         sensitivity_scale,
         config,
+        delta,
     )
 
 
-def post_hoc_report(run_dir: str | Path) -> dict[str, object]:
-    """Recompute a finished run's privacy report from its participation log
-    and resolved config (the `account --run` path).  A log no run could have
-    written (a round outside the run, a negative id, a repeated pair) is a
-    ValueError naming the file."""
+def post_hoc_report(run_dir: str | Path, delta: float = REPORT_DELTA) -> dict[str, object]:
+    """Recompute a finished run's privacy report, with epsilon at ``delta``,
+    from its participation log and resolved config (the `account --run`
+    path).  A log no run could have written (a round outside the run, a
+    negative id, a repeated pair) is a ValueError naming the file."""
     run = Path(run_dir)
     config = ExperimentConfig.from_file(run / "config.resolved")
     path = run / "participation.csv"
@@ -413,7 +423,7 @@ def post_hoc_report(run_dir: str | Path) -> dict[str, object]:
     if (counts > 1).any():
         client_id, round_index = unique[counts > 1][0]
         raise ValueError(f"{path}: client {client_id} is listed twice for round {round_index}")
-    return _observed_report(config, client_ids, rounds)
+    return _observed_report(config, client_ids, rounds, *privacy_terms(config), delta)
 
 
 def sweep_privacy(sweep_cfg: SweepConfig, out_path: str | Path) -> list[tuple]:

@@ -159,13 +159,8 @@ def test_03_zero_noise_run_reduces_to_fedavgm():
         )
         return synthesize_clients(cfg, population, SeedPath(0).child("data"))
 
-    def make_population(data):
-        """(next_eligible, sizes): the arrays select_cohort reads."""
-        sizes = np.full(population, data.labels.shape[1], dtype=np.int64)
-        return np.zeros(population, dtype=np.int64), sizes
-
     data = make_data()
-    pool = make_population(data)
+    pool = np.zeros(population, dtype=np.int64)  # next_eligible timers
     model = NextTokenBOW(vocab_size=vocab, window=1)
     root = SeedPath(21).child("run")
     server = ServerState(
@@ -184,15 +179,15 @@ def test_03_zero_noise_run_reduces_to_fedavgm():
     sel_seed = server.seed.child("selection")
 
     twins = make_data()
-    twin_pool = make_population(twins)
+    twin_pool = np.zeros(population, dtype=np.int64)
     theta = server.theta0.copy()
     velocity = np.zeros_like(theta)
     max_diff = 0.0
     for t in range(rounds):
-        cohort_ids = select_cohort(*pool, sel_cfg, t, sel_seed)
+        cohort_ids = select_cohort(pool, sel_cfg, t, sel_seed)
         run_round(server, cohort_ids, data)
 
-        twin_ids = select_cohort(*twin_pool, sel_cfg, t, sel_seed)
+        twin_ids = select_cohort(twin_pool, sel_cfg, t, sel_seed)
         assert twin_ids == cohort_ids
         deltas = _dense_local_sgd(
             theta,

@@ -75,6 +75,12 @@ class TestExperimentConfig:
             with pytest.raises(ConfigError, match="model.kind"):
                 ExperimentConfig.from_text(f"model.kind = {kind}\n")
 
+    def test_unsplittable_noise_multiplier_names_the_key(self):
+        """An adaptive-clip noise multiplier whose inverse square overflows
+        cannot be split between the vector and the count noise."""
+        with pytest.raises(ConfigError, match="noise_multiplier"):
+            ExperimentConfig.from_text("noise_multiplier = 1e-200\n")
+
     def test_count_noise_budget_guard(self):
         """Adaptive clipping with a noise multiplier too large for the count
         channel is a configuration error naming the knob to raise."""
@@ -222,7 +228,9 @@ class TestCanonicalization:
         assert a.config_hash() == b.config_hash()
 
     def test_every_field_changes_the_hash(self):
-        base = ExperimentConfig.from_text("").config_hash()
+        """Each key but model.kind, which has one legal value, moves the hash."""
+        default = ExperimentConfig.from_text("")
+        base = default.config_hash()
         changes = [
             "seed = 1",
             "rounds = 201",
@@ -231,6 +239,8 @@ class TestCanonicalization:
             "noise_multiplier = 1.25",
             "timer_rounds = 49",
             "availability.kind = diurnal",
+            "availability.period = 12",
+            "availability.amplitude = 0.25",
             "eta_c = 0.2",
             "eta_s = 0.9",
             "beta = 0.8",
@@ -244,21 +254,26 @@ class TestCanonicalization:
             "restart.mode = none",
             "restart.first = 129",
             "restart.period = 1025",
+            "restart.rounds = 5",
             "model.vocab_size = 99",
             "model.window = 2",
             "data.examples_per_client = 51",
             "data.heterogeneity = 0.4",
             "data.concentration = 0.2",
             "data.eval_examples = 999",
+            "secagg.enabled = true\nclip.mode = fixed",
             "secagg.s = 99",
             "secagg.retry_cap = 99",
             "warm_start = some/path.bin",
         ]
         hashes = {base}
-        for line in changes:
-            h = ExperimentConfig.from_text(line + "\n").config_hash()
-            assert h not in hashes, line
+        for lines in changes:
+            h = ExperimentConfig.from_text(lines + "\n").config_hash()
+            assert h not in hashes, lines
             hashes.add(h)
+        changed = {key for lines in changes for key in parse_kv_text(lines)}
+        every_key = set(parse_kv_text(default.canonical_text()))
+        assert every_key - changed == {"model.kind"}
 
 
 class TestSweepConfig:
@@ -278,3 +293,8 @@ class TestSweepConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             SweepConfig.from_mapping({"sweep.zz": "1"})
+
+    def test_missing_keys_named_by_key(self):
+        """The error names the missing config keys, not attribute names."""
+        with pytest.raises(ConfigError, match=r"sweep\.population.*sweep\.rounds"):
+            SweepConfig.from_mapping({"sweep.z": "7"})

@@ -54,9 +54,8 @@ def _data(population=20, vocab=8, examples=30, seed=0, window=1):
 
 
 def _population(data):
-    """Fresh population arrays for select_cohort: (next_eligible, sizes)."""
-    clients, n = data.labels.shape
-    return np.zeros(clients, dtype=np.int64), np.full(clients, n, dtype=np.int64)
+    """A fresh next_eligible timer array for select_cohort: all eligible."""
+    return np.zeros(data.labels.shape[0], dtype=np.int64)
 
 
 def _dense_loss_grad(theta, contexts, labels, vocab, window):
@@ -155,7 +154,7 @@ class TestSelectCohort:
     def test_returns_sorted_unique_ids(self):
         population = _population(_data())
         cfg = CohortConfig(report_goal=6, timer_rounds=3)
-        ids = select_cohort(*population, cfg, 0, SeedPath(1).child("sel"))
+        ids = select_cohort(population, cfg, 0, SeedPath(1).child("sel"))
         assert len(ids) == 6
         assert ids == sorted(set(ids))
 
@@ -164,10 +163,10 @@ class TestSelectCohort:
         population = _population(_data(population=8))
         cfg = CohortConfig(report_goal=4, timer_rounds=2)
         seed = SeedPath(2).child("sel")
-        first = select_cohort(*population, cfg, 0, seed)
-        second = select_cohort(*population, cfg, 1, seed)
+        first = select_cohort(population, cfg, 0, seed)
+        second = select_cohort(population, cfg, 1, seed)
         assert not set(first) & set(second)
-        third = select_cohort(*population, cfg, 2, seed)  # round 0 picks are back
+        third = select_cohort(population, cfg, 2, seed)  # round 0 picks are back
         assert set(third) <= set(first)
 
     def test_exhaustion_error(self):
@@ -175,30 +174,21 @@ class TestSelectCohort:
         population = _population(_data(population=6))
         cfg = CohortConfig(report_goal=4, timer_rounds=5)
         seed = SeedPath(3).child("sel")
-        select_cohort(*population, cfg, 0, seed)
+        select_cohort(population, cfg, 0, seed)
         with pytest.raises(
             CohortExhausted,
             match=r"^population exhausted at round 1: 2 eligible clients for report_goal 4;",
         ):
-            select_cohort(*population, cfg, 1, seed)
-
-    def test_empty_dataset_clients_skipped(self):
-        """Clients with no local data are replaced at selection time."""
-        population = _population(_data(population=10))
-        population[1][3] = 0
-        cfg = CohortConfig(report_goal=8, timer_rounds=1)
-        for r in range(10):
-            ids = select_cohort(*population, cfg, r, SeedPath(4).child("sel"))
-            assert 3 not in ids
+            select_cohort(population, cfg, 1, seed)
 
     def test_participation_log_updated(self):
         """Each pick's timer restarts at the round it reported in; the
         harness logs the returned ids as that round's row."""
-        next_eligible, sizes = _population(_data(population=8))
+        next_eligible = _population(_data(population=8))
         cfg = CohortConfig(report_goal=4, timer_rounds=1)
         seed = SeedPath(5).child("sel")
         for r in range(6):
-            for cid in select_cohort(next_eligible, sizes, cfg, r, seed):
+            for cid in select_cohort(next_eligible, cfg, r, seed):
                 assert next_eligible[cid] - cfg.timer_rounds == r
 
     def test_deterministic_in_seed_and_round(self):
@@ -206,8 +196,8 @@ class TestSelectCohort:
         b = _population(_data(population=12))
         cfg = CohortConfig(report_goal=5, timer_rounds=2)
         for r in range(4):
-            assert select_cohort(*a, cfg, r, SeedPath(6).child("s")) == select_cohort(
-                *b, cfg, r, SeedPath(6).child("s")
+            assert select_cohort(a, cfg, r, SeedPath(6).child("s")) == select_cohort(
+                b, cfg, r, SeedPath(6).child("s")
             )
 
     def test_uniform_selection_is_balanced(self):
@@ -218,7 +208,7 @@ class TestSelectCohort:
         counts = np.zeros(30)
         rounds = 500
         for r in range(rounds):
-            for cid in select_cohort(*population, cfg, r, SeedPath(7).child("s")):
+            for cid in select_cohort(population, cfg, r, SeedPath(7).child("s")):
                 counts[cid] += 1
         expected = rounds * 6 / 30
         assert np.all(np.abs(counts - expected) < 5 * math.sqrt(expected))
@@ -386,10 +376,10 @@ class TestRunRound:
         velocity = np.zeros_like(theta)
 
         for t in range(rounds):
-            cohort_ids = select_cohort(*population, sel_cfg, t, sel_seed)
+            cohort_ids = select_cohort(population, sel_cfg, t, sel_seed)
             run_round(server, cohort_ids, data)
 
-            twin_ids = select_cohort(*twin_population, sel_cfg, t, sel_seed)
+            twin_ids = select_cohort(twin_population, sel_cfg, t, sel_seed)
             assert twin_ids == cohort_ids
             deltas, _ = _reference_update(
                 theta,

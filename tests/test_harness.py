@@ -357,6 +357,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert "rho" in out
 
+    def test_account_delta_sets_epsilon(self, capsys):
+        """--delta reaches the report row: epsilon is the tight conversion
+        of the schema's rho at that delta."""
+        flags = ["--rounds", "4", "--min-sep", "1", "--max-part", "1", "--z", "7"]
+        assert cli_main(["account", *flags, "--delta", "1e-6"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rho = zcdp(7.0, ParticipationSchema(total_rounds=4, min_sep=1, max_part=1))
+        assert f"rho: {rho!r}" in lines
+        assert "delta: 1e-06" in lines
+        assert f"epsilon: {zcdp_to_eps(rho, 1e-6)!r}" in lines
+
     def test_sweep_grid(self, tmp_path):
         grid = tmp_path / "grid.cfg"
         grid.write_text(
