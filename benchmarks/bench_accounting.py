@@ -1,8 +1,10 @@
 """Benchmark the accountant layer: the per-round column and cold solves.
 
 Every timing starts from an empty solver cache, so it includes building the
-DP tables the computation needs, as a fresh process would. Run from the
-repo root:
+DP tables the computation needs, as a fresh process would.  One more cold
+call per case, untimed and under tracemalloc, gives its peak of traced
+memory and the bytes of the tables the solver keeps afterwards.  Run from
+the repo root:
 
     python benchmarks/bench_accounting.py
     python benchmarks/bench_accounting.py --repeats 5
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import time
+import tracemalloc
 
 from fpsim import accounting
 from fpsim.accounting import ParticipationSchema
@@ -23,6 +26,9 @@ COLUMN_SCHEMA = ParticipationSchema(700, 20, 35, (128,))
 
 # One 2048-round tree at min_sep 1000: the wide-table cold solve.
 WIDE_SCHEMA = ParticipationSchema(2048, 1000, 3)
+
+# Twice as wide and twice as long: 4000 x 4000 bytes per table at 4 B a cell.
+WIDER_SCHEMA = ParticipationSchema(4096, 2000, 3)
 
 # Every round hit at min_sep 1: thousands of 1x1 tables, so the per-table
 # cost of the build dominates, not its arithmetic.
@@ -45,6 +51,24 @@ def _time_cold(fn, repeats: int) -> float:
     return best
 
 
+def _memory_cold(fn) -> tuple[int, int]:
+    """(tracemalloc peak, bytes of the cached tables) of one call from an
+    empty solver cache."""
+    accounting._SOLVER_CACHE.clear()
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    tables = sum(
+        table.nbytes
+        for solver in accounting._SOLVER_CACHE.values()
+        for table in solver._tables.values()
+    )
+    return peak, tables
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=3, help="cold calls per timing")
@@ -62,14 +86,24 @@ def main() -> None:
             schema,
             lambda schema=schema: accounting.worst_case_sensitivity_sq(schema),
         )
-        for schema in (WIDE_SCHEMA, TINY_SCHEMA, PRODUCTION_SCHEMA)
+        for schema in (WIDE_SCHEMA, WIDER_SCHEMA, TINY_SCHEMA, PRODUCTION_SCHEMA)
     )
-    print(f"accountant (seconds per call, best of {args.repeats}, cold solver cache)")
-    print(f"  {'case':<28}{'min_sep':>8}{'max_part':>9}{'restarts':>9}{'seconds':>10}")
+    print(
+        f"accountant (seconds per call, best of {args.repeats}, cold solver cache; "
+        "peak traced MB and cached-table MB of one more cold call)"
+    )
+    print(
+        f"  {'case':<28}{'min_sep':>8}{'max_part':>9}{'restarts':>9}"
+        f"{'seconds':>10}{'peak MB':>10}{'tables MB':>11}"
+    )
     for label, schema, call in cases:
         seconds = _time_cold(call, args.repeats)
+        peak, tables = _memory_cold(call)
         restarts = len(schema.restart_rounds)
-        print(f"  {label:<28}{schema.min_sep:>8}{schema.max_part:>9}{restarts:>9}{seconds:>10.3f}")
+        print(
+            f"  {label:<28}{schema.min_sep:>8}{schema.max_part:>9}{restarts:>9}"
+            f"{seconds:>10.3f}{peak / 1e6:>10.1f}{tables / 1e6:>11.1f}"
+        )
 
 
 if __name__ == "__main__":

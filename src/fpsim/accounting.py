@@ -52,6 +52,10 @@ __all__ = [
 
 _NEG_INF = float("-inf")
 
+# The solver's integer tables mark an infeasible entry with this value
+# (see _SensitivitySolver); every negative entry is infeasible.
+_INFEASIBLE = -(1 << 30)
+
 BRUTE_FORCE_MAX_ROUNDS = 24
 
 
@@ -195,17 +199,30 @@ class _SensitivitySolver:
     the last u of each constant step of a left row can attain the max.
     Tables hold few distinct values (one or two per row at min_sep 1000),
     so reading step ends only turns the O(width^3) product into roughly
-    O(width^2) work with the same float sums, which is what makes
+    O(width^2) work with the same sums, which is what makes
     production-sized schedules (min_sep in the hundreds to thousands) fast.
+
+    Every feasible entry is an integer (a sum of squared node counts), so
+    tables are stored as int32, 4 bytes per cell: an entry >= 0 is
+    feasible, a negative one infeasible, and the build writes infeasible
+    entries as exactly ``_INFEASIBLE`` = -2^30, so that two of them still
+    add inside int32.  The build refuses a value of 2^30 or more.  The
+    p = 1 tables are never stored: one placement is covered by its root
+    path, so F[k][1][a, b] is k + 1 where a + b <= 2^k - 1 and infeasible
+    elsewhere, built only where the table build stacks it with other
+    halves and used in closed form by the fold.
 
     A forest (trees left to right, adjacent in time) is folded left to
     right: H[j][p][b] is the best total over trees 0..j with exactly p
     placements and right margin >= b (empty leaves after the last one, up
     to the end of tree j), choosing per tree to skip it, fill it, or split
     with the same complementary-margin coupling across tree boundaries.
-    The fold state after each tree is a complete answer for the forest so
-    far, which is what lets ``prefix_sensitivity_sq`` keep one state per
-    tree and refold only the trees a new round changes.
+    The fold state is float64, one row per p, with -inf for infeasible;
+    table entries join it through float sums, and a sum with the sentinel
+    stays negative as long as every state value is below 2^30, which
+    ``_best`` checks.  The fold state after each tree is a complete answer
+    for the forest so far, which is what lets ``prefix_sensitivity_sq``
+    keep one state per tree and refold only the trees a new round changes.
     """
 
     def __init__(self, min_sep: int, max_level: int) -> None:
@@ -215,7 +232,7 @@ class _SensitivitySolver:
         self.width = min(min_sep, (1 << max_level) + 1)
         self._tables: dict[tuple[int, int], np.ndarray] = {}
 
-    def empty_state(self, total_rounds: int) -> list[np.ndarray]:
+    def empty_state(self, total_rounds: int) -> np.ndarray:
         """Fold state of an empty forest, for forests of at most total_rounds.
 
         The fold's right-margin axis stops at min(min_sep, total_rounds + 1):
@@ -223,18 +240,18 @@ class _SensitivitySolver:
         every requirement is equally infeasible, so ``fold`` reads the last
         entry for any larger one.
         """
-        return [np.zeros(min(self.min_sep, total_rounds + 1))]
+        return np.zeros((1, min(self.min_sep, total_rounds + 1)))
 
     def capacity(self, k: int) -> int:
         """Most participations 2^k adjacent rounds can hold at this min_sep."""
         return 1 + ((1 << k) - 1) // self.min_sep
 
     def _table(self, k: int, p: int) -> np.ndarray:
-        """F[k][p] over the (a, b) margin grid; built lazily, memoized.
+        """F[k][p] over the (a, b) margin grid, as int32; memoized for p >= 2.
 
         Only feasible tables are built (1 <= p <= capacity(k)): a split that
         puts more than a half's capacity on one side is skipped, not read
-        from an all -inf table.
+        from an all-infeasible table.
         """
         key = (k, p)
         cached = self._tables.get(key)
@@ -245,74 +262,82 @@ class _SensitivitySolver:
         margins = np.arange(width)
         if p == 1:
             # One placement covered by its root path: k + 1 nodes of count 1.
-            feasible = margins[:, None] + margins[None, :] <= (1 << k) - 1
-            table = np.where(feasible, float(k + 1), _NEG_INF)
+            feasible = margins[:, None] <= (1 << k) - 1 - margins[None, :]
+            return np.where(feasible, np.int32(k + 1), np.int32(_INFEASIBLE))
+        half = 1 << (k - 1)
+        half_cap = self.capacity(k - 1)
+        if p <= half_cap:
+            # All p in the left half (right margin shrinks by the half
+            # width) or all in the right half (left margin shrinks).
+            shifted = np.maximum(margins - half, 0)
+            prev_same = self._table(k - 1, p)
+            table = np.maximum(prev_same[:, shifted], prev_same[shifted, :])
         else:
-            half = 1 << (k - 1)
-            half_cap = self.capacity(k - 1)
-            if p <= half_cap:
-                # All p in the left half (right margin shrinks by the half
-                # width) or all in the right half (left margin shrinks).
-                shifted = np.maximum(margins - half, 0)
-                prev_same = self._table(k - 1, p)
-                best = np.maximum(prev_same[:, shifted], prev_same[shifted, :])
-            else:
-                best = np.full((width, width), _NEG_INF)
-            u_count = min(self.min_sep, half)
-            complement = np.minimum(
-                np.maximum(self.min_sep - 1 - np.arange(u_count), 0), width - 1
-            )
-            splits = range(max(1, p - half_cap), min(p - 1, half_cap) + 1)
-            if splits:
-                # The splits' right-half counts p - i are their left-half
-                # counts reversed, so one stack serves both sides.
-                halves = np.stack([self._table(k - 1, i) for i in splits])
-                right = halves[::-1][:, complement, :]
-                _step_end_maxplus(halves[:, :, :u_count], right, best)
-            table = best
-            table += float(p * p)
+            table = np.full((width, width), _INFEASIBLE, dtype=np.int32)
+        u_count = min(self.min_sep, half)
+        complement = np.minimum(np.maximum(self.min_sep - 1 - np.arange(u_count), 0), width - 1)
+        splits = range(max(1, p - half_cap), min(p - 1, half_cap) + 1)
+        if splits:
+            # The splits' right-half counts p - i are their left-half
+            # counts reversed, so one stack serves both sides.
+            halves = np.stack([self._table(k - 1, i) for i in splits])
+            right = halves[::-1][:, complement, :]
+            _step_end_maxplus(halves[:, :, :u_count], right, table)
+        if int(table.max()) + p * p >= -_INFEASIBLE:
+            raise OverflowError(f"table F[{k}][{p}] exceeds the int32 range, 2^30")
+        # Infeasible sums lie in [-2^30, 0); reset them before adding p^2,
+        # which could lift one near 0 to a feasible-looking value.
+        table[table < 0] = _INFEASIBLE - p * p
+        table += p * p
         self._tables[key] = table
         return table
 
-    def fold(
-        self, state: list[np.ndarray], k: int, end: int, max_part: int
-    ) -> list[np.ndarray]:
+    def fold(self, state: np.ndarray, k: int, end: int, max_part: int) -> np.ndarray:
         """Fold one tree of 2^k leaves, ending at round ``end``, onto the
         state of the trees before it.
 
         ``state[p]`` is H[p] over the right-margin requirement; p past the
-        end of the list is infeasible.  The new state stops at the most
+        last row is infeasible.  The new state stops at the most
         participations rounds [0, end) can hold, capped at ``max_part``.
         """
         if k > self.max_level:
             raise ValueError("tree exceeds this solver's max level")
         size = 1 << k
-        margins = np.arange(state[0].shape[0])
+        count, length = state.shape
+        margins = np.arange(length)
         tree_cap = self.capacity(k)
         new_cap = min(max_part, 1 + (end - 1) // self.min_sep)
         u_count = min(self.min_sep, size)
         # With u empty leaves before this tree's first placement, the earlier
         # trees need right margin min_sep - 1 - u for a gap of min_sep.
-        complement = np.minimum(self.min_sep - 1 - np.arange(u_count), margins[-1])
-        # Tree-side terms by table row b (this tree's right margin) and
-        # column u (its left margin, by symmetry of the tables); margins
-        # past width - 1 read the last row, through `clamped`.
-        clamped = np.minimum(margins, self.width - 1)
+        complement = np.minimum(self.min_sep - 1 - np.arange(u_count), length - 1)
+        rest = state[:, complement]
+        # inside[p, b]: the best total with p placements, at least one of
+        # them in this tree, and right margin b in it (by table row b; the
+        # tree-side column u is its left margin, by symmetry of the tables).
+        inside = np.full((new_cap + 1, self.width), float(_INFEASIBLE))
+        # One placement here and p - 1 before (none for p = 1: rest[0] is 0).
+        top = min(new_cap, count)
+        inside[1 : top + 1] = _one_placement(rest[:top], k, self.width)
+        for q in range(2, min(tree_cap, new_cap) + 1):
+            table = self._table(k, q)
+            np.maximum(inside[q], table[:, 0], out=inside[q])  # all q here
+            # q here and r = 1 .. r_top before, for p = q + r, in chunks of
+            # about _CANDIDATE_CELLS sums.
+            here = table[:, :u_count]
+            r_top = min(count - 1, new_cap - q)
+            step = max(1, _CANDIDATE_CELLS // here.size)
+            for lo in range(1, r_top + 1, step):
+                hi = min(r_top + 1, lo + step)
+                sums = (here[None, :, :] + rest[lo:hi, None, :]).max(axis=2)
+                np.maximum(inside[q + lo : q + hi], sums, out=inside[q + lo : q + hi])
+        # Margins past width - 1 read the last row.
+        new_state = inside[:, np.minimum(margins, self.width - 1)]
+        # This tree left empty: the earlier placements' margin shrinks by size.
+        kept = min(count, new_cap + 1)
         skipped = np.maximum(margins - size, 0)
-        here = [self._table(k, q)[:, :u_count] for q in range(1, min(tree_cap, new_cap) + 1)]
-        rest = [vec[complement] for vec in state]
-        new_state = [state[0]]
-        for p in range(1, new_cap + 1):
-            if p <= tree_cap:
-                inside = self._table(k, p)[:, 0]  # all p here
-            else:
-                inside = np.full(self.width, _NEG_INF)
-            for q in range(max(1, p + 1 - len(state)), min(p - 1, tree_cap) + 1):
-                inside = np.maximum(inside, (here[q - 1] + rest[p - q][None, :]).max(axis=1))
-            best = inside[clamped]
-            if p < len(state):
-                best = np.maximum(best, state[p][skipped])  # this tree left empty
-            new_state.append(best)
+        np.maximum(new_state[:kept], state[:kept, skipped], out=new_state[:kept])
+        new_state[new_state < 0] = _NEG_INF
         return new_state
 
     def solve(self, tree_levels: tuple[int, ...], max_part: int) -> float:
@@ -324,23 +349,43 @@ class _SensitivitySolver:
         return _best(state)
 
 
-# Candidate rows gathered per chunk of _step_end_maxplus (2 MB of float64).
+def _one_placement(rest: np.ndarray, k: int, width: int) -> np.ndarray:
+    """max over u of F[k][1][b, u] + rest[j, u], for each row j of ``rest``
+    and each table row b < width.
+
+    F[k][1][b, u] is k + 1 where b + u <= 2^k - 1, so the max is k + 1 plus
+    a running max of rest up to u = 2^k - 1 - b: the same float sums as the
+    dense max, since adding a constant commutes with max.  Rows b >= 2^k
+    come out negative (infeasible) while rest stays below 2^30.
+    """
+    size = 1 << k
+    rows = np.arange(width)
+    single = np.where(rows < size, float(k + 1), float(_INFEASIBLE))
+    reach = np.clip(size - 1 - rows, 0, rest.shape[1] - 1)
+    return np.maximum.accumulate(rest, axis=1)[:, reach] + single
+
+
+# Cells summed per chunk: candidate rows gathered by _step_end_maxplus
+# (1 MB of int32), and the fold's split sums (2 MB of float64) unless one
+# table is larger.
 _CANDIDATE_CELLS = 1 << 18
 
 
 def _step_end_maxplus(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> None:
     """out[a, b] = max(out[a, b], max over i, u of left[i, a, u] + right[i, u, b]).
 
-    ``left`` (splits, rows, inner) must be non-increasing along u in every
-    row and ``right`` (splits, inner, cols) non-decreasing along u in every
-    column.  Then within a run of equal left[i, a, u] the last u attains the
-    run's max, so only those step ends (with finite values) are candidates:
-    the same float sums as the dense product, over far fewer u.  Candidates
-    are taken row by row and reduced per row in chunks of gathered right
-    rows.
+    Integer tables, negative entries infeasible: ``left`` (splits, rows,
+    inner) must be non-increasing along u in every row and ``right``
+    (splits, inner, cols) non-decreasing along u in every column.  Then
+    within a run of equal left[i, a, u] the last u attains the run's max,
+    so only those step ends (with feasible values) are candidates: the same
+    sums as the dense product, over far fewer u.  A candidate that meets an
+    infeasible right entry sums to a negative value, as the dense product
+    would.  Candidates are taken row by row and reduced per row in chunks
+    of gathered right rows.
     """
     by_row = left.transpose(1, 0, 2)
-    ends = by_row > _NEG_INF
+    ends = by_row >= 0
     ends[..., :-1] &= by_row[..., :-1] != by_row[..., 1:]
     rows, splits, inner = np.nonzero(ends)
     weights = by_row[rows, splits, inner]
@@ -356,9 +401,14 @@ def _step_end_maxplus(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> N
         out[targets] = np.maximum(out[targets], reduced, out=reduced)
 
 
-def _best(state: list[np.ndarray]) -> float:
+def _best(state: np.ndarray) -> float:
     """Forest answer from a fold state: the best p at right margin 0."""
-    return float(max(vec[0] for vec in state))
+    value = float(state[:, 0].max())
+    if value >= -_INFEASIBLE:
+        # Past 2^30 a table sentinel plus a state value could read as
+        # feasible in the fold.
+        raise OverflowError("worst-case sensitivity^2 exceeds the fold's range, 2^30")
+    return value
 
 
 _SOLVER_CACHE: dict[tuple[int, int], _SensitivitySolver] = {}
@@ -402,7 +452,7 @@ def prefix_sensitivity_sq(schema: ParticipationSchema) -> list[float]:
     """
     solver = _solver_for(schema)
     restarts = set(schema.restart_rounds)
-    stack: list[tuple[int, list[np.ndarray]]] = []  # (level, state after it)
+    stack: list[tuple[int, np.ndarray]] = []  # (level, state after it)
     segment_start = segment_base = 0
     values = []
     for n in range(1, schema.total_rounds + 1):

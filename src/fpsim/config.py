@@ -3,7 +3,10 @@
 Grammar (one setting per line):
 
     # comment
-    key.subkey = value
+    key.subkey = value        # comment
+
+A ``#`` at the start of a line or after whitespace starts a comment that
+runs to the end of the line.
 
 Keys are dotted, lowercase; values are integers, floats, booleans
 (true/false), strings, or comma-separated lists.  Unknown keys are errors
@@ -17,11 +20,14 @@ in run outputs: any field change changes the hash.
 from __future__ import annotations
 
 import hashlib
+import math
+import re
 from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 from typing import Any, NoReturn, get_args, get_origin, get_type_hints
 
+from fpsim.accounting import ParticipationSchema, zcdp, zcdp_to_delta
 from fpsim.clipping import noise_split
 from fpsim.federation import AvailabilityModel
 from fpsim.tree import RestartSchedule
@@ -33,12 +39,16 @@ class ConfigError(ValueError):
     """Invalid configuration; message names the key at fault."""
 
 
+# A comment starts at a "#" that begins a line or follows whitespace.
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def parse_kv_text(text: str) -> dict[str, str]:
     """Parse `key = value` lines into a raw string mapping."""
     mapping: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = _COMMENT.split(raw, maxsplit=1)[0].strip()
+        if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
@@ -117,6 +127,9 @@ def _from_mapping(config_cls: type, mapping: dict[str, str]) -> Any:
     return config_cls(**kwargs)
 
 
+_ONE_PARTICIPATION = ParticipationSchema(total_rounds=1, min_sep=1, max_part=1)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully resolved, validated run configuration."""
@@ -166,8 +179,25 @@ class ExperimentConfig:
             fail("report_goal", "must be >= 1")
         if self.population < self.report_goal:
             fail("population", "must be >= report_goal")
+        if not math.isfinite(self.noise_multiplier):
+            fail("noise_multiplier", "must be finite")
         if self.noise_multiplier < 0:
             fail("noise_multiplier", "must be >= 0")
+        if self.noise_multiplier > 0:
+            # The accountant's rho for one participation, 1 / (2 z^2), and
+            # the delta at epsilon = 0 that every epsilon conversion starts
+            # from: a run at this z reports at least this rho.
+            try:
+                rho = zcdp(self.noise_multiplier, _ONE_PARTICIPATION)
+                zcdp_to_delta(rho, 0.0)
+            except (ZeroDivisionError, OverflowError):
+                rho = math.inf
+            if math.isinf(rho):
+                fail(
+                    "noise_multiplier",
+                    "too small to account: one participation's rho, 1 / (2 z^2), "
+                    "has no finite epsilon",
+                )
         if self.timer_rounds == 0:
             object.__setattr__(
                 self, "timer_rounds", max(1, self.population // (2 * self.report_goal))
@@ -203,8 +233,6 @@ class ExperimentConfig:
         if self.clip_mode == "adaptive":
             try:
                 noise_split(self.noise_multiplier, self.sigma_b())
-            except OverflowError:
-                fail("noise_multiplier", "too small to split: its inverse square overflows")
             except ValueError:
                 fail(
                     "clip_sigma_b_fraction",
@@ -244,6 +272,8 @@ class ExperimentConfig:
             fail("secagg_scale", "must be > 0")
         if self.secagg_retry_cap < 1:
             fail("secagg_retry_cap", "must be >= 1")
+        if _COMMENT.search(self.warm_start):
+            fail("warm_start", "a '#' at its start or after whitespace would read as a comment")
 
     # -- construction ---------------------------------------------------
 

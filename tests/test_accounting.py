@@ -120,6 +120,34 @@ class TestSolverExactness:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    def test_wide_solve_stores_little(self):
+        """At min_sep 1000 the solve stores three int32 tables and no p = 1
+        table: 12 MB, where dense float64 tables of every p took 48 MB."""
+        accounting._SOLVER_CACHE.clear()
+        worst_case_sensitivity_sq(ParticipationSchema(2048, 1000, 3))
+        solvers = accounting._SOLVER_CACHE.values()
+        keys = [key for solver in solvers for key in solver._tables]
+        stored = sum(table.nbytes for solver in solvers for table in solver._tables.values())
+        assert all(p >= 2 for _, p in keys)
+        assert stored <= 12_000_000
+
+    def test_values_past_the_int32_range_are_refused(self):
+        """With the sentinel lowered to -64, a table value or a forest
+        total of 64 or more raises instead of being read wrongly."""
+        accounting._SOLVER_CACHE.clear()
+        try:
+            with mock.patch.object(accounting, "_INFEASIBLE", -(1 << 6)):
+                # F[3][8] at min_sep 1 is 8 * 15 = 120.
+                with pytest.raises(OverflowError, match="table F"):
+                    worst_case_sensitivity_sq(ParticipationSchema(16, 1, 16))
+                accounting._SOLVER_CACHE.clear()
+                # Four 4-round segments: each tree is 28, the forest 112.
+                with pytest.raises(OverflowError, match="worst-case"):
+                    worst_case_sensitivity_sq(ParticipationSchema(16, 1, 16, (4, 8, 12)))
+        finally:
+            accounting._SOLVER_CACHE.clear()
+        assert worst_case_sensitivity_sq(ParticipationSchema(16, 1, 16, (4, 8, 12))) == 112.0
+
     def test_restart_splits_the_horizon(self):
         """With a restart, patterns confined to one segment accumulate only
         that segment's tree, so splitting shrinks the single-shot worst case."""
@@ -129,46 +157,64 @@ class TestSolverExactness:
         assert split == 4.0  # best segment is an 8-round tree: 4 nodes
 
 
-_STEPS = st.sampled_from([0.0, 0.0, 0.0, 0.25, 1.0 / 3.0, 2.0])
+_STEPS = st.sampled_from([0, 0, 0, 1, 3, 250])
+_INFEASIBLE = accounting._INFEASIBLE
+_TOP = (1 << 30) - 1  # the largest value a table may store
+
+
+def _feasible_or_sentinel(values):
+    """Map every negative (infeasible) entry to the sentinel, as int32."""
+    return np.where(values < 0, _INFEASIBLE, values).astype(np.int32)
 
 
 @st.composite
 def _monotone_stacks(draw):
-    """(left, right, out) with every left row non-increasing and every right
-    column non-decreasing along the shared axis u: random steps (many
-    zero, so ties), a -inf tail on left rows and a -inf head on right
-    columns, 1-4 stacked splits, sides 1-40."""
+    """(left, right, out) int32 stacks with every left row non-increasing
+    and every right column non-decreasing along the shared axis u: random
+    integer steps (many zero, so ties) from a base that is 0, small, or at
+    the top of the stored range (left rows floored at the feasible 0), a
+    sentinel tail on left rows and a sentinel head on right columns, 1-4
+    stacked splits, sides 1-40."""
     splits = draw(st.integers(1, 4))
     rows, inner, cols = (draw(st.integers(1, 40)) for _ in range(3))
     u = np.arange(inner)
-    left_steps = draw(arrays(np.float64, (splits, rows, inner), elements=_STEPS))
+    left_top = draw(st.sampled_from([0, 300, 10_000, _TOP]))
+    left_steps = draw(arrays(np.int64, (splits, rows, inner), elements=_STEPS))
     left_ends = draw(arrays(np.int64, (splits, rows, 1), elements=st.integers(0, inner)))
-    left = np.where(u < left_ends, 10.0 - np.cumsum(left_steps, axis=2), -np.inf)
-    right_steps = draw(arrays(np.float64, (splits, inner, cols), elements=_STEPS))
+    left_values = np.maximum(left_top - np.cumsum(left_steps, axis=2), 0)
+    left = np.where(u < left_ends, left_values, _INFEASIBLE)
+    right_base = draw(st.sampled_from([0, _TOP - 250 * 40]))
+    right_steps = draw(arrays(np.int64, (splits, inner, cols), elements=_STEPS))
     right_starts = draw(arrays(np.int64, (splits, 1, cols), elements=st.integers(0, inner)))
-    right = np.where(u[:, None] >= right_starts, np.cumsum(right_steps, axis=1), -np.inf)
-    out = draw(arrays(np.float64, (rows, cols), elements=st.sampled_from([-np.inf, 0.0, 9.5])))
-    return left, right, out
+    right = np.where(
+        u[:, None] >= right_starts, right_base + np.cumsum(right_steps, axis=1), _INFEASIBLE
+    )
+    out = draw(
+        arrays(np.int64, (rows, cols), elements=st.sampled_from([_INFEASIBLE, 0, 9_500, _TOP]))
+    )
+    return left.astype(np.int32), right.astype(np.int32), out.astype(np.int32)
 
 
 class TestStepEndMaxplus:
     """The table build's max-plus reads only the step ends of each left
-    row; it must equal the dense product bit for bit."""
+    row; it must equal the dense product bit for bit, every infeasible
+    (negative) entry read as the sentinel."""
 
     @settings(max_examples=150, deadline=None)
     @given(_monotone_stacks())
     def test_matches_dense_maxplus(self, case):
         left, right, out = case
-        dense = (left[:, :, :, None] + right[:, None, :, :]).max(axis=(0, 2))
-        expected = np.maximum(out, dense)
+        wide = left[:, :, :, None].astype(np.int64) + right[:, None, :, :]
+        expected = _feasible_or_sentinel(np.maximum(out, wide.max(axis=(0, 2))))
         chunked = out.copy()
         _step_end_maxplus(left, right, out)
-        assert out.tobytes() == expected.tobytes()
+        assert out.dtype == np.int32
+        assert _feasible_or_sentinel(out).tobytes() == expected.tobytes()
         # Chunks of a few candidate rows split one row's candidates across
         # chunks; the result must not change.
         with mock.patch.object(accounting, "_CANDIDATE_CELLS", 3 * right.shape[2]):
             _step_end_maxplus(left, right, chunked)
-        assert chunked.tobytes() == expected.tobytes()
+        assert _feasible_or_sentinel(chunked).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize(
         "schema",
@@ -182,14 +228,47 @@ class TestStepEndMaxplus:
     )
     def test_tables_nonincreasing_in_both_margins(self, schema):
         """The monotonicity the step ends rest on holds for every table a
-        solver builds, and no table is all -inf (infeasible p is skipped)."""
+        solver builds; every table is int32, stores infeasible entries as
+        exactly the sentinel, and is not all infeasible (infeasible p is
+        skipped)."""
         worst_case_sensitivity_sq(schema)
         tables = _solver_for(schema)._tables
         assert tables
         for key, table in tables.items():
+            assert table.dtype == np.int32, key
             assert np.all(table[1:, :] <= table[:-1, :]), key
             assert np.all(table[:, 1:] <= table[:, :-1]), key
-            assert np.isfinite(table).any(), key
+            assert np.all((table >= 0) | (table == _INFEASIBLE)), key
+            assert (table >= 0).any(), key
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        k=st.integers(0, 6),
+        extra_rows=st.integers(0, 4),
+        data=st.data(),
+    )
+    def test_one_placement_matches_dense(self, k, extra_rows, data):
+        """The fold's closed-form q = 1 term equals the dense max over u of
+        the p = 1 table plus rest, bit for bit, on any rest (-inf entries
+        included, not necessarily monotone)."""
+        size = 1 << k
+        width = data.draw(st.integers(1, size + extra_rows))
+        u_count = data.draw(st.integers(1, size))
+        count = data.draw(st.integers(1, 5))
+        rest = data.draw(
+            arrays(
+                np.float64,
+                (count, u_count),
+                elements=st.one_of(st.just(-np.inf), st.integers(0, _TOP).map(float)),
+            )
+        )
+        b = np.arange(width)[:, None]
+        u = np.arange(u_count)[None, :]
+        single = np.where(b + u <= size - 1, float(k + 1), -np.inf)
+        dense = (single[None, :, :] + rest[:, None, :]).max(axis=2)
+        closed = accounting._one_placement(rest, k, width)
+        assert closed.shape == dense.shape
+        assert np.where(closed < 0, -np.inf, closed).tobytes() == dense.tobytes()
 
 
 @st.composite

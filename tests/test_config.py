@@ -6,6 +6,9 @@ configs are how wrong results get published), resolve documented defaults,
 and produce a canonical serialization whose hash changes with any field.
 """
 
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -30,6 +33,20 @@ class TestParser:
     def test_missing_equals_rejected(self):
         with pytest.raises(ConfigError, match="line 2"):
             parse_kv_text("a = 1\nnot a pair\n")
+
+    def test_inline_comments_dropped(self):
+        """A '#' after whitespace ends the value; one inside a word does not."""
+        text = "a = 1   # one\nb =# two\nc = x#y # z\nd =  # empty\n"
+        assert parse_kv_text(text) == {"a": "1", "b": "# two", "c": "x#y", "d": ""}
+
+    def test_readme_example_parses(self):
+        """The example in README's "Config format" section parses verbatim."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg = ExperimentConfig.from_text(block)
+        assert (cfg.seed, cfg.rounds, cfg.report_goal, cfg.timer_rounds) == (7, 800, 50, 20)
+        assert cfg.clip_sigma_b_fraction == 0.05
+        assert cfg.warm_start == ""
 
     def test_whitespace_flexible(self):
         got = parse_kv_text("a=1\n  b  =  2  \n")
@@ -69,6 +86,13 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="population"):
             ExperimentConfig.from_text("population = 50\nreport_goal = 100\n")
 
+    def test_comment_like_warm_start_rejected(self):
+        """A warm_start path the canonical text would cut at a comment."""
+        for path in ("runs/a #1.bin", "#1.bin"):
+            with pytest.raises(ConfigError, match="warm_start"):
+                ExperimentConfig(warm_start=path)
+        assert ExperimentConfig(warm_start="runs/a#1.bin").warm_start == "runs/a#1.bin"
+
     def test_unknown_model_kind_rejected(self):
         """next_token_bow is the one model; the dense "logistic" kind is gone."""
         for kind in ("logistic", "transformer"):
@@ -77,9 +101,18 @@ class TestExperimentConfig:
 
     def test_unsplittable_noise_multiplier_names_the_key(self):
         """An adaptive-clip noise multiplier whose inverse square overflows
-        cannot be split between the vector and the count noise."""
+        is a configuration error naming the key, not an error at run start."""
         with pytest.raises(ConfigError, match="noise_multiplier"):
             ExperimentConfig.from_text("noise_multiplier = 1e-200\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e-200", "1e-100"])
+    def test_unaccountable_noise_multiplier_names_the_key(self, value):
+        """A fixed-clip noise multiplier the accountant cannot turn into a
+        finite epsilon (2 z^2 underflows, or the conversion overflows) fails
+        at parse time, not after training; 0 still means non-private."""
+        with pytest.raises(ConfigError, match="noise_multiplier"):
+            ExperimentConfig.from_text(f"clip.mode = fixed\nnoise_multiplier = {value}\n")
+        assert ExperimentConfig.from_text("clip.mode = fixed\nnoise_multiplier = 0\n")
 
     def test_count_noise_budget_guard(self):
         """Adaptive clipping with a noise multiplier too large for the count
@@ -128,11 +161,15 @@ def _floats(low=None, high=None, **kwargs):
 
 _POSITIVE = _floats(0.0, 1e6, exclude_min=True)
 _UNIT = _floats(0.0, 1.0)
-# Single-line strings without surrounding whitespace: what a value can hold
-# once parse_kv_text has stripped its line.
+# Single-line strings without surrounding whitespace and without a '#' at
+# the start or after whitespace: what a value can hold once parse_kv_text
+# has cut its comment and stripped its line.
 _VALUE_TEXT = st.text(
     st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=20
-).filter(lambda s: s == s.strip())
+).filter(lambda s: s == s.strip() and not re.search(r"(?:^|\s)#", s))
+# Positive noise multipliers the accountant can convert: below ~2.7e-8 one
+# participation's rho 1 / (2 z^2) has no finite epsilon.
+_NOISE = st.just(0.0) | _floats(1e-7, 1e6)
 
 
 @st.composite
@@ -144,13 +181,13 @@ def _valid_configs(draw) -> tuple[ExperimentConfig, int]:
     timer_rounds = draw(st.one_of(st.just(0), st.integers(1, 10**6)))
     clip_mode = draw(st.sampled_from(["fixed", "adaptive"]))
     if clip_mode == "adaptive":
-        # The noise split inverts z**2, which overflows below ~1e-154, and the
-        # count noise must absorb it: 2 * report_goal * sigma_b_fraction > z.
-        noise = draw(st.just(0.0) | _floats(1e-100, 1e6))
+        # The count noise must absorb the split: 2 * report_goal *
+        # sigma_b_fraction > z.
+        noise = draw(_NOISE)
         sigma_b_fraction = draw(_floats(noise / (2 * report_goal), 1e6, exclude_min=True))
         assume(2.0 * (report_goal * sigma_b_fraction) > noise)  # rounding at the boundary
     else:
-        noise = draw(_floats(0.0, 1e6))
+        noise = draw(_NOISE)
         sigma_b_fraction = draw(_POSITIVE)
     restart_mode = draw(st.sampled_from(["periodic", "explicit", "none"]))
     any_ints = st.integers(-(10**6), 10**6)
