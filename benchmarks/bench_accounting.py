@@ -35,7 +35,8 @@ WIDER_SCHEMA = ParticipationSchema(4096, 2000, 3)
 TINY_SCHEMA = ParticipationSchema(1024, 1, 1024)
 
 # The production shape of acceptance test 11: min_sep 313, at most 7
-# participations, periodic restarts over 2048 rounds.
+# participations, periodic restarts over 2048 rounds.  Its prefix column is
+# where the fold's split sums run on wide tables.
 PRODUCTION_SCHEMA = ParticipationSchema(2048, 313, 7, RestartSchedule.periodic(2048).rounds)
 
 
@@ -74,12 +75,13 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=3, help="cold calls per timing")
     args = parser.parse_args()
 
-    cases = (
+    cases = tuple(
         (
-            f"prefix column, {COLUMN_SCHEMA.total_rounds} rounds",
-            COLUMN_SCHEMA,
-            lambda: accounting.prefix_sensitivity_sq(COLUMN_SCHEMA),
-        ),
+            f"prefix column, {schema.total_rounds} rounds",
+            schema,
+            lambda schema=schema: accounting.prefix_sensitivity_sq(schema),
+        )
+        for schema in (COLUMN_SCHEMA, PRODUCTION_SCHEMA)
     ) + tuple(
         (
             f"cold solve, {schema.total_rounds} rounds",

@@ -50,10 +50,8 @@ __all__ = [
     "SWEEP_COLUMNS",
 ]
 
-_NEG_INF = float("-inf")
-
-# The solver's integer tables mark an infeasible entry with this value
-# (see _SensitivitySolver); every negative entry is infeasible.
+# The solver's tables and fold states mark an infeasible entry with this
+# value (see _SensitivitySolver); every negative entry is infeasible.
 _INFEASIBLE = -(1 << 30)
 
 BRUTE_FORCE_MAX_ROUNDS = 24
@@ -189,47 +187,48 @@ class _SensitivitySolver:
     p - i with complementary margin requirements u and min_sep - 1 - u
     around the midline; the root itself always contributes p^2.
 
-    Margins only matter up to min(min_sep, largest tree size + 1): beyond
-    the tree size every margin is equally infeasible, so tables are clamped
-    there.  The inner maximization over the midline margin u is a max-plus
-    matrix product, batched over the split i.  Every table is non-increasing
-    in both margins (a larger requirement only removes patterns), so a left
-    row F[k-1][i][a, u] is non-increasing in u while the right side,
-    F[k-1][p-i] read at row min_sep - 1 - u, is non-decreasing in u: only
-    the last u of each constant step of a left row can attain the max.
-    Tables hold few distinct values (one or two per row at min_sep 1000),
-    so reading step ends only turns the O(width^3) product into roughly
-    O(width^2) work with the same sums, which is what makes
+    Margins only matter up to ``width`` = min(min_sep, tallest tree size +
+    1), past which every margin is equally infeasible: tables are clamped
+    there and serve every tree that fits.  The inner maximization over the
+    midline margin u is a max-plus matrix product, batched over the split
+    i.  Every table is non-increasing in both margins (a larger requirement
+    only removes patterns), so a left row F[k-1][i][a, u] is non-increasing
+    in u while the right side, F[k-1][p-i] read at row min_sep - 1 - u, is
+    non-decreasing in u: only the last u of each constant step of a left row
+    can attain the max.  Tables hold few distinct values (one or two per row
+    at min_sep 1000), so reading step ends only turns the O(width^3) product
+    into roughly O(width^2) work with the same sums, which is what makes
     production-sized schedules (min_sep in the hundreds to thousands) fast.
 
-    Every feasible entry is an integer (a sum of squared node counts), so
-    tables are stored as int32, 4 bytes per cell: an entry >= 0 is
-    feasible, a negative one infeasible, and the build writes infeasible
-    entries as exactly ``_INFEASIBLE`` = -2^30, so that two of them still
-    add inside int32.  The build refuses a value of 2^30 or more.  The
-    p = 1 tables are never stored: one placement is covered by its root
-    path, so F[k][1][a, b] is k + 1 where a + b <= 2^k - 1 and infeasible
-    elsewhere, built only where the table build stacks it with other
-    halves and used in closed form by the fold.
+    Every feasible value is an integer (a sum of squared node counts), and
+    tables and fold states share one encoding: an entry >= 0 is feasible,
+    a negative one infeasible, stored as exactly ``_INFEASIBLE`` = -2^30.
+    Tables are int32, 4 bytes per cell (two sentinels still add inside
+    int32); the build refuses a value of 2^30 or more.  The p = 1 tables
+    are never stored: one placement is covered by its root path, so
+    F[k][1][a, b] is k + 1 where a + b <= 2^k - 1 and infeasible elsewhere,
+    built only where the table build stacks it with other halves and used
+    in closed form by the fold.
 
     A forest (trees left to right, adjacent in time) is folded left to
     right: H[j][p][b] is the best total over trees 0..j with exactly p
     placements and right margin >= b (empty leaves after the last one, up
     to the end of tree j), choosing per tree to skip it, fill it, or split
     with the same complementary-margin coupling across tree boundaries.
-    The fold state is float64, one row per p, with -inf for infeasible;
-    table entries join it through float sums, and a sum with the sentinel
-    stays negative as long as every state value is below 2^30, which
-    ``_best`` checks.  The fold state after each tree is a complete answer
-    for the forest so far, which is what lets ``prefix_sensitivity_sq``
-    keep one state per tree and refold only the trees a new round changes.
+    The fold state is int64, one row per p, its infeasible entries reset
+    to the sentinel after each tree.  Its rows are non-increasing in b, so
+    a split (a table read at margin u, the state read at min_sep - 1 - u)
+    goes through the table build's max-plus.  A sum with a sentinel stays
+    negative while every state value is below 2^30, which ``_best``
+    checks, so every sum is exact.  The fold state after each tree is a
+    complete answer for the forest so far, which is what lets
+    ``prefix_sensitivity_sq`` keep one state per tree and refold only the
+    trees a new round changes.
     """
 
-    def __init__(self, min_sep: int, max_level: int) -> None:
+    def __init__(self, min_sep: int, width: int) -> None:
         self.min_sep = min_sep
-        self.max_level = max_level
-        # Margin axis size for the per-tree tables.
-        self.width = min(min_sep, (1 << max_level) + 1)
+        self.width = width
         self._tables: dict[tuple[int, int], np.ndarray] = {}
 
     def empty_state(self, total_rounds: int) -> np.ndarray:
@@ -240,7 +239,7 @@ class _SensitivitySolver:
         every requirement is equally infeasible, so ``fold`` reads the last
         entry for any larger one.
         """
-        return np.zeros((1, min(self.min_sep, total_rounds + 1)))
+        return np.zeros((1, min(self.min_sep, total_rounds + 1)), dtype=np.int64)
 
     def capacity(self, k: int) -> int:
         """Most participations 2^k adjacent rounds can hold at this min_sep."""
@@ -300,8 +299,8 @@ class _SensitivitySolver:
         last row is infeasible.  The new state stops at the most
         participations rounds [0, end) can hold, capped at ``max_part``.
         """
-        if k > self.max_level:
-            raise ValueError("tree exceeds this solver's max level")
+        if self.width < min(self.min_sep, (1 << k) + 1):
+            raise ValueError("tree is wider than this solver's margin axis")
         size = 1 << k
         count, length = state.shape
         margins = np.arange(length)
@@ -315,29 +314,29 @@ class _SensitivitySolver:
         # inside[p, b]: the best total with p placements, at least one of
         # them in this tree, and right margin b in it (by table row b; the
         # tree-side column u is its left margin, by symmetry of the tables).
-        inside = np.full((new_cap + 1, self.width), float(_INFEASIBLE))
+        inside = np.full((new_cap + 1, self.width), _INFEASIBLE, dtype=np.int64)
         # One placement here and p - 1 before (none for p = 1: rest[0] is 0).
         top = min(new_cap, count)
         inside[1 : top + 1] = _one_placement(rest[:top], k, self.width)
         for q in range(2, min(tree_cap, new_cap) + 1):
             table = self._table(k, q)
             np.maximum(inside[q], table[:, 0], out=inside[q])  # all q here
-            # q here and r = 1 .. r_top before, for p = q + r, in chunks of
-            # about _CANDIDATE_CELLS sums.
-            here = table[:, :u_count]
+            # q here and r = 1 .. r_top before, for p = q + r: inside[q + r,
+            # b] is the max over u of table[b, u] + rest[r, u].
             r_top = min(count - 1, new_cap - q)
-            step = max(1, _CANDIDATE_CELLS // here.size)
-            for lo in range(1, r_top + 1, step):
-                hi = min(r_top + 1, lo + step)
-                sums = (here[None, :, :] + rest[lo:hi, None, :]).max(axis=2)
-                np.maximum(inside[q + lo : q + hi], sums, out=inside[q + lo : q + hi])
+            if r_top > 0:
+                _step_end_maxplus(
+                    table[None, :, :u_count],
+                    rest[1 : r_top + 1].T[None],
+                    inside[q + 1 : q + r_top + 1].T,
+                )
         # Margins past width - 1 read the last row.
         new_state = inside[:, np.minimum(margins, self.width - 1)]
         # This tree left empty: the earlier placements' margin shrinks by size.
         kept = min(count, new_cap + 1)
         skipped = np.maximum(margins - size, 0)
         np.maximum(new_state[:kept], state[:kept, skipped], out=new_state[:kept])
-        new_state[new_state < 0] = _NEG_INF
+        new_state[new_state < 0] = _INFEASIBLE
         return new_state
 
     def solve(self, tree_levels: tuple[int, ...], max_part: int) -> float:
@@ -350,33 +349,33 @@ class _SensitivitySolver:
 
 
 def _one_placement(rest: np.ndarray, k: int, width: int) -> np.ndarray:
-    """max over u of F[k][1][b, u] + rest[j, u], for each row j of ``rest``
-    and each table row b < width.
+    """max over u of F[k][1][b, u] + rest[j, u], for each row j of the int64
+    ``rest`` and each table row b < width.
 
     F[k][1][b, u] is k + 1 where b + u <= 2^k - 1, so the max is k + 1 plus
-    a running max of rest up to u = 2^k - 1 - b: the same float sums as the
-    dense max, since adding a constant commutes with max.  Rows b >= 2^k
-    come out negative (infeasible) while rest stays below 2^30.
+    a running max of rest up to u = 2^k - 1 - b, since adding a constant
+    commutes with max.  Rows b >= 2^k, and rows whose running max is
+    infeasible, come out negative while rest stays below 2^30.
     """
     size = 1 << k
     rows = np.arange(width)
-    single = np.where(rows < size, float(k + 1), float(_INFEASIBLE))
+    single = np.where(rows < size, k + 1, _INFEASIBLE)
     reach = np.clip(size - 1 - rows, 0, rest.shape[1] - 1)
     return np.maximum.accumulate(rest, axis=1)[:, reach] + single
 
 
-# Cells summed per chunk: candidate rows gathered by _step_end_maxplus
-# (1 MB of int32), and the fold's split sums (2 MB of float64) unless one
-# table is larger.
+# Cells gathered per chunk by _step_end_maxplus: 1 MB of int32 in the table
+# build, 2 MB of int64 in the fold.
 _CANDIDATE_CELLS = 1 << 18
 
 
 def _step_end_maxplus(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> None:
     """out[a, b] = max(out[a, b], max over i, u of left[i, a, u] + right[i, u, b]).
 
-    Integer tables, negative entries infeasible: ``left`` (splits, rows,
-    inner) must be non-increasing along u in every row and ``right``
-    (splits, inner, cols) non-decreasing along u in every column.  Then
+    Integer arrays (the fold's right side and ``out``, a view of its state,
+    are int64), negative entries infeasible: ``left`` (splits, rows, inner)
+    must be non-increasing along u in every row and ``right`` (splits,
+    inner, cols) non-decreasing along u in every column.  Then
     within a run of equal left[i, a, u] the last u attains the run's max,
     so only those step ends (with feasible values) are candidates: the same
     sums as the dense product, over far fewer u.  A candidate that meets an
@@ -403,12 +402,12 @@ def _step_end_maxplus(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> N
 
 def _best(state: np.ndarray) -> float:
     """Forest answer from a fold state: the best p at right margin 0."""
-    value = float(state[:, 0].max())
+    value = int(state[:, 0].max())
     if value >= -_INFEASIBLE:
         # Past 2^30 a table sentinel plus a state value could read as
         # feasible in the fold.
         raise OverflowError("worst-case sensitivity^2 exceeds the fold's range, 2^30")
-    return value
+    return float(value)
 
 
 _SOLVER_CACHE: dict[tuple[int, int], _SensitivitySolver] = {}
@@ -416,17 +415,13 @@ _SOLVER_CACHE: dict[tuple[int, int], _SensitivitySolver] = {}
 
 def _solver_for(schema: ParticipationSchema) -> _SensitivitySolver:
     max_level = max(schema.tree_levels(), default=0)
-    width = min(schema.min_sep, (1 << max_level) + 1)
-    key = (schema.min_sep, width)
+    key = (schema.min_sep, min(schema.min_sep, (1 << max_level) + 1))
     solver = _SOLVER_CACHE.get(key)
     if solver is None:
-        solver = _SensitivitySolver(schema.min_sep, max_level)
+        solver = _SensitivitySolver(*key)
         if len(_SOLVER_CACHE) > 32:
             _SOLVER_CACHE.clear()
         _SOLVER_CACHE[key] = solver
-    # Tables depend on (min_sep, width, k, p) alone, so a solver with this
-    # key serves taller trees with the tables it already holds.
-    solver.max_level = max(solver.max_level, max_level)
     return solver
 
 
@@ -536,7 +531,8 @@ def zcdp_to_delta(rho: float, eps: float) -> float:
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
             fd = log_objective(d)
-    return min(1.0, math.exp(min(fc, fd)))
+    # A rho too large for any delta below 1 would overflow exp.
+    return math.exp(min(fc, fd, 0.0))
 
 
 def zcdp_to_eps(rho: float, delta: float) -> float:

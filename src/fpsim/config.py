@@ -27,7 +27,7 @@ from functools import partial
 from pathlib import Path
 from typing import Any, NoReturn, get_args, get_origin, get_type_hints
 
-from fpsim.accounting import ParticipationSchema, zcdp, zcdp_to_delta
+from fpsim.accounting import ParticipationSchema, zcdp
 from fpsim.clipping import noise_split
 from fpsim.federation import AvailabilityModel
 from fpsim.tree import RestartSchedule
@@ -184,19 +184,17 @@ class ExperimentConfig:
         if self.noise_multiplier < 0:
             fail("noise_multiplier", "must be >= 0")
         if self.noise_multiplier > 0:
-            # The accountant's rho for one participation, 1 / (2 z^2), and
-            # the delta at epsilon = 0 that every epsilon conversion starts
-            # from: a run at this z reports at least this rho.
+            # The accountant's rho for one participation, 1 / (2 z^2): a run
+            # at this z reports at least this rho.
             try:
                 rho = zcdp(self.noise_multiplier, _ONE_PARTICIPATION)
-                zcdp_to_delta(rho, 0.0)
-            except (ZeroDivisionError, OverflowError):
+            except ZeroDivisionError:
                 rho = math.inf
             if math.isinf(rho):
                 fail(
                     "noise_multiplier",
                     "too small to account: one participation's rho, 1 / (2 z^2), "
-                    "has no finite epsilon",
+                    "is infinite",
                 )
         if self.timer_rounds == 0:
             object.__setattr__(
@@ -224,6 +222,8 @@ class ExperimentConfig:
             fail("clip_mode", "must be 'fixed' or 'adaptive'")
         if not self.clip_c0 > 0:
             fail("clip_c0", "must be > 0")
+        if math.isinf(self.clip_c0) and (self.noise_multiplier > 0 or self.secagg_enabled):
+            fail("clip_c0", "must be finite in a private or secure-aggregation run")
         if not 0.0 <= self.clip_gamma <= 1.0:
             fail("clip_gamma", "must be in [0, 1]")
         if self.clip_eta_gamma < 0:
@@ -233,6 +233,8 @@ class ExperimentConfig:
         if self.clip_mode == "adaptive":
             try:
                 noise_split(self.noise_multiplier, self.sigma_b())
+            except OverflowError:
+                fail("noise_multiplier", "too small to split: z^-2 overflows")
             except ValueError:
                 fail(
                     "clip_sigma_b_fraction",
@@ -268,8 +270,8 @@ class ExperimentConfig:
         if self.secagg_enabled and self.clip_mode != "fixed":
             clip_mode = _key(ExperimentConfig, "clip_mode")
             fail("secagg_enabled", f"secure aggregation requires {clip_mode}=fixed")
-        if self.secagg_enabled and not self.secagg_scale > 0:
-            fail("secagg_scale", "must be > 0")
+        if self.secagg_enabled and not 0 < self.secagg_scale < math.inf:
+            fail("secagg_scale", "must be finite and > 0")
         if self.secagg_retry_cap < 1:
             fail("secagg_retry_cap", "must be >= 1")
         if _COMMENT.search(self.warm_start):

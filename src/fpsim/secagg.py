@@ -117,10 +117,10 @@ def derive_config(
     padded_dim = pad_to_power_of_two(np.zeros(model_dim)).shape[0]
     if not clip_norm > 0 or not scale > 0:
         raise ValueError("clip_norm and scale must be > 0")
-    infinity_bound = max(
-        1,
-        math.ceil(2.0 * scale * clip_norm * math.log(padded_dim) / math.sqrt(padded_dim)),
-    )
+    real_bound = 2.0 * scale * clip_norm * math.log(padded_dim) / math.sqrt(padded_dim)
+    if not math.isfinite(real_bound):
+        raise ValueError("clip_norm and scale must be finite, with a finite product")
+    infinity_bound = max(1, math.ceil(real_bound))
     modulus = 2 * infinity_bound * cohort_size + 1
     return SecAggConfig(
         clip_norm=float(clip_norm),

@@ -80,6 +80,9 @@ class TestSolverExactness:
             (16, 8, 2, (8,)),
             (13, 5, 3, ()),
             (15, 4, 4, (8,)),
+            # The fold's split with exactly one placement before the tree.
+            (7, 2, 3, (3,)),
+            (15, 1, 9, (7,)),
         ]
         for t, min_sep, max_part, restarts in cases:
             oracle = brute_force_sensitivity_sq(t, min_sep, max_part, restarts)
@@ -169,12 +172,14 @@ def _feasible_or_sentinel(values):
 
 @st.composite
 def _monotone_stacks(draw):
-    """(left, right, out) int32 stacks with every left row non-increasing
-    and every right column non-decreasing along the shared axis u: random
+    """(left, right, out) stacks with every left row non-increasing and
+    every right column non-decreasing along the shared axis u: random
     integer steps (many zero, so ties) from a base that is 0, small, or at
     the top of the stored range (left rows floored at the feasible 0), a
     sentinel tail on left rows and a sentinel head on right columns, 1-4
-    stacked splits, sides 1-40."""
+    stacked splits, sides 1-40.  All int32 as in the table build, or, as
+    in the fold, one split with an int64 right side and ``out`` an int64
+    transposed view."""
     splits = draw(st.integers(1, 4))
     rows, inner, cols = (draw(st.integers(1, 40)) for _ in range(3))
     u = np.arange(inner)
@@ -192,6 +197,8 @@ def _monotone_stacks(draw):
     out = draw(
         arrays(np.int64, (rows, cols), elements=st.sampled_from([_INFEASIBLE, 0, 9_500, _TOP]))
     )
+    if draw(st.booleans()):  # the fold's call shape
+        return left[:1].astype(np.int32), right[:1], out.T.copy().T
     return left.astype(np.int32), right.astype(np.int32), out.astype(np.int32)
 
 
@@ -206,9 +213,10 @@ class TestStepEndMaxplus:
         left, right, out = case
         wide = left[:, :, :, None].astype(np.int64) + right[:, None, :, :]
         expected = _feasible_or_sentinel(np.maximum(out, wide.max(axis=(0, 2))))
-        chunked = out.copy()
+        chunked = out.copy(order="K")  # a transposed view stays one
+        dtype = out.dtype
         _step_end_maxplus(left, right, out)
-        assert out.dtype == np.int32
+        assert out.dtype == dtype
         assert _feasible_or_sentinel(out).tobytes() == expected.tobytes()
         # Chunks of a few candidate rows split one row's candidates across
         # chunks; the result must not change.
@@ -249,26 +257,28 @@ class TestStepEndMaxplus:
     )
     def test_one_placement_matches_dense(self, k, extra_rows, data):
         """The fold's closed-form q = 1 term equals the dense max over u of
-        the p = 1 table plus rest, bit for bit, on any rest (-inf entries
-        included, not necessarily monotone)."""
+        the p = 1 table plus rest, bit for bit, on any int64 rest (sentinel
+        entries included, not necessarily monotone), every negative entry
+        read as the sentinel."""
         size = 1 << k
         width = data.draw(st.integers(1, size + extra_rows))
         u_count = data.draw(st.integers(1, size))
         count = data.draw(st.integers(1, 5))
         rest = data.draw(
             arrays(
-                np.float64,
+                np.int64,
                 (count, u_count),
-                elements=st.one_of(st.just(-np.inf), st.integers(0, _TOP).map(float)),
+                elements=st.one_of(st.just(_INFEASIBLE), st.integers(0, _TOP - k - 1)),
             )
         )
         b = np.arange(width)[:, None]
         u = np.arange(u_count)[None, :]
-        single = np.where(b + u <= size - 1, float(k + 1), -np.inf)
+        single = np.where(b + u <= size - 1, k + 1, _INFEASIBLE)
         dense = (single[None, :, :] + rest[:, None, :]).max(axis=2)
         closed = accounting._one_placement(rest, k, width)
+        assert closed.dtype == np.int64
         assert closed.shape == dense.shape
-        assert np.where(closed < 0, -np.inf, closed).tobytes() == dense.tobytes()
+        assert _feasible_or_sentinel(closed).tobytes() == _feasible_or_sentinel(dense).tobytes()
 
 
 @st.composite
@@ -323,6 +333,14 @@ class TestPrefixAccounting:
         worst_case_sensitivity_sq(tall)
         assert _solver_for(tall) is solver
         assert all(solver._tables[key] is table for key, table in built.items())
+
+    def test_tree_wider_than_the_margin_axis_refused(self):
+        """A solver of margin width 3 at min_sep 5 serves trees of up to 2
+        leaves; a 4-leaf tree needs width 5."""
+        solver = accounting._SensitivitySolver(5, 3)
+        state = solver.fold(solver.empty_state(6), 1, 2, 2)
+        with pytest.raises(ValueError, match="margin axis"):
+            solver.fold(state, 2, 6, 2)
 
 
 class TestPatternSensitivity:
@@ -454,6 +472,14 @@ class TestPrivacyLedger:
         first = ledger.epsilon(1e-10)
         assert ledger.epsilon(1e-10) == first
         assert first == pytest.approx(zcdp_to_eps(ledger.rho, 1e-10), rel=1e-12)
+
+    def test_huge_rho_has_finite_epsilon(self):
+        """A tiny z on a many-participation schema gives rho ~ 2e15, where
+        the delta conversion's exp overflows unless its exponent is capped
+        at 0; every finite rho has a finite epsilon."""
+        ledger = PrivacyLedger(ParticipationSchema(200, 50, 4), 1e-7)
+        assert math.isfinite(ledger.epsilon(1e-10))
+        assert zcdp_to_delta(1e300, 0.0) == 1.0
 
     def test_non_private_marker(self):
         ledger = PrivacyLedger(_schema(8), z=0.0)

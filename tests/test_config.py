@@ -6,6 +6,7 @@ configs are how wrong results get published), resolve documented defaults,
 and produce a canonical serialization whose hash changes with any field.
 """
 
+import math
 import re
 from pathlib import Path
 
@@ -101,18 +102,40 @@ class TestExperimentConfig:
 
     def test_unsplittable_noise_multiplier_names_the_key(self):
         """An adaptive-clip noise multiplier whose inverse square overflows
-        is a configuration error naming the key, not an error at run start."""
-        with pytest.raises(ConfigError, match="noise_multiplier"):
-            ExperimentConfig.from_text("noise_multiplier = 1e-200\n")
+        is a configuration error naming the key, not an error at run start:
+        at 1e-200 one participation's rho divides by zero, and at 6e-155
+        1 / (2 z^2) is finite but the split's z^-2 overflows."""
+        for value in ("1e-200", "6e-155"):
+            with pytest.raises(ConfigError, match="noise_multiplier"):
+                ExperimentConfig.from_text(f"noise_multiplier = {value}\n")
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e-200", "1e-100"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e-200"])
     def test_unaccountable_noise_multiplier_names_the_key(self, value):
         """A fixed-clip noise multiplier the accountant cannot turn into a
-        finite epsilon (2 z^2 underflows, or the conversion overflows) fails
-        at parse time, not after training; 0 still means non-private."""
+        finite rho (non-finite, or 2 z^2 underflows to 0) fails at parse
+        time, not after training; 0 still means non-private."""
         with pytest.raises(ConfigError, match="noise_multiplier"):
             ExperimentConfig.from_text(f"clip.mode = fixed\nnoise_multiplier = {value}\n")
         assert ExperimentConfig.from_text("clip.mode = fixed\nnoise_multiplier = 0\n")
+
+    def test_tiny_fixed_noise_multiplier_accepted(self):
+        """Every epsilon conversion of a finite rho is finite, so a tiny
+        fixed-clip noise multiplier with a finite rho is a valid (if
+        useless) private run."""
+        for value in (1e-100, 6e-155):
+            config = ExperimentConfig.from_text(f"clip.mode = fixed\nnoise_multiplier = {value}\n")
+            assert config.noise_multiplier == value
+
+    def test_infinite_clip_only_in_a_non_private_plain_run(self):
+        """clip.c0 = inf clips nothing, which is legal only without noise
+        and without secure aggregation (tests/test_harness.py checks the
+        private and SecAgg runs through the CLI)."""
+        plain = ExperimentConfig.from_text("noise_multiplier = 0\nclip.c0 = inf\n")
+        assert plain.clip_c0 == math.inf
+        with pytest.raises(ConfigError, match="clip.c0"):
+            ExperimentConfig.from_text(
+                "clip.mode = fixed\nnoise_multiplier = 0\nsecagg.enabled = true\nclip.c0 = inf\n"
+            )
 
     def test_count_noise_budget_guard(self):
         """Adaptive clipping with a noise multiplier too large for the count
@@ -167,9 +190,9 @@ _UNIT = _floats(0.0, 1.0)
 _VALUE_TEXT = st.text(
     st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=20
 ).filter(lambda s: s == s.strip() and not re.search(r"(?:^|\s)#", s))
-# Positive noise multipliers the accountant can convert: below ~2.7e-8 one
-# participation's rho 1 / (2 z^2) has no finite epsilon.
-_NOISE = st.just(0.0) | _floats(1e-7, 1e6)
+# Positive noise multipliers the accountant can convert and the adaptive
+# split can invert: below ~1.5e-154 the split's z^-2 overflows.
+_NOISE = st.just(0.0) | _floats(1e-150, 1e6)
 
 
 @st.composite

@@ -396,6 +396,32 @@ class TestCli:
         assert "secagg.s" in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            (SECAGG_CONFIG.replace("clip.c0 = 0.5", "clip.c0 = inf"), "clip.c0"),
+            (SECAGG_CONFIG + "secagg.s = inf\n", "secagg.s"),
+            (SMALL_CONFIG.replace("clip.c0 = 0.4", "clip.c0 = inf"), "clip.c0"),
+            (
+                SMALL_CONFIG.replace("clip.mode = adaptive", "clip.mode = fixed").replace(
+                    "clip.c0 = 0.4", "clip.c0 = inf"
+                ),
+                "clip.c0",
+            ),
+        ],
+        ids=["secagg-clip", "secagg-scale", "adaptive-clip", "fixed-clip"],
+    )
+    def test_infinite_clip_or_scale_exits_naming_the_key(self, tmp_path, capsys, text, key):
+        """An infinite clip norm in a private or SecAgg run, or an infinite
+        SecAgg scale, exits 1 with the key before training, not with an
+        uncaught OverflowError or a divergence at round 0."""
+        cfg_path = tmp_path / "inf.cfg"
+        cfg_path.write_text(text)
+        out = tmp_path / "inf"
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     def test_output_root_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FPSIM_OUTPUT_ROOT", str(tmp_path / "root"))
         cfg_path = tmp_path / "exp.cfg"

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import hadamard
 
 from fpsim import (
@@ -59,6 +61,18 @@ class TestDeriveConfig:
     def test_pads_dimension(self):
         cfg = derive_config(1.0, 10.0, 1000, 5)
         assert cfg.padded_dim == 1024
+
+    def test_non_finite_bound_rejected(self):
+        """An infinite clip norm or scale, or a product past the float
+        range, has no L-infinity bound: a ValueError, not an OverflowError."""
+        for clip_norm, scale, model_dim in (
+            (math.inf, 1.0, 10),
+            (1.0, math.inf, 10),
+            (1e200, 1e200, 10),
+            (math.inf, 1.0, 1),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                derive_config(clip_norm, scale, model_dim, 3)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -184,6 +198,55 @@ class TestRoundTrip:
         b, b_clamped = encode_client(x, cfg, signs, SeedPath(6).child("c"))
         np.testing.assert_array_equal(a, b)
         assert a_clamped == b_clamped
+
+
+@st.composite
+def _codec_cases(draw):
+    """(config, clients, seed): a random model width, scale, clip norm and
+    cohort, and 1 .. cohort_size client updates of random magnitude."""
+    model_dim = draw(st.integers(1, 300))
+    cohort_size = draw(st.integers(1, 8))
+    config = derive_config(
+        draw(st.floats(0.05, 20.0)), draw(st.floats(0.5, 1e4)), model_dim, cohort_size
+    )
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    magnitude = draw(st.sampled_from([0.0, 1e-3, 1.0, 100.0]))
+    clients = rng.normal(size=(draw(st.integers(1, cohort_size)), model_dim)) * magnitude
+    return config, clients, seed
+
+
+class TestCodecProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(_codec_cases())
+    def test_round_trip_bounds(self, case):
+        """For any config and updates: every residue is in [0, 2 * bound],
+        every accepted rounding is within the rounded-norm bound, and when
+        no coordinate was clamped the decoded sum is within n * sqrt(d) / s
+        of the clipped sum (each rounding moves a coordinate by less than
+        1, and the rotation is orthogonal)."""
+        config, clients, seed = case
+        n, model_dim = clients.shape
+        signs = sign_vector(SeedPath(seed).child("rot"), config.padded_dim)
+        norm_bound_sq = _rounded_norm_bound_sq(config)
+        encoded, clamped = [], 0
+        for i, x in enumerate(clients):
+            enc, count = encode_client(x, config, signs, SeedPath(seed).child("c", i))
+            assert enc.dtype == np.int64
+            assert enc.min() >= 0
+            assert enc.max() <= 2 * config.infinity_bound
+            unshifted = enc.astype(np.float64) - config.infinity_bound
+            assert float(unshifted @ unshifted) <= norm_bound_sq
+            encoded.append(enc)
+            clamped += count
+        total = modular_sum(encoded, config.modulus)
+        out = decode(total, config, signs, n_clients=n, model_dim=model_dim)
+        if clamped == 0:
+            want = np.sum([clip_l2(x, config.clip_norm) for x in clients], axis=0)
+            err = float(np.linalg.norm(out - want))
+            # The float rotation adds error at the 1e-12 level of the sum.
+            slack = 1e-9 * (1.0 + float(np.linalg.norm(want)))
+            assert err <= n * math.sqrt(config.padded_dim) / config.scale + slack
 
 
 class TestClamping:
