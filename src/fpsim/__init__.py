@@ -63,13 +63,7 @@ from fpsim.secagg import (
 )
 from fpsim.seeds import SeedPath, gaussian_vector, sign_vector
 from fpsim.tree import RestartSchedule, TreeState, init_tree, naive_private_sum
-from fpsim.vectors import (
-    as_param_vector,
-    clip_l2,
-    inverse_rotation,
-    pad_to_power_of_two,
-    randomized_hadamard,
-)
+from fpsim.vectors import as_param_vector, clip_l2, inverse_rotation, randomized_hadamard
 
 __version__ = "0.1.0"
 
@@ -147,5 +141,4 @@ __all__ = [
     "clip_l2",
     "randomized_hadamard",
     "inverse_rotation",
-    "pad_to_power_of_two",
 ]

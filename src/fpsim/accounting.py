@@ -568,7 +568,7 @@ def loose_eps(rho: float, delta: float) -> float:
 @dataclass
 class PrivacyLedger:
     """Privacy position of one run: schema, equivalent noise multiplier,
-    rho, and a cache of (delta -> epsilon) conversions.
+    rho, and its (epsilon, delta) conversions.
 
     ``sensitivity_scale`` multiplies the per-participation sensitivity (in
     clip units); secure-aggregation runs pass inflated_clip / clip to
@@ -579,7 +579,6 @@ class PrivacyLedger:
     z: float
     sensitivity_scale: float = 1.0
     rho: float = field(init=False)
-    _eps_cache: dict[float, float] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if self.z < 0:
@@ -597,11 +596,7 @@ class PrivacyLedger:
         return math.isinf(self.rho)
 
     def epsilon(self, delta: float) -> float:
-        cached = self._eps_cache.get(delta)
-        if cached is None:
-            cached = zcdp_to_eps(self.rho, delta)
-            self._eps_cache[delta] = cached
-        return cached
+        return zcdp_to_eps(self.rho, delta)
 
     def loose_epsilon(self, delta: float) -> float:
         return math.inf if self.non_private else loose_eps(self.rho, delta)

@@ -27,12 +27,13 @@ from functools import partial
 from pathlib import Path
 from typing import Any, NoReturn, get_args, get_origin, get_type_hints
 
-from fpsim.accounting import ParticipationSchema, zcdp
-from fpsim.clipping import noise_split
+from fpsim.clipping import combined_multiplier, noise_split
 from fpsim.federation import AvailabilityModel
+from fpsim.models import NextTokenBOW
+from fpsim.secagg import SecAggConfig, derive_config, inflated_clip_norm
 from fpsim.tree import RestartSchedule
 
-__all__ = ["ConfigError", "ExperimentConfig", "SweepConfig", "parse_kv_text"]
+__all__ = ["ConfigError", "ExperimentConfig", "PrivacyTerms", "SweepConfig", "parse_kv_text"]
 
 
 class ConfigError(ValueError):
@@ -127,7 +128,26 @@ def _from_mapping(config_cls: type, mapping: dict[str, str]) -> Any:
     return config_cls(**kwargs)
 
 
-_ONE_PARTICIPATION = ParticipationSchema(total_rounds=1, min_sep=1, max_part=1)
+def _sensitivity_sq_bound(total_rounds: int, max_part: int) -> int:
+    """An upper bound on the accountant's worst-case sensitivity^2 (clip
+    units): each tree node counts at most max_part participations, and each
+    round lies in at most total_rounds.bit_length() nodes."""
+    return max_part**2 * total_rounds.bit_length()
+
+
+@dataclass(frozen=True)
+class PrivacyTerms:
+    """A run's privacy quantities, derived once from its config
+    (ExperimentConfig.privacy_terms) for the run, its report and the
+    post-hoc report."""
+
+    z_delta: float  # noise multiplier of the update tree
+    sigma_b: float  # noise std of the clip count; 0 without a private count
+    z_equiv: float  # guarantee-side multiplier of the joint release
+    secagg: SecAggConfig | None  # the shared encoding; None without SecAgg
+    sensitivity_scale: float  # SecAgg rounding's inflation of the clip norm
+    # (rounds, min_sep, max_part, restart_rounds): the worst case the timer allows
+    timer_schema: tuple[int, int, int, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -183,19 +203,6 @@ class ExperimentConfig:
             fail("noise_multiplier", "must be finite")
         if self.noise_multiplier < 0:
             fail("noise_multiplier", "must be >= 0")
-        if self.noise_multiplier > 0:
-            # The accountant's rho for one participation, 1 / (2 z^2): a run
-            # at this z reports at least this rho.
-            try:
-                rho = zcdp(self.noise_multiplier, _ONE_PARTICIPATION)
-            except ZeroDivisionError:
-                rho = math.inf
-            if math.isinf(rho):
-                fail(
-                    "noise_multiplier",
-                    "too small to account: one participation's rho, 1 / (2 z^2), "
-                    "is infinite",
-                )
         if self.timer_rounds == 0:
             object.__setattr__(
                 self, "timer_rounds", max(1, self.population // (2 * self.report_goal))
@@ -230,17 +237,6 @@ class ExperimentConfig:
             fail("clip_eta_gamma", "must be >= 0")
         if not self.clip_sigma_b_fraction > 0:
             fail("clip_sigma_b_fraction", "must be > 0")
-        if self.clip_mode == "adaptive":
-            try:
-                noise_split(self.noise_multiplier, self.sigma_b())
-            except OverflowError:
-                fail("noise_multiplier", "too small to split: z^-2 overflows")
-            except ValueError:
-                fail(
-                    "clip_sigma_b_fraction",
-                    "clip-count noise too small to absorb: need "
-                    "2 * report_goal * sigma_b_fraction > noise_multiplier",
-                )
         if self.restart_mode not in ("periodic", "explicit", "none"):
             fail("restart_mode", "must be 'periodic', 'explicit', or 'none'")
         if self.restart_mode == "periodic":
@@ -276,6 +272,7 @@ class ExperimentConfig:
             fail("secagg_retry_cap", "must be >= 1")
         if _COMMENT.search(self.warm_start):
             fail("warm_start", "a '#' at its start or after whitespace would read as a comment")
+        self.privacy_terms()
 
     # -- construction ---------------------------------------------------
 
@@ -309,6 +306,59 @@ class ExperimentConfig:
 
     def sigma_b(self) -> float:
         return self.report_goal * self.clip_sigma_b_fraction
+
+    def privacy_terms(self) -> PrivacyTerms:
+        """The run's noise split, SecAgg encoding and timer schema.  A config
+        whose terms cannot be derived, or whose worst-case rho could
+        overflow, fails here, naming the key to change."""
+        fail = partial(_fail, self)
+        z_delta = z_equiv = self.noise_multiplier
+        sigma_b = 0.0
+        if z_delta > 0 and self.clip_mode == "adaptive":
+            sigma_b = self.sigma_b()
+            try:
+                z_delta = noise_split(z_equiv, sigma_b)
+            except OverflowError:
+                fail("noise_multiplier", "too small to split: z^-2 overflows")
+            except (ValueError, ZeroDivisionError):
+                fail(
+                    "clip_sigma_b_fraction",
+                    "clip-count noise too small to absorb: need "
+                    "2 * report_goal * sigma_b_fraction > noise_multiplier",
+                )
+            z_equiv = combined_multiplier(z_delta, sigma_b)
+        secagg, scale = None, 1.0
+        if self.secagg_enabled:
+            try:
+                secagg = derive_config(
+                    clip_norm=self.clip_c0,
+                    scale=self.secagg_scale,
+                    model_dim=NextTokenBOW(self.vocab_size, self.window).num_params,
+                    cohort_size=self.report_goal,
+                    retry_cap=self.secagg_retry_cap,
+                )
+            except ValueError as exc:
+                fail("secagg_scale", str(exc))
+            scale = inflated_clip_norm(secagg) / self.clip_c0
+            if not math.isfinite(scale * scale):
+                fail("secagg_scale", "too small for clip.c0: the sensitivity scale overflows")
+        max_part = -(-self.rounds // self.timer_rounds)
+        if z_equiv > 0:
+            # The accountant's rho is sensitivity^2 / (2 z^2) * scale^2; the
+            # same float steps from the bound give at least every run's rho.
+            bound = _sensitivity_sq_bound(self.rounds, max_part)
+            try:
+                rho_bound = bound / (2.0 * z_equiv * z_equiv) * scale**2
+            except (OverflowError, ZeroDivisionError):
+                rho_bound = math.inf
+            if math.isinf(rho_bound):
+                fail(
+                    "noise_multiplier",
+                    "too small to account: the run's rho, up to "
+                    "max_part^2 * bit_length(rounds) * scale^2 / (2 z^2), overflows",
+                )
+        timer_schema = (self.rounds, self.timer_rounds, max_part, self.restart_schedule().rounds)
+        return PrivacyTerms(z_delta, sigma_b, z_equiv, secagg, scale, timer_schema)
 
     def canonical_text(self) -> str:
         lines = [

@@ -30,8 +30,8 @@ import numpy as np
 
 from fpsim import accounting
 from fpsim.accounting import ParticipationSchema, PrivacyLedger
-from fpsim.clipping import ClipState, combined_multiplier, noise_split
-from fpsim.config import ExperimentConfig, SweepConfig
+from fpsim.clipping import ClipState
+from fpsim.config import ExperimentConfig, PrivacyTerms, SweepConfig
 from fpsim.data import DataConfig, synthesize_clients, synthesize_eval_set
 from fpsim.federation import (
     CohortConfig,
@@ -41,7 +41,6 @@ from fpsim.federation import (
     select_cohort,
 )
 from fpsim.models import NextTokenBOW
-from fpsim.secagg import SecAggConfig, derive_config, inflated_clip_norm
 from fpsim.seeds import SeedPath
 from fpsim.tree import init_tree
 
@@ -55,7 +54,6 @@ __all__ = [
     "read_checkpoint",
     "read_metrics",
     "post_hoc_report",
-    "privacy_terms",
     "privacy_report",
 ]
 
@@ -132,53 +130,11 @@ class RunResult:
     config_hash: str
 
 
-def _equivalent_multiplier(config: ExperimentConfig) -> tuple[float, float]:
-    """(tree noise multiplier z_delta, guarantee-side multiplier z)."""
-    z = config.noise_multiplier
-    if z == 0:
-        return 0.0, 0.0
-    if config.clip_mode == "adaptive":
-        z_delta = noise_split(z, config.sigma_b())
-        return z_delta, combined_multiplier(z_delta, config.sigma_b())
-    return z, z
-
-
-def _secagg_config(config: ExperimentConfig) -> SecAggConfig | None:
-    """The run's shared SecAgg encoding parameters; None when SecAgg is off."""
-    if not config.secagg_enabled:
-        return None
-    model = NextTokenBOW(vocab_size=config.vocab_size, window=config.window)
-    return derive_config(
-        clip_norm=config.clip_c0,
-        scale=config.secagg_scale,
-        model_dim=model.num_params,
-        cohort_size=config.report_goal,
-        retry_cap=config.secagg_retry_cap,
-    )
-
-
-def _sensitivity_scale(config: ExperimentConfig, secagg_cfg: SecAggConfig | None) -> float:
-    """The factor SecAgg rounding inflates the per-client sensitivity by."""
-    if secagg_cfg is None:
-        return 1.0
-    return inflated_clip_norm(secagg_cfg) / config.clip_c0
-
-
-def privacy_terms(config: ExperimentConfig) -> tuple[float, float]:
-    """(z_equiv, sensitivity_scale) of a run: the guarantee-side noise
-    multiplier, and the factor SecAgg rounding inflates the per-client
-    sensitivity by (1.0 without SecAgg)."""
-    _, z_equiv = _equivalent_multiplier(config)
-    return z_equiv, _sensitivity_scale(config, _secagg_config(config))
-
-
 def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunResult:
     """Execute the full training loop and write the run directory."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    secagg_cfg = _secagg_config(config)
-    z_delta, z_equiv = _equivalent_multiplier(config)
-    sensitivity_scale = _sensitivity_scale(config, secagg_cfg)
+    terms = config.privacy_terms()
 
     root = SeedPath(config.seed)
     data_cfg = DataConfig(
@@ -211,27 +167,28 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunResult:
             initial_estimate=config.clip_c0,
             target_quantile=config.clip_gamma,
             learning_rate=config.clip_eta_gamma,
-            sigma_b=config.sigma_b() if z_delta > 0 else 0.0,
+            sigma_b=terms.sigma_b,
             cohort_size=config.report_goal,
             seed=root.child("clip"),
         )
 
-    schedule = config.restart_schedule()
     server = ServerState(
         model=model,
         theta0=theta0,
         eta_s=config.eta_s,
         beta=config.beta,
         report_goal=config.report_goal,
-        delta_tree=init_tree(z_delta, config.clip_c0, model.num_params, root.child("delta-tree")),
+        delta_tree=init_tree(
+            terms.z_delta, config.clip_c0, model.num_params, root.child("delta-tree")
+        ),
         clip=clip_state,
         fixed_clip=config.clip_c0,
-        restart_schedule=schedule,
+        restart_schedule=config.restart_schedule(),
         seed=root.child("federation"),
         eta_c=config.eta_c,
         batch_size=config.batch_size,
         epochs=config.epochs,
-        secagg=secagg_cfg,
+        secagg=terms.secagg,
     )
     cohort_cfg = CohortConfig(
         report_goal=config.report_goal,
@@ -251,13 +208,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunResult:
 
     # The worst case the timer allows after each round, all prefixes in one
     # accountant pass.
-    timer_schema = ParticipationSchema(
-        total_rounds=config.rounds,
-        min_sep=config.timer_rounds,
-        max_part=-(-config.rounds // config.timer_rounds),
-        restart_rounds=schedule.rounds,
-    )
-    cumulative_rho = accounting.prefix_zcdp(z_equiv, timer_schema)
+    timer_schema = ParticipationSchema(*terms.timer_schema)
+    cumulative_rho = accounting.prefix_zcdp(terms.z_equiv, timer_schema)
     metrics_rows = [
         (
             m.round,
@@ -266,7 +218,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunResult:
             m.active_clip,
             m.quantile_estimate,
             m.cohort_size,
-            rho * sensitivity_scale**2,
+            rho * terms.sensitivity_scale**2,
             m.bits_per_update,
         )
         for (eval_acc, m), rho in zip(history, cumulative_rho)
@@ -278,7 +230,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunResult:
     order = np.lexsort((rounds, client_ids))
     pairs = list(zip(client_ids[order].tolist(), rounds[order].tolist()))
     _write_csv(out / "participation.csv", ("client_id", "round"), pairs)
-    if secagg_cfg is not None:
+    if terms.secagg is not None:
         _write_csv(
             out / "secagg.csv",
             ("round", "bits_per_update", "linf_clamp_fraction", "roundtrip_residual"),
@@ -289,7 +241,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunResult:
         )
     (out / "config.resolved").write_text(config.canonical_text())
 
-    row = _observed_report(config, client_ids, rounds, z_equiv, sensitivity_scale)
+    row = _observed_report(config, client_ids, rounds, terms)
     _write_csv(out / "report.csv", REPORT_COLUMNS, [tuple(row[k] for k in REPORT_COLUMNS)])
     (out / "report.txt").write_text(render_report_text(row))
 
@@ -359,7 +311,7 @@ def privacy_report(
     schema = ParticipationSchema(
         total_rounds=total_rounds,
         min_sep=min_sep,
-        max_part=max(1, max_part),
+        max_part=max_part,
         restart_rounds=restart_rounds,
     )
     ledger = PrivacyLedger(schema=schema, z=z_equiv, sensitivity_scale=sensitivity_scale)
@@ -383,20 +335,20 @@ def _observed_report(
     config: ExperimentConfig,
     client_ids: np.ndarray,
     rounds: np.ndarray,
-    z_equiv: float,
-    sensitivity_scale: float,
+    terms: PrivacyTerms,
     delta: float = REPORT_DELTA,
 ) -> dict[str, object]:
     """A run's report row from its (client_id, round) log: the schema the
-    log attains, accounted at the run's privacy_terms."""
-    max_part, min_sep = observed_limits(client_ids, rounds, config.rounds)
+    log attains, accounted at the run's privacy terms."""
+    total_rounds, _, _, restart_rounds = terms.timer_schema
+    max_part, min_sep = observed_limits(client_ids, rounds, total_rounds)
     return privacy_report(
-        config.rounds,
+        total_rounds,
         min_sep,
         max_part,
-        config.restart_schedule().rounds,
-        z_equiv,
-        sensitivity_scale,
+        restart_rounds,
+        terms.z_equiv,
+        terms.sensitivity_scale,
         config,
         delta,
     )
@@ -406,7 +358,8 @@ def post_hoc_report(run_dir: str | Path, delta: float = REPORT_DELTA) -> dict[st
     """Recompute a finished run's privacy report, with epsilon at ``delta``,
     from its participation log and resolved config (the `account --run`
     path).  A log no run could have written (a round outside the run, a
-    negative id, a repeated pair) is a ValueError naming the file."""
+    negative id, a repeated pair, a round without report_goal clients) is a
+    ValueError naming the file."""
     run = Path(run_dir)
     config = ExperimentConfig.from_file(run / "config.resolved")
     path = run / "participation.csv"
@@ -423,7 +376,14 @@ def post_hoc_report(run_dir: str | Path, delta: float = REPORT_DELTA) -> dict[st
     if (counts > 1).any():
         client_id, round_index = unique[counts > 1][0]
         raise ValueError(f"{path}: client {client_id} is listed twice for round {round_index}")
-    return _observed_report(config, client_ids, rounds, *privacy_terms(config), delta)
+    cohort_sizes = np.bincount(rounds, minlength=config.rounds)
+    (short,) = np.nonzero(cohort_sizes != config.report_goal)
+    if short.size:
+        raise ValueError(
+            f"{path}: round {short[0]} lists {cohort_sizes[short[0]]} clients, "
+            f"not report_goal = {config.report_goal}"
+        )
+    return _observed_report(config, client_ids, rounds, config.privacy_terms(), delta)
 
 
 def sweep_privacy(sweep_cfg: SweepConfig, out_path: str | Path) -> list[tuple]:

@@ -31,13 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fpsim.seeds import SeedPath
-from fpsim.vectors import (
-    as_param_vector,
-    clip_l2,
-    inverse_rotation,
-    pad_to_power_of_two,
-    randomized_hadamard,
-)
+from fpsim.vectors import as_param_vector, clip_l2, inverse_rotation, randomized_hadamard
 from fpsim._kernels import stochastic_round
 
 __all__ = [
@@ -114,7 +108,7 @@ def derive_config(
     """
     if model_dim < 1:
         raise ValueError("model_dim must be >= 1")
-    padded_dim = pad_to_power_of_two(np.zeros(model_dim)).shape[0]
+    padded_dim = 1 << (int(model_dim) - 1).bit_length()
     if not clip_norm > 0 or not scale > 0:
         raise ValueError("clip_norm and scale must be > 0")
     real_bound = 2.0 * scale * clip_norm * math.log(padded_dim) / math.sqrt(padded_dim)
@@ -224,7 +218,7 @@ def decode(
     config: SecAggConfig,
     rotation_signs: np.ndarray,
     n_clients: int,
-    model_dim: int | None = None,
+    model_dim: int,
 ) -> np.ndarray:
     """Recover the approximate real sum of client updates from the modular sum.
 
@@ -240,12 +234,9 @@ def decode(
         raise ValueError("modular total has the wrong width")
     unshifted = total.astype(np.float64) - float(n_clients * config.infinity_bound)
     unrotated = inverse_rotation(unshifted, rotation_signs)
-    full = unrotated / config.scale
-    if model_dim is None:
-        return full
     if not 1 <= model_dim <= config.padded_dim:
         raise ValueError("model_dim must be in [1, padded_dim]")
-    return full[:model_dim]
+    return unrotated[:model_dim] / config.scale
 
 
 def bits_per_update(config: SecAggConfig) -> int:

@@ -17,7 +17,6 @@ __all__ = [
     "clip_l2",
     "randomized_hadamard",
     "inverse_rotation",
-    "pad_to_power_of_two",
 ]
 
 
@@ -68,7 +67,7 @@ def randomized_hadamard(v: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """Apply the normalized Hadamard rotation (1/sqrt(d)) * H_d * diag(signs).
 
     An isometry: the L2 norm is preserved up to float64 rounding.  Requires
-    power-of-two length (use pad_to_power_of_two first if needed).
+    power-of-two length (callers zero-pad to it).
     """
     v, d = _check_rotation_args(v, signs)
     out = v * signs
@@ -88,16 +87,4 @@ def inverse_rotation(v: np.ndarray, signs: np.ndarray) -> np.ndarray:
     fwht_inplace(out)
     out *= 1.0 / np.sqrt(d)
     out *= signs
-    return out
-
-
-def pad_to_power_of_two(v: np.ndarray) -> np.ndarray:
-    """Zero-pad ``v`` to the next power-of-two length (no-op if already)."""
-    v = as_param_vector(v)
-    d = v.shape[0]
-    target = 1 << max(d - 1, 0).bit_length() if d else 1
-    if target == d:
-        return v.copy()
-    out = np.zeros(target, dtype=np.float64)
-    out[:d] = v
     return out

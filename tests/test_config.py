@@ -14,8 +14,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fpsim import ExperimentConfig, SweepConfig
-from fpsim.config import ConfigError, parse_kv_text
+from fpsim import (
+    ExperimentConfig,
+    ParticipationSchema,
+    PrivacyLedger,
+    SweepConfig,
+    brute_force_sensitivity_sq,
+    combined_multiplier,
+    derive_config,
+    inflated_clip_norm,
+    noise_split,
+)
+from fpsim.accounting import BRUTE_FORCE_MAX_ROUNDS
+from fpsim.config import ConfigError, _sensitivity_sq_bound, parse_kv_text
 
 
 class TestParser:
@@ -119,12 +130,19 @@ class TestExperimentConfig:
         assert ExperimentConfig.from_text("clip.mode = fixed\nnoise_multiplier = 0\n")
 
     def test_tiny_fixed_noise_multiplier_accepted(self):
-        """Every epsilon conversion of a finite rho is finite, so a tiny
-        fixed-clip noise multiplier with a finite rho is a valid (if
-        useless) private run."""
-        for value in (1e-100, 6e-155):
-            config = ExperimentConfig.from_text(f"clip.mode = fixed\nnoise_multiplier = {value}\n")
-            assert config.noise_multiplier == value
+        """A tiny fixed-clip noise multiplier whose run rho is finite is a
+        valid (if useless) private run: 1e-100 in the default shape, and
+        6e-155 in a run of one round."""
+        for text in ("noise_multiplier = 1e-100\n", "noise_multiplier = 6e-155\nrounds = 1\n"):
+            config = ExperimentConfig.from_text("clip.mode = fixed\n" + text)
+            assert config.noise_multiplier == float(text.split()[2])
+
+    def test_run_rho_overflow_names_the_key(self):
+        """One participation at z = 6e-155 has a finite rho, but the default
+        200-round shape (4 participations, 8 tree levels) would report
+        rho = inf for a noised run: a configuration error at parse time."""
+        with pytest.raises(ConfigError, match="noise_multiplier"):
+            ExperimentConfig.from_text("clip.mode = fixed\nnoise_multiplier = 6e-155\n")
 
     def test_infinite_clip_only_in_a_non_private_plain_run(self):
         """clip.c0 = inf clips nothing, which is legal only without noise
@@ -144,6 +162,15 @@ class TestExperimentConfig:
             ExperimentConfig.from_text(
                 "noise_multiplier = 12\nreport_goal = 100\nclip.sigma_b_fraction = 0.05\n"
             )
+
+    @pytest.mark.parametrize("keys", ["secagg.s = 1e300", "noise_multiplier = 0\nclip.c0 = 1e-200"])
+    def test_unusable_secagg_scale_names_the_key(self, keys):
+        """A scale whose modulus a cohort cannot sum in int64, or one whose
+        rounding inflates clip.c0 past a finite squared sensitivity scale
+        (which the run's report would square), fails in from_text, not when
+        the run starts or ends."""
+        with pytest.raises(ConfigError, match="secagg.s"):
+            ExperimentConfig.from_text(f"clip.mode = fixed\nsecagg.enabled = true\n{keys}\n")
 
     def test_secagg_requires_fixed_clip(self):
         with pytest.raises(ConfigError, match="secagg"):
@@ -190,9 +217,13 @@ _UNIT = _floats(0.0, 1.0)
 _VALUE_TEXT = st.text(
     st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=20
 ).filter(lambda s: s == s.strip() and not re.search(r"(?:^|\s)#", s))
-# Positive noise multipliers the accountant can convert and the adaptive
-# split can invert: below ~1.5e-154 the split's z^-2 overflows.
-_NOISE = st.just(0.0) | _floats(1e-150, 1e6)
+# Positive noise multipliers every drawn run can account: the run's
+# sensitivity^2 is at most 10^12 * 20 (10^6 participations, 20 tree levels),
+# so rho stays finite from 1e-130 up, even at the SecAgg scales drawn below.
+_NOISE = st.just(0.0) | _floats(1e-130, 1e6)
+# SecAgg clip norms and scales: their product keeps a cohort of 10^4 within
+# int64 and the rounding's sensitivity scale below 10^11.
+_SECAGG = _floats(1e-3, 1e3)
 
 
 @st.composite
@@ -238,7 +269,7 @@ def _valid_configs(draw) -> tuple[ExperimentConfig, int]:
         batch_size=draw(st.integers(1, 10**4)),
         epochs=draw(st.integers(1, 100)),
         clip_mode=clip_mode,
-        clip_c0=draw(_POSITIVE),
+        clip_c0=draw(_SECAGG if secagg_enabled else _POSITIVE),
         clip_gamma=draw(_UNIT),
         clip_eta_gamma=draw(_floats(0.0, 1e6)),
         clip_sigma_b_fraction=sigma_b_fraction,
@@ -254,11 +285,70 @@ def _valid_configs(draw) -> tuple[ExperimentConfig, int]:
         concentration=draw(_POSITIVE),
         eval_examples=draw(st.integers(1, 10**6)),
         secagg_enabled=secagg_enabled,
-        secagg_scale=draw(_POSITIVE if secagg_enabled else _floats(-1e6, 1e6)),
+        secagg_scale=draw(_SECAGG if secagg_enabled else _floats(-1e6, 1e6)),
         secagg_retry_cap=draw(st.integers(1, 10**4)),
         warm_start=draw(_VALUE_TEXT),
     )
     return config, timer_rounds
+
+
+@st.composite
+def _small_schemas(draw) -> ParticipationSchema:
+    """A schema the brute force enumerates quickly: at most 24 rounds,
+    restarts or none, and at most 6 participations at min_sep 1 or 2."""
+    total_rounds = draw(st.integers(1, BRUTE_FORCE_MAX_ROUNDS))
+    min_sep = draw(st.integers(1, total_rounds))
+    max_part = draw(st.integers(1, 6 if min_sep < 3 else total_rounds))
+    restarts = st.lists(st.integers(1, total_rounds), unique=True, max_size=4)
+    restart_rounds = draw(st.just(()) | restarts.map(sorted).map(tuple))
+    return ParticipationSchema(total_rounds, min_sep, max_part, restart_rounds)
+
+
+class TestPrivacyTerms:
+    @settings(max_examples=150, deadline=None)
+    @given(schema=_small_schemas())
+    def test_sensitivity_bound_covers_brute_force(self, schema):
+        """The bound validation checks rho against, max_part^2 *
+        bit_length(rounds), is at least the exact worst case."""
+        exact = brute_force_sensitivity_sq(
+            schema.total_rounds, schema.min_sep, schema.max_part, schema.restart_rounds
+        )
+        assert exact <= _sensitivity_sq_bound(schema.total_rounds, schema.max_part)
+
+    def test_adaptive_terms(self):
+        """The noise split and the timer schema of the default config."""
+        config = ExperimentConfig()
+        terms = config.privacy_terms()
+        assert terms.sigma_b == config.sigma_b()
+        assert terms.z_delta == noise_split(1.0, config.sigma_b())
+        assert terms.z_equiv == combined_multiplier(terms.z_delta, config.sigma_b())
+        assert (terms.secagg, terms.sensitivity_scale) == (None, 1.0)
+        assert terms.timer_schema == (200, 50, 4, (128,))
+
+    def test_secagg_terms(self):
+        """A SecAgg run's encoding and the rounding's inflation of the clip."""
+        config = ExperimentConfig.from_text(
+            "clip.mode = fixed\nclip.c0 = 0.5\nsecagg.enabled = true\nnoise_multiplier = 0.8\n"
+        )
+        terms = config.privacy_terms()
+        assert terms.secagg == derive_config(0.5, 100.0, 100 * 100, 100)
+        assert terms.secagg.padded_dim == 16384
+        assert terms.sensitivity_scale == inflated_clip_norm(terms.secagg) / 0.5
+        assert (terms.z_delta, terms.z_equiv, terms.sigma_b) == (0.8, 0.8, 0.0)
+
+    def test_non_private_terms(self):
+        terms = ExperimentConfig.from_text("noise_multiplier = 0\n").privacy_terms()
+        assert (terms.z_delta, terms.z_equiv, terms.sigma_b) == (0.0, 0.0, 0.0)
+
+    def test_accepted_tiny_z_has_a_finite_run_rho(self):
+        """Just inside the bound, the accountant's rho of the timer's worst
+        case is finite."""
+        config = ExperimentConfig.from_text("clip.mode = fixed\nnoise_multiplier = 1e-153\n")
+        terms = config.privacy_terms()
+        ledger = PrivacyLedger(
+            ParticipationSchema(*terms.timer_schema), terms.z_equiv, terms.sensitivity_scale
+        )
+        assert math.isfinite(ledger.rho)
 
 
 class TestCanonicalization:

@@ -268,6 +268,24 @@ class TestParticipationLogValidation:
         ):
             post_hoc_report(copy)
 
+    def test_header_only_log_rejected(self, small_run, tmp_path):
+        copy = _tampered_log(small_run, tmp_path, lambda rows: [])
+        with pytest.raises(
+            ValueError, match=r"participation\.csv: round 0 lists 0 clients, not report_goal = 8"
+        ):
+            post_hoc_report(copy)
+
+    def test_thinned_log_rejected(self, small_run, tmp_path):
+        """Keeping one row per client would account every client as a
+        single participation; each round must list report_goal clients."""
+
+        def first_row_per_client(rows):
+            return list({row.split(",")[0]: row for row in reversed(rows)}.values())
+
+        copy = _tampered_log(small_run, tmp_path, first_row_per_client)
+        with pytest.raises(ValueError, match=r"participation\.csv: round \d+ lists \d+ clients"):
+            post_hoc_report(copy)
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
@@ -356,6 +374,11 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "rho" in out
+
+    def test_account_rejects_zero_max_part(self, capsys):
+        flags = ["--rounds", "4", "--min-sep", "1", "--max-part", "0", "--z", "7"]
+        assert cli_main(["account", *flags]) == 1
+        assert "max_part" in capsys.readouterr().err
 
     def test_account_delta_sets_epsilon(self, capsys):
         """--delta reaches the report row: epsilon is the tight conversion

@@ -59,8 +59,11 @@ class TestDeriveConfig:
         assert cfg.modulus == 2 * cfg.infinity_bound * cfg.cohort_size + 1
 
     def test_pads_dimension(self):
-        cfg = derive_config(1.0, 10.0, 1000, 5)
-        assert cfg.padded_dim == 1024
+        """The padded width is the next power of two, and a power-of-two
+        width is kept."""
+        widths = ((1000, 1024), (5, 8), (1, 1), (2, 2), (256, 256), (257, 512))
+        for model_dim, padded_dim in widths:
+            assert derive_config(1.0, 10.0, model_dim, 5).padded_dim == padded_dim
 
     def test_non_finite_bound_rejected(self):
         """An infinite clip norm or scale, or a product past the float

@@ -1,5 +1,5 @@
-"""Tests for parameter-vector utilities: clipping, padding, and the
-sign-randomized Hadamard rotation used by the secure-aggregation encoder.
+"""Tests for parameter-vector utilities: clipping and the sign-randomized
+Hadamard rotation used by the secure-aggregation encoder.
 """
 
 import numpy as np
@@ -10,7 +10,6 @@ from fpsim import (
     as_param_vector,
     clip_l2,
     inverse_rotation,
-    pad_to_power_of_two,
     randomized_hadamard,
     sign_vector,
 )
@@ -65,26 +64,6 @@ class TestClipL2:
             v = rng.normal(size=16) * rng.uniform(0.01, 100)
             c = rng.uniform(0.1, 10)
             assert np.linalg.norm(clip_l2(v, c)) <= c * (1 + 1e-12)
-
-
-class TestPadding:
-    def test_pads_to_next_power_of_two(self):
-        v = np.arange(5, dtype=np.float64)
-        p = pad_to_power_of_two(v)
-        assert p.shape == (8,)
-        np.testing.assert_array_equal(p[:5], v)
-        np.testing.assert_array_equal(p[5:], np.zeros(3))
-
-    def test_power_of_two_lengths_preserved(self):
-        for d in (1, 2, 4, 256):
-            v = np.ones(d)
-            assert pad_to_power_of_two(v).shape == (d,)
-
-    def test_norm_preserved(self):
-        v = np.array([3.0, 4.0, 12.0])
-        np.testing.assert_allclose(
-            np.linalg.norm(pad_to_power_of_two(v)), np.linalg.norm(v), rtol=1e-15
-        )
 
 
 class TestRandomizedHadamard:
