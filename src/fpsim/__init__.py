@@ -63,7 +63,13 @@ from fpsim.secagg import (
 )
 from fpsim.seeds import SeedPath, gaussian_vector, sign_vector
 from fpsim.tree import RestartSchedule, TreeState, init_tree, naive_private_sum
-from fpsim.vectors import as_param_vector, clip_l2, inverse_rotation, randomized_hadamard
+from fpsim.vectors import (
+    as_param_vector,
+    clip_l2,
+    inverse_rotation,
+    randomized_hadamard,
+    rotate_inplace,
+)
 
 __version__ = "0.1.0"
 
@@ -140,5 +146,6 @@ __all__ = [
     "as_param_vector",
     "clip_l2",
     "randomized_hadamard",
+    "rotate_inplace",
     "inverse_rotation",
 ]

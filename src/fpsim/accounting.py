@@ -557,12 +557,20 @@ def zcdp_to_eps(rho: float, delta: float) -> float:
 
 
 def loose_eps(rho: float, delta: float) -> float:
-    """Classical closed-form upper bound rho + 2 sqrt(rho ln(1/delta))."""
+    """Classical closed-form upper bound rho + 2 sqrt(rho ln(1/delta)).
+
+    Where the product rho ln(1/delta) overflows, the root is taken factor by
+    factor, so a finite rho keeps a finite bound; every other result is
+    the one-root value.
+    """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
     if rho < 0:
         raise ValueError("rho must be >= 0")
-    return rho + 2.0 * math.sqrt(rho * math.log(1.0 / delta))
+    log_term = math.log(1.0 / delta)
+    product = rho * log_term
+    root = math.sqrt(product) if math.isfinite(product) else math.sqrt(rho) * math.sqrt(log_term)
+    return rho + 2.0 * root
 
 
 @dataclass

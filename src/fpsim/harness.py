@@ -241,7 +241,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunResult:
         )
     (out / "config.resolved").write_text(config.canonical_text())
 
-    row = _observed_report(config, client_ids, rounds, terms)
+    row = _observed_report(config, observed_limits(client_ids, rounds, config.rounds), terms)
     _write_csv(out / "report.csv", REPORT_COLUMNS, [tuple(row[k] for k in REPORT_COLUMNS)])
     (out / "report.txt").write_text(render_report_text(row))
 
@@ -333,15 +333,14 @@ def privacy_report(
 
 def _observed_report(
     config: ExperimentConfig,
-    client_ids: np.ndarray,
-    rounds: np.ndarray,
+    limits: tuple[int, int],
     terms: PrivacyTerms,
     delta: float = REPORT_DELTA,
 ) -> dict[str, object]:
-    """A run's report row from its (client_id, round) log: the schema the
-    log attains, accounted at the run's privacy terms."""
+    """A run's report row from the (max_part, min_sep) its participation log
+    attains (observed_limits), accounted at the run's privacy terms."""
     total_rounds, _, _, restart_rounds = terms.timer_schema
-    max_part, min_sep = observed_limits(client_ids, rounds, total_rounds)
+    max_part, min_sep = limits
     return privacy_report(
         total_rounds,
         min_sep,
@@ -358,8 +357,9 @@ def post_hoc_report(run_dir: str | Path, delta: float = REPORT_DELTA) -> dict[st
     """Recompute a finished run's privacy report, with epsilon at ``delta``,
     from its participation log and resolved config (the `account --run`
     path).  A log no run could have written (a round outside the run, a
-    negative id, a repeated pair, a round without report_goal clients) is a
-    ValueError naming the file."""
+    negative id, a repeated pair, a round without report_goal clients, a
+    client back before timer_rounds have passed) is a ValueError naming the
+    file."""
     run = Path(run_dir)
     config = ExperimentConfig.from_file(run / "config.resolved")
     path = run / "participation.csv"
@@ -383,7 +383,14 @@ def post_hoc_report(run_dir: str | Path, delta: float = REPORT_DELTA) -> dict[st
             f"{path}: round {short[0]} lists {cohort_sizes[short[0]]} clients, "
             f"not report_goal = {config.report_goal}"
         )
-    return _observed_report(config, client_ids, rounds, config.privacy_terms(), delta)
+    limits = observed_limits(client_ids, rounds, config.rounds)
+    # With no client back at all, min_sep reads config.rounds.
+    if limits[1] < min(config.timer_rounds, config.rounds):
+        raise ValueError(
+            f"{path}: a client returns {limits[1]} round(s) after its previous one, "
+            f"under timer_rounds = {config.timer_rounds}"
+        )
+    return _observed_report(config, limits, config.privacy_terms(), delta)
 
 
 def sweep_privacy(sweep_cfg: SweepConfig, out_path: str | Path) -> list[tuple]:

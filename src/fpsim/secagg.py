@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fpsim.seeds import SeedPath
-from fpsim.vectors import as_param_vector, clip_l2, inverse_rotation, randomized_hadamard
+from fpsim.vectors import as_param_vector, inverse_rotation, rotate_inplace
 from fpsim._kernels import stochastic_round
 
 __all__ = [
@@ -168,24 +168,36 @@ def encode_client(
     retry_cap consecutive times.
     """
     delta = as_param_vector(delta)
-    if delta.shape[0] > config.padded_dim:
+    d = delta.shape[0]
+    if d > config.padded_dim:
         raise ValueError("update is wider than the padded dimension")
-    scaled = clip_l2(delta * config.scale, config.scale * config.clip_norm)
-    padded = np.zeros(config.padded_dim, dtype=np.float64)
-    padded[: delta.shape[0]] = scaled
-    rotated = randomized_hadamard(padded, rotation_signs)
+    # One padded row carries the update through scale, clip, rotation and
+    # clamp; each step is the same float arithmetic as clip_l2,
+    # randomized_hadamard and np.clip on copies.
+    row = np.zeros(config.padded_dim, dtype=np.float64)
+    head = row[:d]
+    np.multiply(delta, config.scale, out=head)
+    scaled_clip = config.scale * config.clip_norm
+    if not scaled_clip > 0:
+        raise ValueError("clip_norm must be > 0")
+    norm = float(np.linalg.norm(head))
+    if not math.isfinite(norm):
+        as_param_vector(head)  # raises when the scaling overflowed an entry
+    if norm > scaled_clip:
+        head *= scaled_clip / norm
+    rotate_inplace(row, rotation_signs)
     bound = float(config.infinity_bound)
-    clamped_count = int(np.count_nonzero(np.abs(rotated) > bound))
-    clamped = np.clip(rotated, -bound, bound)
+    clamped_count = int(np.count_nonzero(np.abs(row) > bound))
+    np.clip(row, -bound, bound, out=row)
 
     norm_bound_sq = _rounded_norm_bound_sq(config)
     rounded = np.empty(config.padded_dim, dtype=np.float64)
     for attempt in range(config.retry_cap):
         uniforms = seed.child("round-attempt", attempt).generator().random(config.padded_dim)
-        stochastic_round(clamped, uniforms, rounded)
+        stochastic_round(row, uniforms, rounded)
         if float(rounded @ rounded) <= norm_bound_sq:
-            shifted = rounded + bound
-            return shifted.astype(np.int64), clamped_count
+            rounded += bound
+            return rounded.astype(np.int64), clamped_count
     raise RoundingRetriesExhausted(
         f"stochastic rounding exceeded the norm bound {config.retry_cap} times"
     )

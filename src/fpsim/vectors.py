@@ -16,6 +16,7 @@ __all__ = [
     "as_param_vector",
     "clip_l2",
     "randomized_hadamard",
+    "rotate_inplace",
     "inverse_rotation",
 ]
 
@@ -52,15 +53,27 @@ def clip_l2(v: np.ndarray, clip_norm: float) -> np.ndarray:
     return v * (clip_norm / norm)
 
 
-def _check_rotation_args(v: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, int]:
-    v = as_param_vector(v)
-    d = v.shape[0]
+def _check_rotation_signs(d: int, signs: np.ndarray) -> np.ndarray:
     if d < 1 or d & (d - 1):
         raise ValueError(f"dimension must be a power of two, got {d}")
     signs = np.asarray(signs, dtype=np.float64)
     if signs.shape != (d,) or not np.all(np.abs(signs) == 1.0):
         raise ValueError("signs must be a length-d vector over {-1, +1}")
-    return v, d
+    return signs
+
+
+def rotate_inplace(x: np.ndarray, signs: np.ndarray) -> None:
+    """Overwrite ``x`` with randomized_hadamard(x, signs).
+
+    x must be a C-contiguous float64 vector of finite entries, which is the
+    caller's to check (the SecAgg encoder validates its update once and
+    rotates its own zero-padded row); its width and the signs are checked.
+    """
+    d = x.shape[0]
+    signs = _check_rotation_signs(d, signs)
+    x *= signs
+    fwht_inplace(x)
+    x *= 1.0 / np.sqrt(d)
 
 
 def randomized_hadamard(v: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -69,10 +82,8 @@ def randomized_hadamard(v: np.ndarray, signs: np.ndarray) -> np.ndarray:
     An isometry: the L2 norm is preserved up to float64 rounding.  Requires
     power-of-two length (callers zero-pad to it).
     """
-    v, d = _check_rotation_args(v, signs)
-    out = v * signs
-    fwht_inplace(out)
-    out *= 1.0 / np.sqrt(d)
+    out = as_param_vector(v).copy()
+    rotate_inplace(out, signs)
     return out
 
 
@@ -82,8 +93,9 @@ def inverse_rotation(v: np.ndarray, signs: np.ndarray) -> np.ndarray:
     The normalized Hadamard matrix is symmetric and orthogonal, so the
     inverse is diag(signs) applied after the same transform.
     """
-    v, d = _check_rotation_args(v, signs)
-    out = v.copy()
+    out = as_param_vector(v).copy()
+    d = out.shape[0]
+    signs = _check_rotation_signs(d, signs)
     fwht_inplace(out)
     out *= 1.0 / np.sqrt(d)
     out *= signs

@@ -479,6 +479,20 @@ class TestPrivacyLedger:
         assert math.isfinite(ledger.epsilon(1e-10))
         assert zcdp_to_delta(1e300, 0.0) == 1.0
 
+    def test_rho_past_the_loose_products_overflow_has_finite_epsilon(self):
+        """At z = 1e-153 the run's rho is finite but rho * ln(1/delta) is
+        not; the loose bound, and the tight epsilon bisected below it, stay
+        finite."""
+        ledger = PrivacyLedger(ParticipationSchema(200, 50, 4, (128,)), 1e-153)
+        log_term = math.log(1e10)
+        assert math.isfinite(ledger.rho) and math.isinf(ledger.rho * log_term)
+        loose = ledger.loose_epsilon(1e-10)
+        assert loose == ledger.rho + 2.0 * math.sqrt(ledger.rho) * math.sqrt(log_term)
+        assert ledger.rho <= ledger.epsilon(1e-10) <= loose < math.inf
+        # Where the product is finite the bound is the one-root value.
+        for rho in (0.0, 0.5, 1e300):
+            assert loose_eps(rho, 1e-10) == rho + 2.0 * math.sqrt(rho * log_term)
+
     def test_non_private_marker(self):
         ledger = PrivacyLedger(_schema(8), z=0.0)
         assert ledger.non_private

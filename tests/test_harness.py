@@ -230,10 +230,18 @@ class TestReportConsistency:
         assert type(result.observed_min_sep) is int
 
 
-def _tampered_log(small_run, tmp_path, edit):
-    """A copy of the small run's config and participation log, with the
-    log's data rows passed through ``edit``."""
-    _, result = small_run
+@pytest.fixture(scope="module")
+def fixed_run(tmp_path_factory):
+    """The small run with a fixed clip: 12 rounds, timer_rounds 3."""
+    out = tmp_path_factory.mktemp("runs") / "fixed"
+    config = ExperimentConfig.from_text(SMALL_CONFIG.replace("clip.mode = adaptive", "clip.mode = fixed"))
+    return config, run_experiment(config, out)
+
+
+def _tampered_log(run, tmp_path, edit):
+    """A copy of a run's config and participation log, with the log's data
+    rows passed through ``edit``."""
+    _, result = run
     (tmp_path / "config.resolved").write_bytes((result.directory / "config.resolved").read_bytes())
     header, *rows = (result.directory / "participation.csv").read_text().splitlines()
     (tmp_path / "participation.csv").write_text("\n".join([header, *edit(rows)]) + "\n")
@@ -285,6 +293,42 @@ class TestParticipationLogValidation:
         copy = _tampered_log(small_run, tmp_path, first_row_per_client)
         with pytest.raises(ValueError, match=r"participation\.csv: round \d+ lists \d+ clients"):
             post_hoc_report(copy)
+
+    def test_client_back_before_its_timer_rejected(self, fixed_run, tmp_path):
+        """One client swapped into every round keeps each round at
+        report_goal distinct clients, but no timer of 3 rounds lets a client
+        back after 1."""
+
+        def one_client_every_round(rows):
+            client = rows[0].split(",")[0]
+            by_round = {}
+            for row in rows:
+                by_round.setdefault(row.split(",")[1], []).append(row)
+            out = []
+            for round_index, round_rows in by_round.items():
+                if client not in {row.split(",")[0] for row in round_rows}:
+                    round_rows = [f"{client},{round_index}", *round_rows[1:]]
+                out.extend(round_rows)
+            return out
+
+        config, result = fixed_run
+        assert (config.rounds, config.timer_rounds, result.observed_min_sep) == (12, 3, 3)
+        copy = _tampered_log(fixed_run, tmp_path, one_client_every_round)
+        with pytest.raises(
+            ValueError,
+            match=r"participation\.csv: a client returns 1 round\(s\) after its previous one, "
+            r"under timer_rounds = 3",
+        ):
+            post_hoc_report(copy)
+
+    def test_timer_longer_than_the_run_accepted(self, tmp_path):
+        """With no client back at all, the observed separation reads the run
+        length, which a timer longer than the run does not make a violation."""
+        text = SMALL_CONFIG.replace("clip.mode = adaptive", "clip.mode = fixed")
+        config = ExperimentConfig.from_text(text.replace("timer_rounds = 3", "timer_rounds = 14"))
+        result = run_experiment(config, tmp_path / "run")
+        assert (result.observed_max_part, result.observed_min_sep) == (1, 12)
+        assert post_hoc_report(result.directory)["rho"] == result.final_rho
 
 
 class TestDeterminism:

@@ -5,10 +5,14 @@ implementation, in numpy; these tests pin what the SecAgg codec relies on.
 """
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import hadamard
 
 import fpsim
 from fpsim._kernels import fwht_inplace, stochastic_round
+from oracles import reference_fwht
 
 
 def _round(x, u):
@@ -18,6 +22,23 @@ def _round(x, u):
 
 
 class TestFWHT:
+    @pytest.mark.parametrize("log_width", range(16))
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), signed=st.booleans())
+    def test_bytes_match_one_pass_per_level(self, log_width, seed, signed):
+        """The constant-geometry kernel writes the same bytes as the
+        in-place butterfly (reference_fwht), lowest bit first, at every width
+        2^0..2^15, for entries whose magnitudes span 1e-3..1e3."""
+        rng = np.random.default_rng(seed)
+        n = 1 << log_width
+        x = 10.0 ** rng.uniform(-3.0, 3.0, size=n)
+        if signed:
+            x *= rng.choice((-1.0, 1.0), size=n)
+        want = x.copy()
+        reference_fwht(want)
+        fwht_inplace(x)
+        assert x.tobytes() == want.tobytes()
+
     def test_impulse_spreads_uniformly(self):
         """The unnormalized transform of e_0 is the all-ones vector."""
         v = np.zeros(8)

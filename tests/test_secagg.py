@@ -7,6 +7,7 @@ modulus is derived so that a full cohort of in-range vectors can never wrap,
 making the codec an exact integer transport up to rounding error.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -28,7 +29,10 @@ from fpsim import (
     modular_sum,
     sign_vector,
 )
+from fpsim import secagg
+from fpsim._kernels import stochastic_round
 from fpsim.secagg import ROUNDING_NORM_ALPHA, _rounded_norm_bound_sq
+from oracles import reference_encode, reference_fwht
 
 
 class TestDeriveConfig:
@@ -274,6 +278,66 @@ class TestClamping:
         recount = int(np.count_nonzero(np.abs(rotated) > cfg.infinity_bound))
         assert recount > 0
         assert clamped == recount
+
+
+class TestEncodeBytes:
+    """encode_client works in place on one padded row; its output must be
+    the bytes of the step-by-step pipeline on fresh arrays."""
+
+    def test_secagg_wide_shape_matches_reference_pipeline(self, monkeypatch):
+        """d = 10^4 padded to 16384, s = 100, clip norm 1: wide enough that a
+        wrong butterfly level order would change the bytes of
+        the row handed to stochastic rounding, which the test records.
+        Updates below and above the clip norm, and one aligned with a
+        Hadamard row so that the clamp cuts coordinates."""
+        rounding_inputs = []
+
+        def recording_round(x, u, out):
+            rounding_inputs.append(x.tobytes())
+            stochastic_round(x, u, out)
+
+        monkeypatch.setattr(secagg, "stochastic_round", recording_round)
+        d = 10_000
+        cfg = derive_config(1.0, 100.0, d, 20)
+        assert cfg.padded_dim == 16384
+        signs = sign_vector(SeedPath(12).child("rot"), cfg.padded_dim)
+        row = np.zeros(cfg.padded_dim)
+        row[3] = 1.0
+        reference_fwht(row)  # row 3 of the Sylvester Hadamard matrix
+        rng = np.random.default_rng(12)
+        updates = [
+            rng.normal(size=d) * 0.005,
+            rng.normal(size=d) * 0.05,
+            signs[:d] * row[:d],
+        ]
+        clamps = []
+        for index, delta in enumerate(updates):
+            seed = SeedPath(12).child("client", index)
+            got, clamped = encode_client(delta, cfg, signs, seed)
+            want, want_clamped, want_row = reference_encode(delta, cfg, signs, seed)
+            assert rounding_inputs[-1] == want_row.tobytes()
+            assert got.dtype == want.dtype == np.int64
+            assert got.tobytes() == want.tobytes()
+            assert clamped == want_clamped
+            clamps.append(clamped)
+        assert clamps[0] == 0 and clamps[2] > 0
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_update_and_signs_still_checked(self):
+        cfg = derive_config(1.0, 100.0, 64, 4)
+        signs = sign_vector(SeedPath(13).child("rot"), cfg.padded_dim)
+        seed = SeedPath(13).child("c")
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            encode_client(np.full(64, np.nan), cfg, signs, seed)
+        huge = dataclasses.replace(cfg, scale=1e300)
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            encode_client(np.full(64, 1e10), huge, signs, seed)  # the scaling overflows
+        with pytest.raises(ValueError, match="wider than the padded"):
+            encode_client(np.zeros(65), cfg, signs, seed)
+        with pytest.raises(ValueError, match="signs"):
+            encode_client(np.zeros(64), cfg, signs[:32], seed)
+        with pytest.raises(ValueError, match="signs"):
+            encode_client(np.zeros(64), cfg, signs * 2.0, seed)
 
 
 class TestFailureModes:

@@ -11,6 +11,7 @@ from fpsim import (
     clip_l2,
     inverse_rotation,
     randomized_hadamard,
+    rotate_inplace,
     sign_vector,
 )
 
@@ -111,3 +112,15 @@ class TestRandomizedHadamard:
         signs = sign_vector(SeedPath(0).child("r", 4), 32)
         with pytest.raises(ValueError):
             randomized_hadamard(np.ones(64), signs)
+
+    def test_in_place_rotation_writes_the_same_bytes(self):
+        rng = np.random.default_rng(5)
+        signs = sign_vector(SeedPath(0).child("r", 5), 256)
+        v = rng.normal(size=256)
+        x = v.copy()
+        rotate_inplace(x, signs)
+        assert x.tobytes() == randomized_hadamard(v, signs).tobytes()
+        with pytest.raises(ValueError, match="power of two"):
+            rotate_inplace(np.ones(6), np.ones(6))
+        with pytest.raises(ValueError, match="signs"):
+            rotate_inplace(np.ones(64), signs)
