@@ -3,8 +3,8 @@
 Every timing starts from an empty solver cache, so it includes building the
 DP tables the computation needs, as a fresh process would.  One more cold
 call per case, untimed and under tracemalloc, gives its peak of traced
-memory and the bytes of the tables the solver keeps afterwards.  Run from
-the repo root:
+memory and the bytes of the step-end tables the solver keeps afterwards.
+Run from the repo root:
 
     python benchmarks/bench_accounting.py
     python benchmarks/bench_accounting.py --repeats 5
@@ -27,8 +27,12 @@ COLUMN_SCHEMA = ParticipationSchema(700, 20, 35, (128,))
 # One 2048-round tree at min_sep 1000: the wide-table cold solve.
 WIDE_SCHEMA = ParticipationSchema(2048, 1000, 3)
 
-# Twice as wide and twice as long: 4000 x 4000 bytes per table at 4 B a cell.
+# Twice as wide and twice as long.
 WIDER_SCHEMA = ParticipationSchema(4096, 2000, 3)
+
+# Production-scale timers: min_sep 4000 and 8000, where dense int32 tables
+# would take 64 MB and 256 MB each.
+WIDEST_SCHEMAS = (ParticipationSchema(8192, 4000, 3), ParticipationSchema(16384, 8000, 3))
 
 # Every round hit at min_sep 1: thousands of 1x1 tables, so the per-table
 # cost of the build dominates, not its arithmetic.
@@ -53,8 +57,8 @@ def _time_cold(fn, repeats: int) -> float:
 
 
 def _memory_cold(fn) -> tuple[int, int]:
-    """(tracemalloc peak, bytes of the cached tables) of one call from an
-    empty solver cache."""
+    """(tracemalloc peak, bytes of the cached step-end tables) of one call
+    from an empty solver cache."""
     accounting._SOLVER_CACHE.clear()
     tracemalloc.start()
     try:
@@ -63,9 +67,10 @@ def _memory_cold(fn) -> tuple[int, int]:
     finally:
         tracemalloc.stop()
     tables = sum(
-        table.nbytes
+        array.nbytes
         for solver in accounting._SOLVER_CACHE.values()
-        for table in solver._tables.values()
+        for level in solver._levels
+        for array in level
     )
     return peak, tables
 
@@ -88,7 +93,7 @@ def main() -> None:
             schema,
             lambda schema=schema: accounting.worst_case_sensitivity_sq(schema),
         )
-        for schema in (WIDE_SCHEMA, WIDER_SCHEMA, TINY_SCHEMA, PRODUCTION_SCHEMA)
+        for schema in (WIDE_SCHEMA, WIDER_SCHEMA, *WIDEST_SCHEMAS, TINY_SCHEMA, PRODUCTION_SCHEMA)
     )
     print(
         f"accountant (seconds per call, best of {args.repeats}, cold solver cache; "
@@ -104,7 +109,7 @@ def main() -> None:
         restarts = len(schema.restart_rounds)
         print(
             f"  {label:<28}{schema.min_sep:>8}{schema.max_part:>9}{restarts:>9}"
-            f"{seconds:>10.3f}{peak / 1e6:>10.1f}{tables / 1e6:>11.1f}"
+            f"{seconds:>10.3f}{peak / 1e6:>10.1f}{tables / 1e6:>11.3f}"
         )
 
 

@@ -24,7 +24,6 @@ it and is always ``"numpy"``.
 from fpsim.accounting import (
     ParticipationSchema,
     PrivacyLedger,
-    brute_force_sensitivity_sq,
     loose_eps,
     sweep,
     prefix_sensitivity_sq,
@@ -81,7 +80,6 @@ __all__ = [
     # accounting
     "ParticipationSchema",
     "PrivacyLedger",
-    "brute_force_sensitivity_sq",
     "worst_case_sensitivity_sq",
     "prefix_sensitivity_sq",
     "zcdp",

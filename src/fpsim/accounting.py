@@ -14,10 +14,10 @@ by the scheduler's limits:
 and converts it to rho-zCDP via rho = sensitivity^2 / (2 z^2) and on to
 (epsilon, delta) via the optimal Gaussian-style conversion.
 
-Two solvers compute the worst-case sensitivity: an exponential brute force
-over patterns (the test oracle, capped at 24 rounds) and an exact dynamic
-program over subtrees that shares tables across trees and scales to the
-production-sized schedules this simulator models.  The dynamic program
+The worst-case sensitivity comes from an exact dynamic program over
+subtrees that shares tables across trees and scales to the
+production-sized schedules this simulator models (the tests hold it to a
+brute-force enumeration of patterns wherever that runs).  The program
 folds the forest's trees left to right, and the fold state after each tree
 answers for the forest up to that tree.  ``prefix_sensitivity_sq`` (and
 ``prefix_zcdp`` on top of it) keeps those states on a stack, one per tree,
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +39,6 @@ __all__ = [
     "ParticipationSchema",
     "PrivacyLedger",
     "pattern_sensitivity_sq",
-    "brute_force_sensitivity_sq",
     "worst_case_sensitivity_sq",
     "prefix_sensitivity_sq",
     "zcdp",
@@ -53,9 +53,6 @@ __all__ = [
 # The solver's tables and fold states mark an infeasible entry with this
 # value (see _SensitivitySolver); every negative entry is infeasible.
 _INFEASIBLE = -(1 << 30)
-
-BRUTE_FORCE_MAX_ROUNDS = 24
-
 
 @dataclass(frozen=True)
 class ParticipationSchema:
@@ -132,50 +129,6 @@ def pattern_sensitivity_sq(schema: ParticipationSchema, rounds: tuple[int, ...])
     return total
 
 
-def brute_force_sensitivity_sq(
-    total_rounds: int,
-    min_sep: int,
-    max_part: int,
-    restart_rounds: tuple[int, ...] = (),
-) -> float:
-    """Exhaustive worst-case sensitivity; the oracle for the fast solver.
-
-    Enumerates every pattern with gaps >= min_sep and size <= max_part by
-    depth-first search, maintaining node counts incrementally.
-    """
-    if total_rounds > BRUTE_FORCE_MAX_ROUNDS:
-        raise ValueError(
-            f"brute force is exponential; total_rounds must be <= {BRUTE_FORCE_MAX_ROUNDS}"
-        )
-    schema = ParticipationSchema(total_rounds, min_sep, max_part, restart_rounds)
-    nodes = _forest_nodes(schema)
-    covering = [
-        [i for i, (start, end) in enumerate(nodes) if start <= r < end]
-        for r in range(total_rounds)
-    ]
-    counts = [0] * len(nodes)
-    max_part = schema.max_part
-    best = 0.0
-
-    def visit(next_round: int, remaining: int, running: float) -> None:
-        nonlocal best
-        if running > best:
-            best = running
-        if remaining == 0:
-            return
-        for r in range(next_round, total_rounds):
-            delta = 0
-            for v in covering[r]:
-                delta += 2 * counts[v] + 1
-                counts[v] += 1
-            visit(r + min_sep, remaining - 1, running + delta)
-            for v in covering[r]:
-                counts[v] -= 1
-
-    visit(0, max_part, 0.0)
-    return best
-
-
 class _SensitivitySolver:
     """Exact worst-case sensitivity via dynamic programming over subtrees.
 
@@ -189,47 +142,43 @@ class _SensitivitySolver:
 
     Margins only matter up to ``width`` = min(min_sep, tallest tree size +
     1), past which every margin is equally infeasible: tables are clamped
-    there and serve every tree that fits.  The inner maximization over the
-    midline margin u is a max-plus matrix product, batched over the split
-    i.  Every table is non-increasing in both margins (a larger requirement
-    only removes patterns), so a left row F[k-1][i][a, u] is non-increasing
-    in u while the right side, F[k-1][p-i] read at row min_sep - 1 - u, is
-    non-decreasing in u: only the last u of each constant step of a left row
-    can attain the max.  Tables hold few distinct values (one or two per row
-    at min_sep 1000), so reading step ends only turns the O(width^3) product
-    into roughly O(width^2) work with the same sums, which is what makes
-    production-sized schedules (min_sep in the hundreds to thousands) fast.
+    there and serve every tree that fits.  Every table is non-increasing in
+    both margins (a larger requirement only removes patterns), so a left
+    row F[k-1][i][a, u] is non-increasing in u while the right side,
+    F[k-1][p-i] read at row min_sep - 1 - u, is non-decreasing in u: only
+    the last u of each constant step of a left row can attain the max.
 
-    Every feasible value is an integer (a sum of squared node counts), and
-    tables and fold states share one encoding: an entry >= 0 is feasible,
-    a negative one infeasible, stored as exactly ``_INFEASIBLE`` = -2^30.
-    Tables are int32, 4 bytes per cell (two sentinels still add inside
-    int32); the build refuses a value of 2^30 or more.  The p = 1 tables
-    are never stored: one placement is covered by its root path, so
-    F[k][1][a, b] is k + 1 where a + b <= 2^k - 1 and infeasible elsewhere,
-    built only where the table build stacks it with other halves and used
-    in closed form by the fold.
+    Tables are stored as those step ends (_StepRows), never dense: a row
+    holds few distinct values (at most three at min_sep 1000).  One store
+    per level k holds F[k][p] row a at row (p - 2) * width + a, for p up to
+    the largest max_part asked so far.  A table row is the max of step
+    functions (the two all-in-one-half terms, and per split and left step
+    end the right row lifted by the left value), so the build finds its
+    step ends from theirs alone, in chunks of rows.  Tables with p >= 2
+    exist only where 2^k > min_sep, so every midline margin u < width <=
+    min_sep is a row.  F[k][1] is k + 1 where a + b <= 2^k - 1 (one
+    placement is covered by its root path): never stored, it is written
+    out to build the level above and used in closed form by the fold.
+    Values (sums of squared node counts) are int32; the build refuses 2^30.
 
     A forest (trees left to right, adjacent in time) is folded left to
     right: H[j][p][b] is the best total over trees 0..j with exactly p
     placements and right margin >= b (empty leaves after the last one, up
     to the end of tree j), choosing per tree to skip it, fill it, or split
     with the same complementary-margin coupling across tree boundaries.
-    The fold state is int64, one row per p, its infeasible entries reset
-    to the sentinel after each tree.  Its rows are non-increasing in b, so
-    a split (a table read at margin u, the state read at min_sep - 1 - u)
-    goes through the table build's max-plus.  A sum with a sentinel stays
-    negative while every state value is below 2^30, which ``_best``
-    checks, so every sum is exact.  The fold state after each tree is a
-    complete answer for the forest so far, which is what lets
-    ``prefix_sensitivity_sq`` keep one state per tree and refold only the
-    trees a new round changes.
+    The fold state is int64, one row per p, non-increasing in b, an entry
+    >= 0 feasible and an infeasible one exactly ``_INFEASIBLE`` = -2^30.
+    A sum with a sentinel stays negative while every state value is below
+    2^30, which ``_best`` checks, so every sum is exact.  The fold state
+    after each tree is a complete answer for the forest so far, which is
+    what lets ``prefix_sensitivity_sq`` keep one state per tree and refold
+    only the trees a new round changes.
     """
 
     def __init__(self, min_sep: int, width: int) -> None:
         self.min_sep = min_sep
         self.width = width
-        self._tables: dict[tuple[int, int], np.ndarray] = {}
+        self._levels: list[_StepRows] = []
 
     def empty_state(self, total_rounds: int) -> np.ndarray:
         """Fold state of an empty forest, for forests of at most total_rounds.
@@ -245,51 +194,57 @@ class _SensitivitySolver:
         """Most participations 2^k adjacent rounds can hold at this min_sep."""
         return 1 + ((1 << k) - 1) // self.min_sep
 
-    def _table(self, k: int, p: int) -> np.ndarray:
-        """F[k][p] over the (a, b) margin grid, as int32; memoized for p >= 2.
+    def _level(self, k: int, max_part: int) -> _StepRows:
+        """The store of level k, with F[k][p] for 2 <= p <= min(max_part,
+        capacity(k)): only feasible tables are built, so a split that puts
+        more than a half's capacity on one side is skipped."""
+        self._levels.extend(_StepRows.concat([]) for _ in range(len(self._levels), k + 1))
+        built = 1 + (self._levels[k].offsets.size - 1) // self.width
+        wanted = min(max_part, self.capacity(k))
+        if built < wanted:
+            # F[k-1][1]: row a <= 2^(k-1) - 1 is k up to b = 2^(k-1) - 1 - a.
+            a = np.arange(min(self.width, 1 << (k - 1)))
+            ends = np.minimum((1 << (k - 1)) - 1 - a, self.width - 1)
+            single = _StepRows.upper(self.width, self.width, a, ends, np.full(a.size, k))
+            below = _StepRows.concat([single, self._level(k - 1, wanted)])
+            new = self._build(k, built + 1, wanted, below)
+            self._levels[k] = _StepRows.concat([self._levels[k], new])
+        return self._levels[k]
 
-        Only feasible tables are built (1 <= p <= capacity(k)): a split that
-        puts more than a half's capacity on one side is skipped, not read
-        from an all-infeasible table.
-        """
-        key = (k, p)
-        cached = self._tables.get(key)
-        if cached is not None:
-            return cached
-        assert 1 <= p <= self.capacity(k)
-        width = self.width
-        margins = np.arange(width)
-        if p == 1:
-            # One placement covered by its root path: k + 1 nodes of count 1.
-            feasible = margins[:, None] <= (1 << k) - 1 - margins[None, :]
-            return np.where(feasible, np.int32(k + 1), np.int32(_INFEASIBLE))
-        half = 1 << (k - 1)
-        half_cap = self.capacity(k - 1)
-        if p <= half_cap:
-            # All p in the left half (right margin shrinks by the half
-            # width) or all in the right half (left margin shrinks).
-            shifted = np.maximum(margins - half, 0)
-            prev_same = self._table(k - 1, p)
-            table = np.maximum(prev_same[:, shifted], prev_same[shifted, :])
-        else:
-            table = np.full((width, width), _INFEASIBLE, dtype=np.int32)
-        u_count = min(self.min_sep, half)
-        complement = np.minimum(np.maximum(self.min_sep - 1 - np.arange(u_count), 0), width - 1)
-        splits = range(max(1, p - half_cap), min(p - 1, half_cap) + 1)
-        if splits:
-            # The splits' right-half counts p - i are their left-half
-            # counts reversed, so one stack serves both sides.
-            halves = np.stack([self._table(k - 1, i) for i in splits])
-            right = halves[::-1][:, complement, :]
-            _step_end_maxplus(halves[:, :, :u_count], right, table)
-        if int(table.max()) + p * p >= -_INFEASIBLE:
-            raise OverflowError(f"table F[{k}][{p}] exceeds the int32 range, 2^30")
-        # Infeasible sums lie in [-2^30, 0); reset them before adding p^2,
-        # which could lift one near 0 to a feasible-looking value.
-        table[table < 0] = _INFEASIBLE - p * p
-        table += p * p
-        self._tables[key] = table
-        return table
+    def _build(self, k: int, p_lo: int, p_hi: int, below: _StepRows) -> _StepRows:
+        """F[k][p] for 2 <= p_lo <= p <= p_hi at row (p - p_lo) * width + a,
+        from ``below``, F[k-1][p] at row (p - 1) * width + a for p >= 1."""
+        width, half, half_cap = self.width, 1 << (k - 1), self.capacity(k - 1)
+        shifted = np.maximum(np.arange(width) - half, 0)
+        total = (p_hi - p_lo + 1) * width
+        step = max(1, _CHUNK_SPLITS // (1 + min(p_hi - 1, half_cap)))
+        parts = []
+        for lo in range(0, total, step):
+            chunk = np.arange(lo, min(total, lo + step))
+            p, a = p_lo + chunk // width, chunk % width
+            # All p in the left half, F[k-1][p][a, b - half] (each end moves
+            # right by half), or all in the right half, F[k-1][p][a - half, b].
+            same = (p[: np.searchsorted(p, half_cap, side="right")] - 1) * width
+            left_row, left_end, left_value = below.entries(same + a[: same.size])
+            right_row, right_end, right_value = below.entries(same + shifted[a[: same.size]])
+            # Split i / p - i: each step end (u, value) of F[k-1][i] row a
+            # lifts F[k-1][p-i] row min_sep - 1 - u by that value.
+            first = np.maximum(p - half_cap, 1)
+            pair, i = _ragged(first, np.maximum(np.minimum(p - 1, half_cap) - first + 1, 0))
+            cand, u, lift = below.entries((i - 1) * width + a[pair])
+            complement = np.minimum(self.min_sep - 1 - u, width - 1)
+            lifted, split_end, split_value = below.entries(
+                (p[pair[cand]] - i[cand] - 1) * width + complement
+            )
+            rows = np.concatenate([left_row, right_row, pair[cand[lifted]]])
+            values = np.concatenate([left_value, right_value, lift[lifted] + split_value])
+            values = values + p[rows] ** 2  # int64, so an overflow shows
+            if values.size and values.max() >= -_INFEASIBLE:
+                worst = p[rows[values.argmax()]]
+                raise OverflowError(f"table F[{k}][{worst}] exceeds the int32 range, 2^30")
+            ends = np.concatenate([np.minimum(left_end + half, width - 1), right_end, split_end])
+            parts.append(_StepRows.upper(chunk.size, width, rows, ends, values))
+        return _StepRows.concat(parts)
 
     def fold(self, state: np.ndarray, k: int, end: int, max_part: int) -> np.ndarray:
         """Fold one tree of 2^k leaves, ending at round ``end``, onto the
@@ -304,12 +259,10 @@ class _SensitivitySolver:
         size = 1 << k
         count, length = state.shape
         margins = np.arange(length)
-        tree_cap = self.capacity(k)
         new_cap = min(max_part, 1 + (end - 1) // self.min_sep)
-        u_count = min(self.min_sep, size)
-        # With u empty leaves before this tree's first placement, the earlier
-        # trees need right margin min_sep - 1 - u for a gap of min_sep.
-        complement = np.minimum(self.min_sep - 1 - np.arange(u_count), length - 1)
+        # With u < u_count = min(min_sep, size) empty leaves before this tree's
+        # first placement, the earlier trees need right margin min_sep - 1 - u.
+        complement = np.minimum(self.min_sep - 1 - np.arange(min(self.min_sep, size)), length - 1)
         rest = state[:, complement]
         # inside[p, b]: the best total with p placements, at least one of
         # them in this tree, and right margin b in it (by table row b; the
@@ -318,18 +271,14 @@ class _SensitivitySolver:
         # One placement here and p - 1 before (none for p = 1: rest[0] is 0).
         top = min(new_cap, count)
         inside[1 : top + 1] = _one_placement(rest[:top], k, self.width)
-        for q in range(2, min(tree_cap, new_cap) + 1):
-            table = self._table(k, q)
-            np.maximum(inside[q], table[:, 0], out=inside[q])  # all q here
-            # q here and r = 1 .. r_top before, for p = q + r: inside[q + r,
-            # b] is the max over u of table[b, u] + rest[r, u].
+        q_top = min(self.capacity(k), new_cap)
+        tables = self._level(k, q_top)
+        for q in range(2, q_top + 1):
+            # q here and r = 0 .. r_top before: inside[q + r, b] is the max
+            # over u of F[k][q][b, u] + rest[r, u] (every u < width <= u_count).
+            rows, u, value = tables.entries(np.arange((q - 2) * self.width, (q - 1) * self.width))
             r_top = min(count - 1, new_cap - q)
-            if r_top > 0:
-                _step_end_maxplus(
-                    table[None, :, :u_count],
-                    rest[1 : r_top + 1].T[None],
-                    inside[q + 1 : q + r_top + 1].T,
-                )
+            _step_end_maxplus(rows, value, u, rest[: r_top + 1].T, inside[q : q + r_top + 1].T)
         # Margins past width - 1 read the last row.
         new_state = inside[:, np.minimum(margins, self.width - 1)]
         # This tree left empty: the earlier placements' margin shrinks by size.
@@ -364,36 +313,89 @@ def _one_placement(rest: np.ndarray, k: int, width: int) -> np.ndarray:
     return np.maximum.accumulate(rest, axis=1)[:, reach] + single
 
 
-# Cells gathered per chunk by _step_end_maxplus: 1 MB of int32 in the table
-# build, 2 MB of int64 in the fold.
+# (row, split) pairs per chunk of the table build; in-half terms count as one.
+_CHUNK_SPLITS = 1 << 14
+
+
+class _StepRows(NamedTuple):
+    """Rows of non-increasing tables, each stored as its step ends.
+
+    Row r is entries offsets[r] .. offsets[r + 1] - 1 by increasing end: it
+    reads values[j] from just after the previous entry's end (from column 0
+    for its first) through ends[j], and is infeasible after its last end.
+    """
+
+    offsets: np.ndarray
+    ends: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def upper(
+        cls, n_rows: int, width: int, rows: np.ndarray, ends: np.ndarray, values: np.ndarray
+    ) -> _StepRows:
+        """Rows 0 .. n_rows - 1 whose row r at column b is the largest
+        values[j] with rows[j] == r and ends[j] >= b (infeasible if none):
+        read from the right, it steps up at each end that passes every value
+        right of it, and those are its step ends."""
+        key = rows * width + ends
+        order = np.argsort(key)[::-1]  # by row, then by end, from the last
+        key, values = key[order], values[order]
+        group = np.flatnonzero(np.diff(key, prepend=-1))  # one (row, end) each
+        best = np.maximum.reduceat(values, group) if key.size else values
+        key = key[group]
+        # Lifted above the rows before it in this order, a row's running max
+        # is the max of its values at or right of each end.
+        lift = (n_rows - key // width) << 32
+        running = np.maximum.accumulate(best + lift)
+        steps = np.flatnonzero(np.diff(running, prepend=-1))[::-1]
+        offsets = np.cumsum(np.bincount(key[steps] // width + 1, minlength=n_rows + 1))
+        return cls(offsets, (key[steps] % width).astype(np.int32), best[steps].astype(np.int32))
+
+    @classmethod
+    def concat(cls, parts: list[_StepRows]) -> _StepRows:
+        """The rows of ``parts`` one after another."""
+        shifts = np.cumsum([0] + [part.offsets[-1] for part in parts])
+        return cls(
+            np.concatenate([shifts[:1], *(p.offsets[1:] + s for p, s in zip(parts, shifts))]),
+            np.concatenate([np.zeros(0, dtype=np.int32), *(part.ends for part in parts)]),
+            np.concatenate([np.zeros(0, dtype=np.int32), *(part.values for part in parts)]),
+        )
+
+    def entries(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every entry of the rows ``rows``, row by row: (the index into
+        ``rows`` of its row, its end, its value)."""
+        starts = self.offsets[rows]
+        owner, entry = _ragged(starts, self.offsets[rows + 1] - starts)
+        return owner, self.ends[entry], self.values[entry]
+
+
+def _ragged(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The runs starts[j] .. starts[j] + counts[j] - 1 one after another,
+    as (the j of each element, the element)."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    first = np.cumsum(counts) - counts
+    return owner, starts[owner] + (np.arange(owner.size) - first[owner])
+
+
+# Cells of right rows gathered per chunk by _step_end_maxplus: 2 MB of int64.
 _CANDIDATE_CELLS = 1 << 18
 
 
-def _step_end_maxplus(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> None:
-    """out[a, b] = max(out[a, b], max over i, u of left[i, a, u] + right[i, u, b]).
-
-    Integer arrays (the fold's right side and ``out``, a view of its state,
-    are int64), negative entries infeasible: ``left`` (splits, rows, inner)
-    must be non-increasing along u in every row and ``right`` (splits,
-    inner, cols) non-decreasing along u in every column.  Then
-    within a run of equal left[i, a, u] the last u attains the run's max,
-    so only those step ends (with feasible values) are candidates: the same
-    sums as the dense product, over far fewer u.  A candidate that meets an
-    infeasible right entry sums to a negative value, as the dense product
-    would.  Candidates are taken row by row and reduced per row in chunks
-    of gathered right rows.
+def _step_end_maxplus(
+    rows: np.ndarray, weights: np.ndarray, sources: np.ndarray, right: np.ndarray, out: np.ndarray
+) -> None:
+    """out[rows[j]] = max(out[rows[j]], weights[j] + right[sources[j]]) for
+    every j (``rows`` non-decreasing), in chunks of _CANDIDATE_CELLS cells:
+    for the step ends (a, left[a, u], u) of a left side non-increasing in u
+    and every right column non-decreasing, the max-plus product out[a, b] =
+    max over u of left[a, u] + right[u, b], as the last u of each run of
+    equal left[a, u] attains its max.  Negative entries stay infeasible.
     """
-    by_row = left.transpose(1, 0, 2)
-    ends = by_row >= 0
-    ends[..., :-1] &= by_row[..., :-1] != by_row[..., 1:]
-    rows, splits, inner = np.nonzero(ends)
-    weights = by_row[rows, splits, inner]
-    step = max(1, _CANDIDATE_CELLS // right.shape[2])
+    step = max(1, _CANDIDATE_CELLS // out.shape[1])
     for lo in range(0, rows.size, step):
-        hi = min(rows.size, lo + step)
-        block = right[splits[lo:hi], inner[lo:hi]]
-        block += weights[lo:hi, None]
-        chunk_rows = rows[lo:hi]
+        block = right[sources[lo : lo + step]]
+        block += weights[lo : lo + step, None]
+        chunk_rows = rows[lo : lo + step]
         starts = np.flatnonzero(np.diff(chunk_rows, prepend=-1))
         targets = chunk_rows[starts]
         reduced = np.maximum.reduceat(block, starts, axis=0)
@@ -428,8 +430,8 @@ def _solver_for(schema: ParticipationSchema) -> _SensitivitySolver:
 def worst_case_sensitivity_sq(schema: ParticipationSchema) -> float:
     """Maximum squared sensitivity over all allowed participation patterns.
 
-    Exact (agrees with brute_force_sensitivity_sq wherever that runs) and
-    fast enough for multi-thousand-round schedules.
+    Exact (the tests hold it equal to a brute-force enumeration of patterns
+    wherever that runs) and fast enough for multi-thousand-round schedules.
     """
     return _solver_for(schema).solve(schema.tree_levels(), schema.max_part)
 

@@ -5,6 +5,7 @@ They are kept simple rather than fast, and are not part of the package.
 
 import numpy as np
 
+from fpsim.accounting import _INFEASIBLE, ParticipationSchema, _forest_nodes, _StepRows
 from fpsim.secagg import SecAggConfig, _rounded_norm_bound_sq
 from fpsim.seeds import SeedPath
 from fpsim.vectors import clip_l2
@@ -52,3 +53,110 @@ def reference_encode(
         if float(rounded @ rounded) <= _rounded_norm_bound_sq(config):
             return (rounded + bound).astype(np.int64), clamped_count, clamped
     raise AssertionError("rounding retries exhausted")
+
+
+BRUTE_FORCE_MAX_ROUNDS = 24
+
+
+def brute_force_sensitivity_sq(
+    total_rounds: int,
+    min_sep: int,
+    max_part: int,
+    restart_rounds: tuple[int, ...] = (),
+) -> float:
+    """Exhaustive worst-case sensitivity; the oracle for the fast solver.
+
+    Enumerates every pattern with gaps >= min_sep and size <= max_part by
+    depth-first search, maintaining node counts incrementally.
+    """
+    if total_rounds > BRUTE_FORCE_MAX_ROUNDS:
+        raise ValueError(
+            f"brute force is exponential; total_rounds must be <= {BRUTE_FORCE_MAX_ROUNDS}"
+        )
+    schema = ParticipationSchema(total_rounds, min_sep, max_part, restart_rounds)
+    nodes = _forest_nodes(schema)
+    covering = [
+        [i for i, (start, end) in enumerate(nodes) if start <= r < end]
+        for r in range(total_rounds)
+    ]
+    counts = [0] * len(nodes)
+    max_part = schema.max_part
+    best = 0.0
+
+    def visit(next_round: int, remaining: int, running: float) -> None:
+        nonlocal best
+        if running > best:
+            best = running
+        if remaining == 0:
+            return
+        for r in range(next_round, total_rounds):
+            delta = 0
+            for v in covering[r]:
+                delta += 2 * counts[v] + 1
+                counts[v] += 1
+            visit(r + min_sep, remaining - 1, running + delta)
+            for v in covering[r]:
+                counts[v] -= 1
+
+    visit(0, max_part, 0.0)
+    return best
+
+
+class ReferenceTables:
+    """The dense table build the solver's step-end tables are checked
+    against: F[k][p] as a (width, width) int32 array over the (a, b) margin
+    grid, infeasible entries exactly the sentinel.
+
+    The recursion of accounting._SensitivitySolver, one memoised table at a
+    time: the p = 1 tables from their closed form, the all-in-one-half max
+    on shifted margins, and each split's max-plus product taken over every
+    midline margin u < min(min_sep, half size), not only the step ends.
+    """
+
+    def __init__(self, min_sep: int, width: int) -> None:
+        self.min_sep = min_sep
+        self.width = width
+        self._tables: dict[tuple[int, int], np.ndarray] = {}
+
+    def capacity(self, k: int) -> int:
+        return 1 + ((1 << k) - 1) // self.min_sep
+
+    def table(self, k: int, p: int) -> np.ndarray:
+        key = (k, p)
+        if key not in self._tables:
+            self._tables[key] = self._build(k, p)
+        return self._tables[key]
+
+    def _build(self, k: int, p: int) -> np.ndarray:
+        assert 1 <= p <= self.capacity(k)
+        margins = np.arange(self.width)
+        if p == 1:
+            feasible = margins[:, None] + margins[None, :] <= (1 << k) - 1
+            return np.where(feasible, k + 1, _INFEASIBLE).astype(np.int32)
+        half = 1 << (k - 1)
+        half_cap = self.capacity(k - 1)
+        table = np.full((self.width, self.width), _INFEASIBLE, dtype=np.int64)
+        if p <= half_cap:
+            shifted = np.maximum(margins - half, 0)
+            same = self.table(k - 1, p)
+            table = np.maximum(table, np.maximum(same[:, shifted], same[shifted, :]))
+        u_count = min(self.min_sep, half)
+        complement = np.clip(self.min_sep - 1 - np.arange(u_count), 0, self.width - 1)
+        for i in range(max(1, p - half_cap), min(p - 1, half_cap) + 1):
+            left = self.table(k - 1, i)[:, :u_count].astype(np.int64)
+            right = self.table(k - 1, p - i)[complement, :]
+            table = np.maximum(table, (left[:, :, None] + right[None, :, :]).max(axis=1))
+        return np.where(table < 0, _INFEASIBLE, table + p * p).astype(np.int32)
+
+
+def dense_step_rows(rows: _StepRows, width: int) -> np.ndarray:
+    """Every row of a step-row store as a dense (rows, width) int32 array,
+    entry by entry: each value fills the columns after the previous end
+    through its own end, and the sentinel fills the columns after the last."""
+    dense = np.full((rows.offsets.size - 1, width), _INFEASIBLE, dtype=np.int32)
+    for r in range(dense.shape[0]):
+        start = 0
+        for j in range(rows.offsets[r], rows.offsets[r + 1]):
+            dense[r, start : rows.ends[j] + 1] = rows.values[j]
+            start = rows.ends[j] + 1
+    return dense

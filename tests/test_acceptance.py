@@ -22,7 +22,6 @@ from fpsim import (
     RestartSchedule,
     SeedPath,
     ServerState,
-    brute_force_sensitivity_sq,
     clip_l2,
     combined_multiplier,
     decode,
@@ -46,6 +45,7 @@ from fpsim import (
 )
 from fpsim.harness import read_metrics
 from fpsim.secagg import _rounded_norm_bound_sq
+from oracles import brute_force_sensitivity_sq
 
 
 def test_01_private_sum_matches_naive_oracle():

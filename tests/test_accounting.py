@@ -20,7 +20,6 @@ from hypothesis.extra.numpy import arrays
 from fpsim import (
     ParticipationSchema,
     PrivacyLedger,
-    brute_force_sensitivity_sq,
     loose_eps,
     prefix_sensitivity_sq,
     prefix_zcdp,
@@ -35,8 +34,10 @@ from fpsim.accounting import (
     SWEEP_COLUMNS,
     _solver_for,
     _step_end_maxplus,
+    _StepRows,
     pattern_sensitivity_sq,
 )
+from oracles import ReferenceTables, brute_force_sensitivity_sq, dense_step_rows
 
 
 def _schema(t, min_sep=1, max_part=None, restarts=()):
@@ -124,15 +125,29 @@ class TestSolverExactness:
         assert peak < 1_000_000
 
     def test_wide_solve_stores_little(self):
-        """At min_sep 1000 the solve stores three int32 tables and no p = 1
-        table: 12 MB, where dense float64 tables of every p took 48 MB."""
+        """At min_sep 1000 the solve stores three tables as step ends and no
+        p = 1 table: under 200 KB (one dense int32 table would take 4 MB)."""
         accounting._SOLVER_CACHE.clear()
         worst_case_sensitivity_sq(ParticipationSchema(2048, 1000, 3))
-        solvers = accounting._SOLVER_CACHE.values()
-        keys = [key for solver in solvers for key in solver._tables]
-        stored = sum(table.nbytes for solver in solvers for table in solver._tables.values())
-        assert all(p >= 2 for _, p in keys)
-        assert stored <= 12_000_000
+        (solver,) = accounting._SOLVER_CACHE.values()
+        for k, level in enumerate(solver._levels):
+            stored_p = min(3, solver.capacity(k)) - 1  # p = 2 .. 3
+            assert level.offsets.size - 1 == stored_p * solver.width, k
+        stored = sum(array.nbytes for level in solver._levels for array in level)
+        assert stored <= 200_000
+
+    def test_wide_solve_peaks_low(self):
+        """A cold min_sep 1000 solve builds its tables without any dense
+        width x width array: its traced allocations peak under 10 MB (a
+        1000 x 1000 int32 array is 4 MB)."""
+        accounting._SOLVER_CACHE.clear()
+        tracemalloc.start()
+        try:
+            worst_case_sensitivity_sq(ParticipationSchema(2048, 1000, 3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000_000
 
     def test_values_past_the_int32_range_are_refused(self):
         """With the sentinel lowered to -64, a table value or a forest
@@ -202,10 +217,32 @@ def _monotone_stacks(draw):
     return left.astype(np.int32), right.astype(np.int32), out.astype(np.int32)
 
 
+def _step_ends(left):
+    """A (splits, rows, inner) left stack in the step-end form the fold
+    reads from a table: per row a and split i, (u, left[i, a, u]) at the
+    last u of each run of equal feasible values, row a by row a.  Returned
+    as _step_end_maxplus's (row a, weight, right source i * inner + u)."""
+    splits, rows, inner = left.shape
+    a, i, u = np.nonzero(left.transpose(1, 0, 2) >= 0)
+    store = _StepRows.upper(rows * splits, inner, a * splits + i, u, left[i, a, u].astype(np.int64))
+    row, end, value = store.entries(np.arange(rows * splits))
+    return row // splits, value, row % splits * inner + end
+
+
+def _tables(solver):
+    """Every table a solver stores, as ((k, p), dense int32 table)."""
+    width = solver.width
+    for k, level in enumerate(solver._levels):
+        dense = dense_step_rows(level, width)
+        for p in range(2, 2 + dense.shape[0] // width):
+            yield (k, p), dense[(p - 2) * width : (p - 1) * width]
+
+
 class TestStepEndMaxplus:
-    """The table build's max-plus reads only the step ends of each left
-    row; it must equal the dense product bit for bit, every infeasible
-    (negative) entry read as the sentinel."""
+    """Tables are kept as the step ends of their rows, and the fold's
+    max-plus reads only those; the product must equal the dense one bit for
+    bit, every infeasible (negative) entry read as the sentinel, and every
+    table must equal the dense build."""
 
     @settings(max_examples=150, deadline=None)
     @given(_monotone_stacks())
@@ -215,14 +252,38 @@ class TestStepEndMaxplus:
         expected = _feasible_or_sentinel(np.maximum(out, wide.max(axis=(0, 2))))
         chunked = out.copy(order="K")  # a transposed view stays one
         dtype = out.dtype
-        _step_end_maxplus(left, right, out)
+        rows, weights, sources = _step_ends(left)
+        flat_right = right.reshape(-1, right.shape[2])
+        _step_end_maxplus(rows, weights, sources, flat_right, out)
         assert out.dtype == dtype
         assert _feasible_or_sentinel(out).tobytes() == expected.tobytes()
         # Chunks of a few candidate rows split one row's candidates across
         # chunks; the result must not change.
         with mock.patch.object(accounting, "_CANDIDATE_CELLS", 3 * right.shape[2]):
-            _step_end_maxplus(left, right, chunked)
+            _step_end_maxplus(rows, weights, sources, flat_right, chunked)
         assert _feasible_or_sentinel(chunked).tobytes() == expected.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        min_sep=st.integers(1, 40),
+        k=st.integers(1, 7),
+        taller=st.integers(0, 3),
+        data=st.data(),
+    )
+    def test_step_tables_match_the_dense_build(self, min_sep, k, taller, data):
+        """Every table of a level, densified, equals the dense reference
+        build byte for byte, also after the level grew from a smaller
+        max_part; no p = 1 table is stored."""
+        width = min(min_sep, (1 << min(k + taller, 7)) + 1)
+        solver = accounting._SensitivitySolver(min_sep, width)
+        capacity = solver.capacity(k)
+        solver._level(k, data.draw(st.integers(1, capacity)))
+        level = solver._level(k, capacity)
+        assert level.offsets.size - 1 == (capacity - 1) * width
+        reference = ReferenceTables(min_sep, width)
+        for (level_k, p), table in _tables(solver):
+            expected = reference.table(level_k, p)
+            assert table.tobytes() == expected.tobytes(), (min_sep, width, level_k, p)
 
     @pytest.mark.parametrize(
         "schema",
@@ -240,14 +301,24 @@ class TestStepEndMaxplus:
         exactly the sentinel, and is not all infeasible (infeasible p is
         skipped)."""
         worst_case_sensitivity_sq(schema)
-        tables = _solver_for(schema)._tables
+        solver = _solver_for(schema)
+        tables = list(_tables(solver))
         assert tables
-        for key, table in tables.items():
+        for key, table in tables:
             assert table.dtype == np.int32, key
             assert np.all(table[1:, :] <= table[:-1, :]), key
             assert np.all(table[:, 1:] <= table[:, :-1]), key
             assert np.all((table >= 0) | (table == _INFEASIBLE)), key
             assert (table >= 0).any(), key
+        # Only step ends are stored: int32 values >= 0, and within a row
+        # ends rising and values falling from entry to entry.
+        for level in solver._levels:
+            assert level.ends.dtype == level.values.dtype == np.int32
+            assert np.all(level.values >= 0) and np.all(level.ends < solver.width)
+            row = np.repeat(np.arange(level.offsets.size - 1), np.diff(level.offsets))
+            same_row = row[1:] == row[:-1]
+            assert np.all(np.diff(level.ends)[same_row] > 0)
+            assert np.all(np.diff(level.values)[same_row] < 0)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -329,10 +400,10 @@ class TestPrefixAccounting:
         short, tall = _schema(64, min_sep=5), _schema(128, min_sep=5)
         worst_case_sensitivity_sq(short)
         solver = _solver_for(short)
-        built = dict(solver._tables)
+        built = list(solver._levels)
         worst_case_sensitivity_sq(tall)
         assert _solver_for(tall) is solver
-        assert all(solver._tables[key] is table for key, table in built.items())
+        assert all(solver._levels[k] is level for k, level in enumerate(built))
 
     def test_tree_wider_than_the_margin_axis_refused(self):
         """A solver of margin width 3 at min_sep 5 serves trees of up to 2

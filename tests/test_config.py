@@ -19,14 +19,13 @@ from fpsim import (
     ParticipationSchema,
     PrivacyLedger,
     SweepConfig,
-    brute_force_sensitivity_sq,
     combined_multiplier,
     derive_config,
     inflated_clip_norm,
     noise_split,
 )
-from fpsim.accounting import BRUTE_FORCE_MAX_ROUNDS
 from fpsim.config import ConfigError, _sensitivity_sq_bound, parse_kv_text
+from oracles import BRUTE_FORCE_MAX_ROUNDS, brute_force_sensitivity_sq
 
 
 class TestParser:
