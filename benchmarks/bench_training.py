@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from fpsim import (
-    DataConfig,
+    ExperimentConfig,
     NextTokenBOW,
     SeedPath,
     cohort_update,
@@ -48,7 +48,6 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=3, help="timings per case (best is kept)")
     args = parser.parse_args()
 
-    cfg = DataConfig()
     seed = SeedPath(0)
     record: dict[str, object] = {
         "nproc": os.cpu_count(),
@@ -56,11 +55,13 @@ def main() -> None:
         "repeats": args.repeats,
     }
     for population in (10_000, 100_000):
+        cfg = ExperimentConfig(population=population)
         record[f"synthesize_clients_{population}_ms"] = _best_ms(
-            lambda: synthesize_clients(cfg, population, seed), args.repeats
+            lambda: synthesize_clients(cfg, seed), args.repeats
         )
 
-    data = synthesize_clients(cfg, 10_000, seed)
+    cfg = ExperimentConfig()
+    data = synthesize_clients(cfg, seed)
     model = NextTokenBOW(vocab_size=cfg.vocab_size, window=cfg.window)
     theta = np.random.default_rng(0).normal(size=model.num_params) * 0.01
     cohort = np.arange(0, 10_000, 10_000 // COHORT)

@@ -33,22 +33,28 @@ from fpsim.accounting import (
     zcdp_to_delta,
     zcdp_to_eps,
 )
-from fpsim.clipping import ClipState, activate, combined_multiplier, noise_split, update_estimate
+from fpsim.clipping import ClipState, combined_multiplier, noise_split
 from fpsim.config import ConfigError, ExperimentConfig, SweepConfig
-from fpsim.data import DataConfig, TokenDataset, synthesize_clients, synthesize_eval_set
+from fpsim.data import TokenDataset, synthesize_clients, synthesize_eval_set
 from fpsim.federation import (
-    AvailabilityModel,
-    CohortConfig,
     CohortExhausted,
     RoundMetrics,
-    ServerState,
+    RunState,
     TrainingDiverged,
+    availability_weights,
     cohort_update,
     observed_limits,
     run_round,
     select_cohort,
 )
-from fpsim.harness import RunResult, compare, post_hoc_report, run_experiment, sweep_privacy
+from fpsim.harness import (
+    RunResult,
+    compare,
+    post_hoc_report,
+    run_experiment,
+    start_run,
+    sweep_privacy,
+)
 from fpsim.models import NextTokenBOW
 from fpsim.secagg import (
     RoundingRetriesExhausted,
@@ -61,7 +67,7 @@ from fpsim.secagg import (
     modular_sum,
 )
 from fpsim.seeds import SeedPath, gaussian_vector, sign_vector
-from fpsim.tree import RestartSchedule, TreeState, init_tree, naive_private_sum
+from fpsim.tree import RestartSchedule, TreeState
 from fpsim.vectors import (
     as_param_vector,
     clip_l2,
@@ -92,30 +98,27 @@ __all__ = [
     "ClipState",
     "noise_split",
     "combined_multiplier",
-    "update_estimate",
-    "activate",
     # config
     "ConfigError",
     "ExperimentConfig",
     "SweepConfig",
     # data
-    "DataConfig",
     "TokenDataset",
     "synthesize_clients",
     "synthesize_eval_set",
     # federation
-    "AvailabilityModel",
-    "CohortConfig",
     "CohortExhausted",
     "RoundMetrics",
-    "ServerState",
+    "RunState",
     "TrainingDiverged",
+    "availability_weights",
     "cohort_update",
     "select_cohort",
     "run_round",
     "observed_limits",
     # harness
     "RunResult",
+    "start_run",
     "run_experiment",
     "sweep_privacy",
     "compare",
@@ -138,8 +141,6 @@ __all__ = [
     # tree
     "RestartSchedule",
     "TreeState",
-    "init_tree",
-    "naive_private_sum",
     # vectors
     "as_param_vector",
     "clip_l2",

@@ -30,15 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from fpsim.seeds import SeedPath
-from fpsim.tree import TreeState, init_tree
+from fpsim.tree import TreeState
 
-__all__ = [
-    "ClipState",
-    "noise_split",
-    "combined_multiplier",
-    "update_estimate",
-    "activate",
-]
+__all__ = ["ClipState", "noise_split", "combined_multiplier"]
 
 # The estimate is clamped to this fraction of its initial value so a burst
 # of noisy counts cannot drive it to zero, from where exp updates of any
@@ -119,7 +113,7 @@ class ClipState:
         self.active = float(self.initial_estimate)
         # A depth-one scalar tree over raw indicator sums: z=sigma_b with a
         # unit clip scale gives node noise std exactly sigma_b.
-        self.count_tree = init_tree(self.sigma_b, 1.0, 1, self.seed.child("clip-count"))
+        self.count_tree = TreeState(self.sigma_b, 1.0, 1, self.seed.child("clip-count"))
 
     def add_round(self, indicator_sum: float) -> float:
         """Feed one round's raw (un-noised) indicator sum; returns the
@@ -130,37 +124,35 @@ class ClipState:
             self.count_tree.add_round(np.array([indicator_sum], dtype=np.float64))[0]
         )
         noised_mean = noised_cumulative / self.cohort_size
-        update_estimate(self, noised_mean, self.rounds_seen)
+        self.update_estimate(noised_mean, self.rounds_seen)
         self.rounds_seen += 1
         return noised_mean
+
+    def update_estimate(self, noised_mean_count: float, t: int) -> float:
+        """Geometric quantile-tracker update.
+
+            estimate = initial * exp(-eta * (noised_mean_count - q * t))
+
+        noised_mean_count is the cumulative noised indicator count over
+        rounds 0..t, already divided by the cohort size; t counts rounds
+        since the start of the run (restarts do not reset it).  The result
+        is floored at MIN_ESTIMATE_FRACTION * initial and stored.
+        """
+        if t < 0:
+            raise ValueError("t must be >= 0")
+        exponent = -self.learning_rate * (noised_mean_count - self.target_quantile * t)
+        # exp overflow is harmless to cap: the estimate is a positive scale.
+        estimate = self.initial_estimate * math.exp(min(exponent, 700.0))
+        self.estimate = max(estimate, MIN_ESTIMATE_FRACTION * self.initial_estimate)
+        return self.estimate
+
+    def activate(self) -> float:
+        """Make the current estimate the active clip norm (restart boundary)."""
+        self.active = self.estimate
+        return self.active
 
     def restart(self) -> float:
         """Freeze the count tree's segment and activate the current
         estimate as the new clip norm; returns the new active norm."""
         self.count_tree.restart(1.0)
-        return activate(self)
-
-
-def update_estimate(state: ClipState, noised_mean_count: float, t: int) -> float:
-    """Geometric quantile-tracker update.
-
-        estimate = initial * exp(-eta * (noised_mean_count - q * t))
-
-    noised_mean_count is the cumulative noised indicator count over rounds
-    0..t, already divided by the cohort size; t counts rounds since the
-    start of the run (restarts do not reset it).  The result is floored at
-    MIN_ESTIMATE_FRACTION * initial and stored on the state.
-    """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    exponent = -state.learning_rate * (noised_mean_count - state.target_quantile * t)
-    # exp overflow is harmless to cap: the estimate is a positive scale.
-    estimate = state.initial_estimate * math.exp(min(exponent, 700.0))
-    state.estimate = max(estimate, MIN_ESTIMATE_FRACTION * state.initial_estimate)
-    return state.estimate
-
-
-def activate(state: ClipState) -> float:
-    """Make the current estimate the active clip norm (restart boundary)."""
-    state.active = state.estimate
-    return state.active
+        return self.activate()

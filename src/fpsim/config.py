@@ -28,7 +28,6 @@ from pathlib import Path
 from typing import Any, NoReturn, get_args, get_origin, get_type_hints
 
 from fpsim.clipping import combined_multiplier, noise_split
-from fpsim.federation import AvailabilityModel
 from fpsim.models import NextTokenBOW
 from fpsim.secagg import SecAggConfig, derive_config, inflated_clip_norm
 from fpsim.tree import RestartSchedule
@@ -272,7 +271,9 @@ class ExperimentConfig:
             fail("secagg_retry_cap", "must be >= 1")
         if _COMMENT.search(self.warm_start):
             fail("warm_start", "a '#' at its start or after whitespace would read as a comment")
-        self.privacy_terms()
+        # Derived once, here, and shared by the run, its report and the
+        # post-hoc report; not a field, so it stays out of the hash.
+        object.__setattr__(self, "_terms", self._derive_privacy_terms())
 
     # -- construction ---------------------------------------------------
 
@@ -297,20 +298,17 @@ class ExperimentConfig:
             return RestartSchedule(tuple(r for r in self.restart_rounds if r < self.rounds))
         return RestartSchedule.periodic(self.rounds, self.restart_first, self.restart_period)
 
-    def availability(self) -> AvailabilityModel:
-        return AvailabilityModel(
-            kind=self.availability_kind,
-            period=self.availability_period,
-            amplitude=self.availability_amplitude,
-        )
-
     def sigma_b(self) -> float:
         return self.report_goal * self.clip_sigma_b_fraction
 
     def privacy_terms(self) -> PrivacyTerms:
-        """The run's noise split, SecAgg encoding and timer schema.  A config
-        whose terms cannot be derived, or whose worst-case rho could
-        overflow, fails here, naming the key to change."""
+        """The run's noise split, SecAgg encoding and timer schema."""
+        return self._terms
+
+    def _derive_privacy_terms(self) -> PrivacyTerms:
+        """Derive privacy_terms().  A config whose terms cannot be derived,
+        or whose worst-case rho could overflow, fails here, naming the key
+        to change."""
         fail = partial(_fail, self)
         z_delta = z_equiv = self.noise_multiplier
         sigma_b = 0.0

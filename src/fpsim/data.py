@@ -26,39 +26,17 @@ a pure function of (seed, population), not of the client id alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from fpsim.seeds import SeedPath
 
-__all__ = ["DataConfig", "TokenDataset", "synthesize_clients", "synthesize_eval_set"]
+if TYPE_CHECKING:
+    from fpsim.config import ExperimentConfig
 
-
-@dataclass(frozen=True)
-class DataConfig:
-    """Knobs of the synthetic corpus."""
-
-    vocab_size: int = 100
-    window: int = 1
-    examples_per_client: int = 50
-    heterogeneity: float = 0.3
-    concentration: float = 0.1
-    eval_examples: int = 1000
-
-    def __post_init__(self) -> None:
-        if self.vocab_size < 2:
-            raise ValueError("vocab_size must be >= 2")
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        if self.examples_per_client < 1:
-            raise ValueError("examples_per_client must be >= 1")
-        if not 0.0 <= self.heterogeneity <= 1.0:
-            raise ValueError("heterogeneity must be in [0, 1]")
-        if not self.concentration > 0:
-            raise ValueError("concentration must be > 0")
-        if self.eval_examples < 1:
-            raise ValueError("eval_examples must be >= 1")
+__all__ = ["TokenDataset", "synthesize_clients", "synthesize_eval_set"]
 
 
 @dataclass(frozen=True)
@@ -79,10 +57,11 @@ class TokenDataset:
         return self.tokens[:, self.window :]
 
 
-def _global_table(cfg: DataConfig, seed: SeedPath) -> np.ndarray:
+def _global_table(config: ExperimentConfig, seed: SeedPath) -> np.ndarray:
     """Row-wise cumulative transition table of the shared global chain."""
     rng = seed.child("global-table").generator()
-    rows = rng.dirichlet(np.full(cfg.vocab_size, cfg.concentration), size=cfg.vocab_size)
+    vocab = config.vocab_size
+    rows = rng.dirichlet(np.full(vocab, config.concentration), size=vocab)
     return rows.cumsum(axis=1)
 
 
@@ -125,30 +104,28 @@ def _chains(
     return tokens[:, 1:]
 
 
-def synthesize_clients(cfg: DataConfig, population: int, seed: SeedPath) -> TokenDataset:
+def synthesize_clients(config: ExperimentConfig, seed: SeedPath) -> TokenDataset:
     """Every client's examples_per_client examples, in one TokenDataset."""
-    if population < 1:
-        raise ValueError("population must be >= 1")
     tokens = _chains(
-        _global_table(cfg, seed),
-        cfg.concentration,
-        population,
-        cfg.examples_per_client + cfg.window,
-        cfg.heterogeneity,
+        _global_table(config, seed),
+        config.concentration,
+        config.population,
+        config.examples_per_client + config.window,
+        config.heterogeneity,
         seed.child("client-streams").generator(),
     )
-    return TokenDataset(tokens, cfg.window)
+    return TokenDataset(tokens, config.window)
 
 
-def synthesize_eval_set(cfg: DataConfig, seed: SeedPath) -> TokenDataset:
+def synthesize_eval_set(config: ExperimentConfig, seed: SeedPath) -> TokenDataset:
     """Held-out stream from the global (public) distribution only: one
     client of eval_examples examples."""
     tokens = _chains(
-        _global_table(cfg, seed),
-        cfg.concentration,
+        _global_table(config, seed),
+        config.concentration,
         1,
-        cfg.eval_examples + cfg.window,
+        config.eval_examples + config.window,
         0.0,
         seed.child("eval-stream").generator(),
     )
-    return TokenDataset(tokens, cfg.window)
+    return TokenDataset(tokens, config.window)

@@ -13,7 +13,8 @@ which keeps the model a deterministic function of the released cumulative
 sums (theta0 is the fixed anchor; restarts do not move it).  Timers make
 participation limits structural: a timer of w rounds enforces a minimum
 separation of w between any client's participations, which is what the
-privacy accountant consumes post hoc.
+privacy accountant consumes post hoc.  Every knob is read from the run's
+ExperimentConfig; RunState holds what a round changes.
 """
 
 from __future__ import annotations
@@ -21,30 +22,27 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from fpsim.clipping import ClipState
 from fpsim.data import TokenDataset
 from fpsim.models import NextTokenBOW
-from fpsim.secagg import (
-    SecAggConfig,
-    bits_per_update,
-    decode,
-    encode_client,
-    modular_sum,
-)
+from fpsim.secagg import bits_per_update, decode, encode_client, modular_sum
 from fpsim.seeds import SeedPath, sign_vector
-from fpsim.tree import RestartSchedule, TreeState
+from fpsim.tree import TreeState
 from fpsim.vectors import as_param_vector
 
+if TYPE_CHECKING:
+    from fpsim.config import ExperimentConfig, PrivacyTerms
+
 __all__ = [
-    "AvailabilityModel",
-    "CohortConfig",
-    "ServerState",
+    "RunState",
     "RoundMetrics",
     "CohortExhausted",
     "TrainingDiverged",
+    "availability_weights",
     "cohort_update",
     "select_cohort",
     "run_round",
@@ -60,47 +58,19 @@ class TrainingDiverged(RuntimeError):
     """Training loss or parameters became non-finite."""
 
 
-@dataclass(frozen=True)
-class AvailabilityModel:
-    """Client availability weighting: uniform, or a sinusoidal day/night
-    cycle where each client's phase is a fixed hash of its id."""
-
-    kind: str = "uniform"
-    period: float = 24.0
-    amplitude: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("uniform", "diurnal"):
-            raise ValueError("availability kind must be 'uniform' or 'diurnal'")
-        if self.kind == "diurnal":
-            if not self.period > 0:
-                raise ValueError("diurnal period must be > 0")
-            if not 0.0 <= self.amplitude <= 1.0:
-                raise ValueError("diurnal amplitude must be in [0, 1]")
-
-    def weights(self, client_ids: np.ndarray, round_index: int) -> np.ndarray:
-        if self.kind == "uniform":
-            return np.ones(client_ids.shape[0], dtype=np.float64)
-        # Golden-ratio hash spreads phases evenly and is independent of any
-        # run seed: availability is a property of the world, not the run.
-        phases = (client_ids.astype(np.uint64) * np.uint64(2654435761) % np.uint64(2**32)) / 2.0**32
-        cycle = 2.0 * math.pi * (round_index / self.period + phases)
-        return 1.0 + self.amplitude * np.sin(cycle)
-
-
-@dataclass(frozen=True)
-class CohortConfig:
-    """Population-side selection parameters."""
-
-    report_goal: int
-    timer_rounds: int
-    availability: AvailabilityModel = AvailabilityModel()
-
-    def __post_init__(self) -> None:
-        if self.report_goal < 1:
-            raise ValueError("report_goal must be >= 1")
-        if self.timer_rounds < 1:
-            raise ValueError("timer_rounds must be >= 1")
+def availability_weights(
+    config: ExperimentConfig, client_ids: np.ndarray, round_index: int
+) -> np.ndarray:
+    """Selection weights of ``client_ids`` at a round: uniform, or a
+    sinusoidal day/night cycle (``availability.kind = diurnal``) where each
+    client's phase is a fixed hash of its id."""
+    if config.availability_kind == "uniform":
+        return np.ones(client_ids.shape[0], dtype=np.float64)
+    # Golden-ratio hash spreads phases evenly and is independent of any
+    # run seed: availability is a property of the world, not the run.
+    phases = (client_ids.astype(np.uint64) * np.uint64(2654435761) % np.uint64(2**32)) / 2.0**32
+    cycle = 2.0 * math.pi * (round_index / config.availability_period + phases)
+    return 1.0 + config.availability_amplitude * np.sin(cycle)
 
 
 def cohort_update(
@@ -157,7 +127,7 @@ def cohort_update(
 
 def select_cohort(
     next_eligible: np.ndarray,
-    cfg: CohortConfig,
+    config: ExperimentConfig,
     round_index: int,
     seed: SeedPath,
 ) -> list[int]:
@@ -170,69 +140,22 @@ def select_cohort(
     """
     if round_index < 0:
         raise ValueError("round_index must be >= 0")
+    goal = config.report_goal
     ids = np.flatnonzero(next_eligible <= round_index)
-    if ids.shape[0] < cfg.report_goal:
+    if ids.shape[0] < goal:
         raise CohortExhausted(
             f"population exhausted at round {round_index}: {ids.shape[0]} eligible "
-            f"clients for report_goal {cfg.report_goal}; lower timer_rounds or raise population"
+            f"clients for report_goal {goal}; lower timer_rounds or raise population"
         )
-    weights = np.maximum(cfg.availability.weights(ids, round_index), 1e-12)
+    weights = np.maximum(availability_weights(config, ids, round_index), 1e-12)
     rng = seed.child("cohort", round_index).generator()
     # Weighted sampling without replacement: top-m exponential-race keys
     # (with uniform weights this reduces to a uniform m-subset).
     keys = np.log(rng.random(ids.shape[0])) / weights
-    chosen = np.argpartition(keys, -cfg.report_goal)[-cfg.report_goal :]
+    chosen = np.argpartition(keys, -goal)[-goal:]
     selected = np.sort(ids[chosen])
-    next_eligible[selected] = round_index + cfg.timer_rounds
+    next_eligible[selected] = round_index + config.timer_rounds
     return selected.tolist()
-
-
-@dataclass
-class ServerState:
-    """Mutable training-loop state (Algorithm state plus run knobs)."""
-
-    model: NextTokenBOW
-    theta0: np.ndarray
-    eta_s: float
-    beta: float
-    report_goal: int
-    delta_tree: TreeState
-    clip: ClipState | None
-    fixed_clip: float
-    restart_schedule: RestartSchedule
-    seed: SeedPath
-    eta_c: float = 0.1
-    batch_size: int = 16
-    epochs: int = 1
-    secagg: SecAggConfig | None = None
-    round: int = 0
-    theta: np.ndarray = field(default=None)  # type: ignore[assignment]
-    momentum: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        self.theta0 = as_param_vector(self.theta0, self.model.num_params)
-        if self.theta is None:
-            self.theta = self.theta0.copy()
-        if self.momentum is None:
-            self.momentum = np.zeros_like(self.theta0)
-        if not 0.0 <= self.beta < 1.0:
-            raise ValueError("beta must be in [0, 1)")
-        if not self.eta_s > 0:
-            raise ValueError("eta_s must be > 0")
-        if self.report_goal < 1:
-            raise ValueError("report_goal must be >= 1")
-        if self.secagg is not None and self.clip is not None:
-            raise ValueError("secure aggregation requires a fixed clip norm")
-        if self.secagg is not None and self.secagg.cohort_size != self.report_goal:
-            raise ValueError("secagg cohort_size must equal report_goal")
-
-    @property
-    def active_clip(self) -> float:
-        return self.clip.active if self.clip is not None else self.fixed_clip
-
-    @property
-    def quantile_estimate(self) -> float:
-        return self.clip.estimate if self.clip is not None else self.fixed_clip
 
 
 @dataclass(frozen=True)
@@ -249,73 +172,127 @@ class RoundMetrics:
     secagg_clamp_fraction: float = 0.0
 
 
-def run_round(server: ServerState, cohort_ids: Sequence[int], data: TokenDataset) -> RoundMetrics:
+@dataclass
+class RunState:
+    """One run in progress: its config, data and model, and the training
+    state that run_round advances.
+
+    The knobs (learning rates, momentum, batch shape, report goal, fixed
+    clip norm) are read from ``config``; ``terms`` are its privacy terms
+    (the SecAgg encoding and the restart rounds among them).  ``seed`` is
+    the round loop's seed path.  ``log`` row t holds round t's cohort (the
+    participation log) and ``history`` one (eval accuracy, RoundMetrics)
+    pair per round, both filled by the caller's loop.
+    """
+
+    config: ExperimentConfig
+    terms: PrivacyTerms
+    model: NextTokenBOW
+    data: TokenDataset
+    eval_set: TokenDataset
+    seed: SeedPath
+    theta0: np.ndarray
+    delta_tree: TreeState
+    clip: ClipState | None
+    theta: np.ndarray = field(init=False)
+    momentum: np.ndarray = field(init=False)
+    next_eligible: np.ndarray = field(init=False)
+    round: int = field(init=False, default=0)
+    log: np.ndarray = field(init=False, repr=False)
+    history: list[tuple[float, RoundMetrics]] = field(
+        init=False, repr=False, default_factory=list
+    )
+
+    def __post_init__(self) -> None:
+        self.theta0 = as_param_vector(self.theta0, self.model.num_params)
+        self.theta = self.theta0.copy()
+        self.momentum = np.zeros_like(self.theta0)
+        self.next_eligible = np.zeros(self.config.population, dtype=np.int64)
+        self.log = np.empty((self.config.rounds, self.config.report_goal), dtype=np.int64)
+        secagg = self.terms.secagg
+        if secagg is not None and self.clip is not None:
+            raise ValueError("secure aggregation requires a fixed clip norm")
+        if secagg is not None and secagg.cohort_size != self.config.report_goal:
+            raise ValueError("secagg cohort_size must equal report_goal")
+
+    @property
+    def active_clip(self) -> float:
+        return self.clip.active if self.clip is not None else self.config.clip_c0
+
+    @property
+    def quantile_estimate(self) -> float:
+        return self.clip.estimate if self.clip is not None else self.config.clip_c0
+
+
+def run_round(state: RunState, cohort_ids: Sequence[int]) -> RoundMetrics:
     """Advance one round: local updates, aggregation, tree noise, anchored
     momentum step, clip-estimate update, and scheduled restarts.  The cohort
-    is its client ids (Python ints), rows of the population's ``data``."""
-    if len(cohort_ids) != server.report_goal:
+    is its client ids (Python ints), rows of ``state.data``."""
+    config = state.config
+    if len(cohort_ids) != config.report_goal:
         raise ValueError("cohort size must equal the report goal")
-    t = server.round
-    active = server.active_clip
-    quantile = server.clip.estimate if server.clip is not None else math.inf
+    t = state.round
+    active = state.active_clip
+    quantile = state.clip.estimate if state.clip is not None else math.inf
 
     deltas, indicators, losses = cohort_update(
-        server.model,
-        server.theta,
-        data.contexts[cohort_ids],
-        data.labels[cohort_ids],
-        server.eta_c,
+        state.model,
+        state.theta,
+        state.data.contexts[cohort_ids],
+        state.data.labels[cohort_ids],
+        config.eta_c,
         active,
         quantile,
-        server.batch_size,
-        server.epochs,
-        server.seed.child("local-order", t).generator(),
+        config.batch_size,
+        config.epochs,
+        state.seed.child("local-order", t).generator(),
     )
 
     plain_sum = deltas.sum(axis=0)
     bits = 0
     residual = 0.0
     clamp_fraction = 0.0
-    if server.secagg is not None:
-        cfg = server.secagg
-        signs = sign_vector(server.seed.child("rotation", t), cfg.padded_dim)
+    cfg = state.terms.secagg
+    if cfg is not None:
+        signs = sign_vector(state.seed.child("rotation", t), cfg.padded_dim)
         encoded = np.empty((len(cohort_ids), cfg.padded_dim), dtype=np.int64)
         clamped = 0
         for i, (client_id, delta) in enumerate(zip(cohort_ids, deltas)):
             encoded[i], clamped_count = encode_client(
-                delta, cfg, signs, server.seed.child("rounding", t).child("client", client_id)
+                delta, cfg, signs, state.seed.child("rounding", t).child("client", client_id)
             )
             clamped += clamped_count
         total = modular_sum(encoded, cfg.modulus)
-        round_sum = decode(total, cfg, signs, len(cohort_ids), server.model.num_params)
+        round_sum = decode(total, cfg, signs, len(cohort_ids), state.model.num_params)
         bits = bits_per_update(cfg)
         residual = float(np.linalg.norm(round_sum - plain_sum))
         clamp_fraction = clamped / (len(cohort_ids) * cfg.padded_dim)
     else:
         round_sum = plain_sum
 
-    noised_cumulative = server.delta_tree.add_round(round_sum)
-    server.momentum = server.beta * server.momentum + noised_cumulative / server.report_goal
-    server.theta = server.theta0 + server.eta_s * server.momentum
+    noised_cumulative = state.delta_tree.add_round(round_sum)
+    state.momentum = config.beta * state.momentum + noised_cumulative / config.report_goal
+    state.theta = state.theta0 + config.eta_s * state.momentum
 
-    if server.clip is not None:
-        server.clip.add_round(float(indicators.sum()))
+    if state.clip is not None:
+        state.clip.add_round(float(indicators.sum()))
 
     train_loss = float(losses.mean())
-    if not math.isfinite(train_loss) or not np.isfinite(server.theta).all():
+    if not math.isfinite(train_loss) or not np.isfinite(state.theta).all():
         raise TrainingDiverged(f"non-finite loss or parameters at round {t}")
 
-    server.round = t + 1
-    if server.round in server.restart_schedule.rounds:
-        new_clip = server.clip.restart() if server.clip is not None else server.fixed_clip
-        server.delta_tree.restart(new_clip)
+    state.round = t + 1
+    _, _, _, restart_rounds = state.terms.timer_schema
+    if state.round in restart_rounds:
+        new_clip = state.clip.restart() if state.clip is not None else config.clip_c0
+        state.delta_tree.restart(new_clip)
 
     return RoundMetrics(
         round=t,
         train_loss=train_loss,
         cohort_size=len(cohort_ids),
         active_clip=active,
-        quantile_estimate=server.quantile_estimate,
+        quantile_estimate=state.quantile_estimate,
         bits_per_update=bits,
         secagg_residual=residual,
         secagg_clamp_fraction=clamp_fraction,

@@ -32,21 +32,16 @@ from fpsim import accounting
 from fpsim.accounting import ParticipationSchema, PrivacyLedger
 from fpsim.clipping import ClipState
 from fpsim.config import ExperimentConfig, PrivacyTerms, SweepConfig
-from fpsim.data import DataConfig, synthesize_clients, synthesize_eval_set
-from fpsim.federation import (
-    CohortConfig,
-    ServerState,
-    observed_limits,
-    run_round,
-    select_cohort,
-)
+from fpsim.data import synthesize_clients, synthesize_eval_set
+from fpsim.federation import RunState, observed_limits, run_round, select_cohort
 from fpsim.models import NextTokenBOW
 from fpsim.seeds import SeedPath
-from fpsim.tree import init_tree
+from fpsim.tree import TreeState
 
 __all__ = [
     "METRICS_COLUMNS",
     "RunResult",
+    "start_run",
     "run_experiment",
     "sweep_privacy",
     "compare",
@@ -130,27 +125,14 @@ class RunResult:
     config_hash: str
 
 
-def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunResult:
-    """Execute the full training loop and write the run directory."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    terms = config.privacy_terms()
-
+def start_run(config: ExperimentConfig) -> RunState:
+    """Synthesize the population and the eval set, and build the state of a
+    run about to play its round 0."""
     root = SeedPath(config.seed)
-    data_cfg = DataConfig(
-        vocab_size=config.vocab_size,
-        window=config.window,
-        examples_per_client=config.examples_per_client,
-        heterogeneity=config.heterogeneity,
-        concentration=config.concentration,
-        eval_examples=config.eval_examples,
-    )
+    terms = config.privacy_terms()
     model = NextTokenBOW(vocab_size=config.vocab_size, window=config.window)
-    data = synthesize_clients(data_cfg, config.population, root)
-    eval_set = synthesize_eval_set(data_cfg, root)
-    eval_contexts, eval_labels = eval_set.contexts[0], eval_set.labels[0]
-    next_eligible = np.zeros(config.population, dtype=np.int64)
-
+    data = synthesize_clients(config, root)
+    eval_set = synthesize_eval_set(config, root)
     if config.warm_start:
         theta0 = read_checkpoint(config.warm_start)
         if theta0.shape[0] != model.num_params:
@@ -160,10 +142,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunResult:
             )
     else:
         theta0 = model.init_params(root.child("init"))
-
-    clip_state = None
+    clip = None
     if config.clip_mode == "adaptive":
-        clip_state = ClipState(
+        clip = ClipState(
             initial_estimate=config.clip_c0,
             target_quantile=config.clip_gamma,
             learning_rate=config.clip_eta_gamma,
@@ -171,41 +152,30 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunResult:
             cohort_size=config.report_goal,
             seed=root.child("clip"),
         )
+    tree = TreeState(terms.z_delta, config.clip_c0, model.num_params, root.child("delta-tree"))
+    seed = root.child("federation")
+    return RunState(config, terms, model, data, eval_set, seed, theta0, tree, clip)
 
-    server = ServerState(
-        model=model,
-        theta0=theta0,
-        eta_s=config.eta_s,
-        beta=config.beta,
-        report_goal=config.report_goal,
-        delta_tree=init_tree(
-            terms.z_delta, config.clip_c0, model.num_params, root.child("delta-tree")
-        ),
-        clip=clip_state,
-        fixed_clip=config.clip_c0,
-        restart_schedule=config.restart_schedule(),
-        seed=root.child("federation"),
-        eta_c=config.eta_c,
-        batch_size=config.batch_size,
-        epochs=config.epochs,
-        secagg=terms.secagg,
-    )
-    cohort_cfg = CohortConfig(
-        report_goal=config.report_goal,
-        timer_rounds=config.timer_rounds,
-        availability=config.availability(),
-    )
 
-    history = []
-    # Row t holds round t's cohort: the participation log.
-    log = np.empty((config.rounds, config.report_goal), dtype=np.int64)
+def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunResult:
+    """Execute the full training loop and write the run directory."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    state = start_run(config)
+    selection = SeedPath(config.seed).child("selection")
+    eval_contexts, eval_labels = state.eval_set.contexts[0], state.eval_set.labels[0]
     for t in range(config.rounds):
-        cohort_ids = select_cohort(next_eligible, cohort_cfg, t, root.child("selection"))
-        log[t] = cohort_ids
-        round_metrics = run_round(server, cohort_ids, data)
-        eval_acc = model.accuracy(server.theta, eval_contexts, eval_labels)
-        history.append((eval_acc, round_metrics))
+        cohort_ids = select_cohort(state.next_eligible, config, t, selection)
+        state.log[t] = cohort_ids
+        round_metrics = run_round(state, cohort_ids)
+        eval_acc = state.model.accuracy(state.theta, eval_contexts, eval_labels)
+        state.history.append((eval_acc, round_metrics))
+    return _finish(state, out)
 
+
+def _finish(state: RunState, out: Path) -> RunResult:
+    """Write a finished run's artifacts and report."""
+    config, terms = state.config, state.terms
     # The worst case the timer allows after each round, all prefixes in one
     # accountant pass.
     timer_schema = ParticipationSchema(*terms.timer_schema)
@@ -221,11 +191,11 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunResult:
             rho * terms.sensitivity_scale**2,
             m.bits_per_update,
         )
-        for (eval_acc, m), rho in zip(history, cumulative_rho)
+        for (eval_acc, m), rho in zip(state.history, cumulative_rho)
     ]
     _write_csv(out / "metrics.csv", METRICS_COLUMNS, metrics_rows)
-    write_checkpoint(out / "checkpoint.bin", server.theta)
-    client_ids = log.ravel()
+    write_checkpoint(out / "checkpoint.bin", state.theta)
+    client_ids = state.log.ravel()
     rounds = np.repeat(np.arange(config.rounds), config.report_goal)
     order = np.lexsort((rounds, client_ids))
     pairs = list(zip(client_ids[order].tolist(), rounds[order].tolist()))
@@ -236,7 +206,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunResult:
             ("round", "bits_per_update", "linf_clamp_fraction", "roundtrip_residual"),
             [
                 (m.round, m.bits_per_update, m.secagg_clamp_fraction, m.secagg_residual)
-                for _, m in history
+                for _, m in state.history
             ],
         )
     (out / "config.resolved").write_text(config.canonical_text())

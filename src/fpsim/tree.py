@@ -24,13 +24,7 @@ import numpy as np
 from fpsim.seeds import SeedPath, gaussian_vector
 from fpsim.vectors import as_param_vector
 
-__all__ = [
-    "RestartSchedule",
-    "TreeState",
-    "init_tree",
-    "naive_private_sum",
-    "prefix_decomposition",
-]
+__all__ = ["RestartSchedule", "TreeState", "prefix_decomposition"]
 
 
 @dataclass(frozen=True)
@@ -181,60 +175,3 @@ class TreeState:
         self.segment_index += 1
         self.round_in_segment = 0
         self.clip_norm = float(new_clip_norm)
-
-
-def init_tree(z: float, clip_norm: float, d: int, seed: SeedPath) -> TreeState:
-    """Empty tree at segment 0, round 0."""
-    return TreeState(z=float(z), clip_norm=float(clip_norm), d=int(d), seed=seed)
-
-
-def naive_private_sum(
-    history: list[np.ndarray],
-    z: float,
-    clip_norm: float,
-    seed: SeedPath,
-    restart_rounds: tuple[int, ...] = (),
-    clip_norms_per_segment: list[float] | None = None,
-) -> np.ndarray:
-    """Test oracle: replay a whole run, materializing every tree node.
-
-    Returns an array of shape (len(history), d) holding the reported
-    cumulative total after every round.  Node noises are derived from the
-    same seeds as the efficient implementation, so results agree exactly.
-    Unlike TreeState, this keeps every node of every segment in memory and
-    recomputes each round's report from scratch.
-    """
-    if len(history) == 0:
-        raise ValueError("history must be nonempty")
-    schedule = RestartSchedule(tuple(restart_rounds))
-    total_rounds = len(history)
-    seg_lengths = schedule.segment_lengths(total_rounds)
-    if clip_norms_per_segment is None:
-        clip_norms_per_segment = [float(clip_norm)] * len(seg_lengths)
-    if len(clip_norms_per_segment) != len(seg_lengths):
-        raise ValueError("need one clip norm per segment")
-
-    d = as_param_vector(history[0]).shape[0]
-    reports = np.zeros((total_rounds, d), dtype=np.float64)
-    frozen = np.zeros(d, dtype=np.float64)
-    t_global = 0
-    for segment, seg_len in enumerate(seg_lengths):
-        sigma = 0.0 if z == 0 else float(z) * float(clip_norms_per_segment[segment])
-        # Materialize every node this segment will ever use.
-        node_noise = {}
-        for level in range(seg_len.bit_length()):
-            for index in range((seg_len >> level) + 1):
-                node_noise[(level, index)] = gaussian_vector(
-                    _node_seed(seed, segment, level, index), sigma, d
-                )
-        true_prefix = np.zeros(d, dtype=np.float64)
-        last = np.zeros(d, dtype=np.float64)
-        for t_seg in range(seg_len):
-            true_prefix = true_prefix + as_param_vector(history[t_global], d)
-            last = np.zeros(d, dtype=np.float64)
-            for level, index in prefix_decomposition(t_seg + 1):
-                last += node_noise[(level, index)]
-            reports[t_global] = frozen + true_prefix + last
-            t_global += 1
-        frozen = frozen + true_prefix + last
-    return reports

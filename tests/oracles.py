@@ -7,8 +7,9 @@ import numpy as np
 
 from fpsim.accounting import _INFEASIBLE, ParticipationSchema, _forest_nodes, _StepRows
 from fpsim.secagg import SecAggConfig, _rounded_norm_bound_sq
-from fpsim.seeds import SeedPath
-from fpsim.vectors import clip_l2
+from fpsim.seeds import SeedPath, gaussian_vector
+from fpsim.tree import RestartSchedule, _node_seed, prefix_decomposition
+from fpsim.vectors import as_param_vector, clip_l2
 from fpsim._kernels import stochastic_round
 
 
@@ -160,3 +161,55 @@ def dense_step_rows(rows: _StepRows, width: int) -> np.ndarray:
             dense[r, start : rows.ends[j] + 1] = rows.values[j]
             start = rows.ends[j] + 1
     return dense
+
+
+def naive_private_sum(
+    history: list[np.ndarray],
+    z: float,
+    clip_norm: float,
+    seed: SeedPath,
+    restart_rounds: tuple[int, ...] = (),
+    clip_norms_per_segment: list[float] | None = None,
+) -> np.ndarray:
+    """Tree aggregation replayed over a whole run, materializing every node.
+
+    Returns an array of shape (len(history), d) holding the reported
+    cumulative total after every round.  Node noises are derived from the
+    same seeds as the efficient implementation, so results agree exactly.
+    Unlike TreeState, this keeps every node of every segment in memory and
+    recomputes each round's report from scratch.
+    """
+    if len(history) == 0:
+        raise ValueError("history must be nonempty")
+    schedule = RestartSchedule(tuple(restart_rounds))
+    total_rounds = len(history)
+    seg_lengths = schedule.segment_lengths(total_rounds)
+    if clip_norms_per_segment is None:
+        clip_norms_per_segment = [float(clip_norm)] * len(seg_lengths)
+    if len(clip_norms_per_segment) != len(seg_lengths):
+        raise ValueError("need one clip norm per segment")
+
+    d = as_param_vector(history[0]).shape[0]
+    reports = np.zeros((total_rounds, d), dtype=np.float64)
+    frozen = np.zeros(d, dtype=np.float64)
+    t_global = 0
+    for segment, seg_len in enumerate(seg_lengths):
+        sigma = 0.0 if z == 0 else float(z) * float(clip_norms_per_segment[segment])
+        # Materialize every node this segment will ever use.
+        node_noise = {}
+        for level in range(seg_len.bit_length()):
+            for index in range((seg_len >> level) + 1):
+                node_noise[(level, index)] = gaussian_vector(
+                    _node_seed(seed, segment, level, index), sigma, d
+                )
+        true_prefix = np.zeros(d, dtype=np.float64)
+        last = np.zeros(d, dtype=np.float64)
+        for t_seg in range(seg_len):
+            true_prefix = true_prefix + as_param_vector(history[t_global], d)
+            last = np.zeros(d, dtype=np.float64)
+            for level, index in prefix_decomposition(t_seg + 1):
+                last += node_noise[(level, index)]
+            reports[t_global] = frozen + true_prefix + last
+            t_global += 1
+        frozen = frozen + true_prefix + last
+    return reports

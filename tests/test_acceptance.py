@@ -14,24 +14,21 @@ import pytest
 
 from fpsim import (
     ClipState,
-    CohortConfig,
-    DataConfig,
     ExperimentConfig,
     NextTokenBOW,
     ParticipationSchema,
     RestartSchedule,
+    RunState,
     SeedPath,
-    ServerState,
+    TreeState,
     clip_l2,
     combined_multiplier,
     decode,
     derive_config,
     encode_client,
     inflated_clip_norm,
-    init_tree,
     loose_eps,
     modular_sum,
-    naive_private_sum,
     noise_split,
     run_experiment,
     run_round,
@@ -39,13 +36,14 @@ from fpsim import (
     sign_vector,
     sweep,
     synthesize_clients,
+    synthesize_eval_set,
     worst_case_sensitivity_sq,
     zcdp,
     zcdp_to_eps,
 )
 from fpsim.harness import read_metrics
 from fpsim.secagg import _rounded_norm_bound_sq
-from oracles import brute_force_sensitivity_sq
+from oracles import brute_force_sensitivity_sq, naive_private_sum
 
 
 def test_01_private_sum_matches_naive_oracle():
@@ -66,7 +64,7 @@ def test_01_private_sum_matches_naive_oracle():
             )
         )
         path = SeedPath(seed).child("acceptance-oracle")
-        tree = init_tree(z, clip_norm, dim, path)
+        tree = TreeState(z, clip_norm, dim, path)
         reports = []
         for t in range(total_rounds):
             reports.append(tree.add_round(history[t]))
@@ -96,7 +94,7 @@ def test_02_prefix_noise_variance_follows_popcount_law():
     replays = 100_000
     z, clip_norm = 1.3, 0.6
     checkpoints = {0, 1, 2, 6, 14}
-    tree = init_tree(z, clip_norm, replays, SeedPath(2).child("variance-mc"))
+    tree = TreeState(z, clip_norm, replays, SeedPath(2).child("variance-mc"))
     zero = np.zeros(replays)
     worst = 0.0
     lines = []
@@ -152,30 +150,41 @@ def test_03_zero_noise_run_reduces_to_fedavgm():
     parameters to 1e-9 over 200 rounds."""
     m, beta, eta_s, rounds = 4, 0.9, 0.5, 200
     population, vocab = 16, 8
+    config = ExperimentConfig(
+        rounds=rounds,
+        report_goal=m,
+        population=population,
+        timer_rounds=2,
+        noise_multiplier=0.0,
+        eta_s=eta_s,
+        beta=beta,
+        clip_mode="fixed",
+        clip_c0=math.inf,
+        restart_mode="none",
+        vocab_size=vocab,
+        window=1,
+        examples_per_client=30,
+        eval_examples=10,
+    )
 
     def make_data():
-        cfg = DataConfig(
-            vocab_size=vocab, window=1, examples_per_client=30, eval_examples=10
-        )
-        return synthesize_clients(cfg, population, SeedPath(0).child("data"))
+        return synthesize_clients(config, SeedPath(0).child("data"))
 
     data = make_data()
     pool = np.zeros(population, dtype=np.int64)  # next_eligible timers
     model = NextTokenBOW(vocab_size=vocab, window=1)
     root = SeedPath(21).child("run")
-    server = ServerState(
-        model=model,
-        theta0=np.zeros(model.num_params),
-        eta_s=eta_s,
-        beta=beta,
-        report_goal=m,
-        delta_tree=init_tree(0.0, math.inf, model.num_params, root.child("delta-tree")),
-        clip=None,
-        fixed_clip=math.inf,
-        restart_schedule=RestartSchedule(()),
-        seed=root.child("federation"),
+    server = RunState(
+        config,
+        config.privacy_terms(),
+        model,
+        data,
+        synthesize_eval_set(config, SeedPath(0).child("data")),
+        root.child("federation"),
+        np.zeros(model.num_params),
+        TreeState(0.0, math.inf, model.num_params, root.child("delta-tree")),
+        None,
     )
-    sel_cfg = CohortConfig(report_goal=m, timer_rounds=2)
     sel_seed = server.seed.child("selection")
 
     twins = make_data()
@@ -184,18 +193,18 @@ def test_03_zero_noise_run_reduces_to_fedavgm():
     velocity = np.zeros_like(theta)
     max_diff = 0.0
     for t in range(rounds):
-        cohort_ids = select_cohort(pool, sel_cfg, t, sel_seed)
-        run_round(server, cohort_ids, data)
+        cohort_ids = select_cohort(pool, config, t, sel_seed)
+        run_round(server, cohort_ids)
 
-        twin_ids = select_cohort(twin_pool, sel_cfg, t, sel_seed)
+        twin_ids = select_cohort(twin_pool, config, t, sel_seed)
         assert twin_ids == cohort_ids
         deltas = _dense_local_sgd(
             theta,
             twins.contexts[twin_ids],
             twins.labels[twin_ids],
-            server.eta_c,
-            server.batch_size,
-            server.epochs,
+            config.eta_c,
+            config.batch_size,
+            config.epochs,
             server.seed.child("local-order", t).generator(),
             vocab,
         )

@@ -397,6 +397,7 @@ class TestPrefixAccounting:
     def test_taller_schedule_keeps_built_tables(self):
         """Tables depend on (min_sep, width, level, p) alone: a longer
         schedule at the same min_sep reuses the solver and its tables."""
+        accounting._SOLVER_CACHE.clear()
         short, tall = _schema(64, min_sep=5), _schema(128, min_sep=5)
         worst_case_sensitivity_sq(short)
         solver = _solver_for(short)

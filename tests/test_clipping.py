@@ -11,8 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from fpsim import ClipState, SeedPath, combined_multiplier, noise_split, update_estimate
-from fpsim.clipping import MIN_ESTIMATE_FRACTION, activate
+from fpsim import ClipState, SeedPath, combined_multiplier, noise_split
+from fpsim.clipping import MIN_ESTIMATE_FRACTION
 
 
 class TestNoiseSplit:
@@ -58,20 +58,20 @@ class TestGeometricUpdate:
         """One round, full count (fraction 1), target 0.5, rate 0.2:
         the estimate shrinks by the factor exp(-0.2 * (1 - 0.5))."""
         state = _plain_state(initial=2.0, gamma=0.5, eta=0.2)
-        got = update_estimate(state, noised_mean_count=1.0, t=1)
+        got = state.update_estimate(noised_mean_count=1.0, t=1)
         assert got == pytest.approx(2.0 * math.exp(-0.1), rel=1e-12)
         assert state.estimate == got
 
     def test_step_up_when_count_trails_quantile(self):
         state = _plain_state(initial=2.0, gamma=0.5, eta=0.2)
-        got = update_estimate(state, noised_mean_count=0.0, t=1)
+        got = state.update_estimate(noised_mean_count=0.0, t=1)
         assert got == pytest.approx(2.0 * math.exp(0.1), rel=1e-12)
 
     def test_balanced_count_is_a_fixed_point(self):
         """When the cumulative count sits exactly on the target trajectory the
         estimate returns to its initial value."""
         state = _plain_state(initial=3.0, gamma=0.5, eta=0.2)
-        got = update_estimate(state, noised_mean_count=1.5, t=3)
+        got = state.update_estimate(noised_mean_count=1.5, t=3)
         assert got == pytest.approx(3.0, rel=1e-12)
 
     def test_update_anchors_to_initial_not_previous(self):
@@ -79,24 +79,24 @@ class TestGeometricUpdate:
         per-round multipliers: feeding the same (count, t) twice must give the
         same value, not compound."""
         state = _plain_state(initial=2.0, gamma=0.5, eta=0.2)
-        first = update_estimate(state, noised_mean_count=1.0, t=1)
-        second = update_estimate(state, noised_mean_count=1.0, t=1)
+        first = state.update_estimate(noised_mean_count=1.0, t=1)
+        second = state.update_estimate(noised_mean_count=1.0, t=1)
         assert first == second
 
     def test_floor_prevents_collapse(self):
         state = _plain_state(initial=2.0, gamma=0.5, eta=0.2)
-        got = update_estimate(state, noised_mean_count=1e9, t=1)
+        got = state.update_estimate(noised_mean_count=1e9, t=1)
         assert got == 2.0 * MIN_ESTIMATE_FRACTION
 
     def test_huge_negative_count_does_not_overflow(self):
         state = _plain_state(initial=2.0, gamma=0.5, eta=0.2)
-        got = update_estimate(state, noised_mean_count=-1e9, t=1)
+        got = state.update_estimate(noised_mean_count=-1e9, t=1)
         assert math.isfinite(got)
 
     def test_negative_round_index_rejected(self):
         state = _plain_state(initial=2.0, gamma=0.5, eta=0.2)
         with pytest.raises(ValueError):
-            update_estimate(state, noised_mean_count=0.0, t=-1)
+            state.update_estimate(noised_mean_count=0.0, t=-1)
 
 
 class TestClipState:
@@ -149,8 +149,8 @@ class TestClipState:
     def test_activate_is_idempotent(self):
         state = _plain_state(initial=1.0, gamma=0.5, eta=0.2, m=4)
         state.add_round(4)
-        first = activate(state)
-        second = activate(state)
+        first = state.activate()
+        second = state.activate()
         assert first == second == state.estimate
 
     def test_round_counter_spans_restarts(self):

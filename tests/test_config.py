@@ -10,6 +10,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from fpsim import (
     ParticipationSchema,
     PrivacyLedger,
     SweepConfig,
+    availability_weights,
     combined_multiplier,
     derive_config,
     inflated_clip_norm,
@@ -198,10 +200,23 @@ class TestExperimentConfig:
         cfg = ExperimentConfig.from_text(
             "availability.kind = diurnal\navailability.period = 12\navailability.amplitude = 0.25\n"
         )
-        model = cfg.availability()
-        assert model.kind == "diurnal"
-        assert model.period == 12.0
-        assert model.amplitude == 0.25
+        assert cfg.availability_kind == "diurnal"
+        assert cfg.availability_period == 12.0
+        assert cfg.availability_amplitude == 0.25
+        # Client 0's phase is 0: its weight is 1 + 0.25 sin(2 pi r / 12).
+        ids = np.arange(1000)
+        for r in (0, 3, 7):
+            weights = availability_weights(cfg, ids, r)
+            assert weights[0] == pytest.approx(1.0 + 0.25 * math.sin(2 * math.pi * r / 12))
+            assert weights.min() >= 0.75 - 1e-12 and weights.max() <= 1.25 + 1e-12
+            assert weights.max() - weights.min() > 0.49
+        np.testing.assert_allclose(
+            availability_weights(cfg, ids, 2), availability_weights(cfg, ids, 14), rtol=1e-9
+        )
+
+    def test_availability_kind_validated(self):
+        with pytest.raises(ConfigError, match=r"'availability\.kind'"):
+            ExperimentConfig.from_text("availability.kind = weekly\n")
 
 
 def _floats(low=None, high=None, **kwargs):

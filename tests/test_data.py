@@ -13,11 +13,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fpsim import DataConfig, SeedPath, synthesize_clients, synthesize_eval_set
+from fpsim import ExperimentConfig, SeedPath, synthesize_clients, synthesize_eval_set
 
 
-def _cfg(**kw):
+def _cfg(population=1, **kw):
+    """The corpus knobs under test, in a config of ``population`` clients
+    (a one-client report goal and no noise, so any population is valid)."""
     base = dict(
+        population=population,
+        report_goal=1,
+        noise_multiplier=0.0,
         vocab_size=12,
         window=1,
         examples_per_client=40,
@@ -26,27 +31,27 @@ def _cfg(**kw):
         eval_examples=200,
     )
     base.update(kw)
-    return DataConfig(**base)
+    return ExperimentConfig(**base)
 
 
 class TestDeterminism:
     def test_same_seed_same_data(self):
-        cfg = _cfg()
-        a = synthesize_clients(cfg, population=5, seed=SeedPath(1).child("data"))
-        b = synthesize_clients(cfg, population=5, seed=SeedPath(1).child("data"))
+        cfg = _cfg(5)
+        a = synthesize_clients(cfg, seed=SeedPath(1).child("data"))
+        b = synthesize_clients(cfg, seed=SeedPath(1).child("data"))
         np.testing.assert_array_equal(a.tokens, b.tokens)
         np.testing.assert_array_equal(a.contexts, b.contexts)
         np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_different_seed_different_data(self):
-        cfg = _cfg()
-        a = synthesize_clients(cfg, population=3, seed=SeedPath(1).child("data"))
-        b = synthesize_clients(cfg, population=3, seed=SeedPath(2).child("data"))
+        cfg = _cfg(3)
+        a = synthesize_clients(cfg, seed=SeedPath(1).child("data"))
+        b = synthesize_clients(cfg, seed=SeedPath(2).child("data"))
         assert not np.array_equal(a.labels, b.labels)
 
     def test_clients_differ_from_each_other(self):
-        cfg = _cfg()
-        data = synthesize_clients(cfg, population=4, seed=SeedPath(3).child("data"))
+        cfg = _cfg(4)
+        data = synthesize_clients(cfg, seed=SeedPath(3).child("data"))
         assert not np.array_equal(data.labels[0], data.labels[1])
 
     def test_eval_set_deterministic(self):
@@ -59,16 +64,16 @@ class TestDeterminism:
 
 class TestShapes:
     def test_client_dataset_shapes(self):
-        cfg = _cfg(window=2, examples_per_client=25)
-        data = synthesize_clients(cfg, population=3, seed=SeedPath(5).child("data"))
+        cfg = _cfg(3, window=2, examples_per_client=25)
+        data = synthesize_clients(cfg, seed=SeedPath(5).child("data"))
         assert data.tokens.shape == (3, 27)
         assert data.tokens.dtype == np.int64
         assert data.contexts.shape == (3, 25, 2)
         assert data.labels.shape == (3, 25)
 
     def test_tokens_in_vocabulary(self):
-        cfg = _cfg(vocab_size=7)
-        data = synthesize_clients(cfg, population=5, seed=SeedPath(6).child("data"))
+        cfg = _cfg(5, vocab_size=7)
+        data = synthesize_clients(cfg, seed=SeedPath(6).child("data"))
         assert data.tokens.min() >= 0 and data.tokens.max() < 7
 
     def test_eval_set_size(self):
@@ -82,14 +87,14 @@ class TestWindowStructure:
     def test_examples_slide_over_one_stream(self):
         """Consecutive examples come from one token stream: each label becomes
         the last context token of the next example, for every client."""
-        cfg = _cfg(window=3, examples_per_client=30)
-        data = synthesize_clients(cfg, population=4, seed=SeedPath(8).child("data"))
+        cfg = _cfg(4, window=3, examples_per_client=30)
+        data = synthesize_clients(cfg, seed=SeedPath(8).child("data"))
         contexts, labels = data.contexts, data.labels
         np.testing.assert_array_equal(contexts[:, 1:, :-1], contexts[:, :-1, 1:])
         np.testing.assert_array_equal(contexts[:, 1:, -1], labels[:, :-1])
 
     def test_contexts_and_labels_are_views_of_the_token_matrix(self):
-        data = synthesize_clients(_cfg(window=2), population=3, seed=SeedPath(8).child("data"))
+        data = synthesize_clients(_cfg(3, window=2), seed=SeedPath(8).child("data"))
         assert np.shares_memory(data.contexts, data.tokens)
         assert np.shares_memory(data.labels, data.tokens)
 
@@ -99,8 +104,8 @@ class TestHeterogeneity:
         """With mixture weight 0 every client samples the shared chain, so
         pooled next-token frequencies given a context token agree across two
         big client groups (chi-square-free: L1 distance on empirical rows)."""
-        cfg = _cfg(vocab_size=5, heterogeneity=0.0, examples_per_client=400)
-        data = synthesize_clients(cfg, population=20, seed=SeedPath(9).child("data"))
+        cfg = _cfg(20, vocab_size=5, heterogeneity=0.0, examples_per_client=400)
+        data = synthesize_clients(cfg, seed=SeedPath(9).child("data"))
 
         def empirical_row(contexts, labels, token):
             nxt = labels[contexts[:, :, -1] == token]
@@ -117,8 +122,8 @@ class TestHeterogeneity:
         zero-heterogeneity baseline."""
 
         def mean_pairwise_row_distance(h, seed):
-            cfg = _cfg(vocab_size=5, heterogeneity=h, examples_per_client=400)
-            data = synthesize_clients(cfg, population=6, seed=seed)
+            cfg = _cfg(6, vocab_size=5, heterogeneity=h, examples_per_client=400)
+            data = synthesize_clients(cfg, seed=seed)
             rows = []
             for contexts, labels in zip(data.contexts, data.labels):
                 row = np.zeros((5, 5))
@@ -146,8 +151,8 @@ class TestHeterogeneity:
         (2000 clients give ~15k-25k pairs; the bound is ~4.5 standard
         errors)."""
         vocab = 10
-        cfg = _cfg(vocab_size=vocab, heterogeneity=1.0, concentration=alpha)
-        data = synthesize_clients(cfg, population=2000, seed=SeedPath(12).child("data"))
+        cfg = _cfg(2000, vocab_size=vocab, heterogeneity=1.0, concentration=alpha)
+        data = synthesize_clients(cfg, seed=SeedPath(12).child("data"))
         contexts, labels = data.contexts[:, :, 0], data.labels
         hits = pairs = 0
         for token in range(vocab):
@@ -177,7 +182,7 @@ def test_synthesis_memory_is_a_small_multiple_of_the_token_matrix():
     (population, vocab) temporaries."""
     tracemalloc.start()
     try:
-        data = synthesize_clients(DataConfig(), population=100_000, seed=SeedPath(13))
+        data = synthesize_clients(ExperimentConfig(population=100_000), seed=SeedPath(13))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

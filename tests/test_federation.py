@@ -8,6 +8,7 @@ local updates come from a per-client dense reference kept in this file
 so the stacked cohort step is checked against code it shares nothing with.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,32 +18,38 @@ from hypothesis import strategies as st
 from scipy.linalg import hadamard
 
 from fpsim import (
-    AvailabilityModel,
-    CohortConfig,
     CohortExhausted,
-    DataConfig,
+    ExperimentConfig,
     NextTokenBOW,
-    RestartSchedule,
+    RunState,
     SecAggConfig,
     SeedPath,
-    ServerState,
     TrainingDiverged,
+    TreeState,
+    availability_weights,
     clip_l2,
     cohort_update,
     derive_config,
     encode_client,
-    init_tree,
     observed_limits,
     run_round,
     select_cohort,
     synthesize_clients,
+    synthesize_eval_set,
 )
-from fpsim import federation
-from fpsim.clipping import ClipState
+from fpsim import ClipState, federation
 
 
-def _data(population=20, vocab=8, examples=30, seed=0, window=1):
-    cfg = DataConfig(
+def _config(population=20, vocab=8, examples=30, window=1, **kw):
+    """A config of _data's corpus shape for the round loop: no noise, a
+    fixed clip norm, no restarts.  ``kw`` overrides any field."""
+    fields = dict(
+        population=population,
+        report_goal=1,
+        noise_multiplier=0.0,
+        clip_mode="fixed",
+        clip_c0=math.inf,
+        restart_mode="none",
         vocab_size=vocab,
         window=window,
         examples_per_client=examples,
@@ -50,7 +57,13 @@ def _data(population=20, vocab=8, examples=30, seed=0, window=1):
         concentration=0.1,
         eval_examples=50,
     )
-    return synthesize_clients(cfg, population, SeedPath(seed).child("data"))
+    fields.update(kw)
+    return ExperimentConfig(**fields)
+
+
+def _data(population=20, vocab=8, examples=30, seed=0, window=1):
+    config = _config(population, vocab, examples, window)
+    return synthesize_clients(config, SeedPath(seed).child("data"))
 
 
 def _population(data):
@@ -101,59 +114,73 @@ def _reference_update(theta, contexts, labels, eta_c, batch_size, epochs, rng, v
     return np.array(deltas), np.array(losses)
 
 
-def _server(z=0.0, clip=math.inf, m=4, beta=0.0, eta_s=1.0, seed=11, **kw):
-    model = NextTokenBOW(vocab_size=8)
-    theta0 = model.init_params()
-    root = SeedPath(seed).child("run")
-    return ServerState(
-        model=model,
-        theta0=theta0,
-        eta_s=eta_s,
-        beta=beta,
+def _state(config, data, root, z=0.0, clip=None, secagg=None):
+    """A hand-built RunState over ``data``: the model's plain initial
+    parameters, a delta tree of multiplier ``z`` at the config's clip norm,
+    the round loop seeded at ``root``; ``secagg`` replaces the config's
+    SecAgg encoding."""
+    model = NextTokenBOW(vocab_size=config.vocab_size)
+    tree = TreeState(z, config.clip_c0, model.num_params, root.child("delta-tree"))
+    terms = config.privacy_terms()
+    if secagg is not None:
+        terms = dataclasses.replace(terms, secagg=secagg)
+    eval_set = synthesize_eval_set(config, root.child("eval"))
+    return RunState(config, terms, model, data, eval_set, root, model.init_params(), tree, clip)
+
+
+def _server(data, z=0.0, clip=math.inf, m=4, beta=0.0, eta_s=1.0, seed=11, secagg=None, **kw):
+    """A run over ``data`` with a fixed clip norm and no restarts; ``kw``
+    sets more config fields."""
+    config = _config(
+        data.labels.shape[0],
         report_goal=m,
-        delta_tree=init_tree(z, clip, model.num_params, root.child("delta-tree")),
-        clip=None,
-        fixed_clip=clip,
-        restart_schedule=RestartSchedule(()),
-        seed=root,
+        noise_multiplier=z,
+        clip_c0=clip,
+        beta=beta,
+        eta_s=eta_s,
         **kw,
     )
+    return _state(config, data, SeedPath(seed).child("run"), z, secagg=secagg)
 
 
 class TestAvailabilityModel:
     def test_uniform_weights_are_ones(self):
-        w = AvailabilityModel().weights(np.arange(10), 3)
+        w = availability_weights(_config(), np.arange(10), 3)
         np.testing.assert_array_equal(w, np.ones(10))
 
     def test_diurnal_weights_bounded(self):
-        model = AvailabilityModel(kind="diurnal", period=24, amplitude=0.5)
+        config = _config(
+            availability_kind="diurnal", availability_period=24, availability_amplitude=0.5
+        )
         for r in range(48):
-            w = model.weights(np.arange(100), r)
+            w = availability_weights(config, np.arange(100), r)
             assert w.min() >= 0.5 - 1e-12
             assert w.max() <= 1.5 + 1e-12
 
     def test_diurnal_phases_differ_across_clients(self):
-        model = AvailabilityModel(kind="diurnal", period=24, amplitude=1.0)
-        w = model.weights(np.arange(50), 0)
+        config = _config(
+            availability_kind="diurnal", availability_period=24, availability_amplitude=1.0
+        )
+        w = availability_weights(config, np.arange(50), 0)
         assert np.std(w) > 0.1
 
     def test_diurnal_cycles_with_round(self):
-        model = AvailabilityModel(kind="diurnal", period=10, amplitude=1.0)
+        config = _config(
+            availability_kind="diurnal", availability_period=10, availability_amplitude=1.0
+        )
         ids = np.arange(5)
         np.testing.assert_allclose(
-            model.weights(ids, 0), model.weights(ids, 10), rtol=1e-9
+            availability_weights(config, ids, 0), availability_weights(config, ids, 10), rtol=1e-9
         )
-        assert not np.allclose(model.weights(ids, 0), model.weights(ids, 5))
-
-    def test_kind_validated(self):
-        with pytest.raises(ValueError):
-            AvailabilityModel(kind="weekly")
+        assert not np.allclose(
+            availability_weights(config, ids, 0), availability_weights(config, ids, 5)
+        )
 
 
 class TestSelectCohort:
     def test_returns_sorted_unique_ids(self):
         population = _population(_data())
-        cfg = CohortConfig(report_goal=6, timer_rounds=3)
+        cfg = _config(report_goal=6, timer_rounds=3)
         ids = select_cohort(population, cfg, 0, SeedPath(1).child("sel"))
         assert len(ids) == 6
         assert ids == sorted(set(ids))
@@ -161,7 +188,7 @@ class TestSelectCohort:
     def test_timer_blocks_reselection(self):
         """A selected client is ineligible for exactly timer_rounds rounds."""
         population = _population(_data(population=8))
-        cfg = CohortConfig(report_goal=4, timer_rounds=2)
+        cfg = _config(8, report_goal=4, timer_rounds=2)
         seed = SeedPath(2).child("sel")
         first = select_cohort(population, cfg, 0, seed)
         second = select_cohort(population, cfg, 1, seed)
@@ -172,7 +199,7 @@ class TestSelectCohort:
     def test_exhaustion_error(self):
         """The error names the round, the eligible count and the goal."""
         population = _population(_data(population=6))
-        cfg = CohortConfig(report_goal=4, timer_rounds=5)
+        cfg = _config(6, report_goal=4, timer_rounds=5)
         seed = SeedPath(3).child("sel")
         select_cohort(population, cfg, 0, seed)
         with pytest.raises(
@@ -185,7 +212,7 @@ class TestSelectCohort:
         """Each pick's timer restarts at the round it reported in; the
         harness logs the returned ids as that round's row."""
         next_eligible = _population(_data(population=8))
-        cfg = CohortConfig(report_goal=4, timer_rounds=1)
+        cfg = _config(8, report_goal=4, timer_rounds=1)
         seed = SeedPath(5).child("sel")
         for r in range(6):
             for cid in select_cohort(next_eligible, cfg, r, seed):
@@ -194,7 +221,7 @@ class TestSelectCohort:
     def test_deterministic_in_seed_and_round(self):
         a = _population(_data(population=12))
         b = _population(_data(population=12))
-        cfg = CohortConfig(report_goal=5, timer_rounds=2)
+        cfg = _config(12, report_goal=5, timer_rounds=2)
         for r in range(4):
             assert select_cohort(a, cfg, r, SeedPath(6).child("s")) == select_cohort(
                 b, cfg, r, SeedPath(6).child("s")
@@ -204,7 +231,7 @@ class TestSelectCohort:
         """With uniform availability and no timer pressure every client is
         picked at close to the m/N rate."""
         population = _population(_data(population=30))
-        cfg = CohortConfig(report_goal=6, timer_rounds=1)
+        cfg = _config(30, report_goal=6, timer_rounds=1)
         counts = np.zeros(30)
         rounds = 500
         for r in range(rounds):
@@ -328,29 +355,28 @@ class TestClientUpdate:
 
 class TestRunRound:
     def test_cohort_size_enforced(self):
-        data = _data()
-        server = _server(m=4)
+        server = _server(_data(), m=4)
         with pytest.raises(ValueError):
-            run_round(server, [0, 1, 2], data)
+            run_round(server, [0, 1, 2])
 
     def test_single_round_zero_noise_identity(self):
         """theta after one round is exactly theta0 + eta_s * mean client
         delta, the deltas from the dense reference."""
         data = _data()
-        server = _server(m=4, eta_s=0.7)
+        server = _server(data, m=4, eta_s=0.7)
         cohort_ids = [0, 1, 2, 3]
         deltas, _ = _reference_update(
             server.theta0,
             data.contexts[cohort_ids],
             data.labels[cohort_ids],
-            server.eta_c,
-            server.batch_size,
-            server.epochs,
+            server.config.eta_c,
+            server.config.batch_size,
+            server.config.epochs,
             server.seed.child("local-order", 0).generator(),
             8,
             1,
         )
-        run_round(server, cohort_ids, data)
+        run_round(server, cohort_ids)
         expected = server.theta0 + 0.7 * np.sum(deltas, axis=0) / 4
         np.testing.assert_allclose(server.theta, expected, rtol=0, atol=1e-12)
 
@@ -366,8 +392,7 @@ class TestRunRound:
         m, beta, eta_s, rounds = 4, 0.9, 0.5, 20
         data = _data(population=16)
         population = _population(data)
-        server = _server(m=m, beta=beta, eta_s=eta_s, seed=21)
-        sel_cfg = CohortConfig(report_goal=m, timer_rounds=2)
+        server = _server(data, m=m, beta=beta, eta_s=eta_s, seed=21, timer_rounds=2)
         sel_seed = server.seed.child("selection")
 
         twins = _data(population=16)
@@ -376,18 +401,18 @@ class TestRunRound:
         velocity = np.zeros_like(theta)
 
         for t in range(rounds):
-            cohort_ids = select_cohort(population, sel_cfg, t, sel_seed)
-            run_round(server, cohort_ids, data)
+            cohort_ids = select_cohort(population, server.config, t, sel_seed)
+            run_round(server, cohort_ids)
 
-            twin_ids = select_cohort(twin_population, sel_cfg, t, sel_seed)
+            twin_ids = select_cohort(twin_population, server.config, t, sel_seed)
             assert twin_ids == cohort_ids
             deltas, _ = _reference_update(
                 theta,
                 twins.contexts[twin_ids],
                 twins.labels[twin_ids],
-                server.eta_c,
-                server.batch_size,
-                server.epochs,
+                server.config.eta_c,
+                server.config.batch_size,
+                server.config.epochs,
                 server.seed.child("local-order", t).generator(),
                 8,
                 1,
@@ -399,7 +424,6 @@ class TestRunRound:
     def test_adaptive_clip_state_advances(self):
         data = _data()
         root = SeedPath(30).child("run")
-        model = NextTokenBOW(vocab_size=8)
         clip = ClipState(
             initial_estimate=0.5,
             target_quantile=0.5,
@@ -408,22 +432,21 @@ class TestRunRound:
             cohort_size=4,
             seed=root.child("clip"),
         )
-        server = ServerState(
-            model=model,
-            theta0=model.init_params(),
-            eta_s=1.0,
-            beta=0.0,
+        config = _config(
             report_goal=4,
-            delta_tree=init_tree(0.0, 0.5, model.num_params, root.child("delta-tree")),
-            clip=clip,
-            fixed_clip=0.5,
-            restart_schedule=RestartSchedule((2,)),
-            seed=root,
+            beta=0.0,
+            clip_mode="adaptive",
+            clip_c0=0.5,
+            clip_gamma=0.5,
+            clip_eta_gamma=0.2,
+            restart_mode="explicit",
+            restart_rounds=(2,),
         )
-        run_round(server, [0, 1, 2, 3], data)
+        server = _state(config, data, root, clip=clip)
+        run_round(server, [0, 1, 2, 3])
         assert clip.rounds_seen == 1
         assert server.active_clip == 0.5  # not yet activated
-        run_round(server, [4, 5, 6, 7], data)
+        run_round(server, [4, 5, 6, 7])
         # Round 2 is a restart boundary: the estimate became the active norm
         # and the tree opened a new segment.
         assert server.active_clip == clip.estimate
@@ -433,16 +456,14 @@ class TestRunRound:
         """A noise multiplier so large its Gaussian draws overflow float64
         must stop the run with the divergence diagnostic, not march on with
         non-finite parameters."""
-        data = _data()
-        server = _server(m=4, z=1e308, clip=1.0, seed=50)
+        server = _server(_data(), m=4, z=1e308, clip=1.0, seed=50)
         with np.errstate(over="ignore"), pytest.raises(TrainingDiverged):
             for t in range(4):
-                run_round(server, [0, 1, 2, 3], data)
+                run_round(server, [0, 1, 2, 3])
 
     def test_metrics_fields(self):
-        data = _data()
-        server = _server(m=4)
-        metrics = run_round(server, [0, 1, 2, 3], data)
+        server = _server(_data(), m=4)
+        metrics = run_round(server, [0, 1, 2, 3])
         assert metrics.round == 0
         assert metrics.cohort_size == 4
         assert math.isfinite(metrics.train_loss)
@@ -455,15 +476,13 @@ class TestSecureAggregationRound:
         """Running the same round with and without the integer codec agrees
         to the codec's rounding tolerance."""
         m = 4
-        data = _data(population=8)
-        plain = _server(m=m, clip=1.0, seed=40)
+        plain = _server(_data(population=8), m=m, clip=1.0, seed=40)
         model_dim = plain.model.num_params
         cfg = derive_config(1.0, 100.0, model_dim, m)
-        coded = _server(m=m, clip=1.0, seed=40, secagg=cfg)
+        coded = _server(_data(population=8), m=m, clip=1.0, seed=40, secagg=cfg)
         cohort_ids = list(range(m))
-        metrics_plain = run_round(plain, cohort_ids, data)
-        twins = _data(population=8)
-        metrics_coded = run_round(coded, cohort_ids, twins)
+        metrics_plain = run_round(plain, cohort_ids)
+        metrics_coded = run_round(coded, cohort_ids)
         assert np.linalg.norm(plain.theta - coded.theta) <= m * math.sqrt(cfg.padded_dim) / 100.0
         assert metrics_coded.bits_per_update > 0
         assert metrics_coded.secagg_residual <= m * math.sqrt(cfg.padded_dim) / 100.0
@@ -486,7 +505,7 @@ class TestSecureAggregationRound:
             infinity_bound=1,
             modulus=2 * m + 1,
         )
-        server = _server(m=m, clip=1.0, seed=42, secagg=cfg)
+        server = _server(data, m=m, clip=1.0, seed=42, secagg=cfg)
         received = []
 
         def recording_encode(delta, config, signs, seed):
@@ -494,7 +513,7 @@ class TestSecureAggregationRound:
             return encode_client(delta, config, signs, seed)
 
         monkeypatch.setattr(federation, "encode_client", recording_encode)
-        metrics = run_round(server, list(range(m)), data)
+        metrics = run_round(server, list(range(m)))
         monkeypatch.undo()
 
         rotation = hadamard(padded_dim) / math.sqrt(padded_dim)
@@ -509,6 +528,8 @@ class TestSecureAggregationRound:
         assert metrics.secagg_clamp_fraction == recount / (m * padded_dim)
 
     def test_secagg_requires_fixed_clip(self):
+        """The SecAgg pieces of a hand-built RunState cannot pair with an
+        adaptive ClipState (a config refuses the pairing at parse time)."""
         data = _data()
         root = SeedPath(41).child("run")
         model = NextTokenBOW(vocab_size=8)
@@ -521,25 +542,25 @@ class TestSecureAggregationRound:
             cohort_size=4,
             seed=root.child("clip"),
         )
-        with pytest.raises(ValueError):
-            ServerState(
-                model=model,
-                theta0=model.init_params(),
-                eta_s=1.0,
-                beta=0.0,
-                report_goal=4,
-                delta_tree=init_tree(0.0, 1.0, model.num_params, root.child("t")),
-                clip=clip,
-                fixed_clip=1.0,
-                restart_schedule=RestartSchedule(()),
-                seed=root,
-                secagg=cfg,
+        config = _config(report_goal=4, beta=0.0, clip_c0=1.0)
+        terms = dataclasses.replace(config.privacy_terms(), secagg=cfg)
+        with pytest.raises(ValueError, match="fixed clip norm"):
+            RunState(
+                config,
+                terms,
+                model,
+                data,
+                synthesize_eval_set(config, root.child("eval")),
+                root,
+                model.init_params(),
+                TreeState(0.0, 1.0, model.num_params, root.child("t")),
+                clip,
             )
 
     def test_secagg_cohort_size_must_match_report_goal(self):
         cfg = derive_config(1.0, 100.0, 64, 5)  # cohort 5 != report goal 4
-        with pytest.raises(ValueError):
-            _server(m=4, clip=1.0, secagg=cfg)
+        with pytest.raises(ValueError, match="cohort_size"):
+            _server(_data(), m=4, clip=1.0, secagg=cfg)
 
 
 def _reference_limits(client_ids, rounds, total_rounds):

@@ -23,10 +23,13 @@ from fpsim import (
     compare,
     post_hoc_report,
     run_experiment,
+    start_run,
     sweep_privacy,
+    synthesize_clients,
     zcdp,
     zcdp_to_eps,
 )
+from fpsim import harness
 from fpsim.cli import main as cli_main
 from fpsim.harness import (
     METRICS_COLUMNS,
@@ -329,6 +332,53 @@ class TestParticipationLogValidation:
         result = run_experiment(config, tmp_path / "run")
         assert (result.observed_max_part, result.observed_min_sep) == (1, 12)
         assert post_hoc_report(result.directory)["rho"] == result.final_rho
+
+
+class TestStartRun:
+    def test_state_at_round_zero(self):
+        """start_run builds the run from its config alone: the config's
+        one derivation of the privacy terms, its population, and a round
+        loop that has not started."""
+        config = ExperimentConfig.from_text(SMALL_CONFIG)
+        state = start_run(config)
+        assert state.terms is config.privacy_terms()
+        assert state.data.labels.shape == (config.population, config.examples_per_client)
+        assert state.eval_set.labels.shape == (1, config.eval_examples)
+        assert state.round == 0 and state.history == []
+        assert state.log.shape == (config.rounds, config.report_goal)
+        np.testing.assert_array_equal(state.next_eligible, np.zeros(config.population))
+        np.testing.assert_array_equal(state.theta, state.theta0)
+        assert state.clip is not None and state.active_clip == config.clip_c0
+
+
+class TestRoundClock:
+    def test_one_select_cohort_per_round_after_synthesis(self, tmp_path, monkeypatch):
+        """A round clock that wraps harness.select_cohort (as the benchmark
+        worker's does) sees every round start and nothing else: the loop
+        looks select_cohort up as the harness module's global, once per
+        round, and only after the population is synthesized."""
+        events = []
+
+        def recording(name, inner):
+            def wrapped(*args, **kwargs):
+                events.append(name)
+                return inner(*args, **kwargs)
+
+            return wrapped
+
+        # Every fpsim module's binding of synthesize_clients is wrapped, so
+        # the order holds wherever the run synthesizes its population.
+        for name, module in list(sys.modules.items()):
+            if name == "fpsim" or name.startswith("fpsim."):
+                for attribute, value in list(vars(module).items()):
+                    if value is synthesize_clients:
+                        wrapped = recording("synthesize_clients", synthesize_clients)
+                        monkeypatch.setattr(module, attribute, wrapped)
+        select = recording("select_cohort", harness.select_cohort)
+        monkeypatch.setattr(harness, "select_cohort", select)
+        config = ExperimentConfig.from_text(SMALL_CONFIG)
+        run_experiment(config, tmp_path / "run")
+        assert events == ["synthesize_clients"] + ["select_cohort"] * config.rounds
 
 
 class TestDeterminism:

@@ -10,8 +10,9 @@ implementation breaks equality at machine precision zero.
 import numpy as np
 import pytest
 
-from fpsim import RestartSchedule, SeedPath, init_tree, naive_private_sum
+from fpsim import RestartSchedule, SeedPath, TreeState
 from fpsim.tree import prefix_decomposition
+from oracles import naive_private_sum
 
 
 class TestPrefixDecomposition:
@@ -49,7 +50,7 @@ class TestPrefixDecomposition:
 class TestZeroNoise:
     def test_reports_exact_prefix_sums(self):
         """With a zero noise multiplier the report is the running sum itself."""
-        tree = init_tree(0.0, 1.0, 1, SeedPath(0).child("t"))
+        tree = TreeState(0.0, 1.0, 1, SeedPath(0).child("t"))
         total = 0.0
         for x in (1.0, 2.0, 4.0):
             total += x
@@ -59,7 +60,7 @@ class TestZeroNoise:
 
     def test_zero_noise_with_unbounded_clip(self):
         """z=0 with an infinite clip level must not poison the sum with NaN."""
-        tree = init_tree(0.0, np.inf, 3, SeedPath(1).child("t"))
+        tree = TreeState(0.0, np.inf, 3, SeedPath(1).child("t"))
         out = tree.add_round(np.array([1.0, -2.0, 3.0]))
         np.testing.assert_array_equal(out, np.array([1.0, -2.0, 3.0]))
 
@@ -71,7 +72,7 @@ class TestOracleEquivalence:
         rounds = 33
         history = rng.normal(size=(rounds, 4))
         oracle = naive_private_sum(history, z=0.7, clip_norm=1.3, seed=seed)
-        tree = init_tree(0.7, 1.3, 4, seed)
+        tree = TreeState(0.7, 1.3, 4, seed)
         for t in range(rounds):
             got = tree.add_round(history[t])
             np.testing.assert_array_equal(got, oracle[t])
@@ -91,7 +92,7 @@ class TestOracleEquivalence:
             restart_rounds=restarts,
             clip_norms_per_segment=clips,
         )
-        tree = init_tree(1.1, clips[0], 3, seed)
+        tree = TreeState(1.1, clips[0], 3, seed)
         seg = 0
         for t in range(rounds):
             if t in restarts:
@@ -114,7 +115,7 @@ class TestOracleEquivalence:
             oracle = naive_private_sum(
                 history, z=0.5, clip_norm=1.0, seed=seed, restart_rounds=restarts
             )
-            tree = init_tree(0.5, 1.0, 2, seed)
+            tree = TreeState(0.5, 1.0, 2, seed)
             for t in range(rounds):
                 if t in restarts:
                     tree.restart(1.0)
@@ -127,7 +128,7 @@ class TestRestartSemantics:
         final pre-restart report itself (true segment sum + its last noise),
         so the next segment starts from that exact realization."""
         seed = SeedPath(7).child("tree")
-        tree = init_tree(1.0, 1.0, 2, seed)
+        tree = TreeState(1.0, 1.0, 2, seed)
         last = None
         for t in range(5):
             last = tree.add_round(np.array([1.0, -1.0]))
@@ -138,7 +139,7 @@ class TestRestartSemantics:
         fresh_only = nxt - last
         # The fresh part must be 2 + new-segment node noise; replaying an
         # identical single-round segment from the same seed reproduces it.
-        twin = init_tree(1.0, 1.0, 2, seed)
+        twin = TreeState(1.0, 1.0, 2, seed)
         for t in range(5):
             twin.add_round(np.array([0.0, 0.0]))
         twin.restart(1.0)
@@ -149,7 +150,7 @@ class TestRestartSemantics:
         )
 
     def test_restart_requires_progress(self):
-        tree = init_tree(1.0, 1.0, 1, SeedPath(8).child("t"))
+        tree = TreeState(1.0, 1.0, 1, SeedPath(8).child("t"))
         with pytest.raises(ValueError):
             tree.restart(1.0)
         tree.add_round(np.array([1.0]))
@@ -163,7 +164,7 @@ class TestRestartSemantics:
         seed = SeedPath(9).child("tree")
 
         def run(second_clip):
-            tree = init_tree(1.0, 1.0, 1, seed)
+            tree = TreeState(1.0, 1.0, 1, seed)
             tree.add_round(np.array([0.0]))
             tree.restart(second_clip)
             return tree.add_round(np.array([0.0])) - tree.finalized_totals
@@ -178,13 +179,13 @@ class TestNoiseStructure:
         """Round 2 (prefix of 3 rounds) reuses the level-1 node drawn at round 1:
         report difference between t=1 and t=2 is input + the new leaf noise only."""
         seed = SeedPath(20).child("tree")
-        tree = init_tree(1.0, 1.0, 1, seed)
+        tree = TreeState(1.0, 1.0, 1, seed)
         tree.add_round(np.array([0.0]))
         r1 = tree.add_round(np.array([0.0]))
         r2 = tree.add_round(np.array([0.0]))
         # prefix(2) = {node(1,0)}; prefix(3) = {node(1,0), node(0,2)}
         # so r2 - r1 is exactly the fresh leaf node's noise, shared with a twin.
-        twin = init_tree(1.0, 1.0, 1, seed)
+        twin = TreeState(1.0, 1.0, 1, seed)
         twin.add_round(np.array([0.0]))
         t1 = twin.add_round(np.array([0.0]))
         t2 = twin.add_round(np.array([0.0]))
@@ -197,7 +198,7 @@ class TestNoiseStructure:
         wide tree serving as independent replays."""
         d = 40_000
         z, c = 1.0, 2.0
-        tree = init_tree(z, c, d, SeedPath(21).child("mc"))
+        tree = TreeState(z, c, d, SeedPath(21).child("mc"))
         zero = np.zeros(d)
         for t in range(8):
             report = tree.add_round(zero)
@@ -207,7 +208,7 @@ class TestNoiseStructure:
 
     def test_cache_stays_logarithmic(self):
         """The streaming tree keeps only the active decomposition nodes."""
-        tree = init_tree(1.0, 1.0, 1, SeedPath(22).child("t"))
+        tree = TreeState(1.0, 1.0, 1, SeedPath(22).child("t"))
         max_cached = 0
         for t in range(512):
             tree.add_round(np.array([0.0]))
@@ -216,18 +217,18 @@ class TestNoiseStructure:
 
     def test_determinism(self):
         seed = SeedPath(23).child("t")
-        a = init_tree(0.9, 1.0, 5, seed)
-        b = init_tree(0.9, 1.0, 5, seed)
+        a = TreeState(0.9, 1.0, 5, seed)
+        b = TreeState(0.9, 1.0, 5, seed)
         x = np.ones(5)
         for _ in range(17):
             np.testing.assert_array_equal(a.add_round(x), b.add_round(x))
 
     def test_input_validation(self):
-        tree = init_tree(1.0, 1.0, 3, SeedPath(24).child("t"))
+        tree = TreeState(1.0, 1.0, 3, SeedPath(24).child("t"))
         with pytest.raises(ValueError):
             tree.add_round(np.ones(4))
         with pytest.raises(ValueError):
-            init_tree(-1.0, 1.0, 3, SeedPath(0).child("x"))
+            TreeState(-1.0, 1.0, 3, SeedPath(0).child("x"))
 
 
 class TestRestartSchedule:
