@@ -1,7 +1,11 @@
 """Time the data and training layers: population synthesis, one stacked
 cohort SGD step, and one eval-set accuracy, at the default config's shapes
 (V = 100, window 1, 50 examples per client, cohort 100, batch 16, 1000 eval
-examples).  Run from the repo root:
+examples).  The eval is timed both ways: ``accuracy`` scores every example,
+and ``distinct_eval`` scores each distinct window once and indexes the
+predictions back, as a run does every round.  Both are also timed at the
+long small-model shape (V = 64, concentration 0.5, 1000 eval examples).
+Run from the repo root:
 
     PYTHONPATH=src python benchmarks/bench_training.py
     PYTHONPATH=src python benchmarks/bench_training.py --repeats 5
@@ -43,6 +47,25 @@ def _best_ms(fn, repeats: int, calls: int = 1) -> float:
     return best * 1e3
 
 
+def _time_eval(record: dict, suffix: str, cfg, theta, seed, repeats: int) -> None:
+    """Record ``accuracy`` and ``distinct_eval`` per call on ``cfg``'s eval
+    set, and how many distinct windows it holds."""
+    model = NextTokenBOW(vocab_size=cfg.vocab_size, window=cfg.window)
+    eval_set = synthesize_eval_set(cfg, seed)
+    contexts, labels = eval_set.contexts[0], eval_set.labels[0]
+    windows, inverse = eval_set.distinct_windows()
+
+    def distinct_eval():
+        return float((model.predict(theta, windows)[inverse] == eval_set.labels).mean())
+
+    assert distinct_eval() == model.accuracy(theta, contexts, labels)
+    record[f"eval_windows{suffix}"] = len(windows)
+    record[f"accuracy{suffix}_ms"] = _best_ms(
+        lambda: model.accuracy(theta, contexts, labels), repeats, calls=50
+    )
+    record[f"distinct_eval{suffix}_ms"] = _best_ms(distinct_eval, repeats, calls=50)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=3, help="timings per case (best is kept)")
@@ -73,11 +96,10 @@ def main() -> None:
 
     record["cohort_update_ms"] = _best_ms(step, args.repeats, calls=20)
 
-    eval_set = synthesize_eval_set(cfg, seed)
-    eval_contexts, eval_labels = eval_set.contexts[0], eval_set.labels[0]
-    record["accuracy_ms"] = _best_ms(
-        lambda: model.accuracy(theta, eval_contexts, eval_labels), args.repeats, calls=50
-    )
+    _time_eval(record, "", cfg, theta, seed, args.repeats)
+    small = ExperimentConfig(vocab_size=64, concentration=0.5, eval_examples=1000)
+    small_theta = np.random.default_rng(0).normal(size=small.vocab_size**2) * 0.01
+    _time_eval(record, "_v64", small, small_theta, seed, args.repeats)
 
     cores = record["nproc"]
     print(f"data and training layers (ms per call, best of {args.repeats}, {cores} cores)")

@@ -26,6 +26,7 @@ a pure function of (seed, population), not of the client id alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -48,13 +49,23 @@ class TokenDataset:
     tokens: np.ndarray
     window: int
 
-    @property
+    @cached_property
     def contexts(self) -> np.ndarray:
         return sliding_window_view(self.tokens[:, :-1], self.window, axis=1)
 
     @property
     def labels(self) -> np.ndarray:
         return self.tokens[:, self.window :]
+
+    def distinct_windows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct context windows over all examples, (k, window) in
+        lexicographic order, and each example's row among them, shaped like
+        ``labels``.  At most V ** window windows are distinct, so scoring
+        these k and indexing by the second array scores every example."""
+        windows, inverse = np.unique(
+            self.contexts.reshape(-1, self.window), axis=0, return_inverse=True
+        )
+        return windows, inverse.reshape(self.labels.shape)
 
 
 def _global_table(config: ExperimentConfig, seed: SeedPath) -> np.ndarray:

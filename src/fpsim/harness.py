@@ -80,11 +80,16 @@ def read_checkpoint(path: str | Path) -> np.ndarray:
     blob = Path(path).read_bytes()
     if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint file (bad magic)")
-    (count,) = struct.unpack_from("<Q", blob, len(CHECKPOINT_MAGIC))
-    data = np.frombuffer(blob, dtype="<f8", offset=len(CHECKPOINT_MAGIC) + 8)
-    if data.shape[0] != count:
-        raise ValueError(f"{path}: truncated checkpoint")
-    return data.astype(np.float64)
+    header = len(CHECKPOINT_MAGIC) + 8
+    # A file too short for its count is held to the header's own length.
+    count = struct.unpack_from("<Q", blob, len(CHECKPOINT_MAGIC))[0] if len(blob) >= header else 0
+    expected = header + 8 * count
+    if len(blob) != expected:
+        raise ValueError(
+            f"{path}: malformed checkpoint: {len(blob)} bytes, expected {expected} "
+            f"({header}-byte header and {count} float64 parameters)"
+        )
+    return np.frombuffer(blob, dtype="<f8", offset=header).astype(np.float64)
 
 
 def _format(value: object) -> str:
@@ -163,12 +168,15 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunResult:
     out.mkdir(parents=True, exist_ok=True)
     state = start_run(config)
     selection = SeedPath(config.seed).child("selection")
-    eval_contexts, eval_labels = state.eval_set.contexts[0], state.eval_set.labels[0]
+    # Each round scores every distinct eval window once; the same float as
+    # model.accuracy on the whole eval set.
+    windows, inverse = state.eval_set.distinct_windows()
     for t in range(config.rounds):
         cohort_ids = select_cohort(state.next_eligible, config, t, selection)
         state.log[t] = cohort_ids
         round_metrics = run_round(state, cohort_ids)
-        eval_acc = state.model.accuracy(state.theta, eval_contexts, eval_labels)
+        predictions = state.model.predict(state.theta, windows)[inverse]
+        eval_acc = float((predictions == state.eval_set.labels).mean())
         state.history.append((eval_acc, round_metrics))
     return _finish(state, out)
 

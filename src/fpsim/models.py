@@ -98,9 +98,13 @@ class NextTokenBOW:
         np.add.at(flat, columns.ravel(), scatter.ravel())
         return losses
 
-    def accuracy(self, params: np.ndarray, contexts: np.ndarray, labels: np.ndarray) -> float:
-        """Top-1 accuracy on (n, window) contexts; argmax ties resolve to the
-        lowest token id."""
+    def predict(self, params: np.ndarray, contexts: np.ndarray) -> np.ndarray:
+        """Top-1 token of each of (n, window) contexts, (n,); argmax ties
+        resolve to the lowest token id.  A window's prediction depends on
+        that window alone, so equal windows get equal predictions."""
         stack = np.asarray(params, dtype=np.float64).reshape(1, -1)
-        predictions = self.logits(stack, np.asarray(contexts)[None])[0].argmax(axis=1)
-        return float((predictions == np.asarray(labels)).mean())
+        return self.logits(stack, np.asarray(contexts)[None])[0].argmax(axis=1)
+
+    def accuracy(self, params: np.ndarray, contexts: np.ndarray, labels: np.ndarray) -> float:
+        """Top-1 accuracy on (n, window) contexts."""
+        return float((self.predict(params, contexts) == np.asarray(labels)).mean())

@@ -8,6 +8,7 @@ whole file stays fast.
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -101,6 +102,35 @@ class TestCheckpointFormat:
         data = path.read_bytes()
         path.write_bytes(data[:-8])
         with pytest.raises(ValueError):
+            read_checkpoint(path)
+
+    def test_short_header_rejected(self, tmp_path):
+        """A file that ends inside the 8-byte count is a ValueError naming
+        the file, not a struct.error."""
+        path = tmp_path / "short.bin"
+        path.write_bytes(b"FPSIM1" + b"\x01\x00\x00")
+        message = f"{path}: malformed checkpoint: 9 bytes, expected 14 "
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_checkpoint(path)
+
+    def test_ragged_payload_rejected(self, tmp_path):
+        """A payload that is not whole float64s names the file and both byte
+        counts."""
+        path = tmp_path / "ragged.bin"
+        write_checkpoint(path, np.ones(3))
+        path.write_bytes(path.read_bytes()[:-3])
+        message = f"{path}: malformed checkpoint: 35 bytes, expected 38 "
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_checkpoint(path)
+
+    def test_overlong_payload_rejected(self, tmp_path):
+        """Bytes past the header's count are an error too, and not called a
+        truncation."""
+        path = tmp_path / "long.bin"
+        write_checkpoint(path, np.ones(3))
+        path.write_bytes(path.read_bytes() + b"\x00" * 8)
+        message = f"{path}: malformed checkpoint: 46 bytes, expected 38 "
+        with pytest.raises(ValueError, match=re.escape(message)):
             read_checkpoint(path)
 
 
@@ -419,6 +449,16 @@ class TestWarmStart:
         )
         with pytest.raises(ValueError):
             run_experiment(cfg, tmp_path / "run")
+
+    def test_malformed_checkpoint_fails_cleanly_in_cli(self, tmp_path, capsys):
+        """A warm_start file too short for its header exits 1 with the
+        file's name, instead of a traceback."""
+        bad = tmp_path / "short.bin"
+        bad.write_bytes(b"FPSIM1\x00")
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(SMALL_CONFIG + f"warm_start = {bad}\n")
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
+        assert f"{bad}: malformed checkpoint" in capsys.readouterr().err
 
 
 class TestCompare:

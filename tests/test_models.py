@@ -8,8 +8,10 @@ of parameter rows in place, so the gradient is read off one step of rate 1.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fpsim import NextTokenBOW
+from fpsim import NextTokenBOW, TokenDataset
 
 
 def _loss_grad(model, stack, contexts, labels):
@@ -188,3 +190,42 @@ class TestNextTokenBOW:
             m.logits(stack, np.array([[[4]]]))
         with pytest.raises(ValueError):
             m.logits(stack, np.array([[[-1]]]))
+
+
+class TestDistinctWindowEval:
+    """A run scores each distinct eval window once and indexes the scores
+    back to the examples; that must equal scoring every example."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        v=st.integers(2, 40),
+        window=st.integers(1, 3),
+        n=st.integers(1, 300),
+        alphabet=st.integers(1, 40),
+        discrete=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_example_accuracy(self, v, window, n, alphabet, discrete, seed):
+        rng = np.random.default_rng(seed)
+        # Tokens from the first ``alphabet`` ids, so windows repeat often.
+        tokens = rng.integers(0, min(alphabet, v), size=(1, n + window))
+        if discrete:
+            weights = rng.choice([-1.0, 0.0, 0.5], size=(v, v))
+        else:
+            weights = rng.normal(size=(v, v))
+        weights[:, rng.random(v) < 0.3] = 0.0
+        tied = rng.integers(0, v, size=v // 2)
+        weights[:, tied] = weights[:, [int(rng.integers(v))]]
+        params = weights.reshape(-1)
+        dataset = TokenDataset(tokens, window)
+        model = NextTokenBOW(vocab_size=v, window=window)
+
+        windows, inverse = dataset.distinct_windows()
+        contexts, labels = dataset.contexts[0], dataset.labels[0]
+        assert inverse.shape == dataset.labels.shape
+        assert len(windows) == len({tuple(row) for row in contexts.tolist()})
+        np.testing.assert_array_equal(windows[inverse[0]], contexts)
+        predictions = model.predict(params, windows)[inverse]
+        np.testing.assert_array_equal(predictions[0], model.predict(params, contexts))
+        full = model.accuracy(params, contexts, labels)
+        assert float((predictions == dataset.labels).mean()) == full

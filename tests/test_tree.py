@@ -9,6 +9,8 @@ implementation breaks equality at machine precision zero.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpsim import RestartSchedule, SeedPath, TreeState
 from fpsim.tree import prefix_decomposition
@@ -120,6 +122,46 @@ class TestOracleEquivalence:
                 if t in restarts:
                     tree.restart(1.0)
                 np.testing.assert_array_equal(tree.add_round(history[t]), oracle[t])
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_random_restarts_and_clips_match_oracle(self, data):
+        """Random restart rounds with a drawn clip norm per segment, any
+        noise multiplier and dimension: every report equals the oracle's."""
+        rounds = data.draw(st.integers(1, 48), label="rounds")
+        if rounds > 1:
+            drawn = data.draw(st.sets(st.integers(1, rounds - 1), max_size=6), label="restarts")
+        else:
+            drawn = set()
+        restarts = tuple(sorted(drawn))
+        clips = data.draw(
+            st.lists(
+                st.floats(0.01, 100.0),
+                min_size=len(restarts) + 1,
+                max_size=len(restarts) + 1,
+            ),
+            label="clips",
+        )
+        z = data.draw(st.sampled_from([0.0, 0.3, 1.7]), label="z")
+        d = data.draw(st.integers(1, 4), label="d")
+        master = data.draw(st.integers(0, 2**16), label="seed")
+        seed = SeedPath(master).child("tree")
+        history = np.random.default_rng(master).normal(size=(rounds, d)) * 3.0
+        oracle = naive_private_sum(
+            history,
+            z=z,
+            clip_norm=clips[0],
+            seed=seed,
+            restart_rounds=restarts,
+            clip_norms_per_segment=clips,
+        )
+        tree = TreeState(z, clips[0], d, seed)
+        segment = 0
+        for t in range(rounds):
+            if t in restarts:
+                segment += 1
+                tree.restart(clips[segment])
+            np.testing.assert_array_equal(tree.add_round(history[t]), oracle[t])
 
 
 class TestRestartSemantics:
