@@ -525,6 +525,7 @@ def zcdp_to_delta(rho: float, eps: float) -> float:
     d = a + inv_phi * (b - a)
     fc, fd = log_objective(c), log_objective(d)
     for _ in range(200):
+        state = (a, b, c, d, fc, fd)
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -533,6 +534,9 @@ def zcdp_to_delta(rho: float, eps: float) -> float:
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
             fd = log_objective(d)
+        # A step that changes nothing is repeated by every later step.
+        if (a, b, c, d, fc, fd) == state:
+            break
     # A rho too large for any delta below 1 would overflow exp.
     return math.exp(min(fc, fd, 0.0))
 
@@ -551,6 +555,12 @@ def zcdp_to_eps(rho: float, delta: float) -> float:
     lo, hi = 0.0, loose_eps(rho, delta)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        # mid equals lo or hi only once they are adjacent floats.  Then no
+        # later step moves hi: a mid equal to hi leaves it in place, and one
+        # equal to lo fails the test below (lo is 0, checked above, or a mid
+        # that failed it).
+        if mid == lo or mid == hi:
+            break
         if zcdp_to_delta(rho, mid) <= delta:
             hi = mid
         else:

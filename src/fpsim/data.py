@@ -14,13 +14,17 @@ desk-scale stand-in for real federated text.
 
 The population is one packed (population, examples + window) int64 token
 matrix, and every client's chain advances in the same vectorised step, one
-step per token.  Local rows are never materialised: repeated draws from one
-Dirichlet(alpha * 1) row are a Pólya urn (Blackwell & MacQueen 1973), so a
-client's local draw at context c copies one of its N earlier local draws at
-c, chosen uniformly, with probability N / (V * alpha + N), and otherwise is
-a uniform token.  The urn's only state is a bool mask of which tokens were
-local draws.  All clients' streams come from one generator, so the data is
-a pure function of (seed, population), not of the client id alone.
+step per token.  A global draw inverts its row's CDF with one searchsorted
+over the whole population's keys, taken in sorted order.  Local rows are
+never materialised: repeated draws from one Dirichlet(alpha * 1) row are a
+Pólya urn (Blackwell & MacQueen 1973), so a client's local draw at context
+c copies one of its N earlier local draws at c, chosen uniformly, with
+probability N / (V * alpha + N), and otherwise is a uniform token.  The
+urn's only state is a matrix holding the context of each local draw and -1
+for each global one, in the narrowest integer type that holds the
+vocabulary, so a client's balls at c are one compare.  All clients' streams
+come from one generator, so the data is a pure function of (seed,
+population), not of the client id alone.
 """
 
 from __future__ import annotations
@@ -86,24 +90,52 @@ def _chains(
 ) -> np.ndarray:
     """(population, length) token streams of the mixed chain, each the
     view past a uniform start token that is not part of the stream.
-    Sampling a mixture is a coin flip selecting the row."""
+    Sampling a mixture is a coin flip selecting the row.
+
+    A global draw inverts row prev's CDF at u by searching the row-shifted
+    table for the key prev + u.  The keys are searched in sorted order, so
+    each binary search starts where the last one ended, and the draws are
+    scattered back through the permutation.  Key order cannot change a
+    draw: wherever "entry <= key" is true up to one index of the table and
+    false after it, every binary search returns that index, whatever
+    bracket the previous key left it.  The table is non-decreasing except
+    where a row's CDF ends a few ulps above 1: its last entries can then sit
+    an ulp above the next row's first ones, which are r + 1 exactly when
+    that row's first probability is near zero.  A key with prev = r lies in
+    [r, r + 1); the entries of rows after r are at least r + 1, row r is
+    non-decreasing, and the entries of rows before r exceed r only by row
+    r - 1's few-ulp overshoot.  So the predicate has one such index for
+    every key except where u is within a few ulps of r of 0 or of 1 at a
+    row boundary where the table steps down, a chance of order r * 2^-52
+    per draw; there a search in population order depends on the
+    neighbouring key's search as well.
+    """
     vocab = global_cdf.shape[0]
-    # Row r's CDF shifted by r: one sorted array inverts every row's CDF.
+    # Row r's CDF shifted by r: one search inverts every row's CDF.
     shifted_cdf = (global_cdf + np.arange(vocab)[:, None]).ravel()
     tokens = np.empty((population, length + 1), dtype=np.int64)
-    local = np.zeros((population, length + 1), dtype=bool)
+    # The context each local draw was made at, -1 for a global draw: -vocab's
+    # type is the narrowest one holding -1 and every token.
+    contexts = np.full((population, length + 1), -1, dtype=np.min_scalar_type(-vocab))
     tokens[:, 0] = rng.integers(vocab, size=population)
     for s in range(1, length + 1):
         prev = tokens[:, s - 1]
-        draws = np.searchsorted(shifted_cdf, prev + rng.random(population), side="right")
-        np.clip(draws - prev * vocab, 0, vocab - 1, out=tokens[:, s])
+        keys = prev + rng.random(population)
+        order = keys.argsort()
+        draws = shifted_cdf.searchsorted(keys[order], side="right")
+        draws -= prev[order] * vocab
+        # Two ufuncs cost less than np.clip's wrapper on a one-client chain.
+        np.maximum(draws, 0, out=draws)
+        np.minimum(draws, vocab - 1, out=draws)
+        tokens[order, s] = draws
         if heterogeneity == 0.0:
             continue
         rows = np.flatnonzero(rng.random(population) < heterogeneity)
-        local[rows, s] = True
+        context = prev[rows].astype(contexts.dtype)
         # The urn's balls: each client's earlier local draws at this context.
-        balls = local[rows, 1:s] & (tokens[rows, : s - 1] == prev[rows, None])
-        count = balls.sum(axis=1)
+        balls = contexts[rows, 1:s] == context[:, None]
+        contexts[rows, s] = context
+        count = np.count_nonzero(balls, axis=1)
         pick = rng.random(rows.shape[0]) * (vocab * concentration + count)
         fresh = rng.integers(vocab, size=rows.shape[0])
         copy = pick < count

@@ -206,8 +206,11 @@ def _finish(state: RunState, out: Path) -> RunResult:
     client_ids = state.log.ravel()
     rounds = np.repeat(np.arange(config.rounds), config.report_goal)
     order = np.lexsort((rounds, client_ids))
-    pairs = list(zip(client_ids[order].tolist(), rounds[order].tolist()))
-    _write_csv(out / "participation.csv", ("client_id", "round"), pairs)
+    pairs = zip(client_ids[order].tolist(), rounds[order].tolist())
+    # Integers need no csv quoting: the file is one joined string.
+    (out / "participation.csv").write_text(
+        "client_id,round\n" + "".join(f"{c},{r}\n" for c, r in pairs), newline=""
+    )
     if terms.secagg is not None:
         _write_csv(
             out / "secagg.csv",

@@ -3,9 +3,17 @@
 They are kept simple rather than fast, and are not part of the package.
 """
 
+import math
+
 import numpy as np
 
-from fpsim.accounting import _INFEASIBLE, ParticipationSchema, _forest_nodes, _StepRows
+from fpsim.accounting import (
+    _INFEASIBLE,
+    ParticipationSchema,
+    _forest_nodes,
+    _StepRows,
+    loose_eps,
+)
 from fpsim.secagg import SecAggConfig, _rounded_norm_bound_sq
 from fpsim.seeds import SeedPath, gaussian_vector
 from fpsim.tree import RestartSchedule, _node_seed, prefix_decomposition
@@ -54,6 +62,118 @@ def reference_encode(
         if float(rounded @ rounded) <= _rounded_norm_bound_sq(config):
             return (rounded + bound).astype(np.int64), clamped_count, clamped
     raise AssertionError("rounding retries exhausted")
+
+
+def reference_chains(
+    global_cdf: np.ndarray,
+    concentration: float,
+    population: int,
+    length: int,
+    heterogeneity: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """data._chains as a searchsorted over the keys in population order
+    and a Pólya urn whose state is a bool mask of the local draws: each
+    step marks the local rows, then finds their balls as the earlier local
+    draws whose preceding token equals this step's context, by two
+    gathers, a compare and an ``&``."""
+    vocab = global_cdf.shape[0]
+    # Row r's CDF shifted by r: one sorted array inverts every row's CDF.
+    shifted_cdf = (global_cdf + np.arange(vocab)[:, None]).ravel()
+    tokens = np.empty((population, length + 1), dtype=np.int64)
+    local = np.zeros((population, length + 1), dtype=bool)
+    tokens[:, 0] = rng.integers(vocab, size=population)
+    for s in range(1, length + 1):
+        prev = tokens[:, s - 1]
+        draws = np.searchsorted(shifted_cdf, prev + rng.random(population), side="right")
+        np.clip(draws - prev * vocab, 0, vocab - 1, out=tokens[:, s])
+        if heterogeneity == 0.0:
+            continue
+        rows = np.flatnonzero(rng.random(population) < heterogeneity)
+        local[rows, s] = True
+        # The urn's balls: each client's earlier local draws at this context.
+        balls = local[rows, 1:s] & (tokens[rows, : s - 1] == prev[rows, None])
+        count = balls.sum(axis=1)
+        pick = rng.random(rows.shape[0]) * (vocab * concentration + count)
+        fresh = rng.integers(vocab, size=rows.shape[0])
+        copy = pick < count
+        if copy.any():
+            # floor(pick) indexes the copied ball among the row's balls.
+            ball = (balls[copy].cumsum(axis=1) > pick[copy, None]).argmax(axis=1)
+            fresh[copy] = tokens[rows[copy], 1 + ball]
+        tokens[rows, s] = fresh
+    return tokens[:, 1:]
+
+
+def reference_zcdp_to_delta(rho: float, eps: float) -> float:
+    """accounting.zcdp_to_delta with all 200 golden-section steps run.
+
+    Tightest delta at a given epsilon for rho-zCDP.
+
+        delta(eps) = inf_{alpha > 1} exp((alpha-1)(alpha rho - eps))
+                     * (1 - 1/alpha)^alpha / (alpha - 1)
+
+    minimized by golden-section search on the (convex) log of the
+    objective.
+    """
+    if rho < 0:
+        raise ValueError("rho must be >= 0")
+    if eps < 0:
+        raise ValueError("eps must be >= 0")
+    if math.isinf(rho):
+        return 1.0
+    if rho == 0:
+        return 0.0 if eps > 0 else 1.0
+
+    def log_objective(alpha: float) -> float:
+        return (
+            (alpha - 1.0) * (alpha * rho - eps)
+            + alpha * math.log1p(-1.0 / alpha)
+            - math.log(alpha - 1.0)
+        )
+
+    lo = 1.0 + 1e-12
+    hi = max(2.0, (eps + rho) / rho)
+    while log_objective(hi * 2.0) < log_objective(hi) and hi < 1e15:
+        hi *= 2.0
+    hi *= 2.0
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = log_objective(c), log_objective(d)
+    for _ in range(200):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = log_objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = log_objective(d)
+    # A rho too large for any delta below 1 would overflow exp.
+    return math.exp(min(fc, fd, 0.0))
+
+
+def reference_zcdp_to_eps(rho: float, delta: float) -> float:
+    """accounting.zcdp_to_eps with all 200 bisection steps run, each
+    through reference_zcdp_to_delta."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must be in (0, 1)")
+    if rho < 0:
+        raise ValueError("rho must be >= 0")
+    if math.isinf(rho):
+        return math.inf
+    if rho == 0 or reference_zcdp_to_delta(rho, 0.0) <= delta:
+        return 0.0
+    lo, hi = 0.0, loose_eps(rho, delta)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if reference_zcdp_to_delta(rho, mid) <= delta:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 BRUTE_FORCE_MAX_ROUNDS = 24

@@ -4,7 +4,8 @@ The scalable sensitivity solver is held to *exact* equality with a
 brute-force pattern enumerator wherever the enumerator can run: the solver
 is an optimization, never an approximation. Conversion to (epsilon, delta)
 is checked against an independent dense grid search over the same objective
-plus the standard loose closed form as an upper bound.
+plus the standard loose closed form as an upper bound, and against the
+fixed-count searches in oracles.py that the early-stopping ones must equal.
 """
 
 import math
@@ -37,7 +38,13 @@ from fpsim.accounting import (
     _StepRows,
     pattern_sensitivity_sq,
 )
-from oracles import ReferenceTables, brute_force_sensitivity_sq, dense_step_rows
+from oracles import (
+    ReferenceTables,
+    brute_force_sensitivity_sq,
+    dense_step_rows,
+    reference_zcdp_to_delta,
+    reference_zcdp_to_eps,
+)
 
 
 def _schema(t, min_sep=1, max_part=None, restarts=()):
@@ -520,6 +527,16 @@ class TestConversion:
         for rho in (0.05, 0.25, 1.0, 5.0):
             for delta in (1e-6, 1e-10):
                 assert zcdp_to_eps(rho, delta) <= loose_eps(rho, delta) + 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(log_rho=st.floats(-6.0, 4.0), log_delta=st.floats(-15.0, math.log10(0.5)))
+    def test_stops_where_all_200_steps_end(self, log_rho, log_delta):
+        """Both searches stop once a step no longer moves them; epsilon and
+        delta must equal, with ==, what all 200 steps of each give."""
+        rho, delta = 10.0**log_rho, 10.0**log_delta
+        eps = zcdp_to_eps(rho, delta)
+        assert eps == reference_zcdp_to_eps(rho, delta)
+        assert zcdp_to_delta(rho, eps) == reference_zcdp_to_delta(rho, eps)
 
     def test_delta_bounds(self):
         assert 0.0 < zcdp_to_delta(1.0, 5.0) < 1.0

@@ -5,15 +5,20 @@ a per-client table, with the mixture weight controlling heterogeneity. The
 per-client tables are never built: local draws follow the Pólya urn that
 marginalises a Dirichlet row. The tests pin determinism, shape contracts,
 the sliding-window views, the urn's exactness, the memory bound, and the
-statistical fingerprints that federated experiments rely on.
+statistical fingerprints that federated experiments rely on, and that the
+vectorised sampler draws the same tokens as the reference in oracles.py.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpsim import ExperimentConfig, SeedPath, synthesize_clients, synthesize_eval_set
+from fpsim.data import _chains, _global_table
+from oracles import reference_chains
 
 
 def _cfg(population=1, **kw):
@@ -174,6 +179,68 @@ class TestHeterogeneity:
             _cfg(heterogeneity=1.5)
         with pytest.raises(ValueError):
             _cfg(window=0)
+
+
+class TestMatchesReferenceChains:
+    """The sampler searches sorted keys and keeps the urn as a matrix of
+    local-draw contexts; reference_chains searches the keys in population
+    order and keeps a bool mask.  Both read the same generator in the same
+    order, so they must draw the same tokens."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        vocab=st.integers(2, 130),
+        window=st.integers(1, 4),
+        examples=st.integers(1, 76),
+        heterogeneity=st.one_of(
+            st.just(0.0), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.just(1.0)
+        ),
+        concentration=st.floats(0.01, 2.0),
+        population=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_token_for_token(
+        self, vocab, window, examples, heterogeneity, concentration, population, seed
+    ):
+        cfg = _cfg(
+            population,
+            vocab_size=vocab,
+            window=window,
+            examples_per_client=examples,
+            heterogeneity=heterogeneity,
+            concentration=concentration,
+        )
+        root = SeedPath(seed)
+        want = reference_chains(
+            _global_table(cfg, root),
+            concentration,
+            population,
+            examples + window,
+            heterogeneity,
+            root.child("client-streams").generator(),
+        )
+        got = synthesize_clients(cfg, root).tokens
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("heterogeneity", [0.0, 0.5])
+    def test_cdf_rows_ending_ulps_from_one(self, heterogeneity):
+        """Rows whose CDF ends a few ulps above or below 1 and whose first
+        entry is near zero: the row-shifted table then steps down by an ulp
+        at some row boundaries, so it is not sorted, and the sorted-key
+        search must still draw what the population-order search draws."""
+        vocab = 9
+        rng = np.random.default_rng(17)
+        cdf = rng.dirichlet(np.full(vocab, 0.3), size=vocab).cumsum(axis=1)
+        cdf[:, 0] = 10.0 ** -rng.uniform(17, 300, size=vocab)
+        cdf[:, -1] = 1.0 + np.array([3, 4, -2, 2, -4, 1, 8, -1, 0]) * np.finfo(float).eps
+        cdf = np.maximum.accumulate(cdf, axis=1)
+        shifted = (cdf + np.arange(vocab)[:, None]).ravel()
+        assert (np.diff(shifted) < 0).any() and (cdf[:, -1] < 1.0).any()
+        for seed in range(5):
+            got = _chains(cdf, 0.2, 200, 60, heterogeneity, np.random.default_rng(seed))
+            want = reference_chains(cdf, 0.2, 200, 60, heterogeneity, np.random.default_rng(seed))
+            np.testing.assert_array_equal(got, want)
 
 
 def test_synthesis_memory_is_a_small_multiple_of_the_token_matrix():
