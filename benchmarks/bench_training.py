@@ -1,21 +1,26 @@
 """Time the data and training layers: population synthesis, one stacked
-cohort SGD step, and one eval-set accuracy, at the default config's shapes
-(V = 100, window 1, 50 examples per client, cohort 100, batch 16, 1000 eval
-examples).  Synthesis is timed at 10^4 and 10^5 clients of 50 examples;
-as the eval chain (one client, 1000 examples), where the fixed cost of each
-vectorised step shows; and at 10^4 x 500 and 2500 x 2000 examples, where
-the urn's rescan of each client's history grows with the square of its
-length.  The eval is timed both ways: ``accuracy`` scores every example,
-and ``distinct_eval`` scores each distinct window once and indexes the
-predictions back, as a run does every round.  Both are also timed at the
-long small-model shape (V = 64, concentration 0.5, 1000 eval examples).
-Run from the repo root:
+cohort SGD step, one whole round, and one eval-set accuracy, at the default
+config's shapes (V = 100, window 1, 50 examples per client, cohort 100,
+batch 16, 1000 eval examples).  Synthesis is timed at 10^4 and 10^5
+clients of 50 examples; as the eval chain (one client, 1000 examples),
+where the fixed cost of each vectorised step shows; and at 10^4 x 500 and
+2500 x 2000 examples, where the urn's rescan of each client's history
+grows with the square of its length.  The eval is timed both ways:
+``accuracy`` scores every example, and ``distinct_eval`` scores each
+distinct window once and indexes the predictions back, as a run does
+every round.  Both are also timed at the long small-model shape (V = 64,
+concentration 0.5, 1000 eval examples).  ``run_round`` is timed at
+report goals 100 and 1000 (V = 100), with the peak of the memory one round
+allocates (tracemalloc, in MiB): the round works in fixed-size blocks of
+clients, so the peak does not grow with the report goal.  Run from the
+repo root:
 
     PYTHONPATH=src python benchmarks/bench_training.py
     PYTHONPATH=src python benchmarks/bench_training.py --repeats 5
 
 Each number is the best of ``--repeats`` timings, in milliseconds per call.
-The last line is the same record as JSON, with the core count.
+The last line is the same record as JSON, with the core count and the
+traced peaks.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import argparse
 import json
 import os
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -31,7 +37,11 @@ from fpsim import (
     ExperimentConfig,
     NextTokenBOW,
     SeedPath,
+    batch_orders,
     cohort_update,
+    run_round,
+    select_cohort,
+    start_run,
     synthesize_clients,
     synthesize_eval_set,
 )
@@ -70,6 +80,23 @@ def _time_eval(record: dict, suffix: str, cfg, theta, seed, repeats: int) -> Non
     record[f"distinct_eval{suffix}_ms"] = _best_ms(distinct_eval, repeats, calls=50)
 
 
+def _time_round(record: dict, report_goal: int, repeats: int) -> None:
+    """Record one run_round's best time and its traced peak allocation at
+    ``report_goal`` clients of the default shape."""
+    cfg = ExperimentConfig(population=report_goal, report_goal=report_goal)
+    state = start_run(cfg)
+    cohort_ids = select_cohort(state.next_eligible, cfg, 0, SeedPath(0).child("selection"))
+    tracemalloc.start()
+    try:
+        run_round(state, cohort_ids)
+        record[f"run_round_{report_goal}_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    record[f"run_round_{report_goal}_ms"] = _best_ms(
+        lambda: run_round(state, cohort_ids), repeats, calls=5
+    )
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=3, help="timings per case (best is kept)")
@@ -104,9 +131,12 @@ def main() -> None:
 
     def step():
         rng = seed.child("local-order").generator()
-        cohort_update(model, theta, contexts, labels, 0.1, 1.0, 1.0, BATCH_SIZE, 1, rng)
+        orders = batch_orders(rng, COHORT, cfg.examples_per_client, 1)
+        cohort_update(model, theta, contexts, labels, orders, 0.1, 1.0, 1.0, BATCH_SIZE)
 
     record["cohort_update_ms"] = _best_ms(step, args.repeats, calls=20)
+    for report_goal in (100, 1000):
+        _time_round(record, report_goal, args.repeats)
 
     _time_eval(record, "", cfg, theta, seed, args.repeats)
     small = ExperimentConfig(vocab_size=64, concentration=0.5, eval_examples=1000)
@@ -114,9 +144,12 @@ def main() -> None:
     _time_eval(record, "_v64", small, small_theta, seed, args.repeats)
 
     cores = record["nproc"]
-    print(f"data and training layers (ms per call, best of {args.repeats}, {cores} cores)")
+    print(
+        f"data and training layers (ms per call, best of {args.repeats}, {cores} cores;"
+        " peaks in MB)"
+    )
     for name, value in record.items():
-        if name.endswith("_ms"):
+        if name.endswith(("_ms", "_mb")):
             print(f"  {name:<32}{value:>10.2f}")
     print(json.dumps(record))
 

@@ -42,6 +42,7 @@ from fpsim.federation import (
     RunState,
     TrainingDiverged,
     availability_weights,
+    batch_orders,
     cohort_update,
     observed_limits,
     run_round,
@@ -112,6 +113,7 @@ __all__ = [
     "RunState",
     "TrainingDiverged",
     "availability_weights",
+    "batch_orders",
     "cohort_update",
     "select_cohort",
     "run_round",

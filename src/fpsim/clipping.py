@@ -2,8 +2,12 @@
 
 Each round every cohort client reports, alongside its update, an indicator
 b in {0, 1} of whether its update norm stayed below the current quantile
-estimate.  The indicators are summed through their own depth-one noise tree
-(a running noised count), and the geometric update
+estimate.  The indicators are summed through their own noise tree:
+``ClipState.count_tree`` is a d = 1 TreeState with the same prefix
+decomposition as the update tree, noise std sigma_b per node, and it
+restarts on the update tree's restart rounds (run_round restarts both), so
+the two trees' nodes span the same rounds.  Its output is a running noised
+count, and the geometric update
 
     estimate(t+1) = estimate(0) * exp(-eta * (mean_b(t) - target_quantile * t))
 
@@ -111,8 +115,9 @@ class ClipState:
             raise ValueError("cohort_size must be >= 1")
         self.estimate = float(self.initial_estimate)
         self.active = float(self.initial_estimate)
-        # A depth-one scalar tree over raw indicator sums: z=sigma_b with a
-        # unit clip scale gives node noise std exactly sigma_b.
+        # A d = 1 tree over raw indicator sums, prefix-decomposed like the
+        # update tree and restarted with it: z=sigma_b with a unit clip
+        # scale gives node noise std exactly sigma_b.
         self.count_tree = TreeState(self.sigma_b, 1.0, 1, self.seed.child("clip-count"))
 
     def add_round(self, indicator_sum: float) -> float:

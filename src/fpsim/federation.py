@@ -2,9 +2,10 @@
 
 Each round the server selects a cohort of exactly ``report_goal`` clients
 among those whose re-participation timer has expired, runs the cohort's
-local SGD as one stacked step, aggregates the clipped updates (plainly or
-through the secure aggregation pipeline), feeds the un-normalized sum to
-the noise tree, and applies the anchored momentum update
+local SGD in blocks of clients, one stacked step per block and minibatch,
+aggregates each block's clipped updates as they are made (plainly or
+through the secure aggregation pipeline), feeds the round's un-normalized
+sum to the noise tree, and applies the anchored momentum update
 
     momentum <- beta * momentum + (noised cumulative sum) / report_goal
     theta    <- theta0 + eta_s * momentum
@@ -15,6 +16,10 @@ participation limits structural: a timer of w rounds enforces a minimum
 separation of w between any client's participations, which is what the
 privacy accountant consumes post hoc.  Every knob is read from the run's
 ExperimentConfig; RunState holds what a round changes.
+
+A block holds _BLOCK_BYTES (1 MB) of deltas, whatever the report goal, so
+a round's memory is a few blocks and the model, not the cohort times the
+model; its outputs are byte-identical to those of one whole-cohort block.
 """
 
 from __future__ import annotations
@@ -43,11 +48,18 @@ __all__ = [
     "CohortExhausted",
     "TrainingDiverged",
     "availability_weights",
+    "batch_orders",
     "cohort_update",
     "select_cohort",
     "run_round",
     "observed_limits",
 ]
+
+
+# Bytes of float64 deltas that run_round trains, sums and encodes at once:
+# half a core's L2, so a block's stacked step stays in cache, and a round's
+# memory no longer grows with the report goal.
+_BLOCK_BYTES = 1 << 20
 
 
 class CohortExhausted(RuntimeError):
@@ -73,49 +85,71 @@ def availability_weights(
     return 1.0 + config.availability_amplitude * np.sin(cycle)
 
 
+def batch_orders(
+    rng: np.random.Generator | None, cohort: int, n: int, epochs: int
+) -> np.ndarray:
+    """The cohort's local batch orders, (epochs, cohort, n): every epoch
+    shuffles each client's order of its n examples from ``rng``, one row
+    of ``rng.permuted`` per client, starting from the last epoch's order;
+    None gives sequential order."""
+    if epochs < 1:
+        raise ValueError("epochs must be >= 1")
+    orders = np.empty((epochs, cohort, n), dtype=np.intp)
+    orders[0] = np.arange(n)
+    for epoch in range(epochs):
+        current = orders[epoch]
+        if epoch:
+            current[...] = orders[epoch - 1]
+        if rng is not None:
+            rng.permuted(current, axis=1, out=current)
+    return orders
+
+
 def cohort_update(
     model: NextTokenBOW,
     params: np.ndarray,
     contexts: np.ndarray,
     labels: np.ndarray,
+    orders: np.ndarray,
     eta_c: float,
     clip_active: float,
     clip_quantile: float,
     batch_size: int = 16,
-    epochs: int = 1,
-    rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Local SGD of a whole cohort from the current model, as one stacked
-    step per minibatch; returns the (cohort, d) clipped deltas, the
+    """Local SGD of a block of clients from the current model, as one
+    stacked step per minibatch; returns the (rows, d) clipped deltas, the
     below-quantile indicators, and each client's mean minibatch loss.
 
-    Client c's data is ``contexts[c]`` (n, window) and ``labels[c]`` (n,).
-    The indicator compares the *unclipped* delta norm against clip_quantile
-    (the server's current estimate); clipping itself uses clip_active.
-    Each epoch shuffles every client's batch order from ``rng``, one row
-    of ``rng.permuted`` per client; pass None for sequential order.
+    Client c's data is ``contexts[c]`` (n, window) and ``labels[c]`` (n,);
+    ``orders[e, c]`` is its batch order in epoch e (see batch_orders), so
+    a block of a cohort takes its rows of the cohort's orders.  Each row is
+    computed alone, so a client's outputs do not depend on the block it is
+    in.  The indicator compares the *unclipped* delta norm against
+    clip_quantile (the server's current estimate); clipping itself uses
+    clip_active.
     """
-    cohort, n = labels.shape
+    rows, n = labels.shape
     if n == 0:
         raise ValueError("client datasets are empty")
     if not eta_c > 0:
         raise ValueError("eta_c must be > 0")
     if not clip_active > 0:
         raise ValueError("clip_active must be > 0")
-    if batch_size < 1 or epochs < 1:
-        raise ValueError("batch_size and epochs must be >= 1")
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    if orders.ndim != 3 or orders.shape[0] < 1 or orders.shape[1:] != (rows, n):
+        raise ValueError("orders must be (epochs >= 1, rows, n)")
     params = as_param_vector(params, model.num_params)
-    stack = np.tile(params, (cohort, 1))
-    orders = np.tile(np.arange(n), (cohort, 1))
-    rows = np.arange(cohort)[:, None]
-    losses = np.zeros(cohort)
+    stack = np.tile(params, (rows, 1))
+    row_index = np.arange(rows)[:, None]
+    losses = np.zeros(rows)
     steps = 0
-    for _ in range(epochs):
-        if rng is not None:
-            rng.permuted(orders, axis=1, out=orders)
+    for epoch_orders in orders:
         for start in range(0, n, batch_size):
-            batch = orders[:, start : start + batch_size]
-            losses += model.sgd_step(stack, contexts[rows, batch], labels[rows, batch], eta_c)
+            batch = epoch_orders[:, start : start + batch_size]
+            losses += model.sgd_step(
+                stack, contexts[row_index, batch], labels[row_index, batch], eta_c
+            )
             steps += 1
     stack -= params
     norms = np.sqrt(np.einsum("ij,ij->i", stack, stack))
@@ -227,46 +261,81 @@ class RunState:
 def run_round(state: RunState, cohort_ids: Sequence[int]) -> RoundMetrics:
     """Advance one round: local updates, aggregation, tree noise, anchored
     momentum step, clip-estimate update, and scheduled restarts.  The cohort
-    is its client ids (Python ints), rows of ``state.data``."""
+    is its client ids (Python ints), rows of ``state.data``.
+
+    The cohort is trained, summed and (under SecAgg) encoded in blocks of
+    _BLOCK_BYTES of deltas.  The outputs equal one whole-cohort block's, to
+    the byte: the batch orders are drawn for the whole cohort before any
+    block, each client's row is computed alone, the plain sum adds the rows
+    in cohort order as numpy's axis-0 sum does, and the SecAgg total is an
+    exact sum of residues mod M.
+    """
     config = state.config
     if len(cohort_ids) != config.report_goal:
         raise ValueError("cohort size must equal the report goal")
     t = state.round
     active = state.active_clip
     quantile = state.clip.estimate if state.clip is not None else math.inf
-
-    deltas, indicators, losses = cohort_update(
-        state.model,
-        state.theta,
-        state.data.contexts[cohort_ids],
-        state.data.labels[cohort_ids],
-        config.eta_c,
-        active,
-        quantile,
-        config.batch_size,
-        config.epochs,
+    cohort = len(cohort_ids)
+    d = state.model.num_params
+    block = max(1, _BLOCK_BYTES // (8 * d))
+    orders = batch_orders(
         state.seed.child("local-order", t).generator(),
+        cohort,
+        state.data.labels.shape[1],
+        config.epochs,
     )
-
-    plain_sum = deltas.sum(axis=0)
-    bits = 0
-    residual = 0.0
-    clamp_fraction = 0.0
+    indicators = np.empty(cohort, dtype=np.int64)
+    losses = np.empty(cohort)
+    plain_sum = None
     cfg = state.terms.secagg
     if cfg is not None:
         signs = sign_vector(state.seed.child("rotation", t), cfg.padded_dim)
-        encoded = np.empty((len(cohort_ids), cfg.padded_dim), dtype=np.int64)
+        rounding = state.seed.child("rounding", t)
+        encoded = np.empty((min(block, cohort), cfg.padded_dim), dtype=np.int64)
+        total = None
         clamped = 0
-        for i, (client_id, delta) in enumerate(zip(cohort_ids, deltas)):
-            encoded[i], clamped_count = encode_client(
-                delta, cfg, signs, state.seed.child("rounding", t).child("client", client_id)
-            )
-            clamped += clamped_count
-        total = modular_sum(encoded, cfg.modulus)
-        round_sum = decode(total, cfg, signs, len(cohort_ids), state.model.num_params)
+    for lo in range(0, cohort, block):
+        ids = cohort_ids[lo : lo + block]
+        hi = lo + len(ids)
+        deltas, indicators[lo:hi], losses[lo:hi] = cohort_update(
+            state.model,
+            state.theta,
+            state.data.contexts[ids],
+            state.data.labels[ids],
+            orders[:, lo:hi],
+            config.eta_c,
+            active,
+            quantile,
+            config.batch_size,
+        )
+        # Each block is summed and encoded as soon as it exists, so no array
+        # of the whole cohort's deltas or codes is ever built.  The rows are
+        # added in cohort order: numpy's axis-0 sum of the first block is
+        # its rows added one by one into a copy of its first row.
+        if plain_sum is None:
+            plain_sum = deltas.sum(axis=0)
+        else:
+            for i in range(hi - lo):
+                plain_sum += deltas[i]
+        if cfg is not None:
+            for i, client_id in enumerate(ids):
+                encoded[i], clamped_count = encode_client(
+                    deltas[i], cfg, signs, rounding.child("client", client_id)
+                )
+                clamped += clamped_count
+            block_total = modular_sum(encoded[: hi - lo], cfg.modulus)
+            total = block_total if total is None else (total + block_total) % cfg.modulus
+        del deltas  # freed before the next block is trained
+
+    bits = 0
+    residual = 0.0
+    clamp_fraction = 0.0
+    if cfg is not None:
+        round_sum = decode(total, cfg, signs, cohort, d)
         bits = bits_per_update(cfg)
         residual = float(np.linalg.norm(round_sum - plain_sum))
-        clamp_fraction = clamped / (len(cohort_ids) * cfg.padded_dim)
+        clamp_fraction = clamped / (cohort * cfg.padded_dim)
     else:
         round_sum = plain_sum
 
@@ -290,7 +359,7 @@ def run_round(state: RunState, cohort_ids: Sequence[int]) -> RoundMetrics:
     return RoundMetrics(
         round=t,
         train_loss=train_loss,
-        cohort_size=len(cohort_ids),
+        cohort_size=cohort,
         active_clip=active,
         quantile_estimate=state.quantile_estimate,
         bits_per_update=bits,

@@ -11,7 +11,16 @@ import math
 import numpy as np
 import pytest
 
-from fpsim import ClipState, SeedPath, combined_multiplier, noise_split
+from fpsim import (
+    ClipState,
+    ExperimentConfig,
+    SeedPath,
+    combined_multiplier,
+    noise_split,
+    run_round,
+    select_cohort,
+    start_run,
+)
 from fpsim.clipping import MIN_ESTIMATE_FRACTION
 
 
@@ -189,6 +198,35 @@ class TestClipState:
             state.add_round(int((norms <= state.estimate).sum()))
         assert abs(state.estimate - true_median) / true_median < 0.1
 
+
+    def test_count_tree_segments_follow_the_delta_tree(self):
+        """The combined-multiplier argument pairs the count tree's nodes
+        with the update tree's, so after every round of an adaptive run
+        with restarts both trees sit at the same segment and position."""
+        config = ExperimentConfig(
+            rounds=12,
+            report_goal=4,
+            population=24,
+            noise_multiplier=0.3,
+            vocab_size=6,
+            examples_per_client=10,
+            eval_examples=20,
+            restart_mode="explicit",
+            restart_rounds=(3, 5, 9),
+        )
+        state = start_run(config)
+        selection = SeedPath(config.seed).child("selection")
+        positions = []
+        for t in range(config.rounds):
+            run_round(state, select_cohort(state.next_eligible, config, t, selection))
+            count, delta = state.clip.count_tree, state.delta_tree
+            assert (count.segment_index, count.round_in_segment) == (
+                delta.segment_index,
+                delta.round_in_segment,
+            )
+            positions.append((delta.segment_index, delta.round_in_segment))
+        assert positions[-1] == (3, 3)
+        assert [p for p in positions if p[1] == 0] == [(1, 0), (2, 0), (3, 0)]
 
 def _plain_state(initial, gamma, eta, m=10, sigma_b=0.0, seed=0):
     return ClipState(

@@ -10,6 +10,8 @@ so the stacked cohort step is checked against code it shares nothing with.
 
 import dataclasses
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,13 +29,16 @@ from fpsim import (
     TrainingDiverged,
     TreeState,
     availability_weights,
+    batch_orders,
     clip_l2,
     cohort_update,
     derive_config,
     encode_client,
     observed_limits,
+    run_experiment,
     run_round,
     select_cohort,
+    start_run,
     synthesize_clients,
     synthesize_eval_set,
 )
@@ -64,6 +69,12 @@ def _config(population=20, vocab=8, examples=30, window=1, **kw):
 def _data(population=20, vocab=8, examples=30, seed=0, window=1):
     config = _config(population, vocab, examples, window)
     return synthesize_clients(config, SeedPath(seed).child("data"))
+
+
+def _orders(data, epochs=1, rng=None):
+    """Batch orders for every client of ``data``: sequential by default."""
+    cohort, n = data.labels.shape
+    return batch_orders(rng, cohort, n, epochs)
 
 
 def _population(data):
@@ -248,7 +259,7 @@ class TestClientUpdate:
         data = _data(population=2)
         model = NextTokenBOW(vocab_size=8)
         params = model.init_params()
-        args = (model, params, data.contexts, data.labels, 0.5)
+        args = (model, params, data.contexts, data.labels, _orders(data), 0.5)
         raw, _, _ = cohort_update(*args, math.inf, math.inf)
         norms = np.linalg.norm(raw, axis=1)
         # Clip far below the raw norms; indicators still reflect the raw norms.
@@ -263,12 +274,9 @@ class TestClientUpdate:
     def test_clipping_bounds_the_delta(self):
         data = _data(population=3)
         model = NextTokenBOW(vocab_size=8)
-        raw, _, _ = cohort_update(
-            model, model.init_params(), data.contexts, data.labels, 2.0, math.inf, math.inf
-        )
-        deltas, _, _ = cohort_update(
-            model, model.init_params(), data.contexts, data.labels, 2.0, 0.05, math.inf
-        )
+        args = (model, model.init_params(), data.contexts, data.labels, _orders(data), 2.0)
+        raw, _, _ = cohort_update(*args, math.inf, math.inf)
+        deltas, _, _ = cohort_update(*args, 0.05, math.inf)
         np.testing.assert_array_less(np.linalg.norm(deltas, axis=1), 0.05 * (1 + 1e-12))
         for row, clipped in zip(raw, deltas):
             np.testing.assert_allclose(clipped, clip_l2(row, 0.05), rtol=0, atol=1e-15)
@@ -278,7 +286,7 @@ class TestClientUpdate:
         model = NextTokenBOW(vocab_size=8)
         params = model.init_params()
         deltas, _, _ = cohort_update(
-            model, params, data.contexts, data.labels, 0.5, math.inf, math.inf, epochs=3
+            model, params, data.contexts, data.labels, _orders(data, 3), 0.5, math.inf, math.inf
         )
         for c in range(2):
             args = (data.contexts[c], data.labels[c], 8, 1)
@@ -292,10 +300,9 @@ class TestClientUpdate:
         params = model.init_params()
 
         def update(seed):
-            rng = SeedPath(8).child("order", seed).generator()
-            return cohort_update(
-                model, params, data.contexts, data.labels, 0.5, 1.0, 1.0, 8, 2, rng
-            )
+            orders = _orders(data, 2, SeedPath(8).child("order", seed).generator())
+            args = (model, params, data.contexts, data.labels, orders)
+            return cohort_update(*args, 0.5, 1.0, 1.0, 8)
 
         a, b, other = update(0), update(0), update(1)
         for x, y in zip(a, b):
@@ -306,15 +313,23 @@ class TestClientUpdate:
         data = _data(population=1)
         model = NextTokenBOW(vocab_size=8)
         params = model.init_params()
-        args = (model, params, data.contexts, data.labels)
+        orders = _orders(data)
+        args = (model, params, data.contexts, data.labels, orders)
         with pytest.raises(ValueError):
             cohort_update(*args, 0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             cohort_update(*args, 0.5, 1.0, 1.0, batch_size=0)
         with pytest.raises(ValueError):
             cohort_update(*args, 0.5, 0.0, 1.0)
+        empty = (data.contexts[:, :0], data.labels[:, :0], orders[..., :0])
         with pytest.raises(ValueError):
-            cohort_update(model, params, data.contexts[:, :0], data.labels[:, :0], 0.5, 1.0, 1.0)
+            cohort_update(model, params, *empty, 0.5, 1.0, 1.0)
+        with pytest.raises(ValueError, match="orders"):
+            cohort_update(*args[:4], orders[:, :, :-1], 0.5, 1.0, 1.0)
+        with pytest.raises(ValueError, match="orders"):
+            cohort_update(*args[:4], orders[:0], 0.5, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            batch_orders(None, 1, 30, 0)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -342,8 +357,9 @@ class TestClientUpdate:
         def order_rng():
             return np.random.default_rng(seed + 1) if shuffle else None
 
+        orders = batch_orders(order_rng(), cohort, n, epochs)
         deltas, indicators, losses = cohort_update(
-            model, theta, contexts, labels, 0.3, math.inf, 1.0, batch_size, epochs, order_rng()
+            model, theta, contexts, labels, orders, 0.3, math.inf, 1.0, batch_size
         )
         expected, expected_losses = _reference_update(
             theta, contexts, labels, 0.3, batch_size, epochs, order_rng(), vocab, window
@@ -561,6 +577,93 @@ class TestSecureAggregationRound:
         cfg = derive_config(1.0, 100.0, 64, 5)  # cohort 5 != report goal 4
         with pytest.raises(ValueError, match="cohort_size"):
             _server(_data(), m=4, clip=1.0, secagg=cfg)
+
+
+BLOCK_ADAPTIVE_CONFIG = """
+seed = 5
+rounds = 9
+report_goal = 8
+population = 48
+timer_rounds = 3
+noise_multiplier = 0.5
+batch_size = 7
+epochs = 2
+model.vocab_size = 10
+model.window = 2
+data.examples_per_client = 30
+data.eval_examples = 100
+clip.mode = adaptive
+clip.c0 = 0.4
+restart.mode = explicit
+restart.rounds = 3, 7
+"""
+
+BLOCK_SECAGG_CONFIG = """
+seed = 3
+rounds = 6
+report_goal = 6
+population = 30
+timer_rounds = 4
+noise_multiplier = 0.8
+model.vocab_size = 8
+data.examples_per_client = 10
+data.eval_examples = 50
+clip.mode = fixed
+clip.c0 = 0.5
+secagg.enabled = true
+restart.mode = explicit
+restart.rounds = 4
+"""
+
+
+class TestRoundBlocks:
+    """run_round trains, sums and encodes the cohort in blocks of
+    federation._BLOCK_BYTES; the block size must not reach the outputs."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            BLOCK_ADAPTIVE_CONFIG,
+            BLOCK_ADAPTIVE_CONFIG.replace("clip.mode = adaptive", "clip.mode = fixed"),
+            BLOCK_SECAGG_CONFIG,
+        ],
+        ids=["adaptive", "fixed", "secagg"],
+    )
+    def test_artifacts_do_not_depend_on_the_block_size(self, text, tmp_path, monkeypatch):
+        """One-row blocks, three-row blocks (the last one ragged) and one
+        whole-cohort block write the same bytes.  The adaptive config
+        trains two epochs of ragged minibatches over two-token windows."""
+        config = ExperimentConfig.from_text(text)
+        row_bytes = 8 * config.vocab_size**2
+        artifacts = ["metrics.csv", "checkpoint.bin"]
+        if config.secagg_enabled:
+            artifacts.append("secagg.csv")
+        outputs = {}
+        for rows in (1, 3, config.report_goal):
+            monkeypatch.setattr(federation, "_BLOCK_BYTES", rows * row_bytes)
+            out = tmp_path / f"rows{rows}"
+            run_experiment(config, out)
+            outputs[rows] = {name: (out / name).read_bytes() for name in artifacts}
+        assert outputs[1] == outputs[config.report_goal]
+        assert outputs[3] == outputs[config.report_goal]
+
+    def test_round_memory_does_not_grow_with_the_cohort(self):
+        """One round of 200 clients at V = 100 (d = 10^4) allocates at
+        most a few blocks and model vectors at once, not the cohort's
+        (200, d) deltas: 16 MB as one float64 array."""
+        config = ExperimentConfig(population=400, report_goal=200, rounds=2)
+        state = start_run(config)
+        cohort_ids = select_cohort(state.next_eligible, config, 0, SeedPath(0).child("s"))
+        tracemalloc.start()
+        try:
+            started = time.perf_counter()
+            run_round(state, cohort_ids)
+            elapsed = time.perf_counter() - started
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert elapsed < 1.0
 
 
 def _reference_limits(client_ids, rounds, total_rounds):
