@@ -2,10 +2,10 @@
 cohort SGD step, one whole round, and one eval-set accuracy, at the default
 config's shapes (V = 100, window 1, 50 examples per client, cohort 100,
 batch 16, 1000 eval examples).  Synthesis is timed at 10^4 and 10^5
-clients of 50 examples; as the eval chain (one client, 1000 examples),
-where the fixed cost of each vectorised step shows; and at 10^4 x 500 and
-2500 x 2000 examples, where the urn's rescan of each client's history
-grows with the square of its length.  The eval is timed both ways:
+clients of 50 examples, and at 10^4 x 500 and 2500 x 2000 examples, where
+the urn's rescan of each client's history grows with the square of its
+length.  The eval stream, one chain walked a token at a time, is timed at
+10^3, 10^4 and 10^5 examples, so its cost per token shows.  The eval is timed both ways:
 ``accuracy`` scores every example, and ``distinct_eval`` scores each
 distinct window once and indexes the predictions back, as a run does
 every round.  Both are also timed at the long small-model shape (V = 64,
@@ -113,9 +113,11 @@ def main() -> None:
         record[f"synthesize_clients_{population}_ms"] = _best_ms(
             lambda: synthesize_clients(cfg, seed), args.repeats
         )
-    record["synthesize_eval_set_ms"] = _best_ms(
-        lambda: synthesize_eval_set(ExperimentConfig(), seed), args.repeats, calls=20
-    )
+    for examples in (1000, 10_000, 100_000):
+        cfg = ExperimentConfig(eval_examples=examples)
+        record[f"synthesize_eval_set_{examples}_ms"] = _best_ms(
+            lambda: synthesize_eval_set(cfg, seed), args.repeats, calls=max(1, 20_000 // examples)
+        )
     for population, examples in ((10_000, 500), (2500, 2000)):
         cfg = ExperimentConfig(population=population, examples_per_client=examples)
         record[f"synthesize_clients_{population}x{examples}_ms"] = _best_ms(

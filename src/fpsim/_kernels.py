@@ -45,7 +45,13 @@ def stochastic_round(x: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
     """Round each x[i] to floor(x[i]) + (u[i] < frac(x[i])), into out.
 
     u must hold uniform [0, 1) draws.  Integer-valued inputs round to
-    themselves for every u.
+    themselves for every u.  The floor goes straight into out, and one
+    scratch holds the fractional part and then, as 0.0 or 1.0, the
+    comparison that is added in place: the same float additions as
+    floor(x) + (u < x - floor(x)), signed zeros included, with one
+    temporary in place of four.
     """
-    f = np.floor(x)
-    np.add(f, (u < x - f).astype(np.float64), out=out)
+    np.floor(x, out=out)
+    scratch = np.subtract(x, out)
+    np.less(u, scratch, out=scratch)
+    out += scratch

@@ -25,10 +25,16 @@ for each global one, in the narrowest integer type that holds the
 vocabulary, so a client's balls at c are one compare.  All clients' streams
 come from one generator, so the data is a pure function of (seed,
 population), not of the client id alone.
+
+The held-out eval stream is one chain of the global rows only, so it is not
+vectorised but walked in Python scalars: one bisect of the same shifted
+table per token, drawing the tokens a one-client vectorised chain draws
+without that chain's array calls on one-element arrays at every step.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -80,6 +86,12 @@ def _global_table(config: ExperimentConfig, seed: SeedPath) -> np.ndarray:
     return rows.cumsum(axis=1)
 
 
+def _shifted_table(global_cdf: np.ndarray) -> np.ndarray:
+    """Row r's CDF shifted by r, flattened: one search inverts every row's
+    CDF."""
+    return (global_cdf + np.arange(global_cdf.shape[0])[:, None]).ravel()
+
+
 def _chains(
     global_cdf: np.ndarray,
     concentration: float,
@@ -109,10 +121,12 @@ def _chains(
     row boundary where the table steps down, a chance of order r * 2^-52
     per draw; there a search in population order depends on the
     neighbouring key's search as well.
+
+    The eval stream, one chain at heterogeneity 0, is not drawn here but
+    walked by _walk, which draws the same tokens.
     """
     vocab = global_cdf.shape[0]
-    # Row r's CDF shifted by r: one search inverts every row's CDF.
-    shifted_cdf = (global_cdf + np.arange(vocab)[:, None]).ravel()
+    shifted_cdf = _shifted_table(global_cdf)
     tokens = np.empty((population, length + 1), dtype=np.int64)
     # The context each local draw was made at, -1 for a global draw: -vocab's
     # type is the narrowest one holding -1 and every token.
@@ -147,6 +161,31 @@ def _chains(
     return tokens[:, 1:]
 
 
+def _walk(global_cdf: np.ndarray, length: int, rng: np.random.Generator) -> np.ndarray:
+    """The (length,) token stream of one global chain, past a uniform start
+    token: the tokens of _chains(global_cdf, _, 1, length, 0.0, rng)[0].
+
+    That chain reads the start token and then one uniform per step, and
+    nothing else, so one rng.random(length) call yields the same doubles.
+    The walk then inverts each row's CDF in Python scalars, bisecting a
+    memoryview of the same row-shifted table.  bisect_right and a one-key
+    ndarray.searchsorted(side="right") both search [0, len) with the same
+    midpoints, moving the lower end where "entry <= key", so they return
+    the same index even where the table steps down (see _chains); and
+    int + float is the same IEEE addition as int64 + float64.
+    """
+    vocab = global_cdf.shape[0]
+    top = vocab - 1
+    table = _shifted_table(global_cdf).data
+    prev = int(rng.integers(vocab, size=1)[0])
+    tokens = np.empty(length, dtype=np.int64)
+    out = tokens.data
+    for i, u in enumerate(rng.random(length).data):
+        token = bisect_right(table, prev + u) - prev * vocab
+        prev = out[i] = 0 if token < 0 else top if token > top else token
+    return tokens
+
+
 def synthesize_clients(config: ExperimentConfig, seed: SeedPath) -> TokenDataset:
     """Every client's examples_per_client examples, in one TokenDataset."""
     tokens = _chains(
@@ -162,13 +201,10 @@ def synthesize_clients(config: ExperimentConfig, seed: SeedPath) -> TokenDataset
 
 def synthesize_eval_set(config: ExperimentConfig, seed: SeedPath) -> TokenDataset:
     """Held-out stream from the global (public) distribution only: one
-    client of eval_examples examples."""
-    tokens = _chains(
+    client of eval_examples examples, walked token by token (_walk)."""
+    tokens = _walk(
         _global_table(config, seed),
-        config.concentration,
-        1,
         config.eval_examples + config.window,
-        0.0,
         seed.child("eval-stream").generator(),
     )
-    return TokenDataset(tokens, config.window)
+    return TokenDataset(tokens[None, :], config.window)

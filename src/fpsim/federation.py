@@ -34,7 +34,13 @@ import numpy as np
 from fpsim.clipping import ClipState
 from fpsim.data import TokenDataset
 from fpsim.models import NextTokenBOW
-from fpsim.secagg import bits_per_update, decode, encode_client, modular_sum
+from fpsim.secagg import (
+    RoundingRetriesExhausted,
+    bits_per_update,
+    decode,
+    encode_client,
+    modular_sum,
+)
 from fpsim.seeds import SeedPath, sign_vector
 from fpsim.tree import TreeState
 from fpsim.vectors import as_param_vector
@@ -320,9 +326,14 @@ def run_round(state: RunState, cohort_ids: Sequence[int]) -> RoundMetrics:
                 plain_sum += deltas[i]
         if cfg is not None:
             for i, client_id in enumerate(ids):
-                encoded[i], clamped_count = encode_client(
-                    deltas[i], cfg, signs, rounding.child("client", client_id)
-                )
+                try:
+                    encoded[i], clamped_count = encode_client(
+                        deltas[i], cfg, signs, rounding.child("client", client_id)
+                    )
+                except RoundingRetriesExhausted as exc:
+                    raise RoundingRetriesExhausted(
+                        f"round {t}, client {client_id}: {exc} (secagg.retry_cap)"
+                    ) from exc
                 clamped += clamped_count
             block_total = modular_sum(encoded[: hi - lo], cfg.modulus)
             total = block_total if total is None else (total + block_total) % cfg.modulus

@@ -6,7 +6,8 @@ per-client tables are never built: local draws follow the Pólya urn that
 marginalises a Dirichlet row. The tests pin determinism, shape contracts,
 the sliding-window views, the urn's exactness, the memory bound, and the
 statistical fingerprints that federated experiments rely on, and that the
-vectorised sampler draws the same tokens as the reference in oracles.py.
+vectorised sampler and the scalar eval walk draw the same tokens as the
+reference in oracles.py.
 """
 
 import tracemalloc
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpsim import ExperimentConfig, SeedPath, synthesize_clients, synthesize_eval_set
-from fpsim.data import _chains, _global_table
+from fpsim.data import _chains, _global_table, _walk
 from oracles import reference_chains
 
 
@@ -181,6 +182,34 @@ class TestHeterogeneity:
             _cfg(window=0)
 
 
+class _Stream:
+    """A stand-in generator serving fixed doubles in order: ``random(n)``
+    takes the next n, ``integers(high, size)`` the next ``size`` scaled to
+    [0, high)."""
+
+    def __init__(self, doubles: np.ndarray):
+        self._doubles = doubles
+        self._used = 0
+
+    def random(self, size: int) -> np.ndarray:
+        start, self._used = self._used, self._used + size
+        return self._doubles[start : self._used].copy()
+
+    def integers(self, high: int, size: int) -> np.ndarray:
+        return (self.random(size) * high).astype(np.int64)
+
+
+def _edged(size: int, seed: int) -> np.ndarray:
+    """``size`` uniform doubles, every other one replaced in turn by 0, one
+    or two steps of Generator.random's spacing above 0, or one, two or four
+    below 1: keys at the shifted table's row boundaries."""
+    ulp = 2.0**-53
+    edges = np.array([0.0, ulp, 2 * ulp, 1 - ulp, 1 - 2 * ulp, 1 - 4 * ulp])
+    doubles = np.random.default_rng(seed).random(size)
+    doubles[1::2] = np.resize(edges, doubles[1::2].shape)
+    return doubles
+
+
 class TestMatchesReferenceChains:
     """The sampler searches sorted keys and keeps the urn as a matrix of
     local-draw contexts; reference_chains searches the keys in population
@@ -223,12 +252,46 @@ class TestMatchesReferenceChains:
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        vocab=st.integers(2, 300),
+        window=st.integers(1, 4),
+        examples=st.integers(1, 2000),
+        concentration=st.floats(0.01, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_eval_stream_token_for_token(self, vocab, window, examples, concentration, seed):
+        """The eval set is walked in scalars; it must hold the tokens of the
+        reference's one-client chain at heterogeneity 0, and so must the
+        walk of the same table on a stream of edge uniforms."""
+        cfg = _cfg(
+            vocab_size=vocab, window=window, eval_examples=examples, concentration=concentration
+        )
+        root = SeedPath(seed)
+        cdf = _global_table(cfg, root)
+        length = examples + window
+        want = reference_chains(
+            cdf, concentration, 1, length, 0.0, root.child("eval-stream").generator()
+        )
+        got = synthesize_eval_set(cfg, root).tokens
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        doubles = _edged(length + 1, seed)
+        want = reference_chains(cdf, concentration, 1, length, 0.0, _Stream(doubles))
+        np.testing.assert_array_equal(_walk(cdf, length, _Stream(doubles)), want[0])
+
     @pytest.mark.parametrize("heterogeneity", [0.0, 0.5])
     def test_cdf_rows_ending_ulps_from_one(self, heterogeneity):
         """Rows whose CDF ends a few ulps above or below 1 and whose first
         entry is near zero: the row-shifted table then steps down by an ulp
         at some row boundaries, so it is not sorted, and the sorted-key
-        search must still draw what the population-order search draws."""
+        search must still draw what the population-order search draws.
+
+        At heterogeneity 0 the one-client walk must also draw what the
+        one-client search draws, on generator draws and on a stream whose
+        uniforms sit at 0 and just below 1, where a key lands on the row
+        boundaries: there the bisection's side, its clamp to [0, V) and the
+        start token drawn first all show."""
         vocab = 9
         rng = np.random.default_rng(17)
         cdf = rng.dirichlet(np.full(vocab, 0.3), size=vocab).cumsum(axis=1)
@@ -241,6 +304,17 @@ class TestMatchesReferenceChains:
             got = _chains(cdf, 0.2, 200, 60, heterogeneity, np.random.default_rng(seed))
             want = reference_chains(cdf, 0.2, 200, 60, heterogeneity, np.random.default_rng(seed))
             np.testing.assert_array_equal(got, want)
+        if heterogeneity != 0.0:
+            return
+        for seed in range(5):
+            got = _walk(cdf, 2000, np.random.default_rng(seed))
+            want = reference_chains(cdf, 0.2, 1, 2000, 0.0, np.random.default_rng(seed))
+            np.testing.assert_array_equal(got, want[0])
+        for seed in range(5):
+            doubles = _edged(2001, seed)
+            got = _walk(cdf, 2000, _Stream(doubles))
+            want = reference_chains(cdf, 0.2, 1, 2000, 0.0, _Stream(doubles))
+            np.testing.assert_array_equal(got, want[0])
 
 
 def test_synthesis_memory_is_a_small_multiple_of_the_token_matrix():

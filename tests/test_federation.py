@@ -23,6 +23,7 @@ from fpsim import (
     CohortExhausted,
     ExperimentConfig,
     NextTokenBOW,
+    RoundingRetriesExhausted,
     RunState,
     SecAggConfig,
     SeedPath,
@@ -504,6 +505,28 @@ class TestSecureAggregationRound:
         assert metrics_coded.secagg_residual <= m * math.sqrt(cfg.padded_dim) / 100.0
         assert 0.0 <= metrics_coded.secagg_clamp_fraction <= 1.0
         assert metrics_plain.bits_per_update == 0
+
+    def test_exhausted_rounding_names_the_round_and_client(self, monkeypatch):
+        """A client whose rounding retries run out stops the round with an
+        error naming the round, the client and the config key."""
+        m = 4
+        data = _data(population=8)
+        cfg = derive_config(1.0, 100.0, NextTokenBOW(vocab_size=8).num_params, m)
+        server = _server(data, m=m, clip=1.0, seed=43, secagg=cfg)
+        run_round(server, [0, 1, 2, 3])
+
+        def failing_encode(delta, config, signs, seed):
+            if seed == server.seed.child("rounding", 1).child("client", 6):
+                raise RoundingRetriesExhausted("stochastic rounding exceeded the norm bound 3 times")
+            return encode_client(delta, config, signs, seed)
+
+        monkeypatch.setattr(federation, "encode_client", failing_encode)
+        with pytest.raises(RoundingRetriesExhausted) as caught:
+            run_round(server, [5, 6, 7, 4])
+        message = str(caught.value)
+        assert message.startswith("round 1, client 6: stochastic rounding exceeded")
+        assert "secagg.retry_cap" in message
+        assert isinstance(caught.value.__cause__, RoundingRetriesExhausted)
 
     def test_clamp_fraction_counts_clamped_coordinates(self, monkeypatch):
         """A hand-built config with infinity_bound 1 clamps many rotated

@@ -115,6 +115,24 @@ class TestStochasticRound:
         r = _round(np.full_like(u, value), u)
         assert abs(r.mean() - value) < 5e-3
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-300, 1e300))
+    def test_bytes_match_floor_plus_compare(self, seed, scale):
+        """The in-place kernel writes the bytes of floor(x) + (u < frac(x))
+        on fresh arrays, signed zeros and integers included, and leaves x
+        and u as they were."""
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=512) * scale
+        x[:8] = [0.0, -0.0, -1.0, 1.0, -0.5, 0.5, -2.0**-1074, 2.0**-1074]
+        x[8:16] = np.round(x[8:16])
+        u = rng.random(size=512)
+        u[:4] = [0.0, 0.0, 1 - 2.0**-53, 0.5]
+        x_bytes, u_bytes = x.tobytes(), u.tobytes()
+        floor = np.floor(x)
+        want = floor + (u < x - floor).astype(np.float64)
+        assert _round(x, u).tobytes() == want.tobytes()
+        assert x.tobytes() == x_bytes and u.tobytes() == u_bytes
+
     def test_deterministic_given_uniforms(self):
         rng = np.random.default_rng(5)
         v = rng.uniform(-10, 10, size=1000)
