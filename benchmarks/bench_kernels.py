@@ -1,9 +1,11 @@
 """Time the two hot kernels: the fast Walsh-Hadamard transform and
-stochastic rounding (fpsim._kernels, numpy), and the SecAgg client encode
-that calls them. Run from the repo root:
+stochastic rounding (fpsim._kernels, numpy), the SecAgg client encode
+that calls them, and one whole SecAgg round at the secagg_wide shape (its
+20 clients trained, encoded and summed, the sum decoded). Run from the
+repo root:
 
-    python benchmarks/bench_kernels.py
-    python benchmarks/bench_kernels.py --sizes 4096 262144 --repeats 50
+    PYTHONPATH=src python benchmarks/bench_kernels.py
+    PYTHONPATH=src python benchmarks/bench_kernels.py --sizes 4096 262144 --repeats 50
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import time
 
 import numpy as np
 
+from fpsim import ExperimentConfig, run_round, select_cohort, start_run
 from fpsim._kernels import fwht_inplace, stochastic_round
 from fpsim.secagg import derive_config, encode_client
 from fpsim.seeds import SeedPath, sign_vector
@@ -64,6 +67,22 @@ def bench_encode(repeats: int) -> float:
     return _time_per_call(lambda: encode_client(delta, config, signs, seed), repeats)
 
 
+def bench_secagg_round(repeats: int) -> float:
+    """One run_round of the secagg_wide config (population 2000, fixed
+    clip 1, SecAgg on), in microseconds; every call is the next round of
+    one run on the same cohort."""
+    cfg = ExperimentConfig(
+        population=2000,
+        report_goal=ENCODE_COHORT,
+        clip_mode="fixed",
+        clip_c0=ENCODE_CLIP,
+        secagg_enabled=True,
+    )
+    state = start_run(cfg)
+    cohort_ids = select_cohort(state.next_eligible, cfg, 0, SeedPath(0).child("selection"))
+    return _time_per_call(lambda: run_round(state, cohort_ids), max(1, repeats // 10))
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -85,6 +104,11 @@ def main() -> None:
     print("encode_client (microseconds per call, best of 3)")
     print(f"  {'d':>8}{'encode':>14}")
     print(f"  {ENCODE_DIM:>8}{bench_encode(args.repeats):>14.1f}")
+    print()
+
+    print("secagg_wide run_round (microseconds per call, best of 3)")
+    print(f"  {'clients':>8}{'round':>14}")
+    print(f"  {ENCODE_COHORT:>8}{bench_secagg_round(args.repeats):>14.1f}")
 
 
 if __name__ == "__main__":

@@ -1,7 +1,9 @@
 """Time the data and training layers: population synthesis, one stacked
 cohort SGD step, one whole round, and one eval-set accuracy, at the default
 config's shapes (V = 100, window 1, 50 examples per client, cohort 100,
-batch 16, 1000 eval examples).  Synthesis is timed at 10^4 and 10^5
+batch 16, 1000 eval examples).  ``sgd_step`` is timed at the shape a round
+trains at: one block of ``_BLOCK_BYTES // (8 d)`` = 13 clients, batch 16.
+Synthesis is timed at 10^4 and 10^5
 clients of 50 examples, and at 10^4 x 500 and 2500 x 2000 examples, where
 the urn's rescan of each client's history grows with the square of its
 length.  The eval stream, one chain walked a token at a time, is timed at
@@ -45,6 +47,7 @@ from fpsim import (
     synthesize_clients,
     synthesize_eval_set,
 )
+from fpsim.federation import _BLOCK_BYTES
 
 COHORT = 100
 BATCH_SIZE = 16
@@ -137,6 +140,12 @@ def main() -> None:
         cohort_update(model, theta, contexts, labels, orders, 0.1, 1.0, 1.0, BATCH_SIZE)
 
     record["cohort_update_ms"] = _best_ms(step, args.repeats, calls=20)
+    block = _BLOCK_BYTES // (8 * model.num_params)
+    stack = np.tile(theta, (block, 1))
+    block_contexts, block_labels = contexts[:block, :BATCH_SIZE], labels[:block, :BATCH_SIZE]
+    record["sgd_step_ms"] = _best_ms(
+        lambda: model.sgd_step(stack, block_contexts, block_labels, 0.1), args.repeats, calls=100
+    )
     for report_goal in (100, 1000):
         _time_round(record, report_goal, args.repeats)
 

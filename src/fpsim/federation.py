@@ -36,14 +36,14 @@ from fpsim.data import TokenDataset
 from fpsim.models import NextTokenBOW
 from fpsim.secagg import (
     RoundingRetriesExhausted,
+    _encode_client,
     bits_per_update,
     decode,
-    encode_client,
     modular_sum,
 )
 from fpsim.seeds import SeedPath, sign_vector
 from fpsim.tree import TreeState
-from fpsim.vectors import as_param_vector
+from fpsim.vectors import _check_rotation_signs, as_param_vector
 
 if TYPE_CHECKING:
     from fpsim.config import ExperimentConfig, PrivacyTerms
@@ -145,16 +145,28 @@ def cohort_update(
         raise ValueError("batch_size must be >= 1")
     if orders.ndim != 3 or orders.shape[0] < 1 or orders.shape[1:] != (rows, n):
         raise ValueError("orders must be (epochs >= 1, rows, n)")
+    if contexts.shape != (rows, n, model.window):
+        raise ValueError("contexts must be (rows, n, window) token ids")
+    model._check_tokens(contexts)
+    model._check_tokens(labels)
     params = as_param_vector(params, model.num_params)
-    stack = np.tile(params, (rows, 1))
+    stack = np.empty((rows, params.shape[0]))
+    stack[...] = params
+    # The block's inputs are checked and its column base built once; each
+    # epoch's examples are gathered in batch order once, so a minibatch is
+    # a slice.
+    flat = stack.reshape(-1)
+    base = model._column_base(rows)
     row_index = np.arange(rows)[:, None]
     losses = np.zeros(rows)
     steps = 0
     for epoch_orders in orders:
+        epoch_contexts = contexts[row_index, epoch_orders]
+        epoch_labels = labels[row_index, epoch_orders]
         for start in range(0, n, batch_size):
-            batch = epoch_orders[:, start : start + batch_size]
-            losses += model.sgd_step(
-                stack, contexts[row_index, batch], labels[row_index, batch], eta_c
+            batch = slice(start, start + batch_size)
+            losses += model._step(
+                flat, base, epoch_contexts[:, batch], epoch_labels[:, batch], eta_c
             )
             steps += 1
     stack -= params
@@ -296,7 +308,10 @@ def run_round(state: RunState, cohort_ids: Sequence[int]) -> RoundMetrics:
     plain_sum = None
     cfg = state.terms.secagg
     if cfg is not None:
-        signs = sign_vector(state.seed.child("rotation", t), cfg.padded_dim)
+        # The round's shared signs are checked here once, not per client.
+        signs = _check_rotation_signs(
+            cfg.padded_dim, sign_vector(state.seed.child("rotation", t), cfg.padded_dim)
+        )
         rounding = state.seed.child("rounding", t)
         encoded = np.empty((min(block, cohort), cfg.padded_dim), dtype=np.int64)
         total = None
@@ -327,7 +342,7 @@ def run_round(state: RunState, cohort_ids: Sequence[int]) -> RoundMetrics:
         if cfg is not None:
             for i, client_id in enumerate(ids):
                 try:
-                    encoded[i], clamped_count = encode_client(
+                    encoded[i], clamped_count = _encode_client(
                         deltas[i], cfg, signs, rounding.child("client", client_id)
                     )
                 except RoundingRetriesExhausted as exc:

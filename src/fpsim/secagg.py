@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fpsim.seeds import SeedPath
-from fpsim.vectors import as_param_vector, inverse_rotation, rotate_inplace
+from fpsim.vectors import _check_rotation_signs, _rotate, as_param_vector, inverse_rotation
 from fpsim._kernels import stochastic_round
 
 __all__ = [
@@ -167,6 +167,15 @@ def encode_client(
     Raises RoundingRetriesExhausted if the rounded norm check fails
     retry_cap consecutive times.
     """
+    signs = _check_rotation_signs(config.padded_dim, rotation_signs)
+    return _encode_client(delta, config, signs, seed)
+
+
+def _encode_client(
+    delta: np.ndarray, config: SecAggConfig, signs: np.ndarray, seed: SeedPath
+) -> tuple[np.ndarray, int]:
+    """encode_client with the round's signs already checked, as run_round
+    does once per round for its whole cohort."""
     delta = as_param_vector(delta)
     d = delta.shape[0]
     if d > config.padded_dim:
@@ -185,7 +194,7 @@ def encode_client(
         as_param_vector(head)  # raises when the scaling overflowed an entry
     if norm > scaled_clip:
         head *= scaled_clip / norm
-    rotate_inplace(row, rotation_signs)
+    _rotate(row, signs)
     bound = float(config.infinity_bound)
     clamped_count = int(np.count_nonzero(np.abs(row) > bound))
     np.clip(row, -bound, bound, out=row)

@@ -66,14 +66,18 @@ def rotate_inplace(x: np.ndarray, signs: np.ndarray) -> None:
     """Overwrite ``x`` with randomized_hadamard(x, signs).
 
     x must be a C-contiguous float64 vector of finite entries, which is the
-    caller's to check (the SecAgg encoder validates its update once and
-    rotates its own zero-padded row); its width and the signs are checked.
+    caller's to check; its width and the signs are checked.  (The SecAgg
+    encoder validates its update once and rotates its own zero-padded row
+    with _rotate, the round's signs checked once per round.)
     """
-    d = x.shape[0]
-    signs = _check_rotation_signs(d, signs)
+    _rotate(x, _check_rotation_signs(x.shape[0], signs))
+
+
+def _rotate(x: np.ndarray, signs: np.ndarray) -> None:
+    """rotate_inplace with float64 signs already checked for x's width."""
     x *= signs
     fwht_inplace(x)
-    x *= 1.0 / np.sqrt(d)
+    x *= 1.0 / np.sqrt(x.shape[0])
 
 
 def randomized_hadamard(v: np.ndarray, signs: np.ndarray) -> np.ndarray:

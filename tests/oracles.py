@@ -21,6 +21,69 @@ from fpsim.vectors import as_param_vector, clip_l2
 from fpsim._kernels import stochastic_round
 
 
+def reference_sgd_step(
+    vocab: int, window: int, stack: np.ndarray, contexts: np.ndarray, labels: np.ndarray, lr: float
+) -> np.ndarray:
+    """NextTokenBOW.sgd_step in its plain formulation, in place on
+    ``stack``: every window token's (rows, batch, window, V) flat column
+    index built whole, the gathered columns' ``mean(axis=2)``, an
+    out-of-place softmax, the labels' probabilities read and written with
+    ``take_along_axis``/``put_along_axis``, and the loss as ``.mean(axis=1)``.
+    Returns each row's mean cross-entropy before the step."""
+    row_offsets = np.arange(stack.shape[0]) * (vocab * vocab)
+    columns = row_offsets[:, None, None, None] + np.arange(vocab) * vocab + contexts[..., None]
+    flat = stack.reshape(-1)
+    logits = flat[columns].mean(axis=2)
+    probs = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    picked = np.take_along_axis(probs, labels[..., None], axis=2)
+    losses = -np.log(np.maximum(picked[..., 0], 1e-300)).mean(axis=1)
+    np.put_along_axis(probs, labels[..., None], picked - 1.0, axis=2)
+    probs *= -lr / (labels.shape[1] * window)
+    scatter = np.broadcast_to(probs[:, :, None, :], columns.shape)
+    np.add.at(flat, columns.ravel(), scatter.ravel())
+    return losses
+
+
+def reference_logits(vocab: int, stack: np.ndarray, contexts: np.ndarray) -> np.ndarray:
+    """NextTokenBOW.logits as the ``mean(axis=2)`` of every window token's
+    gathered weight column."""
+    row_offsets = np.arange(stack.shape[0]) * (vocab * vocab)
+    columns = row_offsets[:, None, None, None] + np.arange(vocab) * vocab + contexts[..., None]
+    return stack.reshape(-1)[columns].mean(axis=2)
+
+
+def reference_cohort_update(
+    vocab: int,
+    window: int,
+    params: np.ndarray,
+    contexts: np.ndarray,
+    labels: np.ndarray,
+    orders: np.ndarray,
+    lr: float,
+    batch_size: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """federation.cohort_update's local SGD before clipping: the block's
+    rows tiled from ``params``, and one reference_sgd_step per minibatch on
+    that minibatch's own fancy-index gather of contexts and labels.
+    Returns the unclipped (rows, d) deltas and each row's mean loss."""
+    rows, n = labels.shape
+    stack = np.tile(params, (rows, 1))
+    row_index = np.arange(rows)[:, None]
+    losses = np.zeros(rows)
+    steps = 0
+    for epoch_orders in orders:
+        for start in range(0, n, batch_size):
+            batch = epoch_orders[:, start : start + batch_size]
+            losses += reference_sgd_step(
+                vocab, window, stack, contexts[row_index, batch], labels[row_index, batch], lr
+            )
+            steps += 1
+    stack -= params
+    return stack, losses / steps
+
+
 def reference_fwht(x: np.ndarray) -> None:
     """Unnormalized fast Walsh-Hadamard transform, in place: one radix-2
     pass per level, lowest bit first, each pass copying both halves of its

@@ -44,6 +44,7 @@ from fpsim import (
     synthesize_eval_set,
 )
 from fpsim import ClipState, federation
+from oracles import reference_cohort_update
 
 
 def _config(population=20, vocab=8, examples=30, window=1, **kw):
@@ -329,6 +330,12 @@ class TestClientUpdate:
             cohort_update(*args[:4], orders[:, :, :-1], 0.5, 1.0, 1.0)
         with pytest.raises(ValueError, match="orders"):
             cohort_update(*args[:4], orders[:0], 0.5, 1.0, 1.0)
+        with pytest.raises(ValueError, match="contexts"):
+            cohort_update(model, params, data.contexts[:, 1:], *args[3:], 0.5, 1.0, 1.0)
+        with pytest.raises(ValueError, match="vocabulary range"):
+            cohort_update(model, params, data.contexts + 8, *args[3:], 0.5, 1.0, 1.0)
+        with pytest.raises(ValueError, match="vocabulary range"):
+            cohort_update(model, params, data.contexts, -data.labels - 1, orders, 0.5, 1.0, 1.0)
         with pytest.raises(ValueError):
             batch_orders(None, 1, 30, 0)
 
@@ -368,6 +375,38 @@ class TestClientUpdate:
         np.testing.assert_allclose(deltas, expected, rtol=0, atol=1e-12)
         np.testing.assert_allclose(losses, expected_losses, rtol=1e-12)
         np.testing.assert_array_equal(indicators, np.linalg.norm(expected, axis=1) <= 1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        vocab=st.integers(2, 130),
+        window=st.integers(1, 4),
+        rows=st.integers(1, 20),
+        n=st.integers(1, 40),
+        batch_size=st.integers(1, 17),
+        epochs=st.integers(1, 3),
+        lr=st.floats(1e-3, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_block_matches_reference_bytes(
+        self, vocab, window, rows, n, batch_size, epochs, lr, seed
+    ):
+        """The block's deltas and losses equal, byte for byte, the plain
+        formulation's: np.tile rows and one fancy-index gather and
+        reference step per minibatch, in shuffled per-epoch orders."""
+        rng = np.random.default_rng(seed)
+        model = NextTokenBOW(vocab_size=vocab, window=window)
+        params = rng.normal(size=model.num_params) * 0.3
+        contexts = rng.integers(0, vocab, size=(rows, n, window))
+        labels = rng.integers(0, vocab, size=(rows, n))
+        orders = batch_orders(rng, rows, n, epochs)
+        deltas, _, losses = cohort_update(
+            model, params, contexts, labels, orders, lr, math.inf, 1.0, batch_size
+        )
+        want, want_losses = reference_cohort_update(
+            vocab, window, params, contexts, labels, orders, lr, batch_size
+        )
+        assert deltas.tobytes() == want.tobytes()
+        assert losses.tobytes() == want_losses.tobytes()
 
 
 class TestRunRound:
@@ -520,7 +559,7 @@ class TestSecureAggregationRound:
                 raise RoundingRetriesExhausted("stochastic rounding exceeded the norm bound 3 times")
             return encode_client(delta, config, signs, seed)
 
-        monkeypatch.setattr(federation, "encode_client", failing_encode)
+        monkeypatch.setattr(federation, "_encode_client", failing_encode)
         with pytest.raises(RoundingRetriesExhausted) as caught:
             run_round(server, [5, 6, 7, 4])
         message = str(caught.value)
@@ -551,7 +590,7 @@ class TestSecureAggregationRound:
             received.append((delta.copy(), signs.copy()))
             return encode_client(delta, config, signs, seed)
 
-        monkeypatch.setattr(federation, "encode_client", recording_encode)
+        monkeypatch.setattr(federation, "_encode_client", recording_encode)
         metrics = run_round(server, list(range(m)))
         monkeypatch.undo()
 

@@ -4,6 +4,8 @@ The gradient is the one quantity everything downstream trusts blindly, so it
 is checked against central finite differences of the loss — an oracle that
 shares no code with the analytic backward pass.  The step updates a stack
 of parameter rows in place, so the gradient is read off one step of rate 1.
+The step and the logits must also equal, byte for byte, their plain
+formulation in tests/oracles.py.
 """
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpsim import NextTokenBOW, TokenDataset
+from oracles import reference_logits, reference_sgd_step
 
 
 def _loss_grad(model, stack, contexts, labels):
@@ -229,3 +232,49 @@ class TestDistinctWindowEval:
         np.testing.assert_array_equal(predictions[0], model.predict(params, contexts))
         full = model.accuracy(params, contexts, labels)
         assert float((predictions == dataset.labels).mean()) == full
+
+
+class TestMatchesReferenceStep:
+    """sgd_step, logits and predict keep the plain formulation's bytes: the
+    window mean, the along-axis label gather and scatter, and np.add.at's
+    in-order accumulation of repeated columns."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        vocab=st.integers(2, 130),
+        window=st.integers(1, 4),
+        rows=st.integers(1, 20),
+        batch=st.integers(1, 17),
+        alphabet=st.integers(1, 130),
+        scale=st.sampled_from([0.01, 1.0, 40.0]),
+        lr=st.floats(1e-3, 5.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_step_logits_and_predict_bytes(
+        self, vocab, window, rows, batch, alphabet, scale, lr, seed
+    ):
+        rng = np.random.default_rng(seed)
+        model = NextTokenBOW(vocab_size=vocab, window=window)
+        stack = rng.normal(size=(rows, model.num_params)) * scale
+        # Contexts from the first ``alphabet`` ids repeat within a batch, so
+        # the scatter adds into the same column more than once.
+        contexts = rng.integers(0, min(alphabet, vocab), size=(rows, batch, window))
+        labels = rng.integers(0, vocab, size=(rows, batch))
+
+        expected = reference_logits(vocab, stack, contexts)
+        assert model.logits(stack, contexts).tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(
+            model.predict(stack[0], contexts[0]), expected[0].argmax(axis=1)
+        )
+        got, want = stack.copy(), stack.copy()
+        losses = model.sgd_step(got, contexts, labels, lr)
+        want_losses = reference_sgd_step(vocab, window, want, contexts, labels, lr)
+        assert losses.tobytes() == want_losses.tobytes()
+        assert got.tobytes() == want.tobytes()
+
+    def test_label_range_validated(self):
+        m = NextTokenBOW(vocab_size=4)
+        contexts = np.zeros((1, 2, 1), dtype=np.int64)
+        for bad in (4, -1):
+            with pytest.raises(ValueError, match="vocabulary range"):
+                m.sgd_step(np.zeros((1, 16)), contexts, np.array([[0, bad]]), 0.1)
