@@ -1,8 +1,9 @@
-"""Time the data and training layers: population synthesis, one stacked
-cohort SGD step, one whole round, and one eval-set accuracy, at the default
+"""Time the data and training layers: population synthesis, one cohort's
+local SGD, one whole round, and one eval-set accuracy, at the default
 config's shapes (V = 100, window 1, 50 examples per client, cohort 100,
-batch 16, 1000 eval examples).  ``sgd_step`` is timed at the shape a round
-trains at: one block of ``_BLOCK_BYTES // (8 d)`` = 13 clients, batch 16.
+batch 16, 1000 eval examples).  ``sgd_step`` is one stacked minibatch step
+at the shape a round trains at: ``NextTokenBOW.local_sgd`` on one block of
+``_BLOCK_BYTES // (8 d)`` = 13 clients, one epoch of one 16-example batch.
 Synthesis is timed at 10^4 and 10^5
 clients of 50 examples, and at 10^4 x 500 and 2500 x 2000 examples, where
 the urn's rescan of each client's history grows with the square of its
@@ -14,8 +15,10 @@ every round.  Both are also timed at the long small-model shape (V = 64,
 concentration 0.5, 1000 eval examples).  ``run_round`` is timed at
 report goals 100 and 1000 (V = 100), with the peak of the memory one round
 allocates (tracemalloc, in MiB): the round works in fixed-size blocks of
-clients, so the peak does not grow with the report goal.  Run from the
-repo root:
+clients, so the peak does not grow with the report goal.  Each round row
+also counts the minor page faults per timed round (``ru_minflt``), so a
+change that makes the round's large arrays come from fresh mmaps instead
+of reused heap shows as a count.  Run from the repo root:
 
     PYTHONPATH=src python benchmarks/bench_training.py
     PYTHONPATH=src python benchmarks/bench_training.py --repeats 5
@@ -30,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import time
 import tracemalloc
 
@@ -75,17 +79,19 @@ def _time_eval(record: dict, suffix: str, cfg, theta, seed, repeats: int) -> Non
     def distinct_eval():
         return float((model.predict(theta, windows)[inverse] == eval_set.labels).mean())
 
-    assert distinct_eval() == model.accuracy(theta, contexts, labels)
+    def accuracy():
+        return float((model.predict(theta, contexts) == labels).mean())
+
+    assert distinct_eval() == accuracy()
     record[f"eval_windows{suffix}"] = len(windows)
-    record[f"accuracy{suffix}_ms"] = _best_ms(
-        lambda: model.accuracy(theta, contexts, labels), repeats, calls=50
-    )
+    record[f"accuracy{suffix}_ms"] = _best_ms(accuracy, repeats, calls=50)
     record[f"distinct_eval{suffix}_ms"] = _best_ms(distinct_eval, repeats, calls=50)
 
 
 def _time_round(record: dict, report_goal: int, repeats: int) -> None:
-    """Record one run_round's best time and its traced peak allocation at
-    ``report_goal`` clients of the default shape."""
+    """Record one run_round's best time, its minor page faults per round
+    and its traced peak allocation at ``report_goal`` clients of the
+    default shape."""
     cfg = ExperimentConfig(population=report_goal, report_goal=report_goal)
     state = start_run(cfg)
     cohort_ids = select_cohort(state.next_eligible, cfg, 0, SeedPath(0).child("selection"))
@@ -95,9 +101,12 @@ def _time_round(record: dict, report_goal: int, repeats: int) -> None:
         record[f"run_round_{report_goal}_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     record[f"run_round_{report_goal}_ms"] = _best_ms(
         lambda: run_round(state, cohort_ids), repeats, calls=5
     )
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    record[f"run_round_{report_goal}_minflt"] = faults / (repeats * 5)
 
 
 def main() -> None:
@@ -143,8 +152,11 @@ def main() -> None:
     block = _BLOCK_BYTES // (8 * model.num_params)
     stack = np.tile(theta, (block, 1))
     block_contexts, block_labels = contexts[:block, :BATCH_SIZE], labels[:block, :BATCH_SIZE]
+    block_orders = batch_orders(None, block, BATCH_SIZE, 1)
     record["sgd_step_ms"] = _best_ms(
-        lambda: model.sgd_step(stack, block_contexts, block_labels, 0.1), args.repeats, calls=100
+        lambda: model.local_sgd(stack, block_contexts, block_labels, block_orders, 0.1, BATCH_SIZE),
+        args.repeats,
+        calls=100,
     )
     for report_goal in (100, 1000):
         _time_round(record, report_goal, args.repeats)
@@ -157,10 +169,10 @@ def main() -> None:
     cores = record["nproc"]
     print(
         f"data and training layers (ms per call, best of {args.repeats}, {cores} cores;"
-        " peaks in MB)"
+        " peaks in MB, minor faults per round)"
     )
     for name, value in record.items():
-        if name.endswith(("_ms", "_mb")):
+        if name.endswith(("_ms", "_mb", "_minflt")):
             print(f"  {name:<32}{value:>10.2f}")
     print(json.dumps(record))
 

@@ -4,7 +4,7 @@ differential privacy.
 The pieces, bottom up:
 
 - ``seeds``      labeled deterministic randomness (SeedPath)
-- ``vectors``    parameter-vector ops: clipping, randomized Hadamard rotation
+- ``vectors``    parameter-vector checks and the randomized Hadamard rotation
 - ``tree``       tree-aggregated private prefix sums with restarts
 - ``clipping``   adaptive quantile clip estimation and the noise split
 - ``secagg``     integer encoding pipeline for modular secure aggregation
@@ -71,9 +71,7 @@ from fpsim.seeds import SeedPath, gaussian_vector, sign_vector
 from fpsim.tree import RestartSchedule, TreeState
 from fpsim.vectors import (
     as_param_vector,
-    clip_l2,
     inverse_rotation,
-    randomized_hadamard,
     rotate_inplace,
 )
 
@@ -145,8 +143,6 @@ __all__ = [
     "TreeState",
     # vectors
     "as_param_vector",
-    "clip_l2",
-    "randomized_hadamard",
     "rotate_inplace",
     "inverse_rotation",
 ]

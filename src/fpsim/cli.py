@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 
 from fpsim import harness
+from fpsim.accounting import ParticipationSchema
 from fpsim.config import ConfigError, ExperimentConfig, SweepConfig
 
 __all__ = ["main"]
@@ -66,10 +67,8 @@ def _cmd_account(args: argparse.Namespace) -> int:
                 f"account needs --run or explicit schema flags; missing {' '.join(missing)}"
             )
         restarts = tuple(int(r) for r in args.restarts.split(",")) if args.restarts else ()
-        row = harness.privacy_report(
-            args.rounds, args.min_sep, args.max_part, restarts, args.z,
-            args.sensitivity_scale, delta=args.delta,
-        )
+        schema = ParticipationSchema(args.rounds, args.min_sep, args.max_part, restarts)
+        row = harness.privacy_report(schema, args.z, args.sensitivity_scale, delta=args.delta)
     print(harness.render_report_text(row), end="")
     return 0
 

@@ -27,6 +27,7 @@ from functools import partial
 from pathlib import Path
 from typing import Any, NoReturn, get_args, get_origin, get_type_hints
 
+from fpsim.accounting import ParticipationSchema
 from fpsim.clipping import combined_multiplier, noise_split
 from fpsim.models import NextTokenBOW
 from fpsim.secagg import SecAggConfig, derive_config, inflated_clip_norm
@@ -145,8 +146,8 @@ class PrivacyTerms:
     z_equiv: float  # guarantee-side multiplier of the joint release
     secagg: SecAggConfig | None  # the shared encoding; None without SecAgg
     sensitivity_scale: float  # SecAgg rounding's inflation of the clip norm
-    # (rounds, min_sep, max_part, restart_rounds): the worst case the timer allows
-    timer_schema: tuple[int, int, int, tuple[int, ...]]
+    # the worst case the timer allows, with the run's restart rounds
+    timer_schema: ParticipationSchema
 
 
 @dataclass(frozen=True)
@@ -291,13 +292,6 @@ class ExperimentConfig:
 
     # -- derived views ---------------------------------------------------
 
-    def restart_schedule(self) -> RestartSchedule:
-        if self.restart_mode == "none":
-            return RestartSchedule(())
-        if self.restart_mode == "explicit":
-            return RestartSchedule(tuple(r for r in self.restart_rounds if r < self.rounds))
-        return RestartSchedule.periodic(self.rounds, self.restart_first, self.restart_period)
-
     def sigma_b(self) -> float:
         return self.report_goal * self.clip_sigma_b_fraction
 
@@ -340,7 +334,16 @@ class ExperimentConfig:
             scale = inflated_clip_norm(secagg) / self.clip_c0
             if not math.isfinite(scale * scale):
                 fail("secagg_scale", "too small for clip.c0: the sensitivity scale overflows")
+        if self.restart_mode == "periodic":
+            restarts = RestartSchedule.periodic(
+                self.rounds, self.restart_first, self.restart_period
+            ).rounds
+        elif self.restart_mode == "explicit":
+            restarts = tuple(r for r in self.restart_rounds if r < self.rounds)
+        else:
+            restarts = ()
         max_part = -(-self.rounds // self.timer_rounds)
+        timer_schema = ParticipationSchema(self.rounds, self.timer_rounds, max_part, restarts)
         if z_equiv > 0:
             # The accountant's rho is sensitivity^2 / (2 z^2) * scale^2; the
             # same float steps from the bound give at least every run's rho.
@@ -355,7 +358,6 @@ class ExperimentConfig:
                     "too small to account: the run's rho, up to "
                     "max_part^2 * bit_length(rounds) * scale^2 / (2 z^2), overflows",
                 )
-        timer_schema = (self.rounds, self.timer_rounds, max_part, self.restart_schedule().rounds)
         return PrivacyTerms(z_delta, sigma_b, z_equiv, secagg, scale, timer_schema)
 
     def canonical_text(self) -> str:

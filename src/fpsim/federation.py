@@ -122,59 +122,31 @@ def cohort_update(
     clip_quantile: float,
     batch_size: int = 16,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Local SGD of a block of clients from the current model, as one
-    stacked step per minibatch; returns the (rows, d) clipped deltas, the
-    below-quantile indicators, and each client's mean minibatch loss.
+    """Local SGD of a block of clients from the current model
+    (NextTokenBOW.local_sgd, one row per client); returns the (rows, d)
+    clipped deltas, the below-quantile indicators, and each client's mean
+    minibatch loss.
 
     Client c's data is ``contexts[c]`` (n, window) and ``labels[c]`` (n,);
     ``orders[e, c]`` is its batch order in epoch e (see batch_orders), so
-    a block of a cohort takes its rows of the cohort's orders.  Each row is
-    computed alone, so a client's outputs do not depend on the block it is
-    in.  The indicator compares the *unclipped* delta norm against
-    clip_quantile (the server's current estimate); clipping itself uses
-    clip_active.
+    a block of a cohort takes its rows of the cohort's orders.  The
+    indicator compares the *unclipped* delta norm against clip_quantile
+    (the server's current estimate); clipping itself uses clip_active.
     """
-    rows, n = labels.shape
-    if n == 0:
-        raise ValueError("client datasets are empty")
     if not eta_c > 0:
         raise ValueError("eta_c must be > 0")
     if not clip_active > 0:
         raise ValueError("clip_active must be > 0")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    if orders.ndim != 3 or orders.shape[0] < 1 or orders.shape[1:] != (rows, n):
-        raise ValueError("orders must be (epochs >= 1, rows, n)")
-    if contexts.shape != (rows, n, model.window):
-        raise ValueError("contexts must be (rows, n, window) token ids")
-    model._check_tokens(contexts)
-    model._check_tokens(labels)
     params = as_param_vector(params, model.num_params)
-    stack = np.empty((rows, params.shape[0]))
+    stack = np.empty((labels.shape[0], params.shape[0]))
     stack[...] = params
-    # The block's inputs are checked and its column base built once; each
-    # epoch's examples are gathered in batch order once, so a minibatch is
-    # a slice.
-    flat = stack.reshape(-1)
-    base = model._column_base(rows)
-    row_index = np.arange(rows)[:, None]
-    losses = np.zeros(rows)
-    steps = 0
-    for epoch_orders in orders:
-        epoch_contexts = contexts[row_index, epoch_orders]
-        epoch_labels = labels[row_index, epoch_orders]
-        for start in range(0, n, batch_size):
-            batch = slice(start, start + batch_size)
-            losses += model._step(
-                flat, base, epoch_contexts[:, batch], epoch_labels[:, batch], eta_c
-            )
-            steps += 1
+    losses = model.local_sgd(stack, contexts, labels, orders, eta_c, batch_size)
     stack -= params
     norms = np.sqrt(np.einsum("ij,ij->i", stack, stack))
     indicators = (norms <= clip_quantile).astype(np.int64)
     if math.isfinite(clip_active):
         stack *= (clip_active / np.maximum(norms, clip_active))[:, None]
-    return stack, indicators, losses / steps
+    return stack, indicators, losses
 
 
 def select_cohort(
@@ -377,8 +349,7 @@ def run_round(state: RunState, cohort_ids: Sequence[int]) -> RoundMetrics:
         raise TrainingDiverged(f"non-finite loss or parameters at round {t}")
 
     state.round = t + 1
-    _, _, _, restart_rounds = state.terms.timer_schema
-    if state.round in restart_rounds:
+    if state.round in state.terms.timer_schema.restart_rounds:
         new_clip = state.clip.restart() if state.clip is not None else config.clip_c0
         state.delta_tree.restart(new_clip)
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,7 @@ import numpy as np
 from fpsim import accounting
 from fpsim.accounting import ParticipationSchema, PrivacyLedger
 from fpsim.clipping import ClipState
-from fpsim.config import ExperimentConfig, PrivacyTerms, SweepConfig
+from fpsim.config import ExperimentConfig, SweepConfig
 from fpsim.data import synthesize_clients, synthesize_eval_set
 from fpsim.federation import RunState, observed_limits, run_round, select_cohort
 from fpsim.models import NextTokenBOW
@@ -146,7 +146,7 @@ def start_run(config: ExperimentConfig) -> RunState:
                 f"model needs {model.num_params}"
             )
     else:
-        theta0 = model.init_params(root.child("init"))
+        theta0 = model.init_params()
     clip = None
     if config.clip_mode == "adaptive":
         clip = ClipState(
@@ -169,7 +169,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunResult:
     state = start_run(config)
     selection = SeedPath(config.seed).child("selection")
     # Each round scores every distinct eval window once; the same float as
-    # model.accuracy on the whole eval set.
+    # the mean of per-example predictions equal to their labels.
     windows, inverse = state.eval_set.distinct_windows()
     for t in range(config.rounds):
         cohort_ids = select_cohort(state.next_eligible, config, t, selection)
@@ -186,8 +186,7 @@ def _finish(state: RunState, out: Path) -> RunResult:
     config, terms = state.config, state.terms
     # The worst case the timer allows after each round, all prefixes in one
     # accountant pass.
-    timer_schema = ParticipationSchema(*terms.timer_schema)
-    cumulative_rho = accounting.prefix_zcdp(terms.z_equiv, timer_schema)
+    cumulative_rho = accounting.prefix_zcdp(terms.z_equiv, terms.timer_schema)
     metrics_rows = [
         (
             m.round,
@@ -222,7 +221,7 @@ def _finish(state: RunState, out: Path) -> RunResult:
         )
     (out / "config.resolved").write_text(config.canonical_text())
 
-    row = _observed_report(config, observed_limits(client_ids, rounds, config.rounds), terms)
+    row = _observed_report(config, observed_limits(client_ids, rounds, config.rounds))
     _write_csv(out / "report.csv", REPORT_COLUMNS, [tuple(row[k] for k in REPORT_COLUMNS)])
     (out / "report.txt").write_text(render_report_text(row))
 
@@ -274,33 +273,25 @@ def render_report_text(row: dict[str, object]) -> str:
 
 
 def privacy_report(
-    total_rounds: int,
-    min_sep: int,
-    max_part: int,
-    restart_rounds: tuple[int, ...],
+    schema: ParticipationSchema,
     z_equiv: float,
     sensitivity_scale: float = 1.0,
     config: ExperimentConfig | None = None,
     delta: float = REPORT_DELTA,
 ) -> dict[str, object]:
     """The report row (REPORT_COLUMNS) for one participation schema, with
-    epsilon at ``delta``.
+    epsilon at ``delta``.  The max_part and min_sep it prints are the
+    schema's, the ones rho is accounted at.
 
     ``config``, when given, supplies the configured noise multiplier and the
     config hash; without it they are ``z_equiv`` and empty.
     """
-    schema = ParticipationSchema(
-        total_rounds=total_rounds,
-        min_sep=min_sep,
-        max_part=max_part,
-        restart_rounds=restart_rounds,
-    )
     ledger = PrivacyLedger(schema=schema, z=z_equiv, sensitivity_scale=sensitivity_scale)
     return {
-        "total_rounds": ledger.schema.total_rounds,
-        "observed_max_part": max_part,
-        "observed_min_sep": min_sep,
-        "restart_rounds": ";".join(str(r) for r in ledger.schema.restart_rounds),
+        "total_rounds": schema.total_rounds,
+        "observed_max_part": schema.max_part,
+        "observed_min_sep": schema.min_sep,
+        "restart_rounds": ";".join(str(r) for r in schema.restart_rounds),
         "noise_multiplier": config.noise_multiplier if config else ledger.z,
         "z_equivalent": ledger.z,
         "sensitivity_scale": ledger.sensitivity_scale,
@@ -313,25 +304,14 @@ def privacy_report(
 
 
 def _observed_report(
-    config: ExperimentConfig,
-    limits: tuple[int, int],
-    terms: PrivacyTerms,
-    delta: float = REPORT_DELTA,
+    config: ExperimentConfig, limits: tuple[int, int], delta: float = REPORT_DELTA
 ) -> dict[str, object]:
     """A run's report row from the (max_part, min_sep) its participation log
     attains (observed_limits), accounted at the run's privacy terms."""
-    total_rounds, _, _, restart_rounds = terms.timer_schema
+    terms = config.privacy_terms()
     max_part, min_sep = limits
-    return privacy_report(
-        total_rounds,
-        min_sep,
-        max_part,
-        restart_rounds,
-        terms.z_equiv,
-        terms.sensitivity_scale,
-        config,
-        delta,
-    )
+    schema = replace(terms.timer_schema, max_part=max_part, min_sep=min_sep)
+    return privacy_report(schema, terms.z_equiv, terms.sensitivity_scale, config, delta)
 
 
 def post_hoc_report(run_dir: str | Path, delta: float = REPORT_DELTA) -> dict[str, object]:
@@ -371,7 +351,7 @@ def post_hoc_report(run_dir: str | Path, delta: float = REPORT_DELTA) -> dict[st
             f"{path}: a client returns {limits[1]} round(s) after its previous one, "
             f"under timer_rounds = {config.timer_rounds}"
         )
-    return _observed_report(config, limits, config.privacy_terms(), delta)
+    return _observed_report(config, limits, delta)
 
 
 def sweep_privacy(sweep_cfg: SweepConfig, out_path: str | Path) -> list[tuple]:

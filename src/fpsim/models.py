@@ -1,16 +1,17 @@
 """The built-in model: a bag-of-words next-token predictor.
 
 A model, to the training loop, is three things: initial parameters (a flat
-float64 vector), a stacked minibatch SGD step, and a top-1 accuracy
-evaluator.  NextTokenBOW is a linear softmax classifier over the vocabulary
-whose features are the mean of the context window's one-hot vectors, so a
-vocabulary of V tokens costs V*V parameters — a few-megabyte model that
-trains in seconds at desk scale.  The features are never built: the logits
-of a window are the mean of its tokens' weight columns, and the gradient is
-scattered back into those columns.
+float64 vector), local minibatch SGD of a stack of parameter rows
+(``local_sgd``), and a top-1 prediction per context window (``predict``),
+which a run scores its eval set with.  NextTokenBOW is a linear softmax
+classifier over the vocabulary whose features are the mean of the context
+window's one-hot vectors, so a vocabulary of V tokens costs V*V parameters
+— a few-megabyte model that trains in seconds at desk scale.  The features
+are never built: the logits of a window are the mean of its tokens' weight
+columns, and the gradient is scattered back into those columns.
 
-The step is written for numpy's per-call cost, with the float arithmetic
-of the plain formulation (tests/oracles.py) kept to the byte:
+Each minibatch step is written for numpy's per-call cost, with the float
+arithmetic of the plain formulation (tests/oracles.py) kept to the byte:
 
 - A window's logits are its first token's column gather, plus each later
   token's gather in window order, divided by the window length only when
@@ -21,7 +22,7 @@ of the plain formulation (tests/oracles.py) kept to the byte:
   ``(row * batch + example) * V + label``, the elements that
   ``take_along_axis`` and ``put_along_axis`` address.
 - The flat offset of each stack row's class rows, ``row * d + class * V``,
-  is built once per block of rows by the caller of the private step.
+  is built once per call of ``local_sgd``, for all its minibatches.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from fpsim.seeds import SeedPath
 
 __all__ = ["NextTokenBOW"]
 
@@ -57,21 +56,15 @@ class NextTokenBOW:
     def num_params(self) -> int:
         return self.vocab_size * self.vocab_size
 
-    def init_params(self, seed: SeedPath | None = None) -> np.ndarray:
-        """Zero weights: the canonical convex starting point; the seed is
-        accepted for interface uniformity but not needed."""
-        del seed
+    def init_params(self) -> np.ndarray:
+        """Zero weights: the canonical convex starting point."""
         return np.zeros(self.num_params, dtype=np.float64)
 
-    def _check(self, stack: np.ndarray, contexts: np.ndarray) -> None:
-        """Validate a parameter stack and its (rows, batch, window) windows."""
+    def _check_stack(self, stack: np.ndarray) -> None:
         if stack.ndim != 2 or stack.shape[1] != self.num_params:
             raise ValueError("params must be (rows, num_params) for this model")
         if not stack.flags.c_contiguous:
             raise ValueError("params must be C-contiguous")
-        if contexts.ndim != 3 or contexts.shape[::2] != (stack.shape[0], self.window):
-            raise ValueError("inputs must be (rows, batch, window) token ids")
-        self._check_tokens(contexts)
 
     def _check_tokens(self, tokens: np.ndarray) -> None:
         if tokens.size and (tokens.min() < 0 or tokens.max() >= self.vocab_size):
@@ -98,33 +91,63 @@ class NextTokenBOW:
     def logits(self, stack: np.ndarray, contexts: np.ndarray) -> np.ndarray:
         """(rows, batch, vocab_size) logits of row r's parameters on row r's
         windows: the mean of the window tokens' weight columns."""
-        self._check(stack, contexts)
+        self._check_stack(stack)
+        if contexts.ndim != 3 or contexts.shape[::2] != (stack.shape[0], self.window):
+            raise ValueError("inputs must be (rows, batch, window) token ids")
+        self._check_tokens(contexts)
         columns = self._column_base(stack.shape[0]) + contexts[..., None]
         return self._window_logits(stack.reshape(-1), columns)
 
-    def sgd_step(
-        self, stack: np.ndarray, contexts: np.ndarray, labels: np.ndarray, lr: float
+    def local_sgd(
+        self,
+        stack: np.ndarray,
+        contexts: np.ndarray,
+        labels: np.ndarray,
+        orders: np.ndarray,
+        lr: float,
+        batch_size: int,
     ) -> np.ndarray:
-        """One minibatch SGD step of every row of ``stack``, in place.
+        """Local minibatch SGD of every row of ``stack``, in place; returns
+        each row's mean minibatch loss, each taken before its step.
 
-        Row r holds one client's flat parameters; ``contexts[r]`` (batch,
-        window) and ``labels[r]`` (batch,) are its minibatch.  Returns each
-        row's mean cross-entropy before the step.
-
-        The logits are the window tokens' column gathers summed in window
-        order and divided by the window length when it exceeds one, which
-        is how numpy's mean over the window adds and divides; the labels'
-        probabilities are read and written through one flat index, the
-        elements take_along_axis and put_along_axis address.  So the step
-        keeps the bytes of the plain formulation (tests/oracles.py).
+        Row r holds one client's flat parameters, and ``contexts[r]`` (n,
+        window) and ``labels[r]`` (n,) are its examples.  ``orders[e, r]``
+        is row r's batch order in epoch e (federation.batch_orders); the
+        epoch's minibatches are its consecutive slices of batch_size
+        examples, the last one possibly short.  Each row is computed
+        alone, so its outputs do not depend on the other rows.
         """
-        self._check(stack, contexts)
-        if labels.shape != contexts.shape[:2]:
-            raise ValueError("labels must be (rows, batch)")
+        self._check_stack(stack)
+        if labels.ndim != 2 or labels.shape[0] != stack.shape[0]:
+            raise ValueError("labels must be (rows, n) token ids")
+        rows, n = labels.shape
+        if n == 0:
+            raise ValueError("client datasets are empty")
+        if batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if orders.ndim != 3 or orders.shape[0] < 1 or orders.shape[1:] != (rows, n):
+            raise ValueError("orders must be (epochs >= 1, rows, n)")
+        if contexts.shape != (rows, n, self.window):
+            raise ValueError("contexts must be (rows, n, window) token ids")
+        self._check_tokens(contexts)
         self._check_tokens(labels)
-        return self._step(
-            stack.reshape(-1), self._column_base(stack.shape[0]), contexts, labels, lr
-        )
+        # The column base is built once; each epoch's examples are gathered
+        # in batch order once, so a minibatch is a slice.
+        flat = stack.reshape(-1)
+        base = self._column_base(rows)
+        row_index = np.arange(rows)[:, None]
+        losses = np.zeros(rows)
+        steps = 0
+        for epoch_orders in orders:
+            epoch_contexts = contexts[row_index, epoch_orders]
+            epoch_labels = labels[row_index, epoch_orders]
+            for start in range(0, n, batch_size):
+                batch = slice(start, start + batch_size)
+                losses += self._step(
+                    flat, base, epoch_contexts[:, batch], epoch_labels[:, batch], lr
+                )
+                steps += 1
+        return losses / steps
 
     def _step(
         self,
@@ -134,8 +157,10 @@ class NextTokenBOW:
         labels: np.ndarray,
         lr: float,
     ) -> np.ndarray:
-        """sgd_step on validated inputs: ``flat`` is the stack's flat view
-        and ``base`` its _column_base."""
+        """One minibatch SGD step of every row, in place: ``flat`` is the
+        stack's flat view, ``base`` its _column_base, and ``contexts``
+        (rows, batch, window) and ``labels`` (rows, batch) the validated
+        minibatch.  Returns each row's mean cross-entropy before the step."""
         columns = base + contexts[..., None]
         probs = self._window_logits(flat, columns)
         # A fresh gather, so the softmax runs in place.
@@ -163,7 +188,3 @@ class NextTokenBOW:
         that window alone, so equal windows get equal predictions."""
         stack = np.asarray(params, dtype=np.float64).reshape(1, -1)
         return self.logits(stack, np.asarray(contexts)[None])[0].argmax(axis=1)
-
-    def accuracy(self, params: np.ndarray, contexts: np.ndarray, labels: np.ndarray) -> float:
-        """Top-1 accuracy on (n, window) contexts."""
-        return float((self.predict(params, contexts) == np.asarray(labels)).mean())

@@ -181,8 +181,8 @@ def _encode_client(
     if d > config.padded_dim:
         raise ValueError("update is wider than the padded dimension")
     # One padded row carries the update through scale, clip, rotation and
-    # clamp; each step is the same float arithmetic as clip_l2,
-    # randomized_hadamard and np.clip on copies.
+    # clamp; each step is the same float arithmetic as an L2 clip, a
+    # rotate_inplace and np.clip on copies (tests/oracles.py).
     row = np.zeros(config.padded_dim, dtype=np.float64)
     head = row[:d]
     np.multiply(delta, config.scale, out=head)

@@ -1,4 +1,4 @@
-"""Flat-vector primitives: L2 clipping and the randomized Hadamard rotation.
+"""Flat-vector primitives: validation and the randomized Hadamard rotation.
 
 Vectors are plain float64 numpy arrays of fixed length.  All reductions used
 here (norms, sums) run in numpy's canonical left-to-right order, so results
@@ -14,8 +14,6 @@ from fpsim._kernels import fwht_inplace
 
 __all__ = [
     "as_param_vector",
-    "clip_l2",
-    "randomized_hadamard",
     "rotate_inplace",
     "inverse_rotation",
 ]
@@ -38,21 +36,6 @@ def as_param_vector(values, d: int | None = None) -> np.ndarray:
     return v
 
 
-def clip_l2(v: np.ndarray, clip_norm: float) -> np.ndarray:
-    """Scale ``v`` by min(1, clip_norm / ||v||_2).
-
-    Direction is preserved and the output norm never exceeds clip_norm.
-    clip_norm = inf disables clipping.  Idempotent.
-    """
-    if not clip_norm > 0:
-        raise ValueError("clip_norm must be > 0")
-    v = as_param_vector(v)
-    norm = float(np.linalg.norm(v))
-    if norm <= clip_norm:
-        return v.copy()
-    return v * (clip_norm / norm)
-
-
 def _check_rotation_signs(d: int, signs: np.ndarray) -> np.ndarray:
     if d < 1 or d & (d - 1):
         raise ValueError(f"dimension must be a power of two, got {d}")
@@ -63,12 +46,15 @@ def _check_rotation_signs(d: int, signs: np.ndarray) -> np.ndarray:
 
 
 def rotate_inplace(x: np.ndarray, signs: np.ndarray) -> None:
-    """Overwrite ``x`` with randomized_hadamard(x, signs).
+    """Overwrite ``x`` with its normalized Hadamard rotation
+    (1/sqrt(d)) * H_d * diag(signs) x.
 
-    x must be a C-contiguous float64 vector of finite entries, which is the
-    caller's to check; its width and the signs are checked.  (The SecAgg
-    encoder validates its update once and rotates its own zero-padded row
-    with _rotate, the round's signs checked once per round.)
+    An isometry: the L2 norm is preserved up to float64 rounding.  The
+    width d must be a power of two (callers zero-pad to it).  x must be a
+    C-contiguous float64 vector of finite entries, which is the caller's
+    to check; its width and the signs are checked.  (The SecAgg encoder
+    validates its update once and rotates its own zero-padded row with
+    _rotate, the round's signs checked once per round.)
     """
     _rotate(x, _check_rotation_signs(x.shape[0], signs))
 
@@ -80,19 +66,8 @@ def _rotate(x: np.ndarray, signs: np.ndarray) -> None:
     x *= 1.0 / np.sqrt(x.shape[0])
 
 
-def randomized_hadamard(v: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Apply the normalized Hadamard rotation (1/sqrt(d)) * H_d * diag(signs).
-
-    An isometry: the L2 norm is preserved up to float64 rounding.  Requires
-    power-of-two length (callers zero-pad to it).
-    """
-    out = as_param_vector(v).copy()
-    rotate_inplace(out, signs)
-    return out
-
-
 def inverse_rotation(v: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Exact inverse of randomized_hadamard with the same signs.
+    """Exact inverse of rotate_inplace with the same signs, on a copy.
 
     The normalized Hadamard matrix is symmetric and orthogonal, so the
     inverse is diag(signs) applied after the same transform.

@@ -17,17 +17,59 @@ from fpsim.accounting import (
 from fpsim.secagg import SecAggConfig, _rounded_norm_bound_sq
 from fpsim.seeds import SeedPath, gaussian_vector
 from fpsim.tree import RestartSchedule, _node_seed, prefix_decomposition
-from fpsim.vectors import as_param_vector, clip_l2
+from fpsim.vectors import as_param_vector, rotate_inplace
 from fpsim._kernels import stochastic_round
+
+
+def clip_l2(v: np.ndarray, clip_norm: float) -> np.ndarray:
+    """Scale ``v`` by min(1, clip_norm / ||v||_2).
+
+    Direction is preserved and the output norm never exceeds clip_norm.
+    clip_norm = inf disables clipping.  Idempotent.
+    """
+    if not clip_norm > 0:
+        raise ValueError("clip_norm must be > 0")
+    v = as_param_vector(v)
+    norm = float(np.linalg.norm(v))
+    if norm <= clip_norm:
+        return v.copy()
+    return v * (clip_norm / norm)
+
+
+def randomized_hadamard(v: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """rotate_inplace on a validated copy of ``v``: the normalized Hadamard
+    rotation (1/sqrt(d)) * H_d * diag(signs) v."""
+    out = as_param_vector(v).copy()
+    rotate_inplace(out, signs)
+    return out
+
+
+def accuracy(model, params: np.ndarray, contexts: np.ndarray, labels: np.ndarray) -> float:
+    """Top-1 accuracy of ``model.predict`` on (n, window) contexts, scored
+    example by example."""
+    return float((model.predict(params, contexts) == np.asarray(labels)).mean())
+
+
+def reference_restart_rounds(config) -> tuple[int, ...]:
+    """The restart rounds of an ExperimentConfig by its restart.mode:
+    periodic from restart.first every restart.period rounds, the explicit
+    restart.rounds inside the run, or none."""
+    if config.restart_mode == "none":
+        return ()
+    if config.restart_mode == "explicit":
+        inside = tuple(r for r in config.restart_rounds if r < config.rounds)
+        return RestartSchedule(inside).rounds
+    schedule = RestartSchedule.periodic(config.rounds, config.restart_first, config.restart_period)
+    return schedule.rounds
 
 
 def reference_sgd_step(
     vocab: int, window: int, stack: np.ndarray, contexts: np.ndarray, labels: np.ndarray, lr: float
 ) -> np.ndarray:
-    """NextTokenBOW.sgd_step in its plain formulation, in place on
-    ``stack``: every window token's (rows, batch, window, V) flat column
-    index built whole, the gathered columns' ``mean(axis=2)``, an
-    out-of-place softmax, the labels' probabilities read and written with
+    """One minibatch step of NextTokenBOW.local_sgd in its plain
+    formulation, in place on ``stack``: every window token's (rows, batch,
+    window, V) flat column index built whole, the gathered columns'
+    ``mean(axis=2)``, an out-of-place softmax, the labels' probabilities read and written with
     ``take_along_axis``/``put_along_axis``, and the loss as ``.mean(axis=1)``.
     Returns each row's mean cross-entropy before the step."""
     row_offsets = np.arange(stack.shape[0]) * (vocab * vocab)
@@ -54,6 +96,33 @@ def reference_logits(vocab: int, stack: np.ndarray, contexts: np.ndarray) -> np.
     return stack.reshape(-1)[columns].mean(axis=2)
 
 
+def reference_local_sgd(
+    vocab: int,
+    window: int,
+    stack: np.ndarray,
+    contexts: np.ndarray,
+    labels: np.ndarray,
+    orders: np.ndarray,
+    lr: float,
+    batch_size: int,
+) -> np.ndarray:
+    """NextTokenBOW.local_sgd in place on ``stack``, as one
+    reference_sgd_step per minibatch on that minibatch's own fancy-index
+    gather of contexts and labels.  Returns each row's mean loss."""
+    rows, n = labels.shape
+    row_index = np.arange(rows)[:, None]
+    losses = np.zeros(rows)
+    steps = 0
+    for epoch_orders in orders:
+        for start in range(0, n, batch_size):
+            batch = epoch_orders[:, start : start + batch_size]
+            losses += reference_sgd_step(
+                vocab, window, stack, contexts[row_index, batch], labels[row_index, batch], lr
+            )
+            steps += 1
+    return losses / steps
+
+
 def reference_cohort_update(
     vocab: int,
     window: int,
@@ -65,23 +134,12 @@ def reference_cohort_update(
     batch_size: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """federation.cohort_update's local SGD before clipping: the block's
-    rows tiled from ``params``, and one reference_sgd_step per minibatch on
-    that minibatch's own fancy-index gather of contexts and labels.
+    rows tiled from ``params`` and trained by reference_local_sgd.
     Returns the unclipped (rows, d) deltas and each row's mean loss."""
-    rows, n = labels.shape
-    stack = np.tile(params, (rows, 1))
-    row_index = np.arange(rows)[:, None]
-    losses = np.zeros(rows)
-    steps = 0
-    for epoch_orders in orders:
-        for start in range(0, n, batch_size):
-            batch = epoch_orders[:, start : start + batch_size]
-            losses += reference_sgd_step(
-                vocab, window, stack, contexts[row_index, batch], labels[row_index, batch], lr
-            )
-            steps += 1
+    stack = np.tile(params, (labels.shape[0], 1))
+    losses = reference_local_sgd(vocab, window, stack, contexts, labels, orders, lr, batch_size)
     stack -= params
-    return stack, losses / steps
+    return stack, losses
 
 
 def reference_fwht(x: np.ndarray) -> None:

@@ -21,7 +21,6 @@ from fpsim import (
     RunState,
     SeedPath,
     TreeState,
-    clip_l2,
     combined_multiplier,
     decode,
     derive_config,
@@ -43,7 +42,7 @@ from fpsim import (
 )
 from fpsim.harness import read_metrics
 from fpsim.secagg import _rounded_norm_bound_sq
-from oracles import brute_force_sensitivity_sq, naive_private_sum
+from oracles import brute_force_sensitivity_sq, clip_l2, naive_private_sum
 
 
 def test_01_private_sum_matches_naive_oracle():

@@ -27,7 +27,7 @@ from fpsim import (
     noise_split,
 )
 from fpsim.config import ConfigError, _sensitivity_sq_bound, parse_kv_text
-from oracles import BRUTE_FORCE_MAX_ROUNDS, brute_force_sensitivity_sq
+from oracles import BRUTE_FORCE_MAX_ROUNDS, brute_force_sensitivity_sq, reference_restart_rounds
 
 
 class TestParser:
@@ -182,13 +182,19 @@ class TestExperimentConfig:
         periodic = ExperimentConfig.from_text(
             "rounds = 3000\nrestart.mode = periodic\nrestart.first = 128\nrestart.period = 1024\n"
         )
-        assert periodic.restart_schedule().rounds == (128, 1152, 2176)
+        assert periodic.privacy_terms().timer_schema.restart_rounds == (128, 1152, 2176)
         explicit = ExperimentConfig.from_text(
             "rounds = 30\nrestart.mode = explicit\nrestart.rounds = 10, 20\n"
         )
-        assert explicit.restart_schedule().rounds == (10, 20)
+        assert explicit.privacy_terms().timer_schema.restart_rounds == (10, 20)
+        # A restart at or after the last round never fires; one at the last
+        # round's start does.
+        boundary = ExperimentConfig.from_text(
+            "rounds = 20\nrestart.mode = explicit\nrestart.rounds = 10, 19, 20, 25\n"
+        )
+        assert boundary.privacy_terms().timer_schema.restart_rounds == (10, 19)
         none = ExperimentConfig.from_text("restart.mode = none\n")
-        assert none.restart_schedule().rounds == ()
+        assert none.privacy_terms().timer_schema.restart_rounds == ()
 
     def test_sigma_b_derived_from_report_goal(self):
         cfg = ExperimentConfig.from_text(
@@ -337,7 +343,7 @@ class TestPrivacyTerms:
         assert terms.z_delta == noise_split(1.0, config.sigma_b())
         assert terms.z_equiv == combined_multiplier(terms.z_delta, config.sigma_b())
         assert (terms.secagg, terms.sensitivity_scale) == (None, 1.0)
-        assert terms.timer_schema == (200, 50, 4, (128,))
+        assert terms.timer_schema == ParticipationSchema(200, 50, 4, (128,))
 
     def test_secagg_terms(self):
         """A SecAgg run's encoding and the rounding's inflation of the clip."""
@@ -359,9 +365,7 @@ class TestPrivacyTerms:
         case is finite."""
         config = ExperimentConfig.from_text("clip.mode = fixed\nnoise_multiplier = 1e-153\n")
         terms = config.privacy_terms()
-        ledger = PrivacyLedger(
-            ParticipationSchema(*terms.timer_schema), terms.z_equiv, terms.sensitivity_scale
-        )
+        ledger = PrivacyLedger(terms.timer_schema, terms.z_equiv, terms.sensitivity_scale)
         assert math.isfinite(ledger.rho)
 
 
@@ -370,11 +374,19 @@ class TestCanonicalization:
     @given(drawn=_valid_configs())
     def test_canonical_text_round_trips(self, drawn):
         """Any valid config reparses from its canonical text to an equal
-        config with an equal hash, and a zero timer is derived on the way."""
+        config with an equal hash, and a zero timer is derived on the way.
+        Its timer schema is the timer's worst case with the restart rounds
+        of its restart.mode."""
         assert ExperimentConfig() == ExperimentConfig.from_text("")
         config, timer_rounds = drawn
         if timer_rounds == 0:
             assert config.timer_rounds == max(1, config.population // (2 * config.report_goal))
+        assert config.privacy_terms().timer_schema == ParticipationSchema(
+            config.rounds,
+            config.timer_rounds,
+            math.ceil(config.rounds / config.timer_rounds),
+            reference_restart_rounds(config),
+        )
         again = ExperimentConfig.from_text(config.canonical_text())
         assert again == config
         assert again.canonical_text() == config.canonical_text()

@@ -31,7 +31,6 @@ from fpsim import (
     TreeState,
     availability_weights,
     batch_orders,
-    clip_l2,
     cohort_update,
     derive_config,
     encode_client,
@@ -44,7 +43,7 @@ from fpsim import (
     synthesize_eval_set,
 )
 from fpsim import ClipState, federation
-from oracles import reference_cohort_update
+from oracles import clip_l2, reference_cohort_update
 
 
 def _config(population=20, vocab=8, examples=30, window=1, **kw):

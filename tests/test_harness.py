@@ -39,6 +39,7 @@ from fpsim.harness import (
     read_metrics,
     write_checkpoint,
 )
+from oracles import reference_restart_rounds
 
 SMALL_CONFIG = """
 seed = 7
@@ -195,7 +196,7 @@ def _timer_prefix_rhos(config, run_dir):
     report = post_hoc_report(run_dir)
     z, scale = report["z_equivalent"], report["sensitivity_scale"]
     worst_max_part = math.ceil(config.rounds / config.timer_rounds)
-    restarts = config.restart_schedule().rounds
+    restarts = reference_restart_rounds(config)
     rhos = [
         zcdp(z, ParticipationSchema(n, config.timer_rounds, worst_max_part, restarts)) * scale**2
         for n in range(1, config.rounds + 1)
@@ -513,6 +514,17 @@ class TestCli:
         flags = ["--rounds", "4", "--min-sep", "1", "--max-part", "0", "--z", "7"]
         assert cli_main(["account", *flags]) == 1
         assert "max_part" in capsys.readouterr().err
+
+    def test_account_prints_the_schema_it_accounts(self, capsys):
+        """A --max-part above ceil(rounds / min_sep) is capped by the schema,
+        and the report prints the capped value that rho is accounted at."""
+        flags = ["--rounds", "4", "--min-sep", "2", "--max-part", "5", "--z", "7"]
+        assert cli_main(["account", *flags]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "observed_max_part: 2" in lines
+        assert "observed_min_sep: 2" in lines
+        rho = zcdp(7.0, ParticipationSchema(total_rounds=4, min_sep=2, max_part=2))
+        assert f"rho: {rho!r}" in lines
 
     def test_account_delta_sets_epsilon(self, capsys):
         """--delta reaches the report row: epsilon is the tight conversion

@@ -1,11 +1,11 @@
-"""Tests for the bag-of-words softmax model and its stacked SGD step.
+"""Tests for the bag-of-words softmax model and its stacked local SGD.
 
 The gradient is the one quantity everything downstream trusts blindly, so it
 is checked against central finite differences of the loss — an oracle that
-shares no code with the analytic backward pass.  The step updates a stack
-of parameter rows in place, so the gradient is read off one step of rate 1.
-The step and the logits must also equal, byte for byte, their plain
-formulation in tests/oracles.py.
+shares no code with the analytic backward pass.  Local SGD updates a stack
+of parameter rows in place, so the gradient is read off one full-batch step
+of rate 1.  Local SGD and the logits must also equal, byte for byte, their
+plain formulation in tests/oracles.py.
 """
 
 import numpy as np
@@ -13,15 +13,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpsim import NextTokenBOW, TokenDataset
-from oracles import reference_logits, reference_sgd_step
+from fpsim import NextTokenBOW, TokenDataset, batch_orders
+from oracles import accuracy, reference_local_sgd, reference_logits
+
+
+def _step(model, stack, contexts, labels, lr):
+    """One full-batch local SGD step of every row, in place; each row's
+    loss before it."""
+    rows, n = labels.shape
+    return model.local_sgd(stack, contexts, labels, batch_orders(None, rows, n, 1), lr, n)
 
 
 def _loss_grad(model, stack, contexts, labels):
     """Each row's minibatch loss and gradient, read off one stacked SGD step
     of rate 1 on a copy."""
     after = stack.copy()
-    losses = model.sgd_step(after, contexts, labels, 1.0)
+    losses = _step(model, after, contexts, labels, 1.0)
     return losses, stack - after
 
 
@@ -46,10 +53,10 @@ def _check_finite_differences(model, stack, contexts, labels, rng, checks_per_ro
             np.testing.assert_allclose(numeric, expected, rtol=0, atol=1e-6)
 
 
-class TestSoftmaxRegression:
+class TestLocalSGD:
     """NextTokenBOW is multinomial logistic (softmax) regression on the
-    window-mean one-hot features; these pin its softmax-regression
-    properties through the stacked step."""
+    window-mean one-hot features; these pin its loss, gradient, learning
+    and input checks through local_sgd."""
 
     def test_parameter_count(self):
         m = NextTokenBOW(vocab_size=5, window=3)
@@ -85,7 +92,7 @@ class TestSoftmaxRegression:
         noise = rng.integers(0, 3, size=(2, 60))
         labels = np.where(rng.random((2, 60)) < 0.8, contexts[:, :, 0], noise)
         stack = np.zeros((2, m.num_params))
-        losses = [m.sgd_step(stack, contexts, labels, 0.5) for _ in range(150)]
+        losses = [_step(m, stack, contexts, labels, 0.5) for _ in range(150)]
         losses = np.array(losses)
         assert np.all(losses[-1] < losses[0] * 0.75)
         assert np.all(losses[:-1] >= losses[1:])
@@ -98,8 +105,8 @@ class TestSoftmaxRegression:
         contexts = np.stack([tokens, (tokens + 1) % 4], axis=1)
         stack = np.zeros((1, m.num_params))
         for _ in range(200):
-            m.sgd_step(stack, contexts[None], tokens[None], 1.0)
-        assert m.accuracy(stack[0], contexts, tokens) == 1.0
+            _step(m, stack, contexts[None], tokens[None], 1.0)
+        assert accuracy(m, stack[0], contexts, tokens) == 1.0
 
     def test_uniform_model_accuracy_is_chance_like(self):
         """With zero weights argmax ties break consistently; accuracy is that
@@ -108,27 +115,34 @@ class TestSoftmaxRegression:
         rng = np.random.default_rng(3)
         contexts = rng.integers(0, 4, size=(1000, 2))
         labels = rng.integers(0, 4, size=1000)
-        acc = m.accuracy(m.init_params(), contexts, labels)
+        acc = accuracy(m, m.init_params(), contexts, labels)
         assert acc == pytest.approx((labels == 0).mean())
 
     def test_input_validation(self):
         m = NextTokenBOW(vocab_size=3, window=2)
         contexts = np.zeros((1, 2, 2), dtype=np.int64)
         labels = np.zeros((1, 2), dtype=np.int64)
+        orders = batch_orders(None, 1, 2, 1)
         with pytest.raises(ValueError):
-            m.sgd_step(np.zeros((1, 7)), contexts, labels, 0.1)
+            m.local_sgd(np.zeros((1, 7)), contexts, labels, orders, 0.1, 2)
         with pytest.raises(ValueError):
-            m.sgd_step(np.zeros((1, 9)), contexts[:, :, :1], labels, 0.1)
+            m.local_sgd(np.zeros((1, 9)), contexts[:, :, :1], labels, orders, 0.1, 2)
         with pytest.raises(ValueError):
-            m.sgd_step(np.zeros((2, 9)), contexts, labels, 0.1)
+            m.local_sgd(np.zeros((2, 9)), contexts, labels, orders, 0.1, 2)
         with pytest.raises(ValueError):
-            m.sgd_step(np.zeros((9, 2)).T, contexts, labels, 0.1)
+            m.local_sgd(np.zeros((9, 2)).T, contexts, labels, orders, 0.1, 2)
         with pytest.raises(ValueError):
-            m.sgd_step(np.zeros((1, 9)), contexts, labels[:, :1], 0.1)
+            m.local_sgd(np.zeros((1, 9)), contexts, labels[:, :1], orders, 0.1, 2)
         with pytest.raises(ValueError):
-            m.sgd_step(np.zeros((1, 9)), contexts[0], labels, 0.1)
+            m.local_sgd(np.zeros((1, 9)), contexts[0], labels, orders, 0.1, 2)
+        with pytest.raises(ValueError, match="orders"):
+            m.local_sgd(np.zeros((1, 9)), contexts, labels, orders[:, :, :1], 0.1, 2)
+        with pytest.raises(ValueError, match="batch_size"):
+            m.local_sgd(np.zeros((1, 9)), contexts, labels, orders, 0.1, 0)
+        with pytest.raises(ValueError, match="empty"):
+            m.local_sgd(np.zeros((1, 9)), contexts[:, :0], labels[:, :0], orders[..., :0], 0.1, 2)
         with pytest.raises(ValueError):
-            m.accuracy(np.zeros(7), contexts[0], labels[0])
+            m.predict(np.zeros(7), contexts[0])
         with pytest.raises(ValueError):
             NextTokenBOW(vocab_size=1)
         with pytest.raises(ValueError):
@@ -172,8 +186,8 @@ class TestNextTokenBOW:
         labels = (np.arange(v) + 1) % v
         stack = m.init_params().reshape(1, -1)
         for _ in range(300):
-            m.sgd_step(stack, contexts[None], labels[None], 2.0)
-        assert m.accuracy(stack[0], contexts, labels) == 1.0
+            _step(m, stack, contexts[None], labels[None], 2.0)
+        assert accuracy(m, stack[0], contexts, labels) == 1.0
 
     def test_gradient_matches_finite_differences(self):
         """A stack of four rows (C > 1) with window 2: every row's gradient
@@ -230,36 +244,40 @@ class TestDistinctWindowEval:
         np.testing.assert_array_equal(windows[inverse[0]], contexts)
         predictions = model.predict(params, windows)[inverse]
         np.testing.assert_array_equal(predictions[0], model.predict(params, contexts))
-        full = model.accuracy(params, contexts, labels)
+        full = accuracy(model, params, contexts, labels)
         assert float((predictions == dataset.labels).mean()) == full
 
 
 class TestMatchesReferenceStep:
-    """sgd_step, logits and predict keep the plain formulation's bytes: the
-    window mean, the along-axis label gather and scatter, and np.add.at's
-    in-order accumulation of repeated columns."""
+    """local_sgd, logits and predict keep the plain formulation's bytes: the
+    window mean, the along-axis label gather and scatter, np.add.at's
+    in-order accumulation of repeated columns, and one fancy-index gather
+    per minibatch."""
 
     @settings(max_examples=120, deadline=None)
     @given(
         vocab=st.integers(2, 130),
         window=st.integers(1, 4),
         rows=st.integers(1, 20),
-        batch=st.integers(1, 17),
+        n=st.integers(1, 17),
+        batch_size=st.integers(1, 17),
+        epochs=st.integers(1, 2),
         alphabet=st.integers(1, 130),
         scale=st.sampled_from([0.01, 1.0, 40.0]),
         lr=st.floats(1e-3, 5.0),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_step_logits_and_predict_bytes(
-        self, vocab, window, rows, batch, alphabet, scale, lr, seed
+        self, vocab, window, rows, n, batch_size, epochs, alphabet, scale, lr, seed
     ):
         rng = np.random.default_rng(seed)
         model = NextTokenBOW(vocab_size=vocab, window=window)
         stack = rng.normal(size=(rows, model.num_params)) * scale
         # Contexts from the first ``alphabet`` ids repeat within a batch, so
         # the scatter adds into the same column more than once.
-        contexts = rng.integers(0, min(alphabet, vocab), size=(rows, batch, window))
-        labels = rng.integers(0, vocab, size=(rows, batch))
+        contexts = rng.integers(0, min(alphabet, vocab), size=(rows, n, window))
+        labels = rng.integers(0, vocab, size=(rows, n))
+        orders = batch_orders(rng, rows, n, epochs)
 
         expected = reference_logits(vocab, stack, contexts)
         assert model.logits(stack, contexts).tobytes() == expected.tobytes()
@@ -267,14 +285,17 @@ class TestMatchesReferenceStep:
             model.predict(stack[0], contexts[0]), expected[0].argmax(axis=1)
         )
         got, want = stack.copy(), stack.copy()
-        losses = model.sgd_step(got, contexts, labels, lr)
-        want_losses = reference_sgd_step(vocab, window, want, contexts, labels, lr)
+        losses = model.local_sgd(got, contexts, labels, orders, lr, batch_size)
+        want_losses = reference_local_sgd(
+            vocab, window, want, contexts, labels, orders, lr, batch_size
+        )
         assert losses.tobytes() == want_losses.tobytes()
         assert got.tobytes() == want.tobytes()
 
     def test_label_range_validated(self):
         m = NextTokenBOW(vocab_size=4)
         contexts = np.zeros((1, 2, 1), dtype=np.int64)
+        orders = batch_orders(None, 1, 2, 1)
         for bad in (4, -1):
             with pytest.raises(ValueError, match="vocabulary range"):
-                m.sgd_step(np.zeros((1, 16)), contexts, np.array([[0, bad]]), 0.1)
+                m.local_sgd(np.zeros((1, 16)), contexts, np.array([[0, bad]]), orders, 0.1, 2)

@@ -21,7 +21,6 @@ from fpsim import (
     SecAggConfig,
     SeedPath,
     bits_per_update,
-    clip_l2,
     decode,
     derive_config,
     encode_client,
@@ -32,7 +31,7 @@ from fpsim import (
 from fpsim import secagg
 from fpsim._kernels import stochastic_round
 from fpsim.secagg import ROUNDING_NORM_ALPHA, _rounded_norm_bound_sq
-from oracles import reference_encode, reference_fwht
+from oracles import clip_l2, reference_encode, reference_fwht
 
 
 class TestDeriveConfig:
