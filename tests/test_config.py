@@ -196,6 +196,22 @@ class TestExperimentConfig:
         none = ExperimentConfig.from_text("restart.mode = none\n")
         assert none.privacy_terms().timer_schema.restart_rounds == ()
 
+    def test_invalid_explicit_restart_rounds_name_the_key(self):
+        """An explicit restart.rounds list that restarts before round 1 or
+        is not strictly increasing fails on its key, also where the
+        offending rounds lie past the run's end."""
+        cases = (
+            ("0, 5", "first restart round must be >= 1"),
+            ("5, 3", "restart rounds must be strictly increasing"),
+            ("5, 5", "restart rounds must be strictly increasing"),
+            ("5, 40, 30", "restart rounds must be strictly increasing"),
+        )
+        for rounds, why in cases:
+            text = f"rounds = 20\nrestart.mode = explicit\nrestart.rounds = {rounds}\n"
+            with pytest.raises(ConfigError) as caught:
+                ExperimentConfig.from_text(text)
+            assert str(caught.value) == f"config key 'restart.rounds': {why}"
+
     def test_sigma_b_derived_from_report_goal(self):
         cfg = ExperimentConfig.from_text(
             "report_goal = 200\nclip.sigma_b_fraction = 0.05\n"
