@@ -1,6 +1,7 @@
 """Time the two hot kernels: the fast Walsh-Hadamard transform and
-stochastic rounding (fpsim._kernels, numpy), the SecAgg client encode
-that calls them, and one whole SecAgg round at the secagg_wide shape (its
+stochastic rounding (fpsim._kernels, numpy), the SecAgg block encode
+that calls them (per client, in a 1-row block and in the 13-row block
+run_round encodes at d = 10^4), and one whole SecAgg round at the secagg_wide shape (its
 20 clients trained, encoded and summed, the sum decoded). Run from the
 repo root:
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from fpsim import ExperimentConfig, run_round, select_cohort, start_run
 from fpsim._kernels import fwht_inplace, stochastic_round
-from fpsim.secagg import derive_config, encode_client
+from fpsim.secagg import derive_config, encode_block
 from fpsim.seeds import SeedPath, sign_vector
 
 # The secagg_wide benchmark shape: d = 10^4 padded to 16384, scale 100,
@@ -26,6 +27,10 @@ ENCODE_DIM = 10_000
 ENCODE_SCALE = 100.0
 ENCODE_CLIP = 1.0
 ENCODE_COHORT = 20
+
+# Client rows per encode_block call: one client, and run_round's block at
+# d = 10^4 (1 MB of float64 deltas, 13 rows).
+ENCODE_ROWS = (1, 13)
 
 
 def _time_per_call(fn, repeats: int) -> float:
@@ -57,14 +62,20 @@ def bench_round(size: int, repeats: int) -> dict[str, float]:
     return {"round": _time_per_call(lambda: stochastic_round(x, u, out), repeats)}
 
 
-def bench_encode(repeats: int) -> float:
-    """One encode_client call at the secagg_wide shape, its rounding
-    generators included.  The update has norm about 2, so the clip scales it."""
+def bench_encode(rows: int, repeats: int) -> float:
+    """One encode_block call of ``rows`` clients at the secagg_wide shape,
+    its rounding generators included, in microseconds per client.  Each
+    update has norm about 2, so the clip scales it."""
     config = derive_config(ENCODE_CLIP, ENCODE_SCALE, ENCODE_DIM, ENCODE_COHORT)
     signs = sign_vector(SeedPath(0).child("rotation"), config.padded_dim)
-    delta = np.random.default_rng(2).normal(size=ENCODE_DIM) * 0.02
-    seed = SeedPath(0).child("client")
-    return _time_per_call(lambda: encode_client(delta, config, signs, seed), repeats)
+    deltas = np.random.default_rng(2).normal(size=(rows, ENCODE_DIM)) * 0.02
+    seeds = [SeedPath(0).child("client", i) for i in range(rows)]
+    out = np.empty((rows, config.padded_dim), dtype=np.int64)
+
+    def call():
+        encode_block(deltas, config, signs, seeds, out)
+
+    return _time_per_call(call, max(1, repeats // rows)) / rows
 
 
 def bench_secagg_round(repeats: int) -> float:
@@ -101,9 +112,10 @@ def main() -> None:
             print(f"  {size:>8}" + "".join(f"{result[name]:>14.1f}" for name in names))
         print()
 
-    print("encode_client (microseconds per call, best of 3)")
-    print(f"  {'d':>8}{'encode':>14}")
-    print(f"  {ENCODE_DIM:>8}{bench_encode(args.repeats):>14.1f}")
+    print("encode_block (microseconds per client, best of 3)")
+    print(f"  {'d':>8}{'rows':>8}{'encode':>14}")
+    for rows in ENCODE_ROWS:
+        print(f"  {ENCODE_DIM:>8}{rows:>8}{bench_encode(rows, args.repeats):>14.1f}")
     print()
 
     print("secagg_wide run_round (microseconds per call, best of 3)")

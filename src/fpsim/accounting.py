@@ -33,12 +33,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from fpsim.tree import RestartSchedule
-
 __all__ = [
     "ParticipationSchema",
     "PrivacyLedger",
-    "pattern_sensitivity_sq",
     "worst_case_sensitivity_sq",
     "prefix_sensitivity_sq",
     "zcdp",
@@ -56,7 +53,12 @@ _INFEASIBLE = -(1 << 30)
 
 @dataclass(frozen=True)
 class ParticipationSchema:
-    """What the accountant needs to know about a finished or planned run."""
+    """What the accountant needs to know about a finished or planned run.
+
+    A restart round r ends one segment after rounds 0..r-1 and opens the
+    next at round r.  The restart rounds must be strictly increasing from
+    1 or later; rounds >= total_rounds are legal and never fire.
+    """
 
     total_rounds: int
     min_sep: int
@@ -74,13 +76,18 @@ class ParticipationSchema:
         # so cap the declared budget at that ceiling.
         cap = -(-self.total_rounds // self.min_sep)
         object.__setattr__(self, "max_part", min(self.max_part, cap))
-        # Normalizes/validates ordering; rounds >= total_rounds are legal in
-        # a schedule object and simply never fire.
-        schedule = RestartSchedule(self.restart_rounds)
-        object.__setattr__(self, "restart_rounds", schedule.rounds)
+        restarts = tuple(int(r) for r in self.restart_rounds)
+        object.__setattr__(self, "restart_rounds", restarts)
+        if restarts and restarts[0] < 1:
+            raise ValueError("first restart round must be >= 1")
+        if any(b <= a for a, b in zip(restarts, restarts[1:])):
+            raise ValueError("restart rounds must be strictly increasing")
 
     def segment_lengths(self) -> tuple[int, ...]:
-        return RestartSchedule(self.restart_rounds).segment_lengths(self.total_rounds)
+        """Lengths of the segments the restarts split the run into."""
+        inside = [r for r in self.restart_rounds if r < self.total_rounds]
+        bounds = [0, *inside, self.total_rounds]
+        return tuple(b - a for a, b in zip(bounds, bounds[1:]))
 
     def tree_levels(self) -> tuple[int, ...]:
         """Level (log2 size) of each complete tree, segments concatenated.
@@ -94,39 +101,6 @@ class ParticipationSchema:
                 level for level in range(seg_len.bit_length() - 1, -1, -1) if seg_len >> level & 1
             )
         return tuple(levels)
-
-
-def _forest_nodes(schema: ParticipationSchema) -> list[tuple[int, int]]:
-    """All forest nodes as (start_round, end_round) half-open spans."""
-    nodes = []
-    offset = 0
-    for k in schema.tree_levels():
-        size = 1 << k
-        for level in range(k + 1):
-            width = 1 << level
-            for index in range(size >> level):
-                start = offset + index * width
-                nodes.append((start, start + width))
-        offset += size
-    return nodes
-
-
-def pattern_sensitivity_sq(schema: ParticipationSchema, rounds: tuple[int, ...]) -> float:
-    """Sum over forest nodes of (participations inside the node's span)^2.
-
-    ``rounds`` is one client's participation pattern; the value is in units
-    of the squared clip norm.  Does not check min_sep/max_part.
-    """
-    pattern = np.asarray(sorted(rounds), dtype=np.int64)
-    if pattern.size and not (0 <= pattern[0] and pattern[-1] < schema.total_rounds):
-        raise ValueError("participation rounds must lie in [0, total_rounds)")
-    if pattern.size != np.unique(pattern).size:
-        raise ValueError("participation rounds must be distinct")
-    total = 0.0
-    for start, end in _forest_nodes(schema):
-        count = int(np.searchsorted(pattern, end) - np.searchsorted(pattern, start))
-        total += count * count
-    return total
 
 
 class _SensitivitySolver:

@@ -48,6 +48,28 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+# What each ParticipationSchema error names, and the flag that sets it.
+_SCHEMA_FLAGS = (
+    ("total_rounds", "--rounds"),
+    ("min_sep", "--min-sep"),
+    ("max_part", "--max-part"),
+    ("restart round", "--restarts"),
+)
+
+
+def _schema_from_flags(args: argparse.Namespace) -> ParticipationSchema:
+    """The schema the account flags give; an invalid one fails naming its flag."""
+    try:
+        restarts = tuple(int(r) for r in args.restarts.split(",")) if args.restarts else ()
+    except ValueError as exc:
+        raise ConfigError(f"--restarts: {exc}") from exc
+    try:
+        return ParticipationSchema(args.rounds, args.min_sep, args.max_part, restarts)
+    except ValueError as exc:
+        flag = next((flag for named, flag in _SCHEMA_FLAGS if named in str(exc)), "schema")
+        raise ConfigError(f"{flag}: {exc}") from exc
+
+
 def _cmd_account(args: argparse.Namespace) -> int:
     if args.run:
         row = harness.post_hoc_report(args.run, args.delta)
@@ -66,9 +88,9 @@ def _cmd_account(args: argparse.Namespace) -> int:
             raise ConfigError(
                 f"account needs --run or explicit schema flags; missing {' '.join(missing)}"
             )
-        restarts = tuple(int(r) for r in args.restarts.split(",")) if args.restarts else ()
-        schema = ParticipationSchema(args.rounds, args.min_sep, args.max_part, restarts)
-        row = harness.privacy_report(schema, args.z, args.sensitivity_scale, delta=args.delta)
+        row = harness.privacy_report(
+            _schema_from_flags(args), args.z, args.sensitivity_scale, delta=args.delta
+        )
     print(harness.render_report_text(row), end="")
     return 0
 

@@ -31,7 +31,6 @@ from fpsim.accounting import ParticipationSchema
 from fpsim.clipping import combined_multiplier, noise_split
 from fpsim.models import NextTokenBOW
 from fpsim.secagg import SecAggConfig, derive_config, inflated_clip_norm
-from fpsim.tree import RestartSchedule
 
 __all__ = ["ConfigError", "ExperimentConfig", "PrivacyTerms", "SweepConfig", "parse_kv_text"]
 
@@ -245,8 +244,8 @@ class ExperimentConfig:
             if self.restart_period < 1:
                 fail("restart_period", "must be >= 1")
         if self.restart_mode == "explicit":
-            try:
-                RestartSchedule(self.restart_rounds)
+            try:  # the whole list, also the rounds past the run's end
+                ParticipationSchema(self.rounds, 1, 1, self.restart_rounds)
             except ValueError as exc:
                 fail("restart_rounds", str(exc))
         if self.model_kind != "next_token_bow":
@@ -335,9 +334,7 @@ class ExperimentConfig:
             if not math.isfinite(scale * scale):
                 fail("secagg_scale", "too small for clip.c0: the sensitivity scale overflows")
         if self.restart_mode == "periodic":
-            restarts = RestartSchedule.periodic(
-                self.rounds, self.restart_first, self.restart_period
-            ).rounds
+            restarts = tuple(range(self.restart_first, self.rounds, self.restart_period))
         elif self.restart_mode == "explicit":
             restarts = tuple(r for r in self.restart_rounds if r < self.rounds)
         else:

@@ -36,14 +36,14 @@ from fpsim.data import TokenDataset
 from fpsim.models import NextTokenBOW
 from fpsim.secagg import (
     RoundingRetriesExhausted,
-    _encode_client,
     bits_per_update,
     decode,
+    encode_block,
     modular_sum,
 )
 from fpsim.seeds import SeedPath, sign_vector
 from fpsim.tree import TreeState
-from fpsim.vectors import _check_rotation_signs, as_param_vector
+from fpsim.vectors import as_param_vector
 
 if TYPE_CHECKING:
     from fpsim.config import ExperimentConfig, PrivacyTerms
@@ -280,10 +280,7 @@ def run_round(state: RunState, cohort_ids: Sequence[int]) -> RoundMetrics:
     plain_sum = None
     cfg = state.terms.secagg
     if cfg is not None:
-        # The round's shared signs are checked here once, not per client.
-        signs = _check_rotation_signs(
-            cfg.padded_dim, sign_vector(state.seed.child("rotation", t), cfg.padded_dim)
-        )
+        signs = sign_vector(state.seed.child("rotation", t), cfg.padded_dim)
         rounding = state.seed.child("rounding", t)
         encoded = np.empty((min(block, cohort), cfg.padded_dim), dtype=np.int64)
         total = None
@@ -312,16 +309,13 @@ def run_round(state: RunState, cohort_ids: Sequence[int]) -> RoundMetrics:
             for i in range(hi - lo):
                 plain_sum += deltas[i]
         if cfg is not None:
-            for i, client_id in enumerate(ids):
-                try:
-                    encoded[i], clamped_count = _encode_client(
-                        deltas[i], cfg, signs, rounding.child("client", client_id)
-                    )
-                except RoundingRetriesExhausted as exc:
-                    raise RoundingRetriesExhausted(
-                        f"round {t}, client {client_id}: {exc} (secagg.retry_cap)"
-                    ) from exc
-                clamped += clamped_count
+            seeds = [rounding.child("client", client_id) for client_id in ids]
+            try:
+                clamped += encode_block(deltas, cfg, signs, seeds, encoded)
+            except RoundingRetriesExhausted as exc:
+                raise RoundingRetriesExhausted(
+                    f"round {t}, client {ids[exc.row]}: {exc} (secagg.retry_cap)"
+                ) from exc
             block_total = modular_sum(encoded[: hi - lo], cfg.modulus)
             total = block_total if total is None else (total + block_total) % cfg.modulus
         del deltas  # freed before the next block is trained

@@ -3,7 +3,8 @@
 Secure aggregation sums client integer vectors modulo M without revealing
 any individual vector, so each client must map its real update into
 non-negative integers whose modular sum decodes to (a close approximation
-of) the true sum.  The pipeline, per client:
+of) the true sum.  encode_block runs the pipeline on a block of clients,
+one row each:
 
   1. scale by s and L2-clip to s * clip_norm,
   2. pad to a power-of-two width and apply a shared randomized Hadamard
@@ -31,15 +32,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from fpsim.seeds import SeedPath
-from fpsim.vectors import _check_rotation_signs, _rotate, as_param_vector, inverse_rotation
-from fpsim._kernels import stochastic_round
+from fpsim.vectors import as_param_vector
+from fpsim._kernels import fwht_inplace, stochastic_round
 
 __all__ = [
     "SecAggConfig",
     "derive_config",
-    "encode_client",
+    "encode_block",
     "modular_sum",
     "decode",
+    "inverse_rotation",
     "inflated_clip_norm",
     "bits_per_update",
     "RoundingRetriesExhausted",
@@ -53,7 +55,12 @@ DEFAULT_RETRY_CAP = 100
 
 
 class RoundingRetriesExhausted(RuntimeError):
-    """Conditional stochastic rounding failed retry_cap times in a row."""
+    """Conditional stochastic rounding failed retry_cap times in a row;
+    ``row`` is the failing row of the encoded block, when there is one."""
+
+    def __init__(self, message: str, row: int | None = None) -> None:
+        super().__init__(message)
+        self.row = row
 
 
 def _sum_fits_int64(count: int, modulus: int) -> bool:
@@ -152,64 +159,116 @@ def inflated_clip_norm(config: SecAggConfig) -> float:
     return math.sqrt(_rounded_norm_bound_sq(config)) / config.scale
 
 
-def encode_client(
-    delta: np.ndarray,
+def _check_rotation_signs(d: int, signs: np.ndarray) -> np.ndarray:
+    """``signs`` as float64, checked to be a {-1, +1} vector of the
+    power-of-two width d."""
+    if d < 1 or d & (d - 1):
+        raise ValueError(f"dimension must be a power of two, got {d}")
+    signs = np.asarray(signs, dtype=np.float64)
+    if signs.shape != (d,) or not np.all(np.abs(signs) == 1.0):
+        raise ValueError("signs must be a length-d vector over {-1, +1}")
+    return signs
+
+
+def _rotate(x: np.ndarray, signs: np.ndarray) -> None:
+    """Overwrite ``x`` with its normalized Hadamard rotation
+    (1/sqrt(d)) * H_d * diag(signs) x, an isometry up to float64 rounding.
+    x is a float64 vector of power-of-two width, and ``signs`` were checked
+    for that width by _check_rotation_signs."""
+    x *= signs
+    fwht_inplace(x)
+    x *= 1.0 / np.sqrt(x.shape[0])
+
+
+def inverse_rotation(v: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Exact inverse of the encoder's rotation with the same signs, on a copy.
+
+    The normalized Hadamard matrix is symmetric and orthogonal, so the
+    inverse is diag(signs) applied after the same transform.
+    """
+    out = as_param_vector(v).copy()
+    d = out.shape[0]
+    signs = _check_rotation_signs(d, signs)
+    fwht_inplace(out)
+    out *= 1.0 / np.sqrt(d)
+    out *= signs
+    return out
+
+
+def encode_block(
+    deltas: np.ndarray,
     config: SecAggConfig,
     rotation_signs: np.ndarray,
-    seed: SeedPath,
-) -> tuple[np.ndarray, int]:
-    """Map one client's real update to non-negative integers mod M.
+    seeds: Sequence[SeedPath],
+    out: np.ndarray,
+) -> int:
+    """Map a block of client updates to non-negative integers mod M.
 
-    rotation_signs is the round's shared Rademacher vector (all cohort
-    clients must use the same one); seed drives this client's private
-    rounding randomness.  Returns the encoded int64 vector and the number
-    of rotated coordinates the L-infinity clamp cut (|x| > infinity_bound).
-    Raises RoundingRetriesExhausted if the rounded norm check fails
-    retry_cap consecutive times.
+    Row i of ``deltas`` is one client's real update; ``seeds[i]`` drives its
+    private rounding randomness, and its int64 codes are written to
+    ``out[i]``.  rotation_signs is the round's shared Rademacher vector (all
+    cohort clients must use the same one), checked once per call.  Returns
+    the number of rotated coordinates the L-infinity clamp cut
+    (|x| > infinity_bound) over the block.  Raises RoundingRetriesExhausted,
+    its ``row`` the failing row, if a rounded norm check fails retry_cap
+    consecutive times.
     """
-    signs = _check_rotation_signs(config.padded_dim, rotation_signs)
-    return _encode_client(delta, config, signs, seed)
-
-
-def _encode_client(
-    delta: np.ndarray, config: SecAggConfig, signs: np.ndarray, seed: SeedPath
-) -> tuple[np.ndarray, int]:
-    """encode_client with the round's signs already checked, as run_round
-    does once per round for its whole cohort."""
-    delta = as_param_vector(delta)
-    d = delta.shape[0]
-    if d > config.padded_dim:
+    width = config.padded_dim
+    signs = _check_rotation_signs(width, rotation_signs)
+    rows = len(seeds)
+    deltas = np.asarray(deltas, dtype=np.float64)
+    if deltas.ndim != 2 or deltas.shape[0] != rows:
+        raise ValueError(f"deltas must be a 2-d array of {rows} rows, one per seed")
+    d = deltas.shape[1]
+    if d > width:
         raise ValueError("update is wider than the padded dimension")
-    # One padded row carries the update through scale, clip, rotation and
-    # clamp; each step is the same float arithmetic as an L2 clip, a
-    # rotate_inplace and np.clip on copies (tests/oracles.py).
-    row = np.zeros(config.padded_dim, dtype=np.float64)
-    head = row[:d]
-    np.multiply(delta, config.scale, out=head)
+    if not (
+        isinstance(out, np.ndarray)
+        and out.dtype == np.int64
+        and out.ndim == 2
+        and out.shape[0] >= rows
+        and out.shape[1] == width
+    ):
+        raise ValueError(f"out must be an int64 array of at least {rows} rows of width {width}")
+    if not np.all(np.isfinite(deltas)):
+        raise ValueError("update contains NaN or Inf")
     scaled_clip = config.scale * config.clip_norm
     if not scaled_clip > 0:
         raise ValueError("clip_norm must be > 0")
-    norm = float(np.linalg.norm(head))
-    if not math.isfinite(norm):
-        as_param_vector(head)  # raises when the scaling overflowed an entry
-    if norm > scaled_clip:
-        head *= scaled_clip / norm
-    _rotate(row, signs)
     bound = float(config.infinity_bound)
-    clamped_count = int(np.count_nonzero(np.abs(row) > bound))
-    np.clip(row, -bound, bound, out=row)
-
-    norm_bound_sq = _rounded_norm_bound_sq(config)
-    rounded = np.empty(config.padded_dim, dtype=np.float64)
-    for attempt in range(config.retry_cap):
-        uniforms = seed.child("round-attempt", attempt).generator().random(config.padded_dim)
-        stochastic_round(row, uniforms, rounded)
-        if float(rounded @ rounded) <= norm_bound_sq:
-            rounded += bound
-            return rounded.astype(np.int64), clamped_count
-    raise RoundingRetriesExhausted(
-        f"stochastic rounding exceeded the norm bound {config.retry_cap} times"
-    )
+    # One padded row carries each update through scale, clip, rotation and
+    # clamp; each step is the same float arithmetic as an L2 clip, the
+    # rotation and np.clip on copies (tests/oracles.py).
+    row = np.empty(width)
+    head = row[:d]
+    rounded = np.empty(width)
+    clamped_count = 0
+    for i, seed in enumerate(seeds):
+        np.multiply(deltas[i], config.scale, out=head)
+        row[d:] = 0.0
+        norm = float(np.linalg.norm(head))
+        if not math.isfinite(norm):
+            as_param_vector(head)  # raises when the scaling overflowed an entry
+        if norm > scaled_clip:
+            head *= scaled_clip / norm
+        _rotate(row, signs)
+        clamped_count += int(np.count_nonzero(np.abs(row) > bound))
+        np.clip(row, -bound, bound, out=row)
+        # After the row's checks, so that an update whose scaling overflowed
+        # fails as non-finite before this bound can overflow.
+        norm_bound_sq = _rounded_norm_bound_sq(config)
+        for attempt in range(config.retry_cap):
+            uniforms = seed.child("round-attempt", attempt).generator().random(width)
+            stochastic_round(row, uniforms, rounded)
+            if float(rounded @ rounded) <= norm_bound_sq:
+                rounded += bound
+                out[i] = rounded
+                break
+        else:
+            raise RoundingRetriesExhausted(
+                f"stochastic rounding exceeded the norm bound {config.retry_cap} times", row=i
+            )
+    return clamped_count
 
 
 def modular_sum(updates: Sequence[np.ndarray] | np.ndarray, modulus: int) -> np.ndarray:

@@ -24,46 +24,7 @@ import numpy as np
 from fpsim.seeds import SeedPath, gaussian_vector
 from fpsim.vectors import as_param_vector
 
-__all__ = ["RestartSchedule", "TreeState", "prefix_decomposition"]
-
-
-@dataclass(frozen=True)
-class RestartSchedule:
-    """Rounds at whose start the trees are restarted (segment boundaries).
-
-    A round r in the schedule means rounds 0..r-1 belong to one segment and
-    round r opens the next.  Must be strictly increasing with first entry
-    >= 1 (a restart before round 0 would be meaningless).
-    """
-
-    rounds: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        rounds = tuple(int(r) for r in self.rounds)
-        object.__setattr__(self, "rounds", rounds)
-        if rounds and rounds[0] < 1:
-            raise ValueError("first restart round must be >= 1")
-        if any(b <= a for a, b in zip(rounds, rounds[1:])):
-            raise ValueError("restart rounds must be strictly increasing")
-
-    @classmethod
-    def periodic(cls, total_rounds: int, first: int = 128, period: int = 1024) -> "RestartSchedule":
-        """Restarts at first, first+period, ... below total_rounds.
-
-        The defaults give an initial short segment followed by fixed-length
-        segments, the schedule used by the production training runs this
-        simulator models.
-        """
-        if first < 1 or period < 1:
-            raise ValueError("first and period must be >= 1")
-        return cls(tuple(range(first, total_rounds, period)))
-
-    def segment_lengths(self, total_rounds: int) -> tuple[int, ...]:
-        """Lengths of the segments a run of total_rounds splits into."""
-        if total_rounds < 1:
-            raise ValueError("total_rounds must be >= 1")
-        bounds = [0] + [r for r in self.rounds if r < total_rounds] + [total_rounds]
-        return tuple(b - a for a, b in zip(bounds, bounds[1:]))
+__all__ = ["TreeState", "prefix_decomposition"]
 
 
 def prefix_decomposition(n: int) -> list[tuple[int, int]]:

@@ -10,14 +10,13 @@ import numpy as np
 from fpsim.accounting import (
     _INFEASIBLE,
     ParticipationSchema,
-    _forest_nodes,
     _StepRows,
     loose_eps,
 )
 from fpsim.secagg import SecAggConfig, _rounded_norm_bound_sq
 from fpsim.seeds import SeedPath, gaussian_vector
-from fpsim.tree import RestartSchedule, _node_seed, prefix_decomposition
-from fpsim.vectors import as_param_vector, rotate_inplace
+from fpsim.tree import _node_seed, prefix_decomposition
+from fpsim.vectors import as_param_vector
 from fpsim._kernels import stochastic_round
 
 
@@ -37,10 +36,12 @@ def clip_l2(v: np.ndarray, clip_norm: float) -> np.ndarray:
 
 
 def randomized_hadamard(v: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """rotate_inplace on a validated copy of ``v``: the normalized Hadamard
-    rotation (1/sqrt(d)) * H_d * diag(signs) v."""
-    out = as_param_vector(v).copy()
-    rotate_inplace(out, signs)
+    """The normalized Hadamard rotation (1/sqrt(d)) * H_d * diag(signs) v
+    of a validated copy of ``v``: the sign flip, reference_fwht and the
+    scale."""
+    out = as_param_vector(v) * signs
+    reference_fwht(out)
+    out *= 1.0 / np.sqrt(out.shape[0])
     return out
 
 
@@ -57,10 +58,12 @@ def reference_restart_rounds(config) -> tuple[int, ...]:
     if config.restart_mode == "none":
         return ()
     if config.restart_mode == "explicit":
-        inside = tuple(r for r in config.restart_rounds if r < config.rounds)
-        return RestartSchedule(inside).rounds
-    schedule = RestartSchedule.periodic(config.rounds, config.restart_first, config.restart_period)
-    return schedule.rounds
+        return tuple(int(r) for r in config.restart_rounds if r < config.rounds)
+    rounds, restart = [], config.restart_first
+    while restart < config.rounds:
+        rounds.append(restart)
+        restart += config.restart_period
+    return tuple(rounds)
 
 
 def reference_sgd_step(
@@ -164,8 +167,8 @@ def reference_encode(
     of the scaled update, zero padding, the sign flip and reference_fwht,
     np.clip, then conditional stochastic rounding and the shift.
 
-    Returns encode_client's two results and the clamped float row that was
-    rounded.  Rounding hides a last-bit difference in that row, so only the
+    Returns the row's int64 codes and clamp count, as encode_block writes
+    and returns them, and the clamped float row that was rounded.  Rounding hides a last-bit difference in that row, so only the
     row shows a change in the transform's float arithmetic.
     """
     padded = np.zeros(config.padded_dim)
@@ -297,6 +300,39 @@ def reference_zcdp_to_eps(rho: float, delta: float) -> float:
     return hi
 
 
+def forest_nodes(schema: ParticipationSchema) -> list[tuple[int, int]]:
+    """All forest nodes as (start_round, end_round) half-open spans."""
+    nodes = []
+    offset = 0
+    for k in schema.tree_levels():
+        size = 1 << k
+        for level in range(k + 1):
+            width = 1 << level
+            for index in range(size >> level):
+                start = offset + index * width
+                nodes.append((start, start + width))
+        offset += size
+    return nodes
+
+
+def pattern_sensitivity_sq(schema: ParticipationSchema, rounds: tuple[int, ...]) -> float:
+    """Sum over forest nodes of (participations inside the node's span)^2.
+
+    ``rounds`` is one client's participation pattern; the value is in units
+    of the squared clip norm.  Does not check min_sep/max_part.
+    """
+    pattern = np.asarray(sorted(rounds), dtype=np.int64)
+    if pattern.size and not (0 <= pattern[0] and pattern[-1] < schema.total_rounds):
+        raise ValueError("participation rounds must lie in [0, total_rounds)")
+    if pattern.size != np.unique(pattern).size:
+        raise ValueError("participation rounds must be distinct")
+    total = 0.0
+    for start, end in forest_nodes(schema):
+        count = int(np.searchsorted(pattern, end) - np.searchsorted(pattern, start))
+        total += count * count
+    return total
+
+
 BRUTE_FORCE_MAX_ROUNDS = 24
 
 
@@ -316,7 +352,7 @@ def brute_force_sensitivity_sq(
             f"brute force is exponential; total_rounds must be <= {BRUTE_FORCE_MAX_ROUNDS}"
         )
     schema = ParticipationSchema(total_rounds, min_sep, max_part, restart_rounds)
-    nodes = _forest_nodes(schema)
+    nodes = forest_nodes(schema)
     covering = [
         [i for i, (start, end) in enumerate(nodes) if start <= r < end]
         for r in range(total_rounds)
@@ -422,9 +458,9 @@ def naive_private_sum(
     """
     if len(history) == 0:
         raise ValueError("history must be nonempty")
-    schedule = RestartSchedule(tuple(restart_rounds))
     total_rounds = len(history)
-    seg_lengths = schedule.segment_lengths(total_rounds)
+    bounds = [0, *(int(r) for r in restart_rounds if r < total_rounds), total_rounds]
+    seg_lengths = [b - a for a, b in zip(bounds, bounds[1:])]
     if clip_norms_per_segment is None:
         clip_norms_per_segment = [float(clip_norm)] * len(seg_lengths)
     if len(clip_norms_per_segment) != len(seg_lengths):

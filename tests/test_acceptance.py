@@ -17,14 +17,13 @@ from fpsim import (
     ExperimentConfig,
     NextTokenBOW,
     ParticipationSchema,
-    RestartSchedule,
     RunState,
     SeedPath,
     TreeState,
     combined_multiplier,
     decode,
     derive_config,
-    encode_client,
+    encode_block,
     inflated_clip_norm,
     loose_eps,
     modular_sum,
@@ -284,10 +283,9 @@ def test_06_secagg_round_trip_50_cohorts():
             x = rng.normal(size=model_dim)
             x *= rng.uniform(2.0, 8.0) / np.linalg.norm(x)  # some norms exceed c
             deltas.append(x)
-        encoded = [
-            encode_client(x, cfg, signs, path.child("rounding").child("client", i))[0]
-            for i, x in enumerate(deltas)
-        ]
+        seeds = [path.child("rounding").child("client", i) for i in range(m)]
+        encoded = np.empty((m, cfg.padded_dim), dtype=np.int64)
+        encode_block(np.stack(deltas), cfg, signs, seeds, encoded)
         for enc in encoded:
             unshifted = enc.astype(np.float64) - cfg.infinity_bound
             assert float(unshifted @ unshifted) <= norm_bound_sq
@@ -401,8 +399,8 @@ def test_11_production_scale_privacy_band():
     """A production-shaped configuration (2048 rounds, noise multiplier 7,
     separation 313, at most 7 participations) lands in the documented
     guarantee band rho in [0.4, 1.2] under the default restart schedule."""
-    schedule = RestartSchedule.periodic(2048)
-    schema = ParticipationSchema(2048, 313, 7, schedule.rounds)
+    restarts = (128, 1152)  # restart.first 128, restart.period 1024
+    schema = ParticipationSchema(2048, 313, 7, restarts)
     rho = zcdp(7.0, schema)
     assert 0.4 <= rho <= 1.2
     # For the record: collapsing training into one segment (no restarts)
@@ -410,7 +408,7 @@ def test_11_production_scale_privacy_band():
     single = zcdp(7.0, ParticipationSchema(2048, 313, 7, ()))
     print(
         f"criterion 11 PASS: rho = {rho:.4f} in [0.4, 1.2] with restarts at "
-        f"{schedule.rounds} (single-segment reading would give {single:.4f})"
+        f"{restarts} (single-segment reading would give {single:.4f})"
     )
 
 

@@ -36,12 +36,12 @@ from fpsim.accounting import (
     _solver_for,
     _step_end_maxplus,
     _StepRows,
-    pattern_sensitivity_sq,
 )
 from oracles import (
     ReferenceTables,
     brute_force_sensitivity_sq,
     dense_step_rows,
+    pattern_sensitivity_sq,
     reference_zcdp_to_delta,
     reference_zcdp_to_eps,
 )
@@ -603,8 +603,24 @@ class TestSchemaValidation:
             ParticipationSchema(4, 1, 0)
 
     def test_restart_rounds_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="strictly increasing"):
             ParticipationSchema(8, 1, 8, restart_rounds=(3, 3))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            ParticipationSchema(8, 1, 8, restart_rounds=(5, 3))
+        with pytest.raises(ValueError, match="first restart round must be >= 1"):
+            ParticipationSchema(8, 1, 8, restart_rounds=(0,))  # before any round ran
+
+    def test_segment_lengths_tile_the_run(self):
+        schema = ParticipationSchema(20, 1, 20, (5, 11, 17))
+        assert schema.segment_lengths() == (5, 6, 6, 3)
+        assert ParticipationSchema(20, 1, 20).segment_lengths() == (20,)
+
+    def test_restarts_at_or_past_the_end_never_fire(self):
+        """Rounds >= total_rounds are legal and kept, but split nothing."""
+        schema = ParticipationSchema(20, 1, 20, (5, 20, 31))
+        assert schema.restart_rounds == (5, 20, 31)
+        assert schema.segment_lengths() == (5, 15)
+        assert schema.tree_levels() == ParticipationSchema(20, 1, 20, (5,)).tree_levels()
 
 
 class TestSweep:

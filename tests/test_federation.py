@@ -33,7 +33,7 @@ from fpsim import (
     batch_orders,
     cohort_update,
     derive_config,
-    encode_client,
+    encode_block,
     observed_limits,
     run_experiment,
     run_round,
@@ -553,12 +553,15 @@ class TestSecureAggregationRound:
         server = _server(data, m=m, clip=1.0, seed=43, secagg=cfg)
         run_round(server, [0, 1, 2, 3])
 
-        def failing_encode(delta, config, signs, seed):
-            if seed == server.seed.child("rounding", 1).child("client", 6):
-                raise RoundingRetriesExhausted("stochastic rounding exceeded the norm bound 3 times")
-            return encode_client(delta, config, signs, seed)
+        def failing_encode(deltas, config, signs, seeds, out):
+            failing = server.seed.child("rounding", 1).child("client", 6)
+            if failing in seeds:
+                raise RoundingRetriesExhausted(
+                    "stochastic rounding exceeded the norm bound 3 times", row=seeds.index(failing)
+                )
+            return encode_block(deltas, config, signs, seeds, out)
 
-        monkeypatch.setattr(federation, "_encode_client", failing_encode)
+        monkeypatch.setattr(federation, "encode_block", failing_encode)
         with pytest.raises(RoundingRetriesExhausted) as caught:
             run_round(server, [5, 6, 7, 4])
         message = str(caught.value)
@@ -585,11 +588,11 @@ class TestSecureAggregationRound:
         server = _server(data, m=m, clip=1.0, seed=42, secagg=cfg)
         received = []
 
-        def recording_encode(delta, config, signs, seed):
-            received.append((delta.copy(), signs.copy()))
-            return encode_client(delta, config, signs, seed)
+        def recording_encode(deltas, config, signs, seeds, out):
+            received.extend((delta.copy(), signs.copy()) for delta in deltas)
+            return encode_block(deltas, config, signs, seeds, out)
 
-        monkeypatch.setattr(federation, "_encode_client", recording_encode)
+        monkeypatch.setattr(federation, "encode_block", recording_encode)
         metrics = run_round(server, list(range(m)))
         monkeypatch.undo()
 

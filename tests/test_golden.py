@@ -21,7 +21,7 @@ import hashlib
 
 import pytest
 
-from fpsim import ExperimentConfig, ParticipationSchema, RestartSchedule, run_experiment, zcdp
+from fpsim import ExperimentConfig, ParticipationSchema, run_experiment, zcdp
 from fpsim.accounting import sweep
 
 ADAPTIVE_CONFIG = """
@@ -110,6 +110,6 @@ def test_wide_sweep_row_pinned():
 def test_production_schema_rho_pinned():
     """test_11's schema (min_sep 313, at most 7 participations), with the
     periodic restarts and as one segment."""
-    restarts = RestartSchedule.periodic(2048).rounds
+    restarts = (128, 1152)
     assert zcdp(7.0, ParticipationSchema(2048, 313, 7, restarts)) == 0.8877551020408163
     assert zcdp(7.0, ParticipationSchema(2048, 313, 7, ())) == 1.530612244897959

@@ -513,7 +513,27 @@ class TestCli:
     def test_account_rejects_zero_max_part(self, capsys):
         flags = ["--rounds", "4", "--min-sep", "1", "--max-part", "0", "--z", "7"]
         assert cli_main(["account", *flags]) == 1
-        assert "max_part" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "max_part" in err
+        assert err.startswith("error: --max-part: ")
+
+    @pytest.mark.parametrize(
+        "flag, value, why",
+        [
+            ("--restarts", "3,x", "invalid literal for int()"),
+            ("--restarts", "5,3", "restart rounds must be strictly increasing"),
+            ("--restarts", "0,5", "first restart round must be >= 1"),
+            ("--rounds", "0", "total_rounds must be >= 1"),
+            ("--min-sep", "0", "min_sep must be >= 1"),
+        ],
+    )
+    def test_account_schema_errors_name_the_flag(self, capsys, flag, value, why):
+        flags = {"--rounds": "8", "--min-sep": "1", "--max-part": "2", "--z": "7"}
+        flags[flag] = value
+        assert cli_main(["account", *(item for pair in flags.items() for item in pair)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: ")
+        assert why in err
 
     def test_account_prints_the_schema_it_accounts(self, capsys):
         """A --max-part above ceil(rounds / min_sep) is capped by the schema,

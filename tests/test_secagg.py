@@ -23,7 +23,7 @@ from fpsim import (
     bits_per_update,
     decode,
     derive_config,
-    encode_client,
+    encode_block,
     inflated_clip_norm,
     modular_sum,
     sign_vector,
@@ -32,6 +32,13 @@ from fpsim import secagg
 from fpsim._kernels import stochastic_round
 from fpsim.secagg import ROUNDING_NORM_ALPHA, _rounded_norm_bound_sq
 from oracles import clip_l2, reference_encode, reference_fwht
+
+
+def _encode_one(delta, config, signs, seed):
+    """One client's codes and clamp count, encoded as a 1-row block."""
+    out = np.empty((1, config.padded_dim), dtype=np.int64)
+    clamped = encode_block(np.asarray(delta)[None, :], config, signs, [seed], out)
+    return out[0], clamped
 
 
 class TestDeriveConfig:
@@ -136,10 +143,9 @@ class TestRoundTrip:
         cfg = derive_config(c, s, model_dim, m)
         signs = sign_vector(SeedPath(1).child("rot"), cfg.padded_dim)
         deltas = [rng.normal(size=model_dim) for _ in range(m)]
-        encoded = [
-            encode_client(x, cfg, signs, SeedPath(1).child("round").child("client", i))[0]
-            for i, x in enumerate(deltas)
-        ]
+        seeds = [SeedPath(1).child("round").child("client", i) for i in range(m)]
+        encoded = np.empty((m, cfg.padded_dim), dtype=np.int64)
+        encode_block(np.stack(deltas), cfg, signs, seeds, encoded)
         total = modular_sum(encoded, cfg.modulus)
         out = decode(total, cfg, signs, n_clients=m, model_dim=model_dim)
         want = np.sum([clip_l2(x, c) for x in deltas], axis=0)
@@ -154,7 +160,7 @@ class TestRoundTrip:
         signs = sign_vector(SeedPath(2).child("rot"), cfg.padded_dim)
         x = rng.normal(size=model_dim)
         x = clip_l2(x, 1.0)
-        enc, _ = encode_client(x, cfg, signs, SeedPath(2).child("c"))
+        enc, _ = _encode_one(x, cfg, signs, SeedPath(2).child("c"))
         out = decode(enc.copy(), cfg, signs, n_clients=1, model_dim=model_dim)
         np.testing.assert_allclose(out, x, atol=1e-4)
 
@@ -166,7 +172,7 @@ class TestRoundTrip:
         signs = sign_vector(SeedPath(3).child("rot"), cfg.padded_dim)
         for i in range(10):
             x = rng.normal(size=256) * rng.uniform(0.1, 10)
-            enc, _ = encode_client(x, cfg, signs, SeedPath(3).child("c", i))
+            enc, _ = _encode_one(x, cfg, signs, SeedPath(3).child("c", i))
             assert enc.dtype == np.int64
             assert enc.min() >= 0
             assert enc.max() <= 2 * cfg.infinity_bound
@@ -177,11 +183,11 @@ class TestRoundTrip:
         m = 10
         cfg = derive_config(5.0, 100.0, 256, m)
         signs = sign_vector(SeedPath(4).child("rot"), cfg.padded_dim)
-        encoded = [
-            encode_client(rng.normal(size=256) * 5, cfg, signs, SeedPath(4).child("c", i))[0]
-            for i in range(m)
-        ]
-        raw = np.sum(np.stack(encoded).astype(np.int64), axis=0)
+        deltas = np.stack([rng.normal(size=256) * 5 for _ in range(m)])
+        seeds = [SeedPath(4).child("c", i) for i in range(m)]
+        encoded = np.empty((m, cfg.padded_dim), dtype=np.int64)
+        encode_block(deltas, cfg, signs, seeds, encoded)
+        raw = np.sum(encoded, axis=0)
         assert raw.max() < cfg.modulus
 
     def test_rounded_norm_bound_respected(self):
@@ -192,7 +198,7 @@ class TestRoundTrip:
         bound = _rounded_norm_bound_sq(cfg)
         for i in range(20):
             x = rng.normal(size=256) * rng.uniform(0.1, 10)
-            enc, _ = encode_client(x, cfg, signs, SeedPath(5).child("c", i))
+            enc, _ = _encode_one(x, cfg, signs, SeedPath(5).child("c", i))
             unshifted = enc.astype(np.float64) - cfg.infinity_bound
             assert float(unshifted @ unshifted) <= bound
 
@@ -200,8 +206,8 @@ class TestRoundTrip:
         cfg = derive_config(2.0, 50.0, 128, 4)
         signs = sign_vector(SeedPath(6).child("rot"), cfg.padded_dim)
         x = np.linspace(-1, 1, 128)
-        a, a_clamped = encode_client(x, cfg, signs, SeedPath(6).child("c"))
-        b, b_clamped = encode_client(x, cfg, signs, SeedPath(6).child("c"))
+        a, a_clamped = _encode_one(x, cfg, signs, SeedPath(6).child("c"))
+        b, b_clamped = _encode_one(x, cfg, signs, SeedPath(6).child("c"))
         np.testing.assert_array_equal(a, b)
         assert a_clamped == b_clamped
 
@@ -235,16 +241,14 @@ class TestCodecProperties:
         n, model_dim = clients.shape
         signs = sign_vector(SeedPath(seed).child("rot"), config.padded_dim)
         norm_bound_sq = _rounded_norm_bound_sq(config)
-        encoded, clamped = [], 0
-        for i, x in enumerate(clients):
-            enc, count = encode_client(x, config, signs, SeedPath(seed).child("c", i))
-            assert enc.dtype == np.int64
+        seeds = [SeedPath(seed).child("c", i) for i in range(n)]
+        encoded = np.empty((n, config.padded_dim), dtype=np.int64)
+        clamped = encode_block(clients, config, signs, seeds, encoded)
+        for enc in encoded:
             assert enc.min() >= 0
             assert enc.max() <= 2 * config.infinity_bound
             unshifted = enc.astype(np.float64) - config.infinity_bound
             assert float(unshifted @ unshifted) <= norm_bound_sq
-            encoded.append(enc)
-            clamped += count
         total = modular_sum(encoded, config.modulus)
         out = decode(total, config, signs, n_clients=n, model_dim=model_dim)
         if clamped == 0:
@@ -269,7 +273,7 @@ class TestClamping:
         )
         signs = sign_vector(SeedPath(7).child("rot"), 16)
         x = np.full(16, 50.0)
-        enc, clamped = encode_client(x, cfg, signs, SeedPath(7).child("c"))
+        enc, clamped = _encode_one(x, cfg, signs, SeedPath(7).child("c"))
         assert enc.min() >= 0
         assert enc.max() <= 2
         # Independent recount: the rotation as an explicit matrix product.
@@ -280,8 +284,8 @@ class TestClamping:
 
 
 class TestEncodeBytes:
-    """encode_client works in place on one padded row; its output must be
-    the bytes of the step-by-step pipeline on fresh arrays."""
+    """encode_block works in place on one padded row per call; each row's
+    output must be the bytes of the step-by-step pipeline on fresh arrays."""
 
     def test_secagg_wide_shape_matches_reference_pipeline(self, monkeypatch):
         """d = 10^4 padded to 16384, s = 100, clip norm 1: wide enough that a
@@ -296,6 +300,39 @@ class TestEncodeBytes:
             stochastic_round(x, u, out)
 
         monkeypatch.setattr(secagg, "stochastic_round", recording_round)
+        cfg, signs, updates = self._secagg_wide_updates()
+        clamps = []
+        for index, delta in enumerate(updates):
+            seed = SeedPath(12).child("client", index)
+            got, clamped = _encode_one(delta, cfg, signs, seed)
+            want, want_clamped, want_row = reference_encode(delta, cfg, signs, seed)
+            assert rounding_inputs[-1] == want_row.tobytes()
+            assert got.dtype == want.dtype == np.int64
+            assert got.tobytes() == want.tobytes()
+            assert clamped == want_clamped
+            clamps.append(clamped)
+        assert clamps[0] == 0 and clamps[2] > 0
+
+    def test_multi_row_block_matches_reference_rows(self):
+        """The three updates as one 3-row block: each row is the reference
+        pipeline's bytes for its seed, and the return value is the sum of
+        the rows' clamp counts."""
+        cfg, signs, updates = self._secagg_wide_updates()
+        seeds = [SeedPath(12).child("client", index) for index in range(3)]
+        out = np.empty((3, cfg.padded_dim), dtype=np.int64)
+        clamped = encode_block(np.stack(updates), cfg, signs, seeds, out)
+        want_clamped = 0
+        for got, delta, seed in zip(out, updates, seeds):
+            want, row_clamped, _ = reference_encode(delta, cfg, signs, seed)
+            assert got.tobytes() == want.tobytes()
+            want_clamped += row_clamped
+        assert clamped == want_clamped
+
+    @staticmethod
+    def _secagg_wide_updates():
+        """The secagg_wide config (d = 10^4 padded to 16384, s = 100, clip
+        norm 1, cohort 20), its signs, and three updates: below and above
+        the clip norm, and one aligned with a Hadamard row."""
         d = 10_000
         cfg = derive_config(1.0, 100.0, d, 20)
         assert cfg.padded_dim == 16384
@@ -309,17 +346,7 @@ class TestEncodeBytes:
             rng.normal(size=d) * 0.05,
             signs[:d] * row[:d],
         ]
-        clamps = []
-        for index, delta in enumerate(updates):
-            seed = SeedPath(12).child("client", index)
-            got, clamped = encode_client(delta, cfg, signs, seed)
-            want, want_clamped, want_row = reference_encode(delta, cfg, signs, seed)
-            assert rounding_inputs[-1] == want_row.tobytes()
-            assert got.dtype == want.dtype == np.int64
-            assert got.tobytes() == want.tobytes()
-            assert clamped == want_clamped
-            clamps.append(clamped)
-        assert clamps[0] == 0 and clamps[2] > 0
+        return cfg, signs, updates
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_update_and_signs_still_checked(self):
@@ -327,16 +354,35 @@ class TestEncodeBytes:
         signs = sign_vector(SeedPath(13).child("rot"), cfg.padded_dim)
         seed = SeedPath(13).child("c")
         with pytest.raises(ValueError, match="NaN or Inf"):
-            encode_client(np.full(64, np.nan), cfg, signs, seed)
+            _encode_one(np.full(64, np.nan), cfg, signs, seed)
         huge = dataclasses.replace(cfg, scale=1e300)
         with pytest.raises(ValueError, match="NaN or Inf"):
-            encode_client(np.full(64, 1e10), huge, signs, seed)  # the scaling overflows
+            _encode_one(np.full(64, 1e10), huge, signs, seed)  # the scaling overflows
         with pytest.raises(ValueError, match="wider than the padded"):
-            encode_client(np.zeros(65), cfg, signs, seed)
+            _encode_one(np.zeros(65), cfg, signs, seed)
         with pytest.raises(ValueError, match="signs"):
-            encode_client(np.zeros(64), cfg, signs[:32], seed)
+            _encode_one(np.zeros(64), cfg, signs[:32], seed)
         with pytest.raises(ValueError, match="signs"):
-            encode_client(np.zeros(64), cfg, signs * 2.0, seed)
+            _encode_one(np.zeros(64), cfg, signs * 2.0, seed)
+        # The output rows and the row count.
+        deltas = np.zeros((2, 64))
+        seeds = [seed, SeedPath(13).child("d")]
+        for out in (
+            np.empty((2, 64)),  # float64
+            np.empty((2, 64), dtype=np.int32),
+            np.empty((2, 32), dtype=np.int64),
+            np.empty((1, 64), dtype=np.int64),  # fewer rows than seeds
+            np.empty(128, dtype=np.int64),
+            [[0] * 64] * 2,
+        ):
+            with pytest.raises(ValueError, match="out must be"):
+                encode_block(deltas, cfg, signs, seeds, out)
+        out = np.empty((3, 64), dtype=np.int64)  # spare rows are legal
+        assert encode_block(deltas, cfg, signs, seeds, out) == 0
+        with pytest.raises(ValueError, match="one per seed"):
+            encode_block(np.zeros((3, 64)), cfg, signs, seeds, out)
+        with pytest.raises(ValueError, match="one per seed"):
+            encode_block(np.zeros(64), cfg, signs, seeds[:1], out)  # not a block
 
 
 class TestFailureModes:
@@ -353,9 +399,10 @@ class TestFailureModes:
         x = rng.normal(size=1024)
         x = x / np.linalg.norm(x) * 5.0  # exactly at the clip boundary
         seed = SeedPath(8).child("c", 21)
-        with pytest.raises(RoundingRetriesExhausted):
-            encode_client(x, strict, signs, seed)
-        encode_client(x, cfg, signs, seed)  # default cap retries through it
+        with pytest.raises(RoundingRetriesExhausted) as caught:
+            _encode_one(x, strict, signs, seed)
+        assert caught.value.row == 0
+        _encode_one(x, cfg, signs, seed)  # default cap retries through it
 
     def test_retry_cap_validated(self):
         with pytest.raises(ValueError):

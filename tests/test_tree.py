@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpsim import RestartSchedule, SeedPath, TreeState
+from fpsim import SeedPath, TreeState
 from fpsim.tree import prefix_decomposition
 from oracles import naive_private_sum
 
@@ -271,28 +271,3 @@ class TestNoiseStructure:
             tree.add_round(np.ones(4))
         with pytest.raises(ValueError):
             TreeState(-1.0, 1.0, 3, SeedPath(0).child("x"))
-
-
-class TestRestartSchedule:
-    def test_periodic_schedule(self):
-        s = RestartSchedule.periodic(3000)
-        assert s.rounds == (128, 1152, 2176)
-
-    def test_periodic_with_custom_knobs(self):
-        s = RestartSchedule.periodic(20, first=5, period=6)
-        assert s.rounds == (5, 11, 17)
-
-    def test_no_restart_before_first(self):
-        s = RestartSchedule.periodic(100, first=128, period=1024)
-        assert s.rounds == ()
-
-    def test_segment_lengths_tile_the_run(self):
-        s = RestartSchedule((5, 11, 17))
-        assert s.segment_lengths(20) == (5, 6, 6, 3)
-        assert sum(s.segment_lengths(20)) == 20
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RestartSchedule((0,))  # restart before any round ran
-        with pytest.raises(ValueError):
-            RestartSchedule((3, 3))  # not strictly increasing

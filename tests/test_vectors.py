@@ -1,7 +1,7 @@
-"""Tests for parameter-vector utilities: validation and the sign-randomized
-Hadamard rotation used by the secure-aggregation encoder.  The L2 clip and
-the copying rotation the encoder's arithmetic is checked against live in
-tests/oracles.py and are pinned here.
+"""Tests for parameter-vector validation and for the sign-randomized
+Hadamard rotation of the secure-aggregation encoder (fpsim.secagg).  The
+L2 clip and the copying rotation the encoder's arithmetic is checked
+against live in tests/oracles.py and are pinned here.
 """
 
 import numpy as np
@@ -11,9 +11,9 @@ from fpsim import (
     SeedPath,
     as_param_vector,
     inverse_rotation,
-    rotate_inplace,
     sign_vector,
 )
+from fpsim.secagg import _check_rotation_signs, _rotate
 from oracles import clip_l2, randomized_hadamard
 
 
@@ -107,21 +107,25 @@ class TestRandomizedHadamard:
     def test_requires_power_of_two(self):
         signs = np.ones(6)
         with pytest.raises(ValueError):
-            randomized_hadamard(np.ones(6), signs)
+            inverse_rotation(np.ones(6), signs)
 
     def test_requires_matching_signs(self):
         signs = sign_vector(SeedPath(0).child("r", 4), 32)
         with pytest.raises(ValueError):
-            randomized_hadamard(np.ones(64), signs)
+            inverse_rotation(np.ones(64), signs)
 
     def test_in_place_rotation_writes_the_same_bytes(self):
+        """The encoder's rotation (secagg._rotate, its signs checked by
+        _check_rotation_signs) writes the oracle's bytes."""
         rng = np.random.default_rng(5)
         signs = sign_vector(SeedPath(0).child("r", 5), 256)
         v = rng.normal(size=256)
         x = v.copy()
-        rotate_inplace(x, signs)
+        _rotate(x, _check_rotation_signs(256, signs))
         assert x.tobytes() == randomized_hadamard(v, signs).tobytes()
         with pytest.raises(ValueError, match="power of two"):
-            rotate_inplace(np.ones(6), np.ones(6))
+            _check_rotation_signs(6, np.ones(6))
         with pytest.raises(ValueError, match="signs"):
-            rotate_inplace(np.ones(64), signs)
+            _check_rotation_signs(64, signs)
+        with pytest.raises(ValueError, match="signs"):
+            _check_rotation_signs(256, signs * 2.0)
