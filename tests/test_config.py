@@ -196,19 +196,6 @@ class TestExperimentConfig:
         none = ExperimentConfig.from_text("restart.mode = none\n")
         assert none.privacy_terms().timer_schema.restart_rounds == ()
 
-    def test_periodic_restart_rounds(self):
-        """restart.first, then every restart.period rounds, below rounds."""
-        def periodic(rounds, first, period):
-            config = ExperimentConfig.from_text(
-                f"rounds = {rounds}\nrestart.mode = periodic\n"
-                f"restart.first = {first}\nrestart.period = {period}\n"
-            )
-            return config.privacy_terms().timer_schema.restart_rounds
-
-        assert periodic(3000, 128, 1024) == (128, 1152, 2176)
-        assert periodic(20, 5, 6) == (5, 11, 17)
-        assert periodic(100, 128, 1024) == ()  # the first restart is past the run
-
     def test_invalid_explicit_restart_rounds_name_the_key(self):
         """An explicit restart.rounds list that restarts before round 1 or
         is not strictly increasing fails on its key, also where the

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpsim import SeedPath, TreeState
+from fpsim import ConfigError, ExperimentConfig, ParticipationSchema, SeedPath, TreeState
 from fpsim.tree import prefix_decomposition
 from oracles import naive_private_sum
 
@@ -47,6 +47,36 @@ class TestPrefixDecomposition:
                     assert level < last_level
                 last_level = level
             assert cursor == n
+
+
+class TestRestartSchedule:
+    """The rounds at whose start the trees restart: the config writes the
+    periodic ones and ParticipationSchema validates them."""
+
+    @staticmethod
+    def periodic(text):
+        config = ExperimentConfig.from_text("restart.mode = periodic\n" + text)
+        return config.privacy_terms().timer_schema.restart_rounds
+
+    def test_periodic_schedule(self):
+        assert self.periodic("rounds = 3000\n") == (128, 1152, 2176)
+
+    def test_periodic_with_custom_knobs(self):
+        text = "rounds = 20\nrestart.first = 5\nrestart.period = 6\n"
+        assert self.periodic(text) == (5, 11, 17)
+
+    def test_no_restart_before_first(self):
+        text = "rounds = 100\nrestart.first = 128\nrestart.period = 1024\n"
+        assert self.periodic(text) == ()
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="first restart round must be >= 1"):
+            ParticipationSchema(20, 1, 20, (0,))  # restart before any round ran
+        with pytest.raises(ValueError, match="strictly increasing"):
+            ParticipationSchema(20, 1, 20, (3, 3))
+        for key in ("restart.first", "restart.period"):
+            with pytest.raises(ConfigError, match=f"'{key}': must be >= 1"):
+                ExperimentConfig.from_text(f"rounds = 20\nrestart.mode = periodic\n{key} = 0\n")
 
 
 class TestZeroNoise:
