@@ -18,7 +18,10 @@ allocates (tracemalloc, in MiB): the round works in fixed-size blocks of
 clients, so the peak does not grow with the report goal.  Each round row
 also counts the minor page faults per timed round (``ru_minflt``), so a
 change that makes the round's large arrays come from fresh mmaps instead
-of reused heap shows as a count.  Run from the repo root:
+of reused heap shows as a count.  ``tree_add_round`` is the tree-noise
+layer at a run's shapes: 700 rounds of a d = 10^4 TreeState and of the
+d = 1 clip-count tree, both restarted at round 128, in ms per round (one
+add_round on each tree).  Run from the repo root:
 
     PYTHONPATH=src python benchmarks/bench_training.py
     PYTHONPATH=src python benchmarks/bench_training.py --repeats 5
@@ -43,6 +46,7 @@ from fpsim import (
     ExperimentConfig,
     NextTokenBOW,
     SeedPath,
+    TreeState,
     batch_orders,
     cohort_update,
     run_round,
@@ -109,6 +113,26 @@ def _time_round(record: dict, report_goal: int, repeats: int) -> None:
     record[f"run_round_{report_goal}_minflt"] = faults / (repeats * 5)
 
 
+def _time_tree(record: dict, repeats: int, rounds: int = 700, restart: int = 128) -> None:
+    """Record TreeState.add_round per round for a d = 10^4 update tree and
+    a d = 1 count tree, both restarted at ``restart``."""
+    update = np.random.default_rng(0).normal(size=10_000)
+    count = np.array([3.0])
+
+    def run():
+        trees = (
+            (TreeState(1.0, 0.1, update.size, SeedPath(0).child("delta-tree")), update),
+            (TreeState(5.0, 1.0, 1, SeedPath(0).child("clip-count")), count),
+        )
+        for t in range(rounds):
+            for tree, x in trees:
+                if t == restart:
+                    tree.restart(tree.clip_norm)
+                tree.add_round(x)
+
+    record["tree_add_round_ms"] = _best_ms(run, repeats) / rounds
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=3, help="timings per case (best is kept)")
@@ -161,6 +185,7 @@ def main() -> None:
     for report_goal in (100, 1000):
         _time_round(record, report_goal, args.repeats)
 
+    _time_tree(record, args.repeats)
     _time_eval(record, "", cfg, theta, seed, args.repeats)
     small = ExperimentConfig(vocab_size=64, concentration=0.5, eval_examples=1000)
     small_theta = np.random.default_rng(0).normal(size=small.vocab_size**2) * 0.01

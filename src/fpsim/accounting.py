@@ -11,8 +11,9 @@ by the scheduler's limits:
   max_part  - at most this many participations per client over the run,
   min_sep   - at least this many rounds between consecutive participations,
 
-and converts it to rho-zCDP via rho = sensitivity^2 / (2 z^2) and on to
-(epsilon, delta) via the optimal Gaussian-style conversion.
+and converts it to rho-zCDP via rho = sensitivity^2 / (2 z^2), in
+``gaussian_zcdp``, and on to (epsilon, delta) via the optimal Gaussian-style
+conversion.
 
 The worst-case sensitivity comes from an exact dynamic program over
 subtrees that shares tables across trees and scales to the
@@ -22,22 +23,27 @@ folds the forest's trees left to right, and the fold state after each tree
 answers for the forest up to that tree.  ``prefix_sensitivity_sq`` (and
 ``prefix_zcdp`` on top of it) keeps those states on a stack, one per tree,
 and so returns the value of every prefix of a run in one pass: each new
-round pops the trees it changes and refolds only those.
+round pops the trees it changes and refolds only those: the same
+``tree.closing_node`` step the noise mechanism takes.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+
+from fpsim.tree import closing_node
 
 __all__ = [
     "ParticipationSchema",
     "PrivacyLedger",
     "worst_case_sensitivity_sq",
     "prefix_sensitivity_sq",
+    "gaussian_zcdp",
     "zcdp",
     "prefix_zcdp",
     "zcdp_to_eps",
@@ -76,7 +82,10 @@ class ParticipationSchema:
         # so cap the declared budget at that ceiling.
         cap = -(-self.total_rounds // self.min_sep)
         object.__setattr__(self, "max_part", min(self.max_part, cap))
-        restarts = tuple(int(r) for r in self.restart_rounds)
+        try:
+            restarts = tuple(operator.index(r) for r in self.restart_rounds)
+        except TypeError as exc:
+            raise ValueError(f"restart rounds must be integers: {exc}") from None
         object.__setattr__(self, "restart_rounds", restarts)
         if restarts and restarts[0] < 1:
             raise ValueError("first restart round must be >= 1")
@@ -93,14 +102,15 @@ class ParticipationSchema:
         """Level (log2 size) of each complete tree, segments concatenated.
 
         A segment of n rounds instantiates one complete tree per set bit of
-        n, largest first, exactly mirroring the noise mechanism.
+        n, largest first: the nodes ``tree.closing_node`` leaves open after
+        the segment's last round.
         """
-        levels = []
-        for seg_len in self.segment_lengths():
-            levels.extend(
-                level for level in range(seg_len.bit_length() - 1, -1, -1) if seg_len >> level & 1
-            )
-        return tuple(levels)
+        return tuple(
+            level
+            for n in self.segment_lengths()
+            for level in range(n.bit_length() - 1, -1, -1)
+            if n >> level & 1
+        )
 
 
 class _SensitivitySolver:
@@ -415,11 +425,11 @@ def prefix_sensitivity_sq(schema: ParticipationSchema) -> list[float]:
 
     Entry n - 1 equals worst_case_sensitivity_sq(ParticipationSchema(n,
     schema.min_sep, schema.max_part, schema.restart_rounds)).  Going from
-    n - 1 rounds to n replaces only the open segment's trees below the
-    lowest set bit of its new length by one tree, so the fold state after
-    each tree of the prefix is kept on a stack: each round pops the
-    replaced trees and folds the new one, about two tree folds per round
-    amortised.
+    n - 1 rounds to n replaces the open segment's trees below the node its
+    new length closes (``tree.closing_node``) by that one tree, so the fold
+    state after each tree of the prefix is kept on a stack: each round pops
+    the replaced trees and folds the new one, about two tree folds per
+    round amortised.
     """
     solver = _solver_for(schema)
     restarts = set(schema.restart_rounds)
@@ -429,8 +439,7 @@ def prefix_sensitivity_sq(schema: ParticipationSchema) -> list[float]:
     for n in range(1, schema.total_rounds + 1):
         if n - 1 in restarts:
             segment_start, segment_base = n - 1, len(stack)
-        length = n - segment_start
-        level = (length & -length).bit_length() - 1
+        level, _ = closing_node(n - segment_start)
         while len(stack) > segment_base and stack[-1][0] < level:
             stack.pop()
         state = stack[-1][1] if stack else solver.empty_state(schema.total_rounds)
@@ -440,27 +449,39 @@ def prefix_sensitivity_sq(schema: ParticipationSchema) -> list[float]:
     return values
 
 
-def zcdp(z: float, schema: ParticipationSchema) -> float:
-    """rho-zCDP of the full tree release at noise multiplier z.
+def gaussian_zcdp(sensitivity_sq: float, z: float, scale: float = 1.0) -> float:
+    """rho = sensitivity^2 * scale^2 / (2 z^2), the rho-zCDP of Gaussian
+    noise of std z at squared sensitivity ``sensitivity_sq`` (both in clip
+    units) times ``scale``^2 (SecAgg runs pass inflated_clip / clip).  z = 0,
+    or a z whose 2 z^2 underflows to 0, gives infinite rho (non-private).
+    """
+    if 2.0 * z * z == 0:
+        return math.inf
+    return sensitivity_sq / (2.0 * z * z) * scale**2
+
+
+def zcdp(z: float, schema: ParticipationSchema, scale: float = 1.0) -> float:
+    """gaussian_zcdp of the full tree release at noise multiplier z.
 
     The clip norm cancels: node noise has std z * clip, sensitivity is in
-    clip units.  z = 0 means no noise: rho is infinite (non-private).
+    clip units.  z = 0 means no noise: rho is infinite (non-private), and
+    the solver does not run.
     """
     if z < 0:
         raise ValueError("z must be >= 0")
     if z == 0:
         return math.inf
-    return worst_case_sensitivity_sq(schema) / (2.0 * z * z)
+    return gaussian_zcdp(worst_case_sensitivity_sq(schema), z, scale)
 
 
-def prefix_zcdp(z: float, schema: ParticipationSchema) -> list[float]:
+def prefix_zcdp(z: float, schema: ParticipationSchema, scale: float = 1.0) -> list[float]:
     """rho-zCDP after every round: entry n - 1 equals zcdp(z, the n-round
-    prefix of ``schema``), from one prefix_sensitivity_sq pass."""
+    prefix of ``schema``, scale), from one prefix_sensitivity_sq pass."""
     if z < 0:
         raise ValueError("z must be >= 0")
     if z == 0:
         return [math.inf] * schema.total_rounds
-    return [value / (2.0 * z * z) for value in prefix_sensitivity_sq(schema)]
+    return [gaussian_zcdp(value, z, scale) for value in prefix_sensitivity_sq(schema)]
 
 
 def zcdp_to_delta(rho: float, eps: float) -> float:
@@ -575,15 +596,9 @@ class PrivacyLedger:
     rho: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.z < 0:
-            raise ValueError("z must be >= 0")
         if not self.sensitivity_scale > 0:
             raise ValueError("sensitivity_scale must be > 0")
-        self.rho = (
-            math.inf
-            if self.z == 0
-            else zcdp(self.z, self.schema) * self.sensitivity_scale**2
-        )
+        self.rho = zcdp(self.z, self.schema, self.sensitivity_scale)
 
     @property
     def non_private(self) -> bool:

@@ -71,26 +71,22 @@ def _schema_from_flags(args: argparse.Namespace) -> ParticipationSchema:
 
 
 def _cmd_account(args: argparse.Namespace) -> int:
+    # The schema flags, the four that the flags path needs first.
+    names = ("rounds", "min_sep", "max_part", "z", "restarts", "sensitivity_scale")
+    flags = {"--" + name.replace("_", "-"): getattr(args, name) for name in names}
     if args.run:
+        given = [flag for flag, value in flags.items() if value is not None]
+        if given:
+            raise ConfigError(f"--run accounts the run's own schema; drop {' '.join(given)}")
         row = harness.post_hoc_report(args.run, args.delta)
     else:
-        missing = [
-            name
-            for name, value in (
-                ("--rounds", args.rounds),
-                ("--min-sep", args.min_sep),
-                ("--max-part", args.max_part),
-                ("--z", args.z),
-            )
-            if value is None
-        ]
+        missing = [flag for flag in list(flags)[:4] if flags[flag] is None]
         if missing:
             raise ConfigError(
                 f"account needs --run or explicit schema flags; missing {' '.join(missing)}"
             )
-        row = harness.privacy_report(
-            _schema_from_flags(args), args.z, args.sensitivity_scale, delta=args.delta
-        )
+        scale = 1.0 if args.sensitivity_scale is None else args.sensitivity_scale
+        row = harness.privacy_report(_schema_from_flags(args), args.z, scale, delta=args.delta)
     print(harness.render_report_text(row), end="")
     return 0
 
@@ -130,8 +126,8 @@ def _build_parser() -> argparse.ArgumentParser:
     account.add_argument("--restarts", help="comma-separated restart rounds")
     account.add_argument("--z", type=float, help="noise multiplier")
     account.add_argument(
-        "--sensitivity-scale", type=float, default=1.0,
-        help="sensitivity multiplier (secure-aggregation inflation)",
+        "--sensitivity-scale", type=float,
+        help="sensitivity multiplier (secure-aggregation inflation; default 1)",
     )
     account.add_argument("--delta", type=float, default=harness.REPORT_DELTA)
     account.set_defaults(func=_cmd_account)

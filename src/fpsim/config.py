@@ -27,7 +27,7 @@ from functools import partial
 from pathlib import Path
 from typing import Any, NoReturn, get_args, get_origin, get_type_hints
 
-from fpsim.accounting import ParticipationSchema
+from fpsim.accounting import ParticipationSchema, gaussian_zcdp
 from fpsim.clipping import combined_multiplier, noise_split
 from fpsim.models import NextTokenBOW
 from fpsim.secagg import SecAggConfig, derive_config, inflated_clip_norm
@@ -291,9 +291,6 @@ class ExperimentConfig:
 
     # -- derived views ---------------------------------------------------
 
-    def sigma_b(self) -> float:
-        return self.report_goal * self.clip_sigma_b_fraction
-
     def privacy_terms(self) -> PrivacyTerms:
         """The run's noise split, SecAgg encoding and timer schema."""
         return self._terms
@@ -306,7 +303,7 @@ class ExperimentConfig:
         z_delta = z_equiv = self.noise_multiplier
         sigma_b = 0.0
         if z_delta > 0 and self.clip_mode == "adaptive":
-            sigma_b = self.sigma_b()
+            sigma_b = self.report_goal * self.clip_sigma_b_fraction
             try:
                 z_delta = noise_split(z_equiv, sigma_b)
             except OverflowError:
@@ -342,12 +339,12 @@ class ExperimentConfig:
         max_part = -(-self.rounds // self.timer_rounds)
         timer_schema = ParticipationSchema(self.rounds, self.timer_rounds, max_part, restarts)
         if z_equiv > 0:
-            # The accountant's rho is sensitivity^2 / (2 z^2) * scale^2; the
-            # same float steps from the bound give at least every run's rho.
+            # The run's rho is gaussian_zcdp of its sensitivity^2, at most
+            # this bound, so the bound's rho is at least every run's rho.
             bound = _sensitivity_sq_bound(self.rounds, max_part)
             try:
-                rho_bound = bound / (2.0 * z_equiv * z_equiv) * scale**2
-            except (OverflowError, ZeroDivisionError):
+                rho_bound = gaussian_zcdp(bound, z_equiv, scale)
+            except OverflowError:
                 rho_bound = math.inf
             if math.isinf(rho_bound):
                 fail(

@@ -186,7 +186,9 @@ def _finish(state: RunState, out: Path) -> RunResult:
     config, terms = state.config, state.terms
     # The worst case the timer allows after each round, all prefixes in one
     # accountant pass.
-    cumulative_rho = accounting.prefix_zcdp(terms.z_equiv, terms.timer_schema)
+    cumulative_rho = accounting.prefix_zcdp(
+        terms.z_equiv, terms.timer_schema, terms.sensitivity_scale
+    )
     metrics_rows = [
         (
             m.round,
@@ -195,7 +197,7 @@ def _finish(state: RunState, out: Path) -> RunResult:
             m.active_clip,
             m.quantile_estimate,
             m.cohort_size,
-            rho * terms.sensitivity_scale**2,
+            rho,
             m.bits_per_update,
         )
         for (eval_acc, m), rho in zip(state.history, cumulative_rho)

@@ -15,7 +15,7 @@ from fpsim.accounting import (
 )
 from fpsim.secagg import SecAggConfig, _rounded_norm_bound_sq
 from fpsim.seeds import SeedPath, gaussian_vector
-from fpsim.tree import _node_seed, prefix_decomposition
+from fpsim.tree import _node_seed
 from fpsim.vectors import as_param_vector
 from fpsim._kernels import stochastic_round
 
@@ -300,18 +300,50 @@ def reference_zcdp_to_eps(rho: float, delta: float) -> float:
     return hi
 
 
+def prefix_decomposition(n: int) -> list[tuple[int, int]]:
+    """Binary-counter decomposition of a length-n prefix into (level, index) nodes.
+
+    Node (level, index) spans rounds [index * 2^level, (index + 1) * 2^level).
+    The blocks are the set bits of n taken from the most significant down,
+    so a prefix of length n is covered by popcount(n) nodes.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    nodes = []
+    offset = 0
+    for level in range(n.bit_length() - 1, -1, -1):
+        if n >> level & 1:
+            nodes.append((level, offset >> level))
+            offset += 1 << level
+    return nodes
+
+
+def segment_bounds(total_rounds: int, restart_rounds: tuple[int, ...]) -> list[int]:
+    """0, the restart rounds that fire, and total_rounds: segment s spans
+    rounds [bounds[s], bounds[s + 1])."""
+    return [0, *(int(r) for r in restart_rounds if r < total_rounds), total_rounds]
+
+
+def forest_trees(schema: ParticipationSchema) -> list[tuple[int, int]]:
+    """The forest's complete trees as (start_round, end_round) half-open
+    spans: each segment is tiled by its length's binary-counter
+    decomposition, largest tree first."""
+    bounds = segment_bounds(schema.total_rounds, schema.restart_rounds)
+    return [
+        (start + index * (1 << level), start + (index + 1) * (1 << level))
+        for start, end in zip(bounds, bounds[1:])
+        for level, index in prefix_decomposition(end - start)
+    ]
+
+
 def forest_nodes(schema: ParticipationSchema) -> list[tuple[int, int]]:
     """All forest nodes as (start_round, end_round) half-open spans."""
     nodes = []
-    offset = 0
-    for k in schema.tree_levels():
-        size = 1 << k
-        for level in range(k + 1):
-            width = 1 << level
-            for index in range(size >> level):
-                start = offset + index * width
-                nodes.append((start, start + width))
-        offset += size
+    for start, end in forest_trees(schema):
+        width = end - start
+        while width:
+            nodes.extend((lo, lo + width) for lo in range(start, end, width))
+            width //= 2
     return nodes
 
 
@@ -459,7 +491,7 @@ def naive_private_sum(
     if len(history) == 0:
         raise ValueError("history must be nonempty")
     total_rounds = len(history)
-    bounds = [0, *(int(r) for r in restart_rounds if r < total_rounds), total_rounds]
+    bounds = segment_bounds(total_rounds, restart_rounds)
     seg_lengths = [b - a for a, b in zip(bounds, bounds[1:])]
     if clip_norms_per_segment is None:
         clip_norms_per_segment = [float(clip_norm)] * len(seg_lengths)

@@ -21,6 +21,7 @@ from hypothesis.extra.numpy import arrays
 from fpsim import (
     ParticipationSchema,
     PrivacyLedger,
+    gaussian_zcdp,
     loose_eps,
     prefix_sensitivity_sq,
     prefix_zcdp,
@@ -489,6 +490,22 @@ class TestZcdp:
         rhos = [zcdp(z, schema) for z in (0.5, 1.0, 2.0, 4.0)]
         assert all(a > b for a, b in zip(rhos, rhos[1:]))
 
+    def test_one_rho_formula(self):
+        """zcdp, its per-round column and the ledger all give
+        sensitivity^2 / (2 z^2) * scale^2 with the same float steps."""
+        schema = _schema(24, min_sep=3, restarts=(10,))
+        sensitivity_sq = worst_case_sensitivity_sq(schema)
+        expected = sensitivity_sq / (2.0 * 0.7 * 0.7) * 1.3**2
+        assert gaussian_zcdp(sensitivity_sq, 0.7, 1.3) == expected
+        assert zcdp(0.7, schema, 1.3) == expected
+        assert prefix_zcdp(0.7, schema, 1.3)[-1] == expected
+        assert PrivacyLedger(schema, 0.7, 1.3).rho == expected
+        assert gaussian_zcdp(sensitivity_sq, 0.7) == sensitivity_sq / (2.0 * 0.7 * 0.7)
+        assert gaussian_zcdp(sensitivity_sq, 0.0, 1.3) == math.inf
+        # 2 z^2 underflows to 0: rho is past the float range, not a crash.
+        assert gaussian_zcdp(sensitivity_sq, 1e-200) == math.inf
+        assert zcdp(1e-200, schema) == math.inf
+
 
 class TestConversion:
     def test_matches_dense_grid_search(self):
@@ -609,6 +626,16 @@ class TestSchemaValidation:
             ParticipationSchema(8, 1, 8, restart_rounds=(5, 3))
         with pytest.raises(ValueError, match="first restart round must be >= 1"):
             ParticipationSchema(8, 1, 8, restart_rounds=(0,))  # before any round ran
+
+    def test_non_integral_restart_rounds_refused(self):
+        """A float restart round is an error, never truncated to an int;
+        numpy integers are rounds like any other."""
+        for rounds in ((2.5,), (np.float64(3.9),), (2, 4.0)):
+            with pytest.raises(ValueError, match="restart rounds must be integers"):
+                ParticipationSchema(8, 1, 8, restart_rounds=rounds)
+        schema = ParticipationSchema(8, 1, 8, restart_rounds=(np.int64(3), np.int32(5)))
+        assert schema.restart_rounds == (3, 5)
+        assert all(type(r) is int for r in schema.restart_rounds)
 
     def test_segment_lengths_tile_the_run(self):
         schema = ParticipationSchema(20, 1, 20, (5, 11, 17))

@@ -216,7 +216,7 @@ class TestExperimentConfig:
         cfg = ExperimentConfig.from_text(
             "report_goal = 200\nclip.sigma_b_fraction = 0.05\n"
         )
-        assert cfg.sigma_b() == pytest.approx(10.0)
+        assert cfg.privacy_terms().sigma_b == pytest.approx(10.0)
 
     def test_availability_construction(self):
         cfg = ExperimentConfig.from_text(
@@ -355,9 +355,9 @@ class TestPrivacyTerms:
         """The noise split and the timer schema of the default config."""
         config = ExperimentConfig()
         terms = config.privacy_terms()
-        assert terms.sigma_b == config.sigma_b()
-        assert terms.z_delta == noise_split(1.0, config.sigma_b())
-        assert terms.z_equiv == combined_multiplier(terms.z_delta, config.sigma_b())
+        assert terms.sigma_b == 100 * 0.05
+        assert terms.z_delta == noise_split(1.0, 100 * 0.05)
+        assert terms.z_equiv == combined_multiplier(terms.z_delta, 100 * 0.05)
         assert (terms.secagg, terms.sensitivity_scale) == (None, 1.0)
         assert terms.timer_schema == ParticipationSchema(200, 50, 4, (128,))
 

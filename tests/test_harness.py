@@ -502,6 +502,27 @@ class TestCli:
         assert cli_main(["account", "--run", str(out)]) == 0
         assert cli_main(["compare", str(out), str(out)]) == 0
 
+    def test_account_run_refuses_schema_flags(self, small_run, capsys):
+        """With --run the schema is the run's own: a schema flag is an error
+        naming it, while --delta still sets the report's delta."""
+        run = str(small_run[1].directory)
+        cases = [
+            (["--rounds", "4"], "--rounds"),
+            (["--min-sep", "2"], "--min-sep"),
+            (["--max-part", "3"], "--max-part"),
+            (["--restarts", "3,x", "--rounds", "0"], "--rounds --restarts"),
+            (["--z", "7"], "--z"),
+            (["--sensitivity-scale", "1"], "--sensitivity-scale"),
+        ]
+        for flags, named in cases:
+            assert cli_main(["account", "--run", run, *flags]) == 1, flags
+            err = capsys.readouterr().err
+            assert err == f"error: --run accounts the run's own schema; drop {named}\n"
+        assert cli_main(["account", "--run", run, "--delta", "1e-6"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "delta: 1e-06" in lines
+        assert f"epsilon: {post_hoc_report(run, 1e-6)['epsilon']!r}" in lines
+
     def test_account_from_flags(self, capsys):
         rc = cli_main(
             ["account", "--rounds", "4", "--min-sep", "1", "--max-part", "1", "--z", "7"]

@@ -12,14 +12,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fpsim.tree
 from fpsim import ConfigError, ExperimentConfig, ParticipationSchema, SeedPath, TreeState
-from fpsim.tree import prefix_decomposition
-from oracles import naive_private_sum
+from fpsim.tree import closing_node
+from oracles import (
+    forest_nodes,
+    forest_trees,
+    naive_private_sum,
+    prefix_decomposition,
+    segment_bounds,
+)
 
 
 class TestPrefixDecomposition:
+    """The oracle's binary-counter decomposition, and the closing_node step
+    that the tree and the accountant walk, which must reproduce it."""
+
     def test_first_values(self):
-        """Binary-counter decomposition: n rounds split into power-of-two blocks."""
+        """Binary-counter decomposition: n rounds split into power-of-two blocks;
+        round n closes the block at its lowest set bit."""
+        assert [closing_node(n) for n in range(1, 9)] == [
+            (0, 0), (1, 0), (0, 2), (2, 0), (0, 4), (1, 2), (0, 6), (3, 0)
+        ]
+        with pytest.raises(ValueError):
+            closing_node(0)
         assert prefix_decomposition(1) == [(0, 0)]
         assert prefix_decomposition(2) == [(1, 0)]
         assert prefix_decomposition(3) == [(1, 0), (0, 2)]
@@ -47,6 +63,17 @@ class TestPrefixDecomposition:
                     assert level < last_level
                 last_level = level
             assert cursor == n
+
+    def test_closing_node_walk_gives_the_decomposition(self):
+        """Pushing each round's closing node after popping the open nodes of
+        a lower level leaves, after round n, exactly the decomposition of n."""
+        open_nodes = []
+        for n in range(1, 4097):
+            level, index = closing_node(n)
+            while open_nodes and open_nodes[-1][0] < level:
+                open_nodes.pop()
+            open_nodes.append((level, index))
+            assert open_nodes == prefix_decomposition(n), n
 
 
 class TestRestartSchedule:
@@ -279,13 +306,63 @@ class TestNoiseStructure:
             assert abs(observed - expected) / expected < 0.05, (t, observed, expected)
 
     def test_cache_stays_logarithmic(self):
-        """The streaming tree keeps only the active decomposition nodes."""
+        """The streaming tree keeps only the open nodes, the decomposition
+        of the segment so far."""
         tree = TreeState(1.0, 1.0, 1, SeedPath(22).child("t"))
         max_cached = 0
         for t in range(512):
             tree.add_round(np.array([0.0]))
-            max_cached = max(max_cached, len(tree._node_cache))
+            assert len(tree._open_nodes) == bin(t + 1).count("1")
+            max_cached = max(max_cached, len(tree._open_nodes))
         assert max_cached <= 10  # log2(512) + 1
+
+
+class TestForestAgreement:
+    """The forest the accountant charges is the one whose nodes the noise
+    mechanism draws, checked against oracle forests that borrow nothing
+    from the package."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_drawn_nodes_form_the_accounted_forest(self, data):
+        """Every node TreeState draws lies in the oracle forest, and the
+        largest drawn nodes are its trees, which are also the trees the
+        schema's tree_levels() lists."""
+        rounds = data.draw(st.integers(1, 64), label="rounds")
+        restarts = tuple(
+            sorted(data.draw(st.sets(st.integers(1, 80), max_size=6), label="restarts"))
+        )
+        schema = ParticipationSchema(rounds, 1, 1, restarts)
+        drawn = []
+
+        def recording_seed(seed, segment, level, index):
+            drawn.append((segment, level, index))
+            return node_seed(seed, segment, level, index)
+
+        node_seed = fpsim.tree._node_seed
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fpsim.tree, "_node_seed", recording_seed)
+            tree = TreeState(1.0, 1.0, 1, SeedPath(0).child("forest"))
+            for t in range(rounds):
+                if t in restarts:
+                    tree.restart(1.0)
+                tree.add_round(np.zeros(1))
+        assert len(drawn) == rounds  # one draw per round
+
+        bounds = segment_bounds(rounds, restarts)
+        spans = {
+            (bounds[s] + index * (1 << level), bounds[s] + (index + 1) * (1 << level))
+            for s, level, index in drawn
+        }
+        assert spans <= set(forest_nodes(schema))
+        largest = sorted(
+            (lo, hi)
+            for lo, hi in spans
+            if not any(a <= lo and hi <= b and (a, b) != (lo, hi) for a, b in spans)
+        )
+        assert largest == forest_trees(schema)
+        ends = np.cumsum([1 << k for k in schema.tree_levels()])
+        assert largest == list(zip([0, *ends[:-1].tolist()], ends.tolist()))
 
     def test_determinism(self):
         seed = SeedPath(23).child("t")
