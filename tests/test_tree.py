@@ -316,6 +316,21 @@ class TestNoiseStructure:
             max_cached = max(max_cached, len(tree._open_nodes))
         assert max_cached <= 10  # log2(512) + 1
 
+    def test_determinism(self):
+        seed = SeedPath(23).child("t")
+        a = TreeState(0.9, 1.0, 5, seed)
+        b = TreeState(0.9, 1.0, 5, seed)
+        x = np.ones(5)
+        for _ in range(17):
+            np.testing.assert_array_equal(a.add_round(x), b.add_round(x))
+
+    def test_input_validation(self):
+        tree = TreeState(1.0, 1.0, 3, SeedPath(24).child("t"))
+        with pytest.raises(ValueError):
+            tree.add_round(np.ones(4))
+        with pytest.raises(ValueError):
+            TreeState(-1.0, 1.0, 3, SeedPath(0).child("x"))
+
 
 class TestForestAgreement:
     """The forest the accountant charges is the one whose nodes the noise
@@ -363,18 +378,3 @@ class TestForestAgreement:
         assert largest == forest_trees(schema)
         ends = np.cumsum([1 << k for k in schema.tree_levels()])
         assert largest == list(zip([0, *ends[:-1].tolist()], ends.tolist()))
-
-    def test_determinism(self):
-        seed = SeedPath(23).child("t")
-        a = TreeState(0.9, 1.0, 5, seed)
-        b = TreeState(0.9, 1.0, 5, seed)
-        x = np.ones(5)
-        for _ in range(17):
-            np.testing.assert_array_equal(a.add_round(x), b.add_round(x))
-
-    def test_input_validation(self):
-        tree = TreeState(1.0, 1.0, 3, SeedPath(24).child("t"))
-        with pytest.raises(ValueError):
-            tree.add_round(np.ones(4))
-        with pytest.raises(ValueError):
-            TreeState(-1.0, 1.0, 3, SeedPath(0).child("x"))
