@@ -18,7 +18,7 @@ import numpy as np
 
 from fpsim import ExperimentConfig, run_round, select_cohort, start_run
 from fpsim._kernels import fwht_inplace, stochastic_round
-from fpsim.secagg import derive_config, encode_block
+from fpsim.secagg import SecAggConfig, encode_block
 from fpsim.seeds import SeedPath, sign_vector
 
 # The secagg_wide benchmark shape: d = 10^4 padded to 16384, scale 100,
@@ -66,7 +66,7 @@ def bench_encode(rows: int, repeats: int) -> float:
     """One encode_block call of ``rows`` clients at the secagg_wide shape,
     its rounding generators included, in microseconds per client.  Each
     update has norm about 2, so the clip scales it."""
-    config = derive_config(ENCODE_CLIP, ENCODE_SCALE, ENCODE_DIM, ENCODE_COHORT)
+    config = SecAggConfig(ENCODE_CLIP, ENCODE_SCALE, ENCODE_DIM, ENCODE_COHORT)
     signs = sign_vector(SeedPath(0).child("rotation"), config.padded_dim)
     deltas = np.random.default_rng(2).normal(size=(rows, ENCODE_DIM)) * 0.02
     seeds = [SeedPath(0).child("client", i) for i in range(rows)]

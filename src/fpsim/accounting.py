@@ -61,7 +61,9 @@ _INFEASIBLE = -(1 << 30)
 class ParticipationSchema:
     """What the accountant needs to know about a finished or planned run.
 
-    A restart round r ends one segment after rounds 0..r-1 and opens the
+    max_part is capped at ceil(total_rounds / min_sep), the most any client
+    can participate, so passing total_rounds asks for that worst case.  A
+    restart round r ends one segment after rounds 0..r-1 and opens the
     next at round r.  The restart rounds must be strictly increasing from
     1 or later; rounds >= total_rounds are legal and never fire.
     """
@@ -648,10 +650,7 @@ def sweep(
                     f"scaled report goal {goal} outside [1, population]"
                 )
             scaled_z = z * factor
-            min_sep = population // goal
-            max_part = -(-total_rounds // min_sep)
-            schema = ParticipationSchema(total_rounds, min_sep, max_part)
-            rows.append(
-                (total_rounds, goal, scaled_z, min_sep, max_part, zcdp(scaled_z, schema))
-            )
+            schema = ParticipationSchema(total_rounds, population // goal, total_rounds)
+            rho = zcdp(scaled_z, schema)
+            rows.append((total_rounds, goal, scaled_z, schema.min_sep, schema.max_part, rho))
     return rows

@@ -30,7 +30,7 @@ from typing import Any, NoReturn, get_args, get_origin, get_type_hints
 from fpsim.accounting import ParticipationSchema, gaussian_zcdp
 from fpsim.clipping import combined_multiplier, noise_split
 from fpsim.models import NextTokenBOW
-from fpsim.secagg import SecAggConfig, derive_config, inflated_clip_norm
+from fpsim.secagg import SecAggConfig
 
 __all__ = ["ConfigError", "ExperimentConfig", "PrivacyTerms", "SweepConfig", "parse_kv_text"]
 
@@ -318,7 +318,7 @@ class ExperimentConfig:
         secagg, scale = None, 1.0
         if self.secagg_enabled:
             try:
-                secagg = derive_config(
+                secagg = SecAggConfig(
                     clip_norm=self.clip_c0,
                     scale=self.secagg_scale,
                     model_dim=NextTokenBOW(self.vocab_size, self.window).num_params,
@@ -327,7 +327,7 @@ class ExperimentConfig:
                 )
             except ValueError as exc:
                 fail("secagg_scale", str(exc))
-            scale = inflated_clip_norm(secagg) / self.clip_c0
+            scale = secagg.inflated_clip_norm / self.clip_c0
             if not math.isfinite(scale * scale):
                 fail("secagg_scale", "too small for clip.c0: the sensitivity scale overflows")
         if self.restart_mode == "periodic":
@@ -336,12 +336,12 @@ class ExperimentConfig:
             restarts = tuple(r for r in self.restart_rounds if r < self.rounds)
         else:
             restarts = ()
-        max_part = -(-self.rounds // self.timer_rounds)
-        timer_schema = ParticipationSchema(self.rounds, self.timer_rounds, max_part, restarts)
+        # The schema caps max_part at the timer's worst case, ceil(rounds / timer_rounds).
+        timer_schema = ParticipationSchema(self.rounds, self.timer_rounds, self.rounds, restarts)
         if z_equiv > 0:
             # The run's rho is gaussian_zcdp of its sensitivity^2, at most
             # this bound, so the bound's rho is at least every run's rho.
-            bound = _sensitivity_sq_bound(self.rounds, max_part)
+            bound = _sensitivity_sq_bound(self.rounds, timer_schema.max_part)
             try:
                 rho_bound = gaussian_zcdp(bound, z_equiv, scale)
             except OverflowError:

@@ -34,13 +34,7 @@ import numpy as np
 from fpsim.clipping import ClipState
 from fpsim.data import TokenDataset
 from fpsim.models import NextTokenBOW
-from fpsim.secagg import (
-    RoundingRetriesExhausted,
-    bits_per_update,
-    decode,
-    encode_block,
-    modular_sum,
-)
+from fpsim.secagg import RoundingRetriesExhausted, decode, encode_block, modular_sum
 from fpsim.seeds import SeedPath, sign_vector
 from fpsim.tree import TreeState
 from fpsim.vectors import as_param_vector
@@ -238,6 +232,8 @@ class RunState:
             raise ValueError("secure aggregation requires a fixed clip norm")
         if secagg is not None and secagg.cohort_size != self.config.report_goal:
             raise ValueError("secagg cohort_size must equal report_goal")
+        if secagg is not None and secagg.model_dim != self.model.num_params:
+            raise ValueError("secagg model_dim must equal the model's parameter count")
 
     @property
     def active_clip(self) -> float:
@@ -324,8 +320,8 @@ def run_round(state: RunState, cohort_ids: Sequence[int]) -> RoundMetrics:
     residual = 0.0
     clamp_fraction = 0.0
     if cfg is not None:
-        round_sum = decode(total, cfg, signs, cohort, d)
-        bits = bits_per_update(cfg)
+        round_sum = decode(total, cfg, signs, cohort)
+        bits = cfg.bits_per_update
         residual = float(np.linalg.norm(round_sum - plain_sum))
         clamp_fraction = clamped / (cohort * cfg.padded_dim)
     else:

@@ -265,7 +265,13 @@ def render_report_text(row: dict[str, object]) -> str:
     for key in REPORT_COLUMNS:
         lines.append(f"{key}: {_format(row[key])}")
     if isinstance(row["rho"], float) and math.isinf(row["rho"]):
-        lines.append("NOTE: noise multiplier 0 — this run is NOT differentially private.")
+        # A nonzero z can still leave rho infinite when 2 z^2 underflows.
+        cause = (
+            "noise multiplier 0"
+            if row["z_equivalent"] == 0
+            else "rho is infinite: the noise multiplier is too small to account"
+        )
+        lines.append(f"NOTE: {cause} — this run is NOT differentially private.")
     lines.append("")
     lines.append("caveats:")
     for caveat in CAVEATS:

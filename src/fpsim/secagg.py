@@ -18,16 +18,19 @@ one row each:
 
 The server sums modulo M = 2 * infinity_bound * cohort_size + 1, which is
 wide enough that no wraparound occurs, then undoes shift, rotation, scale
-and padding.  The sum runs in int64, so SecAggConfig refuses a modulus with
-cohort_size * (M - 1) >= 2**63.  Noise calibrated for central DP must use the rounded vectors'
-inflated norm bound (inflated_clip_norm) rather than the raw clip norm.
+and padding.  SecAggConfig takes the run's choices (clip norm, scale,
+model width, cohort size, retry cap) and derives every other encoding
+quantity once, when it is built; the sum runs in int64, so it refuses a
+modulus with cohort_size * (M - 1) >= 2**63.  Noise calibrated for central
+DP must use the rounded vectors' inflated norm bound
+(SecAggConfig.inflated_clip_norm) rather than the raw clip norm.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,13 +40,10 @@ from fpsim._kernels import fwht_inplace, stochastic_round
 
 __all__ = [
     "SecAggConfig",
-    "derive_config",
     "encode_block",
     "modular_sum",
     "decode",
     "inverse_rotation",
-    "inflated_clip_norm",
-    "bits_per_update",
     "RoundingRetriesExhausted",
 ]
 
@@ -70,93 +70,69 @@ def _sum_fits_int64(count: int, modulus: int) -> bool:
 
 @dataclass(frozen=True)
 class SecAggConfig:
-    """Fixed per-run encoding parameters shared by clients and server."""
+    """Per-run encoding shared by clients and server: the run's choices
+    (clip norm C, scale s, model_dim, cohort_size, retry_cap) and what is
+    derived from them once, at the padded width d:
+
+    - ``padded_dim`` d, the power of two at or above model_dim;
+    - ``infinity_bound``, ceil(2 s C ln(d) / sqrt(d)), at least 1;
+    - ``modulus`` 2 * infinity_bound * cohort_size + 1, so that a cohort of
+      entries at the extreme cannot wrap;
+    - ``norm_bound_sq``, (s C)^2 + d/4 + sqrt(2 ln(1/alpha)) (s C + sqrt(d)/2)
+      at alpha = ROUNDING_NORM_ALPHA, which a stochastic rounding of a
+      vector of norm <= s C meets with probability >= 1 - alpha;
+    - ``inflated_clip_norm``, sqrt(norm_bound_sq) / s, the per-client L2
+      sensitivity the noise must be calibrated to (it decays to C as s grows);
+    - ``bits_per_update``, the upload cost of one encoded update.
+    """
 
     clip_norm: float
     scale: float
-    padded_dim: int
+    model_dim: int
     cohort_size: int
-    infinity_bound: int
-    modulus: int
     retry_cap: int = DEFAULT_RETRY_CAP
+    padded_dim: int = field(init=False)
+    infinity_bound: int = field(init=False)
+    modulus: int = field(init=False)
+    norm_bound_sq: float = field(init=False)
+    inflated_clip_norm: float = field(init=False)
+    bits_per_update: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.clip_norm > 0 or not self.scale > 0:
+        scale, clip_norm = self.scale, self.clip_norm
+        if self.model_dim < 1:
+            raise ValueError("model_dim must be >= 1")
+        if not clip_norm > 0 or not scale > 0:
             raise ValueError("clip_norm and scale must be > 0")
-        if self.padded_dim < 1 or self.padded_dim & (self.padded_dim - 1):
-            raise ValueError("padded_dim must be a power of two")
         if self.cohort_size < 1:
             raise ValueError("cohort_size must be >= 1")
-        if self.infinity_bound < 1:
-            raise ValueError("infinity_bound must be >= 1")
-        if self.modulus != 2 * self.infinity_bound * self.cohort_size + 1:
-            raise ValueError("modulus must equal 2*infinity_bound*cohort_size + 1")
-        if not _sum_fits_int64(self.cohort_size, self.modulus):
-            raise ValueError(
-                f"modulus {self.modulus} is too wide: a cohort of {self.cohort_size} "
-                "residues overflows int64; lower secagg.s"
-            )
         if self.retry_cap < 1:
             raise ValueError("retry_cap must be >= 1")
-
-
-def derive_config(
-    clip_norm: float,
-    scale: float,
-    model_dim: int,
-    cohort_size: int,
-    retry_cap: int = DEFAULT_RETRY_CAP,
-) -> SecAggConfig:
-    """Derive the shared encoding parameters from run-level choices.
-
-    The L-infinity bound after rotation is ceil(2 * s * C * ln(d) / sqrt(d))
-    (natural log), and the modulus leaves room for cohort_size entries at
-    the extreme, so modular summation can never wrap.
-    """
-    if model_dim < 1:
-        raise ValueError("model_dim must be >= 1")
-    padded_dim = 1 << (int(model_dim) - 1).bit_length()
-    if not clip_norm > 0 or not scale > 0:
-        raise ValueError("clip_norm and scale must be > 0")
-    real_bound = 2.0 * scale * clip_norm * math.log(padded_dim) / math.sqrt(padded_dim)
-    if not math.isfinite(real_bound):
-        raise ValueError("clip_norm and scale must be finite, with a finite product")
-    infinity_bound = max(1, math.ceil(real_bound))
-    modulus = 2 * infinity_bound * cohort_size + 1
-    return SecAggConfig(
-        clip_norm=float(clip_norm),
-        scale=float(scale),
-        padded_dim=padded_dim,
-        cohort_size=int(cohort_size),
-        infinity_bound=infinity_bound,
-        modulus=modulus,
-        retry_cap=int(retry_cap),
-    )
-
-
-def _rounded_norm_bound_sq(config: SecAggConfig) -> float:
-    """Squared L2 bound the rounded vector must satisfy.
-
-    With alpha = ROUNDING_NORM_ALPHA, stochastic rounding of a vector with
-    norm at most s*C lands within this bound with probability >= 1 - alpha:
-        (s C)^2 + d/4 + sqrt(2 ln(1/alpha)) * (s C + sqrt(d)/2).
-    """
-    s_c = config.scale * config.clip_norm
-    d = float(config.padded_dim)
-    slack = math.sqrt(2.0 * math.log(1.0 / ROUNDING_NORM_ALPHA))
-    return s_c**2 + d / 4.0 + slack * (s_c + math.sqrt(d) / 2.0)
-
-
-def inflated_clip_norm(config: SecAggConfig) -> float:
-    """Effective per-client L2 sensitivity after the encoding pipeline.
-
-    Conditional rounding guarantees the rounded vector's norm is at most
-    sqrt(bound); un-scaling by s gives the norm the server-side noise must
-    be calibrated to:
-        sqrt(C^2 + d/(4 s^2) + sqrt(2 ln(1/alpha)) * (C/s + sqrt(d)/(2 s^2)))
-    which decays to C as the scale s grows.
-    """
-    return math.sqrt(_rounded_norm_bound_sq(config)) / config.scale
+        padded_dim = 1 << (int(self.model_dim) - 1).bit_length()
+        real_bound = 2.0 * scale * clip_norm * math.log(padded_dim) / math.sqrt(padded_dim)
+        if not math.isfinite(real_bound):
+            raise ValueError("clip_norm and scale must be finite, with a finite product")
+        infinity_bound = max(1, math.ceil(real_bound))
+        modulus = 2 * infinity_bound * self.cohort_size + 1
+        if not _sum_fits_int64(self.cohort_size, modulus):
+            raise ValueError(
+                f"modulus {modulus} is too wide: a cohort of {self.cohort_size} "
+                "residues overflows int64; lower secagg.s"
+            )
+        s_c = scale * clip_norm
+        d = float(padded_dim)
+        slack = math.sqrt(2.0 * math.log(1.0 / ROUNDING_NORM_ALPHA))
+        norm_bound_sq = s_c**2 + d / 4.0 + slack * (s_c + math.sqrt(d) / 2.0)
+        derived = {
+            "padded_dim": padded_dim,
+            "infinity_bound": infinity_bound,
+            "modulus": modulus,
+            "norm_bound_sq": norm_bound_sq,
+            "inflated_clip_norm": math.sqrt(norm_bound_sq) / scale,
+            "bits_per_update": padded_dim * math.ceil(math.log2(modulus)),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 def _check_rotation_signs(d: int, signs: np.ndarray) -> np.ndarray:
@@ -204,9 +180,9 @@ def encode_block(
 ) -> int:
     """Map a block of client updates to non-negative integers mod M.
 
-    Row i of ``deltas`` is one client's real update; ``seeds[i]`` drives its
-    private rounding randomness, and its int64 codes are written to
-    ``out[i]``.  rotation_signs is the round's shared Rademacher vector (all
+    Row i of ``deltas`` is one client's real update, config.model_dim wide;
+    ``seeds[i]`` drives its private rounding randomness, and its int64
+    codes are written to ``out[i]``.  rotation_signs is the round's shared Rademacher vector (all
     cohort clients must use the same one), checked once per call.  Returns
     the number of rotated coordinates the L-infinity clamp cut
     (|x| > infinity_bound) over the block.  Raises RoundingRetriesExhausted,
@@ -220,8 +196,8 @@ def encode_block(
     if deltas.ndim != 2 or deltas.shape[0] != rows:
         raise ValueError(f"deltas must be a 2-d array of {rows} rows, one per seed")
     d = deltas.shape[1]
-    if d > width:
-        raise ValueError("update is wider than the padded dimension")
+    if d != config.model_dim:
+        raise ValueError(f"update width {d} is not the config's model_dim {config.model_dim}")
     if not (
         isinstance(out, np.ndarray)
         and out.dtype == np.int64
@@ -254,13 +230,10 @@ def encode_block(
         _rotate(row, signs)
         clamped_count += int(np.count_nonzero(np.abs(row) > bound))
         np.clip(row, -bound, bound, out=row)
-        # After the row's checks, so that an update whose scaling overflowed
-        # fails as non-finite before this bound can overflow.
-        norm_bound_sq = _rounded_norm_bound_sq(config)
         for attempt in range(config.retry_cap):
             uniforms = seed.child("round-attempt", attempt).generator().random(width)
             stochastic_round(row, uniforms, rounded)
-            if float(rounded @ rounded) <= norm_bound_sq:
+            if float(rounded @ rounded) <= config.norm_bound_sq:
                 rounded += bound
                 out[i] = rounded
                 break
@@ -298,7 +271,6 @@ def decode(
     config: SecAggConfig,
     rotation_signs: np.ndarray,
     n_clients: int,
-    model_dim: int,
 ) -> np.ndarray:
     """Recover the approximate real sum of client updates from the modular sum.
 
@@ -314,11 +286,5 @@ def decode(
         raise ValueError("modular total has the wrong width")
     unshifted = total.astype(np.float64) - float(n_clients * config.infinity_bound)
     unrotated = inverse_rotation(unshifted, rotation_signs)
-    if not 1 <= model_dim <= config.padded_dim:
-        raise ValueError("model_dim must be in [1, padded_dim]")
-    return unrotated[:model_dim] / config.scale
+    return unrotated[: config.model_dim] / config.scale
 
-
-def bits_per_update(config: SecAggConfig) -> int:
-    """Client upload cost of one encoded update, in bits."""
-    return config.padded_dim * math.ceil(math.log2(config.modulus))

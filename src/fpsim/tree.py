@@ -18,7 +18,7 @@ full per-round history.  The accountant folds its trees by the same
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,8 +61,8 @@ class TreeState:
     clip_norm: float
     d: int
     seed: SeedPath
-    segment_index: int = 0
-    round_in_segment: int = 0
+    segment_index: int = field(init=False)
+    round_in_segment: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.z < 0:
@@ -71,6 +71,7 @@ class TreeState:
             raise ValueError("clip_norm must be > 0")
         if self.d < 1:
             raise ValueError("d must be >= 1")
+        self.segment_index = self.round_in_segment = 0
         self.finalized_totals = np.zeros(self.d, dtype=np.float64)
         self.running_true_prefix = np.zeros(self.d, dtype=np.float64)
         # The segment's open nodes as (level, noise), highest level first.

@@ -13,7 +13,7 @@ from fpsim.accounting import (
     _StepRows,
     loose_eps,
 )
-from fpsim.secagg import SecAggConfig, _rounded_norm_bound_sq
+from fpsim.secagg import ROUNDING_NORM_ALPHA, SecAggConfig
 from fpsim.seeds import SeedPath, gaussian_vector
 from fpsim.tree import _node_seed
 from fpsim.vectors import as_param_vector
@@ -160,6 +160,16 @@ def reference_fwht(x: np.ndarray) -> None:
         h *= 2
 
 
+def rounded_norm_bound_sq(config: SecAggConfig) -> float:
+    """The squared L2 bound an accepted rounding must meet, from its
+    formula: (s C)^2 + d/4 + sqrt(2 ln(1/alpha)) * (s C + sqrt(d)/2) at the
+    padded width d and alpha = ROUNDING_NORM_ALPHA."""
+    s_c = config.scale * config.clip_norm
+    d = float(config.padded_dim)
+    slack = math.sqrt(2.0 * math.log(1.0 / ROUNDING_NORM_ALPHA))
+    return s_c**2 + d / 4.0 + slack * (s_c + math.sqrt(d) / 2.0)
+
+
 def reference_encode(
     delta: np.ndarray, config: SecAggConfig, signs: np.ndarray, seed: SeedPath
 ) -> tuple[np.ndarray, int, np.ndarray]:
@@ -183,7 +193,7 @@ def reference_encode(
         uniforms = seed.child("round-attempt", attempt).generator().random(config.padded_dim)
         rounded = np.empty(config.padded_dim)
         stochastic_round(clamped, uniforms, rounded)
-        if float(rounded @ rounded) <= _rounded_norm_bound_sq(config):
+        if float(rounded @ rounded) <= rounded_norm_bound_sq(config):
             return (rounded + bound).astype(np.int64), clamped_count, clamped
     raise AssertionError("rounding retries exhausted")
 

@@ -18,13 +18,12 @@ from fpsim import (
     NextTokenBOW,
     ParticipationSchema,
     RunState,
+    SecAggConfig,
     SeedPath,
     TreeState,
     combined_multiplier,
     decode,
-    derive_config,
     encode_block,
-    inflated_clip_norm,
     loose_eps,
     modular_sum,
     noise_split,
@@ -40,8 +39,7 @@ from fpsim import (
     zcdp_to_eps,
 )
 from fpsim.harness import read_metrics
-from fpsim.secagg import _rounded_norm_bound_sq
-from oracles import brute_force_sensitivity_sq, clip_l2, naive_private_sum
+from oracles import brute_force_sensitivity_sq, clip_l2, naive_private_sum, rounded_norm_bound_sq
 
 
 def test_01_private_sum_matches_naive_oracle():
@@ -270,8 +268,8 @@ def test_06_secagg_round_trip_50_cohorts():
     integer cohort sum past the modulus, and (c) only accepts per-client
     roundings that satisfy the conditional-acceptance norm bound."""
     m, model_dim, s, c = 10, 1024, 100.0, 5.0
-    cfg = derive_config(c, s, model_dim, m)
-    norm_bound_sq = _rounded_norm_bound_sq(cfg)
+    cfg = SecAggConfig(c, s, model_dim, m)
+    norm_bound_sq = rounded_norm_bound_sq(cfg)
     residual_bound = m * math.sqrt(cfg.padded_dim) / s
     worst_residual = 0.0
     for cohort in range(50):
@@ -293,7 +291,7 @@ def test_06_secagg_round_trip_50_cohorts():
         assert raw.min() >= 0 and raw.max() < cfg.modulus  # never wraps
         total = modular_sum(encoded, cfg.modulus)
         np.testing.assert_array_equal(total, raw)
-        out = decode(total, cfg, signs, n_clients=m, model_dim=model_dim)
+        out = decode(total, cfg, signs, n_clients=m)
         want = np.sum([clip_l2(x, c) for x in deltas], axis=0)
         residual = float(np.linalg.norm(out - want))
         assert residual <= residual_bound
@@ -309,8 +307,7 @@ def test_07_inflated_clip_norm_reference_value():
     """The effective post-rounding sensitivity for the reference pipeline
     (clip 5, scale 100, 1024 dimensions) equals its independently derived
     closed-form value."""
-    cfg = derive_config(5.0, 100.0, 1024, 10)
-    value = inflated_clip_norm(cfg)
+    value = SecAggConfig(5.0, 100.0, 1024, 10).inflated_clip_norm
     assert value == pytest.approx(5.00772, abs=1e-5)
     print(
         f"criterion 07 PASS: inflated clip norm {value:.7f} = 5.00772 +/- 1e-5"

@@ -19,11 +19,10 @@ from fpsim import (
     ExperimentConfig,
     ParticipationSchema,
     PrivacyLedger,
+    SecAggConfig,
     SweepConfig,
     availability_weights,
     combined_multiplier,
-    derive_config,
-    inflated_clip_norm,
     noise_split,
 )
 from fpsim.config import ConfigError, _sensitivity_sq_bound, parse_kv_text
@@ -367,9 +366,9 @@ class TestPrivacyTerms:
             "clip.mode = fixed\nclip.c0 = 0.5\nsecagg.enabled = true\nnoise_multiplier = 0.8\n"
         )
         terms = config.privacy_terms()
-        assert terms.secagg == derive_config(0.5, 100.0, 100 * 100, 100)
+        assert terms.secagg == SecAggConfig(0.5, 100.0, 100 * 100, 100)
         assert terms.secagg.padded_dim == 16384
-        assert terms.sensitivity_scale == inflated_clip_norm(terms.secagg) / 0.5
+        assert terms.sensitivity_scale == terms.secagg.inflated_clip_norm / 0.5
         assert (terms.z_delta, terms.z_equiv, terms.sigma_b) == (0.8, 0.8, 0.0)
 
     def test_non_private_terms(self):

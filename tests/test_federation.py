@@ -32,8 +32,8 @@ from fpsim import (
     availability_weights,
     batch_orders,
     cohort_update,
-    derive_config,
     encode_block,
+    inverse_rotation,
     observed_limits,
     run_experiment,
     run_round,
@@ -533,7 +533,7 @@ class TestSecureAggregationRound:
         m = 4
         plain = _server(_data(population=8), m=m, clip=1.0, seed=40)
         model_dim = plain.model.num_params
-        cfg = derive_config(1.0, 100.0, model_dim, m)
+        cfg = SecAggConfig(1.0, 100.0, model_dim, m)
         coded = _server(_data(population=8), m=m, clip=1.0, seed=40, secagg=cfg)
         cohort_ids = list(range(m))
         metrics_plain = run_round(plain, cohort_ids)
@@ -549,7 +549,7 @@ class TestSecureAggregationRound:
         error naming the round, the client and the config key."""
         m = 4
         data = _data(population=8)
-        cfg = derive_config(1.0, 100.0, NextTokenBOW(vocab_size=8).num_params, m)
+        cfg = SecAggConfig(1.0, 100.0, NextTokenBOW(vocab_size=8).num_params, m)
         server = _server(data, m=m, clip=1.0, seed=43, secagg=cfg)
         run_round(server, [0, 1, 2, 3])
 
@@ -570,25 +570,22 @@ class TestSecureAggregationRound:
         assert isinstance(caught.value.__cause__, RoundingRetriesExhausted)
 
     def test_clamp_fraction_counts_clamped_coordinates(self, monkeypatch):
-        """A hand-built config with infinity_bound 1 clamps many rotated
-        coordinates; the round's clamp fraction equals an independent
-        recount over the deltas the codec received."""
+        """The codec receives the round's first update replaced by one that
+        the rotation maps onto a single coordinate (inverse_rotation of a
+        spike), past the derived L-infinity bound; the round's clamp fraction
+        equals an independent recount over the deltas the codec received."""
         m = 4
-        data = _data(population=8)
-        model_dim = NextTokenBOW(vocab_size=8).num_params
-        padded_dim = 1 << (model_dim - 1).bit_length()
-        cfg = SecAggConfig(
-            clip_norm=1.0,
-            scale=100.0,
-            padded_dim=padded_dim,
-            cohort_size=m,
-            infinity_bound=1,
-            modulus=2 * m + 1,
-        )
-        server = _server(data, m=m, clip=1.0, seed=42, secagg=cfg)
+        data = _data(population=8, vocab=16)
+        model_dim = NextTokenBOW(vocab_size=16).num_params
+        cfg = SecAggConfig(clip_norm=1.0, scale=100.0, model_dim=model_dim, cohort_size=m)
+        padded_dim = cfg.padded_dim
+        assert padded_dim == model_dim == 256
+        server = _server(data, m=m, clip=1.0, seed=42, secagg=cfg, vocab=16)
         received = []
 
         def recording_encode(deltas, config, signs, seeds, out):
+            deltas = deltas.copy()
+            deltas[0] = inverse_rotation(np.eye(padded_dim)[5], signs)
             received.extend((delta.copy(), signs.copy()) for delta in deltas)
             return encode_block(deltas, config, signs, seeds, out)
 
@@ -613,7 +610,7 @@ class TestSecureAggregationRound:
         data = _data()
         root = SeedPath(41).child("run")
         model = NextTokenBOW(vocab_size=8)
-        cfg = derive_config(1.0, 100.0, model.num_params, 4)
+        cfg = SecAggConfig(1.0, 100.0, model.num_params, 4)
         clip = ClipState(
             initial_estimate=1.0,
             target_quantile=0.5,
@@ -638,8 +635,13 @@ class TestSecureAggregationRound:
             )
 
     def test_secagg_cohort_size_must_match_report_goal(self):
-        cfg = derive_config(1.0, 100.0, 64, 5)  # cohort 5 != report goal 4
+        cfg = SecAggConfig(1.0, 100.0, 64, 5)  # cohort 5 != report goal 4
         with pytest.raises(ValueError, match="cohort_size"):
+            _server(_data(), m=4, clip=1.0, secagg=cfg)
+
+    def test_secagg_model_dim_must_match_the_model(self):
+        cfg = SecAggConfig(1.0, 100.0, 100, 4)  # the vocab-8 model has 64 parameters
+        with pytest.raises(ValueError, match="model_dim"):
             _server(_data(), m=4, clip=1.0, secagg=cfg)
 
 

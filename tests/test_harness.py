@@ -578,6 +578,23 @@ class TestCli:
         assert "delta: 1e-06" in lines
         assert f"epsilon: {zcdp_to_eps(rho, 1e-6)!r}" in lines
 
+    def test_account_note_names_the_cause_of_an_infinite_rho(self, capsys):
+        """z = 0 keeps its note; a nonzero z whose 2 z^2 underflows leaves rho
+        infinite too, and its note names the infinite rho, not a zero z."""
+        flags = ["account", "--rounds", "4", "--min-sep", "1", "--max-part", "1", "--z"]
+        assert cli_main([*flags, "0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "NOTE: noise multiplier 0 — this run is NOT differentially private." in lines
+        assert cli_main([*flags, "1e-200"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "noise_multiplier: 1e-200" in lines
+        assert "rho: inf" in lines
+        assert (
+            "NOTE: rho is infinite: the noise multiplier is too small to account "
+            "— this run is NOT differentially private."
+        ) in lines
+        assert not any("noise multiplier 0" in line for line in lines)
+
     def test_sweep_grid(self, tmp_path):
         grid = tmp_path / "grid.cfg"
         grid.write_text(

@@ -20,18 +20,15 @@ from fpsim import (
     RoundingRetriesExhausted,
     SecAggConfig,
     SeedPath,
-    bits_per_update,
     decode,
-    derive_config,
     encode_block,
-    inflated_clip_norm,
     modular_sum,
     sign_vector,
 )
 from fpsim import secagg
 from fpsim._kernels import stochastic_round
-from fpsim.secagg import ROUNDING_NORM_ALPHA, _rounded_norm_bound_sq
-from oracles import clip_l2, reference_encode, reference_fwht
+from fpsim.secagg import ROUNDING_NORM_ALPHA, _sum_fits_int64
+from oracles import clip_l2, reference_encode, reference_fwht, rounded_norm_bound_sq
 
 
 def _encode_one(delta, config, signs, seed):
@@ -42,22 +39,38 @@ def _encode_one(delta, config, signs, seed):
 
 
 class TestDeriveConfig:
+    """SecAggConfig derives the encoding from the run's choices."""
+
+    def test_derived_attributes_pinned(self):
+        """Every derived attribute at the secagg_wide shape and at the
+        golden SecAgg run's shape, compared with ==."""
+        wide = SecAggConfig(1.0, 100.0, 10000, 20)
+        assert (wide.padded_dim, wide.infinity_bound, wide.modulus) == (16384, 16, 641)
+        assert wide.bits_per_update == 163840
+        assert wide.norm_bound_sq == 14260.0
+        assert wide.inflated_clip_norm == 1.1941524190822543
+        golden = SecAggConfig(0.5, 100.0, 64, 6)
+        assert (golden.padded_dim, golden.infinity_bound, golden.modulus) == (64, 52, 625)
+        assert golden.bits_per_update == 640
+        assert golden.norm_bound_sq == 2570.0
+        assert golden.inflated_clip_norm == 0.5069516742254631
+
     def test_reference_parameters(self):
         """Frozen values for the documented example configuration."""
-        cfg = derive_config(5.0, 100.0, 1024, 10)
+        cfg = SecAggConfig(5.0, 100.0, 1024, 10)
         assert cfg.infinity_bound == 217
         assert cfg.modulus == 4341
         assert cfg.padded_dim == 1024
 
     def test_tiny_configuration(self):
-        cfg = derive_config(1.0, 1.0, 4, 1)
+        cfg = SecAggConfig(1.0, 1.0, 4, 1)
         assert cfg.infinity_bound == 2
         assert cfg.modulus == 5
 
     def test_infinity_bound_closed_form(self):
         """infinity_bound = ceil(2 s C ln(d) / sqrt(d)) on the padded dim."""
         for c, s, d, m in [(5.0, 100.0, 1024, 10), (2.0, 37.0, 100, 7), (1.0, 8.0, 33, 3)]:
-            cfg = derive_config(c, s, d, m)
+            cfg = SecAggConfig(c, s, d, m)
             dp = cfg.padded_dim
             expected = max(1, math.ceil(2 * s * c * math.log(dp) / math.sqrt(dp)))
             assert cfg.infinity_bound == expected
@@ -65,7 +78,7 @@ class TestDeriveConfig:
     def test_modulus_admits_full_cohort(self):
         """M = 2*bound*m + 1: m clients each contributing at most 2*bound
         (after the shift) sum to M - 1, one short of wrapping."""
-        cfg = derive_config(5.0, 100.0, 1024, 10)
+        cfg = SecAggConfig(5.0, 100.0, 1024, 10)
         assert cfg.modulus == 2 * cfg.infinity_bound * cfg.cohort_size + 1
 
     def test_pads_dimension(self):
@@ -73,7 +86,7 @@ class TestDeriveConfig:
         width is kept."""
         widths = ((1000, 1024), (5, 8), (1, 1), (2, 2), (256, 256), (257, 512))
         for model_dim, padded_dim in widths:
-            assert derive_config(1.0, 10.0, model_dim, 5).padded_dim == padded_dim
+            assert SecAggConfig(1.0, 10.0, model_dim, 5).padded_dim == padded_dim
 
     def test_non_finite_bound_rejected(self):
         """An infinite clip norm or scale, or a product past the float
@@ -85,49 +98,40 @@ class TestDeriveConfig:
             (math.inf, 1.0, 1),
         ):
             with pytest.raises(ValueError, match="finite"):
-                derive_config(clip_norm, scale, model_dim, 3)
+                SecAggConfig(clip_norm, scale, model_dim, 3)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SecAggConfig(
-                clip_norm=1.0,
-                scale=10.0,
-                padded_dim=24,  # not a power of two
-                cohort_size=2,
-                infinity_bound=5,
-                modulus=21,
-            )
-        with pytest.raises(ValueError):
-            SecAggConfig(
-                clip_norm=1.0,
-                scale=10.0,
-                padded_dim=32,
-                cohort_size=2,
-                infinity_bound=5,
-                modulus=20,  # inconsistent with bound and cohort
-            )
+        """The run's choices are validated; the derived attributes are not
+        constructor arguments, so they cannot disagree with them."""
+        for bad in ({"model_dim": 0}, {"cohort_size": 0}, {"clip_norm": 0.0}, {"scale": -1.0}):
+            kwargs = {"clip_norm": 1.0, "scale": 10.0, "model_dim": 32, "cohort_size": 2, **bad}
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                SecAggConfig(**kwargs)
+        for derived in ("padded_dim", "infinity_bound", "modulus", "norm_bound_sq"):
+            with pytest.raises(TypeError):
+                SecAggConfig(1.0, 10.0, 32, 2, **{derived: 1})
 
 
 class TestInflatedClipNorm:
     def test_reference_value(self):
-        cfg = derive_config(5.0, 100.0, 1024, 10)
-        assert inflated_clip_norm(cfg) == pytest.approx(5.00772, abs=1e-5)
+        cfg = SecAggConfig(5.0, 100.0, 1024, 10)
+        assert cfg.inflated_clip_norm == pytest.approx(5.00772, abs=1e-5)
 
     def test_closed_form(self):
         """sqrt((sC)^2 + d/4 + sqrt(2 ln(1/alpha)) (sC + sqrt(d)/2)) / s."""
-        cfg = derive_config(3.0, 50.0, 512, 8)
+        cfg = SecAggConfig(3.0, 50.0, 512, 8)
         sc = cfg.scale * cfg.clip_norm
         d = cfg.padded_dim
         bound = sc**2 + d / 4 + math.sqrt(2 * math.log(1 / ROUNDING_NORM_ALPHA)) * (
             sc + math.sqrt(d) / 2
         )
-        assert inflated_clip_norm(cfg) == pytest.approx(math.sqrt(bound) / cfg.scale, rel=1e-12)
+        assert cfg.inflated_clip_norm == pytest.approx(math.sqrt(bound) / cfg.scale, rel=1e-12)
 
     def test_decays_toward_clip_norm_as_scale_grows(self):
         """Rounding noise is one integer grid cell; a finer grid (larger s)
         makes the inflation vanish."""
         inflations = [
-            inflated_clip_norm(derive_config(5.0, s, 1024, 10)) for s in (10, 100, 1000, 10000)
+            SecAggConfig(5.0, s, 1024, 10).inflated_clip_norm for s in (10, 100, 1000, 10000)
         ]
         assert all(x > 5.0 for x in inflations)
         assert inflations == sorted(inflations, reverse=True)
@@ -140,14 +144,14 @@ class TestRoundTrip:
         at most m * sqrt(d) / s."""
         rng = np.random.default_rng(0)
         m, model_dim, s, c = 10, 1000, 100.0, 5.0
-        cfg = derive_config(c, s, model_dim, m)
+        cfg = SecAggConfig(c, s, model_dim, m)
         signs = sign_vector(SeedPath(1).child("rot"), cfg.padded_dim)
         deltas = [rng.normal(size=model_dim) for _ in range(m)]
         seeds = [SeedPath(1).child("round").child("client", i) for i in range(m)]
         encoded = np.empty((m, cfg.padded_dim), dtype=np.int64)
         encode_block(np.stack(deltas), cfg, signs, seeds, encoded)
         total = modular_sum(encoded, cfg.modulus)
-        out = decode(total, cfg, signs, n_clients=m, model_dim=model_dim)
+        out = decode(total, cfg, signs, n_clients=m)
         want = np.sum([clip_l2(x, c) for x in deltas], axis=0)
         err = np.linalg.norm(out - want)
         assert err <= m * math.sqrt(cfg.padded_dim) / s
@@ -156,19 +160,19 @@ class TestRoundTrip:
         """With a very fine grid the codec is near-lossless."""
         rng = np.random.default_rng(1)
         model_dim = 64
-        cfg = derive_config(1.0, 1e6, model_dim, 1)
+        cfg = SecAggConfig(1.0, 1e6, model_dim, 1)
         signs = sign_vector(SeedPath(2).child("rot"), cfg.padded_dim)
         x = rng.normal(size=model_dim)
         x = clip_l2(x, 1.0)
         enc, _ = _encode_one(x, cfg, signs, SeedPath(2).child("c"))
-        out = decode(enc.copy(), cfg, signs, n_clients=1, model_dim=model_dim)
+        out = decode(enc.copy(), cfg, signs, n_clients=1)
         np.testing.assert_allclose(out, x, atol=1e-4)
 
     def test_encoded_values_in_range(self):
         """Every residue lies in [0, 2*bound] — the invariant that makes the
         no-wraparound modulus argument work."""
         rng = np.random.default_rng(2)
-        cfg = derive_config(5.0, 100.0, 256, 10)
+        cfg = SecAggConfig(5.0, 100.0, 256, 10)
         signs = sign_vector(SeedPath(3).child("rot"), cfg.padded_dim)
         for i in range(10):
             x = rng.normal(size=256) * rng.uniform(0.1, 10)
@@ -181,7 +185,7 @@ class TestRoundTrip:
         """The raw integer sum of a full cohort stays below the modulus."""
         rng = np.random.default_rng(3)
         m = 10
-        cfg = derive_config(5.0, 100.0, 256, m)
+        cfg = SecAggConfig(5.0, 100.0, 256, m)
         signs = sign_vector(SeedPath(4).child("rot"), cfg.padded_dim)
         deltas = np.stack([rng.normal(size=256) * 5 for _ in range(m)])
         seeds = [SeedPath(4).child("c", i) for i in range(m)]
@@ -193,9 +197,9 @@ class TestRoundTrip:
     def test_rounded_norm_bound_respected(self):
         """Accepted roundings satisfy the conditional-acceptance norm bound."""
         rng = np.random.default_rng(4)
-        cfg = derive_config(5.0, 100.0, 256, 10)
+        cfg = SecAggConfig(5.0, 100.0, 256, 10)
         signs = sign_vector(SeedPath(5).child("rot"), cfg.padded_dim)
-        bound = _rounded_norm_bound_sq(cfg)
+        bound = rounded_norm_bound_sq(cfg)
         for i in range(20):
             x = rng.normal(size=256) * rng.uniform(0.1, 10)
             enc, _ = _encode_one(x, cfg, signs, SeedPath(5).child("c", i))
@@ -203,7 +207,7 @@ class TestRoundTrip:
             assert float(unshifted @ unshifted) <= bound
 
     def test_deterministic(self):
-        cfg = derive_config(2.0, 50.0, 128, 4)
+        cfg = SecAggConfig(2.0, 50.0, 128, 4)
         signs = sign_vector(SeedPath(6).child("rot"), cfg.padded_dim)
         x = np.linspace(-1, 1, 128)
         a, a_clamped = _encode_one(x, cfg, signs, SeedPath(6).child("c"))
@@ -218,7 +222,7 @@ def _codec_cases(draw):
     cohort, and 1 .. cohort_size client updates of random magnitude."""
     model_dim = draw(st.integers(1, 300))
     cohort_size = draw(st.integers(1, 8))
-    config = derive_config(
+    config = SecAggConfig(
         draw(st.floats(0.05, 20.0)), draw(st.floats(0.5, 1e4)), model_dim, cohort_size
     )
     seed = draw(st.integers(0, 2**32 - 1))
@@ -240,7 +244,7 @@ class TestCodecProperties:
         config, clients, seed = case
         n, model_dim = clients.shape
         signs = sign_vector(SeedPath(seed).child("rot"), config.padded_dim)
-        norm_bound_sq = _rounded_norm_bound_sq(config)
+        norm_bound_sq = rounded_norm_bound_sq(config)
         seeds = [SeedPath(seed).child("c", i) for i in range(n)]
         encoded = np.empty((n, config.padded_dim), dtype=np.int64)
         clamped = encode_block(clients, config, signs, seeds, encoded)
@@ -250,7 +254,7 @@ class TestCodecProperties:
             unshifted = enc.astype(np.float64) - config.infinity_bound
             assert float(unshifted @ unshifted) <= norm_bound_sq
         total = modular_sum(encoded, config.modulus)
-        out = decode(total, config, signs, n_clients=n, model_dim=model_dim)
+        out = decode(total, config, signs, n_clients=n)
         if clamped == 0:
             want = np.sum([clip_l2(x, config.clip_norm) for x in clients], axis=0)
             err = float(np.linalg.norm(out - want))
@@ -261,25 +265,21 @@ class TestCodecProperties:
 
 class TestClamping:
     def test_oversized_coordinates_clamped(self):
-        """A hand-built config with a tiny per-coordinate bound still yields
-        residues in range: the clamp runs before rounding."""
-        cfg = SecAggConfig(
-            clip_norm=100.0,
-            scale=1.0,
-            padded_dim=16,
-            cohort_size=2,
-            infinity_bound=1,
-            modulus=5,
-        )
-        signs = sign_vector(SeedPath(7).child("rot"), 16)
-        x = np.full(16, 50.0)
+        """An update aligned with three Hadamard rows rotates onto three
+        coordinates of 100 / sqrt(3), past the derived bound of 44; the
+        residues still lie in range: the clamp runs before rounding."""
+        cfg = SecAggConfig(clip_norm=100.0, scale=1.0, model_dim=1024, cohort_size=2)
+        assert cfg.infinity_bound == 44
+        signs = sign_vector(SeedPath(7).child("rot"), 1024)
+        rows = hadamard(1024)
+        x = signs * (rows[3] + rows[100] + rows[700]) * 5.0
         enc, clamped = _encode_one(x, cfg, signs, SeedPath(7).child("c"))
         assert enc.min() >= 0
-        assert enc.max() <= 2
+        assert enc.max() <= 2 * cfg.infinity_bound
         # Independent recount: the rotation as an explicit matrix product.
-        rotated = hadamard(16) @ (signs * clip_l2(x, cfg.clip_norm)) / 4.0
+        rotated = rows @ (signs * clip_l2(x, cfg.clip_norm)) / 32.0
         recount = int(np.count_nonzero(np.abs(rotated) > cfg.infinity_bound))
-        assert recount > 0
+        assert recount == 3
         assert clamped == recount
 
 
@@ -334,7 +334,7 @@ class TestEncodeBytes:
         norm 1, cohort 20), its signs, and three updates: below and above
         the clip norm, and one aligned with a Hadamard row."""
         d = 10_000
-        cfg = derive_config(1.0, 100.0, d, 20)
+        cfg = SecAggConfig(1.0, 100.0, d, 20)
         assert cfg.padded_dim == 16384
         signs = sign_vector(SeedPath(12).child("rot"), cfg.padded_dim)
         row = np.zeros(cfg.padded_dim)
@@ -350,16 +350,17 @@ class TestEncodeBytes:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_update_and_signs_still_checked(self):
-        cfg = derive_config(1.0, 100.0, 64, 4)
+        cfg = SecAggConfig(1.0, 100.0, 64, 4)
         signs = sign_vector(SeedPath(13).child("rot"), cfg.padded_dim)
         seed = SeedPath(13).child("c")
         with pytest.raises(ValueError, match="NaN or Inf"):
             _encode_one(np.full(64, np.nan), cfg, signs, seed)
-        huge = dataclasses.replace(cfg, scale=1e300)
+        huge = dataclasses.replace(cfg, scale=1e15)
         with pytest.raises(ValueError, match="NaN or Inf"):
-            _encode_one(np.full(64, 1e10), huge, signs, seed)  # the scaling overflows
-        with pytest.raises(ValueError, match="wider than the padded"):
-            _encode_one(np.zeros(65), cfg, signs, seed)
+            _encode_one(np.full(64, 1e300), huge, signs, seed)  # the scaling overflows
+        for width in (63, 65):
+            with pytest.raises(ValueError, match="model_dim"):
+                _encode_one(np.zeros(width), cfg, signs, seed)
         with pytest.raises(ValueError, match="signs"):
             _encode_one(np.zeros(64), cfg, signs[:32], seed)
         with pytest.raises(ValueError, match="signs"):
@@ -392,7 +393,7 @@ class TestFailureModes:
         default budget of retries absorbs the same draw."""
         import dataclasses
 
-        cfg = derive_config(5.0, 100.0, 1024, 10)
+        cfg = SecAggConfig(5.0, 100.0, 1024, 10)
         strict = dataclasses.replace(cfg, retry_cap=1)
         signs = sign_vector(SeedPath(8).child("rot"), cfg.padded_dim)
         rng = np.random.default_rng(0)
@@ -406,13 +407,13 @@ class TestFailureModes:
 
     def test_retry_cap_validated(self):
         with pytest.raises(ValueError):
-            derive_config(5.0, 100.0, 64, 10, retry_cap=0)
+            SecAggConfig(5.0, 100.0, 64, 10, retry_cap=0)
 
     def test_retry_error_is_a_runtime_error(self):
         assert issubclass(RoundingRetriesExhausted, RuntimeError)
 
     def test_modular_sum_validates_inputs(self):
-        cfg = derive_config(1.0, 10.0, 8, 2)
+        cfg = SecAggConfig(1.0, 10.0, 8, 2)
         a = np.zeros(cfg.padded_dim, dtype=np.int64)
         with pytest.raises(ValueError):
             modular_sum([a, np.zeros(4, dtype=np.int64)], cfg.modulus)
@@ -438,35 +439,33 @@ class TestFailureModes:
         """A modulus whose cohort sum cannot fit int64 is refused when the
         config is built, naming the scale key, instead of failing mid-run."""
         with pytest.raises(ValueError, match="secagg.s"):
-            derive_config(1.0, 1e19, 4096, 20)
-        # The bound is exact: cohort_size * (modulus - 1) < 2**63.
+            SecAggConfig(1.0, 1e19, 4096, 20)
+        # The bound the config applies is exact: cohort_size * (modulus - 1) < 2**63.
         cohort, infinity_bound = 2, 2**60 - 1
-        fits = SecAggConfig(1.0, 1.0, 4, cohort, infinity_bound, 2 * infinity_bound * cohort + 1)
-        assert cohort * (fits.modulus - 1) == 2**63 - 8
-        with pytest.raises(ValueError, match="secagg.s"):
-            SecAggConfig(1.0, 1.0, 4, cohort, 2**60, 2**62 + 1)
+        assert _sum_fits_int64(cohort, 2 * infinity_bound * cohort + 1)  # sums to 2**63 - 8
+        assert not _sum_fits_int64(cohort, 2 * 2**60 * cohort + 1)  # sums to 2**63
         # modular_sum checks the same bound for its own input count.
         a = np.zeros(4, dtype=np.int64)
         with pytest.raises(ValueError, match="overflow"):
             modular_sum([a] * 3, 2**62)
 
     def test_decode_validates_client_count(self):
-        cfg = derive_config(1.0, 10.0, 8, 2)
+        cfg = SecAggConfig(1.0, 10.0, 8, 2)
         signs = sign_vector(SeedPath(9).child("rot"), cfg.padded_dim)
         total = np.zeros(cfg.padded_dim, dtype=np.int64)
         with pytest.raises(ValueError):
-            decode(total, cfg, signs, n_clients=0, model_dim=8)
+            decode(total, cfg, signs, n_clients=0)
         with pytest.raises(ValueError):
-            decode(total, cfg, signs, n_clients=3, model_dim=8)
+            decode(total, cfg, signs, n_clients=3)
 
 
 class TestBitsPerUpdate:
     def test_bit_width_formula(self):
-        cfg = derive_config(5.0, 100.0, 1024, 10)
-        assert bits_per_update(cfg) == cfg.padded_dim * math.ceil(math.log2(cfg.modulus))
+        cfg = SecAggConfig(5.0, 100.0, 1024, 10)
+        assert cfg.bits_per_update == cfg.padded_dim * math.ceil(math.log2(cfg.modulus))
 
     def test_scale_controls_width(self):
         """A finer grid needs more bits per coordinate."""
-        lo = bits_per_update(derive_config(5.0, 10.0, 1024, 10))
-        hi = bits_per_update(derive_config(5.0, 1000.0, 1024, 10))
+        lo = SecAggConfig(5.0, 10.0, 1024, 10).bits_per_update
+        hi = SecAggConfig(5.0, 1000.0, 1024, 10).bits_per_update
         assert hi > lo

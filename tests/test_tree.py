@@ -331,6 +331,14 @@ class TestNoiseStructure:
         with pytest.raises(ValueError):
             TreeState(-1.0, 1.0, 3, SeedPath(0).child("x"))
 
+    def test_position_is_state_not_an_argument(self):
+        """A tree starts at round 0 of segment 0; its position cannot be set."""
+        tree = TreeState(1.0, 1.0, 3, SeedPath(25).child("t"))
+        assert (tree.segment_index, tree.round_in_segment) == (0, 0)
+        for position in ({"segment_index": 1}, {"round_in_segment": 2}):
+            with pytest.raises(TypeError):
+                TreeState(1.0, 1.0, 3, SeedPath(25).child("t"), **position)
+
 
 class TestForestAgreement:
     """The forest the accountant charges is the one whose nodes the noise
