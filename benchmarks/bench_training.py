@@ -4,11 +4,12 @@ config's shapes (V = 100, window 1, 50 examples per client, cohort 100,
 batch 16, 1000 eval examples).  ``sgd_step`` is one stacked minibatch step
 at the shape a round trains at: ``NextTokenBOW.local_sgd`` on one block of
 ``_BLOCK_BYTES // (8 d)`` = 13 clients, one epoch of one 16-example batch.
-Synthesis is timed at 10^4 and 10^5
-clients of 50 examples, and at 10^4 x 500 and 2500 x 2000 examples, where
-the urn's rescan of each client's history grows with the square of its
-length.  The eval stream, one chain walked a token at a time, is timed at
-10^3, 10^4 and 10^5 examples, so its cost per token shows.  The eval is timed both ways:
+Synthesis is timed at 10^4 and 10^5 clients of 50 examples, with its
+traced peak (tracemalloc, in MiB, the token matrix it returns included),
+and at 10^4 x 500 and 2500 x 2000 examples, where the urn's rescan of each
+client's history grows with the square of its length.  The eval stream,
+one chain walked a token at a time, is timed at 10^3, 10^4 and 10^5
+examples, so its cost per token shows.  The eval is timed both ways:
 ``accuracy`` scores every example, and ``distinct_eval`` scores each
 distinct window once and indexes the predictions back, as a run does
 every round.  Both are also timed at the long small-model shape (V = 64,
@@ -18,10 +19,13 @@ allocates (tracemalloc, in MiB): the round works in fixed-size blocks of
 clients, so the peak does not grow with the report goal.  Each round row
 also counts the minor page faults per timed round (``ru_minflt``), so a
 change that makes the round's large arrays come from fresh mmaps instead
-of reused heap shows as a count.  ``tree_add_round`` is the tree-noise
-layer at a run's shapes: 700 rounds of a d = 10^4 TreeState and of the
-d = 1 clip-count tree, both restarted at round 128, in ms per round (one
-add_round on each tree).  Run from the repo root:
+of reused heap shows as a count.  ``participation_2048x100`` writes the
+participation.csv of a 2048-round, 100-client log (uniform ids below
+10^5), with the writer's traced peak beyond its input arrays.
+``tree_add_round`` is the tree-noise layer at a run's shapes: 700 rounds
+of a d = 10^4 TreeState and of the d = 1 clip-count tree, both restarted
+at round 128, in ms per round (one add_round on each tree).  Run from the
+repo root:
 
     PYTHONPATH=src python benchmarks/bench_training.py
     PYTHONPATH=src python benchmarks/bench_training.py --repeats 5
@@ -37,8 +41,10 @@ import argparse
 import json
 import os
 import resource
+import tempfile
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
@@ -56,6 +62,7 @@ from fpsim import (
     synthesize_eval_set,
 )
 from fpsim.federation import _BLOCK_BYTES
+from fpsim.harness import _write_participation
 
 COHORT = 100
 BATCH_SIZE = 16
@@ -70,6 +77,17 @@ def _best_ms(fn, repeats: int, calls: int = 1) -> float:
             fn()
         best = min(best, (time.perf_counter() - start) / calls)
     return best * 1e3
+
+
+def _traced_peak_mb(fn) -> float:
+    """The peak of the memory one call of ``fn`` allocates (tracemalloc),
+    in MiB, what it returns included."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def _time_eval(record: dict, suffix: str, cfg, theta, seed, repeats: int) -> None:
@@ -99,18 +117,33 @@ def _time_round(record: dict, report_goal: int, repeats: int) -> None:
     cfg = ExperimentConfig(population=report_goal, report_goal=report_goal)
     state = start_run(cfg)
     cohort_ids = select_cohort(state.next_eligible, cfg, 0, SeedPath(0).child("selection"))
-    tracemalloc.start()
-    try:
-        run_round(state, cohort_ids)
-        record[f"run_round_{report_goal}_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
+    record[f"run_round_{report_goal}_peak_mb"] = _traced_peak_mb(
+        lambda: run_round(state, cohort_ids)
+    )
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     record[f"run_round_{report_goal}_ms"] = _best_ms(
         lambda: run_round(state, cohort_ids), repeats, calls=5
     )
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     record[f"run_round_{report_goal}_minflt"] = faults / (repeats * 5)
+
+
+def _time_participation(
+    record: dict, repeats: int, rounds: int = 2048, report_goal: int = 100
+) -> None:
+    """Record the participation.csv writer's best time and traced peak on
+    a log of ``rounds`` x ``report_goal`` uniform client ids below 10^5."""
+    client_ids = np.random.default_rng(0).integers(100_000, size=rounds * report_goal)
+    rounds_column = np.repeat(np.arange(rounds), report_goal)
+    name = f"participation_{rounds}x{report_goal}"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "participation.csv"
+
+        def write():
+            _write_participation(path, client_ids, rounds_column)
+
+        record[f"{name}_peak_mb"] = _traced_peak_mb(write)
+        record[f"{name}_ms"] = _best_ms(write, repeats)
 
 
 def _time_tree(record: dict, repeats: int, rounds: int = 700, restart: int = 128) -> None:
@@ -149,6 +182,9 @@ def main() -> None:
         record[f"synthesize_clients_{population}_ms"] = _best_ms(
             lambda: synthesize_clients(cfg, seed), args.repeats
         )
+        record[f"synthesize_clients_{population}_peak_mb"] = _traced_peak_mb(
+            lambda: synthesize_clients(cfg, seed)
+        )
     for examples in (1000, 10_000, 100_000):
         cfg = ExperimentConfig(eval_examples=examples)
         record[f"synthesize_eval_set_{examples}_ms"] = _best_ms(
@@ -185,6 +221,7 @@ def main() -> None:
     for report_goal in (100, 1000):
         _time_round(record, report_goal, args.repeats)
 
+    _time_participation(record, args.repeats)
     _time_tree(record, args.repeats)
     _time_eval(record, "", cfg, theta, seed, args.repeats)
     small = ExperimentConfig(vocab_size=64, concentration=0.5, eval_examples=1000)

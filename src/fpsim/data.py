@@ -12,24 +12,27 @@ heterogeneity = 0 gives every client the same (public) distribution — the
 pretraining corpus for warm starts; larger values push clients apart, the
 desk-scale stand-in for real federated text.
 
-The population is one packed (population, examples + window) int64 token
-matrix, and every client's chain advances in the same vectorised step, one
-step per token.  A global draw inverts its row's CDF with one searchsorted
-over the whole population's keys, taken in sorted order.  Local rows are
-never materialised: repeated draws from one Dirichlet(alpha * 1) row are a
-Pólya urn (Blackwell & MacQueen 1973), so a client's local draw at context
-c copies one of its N earlier local draws at c, chosen uniformly, with
-probability N / (V * alpha + N), and otherwise is a uniform token.  The
-urn's only state is a matrix holding the context of each local draw and -1
-for each global one, in the narrowest integer type that holds the
-vocabulary, so a client's balls at c are one compare.  All clients' streams
-come from one generator, so the data is a pure function of (seed,
-population), not of the client id alone.
+The population is one packed (population, examples + window) token matrix
+in the narrowest unsigned type that holds the vocabulary (token_dtype:
+uint8 up to V = 256, uint16 up to 65 536), and every client's chain
+advances in the same vectorised step, one step per token.  A global draw
+inverts its row's CDF with one searchsorted over the whole population's
+keys, taken in sorted order.  Local rows are never materialised: repeated
+draws from one Dirichlet(alpha * 1) row are a Pólya urn (Blackwell &
+MacQueen 1973), so a client's local draw at context c copies one of its N
+earlier local draws at c, chosen uniformly, with probability
+N / (V * alpha + N), and otherwise is a uniform token.  The urn's only
+state is a matrix holding the context of each local draw and -1 for each
+global one, in the narrowest integer type that holds the vocabulary, so a
+client's balls at c are one compare.  All clients' streams come from one
+generator, so the data is a pure function of (seed, population), not of
+the client id alone.
 
 The held-out eval stream is one chain of the global rows only, so it is not
 vectorised but walked in Python scalars: one bisect of the same shifted
 table per token, drawing the tokens a one-client vectorised chain draws
-without that chain's array calls on one-element arrays at every step.
+without that chain's array calls on one-element arrays at every step.  It
+is stored in the same narrow type.
 """
 
 from __future__ import annotations
@@ -47,14 +50,22 @@ from fpsim.seeds import SeedPath
 if TYPE_CHECKING:
     from fpsim.config import ExperimentConfig
 
-__all__ = ["TokenDataset", "synthesize_clients", "synthesize_eval_set"]
+__all__ = ["TokenDataset", "synthesize_clients", "synthesize_eval_set", "token_dtype"]
+
+
+def token_dtype(vocab: int) -> np.dtype:
+    """The type every stored token of a V-token vocabulary has: the
+    narrowest one holding V - 1, uint8 up to V = 256 and uint16 up to
+    65 536."""
+    return np.min_scalar_type(vocab - 1)
 
 
 @dataclass(frozen=True)
 class TokenDataset:
     """(context window, next token) pairs of every client, as views of one
-    (clients, n + window) token matrix: ``contexts`` (clients, n, window)
-    slides over each row and ``labels`` (clients, n) is its tail."""
+    (clients, n + window) token matrix of token_dtype(V): ``contexts``
+    (clients, n, window) slides over each row and ``labels`` (clients, n)
+    is its tail."""
 
     tokens: np.ndarray
     window: int
@@ -122,18 +133,24 @@ def _chains(
     per draw; there a search in population order depends on the
     neighbouring key's search as well.
 
+    The tokens are stored in token_dtype(V), but every key, offset and
+    product is computed on an int64 copy of the previous column: on the
+    stored type, prev * vocab would wrap (uint8 * 100 stays uint8 under
+    NEP 50), and the int64 copy draws the tokens the int64 chain always
+    drew.
+
     The eval stream, one chain at heterogeneity 0, is not drawn here but
     walked by _walk, which draws the same tokens.
     """
     vocab = global_cdf.shape[0]
     shifted_cdf = _shifted_table(global_cdf)
-    tokens = np.empty((population, length + 1), dtype=np.int64)
+    tokens = np.empty((population, length + 1), dtype=token_dtype(vocab))
     # The context each local draw was made at, -1 for a global draw: -vocab's
     # type is the narrowest one holding -1 and every token.
     contexts = np.full((population, length + 1), -1, dtype=np.min_scalar_type(-vocab))
     tokens[:, 0] = rng.integers(vocab, size=population)
     for s in range(1, length + 1):
-        prev = tokens[:, s - 1]
+        prev = tokens[:, s - 1].astype(np.int64)
         keys = prev + rng.random(population)
         order = keys.argsort()
         draws = shifted_cdf.searchsorted(keys[order], side="right")
@@ -178,7 +195,7 @@ def _walk(global_cdf: np.ndarray, length: int, rng: np.random.Generator) -> np.n
     top = vocab - 1
     table = _shifted_table(global_cdf).data
     prev = int(rng.integers(vocab, size=1)[0])
-    tokens = np.empty(length, dtype=np.int64)
+    tokens = np.empty(length, dtype=token_dtype(vocab))
     out = tokens.data
     for i, u in enumerate(rng.random(length).data):
         token = bisect_right(table, prev + u) - prev * vocab

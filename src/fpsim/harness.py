@@ -67,6 +67,11 @@ REPORT_DELTA = 1e-10
 
 CHECKPOINT_MAGIC = b"FPSIM1"
 
+# participation.csv is formatted and written this many rows at a time, so
+# the Python ints and strings of its rows never outgrow one chunk, however
+# many rounds and clients a run logs.
+_PARTICIPATION_CHUNK_ROWS = 1024
+
 
 def write_checkpoint(path: str | Path, params: np.ndarray) -> None:
     params = np.asarray(params, dtype=np.float64)
@@ -104,6 +109,19 @@ def _write_csv(path: Path, header: tuple[str, ...], rows: list[tuple]) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_format(v) for v in row])
+
+
+def _write_participation(path: Path, client_ids: np.ndarray, rounds: np.ndarray) -> None:
+    """Write the (client_id, round) pairs sorted by client, then round,
+    under a ``client_id,round`` header, _PARTICIPATION_CHUNK_ROWS rows per
+    write.  Integers need no csv quoting: each chunk is one joined string."""
+    order = np.lexsort((rounds, client_ids))
+    with open(path, "w", newline="") as fh:
+        fh.write("client_id,round\n")
+        for start in range(0, order.size, _PARTICIPATION_CHUNK_ROWS):
+            rows = order[start : start + _PARTICIPATION_CHUNK_ROWS]
+            pairs = zip(client_ids[rows].tolist(), rounds[rows].tolist())
+            fh.write("".join(f"{c},{r}\n" for c, r in pairs))
 
 
 def read_metrics(run_dir: str | Path) -> dict[str, list[float]]:
@@ -206,12 +224,7 @@ def _finish(state: RunState, out: Path) -> RunResult:
     write_checkpoint(out / "checkpoint.bin", state.theta)
     client_ids = state.log.ravel()
     rounds = np.repeat(np.arange(config.rounds), config.report_goal)
-    order = np.lexsort((rounds, client_ids))
-    pairs = zip(client_ids[order].tolist(), rounds[order].tolist())
-    # Integers need no csv quoting: the file is one joined string.
-    (out / "participation.csv").write_text(
-        "client_id,round\n" + "".join(f"{c},{r}\n" for c, r in pairs), newline=""
-    )
+    _write_participation(out / "participation.csv", client_ids, rounds)
     if terms.secagg is not None:
         _write_csv(
             out / "secagg.csv",

@@ -23,6 +23,9 @@ arithmetic of the plain formulation (tests/oracles.py) kept to the byte:
   ``take_along_axis`` and ``put_along_axis`` address.
 - The flat offset of each stack row's class rows, ``row * d + class * V``,
   is built once per call of ``local_sgd``, for all its minibatches.
+- Token ids arrive in the data's narrow type (``data.token_dtype``) and are
+  cast to ``np.intp`` once per call, so every step's column and label
+  index arithmetic runs in one type, not intp + uint8.
 """
 
 from __future__ import annotations
@@ -95,6 +98,7 @@ class NextTokenBOW:
         if contexts.ndim != 3 or contexts.shape[::2] != (stack.shape[0], self.window):
             raise ValueError("inputs must be (rows, batch, window) token ids")
         self._check_tokens(contexts)
+        contexts = contexts.astype(np.intp, copy=False)
         columns = self._column_base(stack.shape[0]) + contexts[..., None]
         return self._window_logits(stack.reshape(-1), columns)
 
@@ -131,6 +135,8 @@ class NextTokenBOW:
             raise ValueError("contexts must be (rows, n, window) token ids")
         self._check_tokens(contexts)
         self._check_tokens(labels)
+        contexts = contexts.astype(np.intp, copy=False)
+        labels = labels.astype(np.intp, copy=False)
         # The column base is built once; each epoch's examples are gathered
         # in batch order once, so a minibatch is a slice.
         flat = stack.reshape(-1)

@@ -214,10 +214,15 @@ def encode_block(
     bound = float(config.infinity_bound)
     # One padded row carries each update through scale, clip, rotation and
     # clamp; each step is the same float arithmetic as an L2 clip, the
-    # rotation and np.clip on copies (tests/oracles.py).
+    # rotation and np.clip on copies (tests/oracles.py).  The rounded row
+    # also holds |row| for the clamp count, and every attempt's uniforms
+    # are drawn into one row: random(out=) gives the doubles random(width)
+    # returns.
     row = np.empty(width)
     head = row[:d]
     rounded = np.empty(width)
+    uniforms = np.empty(width)
+    over = np.empty(width, dtype=bool)
     clamped_count = 0
     for i, seed in enumerate(seeds):
         np.multiply(deltas[i], config.scale, out=head)
@@ -228,10 +233,11 @@ def encode_block(
         if norm > scaled_clip:
             head *= scaled_clip / norm
         _rotate(row, signs)
-        clamped_count += int(np.count_nonzero(np.abs(row) > bound))
+        np.abs(row, out=rounded)
+        clamped_count += int(np.count_nonzero(np.greater(rounded, bound, out=over)))
         np.clip(row, -bound, bound, out=row)
         for attempt in range(config.retry_cap):
-            uniforms = seed.child("round-attempt", attempt).generator().random(width)
+            seed.child("round-attempt", attempt).generator().random(out=uniforms)
             stochastic_round(row, uniforms, rounded)
             if float(rounded @ rounded) <= config.norm_bound_sq:
                 rounded += bound

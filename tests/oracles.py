@@ -239,6 +239,15 @@ def reference_chains(
     return tokens[:, 1:]
 
 
+def reference_participation_csv(client_ids: np.ndarray, rounds: np.ndarray) -> str:
+    """participation.csv as one string: a ``client_id,round`` header, then
+    every (client_id, round) pair sorted by client and then round, one
+    joined f-string over the whole log."""
+    order = np.lexsort((rounds, client_ids))
+    pairs = zip(client_ids[order].tolist(), rounds[order].tolist())
+    return "client_id,round\n" + "".join(f"{c},{r}\n" for c, r in pairs)
+
+
 def reference_zcdp_to_delta(rho: float, eps: float) -> float:
     """accounting.zcdp_to_delta with all 200 golden-section steps run.
 

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpsim import ExperimentConfig, SeedPath, synthesize_clients, synthesize_eval_set
-from fpsim.data import _chains, _global_table, _walk
+from fpsim.data import _chains, _global_table, _walk, token_dtype
 from oracles import reference_chains
 
 
@@ -73,9 +73,17 @@ class TestShapes:
         cfg = _cfg(3, window=2, examples_per_client=25)
         data = synthesize_clients(cfg, seed=SeedPath(5).child("data"))
         assert data.tokens.shape == (3, 27)
-        assert data.tokens.dtype == np.int64
+        assert data.tokens.dtype == np.uint8
         assert data.contexts.shape == (3, 25, 2)
         assert data.labels.shape == (3, 25)
+
+    @pytest.mark.parametrize("vocab, dtype", [(2, np.uint8), (256, np.uint8), (257, np.uint16)])
+    def test_tokens_are_stored_in_the_narrowest_type_holding_the_vocabulary(self, vocab, dtype):
+        cfg = _cfg(4, vocab_size=vocab, examples_per_client=30)
+        data = synthesize_clients(cfg, seed=SeedPath(5).child("data"))
+        eval_set = synthesize_eval_set(cfg, seed=SeedPath(5).child("data"))
+        assert data.tokens.dtype == dtype and eval_set.tokens.dtype == dtype
+        assert token_dtype(vocab) == dtype
 
     def test_tokens_in_vocabulary(self):
         cfg = _cfg(5, vocab_size=7)
@@ -249,7 +257,7 @@ class TestMatchesReferenceChains:
             root.child("client-streams").generator(),
         )
         got = synthesize_clients(cfg, root).tokens
-        assert got.dtype == want.dtype
+        assert got.dtype == np.uint8
         np.testing.assert_array_equal(got, want)
 
     @settings(max_examples=80, deadline=None)
@@ -274,7 +282,7 @@ class TestMatchesReferenceChains:
             cdf, concentration, 1, length, 0.0, root.child("eval-stream").generator()
         )
         got = synthesize_eval_set(cfg, root).tokens
-        assert got.dtype == want.dtype
+        assert got.dtype == (np.uint8 if vocab <= 256 else np.uint16)
         np.testing.assert_array_equal(got, want)
         doubles = _edged(length + 1, seed)
         want = reference_chains(cdf, concentration, 1, length, 0.0, _Stream(doubles))
@@ -318,9 +326,10 @@ class TestMatchesReferenceChains:
 
 
 def test_synthesis_memory_is_a_small_multiple_of_the_token_matrix():
-    """A population of 10^5 at the default corpus shape peaks (tracemalloc)
-    under 3x the bytes of its token matrix: no per-client rows, no
-    (population, vocab) temporaries."""
+    """A population of 10^5 at the default corpus shape (V = 100, so one
+    byte per stored token) peaks (tracemalloc) under 6 bytes per token: no
+    int64 token matrix, no per-client rows, no (population, vocab)
+    temporaries."""
     tracemalloc.start()
     try:
         data = synthesize_clients(ExperimentConfig(population=100_000), seed=SeedPath(13))
@@ -328,4 +337,4 @@ def test_synthesis_memory_is_a_small_multiple_of_the_token_matrix():
     finally:
         tracemalloc.stop()
     assert data.tokens.shape == (100_000, 51)
-    assert peak < 3 * data.tokens.nbytes
+    assert peak < 6 * data.tokens.size

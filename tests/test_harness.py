@@ -39,7 +39,7 @@ from fpsim.harness import (
     read_metrics,
     write_checkpoint,
 )
-from oracles import reference_restart_rounds
+from oracles import reference_participation_csv, reference_restart_rounds
 
 SMALL_CONFIG = """
 seed = 7
@@ -365,6 +365,38 @@ class TestParticipationLogValidation:
         assert post_hoc_report(result.directory)["rho"] == result.final_rho
 
 
+class TestParticipationWriter:
+    def test_chunked_log_matches_the_one_string_formula(self, tmp_path, monkeypatch):
+        """A run whose log spans more than two write chunks, the last one
+        partial, writes the bytes of the whole log formatted as one string."""
+        logs = []
+        write = harness._write_participation
+
+        def spy(path, client_ids, rounds):
+            logs.append((client_ids.copy(), rounds.copy()))
+            write(path, client_ids, rounds)
+
+        monkeypatch.setattr(harness, "_write_participation", spy)
+        chunk = harness._PARTICIPATION_CHUNK_ROWS
+        config = ExperimentConfig(
+            seed=5,
+            rounds=2 * chunk // 50 + 3,
+            report_goal=50,
+            population=1000,
+            timer_rounds=10,
+            noise_multiplier=0.5,
+            vocab_size=8,
+            examples_per_client=10,
+            eval_examples=100,
+            clip_mode="fixed",
+        )
+        result = run_experiment(config, tmp_path / "run")
+        ((client_ids, rounds),) = logs
+        assert client_ids.size > 2 * chunk and client_ids.size % chunk
+        written = (result.directory / "participation.csv").read_bytes()
+        assert written == reference_participation_csv(client_ids, rounds).encode()
+
+
 class TestStartRun:
     def test_state_at_round_zero(self):
         """start_run builds the run from its config alone: the config's
@@ -415,6 +447,20 @@ class TestRoundClock:
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
         config = ExperimentConfig.from_text(SMALL_CONFIG)
+        a = run_experiment(config, tmp_path / "a")
+        b = run_experiment(config, tmp_path / "b")
+        for name in ("metrics.csv", "checkpoint.bin", "participation.csv", "report.csv"):
+            assert (a.directory / name).read_bytes() == (b.directory / name).read_bytes(), name
+
+    def test_byte_identical_reruns_at_a_two_byte_vocabulary(self, tmp_path):
+        """At V = 300 the tokens are stored as uint16, and a short run still
+        reproduces every artifact."""
+        config = ExperimentConfig.from_text(
+            SMALL_CONFIG.replace("model.vocab_size = 10", "model.vocab_size = 300")
+            .replace("rounds = 12", "rounds = 6")
+            .replace("restart.rounds = 5, 9", "restart.rounds = 4")
+        )
+        assert start_run(config).data.tokens.dtype == np.uint16
         a = run_experiment(config, tmp_path / "a")
         b = run_experiment(config, tmp_path / "b")
         for name in ("metrics.csv", "checkpoint.bin", "participation.csv", "report.csv"):
