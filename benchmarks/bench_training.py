@@ -21,7 +21,9 @@ also counts the minor page faults per timed round (``ru_minflt``), so a
 change that makes the round's large arrays come from fresh mmaps instead
 of reused heap shows as a count.  ``participation_2048x100`` writes the
 participation.csv of a 2048-round, 100-client log (uniform ids below
-10^5), with the writer's traced peak beyond its input arrays.
+10^5), with the writer's traced peak beyond its input arrays;
+``post_hoc_report_2048x100`` is its reader, ``post_hoc_report`` on a
+valid log of that size, with its traced peak.
 ``tree_add_round`` is the tree-noise layer at a run's shapes: 700 rounds
 of a d = 10^4 TreeState and of the d = 1 clip-count tree, both restarted
 at round 128, in ms per round (one add_round on each tree).  Run from the
@@ -55,6 +57,7 @@ from fpsim import (
     TreeState,
     batch_orders,
     cohort_update,
+    post_hoc_report,
     run_round,
     select_cohort,
     start_run,
@@ -146,6 +149,24 @@ def _time_participation(
         record[f"{name}_ms"] = _best_ms(write, repeats)
 
 
+def _time_post_hoc(
+    record: dict, repeats: int, rounds: int = 2048, report_goal: int = 100
+) -> None:
+    """Record post_hoc_report's best time and traced peak on a valid log of
+    ``rounds`` x ``report_goal`` rows: round t lists clients t * report_goal
+    onward, modulo a population of 10^5."""
+    cfg = ExperimentConfig(rounds=rounds, population=100_000, report_goal=report_goal)
+    rounds_column = np.repeat(np.arange(rounds), report_goal)
+    client_ids = np.arange(rounds * report_goal) % cfg.population
+    name = f"post_hoc_report_{rounds}x{report_goal}"
+    with tempfile.TemporaryDirectory() as tmp:
+        run = Path(tmp)
+        (run / "config.resolved").write_text(cfg.canonical_text())
+        _write_participation(run / "participation.csv", client_ids, rounds_column)
+        record[f"{name}_peak_mb"] = _traced_peak_mb(lambda: post_hoc_report(run))
+        record[f"{name}_ms"] = _best_ms(lambda: post_hoc_report(run), repeats)
+
+
 def _time_tree(record: dict, repeats: int, rounds: int = 700, restart: int = 128) -> None:
     """Record TreeState.add_round per round for a d = 10^4 update tree and
     a d = 1 count tree, both restarted at ``restart``."""
@@ -222,6 +243,7 @@ def main() -> None:
         _time_round(record, report_goal, args.repeats)
 
     _time_participation(record, args.repeats)
+    _time_post_hoc(record, args.repeats)
     _time_tree(record, args.repeats)
     _time_eval(record, "", cfg, theta, seed, args.repeats)
     small = ExperimentConfig(vocab_size=64, concentration=0.5, eval_examples=1000)

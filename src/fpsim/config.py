@@ -30,7 +30,7 @@ from typing import Any, NoReturn, get_args, get_origin, get_type_hints
 from fpsim.accounting import ParticipationSchema, gaussian_zcdp
 from fpsim.clipping import combined_multiplier, noise_split
 from fpsim.models import NextTokenBOW
-from fpsim.secagg import SecAggConfig
+from fpsim.secagg import DEFAULT_RETRY_CAP, SecAggConfig
 
 __all__ = ["ConfigError", "ExperimentConfig", "PrivacyTerms", "SweepConfig", "parse_kv_text"]
 
@@ -185,7 +185,7 @@ class ExperimentConfig:
     eval_examples: int = _keyed("data.eval_examples", 1000)
     secagg_enabled: bool = _keyed("secagg.enabled", False)
     secagg_scale: float = _keyed("secagg.s", 100.0)
-    secagg_retry_cap: int = _keyed("secagg.retry_cap", 100)
+    secagg_retry_cap: int = _keyed("secagg.retry_cap", DEFAULT_RETRY_CAP)
     warm_start: str = ""
 
     def __post_init__(self) -> None:

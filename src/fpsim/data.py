@@ -145,9 +145,10 @@ def _chains(
     vocab = global_cdf.shape[0]
     shifted_cdf = _shifted_table(global_cdf)
     tokens = np.empty((population, length + 1), dtype=token_dtype(vocab))
-    # The context each local draw was made at, -1 for a global draw: -vocab's
-    # type is the narrowest one holding -1 and every token.
-    contexts = np.full((population, length + 1), -1, dtype=np.min_scalar_type(-vocab))
+    # The context each local draw was made at (none at heterogeneity 0), -1
+    # for a global draw: -vocab's type is the narrowest holding -1 and every token.
+    kept = population if heterogeneity else 0
+    contexts = np.full((kept, length + 1), -1, dtype=np.min_scalar_type(-vocab))
     tokens[:, 0] = rng.integers(vocab, size=population)
     for s in range(1, length + 1):
         prev = tokens[:, s - 1].astype(np.int64)

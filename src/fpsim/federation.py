@@ -14,8 +14,8 @@ which keeps the model a deterministic function of the released cumulative
 sums (theta0 is the fixed anchor; restarts do not move it).  Timers make
 participation limits structural: a timer of w rounds enforces a minimum
 separation of w between any client's participations, which is what the
-privacy accountant consumes post hoc.  Every knob is read from the run's
-ExperimentConfig; RunState holds what a round changes.
+privacy accountant consumes post hoc.  RunState derives a run's model,
+seeds and noise trees from its ExperimentConfig and holds what a round changes.
 
 A block holds _BLOCK_BYTES (1 MB) of deltas, whatever the report goal, so
 a round's memory is a few blocks and the model, not the cohort times the
@@ -192,26 +192,22 @@ class RoundMetrics:
 
 @dataclass
 class RunState:
-    """One run in progress: its config, data and model, and the training
-    state that run_round advances.
-
-    The knobs (learning rates, momentum, batch shape, report goal, fixed
-    clip norm) are read from ``config``; ``terms`` are its privacy terms
-    (the SecAgg encoding and the restart rounds among them).  ``seed`` is
-    the round loop's seed path.  ``log`` row t holds round t's cohort (the
+    """One run in progress.  ``data``, ``eval_set`` and the anchor ``theta0``
+    are given; the model, the privacy ``terms``, the round loop's ``seed``,
+    the update tree and, under adaptive clipping, the ClipState are derived
+    from ``config`` here.  ``log`` row t holds round t's cohort (the
     participation log) and ``history`` one (eval accuracy, RoundMetrics)
-    pair per round, both filled by the caller's loop.
-    """
+    pair per round, both filled by the caller's loop."""
 
     config: ExperimentConfig
-    terms: PrivacyTerms
-    model: NextTokenBOW
     data: TokenDataset
     eval_set: TokenDataset
-    seed: SeedPath
     theta0: np.ndarray
-    delta_tree: TreeState
-    clip: ClipState | None
+    terms: PrivacyTerms = field(init=False)
+    model: NextTokenBOW = field(init=False)
+    seed: SeedPath = field(init=False)
+    delta_tree: TreeState = field(init=False)
+    clip: ClipState | None = field(init=False)
     theta: np.ndarray = field(init=False)
     momentum: np.ndarray = field(init=False)
     next_eligible: np.ndarray = field(init=False)
@@ -222,18 +218,28 @@ class RunState:
     )
 
     def __post_init__(self) -> None:
-        self.theta0 = as_param_vector(self.theta0, self.model.num_params)
+        config = self.config
+        self.terms = terms = config.privacy_terms()
+        root = SeedPath(config.seed)
+        self.model = NextTokenBOW(vocab_size=config.vocab_size, window=config.window)
+        self.seed = root.child("federation")
+        d = self.model.num_params
+        self.delta_tree = TreeState(terms.z_delta, config.clip_c0, d, root.child("delta-tree"))
+        self.clip = None
+        if config.clip_mode == "adaptive":
+            self.clip = ClipState(
+                initial_estimate=config.clip_c0,
+                target_quantile=config.clip_gamma,
+                learning_rate=config.clip_eta_gamma,
+                sigma_b=terms.sigma_b,
+                cohort_size=config.report_goal,
+                seed=root.child("clip"),
+            )
+        self.theta0 = as_param_vector(self.theta0, d)
         self.theta = self.theta0.copy()
         self.momentum = np.zeros_like(self.theta0)
-        self.next_eligible = np.zeros(self.config.population, dtype=np.int64)
-        self.log = np.empty((self.config.rounds, self.config.report_goal), dtype=np.int64)
-        secagg = self.terms.secagg
-        if secagg is not None and self.clip is not None:
-            raise ValueError("secure aggregation requires a fixed clip norm")
-        if secagg is not None and secagg.cohort_size != self.config.report_goal:
-            raise ValueError("secagg cohort_size must equal report_goal")
-        if secagg is not None and secagg.model_dim != self.model.num_params:
-            raise ValueError("secagg model_dim must equal the model's parameter count")
+        self.next_eligible = np.zeros(config.population, dtype=np.int64)
+        self.log = np.empty((config.rounds, config.report_goal), dtype=np.int64)
 
     @property
     def active_clip(self) -> float:

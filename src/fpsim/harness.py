@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import math
 import struct
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -30,13 +31,11 @@ import numpy as np
 
 from fpsim import accounting
 from fpsim.accounting import ParticipationSchema, PrivacyLedger
-from fpsim.clipping import ClipState
 from fpsim.config import ExperimentConfig, SweepConfig
 from fpsim.data import synthesize_clients, synthesize_eval_set
 from fpsim.federation import RunState, observed_limits, run_round, select_cohort
 from fpsim.models import NextTokenBOW
 from fpsim.seeds import SeedPath
-from fpsim.tree import TreeState
 
 __all__ = [
     "METRICS_COLUMNS",
@@ -149,10 +148,9 @@ class RunResult:
 
 
 def start_run(config: ExperimentConfig) -> RunState:
-    """Synthesize the population and the eval set, and build the state of a
-    run about to play its round 0."""
+    """Synthesize the population and the eval set, read or initialize
+    theta0, and build the state of a run about to play its round 0."""
     root = SeedPath(config.seed)
-    terms = config.privacy_terms()
     model = NextTokenBOW(vocab_size=config.vocab_size, window=config.window)
     data = synthesize_clients(config, root)
     eval_set = synthesize_eval_set(config, root)
@@ -165,19 +163,7 @@ def start_run(config: ExperimentConfig) -> RunState:
             )
     else:
         theta0 = model.init_params()
-    clip = None
-    if config.clip_mode == "adaptive":
-        clip = ClipState(
-            initial_estimate=config.clip_c0,
-            target_quantile=config.clip_gamma,
-            learning_rate=config.clip_eta_gamma,
-            sigma_b=terms.sigma_b,
-            cohort_size=config.report_goal,
-            seed=root.child("clip"),
-        )
-    tree = TreeState(terms.z_delta, config.clip_c0, model.num_params, root.child("delta-tree"))
-    seed = root.child("federation")
-    return RunState(config, terms, model, data, eval_set, seed, theta0, tree, clip)
+    return RunState(config, data, eval_set, theta0)
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunResult:
@@ -338,16 +324,23 @@ def _observed_report(
 def post_hoc_report(run_dir: str | Path, delta: float = REPORT_DELTA) -> dict[str, object]:
     """Recompute a finished run's privacy report, with epsilon at ``delta``,
     from its participation log and resolved config (the `account --run`
-    path).  A log no run could have written (a round outside the run, a
-    negative id, a repeated pair, a round without report_goal clients, a
-    client back before timer_rounds have passed) is a ValueError naming the
-    file."""
+    path).  A log no run could have written (another header, a malformed
+    row, a round outside the run, a negative id, a repeated pair, a
+    round without report_goal clients, a client back before timer_rounds
+    have passed) is a ValueError naming the file."""
     run = Path(run_dir)
     config = ExperimentConfig.from_file(run / "config.resolved")
     path = run / "participation.csv"
-    with open(path, newline="") as fh:
-        rows = [(int(row["client_id"]), int(row["round"])) for row in csv.DictReader(fh)]
-    pairs = np.array(rows, dtype=np.int64).reshape(-1, 2)
+    with open(path) as fh:
+        if (header := fh.readline().rstrip("\r\n")) != "client_id,round":
+            raise ValueError(f"{path}: header {header!r} is not 'client_id,round'")
+    try:
+        # numpy parses a named file in C; a header-only log warns, reads (0, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            pairs = np.loadtxt(path, np.int64, delimiter=",", skiprows=1, usecols=(0, 1), ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     client_ids, rounds = pairs.T
     outside = rounds[(rounds < 0) | (rounds >= config.rounds)]
     if outside.size:

@@ -147,6 +147,7 @@ def test_03_zero_noise_run_reduces_to_fedavgm():
     m, beta, eta_s, rounds = 4, 0.9, 0.5, 200
     population, vocab = 16, 8
     config = ExperimentConfig(
+        seed=21,
         rounds=rounds,
         report_goal=m,
         population=population,
@@ -168,19 +169,9 @@ def test_03_zero_noise_run_reduces_to_fedavgm():
 
     data = make_data()
     pool = np.zeros(population, dtype=np.int64)  # next_eligible timers
-    model = NextTokenBOW(vocab_size=vocab, window=1)
-    root = SeedPath(21).child("run")
-    server = RunState(
-        config,
-        config.privacy_terms(),
-        model,
-        data,
-        synthesize_eval_set(config, SeedPath(0).child("data")),
-        root.child("federation"),
-        np.zeros(model.num_params),
-        TreeState(0.0, math.inf, model.num_params, root.child("delta-tree")),
-        None,
-    )
+    eval_set = synthesize_eval_set(config, SeedPath(0).child("data"))
+    server = RunState(config, data, eval_set, NextTokenBOW(vocab_size=vocab).init_params())
+    assert server.clip is None and server.delta_tree.z == 0.0
     sel_seed = server.seed.child("selection")
 
     twins = make_data()

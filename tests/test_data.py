@@ -329,12 +329,15 @@ def test_synthesis_memory_is_a_small_multiple_of_the_token_matrix():
     """A population of 10^5 at the default corpus shape (V = 100, so one
     byte per stored token) peaks (tracemalloc) under 6 bytes per token: no
     int64 token matrix, no per-client rows, no (population, vocab)
-    temporaries."""
-    tracemalloc.start()
-    try:
-        data = synthesize_clients(ExperimentConfig(population=100_000), seed=SeedPath(13))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert data.tokens.shape == (100_000, 51)
-    assert peak < 6 * data.tokens.size
+    temporaries.  At heterogeneity 0 no local draw is made, so no urn
+    context matrix is kept either: under 2.5 bytes per token."""
+    for heterogeneity, bytes_per_token in ((0.3, 6), (0.0, 2.5)):
+        config = ExperimentConfig(population=100_000, heterogeneity=heterogeneity)
+        tracemalloc.start()
+        try:
+            data = synthesize_clients(config, seed=SeedPath(13))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert data.tokens.shape == (100_000, 51)
+        assert peak < bytes_per_token * data.tokens.size, heterogeneity

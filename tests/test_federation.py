@@ -8,7 +8,6 @@ local updates come from a per-client dense reference kept in this file
 so the stacked cohort step is checked against code it shares nothing with.
 """
 
-import dataclasses
 import math
 import time
 import tracemalloc
@@ -28,7 +27,6 @@ from fpsim import (
     SecAggConfig,
     SeedPath,
     TrainingDiverged,
-    TreeState,
     availability_weights,
     batch_orders,
     cohort_update,
@@ -42,7 +40,7 @@ from fpsim import (
     synthesize_clients,
     synthesize_eval_set,
 )
-from fpsim import ClipState, federation
+from fpsim import federation
 from oracles import clip_l2, reference_cohort_update
 
 
@@ -126,21 +124,15 @@ def _reference_update(theta, contexts, labels, eta_c, batch_size, epochs, rng, v
     return np.array(deltas), np.array(losses)
 
 
-def _state(config, data, root, z=0.0, clip=None, secagg=None):
-    """A hand-built RunState over ``data``: the model's plain initial
-    parameters, a delta tree of multiplier ``z`` at the config's clip norm,
-    the round loop seeded at ``root``; ``secagg`` replaces the config's
-    SecAgg encoding."""
-    model = NextTokenBOW(vocab_size=config.vocab_size)
-    tree = TreeState(z, config.clip_c0, model.num_params, root.child("delta-tree"))
-    terms = config.privacy_terms()
-    if secagg is not None:
-        terms = dataclasses.replace(terms, secagg=secagg)
-    eval_set = synthesize_eval_set(config, root.child("eval"))
-    return RunState(config, terms, model, data, eval_set, root, model.init_params(), tree, clip)
+def _state(config, data):
+    """A RunState over ``data`` from the model's plain initial parameters;
+    everything else comes from ``config``."""
+    theta0 = NextTokenBOW(config.vocab_size, config.window).init_params()
+    eval_set = synthesize_eval_set(config, SeedPath(config.seed).child("eval"))
+    return RunState(config, data, eval_set, theta0)
 
 
-def _server(data, z=0.0, clip=math.inf, m=4, beta=0.0, eta_s=1.0, seed=11, secagg=None, **kw):
+def _server(data, z=0.0, clip=math.inf, m=4, beta=0.0, eta_s=1.0, seed=11, **kw):
     """A run over ``data`` with a fixed clip norm and no restarts; ``kw``
     sets more config fields."""
     config = _config(
@@ -150,9 +142,10 @@ def _server(data, z=0.0, clip=math.inf, m=4, beta=0.0, eta_s=1.0, seed=11, secag
         clip_c0=clip,
         beta=beta,
         eta_s=eta_s,
+        seed=seed,
         **kw,
     )
-    return _state(config, data, SeedPath(seed).child("run"), z, secagg=secagg)
+    return _state(config, data)
 
 
 class TestAvailabilityModel:
@@ -477,16 +470,6 @@ class TestRunRound:
             np.testing.assert_allclose(server.theta, theta, rtol=0, atol=1e-11)
 
     def test_adaptive_clip_state_advances(self):
-        data = _data()
-        root = SeedPath(30).child("run")
-        clip = ClipState(
-            initial_estimate=0.5,
-            target_quantile=0.5,
-            learning_rate=0.2,
-            sigma_b=0.0,
-            cohort_size=4,
-            seed=root.child("clip"),
-        )
         config = _config(
             report_goal=4,
             beta=0.0,
@@ -496,8 +479,10 @@ class TestRunRound:
             clip_eta_gamma=0.2,
             restart_mode="explicit",
             restart_rounds=(2,),
+            seed=30,
         )
-        server = _state(config, data, root, clip=clip)
+        server = _state(config, _data())
+        clip = server.clip
         run_round(server, [0, 1, 2, 3])
         assert clip.rounds_seen == 1
         assert server.active_clip == 0.5  # not yet activated
@@ -532,9 +517,9 @@ class TestSecureAggregationRound:
         to the codec's rounding tolerance."""
         m = 4
         plain = _server(_data(population=8), m=m, clip=1.0, seed=40)
-        model_dim = plain.model.num_params
-        cfg = SecAggConfig(1.0, 100.0, model_dim, m)
-        coded = _server(_data(population=8), m=m, clip=1.0, seed=40, secagg=cfg)
+        coded = _server(_data(population=8), m=m, clip=1.0, seed=40, secagg_enabled=True)
+        cfg = coded.terms.secagg
+        assert cfg == SecAggConfig(1.0, 100.0, plain.model.num_params, m)
         cohort_ids = list(range(m))
         metrics_plain = run_round(plain, cohort_ids)
         metrics_coded = run_round(coded, cohort_ids)
@@ -549,8 +534,8 @@ class TestSecureAggregationRound:
         error naming the round, the client and the config key."""
         m = 4
         data = _data(population=8)
-        cfg = SecAggConfig(1.0, 100.0, NextTokenBOW(vocab_size=8).num_params, m)
-        server = _server(data, m=m, clip=1.0, seed=43, secagg=cfg)
+        server = _server(data, m=m, clip=1.0, seed=43, secagg_enabled=True)
+        assert server.terms.secagg == SecAggConfig(1.0, 100.0, server.model.num_params, m)
         run_round(server, [0, 1, 2, 3])
 
         def failing_encode(deltas, config, signs, seeds, out):
@@ -576,11 +561,12 @@ class TestSecureAggregationRound:
         equals an independent recount over the deltas the codec received."""
         m = 4
         data = _data(population=8, vocab=16)
-        model_dim = NextTokenBOW(vocab_size=16).num_params
-        cfg = SecAggConfig(clip_norm=1.0, scale=100.0, model_dim=model_dim, cohort_size=m)
+        server = _server(data, m=m, clip=1.0, seed=42, secagg_enabled=True, vocab=16)
+        model_dim = server.model.num_params
+        cfg = server.terms.secagg
+        assert cfg == SecAggConfig(clip_norm=1.0, scale=100.0, model_dim=model_dim, cohort_size=m)
         padded_dim = cfg.padded_dim
         assert padded_dim == model_dim == 256
-        server = _server(data, m=m, clip=1.0, seed=42, secagg=cfg, vocab=16)
         received = []
 
         def recording_encode(deltas, config, signs, seeds, out):
@@ -603,46 +589,6 @@ class TestSecureAggregationRound:
         assert len(received) == m
         assert metrics.secagg_clamp_fraction > 0
         assert metrics.secagg_clamp_fraction == recount / (m * padded_dim)
-
-    def test_secagg_requires_fixed_clip(self):
-        """The SecAgg pieces of a hand-built RunState cannot pair with an
-        adaptive ClipState (a config refuses the pairing at parse time)."""
-        data = _data()
-        root = SeedPath(41).child("run")
-        model = NextTokenBOW(vocab_size=8)
-        cfg = SecAggConfig(1.0, 100.0, model.num_params, 4)
-        clip = ClipState(
-            initial_estimate=1.0,
-            target_quantile=0.5,
-            learning_rate=0.2,
-            sigma_b=0.0,
-            cohort_size=4,
-            seed=root.child("clip"),
-        )
-        config = _config(report_goal=4, beta=0.0, clip_c0=1.0)
-        terms = dataclasses.replace(config.privacy_terms(), secagg=cfg)
-        with pytest.raises(ValueError, match="fixed clip norm"):
-            RunState(
-                config,
-                terms,
-                model,
-                data,
-                synthesize_eval_set(config, root.child("eval")),
-                root,
-                model.init_params(),
-                TreeState(0.0, 1.0, model.num_params, root.child("t")),
-                clip,
-            )
-
-    def test_secagg_cohort_size_must_match_report_goal(self):
-        cfg = SecAggConfig(1.0, 100.0, 64, 5)  # cohort 5 != report goal 4
-        with pytest.raises(ValueError, match="cohort_size"):
-            _server(_data(), m=4, clip=1.0, secagg=cfg)
-
-    def test_secagg_model_dim_must_match_the_model(self):
-        cfg = SecAggConfig(1.0, 100.0, 100, 4)  # the vocab-8 model has 64 parameters
-        with pytest.raises(ValueError, match="model_dim"):
-            _server(_data(), m=4, clip=1.0, secagg=cfg)
 
 
 BLOCK_ADAPTIVE_CONFIG = """

@@ -11,6 +11,8 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ from fpsim import (
     ExperimentConfig,
     ParticipationSchema,
     PrivacyLedger,
+    SeedPath,
     SweepConfig,
     compare,
     post_hoc_report,
@@ -364,6 +367,48 @@ class TestParticipationLogValidation:
         assert (result.observed_max_part, result.observed_min_sep) == (1, 12)
         assert post_hoc_report(result.directory)["rho"] == result.final_rho
 
+    def test_malformed_log_rejected(self, small_run, tmp_path):
+        """A log under another header, or with a row that is not two
+        integers, is refused naming the file; no reader warning leaks."""
+        copy = _tampered_log(small_run, tmp_path, lambda rows: rows)
+        log = copy / "participation.csv"
+        text = log.read_text()
+        log.write_text(text.replace("client_id,round", "round,client_id", 1))
+        with pytest.raises(ValueError, match=r"participation\.csv: header 'round,client_id'"):
+            post_hoc_report(copy)
+        for row in ("3,x", "3", "2.5,1"):
+            log.write_text(text + row + "\n")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=r"participation\.csv: "):
+                    post_hoc_report(copy)
+        log.write_text("client_id,round\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"participation\.csv: round 0 lists 0 clients"):
+                post_hoc_report(copy)
+
+    def test_log_read_peaks_under_100_bytes_per_row(self, tmp_path):
+        """A valid 2048-round log of 100 clients a round (round t lists
+        clients 100 t onward, modulo the population) is read, checked and
+        accounted in under 100 bytes per row at the traced peak, not as a
+        list of Python int pairs (~190 bytes per row)."""
+        config = ExperimentConfig(rounds=2048, population=100_000, report_goal=100)
+        rows = config.rounds * config.report_goal
+        (tmp_path / "config.resolved").write_text(config.canonical_text())
+        rounds = np.repeat(np.arange(config.rounds), config.report_goal)
+        harness._write_participation(
+            tmp_path / "participation.csv", np.arange(rows) % config.population, rounds
+        )
+        tracemalloc.start()
+        try:
+            report = post_hoc_report(tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (report["observed_max_part"], report["observed_min_sep"]) == (3, 1000)
+        assert peak < 100 * rows
+
 
 class TestParticipationWriter:
     def test_chunked_log_matches_the_one_string_formula(self, tmp_path, monkeypatch):
@@ -400,11 +445,19 @@ class TestParticipationWriter:
 class TestStartRun:
     def test_state_at_round_zero(self):
         """start_run builds the run from its config alone: the config's
-        one derivation of the privacy terms, its population, and a round
-        loop that has not started."""
+        one derivation of the privacy terms, the noise trees, clip state and
+        seed derived from them, its population, and a round loop that has
+        not started."""
         config = ExperimentConfig.from_text(SMALL_CONFIG)
         state = start_run(config)
-        assert state.terms is config.privacy_terms()
+        terms = state.terms
+        assert terms is config.privacy_terms()
+        assert state.delta_tree.z == terms.z_delta
+        assert state.delta_tree.clip_norm == config.clip_c0
+        assert state.clip.sigma_b == terms.sigma_b > 0
+        assert state.clip.cohort_size == config.report_goal
+        assert state.seed == SeedPath(config.seed).child("federation")
+        assert state.model.num_params == config.vocab_size**2
         assert state.data.labels.shape == (config.population, config.examples_per_client)
         assert state.eval_set.labels.shape == (1, config.eval_examples)
         assert state.round == 0 and state.history == []
@@ -494,8 +547,11 @@ class TestWarmStart:
         cfg = ExperimentConfig.from_text(
             SMALL_CONFIG + f"warm_start = {tmp_path / 'tiny.bin'}\n"
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            ValueError, match=r"^warm_start checkpoint has 4 parameters, model needs 100$"
+        ):
             run_experiment(cfg, tmp_path / "run")
+        assert not (tmp_path / "run" / "metrics.csv").exists()
 
     def test_malformed_checkpoint_fails_cleanly_in_cli(self, tmp_path, capsys):
         """A warm_start file too short for its header exits 1 with the
