@@ -1,7 +1,8 @@
 """Time the two hot kernels: the fast Walsh-Hadamard transform and
 stochastic rounding (fpsim._kernels, numpy), the SecAgg block encode
 that calls them (per client, in a 1-row block and in the 13-row block
-run_round encodes at d = 10^4), and one whole SecAgg round at the secagg_wide shape (its
+run_round encodes at d = 10^4, each call adding its codes into one
+running total), and one whole SecAgg round at the secagg_wide shape (its
 20 clients trained, encoded and summed, the sum decoded). Run from the
 repo root:
 
@@ -64,16 +65,17 @@ def bench_round(size: int, repeats: int) -> dict[str, float]:
 
 def bench_encode(rows: int, repeats: int) -> float:
     """One encode_block call of ``rows`` clients at the secagg_wide shape,
-    its rounding generators included, in microseconds per client.  Each
-    update has norm about 2, so the clip scales it."""
+    its rounding generators and the fold into the running total included,
+    in microseconds per client.  Each update has norm about 2, so the clip
+    scales it."""
     config = SecAggConfig(ENCODE_CLIP, ENCODE_SCALE, ENCODE_DIM, ENCODE_COHORT)
     signs = sign_vector(SeedPath(0).child("rotation"), config.padded_dim)
     deltas = np.random.default_rng(2).normal(size=(rows, ENCODE_DIM)) * 0.02
     seeds = [SeedPath(0).child("client", i) for i in range(rows)]
-    out = np.empty((rows, config.padded_dim), dtype=np.int64)
+    total = np.zeros(config.padded_dim, dtype=np.int64)
 
     def call():
-        encode_block(deltas, config, signs, seeds, out)
+        encode_block(deltas, config, signs, seeds, total)
 
     return _time_per_call(call, max(1, repeats // rows)) / rows
 

@@ -17,11 +17,12 @@ import numpy as np
 __all__ = ["fwht_inplace", "stochastic_round"]
 
 
-def fwht_inplace(x: np.ndarray) -> None:
+def fwht_inplace(x: np.ndarray, scratch: np.ndarray | None = None) -> None:
     """Unnormalized fast Walsh-Hadamard transform, in place.
 
     x must be a float64 vector whose length is a power of two (checked by
-    the caller).  Each pass is one level in constant geometry (Pease's
+    the caller), and ``scratch`` one of its shape, else one is allocated.
+    Each pass is one level in constant geometry (Pease's
     form): it writes the sums and differences of the adjacent pairs
     ``(src[2i], src[2i + 1])`` to ``dst[i]`` and ``dst[i + n/2]``, two
     contiguous halves, and the two buffers swap.  A pass rotates the index
@@ -32,7 +33,7 @@ def fwht_inplace(x: np.ndarray) -> None:
     """
     n = x.shape[0]
     half = n // 2
-    src, dst = x, np.empty_like(x)
+    src, dst = x, np.empty_like(x) if scratch is None else scratch
     for _ in range(n.bit_length() - 1):
         np.add(src[0::2], src[1::2], out=dst[:half])
         np.subtract(src[0::2], src[1::2], out=dst[half:])
@@ -41,7 +42,9 @@ def fwht_inplace(x: np.ndarray) -> None:
         x[...] = src
 
 
-def stochastic_round(x: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
+def stochastic_round(
+    x: np.ndarray, u: np.ndarray, out: np.ndarray, scratch: np.ndarray | None = None
+) -> None:
     """Round each x[i] to floor(x[i]) + (u[i] < frac(x[i])), into out.
 
     u must hold uniform [0, 1) draws.  Integer-valued inputs round to
@@ -49,9 +52,9 @@ def stochastic_round(x: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
     scratch holds the fractional part and then, as 0.0 or 1.0, the
     comparison that is added in place: the same float additions as
     floor(x) + (u < x - floor(x)), signed zeros included, with one
-    temporary in place of four.
+    scratch, the caller's or a new one, in place of four temporaries.
     """
     np.floor(x, out=out)
-    scratch = np.subtract(x, out)
+    scratch = np.subtract(x, out, out=scratch)
     np.less(u, scratch, out=scratch)
     out += scratch

@@ -3,9 +3,10 @@
 Each round the server selects a cohort of exactly ``report_goal`` clients
 among those whose re-participation timer has expired, runs the cohort's
 local SGD in blocks of clients, one stacked step per block and minibatch,
-aggregates each block's clipped updates as they are made (plainly or
-through the secure aggregation pipeline), feeds the round's un-normalized
-sum to the noise tree, and applies the anchored momentum update
+aggregates each block's clipped updates as they are made (plainly, or
+encoded by the secure aggregation pipeline straight into one running
+modular total), feeds the round's un-normalized sum to the noise tree, and
+applies the anchored momentum update
 
     momentum <- beta * momentum + (noised cumulative sum) / report_goal
     theta    <- theta0 + eta_s * momentum
@@ -34,7 +35,7 @@ import numpy as np
 from fpsim.clipping import ClipState
 from fpsim.data import TokenDataset
 from fpsim.models import NextTokenBOW
-from fpsim.secagg import RoundingRetriesExhausted, decode, encode_block, modular_sum
+from fpsim.secagg import RoundingRetriesExhausted, decode, encode_block
 from fpsim.seeds import SeedPath, sign_vector
 from fpsim.tree import TreeState
 from fpsim.vectors import as_param_vector
@@ -284,8 +285,7 @@ def run_round(state: RunState, cohort_ids: Sequence[int]) -> RoundMetrics:
     if cfg is not None:
         signs = sign_vector(state.seed.child("rotation", t), cfg.padded_dim)
         rounding = state.seed.child("rounding", t)
-        encoded = np.empty((min(block, cohort), cfg.padded_dim), dtype=np.int64)
-        total = None
+        total = np.zeros(cfg.padded_dim, dtype=np.int64)
         clamped = 0
     for lo in range(0, cohort, block):
         ids = cohort_ids[lo : lo + block]
@@ -302,7 +302,8 @@ def run_round(state: RunState, cohort_ids: Sequence[int]) -> RoundMetrics:
             config.batch_size,
         )
         # Each block is summed and encoded as soon as it exists, so no array
-        # of the whole cohort's deltas or codes is ever built.  The rows are
+        # of the whole cohort's deltas is ever built, and encode_block adds
+        # its clients' codes straight into the round's total.  The rows are
         # added in cohort order: numpy's axis-0 sum of the first block is
         # its rows added one by one into a copy of its first row.
         if plain_sum is None:
@@ -313,13 +314,11 @@ def run_round(state: RunState, cohort_ids: Sequence[int]) -> RoundMetrics:
         if cfg is not None:
             seeds = [rounding.child("client", client_id) for client_id in ids]
             try:
-                clamped += encode_block(deltas, cfg, signs, seeds, encoded)
+                clamped += encode_block(deltas, cfg, signs, seeds, total)
             except RoundingRetriesExhausted as exc:
                 raise RoundingRetriesExhausted(
                     f"round {t}, client {ids[exc.row]}: {exc} (secagg.retry_cap)"
                 ) from exc
-            block_total = modular_sum(encoded[: hi - lo], cfg.modulus)
-            total = block_total if total is None else (total + block_total) % cfg.modulus
         del deltas  # freed before the next block is trained
 
     bits = 0

@@ -347,9 +347,12 @@ def post_hoc_report(run_dir: str | Path, delta: float = REPORT_DELTA) -> dict[st
         raise ValueError(f"{path}: round {outside[0]} lies outside [0, {config.rounds})")
     if client_ids.min(initial=0) < 0:
         raise ValueError(f"{path}: negative client id {client_ids.min()}")
-    unique, counts = np.unique(pairs, axis=0, return_counts=True)
-    if (counts > 1).any():
-        client_id, round_index = unique[counts > 1][0]
+    limits = observed_limits(client_ids, rounds, config.rounds)
+    # A repeated pair is a zero gap between a client's sorted rounds.
+    if limits[1] == 0:
+        ordered = pairs[np.lexsort((rounds, client_ids))]
+        first = np.flatnonzero((ordered[1:] == ordered[:-1]).all(axis=1))[0]
+        client_id, round_index = ordered[first]
         raise ValueError(f"{path}: client {client_id} is listed twice for round {round_index}")
     cohort_sizes = np.bincount(rounds, minlength=config.rounds)
     (short,) = np.nonzero(cohort_sizes != config.report_goal)
@@ -358,7 +361,6 @@ def post_hoc_report(run_dir: str | Path, delta: float = REPORT_DELTA) -> dict[st
             f"{path}: round {short[0]} lists {cohort_sizes[short[0]]} clients, "
             f"not report_goal = {config.report_goal}"
         )
-    limits = observed_limits(client_ids, rounds, config.rounds)
     # With no client back at all, min_sep reads config.rounds.
     if limits[1] < min(config.timer_rounds, config.rounds):
         raise ValueError(

@@ -4,7 +4,8 @@ Secure aggregation sums client integer vectors modulo M without revealing
 any individual vector, so each client must map its real update into
 non-negative integers whose modular sum decodes to (a close approximation
 of) the true sum.  encode_block runs the pipeline on a block of clients,
-one row each:
+one row each, and adds the block's codes into the caller's running modular
+total, so no array of per-client codes is built:
 
   1. scale by s and L2-clip to s * clip_norm,
   2. pad to a power-of-two width and apply a shared randomized Hadamard
@@ -16,9 +17,9 @@ one row each:
      worst-case one),
   5. shift by the L-infinity bound to make entries non-negative.
 
-The server sums modulo M = 2 * infinity_bound * cohort_size + 1, which is
-wide enough that no wraparound occurs, then undoes shift, rotation, scale
-and padding.  SecAggConfig takes the run's choices (clip norm, scale,
+The sum is taken modulo M = 2 * infinity_bound * cohort_size + 1, which is
+wide enough that no wraparound occurs; decode then undoes shift, rotation,
+scale and padding.  SecAggConfig takes the run's choices (clip norm, scale,
 model width, cohort size, retry cap) and derives every other encoding
 quantity once, when it is built; the sum runs in int64, so it refuses a
 modulus with cohort_size * (M - 1) >= 2**63.  Noise calibrated for central
@@ -41,7 +42,6 @@ from fpsim._kernels import fwht_inplace, stochastic_round
 __all__ = [
     "SecAggConfig",
     "encode_block",
-    "modular_sum",
     "decode",
     "inverse_rotation",
     "RoundingRetriesExhausted",
@@ -146,13 +146,14 @@ def _check_rotation_signs(d: int, signs: np.ndarray) -> np.ndarray:
     return signs
 
 
-def _rotate(x: np.ndarray, signs: np.ndarray) -> None:
+def _rotate(x: np.ndarray, signs: np.ndarray, scratch: np.ndarray) -> None:
     """Overwrite ``x`` with its normalized Hadamard rotation
     (1/sqrt(d)) * H_d * diag(signs) x, an isometry up to float64 rounding.
-    x is a float64 vector of power-of-two width, and ``signs`` were checked
-    for that width by _check_rotation_signs."""
+    x is a float64 vector of power-of-two width, ``signs`` were checked
+    for that width by _check_rotation_signs, and ``scratch`` is the
+    transform's second buffer, of x's shape."""
     x *= signs
-    fwht_inplace(x)
+    fwht_inplace(x, scratch)
     x *= 1.0 / np.sqrt(x.shape[0])
 
 
@@ -176,36 +177,39 @@ def encode_block(
     config: SecAggConfig,
     rotation_signs: np.ndarray,
     seeds: Sequence[SeedPath],
-    out: np.ndarray,
+    total: np.ndarray,
 ) -> int:
-    """Map a block of client updates to non-negative integers mod M.
+    """Encode a block of client updates and add their codes into ``total``.
 
     Row i of ``deltas`` is one client's real update, config.model_dim wide;
-    ``seeds[i]`` drives its private rounding randomness, and its int64
-    codes are written to ``out[i]``.  rotation_signs is the round's shared Rademacher vector (all
-    cohort clients must use the same one), checked once per call.  Returns
+    ``seeds[i]`` drives its private rounding randomness.  rotation_signs is
+    the round's shared Rademacher vector (all cohort clients must use the
+    same one), checked once per call.  ``total``, the caller's running sum,
+    holds padded_dim int64 residues mod M.  Each row's codes are checked to
+    lie in [0, M) and added into one int64 block sum, whose row count is
+    checked to fit int64, and total becomes (total + block % M) % M: the
+    same integers however a round splits its cohort into calls.  Returns
     the number of rotated coordinates the L-infinity clamp cut
     (|x| > infinity_bound) over the block.  Raises RoundingRetriesExhausted,
     its ``row`` the failing row, if a rounded norm check fails retry_cap
-    consecutive times.
+    consecutive times; a call that raises leaves ``total`` as it was.
     """
     width = config.padded_dim
+    modulus = config.modulus
     signs = _check_rotation_signs(width, rotation_signs)
     rows = len(seeds)
     deltas = np.asarray(deltas, dtype=np.float64)
-    if deltas.ndim != 2 or deltas.shape[0] != rows:
-        raise ValueError(f"deltas must be a 2-d array of {rows} rows, one per seed")
+    if rows == 0 or deltas.ndim != 2 or deltas.shape[0] != rows:
+        raise ValueError("deltas must be a 2-d array of at least one row, one per seed")
     d = deltas.shape[1]
     if d != config.model_dim:
         raise ValueError(f"update width {d} is not the config's model_dim {config.model_dim}")
-    if not (
-        isinstance(out, np.ndarray)
-        and out.dtype == np.int64
-        and out.ndim == 2
-        and out.shape[0] >= rows
-        and out.shape[1] == width
-    ):
-        raise ValueError(f"out must be an int64 array of at least {rows} rows of width {width}")
+    if not (isinstance(total, np.ndarray) and total.dtype == np.int64 and total.shape == (width,)):
+        raise ValueError(f"total must be an int64 vector of width {width}")
+    if total.min() < 0 or total.max() >= modulus:
+        raise ValueError(f"total must hold residues in [0, {modulus})")
+    if not _sum_fits_int64(rows, modulus):
+        raise ValueError(f"{rows} residues mod {modulus} overflow int64")
     if not np.all(np.isfinite(deltas)):
         raise ValueError("update contains NaN or Inf")
     scaled_clip = config.scale * config.clip_norm
@@ -217,12 +221,17 @@ def encode_block(
     # rotation and np.clip on copies (tests/oracles.py).  The rounded row
     # also holds |row| for the clamp count, and every attempt's uniforms
     # are drawn into one row: random(out=) gives the doubles random(width)
-    # returns.
+    # returns.  One scratch row serves the transform, then the rounding,
+    # and then, as int64, the accepted row's codes.  All of them are
+    # allocated once per call: a fresh row costs its page faults.
     row = np.empty(width)
     head = row[:d]
     rounded = np.empty(width)
     uniforms = np.empty(width)
+    scratch = np.empty(width)
+    codes = scratch.view(np.int64)
     over = np.empty(width, dtype=bool)
+    block = np.zeros(width, dtype=np.int64)
     clamped_count = 0
     for i, seed in enumerate(seeds):
         np.multiply(deltas[i], config.scale, out=head)
@@ -232,44 +241,28 @@ def encode_block(
             as_param_vector(head)  # raises when the scaling overflowed an entry
         if norm > scaled_clip:
             head *= scaled_clip / norm
-        _rotate(row, signs)
+        _rotate(row, signs, scratch)
         np.abs(row, out=rounded)
         clamped_count += int(np.count_nonzero(np.greater(rounded, bound, out=over)))
         np.clip(row, -bound, bound, out=row)
         for attempt in range(config.retry_cap):
             seed.child("round-attempt", attempt).generator().random(out=uniforms)
-            stochastic_round(row, uniforms, rounded)
+            stochastic_round(row, uniforms, rounded, scratch)
             if float(rounded @ rounded) <= config.norm_bound_sq:
-                rounded += bound
-                out[i] = rounded
                 break
         else:
             raise RoundingRetriesExhausted(
                 f"stochastic rounding exceeded the norm bound {config.retry_cap} times", row=i
             )
+        rounded += bound
+        codes[...] = rounded
+        if codes.min() < 0 or codes.max() >= modulus:
+            raise ValueError(f"row {i} encodes outside [0, {modulus})")
+        block += codes
+    block %= modulus
+    block += total
+    np.remainder(block, modulus, out=total)
     return clamped_count
-
-
-def modular_sum(updates: Sequence[np.ndarray] | np.ndarray, modulus: int) -> np.ndarray:
-    """Sum residue vectors modulo modulus (the secure-aggregation server op).
-
-    ``updates`` is a list of vectors or the rows of one 2-d array (which is
-    summed without a copy).  One int64 sum over the stacked updates, reduced
-    once: exact because len(updates) residues in [0, modulus) cannot
-    overflow int64, which is checked.
-    """
-    if len(updates) == 0:
-        raise ValueError("updates must be nonempty")
-    if len({np.shape(u) for u in updates}) != 1 or np.ndim(updates[0]) != 1:
-        raise ValueError("all updates must be vectors of the same shape")
-    stack = np.asarray(updates)
-    if stack.dtype.kind not in "iu":
-        raise ValueError("modular_sum takes integer vectors")
-    if not _sum_fits_int64(len(updates), modulus):
-        raise ValueError(f"{len(updates)} residues mod {modulus} overflow int64")
-    if stack.min() < 0 or stack.max() >= modulus:
-        raise ValueError("modular_sum takes residues in [0, modulus)")
-    return np.sum(stack, axis=0, dtype=np.int64) % modulus
 
 
 def decode(

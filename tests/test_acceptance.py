@@ -25,7 +25,6 @@ from fpsim import (
     decode,
     encode_block,
     loose_eps,
-    modular_sum,
     noise_split,
     run_experiment,
     run_round,
@@ -273,14 +272,17 @@ def test_06_secagg_round_trip_50_cohorts():
             x *= rng.uniform(2.0, 8.0) / np.linalg.norm(x)  # some norms exceed c
             deltas.append(x)
         seeds = [path.child("rounding").child("client", i) for i in range(m)]
-        encoded = np.empty((m, cfg.padded_dim), dtype=np.int64)
-        encode_block(np.stack(deltas), cfg, signs, seeds, encoded)
-        for enc in encoded:
+        raw = np.zeros(cfg.padded_dim, dtype=np.int64)
+        for x, seed in zip(deltas, seeds):
+            # One row encoded into a zeroed total: its entries are the codes.
+            enc = np.zeros(cfg.padded_dim, dtype=np.int64)
+            encode_block(x[None, :], cfg, signs, [seed], enc)
             unshifted = enc.astype(np.float64) - cfg.infinity_bound
             assert float(unshifted @ unshifted) <= norm_bound_sq
-        raw = np.sum(np.stack(encoded), axis=0)
+            raw += enc
         assert raw.min() >= 0 and raw.max() < cfg.modulus  # never wraps
-        total = modular_sum(encoded, cfg.modulus)
+        total = np.zeros(cfg.padded_dim, dtype=np.int64)
+        encode_block(np.stack(deltas), cfg, signs, seeds, total)
         np.testing.assert_array_equal(total, raw)
         out = decode(total, cfg, signs, n_clients=m)
         want = np.sum([clip_l2(x, c) for x in deltas], axis=0)

@@ -538,13 +538,13 @@ class TestSecureAggregationRound:
         assert server.terms.secagg == SecAggConfig(1.0, 100.0, server.model.num_params, m)
         run_round(server, [0, 1, 2, 3])
 
-        def failing_encode(deltas, config, signs, seeds, out):
+        def failing_encode(deltas, config, signs, seeds, total):
             failing = server.seed.child("rounding", 1).child("client", 6)
             if failing in seeds:
                 raise RoundingRetriesExhausted(
                     "stochastic rounding exceeded the norm bound 3 times", row=seeds.index(failing)
                 )
-            return encode_block(deltas, config, signs, seeds, out)
+            return encode_block(deltas, config, signs, seeds, total)
 
         monkeypatch.setattr(federation, "encode_block", failing_encode)
         with pytest.raises(RoundingRetriesExhausted) as caught:
@@ -569,11 +569,11 @@ class TestSecureAggregationRound:
         assert padded_dim == model_dim == 256
         received = []
 
-        def recording_encode(deltas, config, signs, seeds, out):
+        def recording_encode(deltas, config, signs, seeds, total):
             deltas = deltas.copy()
             deltas[0] = inverse_rotation(np.eye(padded_dim)[5], signs)
             received.extend((delta.copy(), signs.copy()) for delta in deltas)
-            return encode_block(deltas, config, signs, seeds, out)
+            return encode_block(deltas, config, signs, seeds, total)
 
         monkeypatch.setattr(federation, "encode_block", recording_encode)
         metrics = run_round(server, list(range(m)))
@@ -676,6 +676,36 @@ class TestRoundBlocks:
             tracemalloc.stop()
         assert peak < 4 * 2**20
         assert elapsed < 1.0
+
+    def test_secagg_round_builds_no_code_matrix(self):
+        """One SecAgg round at the secagg_wide shape (d = 10^4 padded to
+        16384, cohort 20, so two blocks of 13 and 7 clients) peaks above
+        the state's steady arrays by less than the training block plus a
+        dozen padded rows.  A (13, 16384) int64 array of the block's codes
+        alone would be 13 padded rows."""
+        config = ExperimentConfig(
+            population=40,
+            report_goal=20,
+            rounds=2,
+            clip_mode="fixed",
+            clip_c0=1.0,
+            secagg_enabled=True,
+        )
+        state = start_run(config)
+        d = state.model.num_params
+        padded_dim = state.terms.secagg.padded_dim
+        assert (d, padded_dim) == (10_000, 16384)
+        block_rows = federation._BLOCK_BYTES // (8 * d)
+        assert block_rows == 13
+        cohort_ids = select_cohort(state.next_eligible, config, 0, SeedPath(0).child("s"))
+        tracemalloc.start()
+        try:
+            steady, _ = tracemalloc.get_traced_memory()
+            run_round(state, cohort_ids)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - steady < 8 * (block_rows * d + 12 * padded_dim)
 
 
 def _reference_limits(client_ids, rounds, total_rounds):

@@ -313,6 +313,19 @@ class TestParticipationLogValidation:
         ):
             post_hoc_report(copy)
 
+    def test_lowest_repeated_pair_named(self, small_run, tmp_path):
+        """With two pairs repeated, the error names the lower in (client,
+        round) order, whichever comes first in the file."""
+        copy = _tampered_log(small_run, tmp_path, lambda rows: [rows[-1], rows[3], *rows])
+        _, *rows = (copy / "participation.csv").read_text().splitlines()
+        high, low = (tuple(map(int, row.split(","))) for row in rows[:2])
+        assert low < high
+        with pytest.raises(
+            ValueError,
+            match=rf"participation\.csv: client {low[0]} is listed twice for round {low[1]}$",
+        ):
+            post_hoc_report(copy)
+
     def test_header_only_log_rejected(self, small_run, tmp_path):
         copy = _tampered_log(small_run, tmp_path, lambda rows: [])
         with pytest.raises(

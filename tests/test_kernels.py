@@ -4,6 +4,11 @@ The Walsh-Hadamard transform and stochastic rounding have one
 implementation, in numpy; these tests pin what the SecAgg codec relies on.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,9 +20,9 @@ from fpsim._kernels import fwht_inplace, stochastic_round
 from oracles import reference_fwht
 
 
-def _round(x, u):
+def _round(x, u, scratch=None):
     out = np.empty_like(x)
-    stochastic_round(x, u, out)
+    stochastic_round(x, u, out, scratch)
     return out
 
 
@@ -28,7 +33,8 @@ class TestFWHT:
     def test_bytes_match_one_pass_per_level(self, log_width, seed, signed):
         """The constant-geometry kernel writes the same bytes as the
         in-place butterfly (reference_fwht), lowest bit first, at every width
-        2^0..2^15, for entries whose magnitudes span 1e-3..1e3."""
+        2^0..2^15, for entries whose magnitudes span 1e-3..1e3, with its
+        own second buffer or with a caller's scratch that holds NaNs."""
         rng = np.random.default_rng(seed)
         n = 1 << log_width
         x = 10.0 ** rng.uniform(-3.0, 3.0, size=n)
@@ -36,8 +42,11 @@ class TestFWHT:
             x *= rng.choice((-1.0, 1.0), size=n)
         want = x.copy()
         reference_fwht(want)
+        with_scratch = x.copy()
         fwht_inplace(x)
         assert x.tobytes() == want.tobytes()
+        fwht_inplace(with_scratch, np.full(n, np.nan))
+        assert with_scratch.tobytes() == want.tobytes()
 
     def test_impulse_spreads_uniformly(self):
         """The unnormalized transform of e_0 is the all-ones vector."""
@@ -119,8 +128,9 @@ class TestStochasticRound:
     @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-300, 1e300))
     def test_bytes_match_floor_plus_compare(self, seed, scale):
         """The in-place kernel writes the bytes of floor(x) + (u < frac(x))
-        on fresh arrays, signed zeros and integers included, and leaves x
-        and u as they were."""
+        on fresh arrays, signed zeros and integers included, with its own
+        scratch or a caller's that holds NaNs, and leaves x and u as they
+        were."""
         rng = np.random.default_rng(seed)
         x = rng.normal(size=512) * scale
         x[:8] = [0.0, -0.0, -1.0, 1.0, -0.5, 0.5, -2.0**-1074, 2.0**-1074]
@@ -131,6 +141,7 @@ class TestStochasticRound:
         floor = np.floor(x)
         want = floor + (u < x - floor).astype(np.float64)
         assert _round(x, u).tobytes() == want.tobytes()
+        assert _round(x, u, np.full(512, np.nan)).tobytes() == want.tobytes()
         assert x.tobytes() == x_bytes and u.tobytes() == u_bytes
 
     def test_deterministic_given_uniforms(self):
@@ -143,3 +154,23 @@ class TestStochasticRound:
 def test_backend_is_numpy():
     """The one implementation is reported as fpsim.BACKEND."""
     assert fpsim.BACKEND == "numpy"
+
+
+def test_kernel_bench_script_runs():
+    """benchmarks/bench_kernels.py at its smallest size and one repeat, so
+    that a changed kernel or encode signature cannot break it unseen."""
+    root = Path(__file__).resolve().parent.parent
+    src = str(root / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    script = root / "benchmarks" / "bench_kernels.py"
+    done = subprocess.run(
+        [sys.executable, str(script), "--sizes", "1024", "--repeats", "1"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    for heading in ("fwht_inplace", "stochastic_round", "encode_block", "secagg_wide run_round"):
+        assert heading in done.stdout

@@ -2,9 +2,10 @@
 
 Pipeline per client: scale and clip, pad to a power of two, random rotation,
 per-coordinate clamp, conditionally accepted stochastic rounding, shift to
-non-negative integers. The server sums residues mod M and decodes. The
-modulus is derived so that a full cohort of in-range vectors can never wrap,
-making the codec an exact integer transport up to rounding error.
+non-negative integers. Each block's codes are added into a running total
+of residues mod M, which the server decodes. The modulus is derived so
+that a full cohort of in-range vectors can never wrap, making the codec an
+exact integer transport up to rounding error.
 """
 
 import dataclasses
@@ -22,7 +23,6 @@ from fpsim import (
     SeedPath,
     decode,
     encode_block,
-    modular_sum,
     sign_vector,
 )
 from fpsim import secagg
@@ -32,10 +32,33 @@ from oracles import clip_l2, reference_encode, reference_fwht, rounded_norm_boun
 
 
 def _encode_one(delta, config, signs, seed):
-    """One client's codes and clamp count, encoded as a 1-row block."""
-    out = np.empty((1, config.padded_dim), dtype=np.int64)
-    clamped = encode_block(np.asarray(delta)[None, :], config, signs, [seed], out)
-    return out[0], clamped
+    """One client's codes and clamp count: a 1-row block encoded into a
+    zeroed total, whose entries are then that row's codes."""
+    total = np.zeros(config.padded_dim, dtype=np.int64)
+    clamped = encode_block(np.asarray(delta)[None, :], config, signs, [seed], total)
+    return total, clamped
+
+
+def _encode_total(deltas, config, signs, seeds, rows_per_call):
+    """The zero-started total of ``deltas`` encoded ``rows_per_call`` rows
+    per encode_block call, and the summed clamp count."""
+    total = np.zeros(config.padded_dim, dtype=np.int64)
+    clamped = 0
+    for lo in range(0, len(seeds), rows_per_call):
+        hi = lo + rows_per_call
+        clamped += encode_block(deltas[lo:hi], config, signs, seeds[lo:hi], total)
+    return total, clamped
+
+
+def _reference_total(deltas, config, signs, seeds):
+    """The sum mod M of reference_encode's codes, and their clamp count."""
+    total = np.zeros(config.padded_dim, dtype=np.int64)
+    clamped = 0
+    for delta, seed in zip(deltas, seeds):
+        codes, row_clamped, _ = reference_encode(delta, config, signs, seed)
+        total = (total + codes) % config.modulus
+        clamped += row_clamped
+    return total, clamped
 
 
 class TestDeriveConfig:
@@ -148,9 +171,8 @@ class TestRoundTrip:
         signs = sign_vector(SeedPath(1).child("rot"), cfg.padded_dim)
         deltas = [rng.normal(size=model_dim) for _ in range(m)]
         seeds = [SeedPath(1).child("round").child("client", i) for i in range(m)]
-        encoded = np.empty((m, cfg.padded_dim), dtype=np.int64)
-        encode_block(np.stack(deltas), cfg, signs, seeds, encoded)
-        total = modular_sum(encoded, cfg.modulus)
+        total = np.zeros(cfg.padded_dim, dtype=np.int64)
+        encode_block(np.stack(deltas), cfg, signs, seeds, total)
         out = decode(total, cfg, signs, n_clients=m)
         want = np.sum([clip_l2(x, c) for x in deltas], axis=0)
         err = np.linalg.norm(out - want)
@@ -182,17 +204,20 @@ class TestRoundTrip:
             assert enc.max() <= 2 * cfg.infinity_bound
 
     def test_cohort_sum_never_wraps(self):
-        """The raw integer sum of a full cohort stays below the modulus."""
+        """The raw integer sum of a full cohort's codes stays below the
+        modulus, so the block's modular total is that raw sum."""
         rng = np.random.default_rng(3)
         m = 10
         cfg = SecAggConfig(5.0, 100.0, 256, m)
         signs = sign_vector(SeedPath(4).child("rot"), cfg.padded_dim)
         deltas = np.stack([rng.normal(size=256) * 5 for _ in range(m)])
         seeds = [SeedPath(4).child("c", i) for i in range(m)]
-        encoded = np.empty((m, cfg.padded_dim), dtype=np.int64)
-        encode_block(deltas, cfg, signs, seeds, encoded)
-        raw = np.sum(encoded, axis=0)
+        codes = [_encode_one(x, cfg, signs, seed)[0] for x, seed in zip(deltas, seeds)]
+        raw = np.sum(codes, axis=0)
         assert raw.max() < cfg.modulus
+        total = np.zeros(cfg.padded_dim, dtype=np.int64)
+        encode_block(deltas, cfg, signs, seeds, total)
+        np.testing.assert_array_equal(total, raw)
 
     def test_rounded_norm_bound_respected(self):
         """Accepted roundings satisfy the conditional-acceptance norm bound."""
@@ -246,14 +271,14 @@ class TestCodecProperties:
         signs = sign_vector(SeedPath(seed).child("rot"), config.padded_dim)
         norm_bound_sq = rounded_norm_bound_sq(config)
         seeds = [SeedPath(seed).child("c", i) for i in range(n)]
-        encoded = np.empty((n, config.padded_dim), dtype=np.int64)
-        clamped = encode_block(clients, config, signs, seeds, encoded)
-        for enc in encoded:
+        for delta, client_seed in zip(clients, seeds):
+            enc, _ = _encode_one(delta, config, signs, client_seed)
             assert enc.min() >= 0
             assert enc.max() <= 2 * config.infinity_bound
             unshifted = enc.astype(np.float64) - config.infinity_bound
             assert float(unshifted @ unshifted) <= norm_bound_sq
-        total = modular_sum(encoded, config.modulus)
+        total = np.zeros(config.padded_dim, dtype=np.int64)
+        clamped = encode_block(clients, config, signs, seeds, total)
         out = decode(total, config, signs, n_clients=n)
         if clamped == 0:
             want = np.sum([clip_l2(x, config.clip_norm) for x in clients], axis=0)
@@ -261,6 +286,22 @@ class TestCodecProperties:
             # The float rotation adds error at the 1e-12 level of the sum.
             slack = 1e-9 * (1.0 + float(np.linalg.norm(want)))
             assert err <= n * math.sqrt(config.padded_dim) / config.scale + slack
+
+    @settings(max_examples=60, deadline=None)
+    @given(_codec_cases())
+    def test_streamed_total_does_not_depend_on_the_block_size(self, case):
+        """The rows encoded one per call, three per call (the last call
+        ragged) and all in one call give the same total and clamp count,
+        and each total is the sum mod M of the reference pipeline's codes."""
+        config, clients, seed = case
+        n = clients.shape[0]
+        signs = sign_vector(SeedPath(seed).child("rot"), config.padded_dim)
+        seeds = [SeedPath(seed).child("c", i) for i in range(n)]
+        want, want_clamped = _reference_total(clients, config, signs, seeds)
+        for rows_per_call in (1, 3, n):
+            total, clamped = _encode_total(clients, config, signs, seeds, rows_per_call)
+            assert total.tobytes() == want.tobytes()
+            assert clamped == want_clamped
 
 
 class TestClamping:
@@ -295,9 +336,9 @@ class TestEncodeBytes:
         Hadamard row so that the clamp cuts coordinates."""
         rounding_inputs = []
 
-        def recording_round(x, u, out):
+        def recording_round(x, u, out, scratch=None):
             rounding_inputs.append(x.tobytes())
-            stochastic_round(x, u, out)
+            stochastic_round(x, u, out, scratch)
 
         monkeypatch.setattr(secagg, "stochastic_round", recording_round)
         cfg, signs, updates = self._secagg_wide_updates()
@@ -314,18 +355,14 @@ class TestEncodeBytes:
         assert clamps[0] == 0 and clamps[2] > 0
 
     def test_multi_row_block_matches_reference_rows(self):
-        """The three updates as one 3-row block: each row is the reference
-        pipeline's bytes for its seed, and the return value is the sum of
-        the rows' clamp counts."""
+        """The three updates as one 3-row block: the total is the sum mod M
+        of the reference pipeline's codes for their seeds, and the return
+        value is the sum of the rows' clamp counts."""
         cfg, signs, updates = self._secagg_wide_updates()
         seeds = [SeedPath(12).child("client", index) for index in range(3)]
-        out = np.empty((3, cfg.padded_dim), dtype=np.int64)
-        clamped = encode_block(np.stack(updates), cfg, signs, seeds, out)
-        want_clamped = 0
-        for got, delta, seed in zip(out, updates, seeds):
-            want, row_clamped, _ = reference_encode(delta, cfg, signs, seed)
-            assert got.tobytes() == want.tobytes()
-            want_clamped += row_clamped
+        total, clamped = _encode_total(np.stack(updates), cfg, signs, seeds, 3)
+        want, want_clamped = _reference_total(updates, cfg, signs, seeds)
+        assert total.tobytes() == want.tobytes()
         assert clamped == want_clamped
 
     @staticmethod
@@ -365,25 +402,24 @@ class TestEncodeBytes:
             _encode_one(np.zeros(64), cfg, signs[:32], seed)
         with pytest.raises(ValueError, match="signs"):
             _encode_one(np.zeros(64), cfg, signs * 2.0, seed)
-        # The output rows and the row count.
+        # The total and the row count.
         deltas = np.zeros((2, 64))
         seeds = [seed, SeedPath(13).child("d")]
-        for out in (
-            np.empty((2, 64)),  # float64
-            np.empty((2, 64), dtype=np.int32),
-            np.empty((2, 32), dtype=np.int64),
-            np.empty((1, 64), dtype=np.int64),  # fewer rows than seeds
-            np.empty(128, dtype=np.int64),
-            [[0] * 64] * 2,
+        for total in (
+            np.zeros(64),  # float64
+            np.zeros(64, dtype=np.int32),
+            np.zeros(32, dtype=np.int64),
+            np.zeros((1, 64), dtype=np.int64),
+            [0] * 64,
         ):
-            with pytest.raises(ValueError, match="out must be"):
-                encode_block(deltas, cfg, signs, seeds, out)
-        out = np.empty((3, 64), dtype=np.int64)  # spare rows are legal
-        assert encode_block(deltas, cfg, signs, seeds, out) == 0
+            with pytest.raises(ValueError, match="total must be an int64 vector"):
+                encode_block(deltas, cfg, signs, seeds, total)
+        total = np.zeros(64, dtype=np.int64)
+        assert encode_block(deltas, cfg, signs, seeds, total) == 0
         with pytest.raises(ValueError, match="one per seed"):
-            encode_block(np.zeros((3, 64)), cfg, signs, seeds, out)
+            encode_block(np.zeros((3, 64)), cfg, signs, seeds, total)
         with pytest.raises(ValueError, match="one per seed"):
-            encode_block(np.zeros(64), cfg, signs, seeds[:1], out)  # not a block
+            encode_block(np.zeros(64), cfg, signs, seeds[:1], total)  # not a block
 
 
 class TestFailureModes:
@@ -412,28 +448,60 @@ class TestFailureModes:
     def test_retry_error_is_a_runtime_error(self):
         assert issubclass(RoundingRetriesExhausted, RuntimeError)
 
-    def test_modular_sum_validates_inputs(self):
+    def test_encode_block_validates_the_total(self):
+        """A total of the wrong width or dtype, or holding a non-residue,
+        and an empty block are refused, and the total is left as it was."""
         cfg = SecAggConfig(1.0, 10.0, 8, 2)
-        a = np.zeros(cfg.padded_dim, dtype=np.int64)
-        with pytest.raises(ValueError):
-            modular_sum([a, np.zeros(4, dtype=np.int64)], cfg.modulus)
-        with pytest.raises(ValueError):
-            modular_sum([np.zeros(cfg.padded_dim, dtype=np.float64)], cfg.modulus)
-        with pytest.raises(ValueError):
-            modular_sum([], cfg.modulus)
-        with pytest.raises(ValueError):
-            modular_sum([a, a + cfg.modulus], cfg.modulus)  # not a residue
-        with pytest.raises(ValueError):
-            modular_sum([a, a - 1], cfg.modulus)
+        signs = sign_vector(SeedPath(9).child("rot"), cfg.padded_dim)
+        deltas = np.zeros((2, 8))
+        seeds = [SeedPath(9).child("c", i) for i in range(2)]
+        total = np.zeros(cfg.padded_dim, dtype=np.int64)
+        with pytest.raises(ValueError, match="total must be"):
+            encode_block(deltas, cfg, signs, seeds, np.zeros(4, dtype=np.int64))
+        with pytest.raises(ValueError, match="total must be"):
+            encode_block(deltas, cfg, signs, seeds, np.zeros(cfg.padded_dim))  # float
+        with pytest.raises(ValueError, match="at least one row"):
+            encode_block(np.zeros((0, 8)), cfg, signs, [], total)
+        for bad in (cfg.modulus, -1):  # not a residue
+            total[3] = bad
+            with pytest.raises(ValueError, match="residues"):
+                encode_block(deltas, cfg, signs, seeds, total)
+            assert total[3] == bad and np.count_nonzero(total) == 1
 
-    def test_modular_sum_reduces_the_stacked_sum(self):
+    def test_encode_block_checks_each_row_is_residues(self, monkeypatch):
+        """A rounding that yields a code outside [0, M) is refused, naming
+        the row, before the block reaches the total."""
+
+        def escaping_round(x, u, out, scratch=None):
+            out[...] = 0.0
+            out[0] = -cfg.infinity_bound - 1.0  # shifts to the code -1
+
+        # Wide enough that the escaping row still meets the norm bound.
+        cfg = SecAggConfig(1.0, 10.0, 256, 2)
+        assert (cfg.infinity_bound + 1) ** 2 <= cfg.norm_bound_sq
+        signs = sign_vector(SeedPath(9).child("rot"), cfg.padded_dim)
+        total = np.zeros(cfg.padded_dim, dtype=np.int64)
+        monkeypatch.setattr(secagg, "stochastic_round", escaping_round)
+        with pytest.raises(ValueError, match=rf"row 0 encodes outside \[0, {cfg.modulus}\)"):
+            encode_block(np.zeros((1, 256)), cfg, signs, [SeedPath(9).child("c")], total)
+        assert not total.any()
+
+    def test_encode_block_reduces_the_stacked_sum(self):
+        """Seven rows folded into a total that starts at arbitrary residues:
+        the result is that total plus the reference codes, mod M."""
         rng = np.random.default_rng(10)
-        modulus = 1_000_003
-        updates = [rng.integers(0, modulus, size=64) for _ in range(7)]
-        want = np.zeros(64, dtype=np.int64)
-        for u in updates:
-            want = (want + u) % modulus
-        np.testing.assert_array_equal(modular_sum(updates, modulus), want)
+        cfg = SecAggConfig(5.0, 100.0, 64, 7)
+        signs = sign_vector(SeedPath(10).child("rot"), cfg.padded_dim)
+        deltas = rng.normal(size=(7, 64))
+        seeds = [SeedPath(10).child("c", i) for i in range(7)]
+        start = rng.integers(0, cfg.modulus, size=cfg.padded_dim)
+        want = start.copy()
+        for delta, seed in zip(deltas, seeds):
+            want = (want + reference_encode(delta, cfg, signs, seed)[0]) % cfg.modulus
+        total = start.copy()
+        encode_block(deltas, cfg, signs, seeds, total)
+        np.testing.assert_array_equal(total, want)
+        assert (total < start).any()  # the fold wrapped
 
     def test_int64_overflow_bound_checked(self):
         """A modulus whose cohort sum cannot fit int64 is refused when the
@@ -444,10 +512,16 @@ class TestFailureModes:
         cohort, infinity_bound = 2, 2**60 - 1
         assert _sum_fits_int64(cohort, 2 * infinity_bound * cohort + 1)  # sums to 2**63 - 8
         assert not _sum_fits_int64(cohort, 2 * 2**60 * cohort + 1)  # sums to 2**63
-        # modular_sum checks the same bound for its own input count.
-        a = np.zeros(4, dtype=np.int64)
-        with pytest.raises(ValueError, match="overflow"):
-            modular_sum([a] * 3, 2**62)
+        # encode_block checks the same bound for its own row count: a config
+        # of one client whose modulus is near 2**62 admits two rows, not three.
+        wide = SecAggConfig(1.0, 1.3e18, 4, 1)
+        assert _sum_fits_int64(2, wide.modulus) and not _sum_fits_int64(3, wide.modulus)
+        signs = sign_vector(SeedPath(11).child("rot"), wide.padded_dim)
+        seeds = [SeedPath(11).child("c", i) for i in range(3)]
+        total = np.zeros(wide.padded_dim, dtype=np.int64)
+        with pytest.raises(ValueError, match="overflow int64"):
+            encode_block(np.zeros((3, 4)), wide, signs, seeds, total)
+        encode_block(np.zeros((2, 4)), wide, signs, seeds[:2], total)
 
     def test_decode_validates_client_count(self):
         cfg = SecAggConfig(1.0, 10.0, 8, 2)

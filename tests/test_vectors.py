@@ -116,12 +116,13 @@ class TestRandomizedHadamard:
 
     def test_in_place_rotation_writes_the_same_bytes(self):
         """The encoder's rotation (secagg._rotate, its signs checked by
-        _check_rotation_signs) writes the oracle's bytes."""
+        _check_rotation_signs, its scratch row holding NaNs) writes the
+        oracle's bytes."""
         rng = np.random.default_rng(5)
         signs = sign_vector(SeedPath(0).child("r", 5), 256)
         v = rng.normal(size=256)
         x = v.copy()
-        _rotate(x, _check_rotation_signs(256, signs))
+        _rotate(x, _check_rotation_signs(256, signs), np.full(256, np.nan))
         assert x.tobytes() == randomized_hadamard(v, signs).tobytes()
         with pytest.raises(ValueError, match="power of two"):
             _check_rotation_signs(6, np.ones(6))
