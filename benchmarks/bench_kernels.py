@@ -1,10 +1,10 @@
 """Time the two hot kernels: the fast Walsh-Hadamard transform and
 stochastic rounding (fpsim._kernels, numpy), the SecAgg block encode
-that calls them (per client, in a 1-row block and in the 13-row block
-run_round encodes at d = 10^4, each call adding its codes into one
-running total), and one whole SecAgg round at the secagg_wide shape (its
-20 clients trained, encoded and summed, the sum decoded). Run from the
-repo root:
+that calls them (SecAggRound.add, per client, in a 1-row block and in the
+13-row block run_round encodes at d = 10^4, each call folding its codes
+into the round's running total), and one whole SecAgg round at the
+secagg_wide shape (its 20 clients trained, encoded and summed, the sum
+decoded). Run from the repo root:
 
     PYTHONPATH=src python benchmarks/bench_kernels.py
     PYTHONPATH=src python benchmarks/bench_kernels.py --sizes 4096 262144 --repeats 50
@@ -19,8 +19,8 @@ import numpy as np
 
 from fpsim import ExperimentConfig, run_round, select_cohort, start_run
 from fpsim._kernels import fwht_inplace, stochastic_round
-from fpsim.secagg import SecAggConfig, encode_block
-from fpsim.seeds import SeedPath, sign_vector
+from fpsim.secagg import SecAggConfig, SecAggRound
+from fpsim.seeds import SeedPath
 
 # The secagg_wide benchmark shape: d = 10^4 padded to 16384, scale 100,
 # clip norm 1, cohort 20.
@@ -29,7 +29,7 @@ ENCODE_SCALE = 100.0
 ENCODE_CLIP = 1.0
 ENCODE_COHORT = 20
 
-# Client rows per encode_block call: one client, and run_round's block at
+# Client rows per SecAggRound.add call: one client, and run_round's block at
 # d = 10^4 (1 MB of float64 deltas, 13 rows).
 ENCODE_ROWS = (1, 13)
 
@@ -64,18 +64,19 @@ def bench_round(size: int, repeats: int) -> dict[str, float]:
 
 
 def bench_encode(rows: int, repeats: int) -> float:
-    """One encode_block call of ``rows`` clients at the secagg_wide shape,
-    its rounding generators and the fold into the running total included,
-    in microseconds per client.  Each update has norm about 2, so the clip
-    scales it."""
+    """One SecAggRound.add call of ``rows`` clients at the secagg_wide
+    shape, its rounding generators and the fold into the running total
+    included, in microseconds per client.  Each update has norm about 2, so
+    the clip scales it.  Every call adds the same clients to one round, its
+    client count reset so that the cohort size never refuses them."""
     config = SecAggConfig(ENCODE_CLIP, ENCODE_SCALE, ENCODE_DIM, ENCODE_COHORT)
-    signs = sign_vector(SeedPath(0).child("rotation"), config.padded_dim)
+    secagg = SecAggRound(config, SeedPath(0), 0)
     deltas = np.random.default_rng(2).normal(size=(rows, ENCODE_DIM)) * 0.02
-    seeds = [SeedPath(0).child("client", i) for i in range(rows)]
-    total = np.zeros(config.padded_dim, dtype=np.int64)
+    client_ids = range(rows)
 
     def call():
-        encode_block(deltas, config, signs, seeds, total)
+        secagg.clients = 0
+        secagg.add(deltas, client_ids)
 
     return _time_per_call(call, max(1, repeats // rows)) / rows
 
@@ -114,7 +115,7 @@ def main() -> None:
             print(f"  {size:>8}" + "".join(f"{result[name]:>14.1f}" for name in names))
         print()
 
-    print("encode_block (microseconds per client, best of 3)")
+    print("SecAggRound.add (microseconds per client, best of 3)")
     print(f"  {'d':>8}{'rows':>8}{'encode':>14}")
     for rows in ENCODE_ROWS:
         print(f"  {ENCODE_DIM:>8}{rows:>8}{bench_encode(rows, args.repeats):>14.1f}")

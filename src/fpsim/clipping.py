@@ -86,9 +86,9 @@ def combined_multiplier(z_delta: float, sigma_b: float) -> float:
 class ClipState:
     """Quantile-tracking state plus the indicator-count noise tree.
 
-    ``estimate`` follows the noised clip statistics every round;
-    ``active`` is the norm actually used for clipping and is only replaced
-    by the estimate at restarts (via activate).
+    ``estimate`` follows the noised clip statistics every round; restart
+    returns it as the next segment's clip norm, which the update tree then
+    holds (RunState.active_clip).
     """
 
     initial_estimate: float
@@ -98,7 +98,6 @@ class ClipState:
     cohort_size: int
     seed: SeedPath
     estimate: float = field(init=False)
-    active: float = field(init=False)
     rounds_seen: int = field(init=False, default=0)
     count_tree: TreeState = field(init=False, repr=False)
 
@@ -114,7 +113,6 @@ class ClipState:
         if self.cohort_size < 1:
             raise ValueError("cohort_size must be >= 1")
         self.estimate = float(self.initial_estimate)
-        self.active = float(self.initial_estimate)
         # A d = 1 tree over raw indicator sums, prefix-decomposed like the
         # update tree and restarted with it: z=sigma_b with a unit clip
         # scale gives node noise std exactly sigma_b.
@@ -151,13 +149,8 @@ class ClipState:
         self.estimate = max(estimate, MIN_ESTIMATE_FRACTION * self.initial_estimate)
         return self.estimate
 
-    def activate(self) -> float:
-        """Make the current estimate the active clip norm (restart boundary)."""
-        self.active = self.estimate
-        return self.active
-
     def restart(self) -> float:
-        """Freeze the count tree's segment and activate the current
-        estimate as the new clip norm; returns the new active norm."""
+        """Freeze the count tree's segment and return the current estimate,
+        the clip norm of the segment that opens."""
         self.count_tree.restart(1.0)
-        return self.activate()
+        return self.estimate

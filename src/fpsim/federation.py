@@ -3,8 +3,8 @@
 Each round the server selects a cohort of exactly ``report_goal`` clients
 among those whose re-participation timer has expired, runs the cohort's
 local SGD in blocks of clients, one stacked step per block and minibatch,
-aggregates each block's clipped updates as they are made (plainly, or
-encoded by the secure aggregation pipeline straight into one running
+aggregates each block's clipped updates as they are made (plainly, and
+under secure aggregation also into the round's SecAggRound, one running
 modular total), feeds the round's un-normalized sum to the noise tree, and
 applies the anchored momentum update
 
@@ -35,8 +35,8 @@ import numpy as np
 from fpsim.clipping import ClipState
 from fpsim.data import TokenDataset
 from fpsim.models import NextTokenBOW
-from fpsim.secagg import RoundingRetriesExhausted, decode, encode_block
-from fpsim.seeds import SeedPath, sign_vector
+from fpsim.secagg import SecAggRound
+from fpsim.seeds import SeedPath
 from fpsim.tree import TreeState
 from fpsim.vectors import as_param_vector
 
@@ -244,7 +244,9 @@ class RunState:
 
     @property
     def active_clip(self) -> float:
-        return self.clip.active if self.clip is not None else self.config.clip_c0
+        """The clip norm applied to updates: the one the tree's noise is
+        calibrated to, replaced only at restarts."""
+        return self.delta_tree.clip_norm
 
     @property
     def quantile_estimate(self) -> float:
@@ -261,7 +263,8 @@ def run_round(state: RunState, cohort_ids: Sequence[int]) -> RoundMetrics:
     the byte: the batch orders are drawn for the whole cohort before any
     block, each client's row is computed alone, the plain sum adds the rows
     in cohort order as numpy's axis-0 sum does, and the SecAgg total is an
-    exact sum of residues mod M.
+    exact sum of residues mod M.  A sum that is no longer finite stops the
+    run with TrainingDiverged, naming the round.
     """
     config = state.config
     if len(cohort_ids) != config.report_goal:
@@ -282,11 +285,7 @@ def run_round(state: RunState, cohort_ids: Sequence[int]) -> RoundMetrics:
     losses = np.empty(cohort)
     plain_sum = None
     cfg = state.terms.secagg
-    if cfg is not None:
-        signs = sign_vector(state.seed.child("rotation", t), cfg.padded_dim)
-        rounding = state.seed.child("rounding", t)
-        total = np.zeros(cfg.padded_dim, dtype=np.int64)
-        clamped = 0
+    secagg = None if cfg is None else SecAggRound(cfg, state.seed, t)
     for lo in range(0, cohort, block):
         ids = cohort_ids[lo : lo + block]
         hi = lo + len(ids)
@@ -302,8 +301,8 @@ def run_round(state: RunState, cohort_ids: Sequence[int]) -> RoundMetrics:
             config.batch_size,
         )
         # Each block is summed and encoded as soon as it exists, so no array
-        # of the whole cohort's deltas is ever built, and encode_block adds
-        # its clients' codes straight into the round's total.  The rows are
+        # of the whole cohort's deltas is ever built, and the SecAgg round
+        # adds its clients' codes straight into its total.  The rows are
         # added in cohort order: numpy's axis-0 sum of the first block is
         # its rows added one by one into a copy of its first row.
         if plain_sum is None:
@@ -311,24 +310,20 @@ def run_round(state: RunState, cohort_ids: Sequence[int]) -> RoundMetrics:
         else:
             for i in range(hi - lo):
                 plain_sum += deltas[i]
-        if cfg is not None:
-            seeds = [rounding.child("client", client_id) for client_id in ids]
-            try:
-                clamped += encode_block(deltas, cfg, signs, seeds, total)
-            except RoundingRetriesExhausted as exc:
-                raise RoundingRetriesExhausted(
-                    f"round {t}, client {ids[exc.row]}: {exc} (secagg.retry_cap)"
-                ) from exc
+        if not np.isfinite(plain_sum).all():
+            raise TrainingDiverged(f"non-finite client updates at round {t}")
+        if secagg is not None:
+            secagg.add(deltas, ids)
         del deltas  # freed before the next block is trained
 
     bits = 0
     residual = 0.0
     clamp_fraction = 0.0
-    if cfg is not None:
-        round_sum = decode(total, cfg, signs, cohort)
+    if secagg is not None:
+        round_sum = secagg.decode()
         bits = cfg.bits_per_update
         residual = float(np.linalg.norm(round_sum - plain_sum))
-        clamp_fraction = clamped / (cohort * cfg.padded_dim)
+        clamp_fraction = secagg.clamped / (cohort * cfg.padded_dim)
     else:
         round_sum = plain_sum
 

@@ -19,17 +19,15 @@ from fpsim import (
     ParticipationSchema,
     RunState,
     SecAggConfig,
+    SecAggRound,
     SeedPath,
     TreeState,
     combined_multiplier,
-    decode,
-    encode_block,
     loose_eps,
     noise_split,
     run_experiment,
     run_round,
     select_cohort,
-    sign_vector,
     sweep,
     synthesize_clients,
     synthesize_eval_set,
@@ -265,26 +263,25 @@ def test_06_secagg_round_trip_50_cohorts():
     for cohort in range(50):
         rng = np.random.default_rng(cohort)
         path = SeedPath(cohort).child("secagg-cohort")
-        signs = sign_vector(path.child("rotation"), cfg.padded_dim)
         deltas = []
         for i in range(m):
             x = rng.normal(size=model_dim)
             x *= rng.uniform(2.0, 8.0) / np.linalg.norm(x)  # some norms exceed c
             deltas.append(x)
-        seeds = [path.child("rounding").child("client", i) for i in range(m)]
         raw = np.zeros(cfg.padded_dim, dtype=np.int64)
-        for x, seed in zip(deltas, seeds):
-            # One row encoded into a zeroed total: its entries are the codes.
-            enc = np.zeros(cfg.padded_dim, dtype=np.int64)
-            encode_block(x[None, :], cfg, signs, [seed], enc)
+        for i, x in enumerate(deltas):
+            # One client added alone to the round: its total holds the codes.
+            alone = SecAggRound(cfg, path, 0)
+            alone.add(x[None, :], [i])
+            enc = alone.total
             unshifted = enc.astype(np.float64) - cfg.infinity_bound
             assert float(unshifted @ unshifted) <= norm_bound_sq
             raw += enc
         assert raw.min() >= 0 and raw.max() < cfg.modulus  # never wraps
-        total = np.zeros(cfg.padded_dim, dtype=np.int64)
-        encode_block(np.stack(deltas), cfg, signs, seeds, total)
-        np.testing.assert_array_equal(total, raw)
-        out = decode(total, cfg, signs, n_clients=m)
+        secagg = SecAggRound(cfg, path, 0)
+        secagg.add(np.stack(deltas), range(m))
+        np.testing.assert_array_equal(secagg.total, raw)
+        out = secagg.decode()
         want = np.sum([clip_l2(x, c) for x in deltas], axis=0)
         residual = float(np.linalg.norm(out - want))
         assert residual <= residual_bound

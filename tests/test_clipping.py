@@ -15,6 +15,7 @@ from fpsim import (
     ClipState,
     ExperimentConfig,
     SeedPath,
+    TreeState,
     combined_multiplier,
     noise_split,
     run_round,
@@ -146,21 +147,20 @@ class TestClipState:
 
     def test_active_norm_frozen_until_restart(self):
         """The tracked estimate only becomes the enforced clip level at a
-        restart boundary; mid-segment the active norm stays put."""
+        restart boundary: restart returns the estimate of that moment, and
+        the update tree holds it as its clip norm while the estimate moves
+        on."""
         state = _plain_state(initial=1.0, gamma=0.5, eta=0.2, m=4)
-        assert state.active == 1.0
+        tree = TreeState(0.0, state.estimate, 1, SeedPath(0).child("tree"))
         state.add_round(4)
+        tree.add_round(np.zeros(1))
         assert state.estimate < 1.0
-        assert state.active == 1.0
-        new_active = state.restart()
-        assert new_active == state.active == state.estimate
-
-    def test_activate_is_idempotent(self):
-        state = _plain_state(initial=1.0, gamma=0.5, eta=0.2, m=4)
+        assert tree.clip_norm == 1.0
+        tree.restart(state.restart())
+        active = tree.clip_norm
+        assert active == state.estimate
         state.add_round(4)
-        first = state.activate()
-        second = state.activate()
-        assert first == second == state.estimate
+        assert state.estimate < active == tree.clip_norm
 
     def test_round_counter_spans_restarts(self):
         """Restarting the count tree must not reset the time index of the

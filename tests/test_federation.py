@@ -25,13 +25,12 @@ from fpsim import (
     RoundingRetriesExhausted,
     RunState,
     SecAggConfig,
+    SecAggRound,
     SeedPath,
     TrainingDiverged,
     availability_weights,
     batch_orders,
     cohort_update,
-    encode_block,
-    inverse_rotation,
     observed_limits,
     run_experiment,
     run_round,
@@ -40,7 +39,8 @@ from fpsim import (
     synthesize_clients,
     synthesize_eval_set,
 )
-from fpsim import federation
+from fpsim import federation, secagg
+from fpsim._kernels import stochastic_round
 from oracles import clip_l2, reference_cohort_update
 
 
@@ -531,34 +531,42 @@ class TestSecureAggregationRound:
 
     def test_exhausted_rounding_names_the_round_and_client(self, monkeypatch):
         """A client whose rounding retries run out stops the round with an
-        error naming the round, the client and the config key."""
+        error naming the round, the client and the config key.  Every
+        rounding drawn from client 6's round-1 attempt seeds is pushed past
+        the norm bound."""
         m = 4
         data = _data(population=8)
-        server = _server(data, m=m, clip=1.0, seed=43, secagg_enabled=True)
-        assert server.terms.secagg == SecAggConfig(1.0, 100.0, server.model.num_params, m)
+        server = _server(
+            data, m=m, clip=1.0, seed=43, secagg_enabled=True, secagg_retry_cap=3
+        )
+        cfg = server.terms.secagg
+        assert cfg == SecAggConfig(1.0, 100.0, server.model.num_params, m, retry_cap=3)
         run_round(server, [0, 1, 2, 3])
+        client_6 = server.seed.child("rounding", 1).child("client", 6)
+        failing = {
+            client_6.child("round-attempt", a).generator().random(cfg.padded_dim).tobytes()
+            for a in range(3)
+        }
 
-        def failing_encode(deltas, config, signs, seeds, total):
-            failing = server.seed.child("rounding", 1).child("client", 6)
-            if failing in seeds:
-                raise RoundingRetriesExhausted(
-                    "stochastic rounding exceeded the norm bound 3 times", row=seeds.index(failing)
-                )
-            return encode_block(deltas, config, signs, seeds, total)
+        def failing_round(x, u, out, scratch=None):
+            stochastic_round(x, u, out, scratch)
+            if u.tobytes() in failing:
+                out[0] = 1e9
 
-        monkeypatch.setattr(federation, "encode_block", failing_encode)
+        monkeypatch.setattr(secagg, "stochastic_round", failing_round)
         with pytest.raises(RoundingRetriesExhausted) as caught:
             run_round(server, [5, 6, 7, 4])
-        message = str(caught.value)
-        assert message.startswith("round 1, client 6: stochastic rounding exceeded")
-        assert "secagg.retry_cap" in message
-        assert isinstance(caught.value.__cause__, RoundingRetriesExhausted)
+        assert str(caught.value) == (
+            "round 1, client 6: stochastic rounding exceeded the norm bound 3 times "
+            "(secagg.retry_cap)"
+        )
 
     def test_clamp_fraction_counts_clamped_coordinates(self, monkeypatch):
         """The codec receives the round's first update replaced by one that
-        the rotation maps onto a single coordinate (inverse_rotation of a
-        spike), past the derived L-infinity bound; the round's clamp fraction
-        equals an independent recount over the deltas the codec received."""
+        the rotation maps onto a single coordinate (the inverse rotation of
+        a spike: diag(signs) times a Hadamard row over sqrt(d)), past the
+        derived L-infinity bound; the round's clamp fraction equals an
+        independent recount over the deltas the codec received."""
         m = 4
         data = _data(population=8, vocab=16)
         server = _server(data, m=m, clip=1.0, seed=42, secagg_enabled=True, vocab=16)
@@ -567,19 +575,21 @@ class TestSecureAggregationRound:
         assert cfg == SecAggConfig(clip_norm=1.0, scale=100.0, model_dim=model_dim, cohort_size=m)
         padded_dim = cfg.padded_dim
         assert padded_dim == model_dim == 256
+        rotation = hadamard(padded_dim) / math.sqrt(padded_dim)
         received = []
+        add = SecAggRound.add
 
-        def recording_encode(deltas, config, signs, seeds, total):
+        def recording_add(self, deltas, client_ids):
             deltas = deltas.copy()
-            deltas[0] = inverse_rotation(np.eye(padded_dim)[5], signs)
-            received.extend((delta.copy(), signs.copy()) for delta in deltas)
-            return encode_block(deltas, config, signs, seeds, total)
+            if not received:
+                deltas[0] = self.signs * rotation[5]
+            received.extend((delta.copy(), self.signs.copy()) for delta in deltas)
+            add(self, deltas, client_ids)
 
-        monkeypatch.setattr(federation, "encode_block", recording_encode)
+        monkeypatch.setattr(SecAggRound, "add", recording_add)
         metrics = run_round(server, list(range(m)))
         monkeypatch.undo()
 
-        rotation = hadamard(padded_dim) / math.sqrt(padded_dim)
         recount = 0
         for delta, signs in received:
             padded = np.zeros(padded_dim)

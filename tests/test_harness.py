@@ -24,6 +24,7 @@ from fpsim import (
     PrivacyLedger,
     SeedPath,
     SweepConfig,
+    TrainingDiverged,
     compare,
     post_hoc_report,
     run_experiment,
@@ -508,6 +509,56 @@ class TestRoundClock:
         config = ExperimentConfig.from_text(SMALL_CONFIG)
         run_experiment(config, tmp_path / "run")
         assert events == ["synthesize_clients"] + ["select_cohort"] * config.rounds
+
+
+DIVERGING_CONFIG = """
+rounds = 60
+report_goal = 10
+population = 400
+eta_c = 1e308
+noise_multiplier = 0
+clip.mode = fixed
+clip.c0 = inf
+"""
+
+
+class TestDivergence:
+    @pytest.mark.parametrize(
+        "edits, diverged_at",
+        [
+            ({}, 49),
+            (
+                {
+                    "clip.c0 = inf": "clip.c0 = 1.0",
+                    "noise_multiplier = 0": (
+                        "noise_multiplier = 0\nsecagg.enabled = true\n"
+                        "model.window = 2\nbatch_size = 1"
+                    ),
+                },
+                2,
+            ),
+        ],
+        ids=["plain", "secagg"],
+    )
+    def test_non_finite_updates_stop_the_run_naming_the_round(
+        self, tmp_path, edits, diverged_at
+    ):
+        """A run whose client updates stop being finite stops with
+        TrainingDiverged naming the round, before the round's sum reaches
+        the noise tree or the SecAgg encoder.  Plain: local steps of eta_c
+        = 1e308 with no clip grow the deltas each round until the cohort's
+        sum overflows.  SecAgg, which needs a finite clip norm: over
+        two-token windows, one example per step, a local step overflows a
+        parameter and the clipped delta is NaN."""
+        text = DIVERGING_CONFIG
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        config = ExperimentConfig.from_text(text)
+        assert config.secagg_enabled == bool(edits)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            TrainingDiverged, match=rf"^non-finite client updates at round {diverged_at}$"
+        ):
+            run_experiment(config, tmp_path / "run")
 
 
 class TestDeterminism:

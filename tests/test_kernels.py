@@ -172,5 +172,5 @@ def test_kernel_bench_script_runs():
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    for heading in ("fwht_inplace", "stochastic_round", "encode_block", "secagg_wide run_round"):
+    for heading in ("fwht_inplace", "stochastic_round", "SecAggRound.add", "secagg_wide run_round"):
         assert heading in done.stdout

@@ -2,10 +2,10 @@
 
 Pipeline per client: scale and clip, pad to a power of two, random rotation,
 per-coordinate clamp, conditionally accepted stochastic rounding, shift to
-non-negative integers. Each block's codes are added into a running total
-of residues mod M, which the server decodes. The modulus is derived so
-that a full cohort of in-range vectors can never wrap, making the codec an
-exact integer transport up to rounding error.
+non-negative integers. A SecAggRound adds each block's codes into its
+running total of residues mod M, which it then decodes. The modulus is
+derived so that a full cohort of in-range vectors can never wrap, making
+the codec an exact integer transport up to rounding error.
 """
 
 import dataclasses
@@ -20,9 +20,8 @@ from scipy.linalg import hadamard
 from fpsim import (
     RoundingRetriesExhausted,
     SecAggConfig,
+    SecAggRound,
     SeedPath,
-    decode,
-    encode_block,
     sign_vector,
 )
 from fpsim import secagg
@@ -31,23 +30,33 @@ from fpsim.secagg import ROUNDING_NORM_ALPHA, _sum_fits_int64
 from oracles import clip_l2, reference_encode, reference_fwht, rounded_norm_bound_sq
 
 
-def _encode_one(delta, config, signs, seed):
-    """One client's codes and clamp count: a 1-row block encoded into a
-    zeroed total, whose entries are then that row's codes."""
-    total = np.zeros(config.padded_dim, dtype=np.int64)
-    clamped = encode_block(np.asarray(delta)[None, :], config, signs, [seed], total)
-    return total, clamped
+def _client_seed(seed, client):
+    """The rounding seed of ``client`` in round 0 of a SecAggRound built
+    from ``seed``."""
+    return seed.child("rounding", 0).child("client", client)
 
 
-def _encode_total(deltas, config, signs, seeds, rows_per_call):
-    """The zero-started total of ``deltas`` encoded ``rows_per_call`` rows
-    per encode_block call, and the summed clamp count."""
-    total = np.zeros(config.padded_dim, dtype=np.int64)
-    clamped = 0
-    for lo in range(0, len(seeds), rows_per_call):
-        hi = lo + rows_per_call
-        clamped += encode_block(deltas[lo:hi], config, signs, seeds[lo:hi], total)
-    return total, clamped
+def _round_signs(config, seed):
+    """The rotation signs of round 0 of a SecAggRound built from ``seed``."""
+    return sign_vector(seed.child("rotation", 0), config.padded_dim)
+
+
+def _encode_one(delta, config, seed, client=0):
+    """One client's codes and clamp count: the client added alone to round
+    0, whose total then holds that client's codes."""
+    secagg = SecAggRound(config, seed, 0)
+    secagg.add(np.asarray(delta)[None, :], [client])
+    return secagg.total, secagg.clamped
+
+
+def _encode_total(deltas, config, seed, rows_per_call):
+    """Round 0 with ``deltas`` (clients 0, 1, ...) added ``rows_per_call``
+    rows per add call."""
+    secagg = SecAggRound(config, seed, 0)
+    for lo in range(0, deltas.shape[0], rows_per_call):
+        hi = min(lo + rows_per_call, deltas.shape[0])
+        secagg.add(deltas[lo:hi], range(lo, hi))
+    return secagg
 
 
 def _reference_total(deltas, config, signs, seeds):
@@ -168,12 +177,8 @@ class TestRoundTrip:
         rng = np.random.default_rng(0)
         m, model_dim, s, c = 10, 1000, 100.0, 5.0
         cfg = SecAggConfig(c, s, model_dim, m)
-        signs = sign_vector(SeedPath(1).child("rot"), cfg.padded_dim)
         deltas = [rng.normal(size=model_dim) for _ in range(m)]
-        seeds = [SeedPath(1).child("round").child("client", i) for i in range(m)]
-        total = np.zeros(cfg.padded_dim, dtype=np.int64)
-        encode_block(np.stack(deltas), cfg, signs, seeds, total)
-        out = decode(total, cfg, signs, n_clients=m)
+        out = _encode_total(np.stack(deltas), cfg, SeedPath(1), m).decode()
         want = np.sum([clip_l2(x, c) for x in deltas], axis=0)
         err = np.linalg.norm(out - want)
         assert err <= m * math.sqrt(cfg.padded_dim) / s
@@ -183,11 +188,9 @@ class TestRoundTrip:
         rng = np.random.default_rng(1)
         model_dim = 64
         cfg = SecAggConfig(1.0, 1e6, model_dim, 1)
-        signs = sign_vector(SeedPath(2).child("rot"), cfg.padded_dim)
         x = rng.normal(size=model_dim)
         x = clip_l2(x, 1.0)
-        enc, _ = _encode_one(x, cfg, signs, SeedPath(2).child("c"))
-        out = decode(enc.copy(), cfg, signs, n_clients=1)
+        out = _encode_total(x[None, :], cfg, SeedPath(2), 1).decode()
         np.testing.assert_allclose(out, x, atol=1e-4)
 
     def test_encoded_values_in_range(self):
@@ -195,10 +198,9 @@ class TestRoundTrip:
         no-wraparound modulus argument work."""
         rng = np.random.default_rng(2)
         cfg = SecAggConfig(5.0, 100.0, 256, 10)
-        signs = sign_vector(SeedPath(3).child("rot"), cfg.padded_dim)
         for i in range(10):
             x = rng.normal(size=256) * rng.uniform(0.1, 10)
-            enc, _ = _encode_one(x, cfg, signs, SeedPath(3).child("c", i))
+            enc, _ = _encode_one(x, cfg, SeedPath(3), i)
             assert enc.dtype == np.int64
             assert enc.min() >= 0
             assert enc.max() <= 2 * cfg.infinity_bound
@@ -209,34 +211,28 @@ class TestRoundTrip:
         rng = np.random.default_rng(3)
         m = 10
         cfg = SecAggConfig(5.0, 100.0, 256, m)
-        signs = sign_vector(SeedPath(4).child("rot"), cfg.padded_dim)
         deltas = np.stack([rng.normal(size=256) * 5 for _ in range(m)])
-        seeds = [SeedPath(4).child("c", i) for i in range(m)]
-        codes = [_encode_one(x, cfg, signs, seed)[0] for x, seed in zip(deltas, seeds)]
+        codes = [_encode_one(x, cfg, SeedPath(4), i)[0] for i, x in enumerate(deltas)]
         raw = np.sum(codes, axis=0)
         assert raw.max() < cfg.modulus
-        total = np.zeros(cfg.padded_dim, dtype=np.int64)
-        encode_block(deltas, cfg, signs, seeds, total)
-        np.testing.assert_array_equal(total, raw)
+        np.testing.assert_array_equal(_encode_total(deltas, cfg, SeedPath(4), m).total, raw)
 
     def test_rounded_norm_bound_respected(self):
         """Accepted roundings satisfy the conditional-acceptance norm bound."""
         rng = np.random.default_rng(4)
         cfg = SecAggConfig(5.0, 100.0, 256, 10)
-        signs = sign_vector(SeedPath(5).child("rot"), cfg.padded_dim)
         bound = rounded_norm_bound_sq(cfg)
         for i in range(20):
             x = rng.normal(size=256) * rng.uniform(0.1, 10)
-            enc, _ = _encode_one(x, cfg, signs, SeedPath(5).child("c", i))
+            enc, _ = _encode_one(x, cfg, SeedPath(5), i)
             unshifted = enc.astype(np.float64) - cfg.infinity_bound
             assert float(unshifted @ unshifted) <= bound
 
     def test_deterministic(self):
         cfg = SecAggConfig(2.0, 50.0, 128, 4)
-        signs = sign_vector(SeedPath(6).child("rot"), cfg.padded_dim)
         x = np.linspace(-1, 1, 128)
-        a, a_clamped = _encode_one(x, cfg, signs, SeedPath(6).child("c"))
-        b, b_clamped = _encode_one(x, cfg, signs, SeedPath(6).child("c"))
+        a, a_clamped = _encode_one(x, cfg, SeedPath(6))
+        b, b_clamped = _encode_one(x, cfg, SeedPath(6))
         np.testing.assert_array_equal(a, b)
         assert a_clamped == b_clamped
 
@@ -268,19 +264,16 @@ class TestCodecProperties:
         1, and the rotation is orthogonal)."""
         config, clients, seed = case
         n, model_dim = clients.shape
-        signs = sign_vector(SeedPath(seed).child("rot"), config.padded_dim)
         norm_bound_sq = rounded_norm_bound_sq(config)
-        seeds = [SeedPath(seed).child("c", i) for i in range(n)]
-        for delta, client_seed in zip(clients, seeds):
-            enc, _ = _encode_one(delta, config, signs, client_seed)
+        for i, delta in enumerate(clients):
+            enc, _ = _encode_one(delta, config, SeedPath(seed), i)
             assert enc.min() >= 0
             assert enc.max() <= 2 * config.infinity_bound
             unshifted = enc.astype(np.float64) - config.infinity_bound
             assert float(unshifted @ unshifted) <= norm_bound_sq
-        total = np.zeros(config.padded_dim, dtype=np.int64)
-        clamped = encode_block(clients, config, signs, seeds, total)
-        out = decode(total, config, signs, n_clients=n)
-        if clamped == 0:
+        secagg = _encode_total(clients, config, SeedPath(seed), n)
+        out = secagg.decode()
+        if secagg.clamped == 0:
             want = np.sum([clip_l2(x, config.clip_norm) for x in clients], axis=0)
             err = float(np.linalg.norm(out - want))
             # The float rotation adds error at the 1e-12 level of the sum.
@@ -290,18 +283,18 @@ class TestCodecProperties:
     @settings(max_examples=60, deadline=None)
     @given(_codec_cases())
     def test_streamed_total_does_not_depend_on_the_block_size(self, case):
-        """The rows encoded one per call, three per call (the last call
+        """The rows added one per call, three per call (the last call
         ragged) and all in one call give the same total and clamp count,
         and each total is the sum mod M of the reference pipeline's codes."""
         config, clients, seed = case
         n = clients.shape[0]
-        signs = sign_vector(SeedPath(seed).child("rot"), config.padded_dim)
-        seeds = [SeedPath(seed).child("c", i) for i in range(n)]
+        signs = _round_signs(config, SeedPath(seed))
+        seeds = [_client_seed(SeedPath(seed), i) for i in range(n)]
         want, want_clamped = _reference_total(clients, config, signs, seeds)
         for rows_per_call in (1, 3, n):
-            total, clamped = _encode_total(clients, config, signs, seeds, rows_per_call)
-            assert total.tobytes() == want.tobytes()
-            assert clamped == want_clamped
+            secagg = _encode_total(clients, config, SeedPath(seed), rows_per_call)
+            assert secagg.total.tobytes() == want.tobytes()
+            assert (secagg.clients, secagg.clamped) == (n, want_clamped)
 
 
 class TestClamping:
@@ -311,10 +304,10 @@ class TestClamping:
         residues still lie in range: the clamp runs before rounding."""
         cfg = SecAggConfig(clip_norm=100.0, scale=1.0, model_dim=1024, cohort_size=2)
         assert cfg.infinity_bound == 44
-        signs = sign_vector(SeedPath(7).child("rot"), 1024)
+        signs = _round_signs(cfg, SeedPath(7))
         rows = hadamard(1024)
         x = signs * (rows[3] + rows[100] + rows[700]) * 5.0
-        enc, clamped = _encode_one(x, cfg, signs, SeedPath(7).child("c"))
+        enc, clamped = _encode_one(x, cfg, SeedPath(7))
         assert enc.min() >= 0
         assert enc.max() <= 2 * cfg.infinity_bound
         # Independent recount: the rotation as an explicit matrix product.
@@ -325,8 +318,9 @@ class TestClamping:
 
 
 class TestEncodeBytes:
-    """encode_block works in place on one padded row per call; each row's
-    output must be the bytes of the step-by-step pipeline on fresh arrays."""
+    """SecAggRound.add works in place on one padded row per call; each
+    row's output must be the bytes of the step-by-step pipeline on fresh
+    arrays."""
 
     def test_secagg_wide_shape_matches_reference_pipeline(self, monkeypatch):
         """d = 10^4 padded to 16384, s = 100, clip norm 1: wide enough that a
@@ -344,8 +338,8 @@ class TestEncodeBytes:
         cfg, signs, updates = self._secagg_wide_updates()
         clamps = []
         for index, delta in enumerate(updates):
-            seed = SeedPath(12).child("client", index)
-            got, clamped = _encode_one(delta, cfg, signs, seed)
+            got, clamped = _encode_one(delta, cfg, SeedPath(12), index)
+            seed = _client_seed(SeedPath(12), index)
             want, want_clamped, want_row = reference_encode(delta, cfg, signs, seed)
             assert rounding_inputs[-1] == want_row.tobytes()
             assert got.dtype == want.dtype == np.int64
@@ -356,24 +350,25 @@ class TestEncodeBytes:
 
     def test_multi_row_block_matches_reference_rows(self):
         """The three updates as one 3-row block: the total is the sum mod M
-        of the reference pipeline's codes for their seeds, and the return
-        value is the sum of the rows' clamp counts."""
+        of the reference pipeline's codes for their seeds, and the round's
+        clamp count is the sum of the rows' clamp counts."""
         cfg, signs, updates = self._secagg_wide_updates()
-        seeds = [SeedPath(12).child("client", index) for index in range(3)]
-        total, clamped = _encode_total(np.stack(updates), cfg, signs, seeds, 3)
+        seeds = [_client_seed(SeedPath(12), index) for index in range(3)]
+        secagg = _encode_total(np.stack(updates), cfg, SeedPath(12), 3)
         want, want_clamped = _reference_total(updates, cfg, signs, seeds)
-        assert total.tobytes() == want.tobytes()
-        assert clamped == want_clamped
+        assert secagg.total.tobytes() == want.tobytes()
+        assert secagg.clamped == want_clamped
 
     @staticmethod
     def _secagg_wide_updates():
         """The secagg_wide config (d = 10^4 padded to 16384, s = 100, clip
-        norm 1, cohort 20), its signs, and three updates: below and above
-        the clip norm, and one aligned with a Hadamard row."""
+        norm 1, cohort 20), the signs of round 0 from SeedPath(12), and
+        three updates: below and above the clip norm, and one aligned with
+        a Hadamard row."""
         d = 10_000
         cfg = SecAggConfig(1.0, 100.0, d, 20)
         assert cfg.padded_dim == 16384
-        signs = sign_vector(SeedPath(12).child("rot"), cfg.padded_dim)
+        signs = _round_signs(cfg, SeedPath(12))
         row = np.zeros(cfg.padded_dim)
         row[3] = 1.0
         reference_fwht(row)  # row 3 of the Sylvester Hadamard matrix
@@ -387,59 +382,52 @@ class TestEncodeBytes:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_update_and_signs_still_checked(self):
+        """The updates are checked to be finite, to stay finite when scaled
+        and to be one model_dim row per client; a refused call leaves the
+        round as it was.  The round's signs and rounding seeds are its
+        seed's children at the round index."""
         cfg = SecAggConfig(1.0, 100.0, 64, 4)
-        signs = sign_vector(SeedPath(13).child("rot"), cfg.padded_dim)
-        seed = SeedPath(13).child("c")
+        seed = SeedPath(13)
         with pytest.raises(ValueError, match="NaN or Inf"):
-            _encode_one(np.full(64, np.nan), cfg, signs, seed)
+            _encode_one(np.full(64, np.nan), cfg, seed)
         huge = dataclasses.replace(cfg, scale=1e15)
         with pytest.raises(ValueError, match="NaN or Inf"):
-            _encode_one(np.full(64, 1e300), huge, signs, seed)  # the scaling overflows
+            _encode_one(np.full(64, 1e300), huge, seed)  # the scaling overflows
         for width in (63, 65):
             with pytest.raises(ValueError, match="model_dim"):
-                _encode_one(np.zeros(width), cfg, signs, seed)
-        with pytest.raises(ValueError, match="signs"):
-            _encode_one(np.zeros(64), cfg, signs[:32], seed)
-        with pytest.raises(ValueError, match="signs"):
-            _encode_one(np.zeros(64), cfg, signs * 2.0, seed)
-        # The total and the row count.
-        deltas = np.zeros((2, 64))
-        seeds = [seed, SeedPath(13).child("d")]
-        for total in (
-            np.zeros(64),  # float64
-            np.zeros(64, dtype=np.int32),
-            np.zeros(32, dtype=np.int64),
-            np.zeros((1, 64), dtype=np.int64),
-            [0] * 64,
-        ):
-            with pytest.raises(ValueError, match="total must be an int64 vector"):
-                encode_block(deltas, cfg, signs, seeds, total)
-        total = np.zeros(64, dtype=np.int64)
-        assert encode_block(deltas, cfg, signs, seeds, total) == 0
-        with pytest.raises(ValueError, match="one per seed"):
-            encode_block(np.zeros((3, 64)), cfg, signs, seeds, total)
-        with pytest.raises(ValueError, match="one per seed"):
-            encode_block(np.zeros(64), cfg, signs, seeds[:1], total)  # not a block
+                _encode_one(np.zeros(width), cfg, seed)
+        secagg = SecAggRound(cfg, seed, 5)
+        assert secagg.signs.tobytes() == sign_vector(seed.child("rotation", 5), 64).tobytes()
+        assert secagg.rounding == seed.child("rounding", 5)
+        with pytest.raises(ValueError, match="one row"):
+            secagg.add(np.zeros((3, 64)), [0, 1])
+        with pytest.raises(ValueError, match="one row"):
+            secagg.add(np.zeros(64), [0])  # not a block
+        assert (secagg.clients, secagg.clamped) == (0, 0) and not secagg.total.any()
+        secagg.add(np.zeros((2, 64)), [0, 1])
+        assert (secagg.clients, secagg.clamped) == (2, 0)
 
 
 class TestFailureModes:
     def test_retry_cap_exhaustion(self):
         """With a one-attempt budget, a boundary-norm vector eventually hits a
-        rounding draw that violates the norm bound (frozen failing seed); the
+        rounding draw that violates the norm bound (frozen failing client);
+        the error names the round, the client and the config key, and the
         default budget of retries absorbs the same draw."""
-        import dataclasses
-
         cfg = SecAggConfig(5.0, 100.0, 1024, 10)
         strict = dataclasses.replace(cfg, retry_cap=1)
-        signs = sign_vector(SeedPath(8).child("rot"), cfg.padded_dim)
         rng = np.random.default_rng(0)
         x = rng.normal(size=1024)
         x = x / np.linalg.norm(x) * 5.0  # exactly at the clip boundary
-        seed = SeedPath(8).child("c", 21)
+        secagg = SecAggRound(strict, SeedPath(8), 0)
         with pytest.raises(RoundingRetriesExhausted) as caught:
-            _encode_one(x, strict, signs, seed)
-        assert caught.value.row == 0
-        _encode_one(x, cfg, signs, seed)  # default cap retries through it
+            secagg.add(np.stack([x, x]), [0, 2])
+        assert str(caught.value) == (
+            "round 0, client 2: stochastic rounding exceeded the norm bound 1 times "
+            "(secagg.retry_cap)"
+        )
+        assert (secagg.clients, secagg.clamped) == (0, 0) and not secagg.total.any()
+        _encode_one(x, cfg, SeedPath(8), 2)  # default cap retries through it
 
     def test_retry_cap_validated(self):
         with pytest.raises(ValueError):
@@ -447,26 +435,6 @@ class TestFailureModes:
 
     def test_retry_error_is_a_runtime_error(self):
         assert issubclass(RoundingRetriesExhausted, RuntimeError)
-
-    def test_encode_block_validates_the_total(self):
-        """A total of the wrong width or dtype, or holding a non-residue,
-        and an empty block are refused, and the total is left as it was."""
-        cfg = SecAggConfig(1.0, 10.0, 8, 2)
-        signs = sign_vector(SeedPath(9).child("rot"), cfg.padded_dim)
-        deltas = np.zeros((2, 8))
-        seeds = [SeedPath(9).child("c", i) for i in range(2)]
-        total = np.zeros(cfg.padded_dim, dtype=np.int64)
-        with pytest.raises(ValueError, match="total must be"):
-            encode_block(deltas, cfg, signs, seeds, np.zeros(4, dtype=np.int64))
-        with pytest.raises(ValueError, match="total must be"):
-            encode_block(deltas, cfg, signs, seeds, np.zeros(cfg.padded_dim))  # float
-        with pytest.raises(ValueError, match="at least one row"):
-            encode_block(np.zeros((0, 8)), cfg, signs, [], total)
-        for bad in (cfg.modulus, -1):  # not a residue
-            total[3] = bad
-            with pytest.raises(ValueError, match="residues"):
-                encode_block(deltas, cfg, signs, seeds, total)
-            assert total[3] == bad and np.count_nonzero(total) == 1
 
     def test_encode_block_checks_each_row_is_residues(self, monkeypatch):
         """A rounding that yields a code outside [0, M) is refused, naming
@@ -479,29 +447,29 @@ class TestFailureModes:
         # Wide enough that the escaping row still meets the norm bound.
         cfg = SecAggConfig(1.0, 10.0, 256, 2)
         assert (cfg.infinity_bound + 1) ** 2 <= cfg.norm_bound_sq
-        signs = sign_vector(SeedPath(9).child("rot"), cfg.padded_dim)
-        total = np.zeros(cfg.padded_dim, dtype=np.int64)
+        round_ = SecAggRound(cfg, SeedPath(9), 0)
         monkeypatch.setattr(secagg, "stochastic_round", escaping_round)
         with pytest.raises(ValueError, match=rf"row 0 encodes outside \[0, {cfg.modulus}\)"):
-            encode_block(np.zeros((1, 256)), cfg, signs, [SeedPath(9).child("c")], total)
-        assert not total.any()
+            round_.add(np.zeros((1, 256)), [0])
+        assert round_.clients == 0 and not round_.total.any()
 
     def test_encode_block_reduces_the_stacked_sum(self):
         """Seven rows folded into a total that starts at arbitrary residues:
         the result is that total plus the reference codes, mod M."""
         rng = np.random.default_rng(10)
         cfg = SecAggConfig(5.0, 100.0, 64, 7)
-        signs = sign_vector(SeedPath(10).child("rot"), cfg.padded_dim)
+        signs = _round_signs(cfg, SeedPath(10))
         deltas = rng.normal(size=(7, 64))
-        seeds = [SeedPath(10).child("c", i) for i in range(7)]
         start = rng.integers(0, cfg.modulus, size=cfg.padded_dim)
         want = start.copy()
-        for delta, seed in zip(deltas, seeds):
-            want = (want + reference_encode(delta, cfg, signs, seed)[0]) % cfg.modulus
-        total = start.copy()
-        encode_block(deltas, cfg, signs, seeds, total)
-        np.testing.assert_array_equal(total, want)
-        assert (total < start).any()  # the fold wrapped
+        for i, delta in enumerate(deltas):
+            codes = reference_encode(delta, cfg, signs, _client_seed(SeedPath(10), i))[0]
+            want = (want + codes) % cfg.modulus
+        secagg = SecAggRound(cfg, SeedPath(10), 0)
+        secagg.total[...] = start
+        secagg.add(deltas, range(7))
+        np.testing.assert_array_equal(secagg.total, want)
+        assert (secagg.total < start).any()  # the fold wrapped
 
     def test_int64_overflow_bound_checked(self):
         """A modulus whose cohort sum cannot fit int64 is refused when the
@@ -512,25 +480,18 @@ class TestFailureModes:
         cohort, infinity_bound = 2, 2**60 - 1
         assert _sum_fits_int64(cohort, 2 * infinity_bound * cohort + 1)  # sums to 2**63 - 8
         assert not _sum_fits_int64(cohort, 2 * 2**60 * cohort + 1)  # sums to 2**63
-        # encode_block checks the same bound for its own row count: a config
-        # of one client whose modulus is near 2**62 admits two rows, not three.
+        # A round admits at most the cohort_size clients the config checked:
+        # a config of one client whose modulus is near 2**62, which three
+        # rows would overflow, refuses a second client in one call or two.
         wide = SecAggConfig(1.0, 1.3e18, 4, 1)
         assert _sum_fits_int64(2, wide.modulus) and not _sum_fits_int64(3, wide.modulus)
-        signs = sign_vector(SeedPath(11).child("rot"), wide.padded_dim)
-        seeds = [SeedPath(11).child("c", i) for i in range(3)]
-        total = np.zeros(wide.padded_dim, dtype=np.int64)
-        with pytest.raises(ValueError, match="overflow int64"):
-            encode_block(np.zeros((3, 4)), wide, signs, seeds, total)
-        encode_block(np.zeros((2, 4)), wide, signs, seeds[:2], total)
-
-    def test_decode_validates_client_count(self):
-        cfg = SecAggConfig(1.0, 10.0, 8, 2)
-        signs = sign_vector(SeedPath(9).child("rot"), cfg.padded_dim)
-        total = np.zeros(cfg.padded_dim, dtype=np.int64)
-        with pytest.raises(ValueError):
-            decode(total, cfg, signs, n_clients=0)
-        with pytest.raises(ValueError):
-            decode(total, cfg, signs, n_clients=3)
+        secagg = SecAggRound(wide, SeedPath(11), 0)
+        with pytest.raises(ValueError, match="2 clients exceed the cohort size 1"):
+            secagg.add(np.zeros((2, 4)), [0, 1])
+        secagg.add(np.zeros((1, 4)), [0])
+        with pytest.raises(ValueError, match="2 clients exceed the cohort size 1"):
+            secagg.add(np.zeros((1, 4)), [1])
+        assert secagg.clients == 1
 
 
 class TestBitsPerUpdate:

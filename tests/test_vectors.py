@@ -1,5 +1,5 @@
 """Tests for parameter-vector validation and for the sign-randomized
-Hadamard rotation of the secure-aggregation encoder (fpsim.secagg).  The
+Hadamard rotation of the secure-aggregation codec (fpsim.secagg).  The
 L2 clip and the copying rotation the encoder's arithmetic is checked
 against live in tests/oracles.py and are pinned here.
 """
@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from fpsim import (
+    SecAggConfig,
+    SecAggRound,
     SeedPath,
     as_param_vector,
-    inverse_rotation,
     sign_vector,
 )
-from fpsim.secagg import _check_rotation_signs, _rotate
+from fpsim.secagg import _rotate
 from oracles import clip_l2, randomized_hadamard
 
 
@@ -81,11 +82,17 @@ class TestRandomizedHadamard:
             )
 
     def test_roundtrip_is_identity(self):
+        """SecAggRound.decode's inverse rotation undoes the oracle's: a
+        round whose total holds integers k (shifted, at scale 1 and no
+        padding) decodes to a vector that rotates back onto k."""
         rng = np.random.default_rng(2)
-        signs = sign_vector(SeedPath(0).child("r", 1), 256)
-        v = rng.normal(size=256)
-        back = inverse_rotation(randomized_hadamard(v, signs), signs)
-        np.testing.assert_allclose(back, v, rtol=0, atol=1e-12)
+        config = SecAggConfig(clip_norm=100.0, scale=1.0, model_dim=256, cohort_size=1)
+        secagg = SecAggRound(config, SeedPath(0), 1)
+        k = rng.integers(-config.infinity_bound, config.infinity_bound + 1, size=256)
+        secagg.total[...] = k + config.infinity_bound
+        secagg.clients = 1
+        back = randomized_hadamard(secagg.decode(), secagg.signs)
+        np.testing.assert_allclose(back, k, rtol=0, atol=1e-12)
 
     def test_linearity(self):
         rng = np.random.default_rng(3)
@@ -104,29 +111,12 @@ class TestRandomizedHadamard:
         r = randomized_hadamard(v, signs)
         np.testing.assert_allclose(np.abs(r), np.full(128, 1 / np.sqrt(128)), rtol=1e-12)
 
-    def test_requires_power_of_two(self):
-        signs = np.ones(6)
-        with pytest.raises(ValueError):
-            inverse_rotation(np.ones(6), signs)
-
-    def test_requires_matching_signs(self):
-        signs = sign_vector(SeedPath(0).child("r", 4), 32)
-        with pytest.raises(ValueError):
-            inverse_rotation(np.ones(64), signs)
-
     def test_in_place_rotation_writes_the_same_bytes(self):
-        """The encoder's rotation (secagg._rotate, its signs checked by
-        _check_rotation_signs, its scratch row holding NaNs) writes the
-        oracle's bytes."""
+        """The encoder's rotation (secagg._rotate, its scratch row holding
+        NaNs) writes the oracle's bytes."""
         rng = np.random.default_rng(5)
         signs = sign_vector(SeedPath(0).child("r", 5), 256)
         v = rng.normal(size=256)
         x = v.copy()
-        _rotate(x, _check_rotation_signs(256, signs), np.full(256, np.nan))
+        _rotate(x, signs, np.full(256, np.nan))
         assert x.tobytes() == randomized_hadamard(v, signs).tobytes()
-        with pytest.raises(ValueError, match="power of two"):
-            _check_rotation_signs(6, np.ones(6))
-        with pytest.raises(ValueError, match="signs"):
-            _check_rotation_signs(64, signs)
-        with pytest.raises(ValueError, match="signs"):
-            _check_rotation_signs(256, signs * 2.0)
