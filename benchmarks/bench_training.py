@@ -4,10 +4,14 @@ config's shapes (V = 100, window 1, 50 examples per client, cohort 100,
 batch 16, 1000 eval examples).  ``sgd_step`` is one stacked minibatch step
 at the shape a round trains at: ``NextTokenBOW.local_sgd`` on one block of
 ``_BLOCK_BYTES // (8 d)`` = 13 clients, one epoch of one 16-example batch.
-Synthesis is timed at 10^4 and 10^5 clients of 50 examples, with its
-traced peak (tracemalloc, in MiB, the token matrix it returns included),
-and at 10^4 x 500 and 2500 x 2000 examples, where the urn's rescan of each
-client's history grows with the square of its length.  The eval stream,
+Synthesis is timed at 10^4, 10^5 and 10^6 clients of 50 examples, with
+its traced peak (tracemalloc, in MiB, the token matrix it returns
+included), and at 10^4 x 500 and 2500 x 2000 examples, where the urn's
+rescan of each client's history grows with the square of its length.  Each
+synthesis row has a ``_fallback`` share: of the keys its global draws look
+up in the guide table, the expected share whose bucket sends them on to
+the search of the row-shifted CDF (the useful-to-attempted ratio of the
+guide is one minus it).  The eval stream,
 one chain walked a token at a time, is timed at 10^3, 10^4 and 10^5
 examples, so its cost per token shows.  The eval is timed both ways:
 ``accuracy`` scores every example, and ``distinct_eval`` scores each
@@ -64,6 +68,7 @@ from fpsim import (
     synthesize_clients,
     synthesize_eval_set,
 )
+from fpsim.data import _global_table, _guide_table, _shifted_table
 from fpsim.federation import _BLOCK_BYTES
 from fpsim.harness import _write_participation
 
@@ -91,6 +96,28 @@ def _traced_peak_mb(fn) -> float:
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
+
+
+def _fallback_share(cfg: ExperimentConfig, seed: SeedPath, tokens: np.ndarray) -> float:
+    """The expected share of a synthesis's guide lookups that fall back to
+    the search: a key prev + u, u uniform, falls back with the share of
+    row prev's buckets that hold V, averaged here over the previous token
+    of every step but the first (whose start token is not kept)."""
+    vocab = cfg.vocab_size
+    guide, scale = _guide_table(_shifted_table(_global_table(cfg, seed)), vocab)
+    share = (guide[:-1].reshape(vocab, scale) == vocab).mean(axis=1)
+    prev = np.bincount(tokens[:, :-1].ravel(), minlength=vocab)
+    return float(share @ prev / prev.sum())
+
+
+def _time_synthesis(record: dict, name: str, cfg, seed, repeats: int, peak: bool) -> None:
+    """Record synthesize_clients' best time on ``cfg``, its fallback share
+    and, with ``peak``, its traced peak."""
+    record[f"{name}_ms"] = _best_ms(lambda: synthesize_clients(cfg, seed), repeats)
+    if peak:
+        record[f"{name}_peak_mb"] = _traced_peak_mb(lambda: synthesize_clients(cfg, seed))
+    tokens = synthesize_clients(cfg, seed).tokens
+    record[f"{name}_fallback"] = _fallback_share(cfg, seed, tokens)
 
 
 def _time_eval(record: dict, suffix: str, cfg, theta, seed, repeats: int) -> None:
@@ -198,14 +225,11 @@ def main() -> None:
         "numpy": np.__version__,
         "repeats": args.repeats,
     }
-    for population in (10_000, 100_000):
+    for population in (10_000, 100_000, 1_000_000):
         cfg = ExperimentConfig(population=population)
-        record[f"synthesize_clients_{population}_ms"] = _best_ms(
-            lambda: synthesize_clients(cfg, seed), args.repeats
-        )
-        record[f"synthesize_clients_{population}_peak_mb"] = _traced_peak_mb(
-            lambda: synthesize_clients(cfg, seed)
-        )
+        # One timing of the 10^6 population: each takes seconds and ~0.2 GB.
+        repeats = 1 if population == 1_000_000 else args.repeats
+        _time_synthesis(record, f"synthesize_clients_{population}", cfg, seed, repeats, True)
     for examples in (1000, 10_000, 100_000):
         cfg = ExperimentConfig(eval_examples=examples)
         record[f"synthesize_eval_set_{examples}_ms"] = _best_ms(
@@ -213,9 +237,8 @@ def main() -> None:
         )
     for population, examples in ((10_000, 500), (2500, 2000)):
         cfg = ExperimentConfig(population=population, examples_per_client=examples)
-        record[f"synthesize_clients_{population}x{examples}_ms"] = _best_ms(
-            lambda: synthesize_clients(cfg, seed), args.repeats
-        )
+        name = f"synthesize_clients_{population}x{examples}"
+        _time_synthesis(record, name, cfg, seed, args.repeats, False)
 
     cfg = ExperimentConfig()
     data = synthesize_clients(cfg, seed)
@@ -227,7 +250,7 @@ def main() -> None:
     def step():
         rng = seed.child("local-order").generator()
         orders = batch_orders(rng, COHORT, cfg.examples_per_client, 1)
-        cohort_update(model, theta, contexts, labels, orders, 0.1, 1.0, 1.0, BATCH_SIZE)
+        cohort_update(model, theta, contexts, labels, orders, 0.1, 1.0, BATCH_SIZE)
 
     record["cohort_update_ms"] = _best_ms(step, args.repeats, calls=20)
     block = _BLOCK_BYTES // (8 * model.num_params)
@@ -253,11 +276,12 @@ def main() -> None:
     cores = record["nproc"]
     print(
         f"data and training layers (ms per call, best of {args.repeats}, {cores} cores;"
-        " peaks in MB, minor faults per round)"
+        " peaks in MB, minor faults per round, fallback shares of guide lookups)"
     )
     for name, value in record.items():
-        if name.endswith(("_ms", "_mb", "_minflt")):
-            print(f"  {name:<32}{value:>10.2f}")
+        if name.endswith(("_ms", "_mb", "_minflt", "_fallback")):
+            digits = 4 if name.endswith("_fallback") else 2
+            print(f"  {name:<32}{value:>10.{digits}f}")
     print(json.dumps(record))
 
 

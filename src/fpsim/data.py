@@ -16,17 +16,18 @@ The population is one packed (population, examples + window) token matrix
 in the narrowest unsigned type that holds the vocabulary (token_dtype:
 uint8 up to V = 256, uint16 up to 65 536), and every client's chain
 advances in the same vectorised step, one step per token.  A global draw
-inverts its row's CDF with one searchsorted over the whole population's
-keys, taken in sorted order.  Local rows are never materialised: repeated
-draws from one Dirichlet(alpha * 1) row are a Pólya urn (Blackwell &
-MacQueen 1973), so a client's local draw at context c copies one of its N
-earlier local draws at c, chosen uniformly, with probability
-N / (V * alpha + N), and otherwise is a uniform token.  The urn's only
-state is a matrix holding the context of each local draw and -1 for each
-global one, in the narrowest integer type that holds the vocabulary, so a
-client's balls at c are one compare.  All clients' streams come from one
-generator, so the data is a pure function of (seed, population), not of
-the client id alone.
+inverts its row's CDF by one gather from a guide table over the
+row-shifted CDF (Chen & Asau 1974); only the ~2% of keys (at V = 100)
+whose bucket holds an entry or starts at a row boundary are searched in
+the table itself.  Local rows are never materialised: repeated draws from
+one Dirichlet(alpha * 1) row are a Pólya urn (Blackwell & MacQueen 1973),
+so a client's local draw at context c copies one of its N earlier local
+draws at c, chosen uniformly, with probability N / (V * alpha + N), and
+otherwise is a uniform token.  The urn's only state is a matrix holding
+the context of each local draw and -1 for each global one, in the
+narrowest integer type that holds the vocabulary, so a client's balls at c
+are one compare.  All clients' streams come from one generator, so the
+data is a pure function of (seed, population), not of the client id alone.
 
 The held-out eval stream is one chain of the global rows only, so it is not
 vectorised but walked in Python scalars: one bisect of the same shifted
@@ -89,6 +90,10 @@ class TokenDataset:
         return windows, inverse.reshape(self.labels.shape)
 
 
+# Bytes of _chains' guide table: 2048 one-byte buckets per row at V = 100.
+_GUIDE_BYTES = 1 << 18
+
+
 def _global_table(config: ExperimentConfig, seed: SeedPath) -> np.ndarray:
     """Row-wise cumulative transition table of the shared global chain."""
     rng = seed.child("global-table").generator()
@@ -103,6 +108,33 @@ def _shifted_table(global_cdf: np.ndarray) -> np.ndarray:
     return (global_cdf + np.arange(global_cdf.shape[0])[:, None]).ravel()
 
 
+def _guide_table(shifted_cdf: np.ndarray, vocab: int) -> tuple[np.ndarray, int]:
+    """The guide over the row-shifted table, and S, its buckets per unit of
+    key: bucket b holds the keys in [b / S, (b + 1) / S), and S is the
+    largest power of two (at least 1) whose V * S buckets of the narrowest
+    type holding V fit in _GUIDE_BYTES, so key * S and its floor are exact.
+    A bucket of row r that holds no entry and does not start at an integer
+    holds the count of row r's entries below it, the token its keys draw.
+    Every other bucket, and the last (key V), holds V: search.  So does a
+    bucket above all of row r's entries, whose count is V."""
+    dtype = np.min_scalar_type(vocab)
+    scale = 1 << max(0, (_GUIDE_BYTES // (vocab * dtype.itemsize)).bit_length() - 1)
+    # Each entry's bucket in its row, S for the entries at r + 1 and above.
+    local = np.empty((vocab, vocab), dtype=np.intp)
+    np.multiply(shifted_cdf.reshape(vocab, vocab), scale, out=local, casting="unsafe")
+    local -= np.arange(0, vocab * scale, scale)[:, None]
+    # The last entry in each occupied bucket carries its count along the row.
+    rows, entries = np.nonzero(np.diff(local, axis=1, append=scale))
+    occupied = local[rows, entries]
+    guide = np.zeros(vocab * scale + 1, dtype=dtype)
+    counts = guide[:-1].reshape(vocab, scale)
+    counts[rows, occupied] = entries + 1
+    np.maximum.accumulate(counts, axis=1, out=counts)
+    counts[rows, occupied] = vocab
+    guide[::scale] = vocab
+    return guide, scale
+
+
 def _chains(
     global_cdf: np.ndarray,
     concentration: float,
@@ -115,23 +147,25 @@ def _chains(
     view past a uniform start token that is not part of the stream.
     Sampling a mixture is a coin flip selecting the row.
 
-    A global draw inverts row prev's CDF at u by searching the row-shifted
-    table for the key prev + u.  The keys are searched in sorted order, so
-    each binary search starts where the last one ended, and the draws are
-    scattered back through the permutation.  Key order cannot change a
-    draw: wherever "entry <= key" is true up to one index of the table and
-    false after it, every binary search returns that index, whatever
-    bracket the previous key left it.  The table is non-decreasing except
-    where a row's CDF ends a few ulps above 1: its last entries can then sit
-    an ulp above the next row's first ones, which are r + 1 exactly when
-    that row's first probability is near zero.  A key with prev = r lies in
-    [r, r + 1); the entries of rows after r are at least r + 1, row r is
-    non-decreasing, and the entries of rows before r exceed r only by row
-    r - 1's few-ulp overshoot.  So the predicate has one such index for
-    every key except where u is within a few ulps of r of 0 or of 1 at a
-    row boundary where the table steps down, a chance of order r * 2^-52
-    per draw; there a search in population order depends on the
-    neighbouring key's search as well.
+    A global draw inverts row prev's CDF at u: it is where the key prev + u
+    falls in the row-shifted table, less prev * V.  Wherever "entry <= key"
+    is true up to one index of the table and false after it, every binary
+    search returns that index, whatever bracket it starts from.  The table
+    is non-decreasing except where a row's CDF ends a few ulps above 1: its
+    last entries can then sit an ulp above the next row's first ones, which
+    are r + 1 exactly when that row's first probability is near zero.  A
+    key with prev = r lies in [r, r + 1]; the entries of rows after r are
+    at least r + 1, row r is non-decreasing, and the entries of rows before
+    r exceed r only by row r - 1's few-ulp overshoot, which lies in the
+    bucket starting at r.  So every key in a bucket of the guide
+    (_guide_table) that holds no entry and does not start at an integer
+    sees one such index, the same for all of them, and the guide holds its
+    token.  The other keys, those where u is within a few ulps of 0 or 1
+    among them, are searched in sorted order, each binary search starting
+    where the last one ended.  Neither the guide nor key order changes a
+    draw but where the table steps down at a row boundary, a chance of
+    order r * 2^-52 per draw; there a search depends on the neighbouring
+    searched key's search as well.
 
     The tokens are stored in token_dtype(V), but every key, offset and
     product is computed on an int64 copy of the previous column: on the
@@ -144,6 +178,7 @@ def _chains(
     """
     vocab = global_cdf.shape[0]
     shifted_cdf = _shifted_table(global_cdf)
+    guide, scale = _guide_table(shifted_cdf, vocab)
     tokens = np.empty((population, length + 1), dtype=token_dtype(vocab))
     # The context each local draw was made at (none at heterogeneity 0), -1
     # for a global draw: -vocab's type is the narrowest holding -1 and every token.
@@ -153,13 +188,13 @@ def _chains(
     for s in range(1, length + 1):
         prev = tokens[:, s - 1].astype(np.int64)
         keys = prev + rng.random(population)
-        order = keys.argsort()
-        draws = shifted_cdf.searchsorted(keys[order], side="right")
-        draws -= prev[order] * vocab
-        # Two ufuncs cost less than np.clip's wrapper on a one-client chain.
-        np.maximum(draws, 0, out=draws)
-        np.minimum(draws, vocab - 1, out=draws)
-        tokens[order, s] = draws
+        draws = guide[(keys * scale).astype(np.intp)]
+        fallback = np.flatnonzero(draws == vocab)
+        fallback = fallback[keys[fallback].argsort()]
+        found = shifted_cdf.searchsorted(keys[fallback], side="right")
+        found -= prev[fallback] * vocab
+        draws[fallback] = np.clip(found, 0, vocab - 1)
+        tokens[:, s] = draws
         if heterogeneity == 0.0:
             continue
         rows = np.flatnonzero(rng.random(population) < heterogeneity)
@@ -167,7 +202,7 @@ def _chains(
         # The urn's balls: each client's earlier local draws at this context.
         balls = contexts[rows, 1:s] == context[:, None]
         contexts[rows, s] = context
-        count = np.count_nonzero(balls, axis=1)
+        count = np.einsum("ij->i", balls, dtype=np.intp)
         pick = rng.random(rows.shape[0]) * (vocab * concentration + count)
         fresh = rng.integers(vocab, size=rows.shape[0])
         copy = pick < count

@@ -114,19 +114,17 @@ def cohort_update(
     orders: np.ndarray,
     eta_c: float,
     clip_active: float,
-    clip_quantile: float,
     batch_size: int = 16,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Local SGD of a block of clients from the current model
     (NextTokenBOW.local_sgd, one row per client); returns the (rows, d)
-    clipped deltas, the below-quantile indicators, and each client's mean
-    minibatch loss.
+    deltas clipped to clip_active, each delta's *unclipped* norm (what the
+    clip estimate's indicators compare), and each client's mean minibatch
+    loss.
 
     Client c's data is ``contexts[c]`` (n, window) and ``labels[c]`` (n,);
     ``orders[e, c]`` is its batch order in epoch e (see batch_orders), so
-    a block of a cohort takes its rows of the cohort's orders.  The
-    indicator compares the *unclipped* delta norm against clip_quantile
-    (the server's current estimate); clipping itself uses clip_active.
+    a block of a cohort takes its rows of the cohort's orders.
     """
     if not eta_c > 0:
         raise ValueError("eta_c must be > 0")
@@ -138,10 +136,9 @@ def cohort_update(
     losses = model.local_sgd(stack, contexts, labels, orders, eta_c, batch_size)
     stack -= params
     norms = np.sqrt(np.einsum("ij,ij->i", stack, stack))
-    indicators = (norms <= clip_quantile).astype(np.int64)
     if math.isfinite(clip_active):
         stack *= (clip_active / np.maximum(norms, clip_active))[:, None]
-    return stack, indicators, losses
+    return stack, norms, losses
 
 
 def select_cohort(
@@ -263,8 +260,10 @@ def run_round(state: RunState, cohort_ids: Sequence[int]) -> RoundMetrics:
     the byte: the batch orders are drawn for the whole cohort before any
     block, each client's row is computed alone, the plain sum adds the rows
     in cohort order as numpy's axis-0 sum does, and the SecAgg total is an
-    exact sum of residues mod M.  A sum that is no longer finite stops the
-    run with TrainingDiverged, naming the round.
+    exact sum of residues mod M.  A client whose delta norm is not finite
+    stops the run with TrainingDiverged, naming the round, before its block
+    is summed: clipping would scale an overflowed delta to zero, and while
+    every norm is finite so is every entry and every sum of them.
     """
     config = state.config
     if len(cohort_ids) != config.report_goal:
@@ -289,7 +288,7 @@ def run_round(state: RunState, cohort_ids: Sequence[int]) -> RoundMetrics:
     for lo in range(0, cohort, block):
         ids = cohort_ids[lo : lo + block]
         hi = lo + len(ids)
-        deltas, indicators[lo:hi], losses[lo:hi] = cohort_update(
+        deltas, norms, losses[lo:hi] = cohort_update(
             state.model,
             state.theta,
             state.data.contexts[ids],
@@ -297,9 +296,11 @@ def run_round(state: RunState, cohort_ids: Sequence[int]) -> RoundMetrics:
             orders[:, lo:hi],
             config.eta_c,
             active,
-            quantile,
             config.batch_size,
         )
+        if not np.isfinite(norms).all():
+            raise TrainingDiverged(f"non-finite client updates at round {t}")
+        indicators[lo:hi] = norms <= quantile
         # Each block is summed and encoded as soon as it exists, so no array
         # of the whole cohort's deltas is ever built, and the SecAgg round
         # adds its clients' codes straight into its total.  The rows are
@@ -310,8 +311,6 @@ def run_round(state: RunState, cohort_ids: Sequence[int]) -> RoundMetrics:
         else:
             for i in range(hi - lo):
                 plain_sum += deltas[i]
-        if not np.isfinite(plain_sum).all():
-            raise TrainingDiverged(f"non-finite client updates at round {t}")
         if secagg is not None:
             secagg.add(deltas, ids)
         del deltas  # freed before the next block is trained

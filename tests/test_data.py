@@ -11,6 +11,7 @@ reference in oracles.py.
 """
 
 import tracemalloc
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpsim import ExperimentConfig, SeedPath, synthesize_clients, synthesize_eval_set
-from fpsim.data import _chains, _global_table, _walk, token_dtype
+from fpsim.data import _GUIDE_BYTES, _chains, _global_table, _guide_table, _walk, token_dtype
 from oracles import reference_chains
 
 
@@ -219,10 +220,11 @@ def _edged(size: int, seed: int) -> np.ndarray:
 
 
 class TestMatchesReferenceChains:
-    """The sampler searches sorted keys and keeps the urn as a matrix of
-    local-draw contexts; reference_chains searches the keys in population
-    order and keeps a bool mask.  Both read the same generator in the same
-    order, so they must draw the same tokens."""
+    """The sampler reads most global draws from its guide table, searches
+    the rest in sorted order, and keeps the urn as a matrix of local-draw
+    contexts; reference_chains searches every key in population order and
+    keeps a bool mask.  Both read the same generator in the same order, so
+    they must draw the same tokens."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -323,6 +325,95 @@ class TestMatchesReferenceChains:
             got = _walk(cdf, 2000, _Stream(doubles))
             want = reference_chains(cdf, 0.2, 1, 2000, 0.0, _Stream(doubles))
             np.testing.assert_array_equal(got, want[0])
+
+
+def test_default_population_matches_reference_chains():
+    """At the default config's shape, 10^4 clients of 51 tokens (V = 100,
+    heterogeneity 0.3), with the seed a run of seed 0 draws it from, each
+    step sends a few hundred keys to the search, and every token still
+    equals the reference's."""
+    cfg = ExperimentConfig()
+    root = SeedPath(0)
+    want = reference_chains(
+        _global_table(cfg, root),
+        cfg.concentration,
+        cfg.population,
+        cfg.examples_per_client + cfg.window,
+        cfg.heterogeneity,
+        root.child("client-streams").generator(),
+    )
+    got = synthesize_clients(cfg, root).tokens
+    assert got.shape == (10_000, 51)
+    np.testing.assert_array_equal(got, want)
+
+
+def _step_down_cdf(vocab: int, seed: int) -> np.ndarray:
+    """Row CDFs that end a few ulps above or below 1 and start near zero,
+    so the row-shifted table steps down at some row boundaries."""
+    rng = np.random.default_rng(seed)
+    cdf = rng.dirichlet(np.full(vocab, 0.3), size=vocab).cumsum(axis=1)
+    cdf[:, 0] = 10.0 ** -rng.uniform(17, 300, size=vocab)
+    ends = rng.choice([-4, -2, -1, 0, 1, 2, 3, 4, 8], size=vocab)
+    cdf[:, -1] = 1.0 + ends * np.finfo(float).eps
+    return np.maximum.accumulate(cdf, axis=1)
+
+
+class TestGuideTable:
+    """Every key in a bucket the guide answers draws the token a one-key
+    search of the row-shifted table draws; every other bucket holds V."""
+
+    @staticmethod
+    def _check(cdf: np.ndarray, rng: np.random.Generator) -> None:
+        vocab = cdf.shape[0]
+        shifted = (cdf + np.arange(vocab)[:, None]).ravel()
+        guide, scale = _guide_table(shifted, vocab)
+        assert scale & (scale - 1) == 0 and guide.shape == (vocab * scale + 1,)
+        assert guide.nbytes - guide.itemsize <= _GUIDE_BYTES or scale == 1
+        edges = rng.integers(vocab * scale + 1, size=500) / scale
+        whole = np.arange(vocab + 1.0)
+        keys = np.concatenate(
+            [
+                edges,
+                np.nextafter(edges, -1.0),
+                whole,
+                np.nextafter(whole, -1.0),
+                np.nextafter(whole, np.inf),
+                rng.integers(vocab, size=500) + rng.random(500),
+            ]
+        )
+        keys = keys[(keys >= 0) & (keys <= vocab)]
+        # A key at an integer r is drawn from prev = r (u = 0) or from
+        # prev = r - 1 (u rounded up to 1).
+        prevs = np.concatenate([np.floor(keys), np.ceil(keys) - 1])
+        keys = np.concatenate([keys, keys])
+        valid = (prevs >= 0) & (prevs < vocab) & (keys - prevs <= 1)
+        keys, prevs = keys[valid], prevs[valid].astype(np.int64)
+        answers = guide[(keys * scale).astype(np.intp)]
+        assert (guide[::scale] == vocab).all()
+        table = shifted.tolist()
+        for key, prev, answer in zip(keys.tolist(), prevs.tolist(), answers.tolist()):
+            searched = min(max(bisect_right(table, key) - prev * vocab, 0), vocab - 1)
+            assert answer in (vocab, searched), (key, prev)
+        # Every bucket holding an entry of the table falls back.
+        assert (guide[(shifted * scale).astype(np.intp)] == vocab).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        vocab=st.integers(2, 300),
+        concentration=st.floats(0.01, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_monotone_tables(self, vocab, concentration, seed):
+        rng = np.random.default_rng(seed)
+        cdf = rng.dirichlet(np.full(vocab, concentration), size=vocab).cumsum(axis=1)
+        self._check(cdf, rng)
+
+    @pytest.mark.parametrize("vocab", [2, 9, 100, 257])
+    def test_step_down_tables(self, vocab):
+        cdf = _step_down_cdf(vocab, 17)
+        shifted = (cdf + np.arange(vocab)[:, None]).ravel()
+        assert (np.diff(shifted) < 0).any() or vocab == 2
+        self._check(cdf, np.random.default_rng(vocab))
 
 
 def test_synthesis_memory_is_a_small_multiple_of_the_token_matrix():

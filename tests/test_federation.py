@@ -250,27 +250,25 @@ class TestClientUpdate:
     """The stacked cohort step, one row per client."""
 
     def test_indicator_uses_unclipped_norm(self):
+        """The norms the clip estimate's indicators compare are the raw
+        deltas' norms, however far below them the deltas are clipped."""
         data = _data(population=2)
         model = NextTokenBOW(vocab_size=8)
         params = model.init_params()
         args = (model, params, data.contexts, data.labels, _orders(data), 0.5)
-        raw, _, _ = cohort_update(*args, math.inf, math.inf)
+        raw, raw_norms, _ = cohort_update(*args, math.inf)
         norms = np.linalg.norm(raw, axis=1)
-        # Clip far below the raw norms; indicators still reflect the raw norms.
-        clip = norms.min() / 10
-        _, tight, _ = cohort_update(*args, clip, norms.min() / 2)
-        np.testing.assert_array_equal(tight, [0, 0])
-        _, loose, _ = cohort_update(*args, clip, norms.max() * 2)
-        np.testing.assert_array_equal(loose, [1, 1])
-        _, mixed, _ = cohort_update(*args, clip, norms[0])
-        np.testing.assert_array_equal(mixed, norms <= norms[0])
+        np.testing.assert_allclose(raw_norms, norms, rtol=1e-15)
+        clipped, tight, _ = cohort_update(*args, norms.min() / 10)
+        assert tight.tobytes() == raw_norms.tobytes()
+        np.testing.assert_allclose(np.linalg.norm(clipped, axis=1), norms.min() / 10)
 
     def test_clipping_bounds_the_delta(self):
         data = _data(population=3)
         model = NextTokenBOW(vocab_size=8)
         args = (model, model.init_params(), data.contexts, data.labels, _orders(data), 2.0)
-        raw, _, _ = cohort_update(*args, math.inf, math.inf)
-        deltas, _, _ = cohort_update(*args, 0.05, math.inf)
+        raw, _, _ = cohort_update(*args, math.inf)
+        deltas, _, _ = cohort_update(*args, 0.05)
         np.testing.assert_array_less(np.linalg.norm(deltas, axis=1), 0.05 * (1 + 1e-12))
         for row, clipped in zip(raw, deltas):
             np.testing.assert_allclose(clipped, clip_l2(row, 0.05), rtol=0, atol=1e-15)
@@ -280,7 +278,7 @@ class TestClientUpdate:
         model = NextTokenBOW(vocab_size=8)
         params = model.init_params()
         deltas, _, _ = cohort_update(
-            model, params, data.contexts, data.labels, _orders(data, 3), 0.5, math.inf, math.inf
+            model, params, data.contexts, data.labels, _orders(data, 3), 0.5, math.inf
         )
         for c in range(2):
             args = (data.contexts[c], data.labels[c], 8, 1)
@@ -296,7 +294,7 @@ class TestClientUpdate:
         def update(seed):
             orders = _orders(data, 2, SeedPath(8).child("order", seed).generator())
             args = (model, params, data.contexts, data.labels, orders)
-            return cohort_update(*args, 0.5, 1.0, 1.0, 8)
+            return cohort_update(*args, 0.5, 1.0, 8)
 
         a, b, other = update(0), update(0), update(1)
         for x, y in zip(a, b):
@@ -310,24 +308,24 @@ class TestClientUpdate:
         orders = _orders(data)
         args = (model, params, data.contexts, data.labels, orders)
         with pytest.raises(ValueError):
-            cohort_update(*args, 0.0, 1.0, 1.0)
+            cohort_update(*args, 0.0, 1.0)
         with pytest.raises(ValueError):
-            cohort_update(*args, 0.5, 1.0, 1.0, batch_size=0)
+            cohort_update(*args, 0.5, 1.0, batch_size=0)
         with pytest.raises(ValueError):
-            cohort_update(*args, 0.5, 0.0, 1.0)
+            cohort_update(*args, 0.5, 0.0)
         empty = (data.contexts[:, :0], data.labels[:, :0], orders[..., :0])
         with pytest.raises(ValueError):
-            cohort_update(model, params, *empty, 0.5, 1.0, 1.0)
+            cohort_update(model, params, *empty, 0.5, 1.0)
         with pytest.raises(ValueError, match="orders"):
-            cohort_update(*args[:4], orders[:, :, :-1], 0.5, 1.0, 1.0)
+            cohort_update(*args[:4], orders[:, :, :-1], 0.5, 1.0)
         with pytest.raises(ValueError, match="orders"):
-            cohort_update(*args[:4], orders[:0], 0.5, 1.0, 1.0)
+            cohort_update(*args[:4], orders[:0], 0.5, 1.0)
         with pytest.raises(ValueError, match="contexts"):
-            cohort_update(model, params, data.contexts[:, 1:], *args[3:], 0.5, 1.0, 1.0)
+            cohort_update(model, params, data.contexts[:, 1:], *args[3:], 0.5, 1.0)
         with pytest.raises(ValueError, match="vocabulary range"):
-            cohort_update(model, params, data.contexts + 8, *args[3:], 0.5, 1.0, 1.0)
+            cohort_update(model, params, data.contexts + 8, *args[3:], 0.5, 1.0)
         with pytest.raises(ValueError, match="vocabulary range"):
-            cohort_update(model, params, data.contexts, -data.labels - 1, orders, 0.5, 1.0, 1.0)
+            cohort_update(model, params, data.contexts, -data.labels - 1, orders, 0.5, 1.0)
         with pytest.raises(ValueError):
             batch_orders(None, 1, 30, 0)
 
@@ -358,15 +356,15 @@ class TestClientUpdate:
             return np.random.default_rng(seed + 1) if shuffle else None
 
         orders = batch_orders(order_rng(), cohort, n, epochs)
-        deltas, indicators, losses = cohort_update(
-            model, theta, contexts, labels, orders, 0.3, math.inf, 1.0, batch_size
+        deltas, norms, losses = cohort_update(
+            model, theta, contexts, labels, orders, 0.3, math.inf, batch_size
         )
         expected, expected_losses = _reference_update(
             theta, contexts, labels, 0.3, batch_size, epochs, order_rng(), vocab, window
         )
         np.testing.assert_allclose(deltas, expected, rtol=0, atol=1e-12)
         np.testing.assert_allclose(losses, expected_losses, rtol=1e-12)
-        np.testing.assert_array_equal(indicators, np.linalg.norm(expected, axis=1) <= 1.0)
+        np.testing.assert_allclose(norms, np.linalg.norm(expected, axis=1), rtol=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -392,7 +390,7 @@ class TestClientUpdate:
         labels = rng.integers(0, vocab, size=(rows, n))
         orders = batch_orders(rng, rows, n, epochs)
         deltas, _, losses = cohort_update(
-            model, params, contexts, labels, orders, lr, math.inf, 1.0, batch_size
+            model, params, contexts, labels, orders, lr, math.inf, batch_size
         )
         want, want_losses = reference_cohort_update(
             vocab, window, params, contexts, labels, orders, lr, batch_size
