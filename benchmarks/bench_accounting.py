@@ -1,4 +1,5 @@
-"""Benchmark the accountant layer: the per-round column and cold solves.
+"""Benchmark the accountant layer: the per-round column, cold solves and
+a cold privacy sweep.
 
 Every timing starts from an empty solver cache, so it includes building the
 DP tables the computation needs, as a fresh process would.  One more cold
@@ -13,11 +14,14 @@ Run from the repo root:
 from __future__ import annotations
 
 import argparse
+import tempfile
 import time
 import tracemalloc
+from pathlib import Path
 
-from fpsim import accounting
+from fpsim import accounting, harness
 from fpsim.accounting import ParticipationSchema
+from fpsim.config import SweepConfig
 
 # The timer's worst case for a 700-round run with a 20-round timer and the
 # periodic restart at round 128: the cumulative_zcdp column of such a run.
@@ -42,6 +46,20 @@ TINY_SCHEMA = ParticipationSchema(1024, 1, 1024)
 # rounds.  Its prefix column is
 # where the fold's split sums run on wide tables.
 PRODUCTION_SCHEMA = ParticipationSchema(2048, 313, 7, (128, 1152))
+
+# Acceptance test 10's grid: populations 10^5, 3 * 10^5 and 10^6 at report
+# goal 100 and z 7, each at scaling 1 and 2, over 2048 rounds: six rows,
+# min_sep 500 to 10000.
+SWEEP_GRIDS = tuple(
+    SweepConfig(7.0, 100, population, (2048,), scaling=(1.0, 2.0))
+    for population in (100_000, 300_000, 1_000_000)
+)
+
+
+def _sweep(out: Path) -> None:
+    """The sweep of every grid in SWEEP_GRIDS, each written to ``out``."""
+    for grid in SWEEP_GRIDS:
+        harness.sweep_privacy(grid, out / "sweep.csv")
 
 
 def _time_cold(fn, repeats: int) -> float:
@@ -80,6 +98,7 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=3, help="cold calls per timing")
     args = parser.parse_args()
 
+    sweep_dir = tempfile.TemporaryDirectory()
     cases = tuple(
         (
             f"prefix column, {schema.total_rounds} rounds",
@@ -94,7 +113,7 @@ def main() -> None:
             lambda schema=schema: accounting.worst_case_sensitivity_sq(schema),
         )
         for schema in (WIDE_SCHEMA, WIDER_SCHEMA, *WIDEST_SCHEMAS, TINY_SCHEMA, PRODUCTION_SCHEMA)
-    )
+    ) + (("sweep_privacy, test_10 grid", None, lambda: _sweep(Path(sweep_dir.name))),)
     print(
         f"accountant (seconds per call, best of {args.repeats}, cold solver cache; "
         "peak traced MB and cached-table MB of one more cold call)"
@@ -106,11 +125,15 @@ def main() -> None:
     for label, schema, call in cases:
         seconds = _time_cold(call, args.repeats)
         peak, tables = _memory_cold(call)
-        restarts = len(schema.restart_rounds)
+        # The sweep's six rows span several schemas.
+        shape = ("-",) * 3
+        if schema is not None:
+            shape = (schema.min_sep, schema.max_part, len(schema.restart_rounds))
         print(
-            f"  {label:<28}{schema.min_sep:>8}{schema.max_part:>9}{restarts:>9}"
+            f"  {label:<28}{shape[0]:>8}{shape[1]:>9}{shape[2]:>9}"
             f"{seconds:>10.3f}{peak / 1e6:>10.1f}{tables / 1e6:>11.3f}"
         )
+    sweep_dir.cleanup()
 
 
 if __name__ == "__main__":

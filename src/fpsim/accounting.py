@@ -49,8 +49,6 @@ __all__ = [
     "zcdp_to_eps",
     "zcdp_to_delta",
     "loose_eps",
-    "sweep",
-    "SWEEP_COLUMNS",
 ]
 
 # The solver's tables and fold states mark an infeasible entry with this
@@ -611,46 +609,3 @@ class PrivacyLedger:
 
     def loose_epsilon(self, delta: float) -> float:
         return math.inf if self.non_private else loose_eps(self.rho, delta)
-
-
-SWEEP_COLUMNS = ("total_rounds", "report_goal", "z", "min_sep", "max_part", "rho")
-
-
-def sweep(
-    z: float,
-    report_goal: int,
-    population: int,
-    total_rounds_range: tuple[int, ...],
-    scaling: tuple[float, ...] = (1.0,),
-) -> list[tuple[int, int, float, int, int, float]]:
-    """Privacy-vs-schedule table over run lengths and report-goal scalings.
-
-    For each run length and each scale factor f, the report goal and the
-    noise multiplier are scaled together by f (larger cohorts can carry
-    proportionally more noise at the same utility); min_sep is the best a
-    timer can enforce at that cohort size, floor(population / report_goal),
-    and max_part the worst case ceil(total_rounds / min_sep).  Rows are
-    (total_rounds, report_goal, z, min_sep, max_part, rho), single-segment
-    schedules.
-    """
-    if report_goal < 1:
-        raise ValueError("report_goal must be >= 1")
-    if population < report_goal:
-        raise ValueError("population must be at least the report goal")
-    if not z > 0:
-        raise ValueError("z must be > 0")
-    rows = []
-    for total_rounds in total_rounds_range:
-        for factor in scaling:
-            if not factor > 0:
-                raise ValueError("scale factors must be > 0")
-            goal = int(round(report_goal * factor))
-            if goal < 1 or goal > population:
-                raise ValueError(
-                    f"scaled report goal {goal} outside [1, population]"
-                )
-            scaled_z = z * factor
-            schema = ParticipationSchema(total_rounds, population // goal, total_rounds)
-            rho = zcdp(scaled_z, schema)
-            rows.append((total_rounds, goal, scaled_z, schema.min_sep, schema.max_part, rho))
-    return rows

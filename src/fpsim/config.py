@@ -366,7 +366,12 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Grid for privacy sweeps (the `sweep` CLI subcommand)."""
+    """Grid for privacy sweeps (the `sweep` CLI subcommand): one run config
+    per run length and scale factor f (run_configs).  Each scales the report
+    goal and the noise multiplier together by f, sets its timer to the best
+    separation a timer can enforce at that goal, population // goal, and has
+    a fixed clip and no restarts.  A grid point no run config accepts fails
+    here, naming the sweep key and the point."""
 
     z: float = _keyed("sweep.z")
     report_goal: int = _keyed("sweep.report_goal")
@@ -386,6 +391,31 @@ class SweepConfig:
             fail("rounds", "need a list of integers >= 1")
         if not self.scaling or any(not f > 0 for f in self.scaling):
             fail("scaling", "need a list of factors > 0")
+        runs = tuple(self._run_config(rounds, f) for rounds in self.rounds for f in self.scaling)
+        object.__setattr__(self, "_runs", runs)
+
+    def run_configs(self) -> tuple[ExperimentConfig, ...]:
+        """The run config of each grid point, run lengths outer, factors inner."""
+        return self._runs
+
+    def _run_config(self, rounds: int, factor: float) -> ExperimentConfig:
+        goal = int(round(self.report_goal * factor))
+        z = self.z * factor
+        try:
+            return ExperimentConfig(
+                rounds=rounds,
+                report_goal=goal,
+                population=self.population,
+                noise_multiplier=z,
+                timer_rounds=self.population // max(goal, 1),  # a goal of 0 fails as report_goal
+                clip_mode="fixed",
+                restart_mode="none",
+            )
+        except ConfigError as exc:
+            # Past the checks above, only the scaled z or the scaled goal can fail.
+            name = "z" if "'noise_multiplier'" in str(exc) else "scaling"
+            point = f"rounds {rounds}, scaling {factor!r}: report_goal {goal}, z {z!r}"
+            _fail(self, name, f"grid point ({point}) is no run config: {exc}")
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> "SweepConfig":

@@ -39,6 +39,7 @@ from fpsim.seeds import SeedPath
 
 __all__ = [
     "METRICS_COLUMNS",
+    "SWEEP_COLUMNS",
     "RunResult",
     "start_run",
     "run_experiment",
@@ -61,6 +62,8 @@ METRICS_COLUMNS = (
     "cumulative_zcdp",
     "bits_per_update",
 )
+
+SWEEP_COLUMNS = ("total_rounds", "report_goal", "z", "min_sep", "max_part", "rho")
 
 REPORT_DELTA = 1e-10
 
@@ -325,9 +328,10 @@ def post_hoc_report(run_dir: str | Path, delta: float = REPORT_DELTA) -> dict[st
     """Recompute a finished run's privacy report, with epsilon at ``delta``,
     from its participation log and resolved config (the `account --run`
     path).  A log no run could have written (another header, a malformed
-    row, a round outside the run, a negative id, a repeated pair, a
-    round without report_goal clients, a client back before timer_rounds
-    have passed) is a ValueError naming the file."""
+    row, a row of other than two fields, a round outside the run, an id
+    outside the population, a repeated pair, a round without report_goal
+    clients, a client back before timer_rounds have passed) is a ValueError
+    naming the file."""
     run = Path(run_dir)
     config = ExperimentConfig.from_file(run / "config.resolved")
     path = run / "participation.csv"
@@ -335,18 +339,22 @@ def post_hoc_report(run_dir: str | Path, delta: float = REPORT_DELTA) -> dict[st
         if (header := fh.readline().rstrip("\r\n")) != "client_id,round":
             raise ValueError(f"{path}: header {header!r} is not 'client_id,round'")
     try:
-        # numpy parses a named file in C; a header-only log warns, reads (0, 2)
+        # numpy parses a named file in C; a header-only log warns, reads (0, 1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            pairs = np.loadtxt(path, np.int64, delimiter=",", skiprows=1, usecols=(0, 1), ndmin=2)
+            pairs = np.loadtxt(path, np.int64, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    client_ids, rounds = pairs.T
+    if pairs.size and pairs.shape[1] != 2:
+        raise ValueError(f"{path}: rows of {pairs.shape[1]} fields, not client_id,round")
+    client_ids, rounds = pairs.reshape(-1, 2).T
     outside = rounds[(rounds < 0) | (rounds >= config.rounds)]
     if outside.size:
         raise ValueError(f"{path}: round {outside[0]} lies outside [0, {config.rounds})")
     if client_ids.min(initial=0) < 0:
         raise ValueError(f"{path}: negative client id {client_ids.min()}")
+    if (top := client_ids.max(initial=0)) >= config.population:
+        raise ValueError(f"{path}: client id {top} lies outside population = {config.population}")
     limits = observed_limits(client_ids, rounds, config.rounds)
     # A repeated pair is a zero gap between a client's sorted rounds.
     if limits[1] == 0:
@@ -371,17 +379,20 @@ def post_hoc_report(run_dir: str | Path, delta: float = REPORT_DELTA) -> dict[st
 
 
 def sweep_privacy(sweep_cfg: SweepConfig, out_path: str | Path) -> list[tuple]:
-    """Accountant sweep plus CSV emission."""
-    rows = accounting.sweep(
-        z=sweep_cfg.z,
-        report_goal=sweep_cfg.report_goal,
-        population=sweep_cfg.population,
-        total_rounds_range=sweep_cfg.rounds,
-        scaling=sweep_cfg.scaling,
-    )
+    """Write the sweep table (SWEEP_COLUMNS), one row per run config of the
+    grid (SweepConfig.run_configs): its rounds, report goal and noise
+    multiplier, and the timer's worst case with its rho, which is the last
+    cumulative_zcdp of a run of that config."""
+    rows = []
+    for config in sweep_cfg.run_configs():
+        terms = config.privacy_terms()
+        schema = terms.timer_schema
+        rho = accounting.zcdp(terms.z_equiv, schema, terms.sensitivity_scale)
+        row = (config.rounds, config.report_goal, config.noise_multiplier)
+        rows.append((*row, schema.min_sep, schema.max_part, rho))
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    _write_csv(out, accounting.SWEEP_COLUMNS, rows)
+    _write_csv(out, SWEEP_COLUMNS, rows)
     return rows
 
 

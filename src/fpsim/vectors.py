@@ -1,9 +1,9 @@
 """Flat-vector validation.
 
-Vectors are plain float64 numpy arrays of fixed length.  All reductions used
-on them (norms, sums) run in numpy's canonical left-to-right order, so results
-are bit-reproducible for a given input regardless of how callers parallelize
-around them.
+Vectors are plain float64 numpy arrays of fixed length.  numpy sums them on
+one thread (1-d sums pairwise), so a sum's bits depend on its input alone.
+A norm's need not: ``np.linalg.norm`` is a BLAS dot, which OpenBLAS splits
+across its threads above 10^4 entries, so its bits follow the thread count.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ from fpsim import (
     SecAggConfig,
     SecAggRound,
     SeedPath,
+    SweepConfig,
     TreeState,
     combined_multiplier,
     loose_eps,
@@ -28,7 +29,7 @@ from fpsim import (
     run_experiment,
     run_round,
     select_cohort,
-    sweep,
+    sweep_privacy,
     synthesize_clients,
     synthesize_eval_set,
     worst_case_sensitivity_sq,
@@ -354,7 +355,7 @@ def test_09_zcdp_to_eps_reference_points():
     print("criterion 09 PASS: " + "; ".join(lines))
 
 
-def test_10_sweep_monotonicity():
+def test_10_sweep_monotonicity(tmp_path):
     """Shape of the privacy sweep table: (a) at a fixed horizon and report
     goal, rho does not increase as the separation the population affords
     grows; (b) at a large population, doubling the report goal and the
@@ -362,7 +363,8 @@ def test_10_sweep_monotonicity():
     populations = (100_000, 300_000, 1_000_000)
     by_goal: dict[int, list[tuple[int, float]]] = {}
     for population in populations:
-        for row in sweep(7.0, 100, population, (2048,), scaling=(1.0, 2.0)):
+        grid = SweepConfig(7.0, 100, population, (2048,), scaling=(1.0, 2.0))
+        for row in sweep_privacy(grid, tmp_path / f"sweep_{population}.csv"):
             total_rounds, goal, z, min_sep, max_part, rho = row
             by_goal.setdefault(goal, []).append((min_sep, rho))
 

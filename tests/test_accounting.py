@@ -19,13 +19,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fpsim import (
+    SWEEP_COLUMNS,
     ParticipationSchema,
     PrivacyLedger,
+    SweepConfig,
     gaussian_zcdp,
     loose_eps,
     prefix_sensitivity_sq,
     prefix_zcdp,
-    sweep,
+    sweep_privacy,
     worst_case_sensitivity_sq,
     zcdp,
     zcdp_to_delta,
@@ -33,7 +35,6 @@ from fpsim import (
 )
 from fpsim import accounting
 from fpsim.accounting import (
-    SWEEP_COLUMNS,
     _solver_for,
     _step_end_maxplus,
     _StepRows,
@@ -650,31 +651,37 @@ class TestSchemaValidation:
         assert schema.tree_levels() == ParticipationSchema(20, 1, 20, (5,)).tree_levels()
 
 
+def _sweep(tmp_path, **grid):
+    """The rows harness.sweep_privacy writes for one SweepConfig grid."""
+    return sweep_privacy(SweepConfig(**grid), tmp_path / "sweep.csv")
+
+
 class TestSweep:
-    def test_row_shape_and_columns(self):
-        rows = sweep(z=7.0, report_goal=100, population=10_000, total_rounds_range=(128, 256))
+    def test_row_shape_and_columns(self, tmp_path):
+        rows = _sweep(tmp_path, z=7.0, report_goal=100, population=10_000, rounds=(128, 256))
         assert len(rows) == 2
         assert len(SWEEP_COLUMNS) == len(rows[0]) == 6
 
-    def test_rho_nondecreasing_in_rounds(self):
-        rows = sweep(
-            z=7.0, report_goal=100, population=10_000, total_rounds_range=(128, 256, 512, 1024)
+    def test_rho_nondecreasing_in_rounds(self, tmp_path):
+        rows = _sweep(
+            tmp_path, z=7.0, report_goal=100, population=10_000, rounds=(128, 256, 512, 1024)
         )
         rhos = [r[-1] for r in rows]
         assert rhos == sorted(rhos)
 
-    def test_larger_population_lowers_rho(self):
+    def test_larger_population_lowers_rho(self, tmp_path):
         """More population at the same report goal raises min separation."""
-        small = sweep(z=7.0, report_goal=100, population=5_000, total_rounds_range=(512,))
-        large = sweep(z=7.0, report_goal=100, population=50_000, total_rounds_range=(512,))
+        small = _sweep(tmp_path, z=7.0, report_goal=100, population=5_000, rounds=(512,))
+        large = _sweep(tmp_path, z=7.0, report_goal=100, population=50_000, rounds=(512,))
         assert large[0][-1] < small[0][-1]
 
-    def test_scaling_reported_per_factor(self):
-        rows = sweep(
+    def test_scaling_reported_per_factor(self, tmp_path):
+        rows = _sweep(
+            tmp_path,
             z=7.0,
             report_goal=100,
             population=20_000,
-            total_rounds_range=(512,),
+            rounds=(512,),
             scaling=(1.0, 2.0),
         )
         assert len(rows) == 2

@@ -489,3 +489,24 @@ class TestSweepConfig:
         """The error names the missing config keys, not attribute names."""
         with pytest.raises(ConfigError, match=r"sweep\.population.*sweep\.rounds"):
             SweepConfig.from_mapping({"sweep.z": "7"})
+
+    @pytest.mark.parametrize(
+        "grid, key, point",
+        [
+            (
+                {"population": 10_000, "report_goal": 100, "scaling": (1.0, 1000.0)},
+                "sweep.scaling",
+                "rounds 128, scaling 1000.0: report_goal 100000",
+            ),
+            ({"z": 1e-160}, "sweep.z", "rounds 128, scaling 1.0: report_goal 100, z 1e-160"),
+        ],
+        ids=["scaled_goal_above_population", "rho_overflows"],
+    )
+    def test_grid_point_no_run_config_accepts_refused(self, grid, key, point):
+        """A grid point whose run config would be refused fails when the grid
+        is built, naming the sweep key and the point: a scaled goal above
+        the population, and a z whose rho overflows (a run config of that z
+        is refused, so no sweep row may read rho = inf)."""
+        kwargs = {"z": 7.0, "report_goal": 100, "population": 10_000, "rounds": (128,), **grid}
+        with pytest.raises(ConfigError, match=rf"^config key '{key}': grid point \({point}"):
+            SweepConfig(**kwargs)

@@ -14,15 +14,22 @@ fixed clip norm; the adaptive and fixed-clip runs select the same cohorts, so
 their participation.csv digests agree.  Each run takes about 0.1 s.
 
 The accountant's wide-table path is pinned the same way: the min_sep 1000
-sweep row and the two test_11 rho values, compared with ==.
+sweep row, as harness.sweep_privacy writes it, and the two test_11 rho
+values, compared with ==.
 """
 
 import hashlib
 
 import pytest
 
-from fpsim import ExperimentConfig, ParticipationSchema, run_experiment, zcdp
-from fpsim.accounting import sweep
+from fpsim import (
+    ExperimentConfig,
+    ParticipationSchema,
+    SweepConfig,
+    run_experiment,
+    sweep_privacy,
+    zcdp,
+)
 
 ADAPTIVE_CONFIG = """
 seed = 7
@@ -102,9 +109,11 @@ def test_artifact_digests_pinned(name, tmp_path):
     assert got == expected
 
 
-def test_wide_sweep_row_pinned():
+def test_wide_sweep_row_pinned(tmp_path):
     """One 2048-round tree at min_sep 1000: 1000-wide DP tables."""
-    assert sweep(7.0, 100, 100_000, (2048,)) == [(2048, 100, 7.0, 1000, 3, 0.4489795918367347)]
+    grid = SweepConfig(z=7.0, report_goal=100, population=100_000, rounds=(2048,))
+    rows = sweep_privacy(grid, tmp_path / "sweep.csv")
+    assert rows == [(2048, 100, 7.0, 1000, 3, 0.4489795918367347)]
 
 
 def test_production_schema_rho_pinned():

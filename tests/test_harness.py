@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -305,6 +306,30 @@ class TestParticipationLogValidation:
         with pytest.raises(ValueError, match=r"participation\.csv: negative client id -1"):
             post_hoc_report(copy)
 
+    def test_client_id_outside_population_rejected(self, fixed_run, tmp_path):
+        """Every repeat participation moved to a fresh id at or above the
+        population keeps each round at report_goal distinct clients, but
+        would account every client as participating once."""
+
+        fresh = iter(range(120, 1000))
+
+        def repeats_to_fresh_ids(rows):
+            seen, out = set(), []
+            for row in rows:  # sorted by client, then round
+                client, round_index = row.split(",")
+                out.append(f"{next(fresh)},{round_index}" if client in seen else row)
+                seen.add(client)
+            return out
+
+        config, result = fixed_run
+        assert (config.population, result.observed_max_part, result.observed_min_sep) == (120, 3, 3)
+        copy = _tampered_log(fixed_run, tmp_path, repeats_to_fresh_ids)
+        assert next(fresh) == 146  # the repeats moved to ids 120-145
+        with pytest.raises(
+            ValueError, match=r"participation\.csv: client id 145 lies outside population = 120$"
+        ):
+            post_hoc_report(copy)
+
     def test_repeated_pair_rejected(self, small_run, tmp_path):
         copy = _tampered_log(small_run, tmp_path, lambda rows: [rows[0], *rows])
         client_id, round_index = (copy / "participation.csv").read_text().splitlines()[1].split(",")
@@ -390,12 +415,16 @@ class TestParticipationLogValidation:
         log.write_text(text.replace("client_id,round", "round,client_id", 1))
         with pytest.raises(ValueError, match=r"participation\.csv: header 'round,client_id'"):
             post_hoc_report(copy)
-        for row in ("3,x", "3", "2.5,1"):
+        for row in ("3,x", "3", "2.5,1", "0,5,junk", "0,5,7", "0,5,"):
             log.write_text(text + row + "\n")
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match=r"participation\.csv: "):
                     post_hoc_report(copy)
+        header, *rows = text.splitlines()
+        log.write_text("\n".join([header, *(row + ",0" for row in rows)]) + "\n")
+        with pytest.raises(ValueError, match=r"participation\.csv: rows of 3 fields"):
+            post_hoc_report(copy)
         log.write_text("client_id,round\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -642,6 +671,34 @@ class TestSweepPrivacy:
         assert len(rows) == 4
         header = out.read_text().splitlines()[0]
         assert header == "total_rounds,report_goal,z,min_sep,max_part,rho"
+
+    def test_row_is_the_run_it_names(self, tmp_path, capsys):
+        """Each row's rho is the last cumulative_zcdp of a run of its config,
+        that run's report.csv rho, and the rho `fpsim account` prints for the
+        row's schema.  The population is a multiple of each goal, so the timer
+        gives every client a period of exactly population / goal, and the
+        observed limits are the timer's worst case."""
+        grid = SweepConfig(
+            z=1.0, report_goal=20, population=200, rounds=(30, 64), scaling=(1.0, 2.0)
+        )
+        rows = sweep_privacy(grid, tmp_path / "sweep.csv")
+        assert rows == [
+            (30, 20, 1.0, 10, 3, 8.0),
+            (30, 40, 2.0, 5, 6, 5.375),
+            (64, 20, 1.0, 10, 7, 57.5),
+            (64, 40, 2.0, 5, 13, 45.125),
+        ]
+        for row, config in zip(rows, grid.run_configs()):
+            total_rounds, goal, z, min_sep, max_part, rho = row
+            # Model and data keys do not enter the privacy terms.
+            small = replace(config, vocab_size=8, examples_per_client=5, eval_examples=50)
+            run = run_experiment(small, tmp_path / f"run_{total_rounds}_{goal}").directory
+            assert read_metrics(run)["cumulative_zcdp"][-1] == rho
+            header, values = (run / "report.csv").read_text().splitlines()
+            assert float(dict(zip(header.split(","), values.split(",")))["rho"]) == rho
+            flags = {"--rounds": total_rounds, "--min-sep": min_sep, "--max-part": max_part, "--z": z}
+            assert cli_main(["account", *(str(v) for pair in flags.items() for v in pair)]) == 0
+            assert f"rho: {rho!r}" in capsys.readouterr().out.splitlines()
 
 
 class TestCli:
