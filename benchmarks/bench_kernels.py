@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from fpsim import ExperimentConfig, run_round, select_cohort, start_run
+from fpsim import ExperimentConfig, cohorts, run_round, start_run
 from fpsim._kernels import fwht_inplace, stochastic_round
 from fpsim.secagg import SecAggConfig, SecAggRound
 from fpsim.seeds import SeedPath
@@ -93,7 +93,7 @@ def bench_secagg_round(repeats: int) -> float:
         secagg_enabled=True,
     )
     state = start_run(cfg)
-    cohort_ids = select_cohort(state.next_eligible, cfg, 0, SeedPath(0).child("selection"))
+    cohort_ids = next(cohorts(cfg))
     return _time_per_call(lambda: run_round(state, cohort_ids), max(1, repeats // 10))
 
 

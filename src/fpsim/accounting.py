@@ -467,8 +467,8 @@ def zcdp(z: float, schema: ParticipationSchema, scale: float = 1.0) -> float:
     clip units.  z = 0 means no noise: rho is infinite (non-private), and
     the solver does not run.
     """
-    if z < 0:
-        raise ValueError("z must be >= 0")
+    if not (math.isfinite(z) and z >= 0):
+        raise ValueError(f"z must be a finite number >= 0, not {z!r}")
     if z == 0:
         return math.inf
     return gaussian_zcdp(worst_case_sensitivity_sq(schema), z, scale)
@@ -477,8 +477,8 @@ def zcdp(z: float, schema: ParticipationSchema, scale: float = 1.0) -> float:
 def prefix_zcdp(z: float, schema: ParticipationSchema, scale: float = 1.0) -> list[float]:
     """rho-zCDP after every round: entry n - 1 equals zcdp(z, the n-round
     prefix of ``schema``, scale), from one prefix_sensitivity_sq pass."""
-    if z < 0:
-        raise ValueError("z must be >= 0")
+    if not (math.isfinite(z) and z >= 0):
+        raise ValueError(f"z must be a finite number >= 0, not {z!r}")
     if z == 0:
         return [math.inf] * schema.total_rounds
     return [gaussian_zcdp(value, z, scale) for value in prefix_sensitivity_sq(schema)]
@@ -596,8 +596,8 @@ class PrivacyLedger:
     rho: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.sensitivity_scale > 0:
-            raise ValueError("sensitivity_scale must be > 0")
+        if not (math.isfinite(scale := self.sensitivity_scale) and scale > 0):
+            raise ValueError(f"sensitivity_scale must be a finite number > 0, not {scale!r}")
         self.rho = zcdp(self.z, self.schema, self.sensitivity_scale)
 
     @property

@@ -48,25 +48,30 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-# What each ParticipationSchema error names, and the flag that sets it.
-_SCHEMA_FLAGS = (
+# What each error of the account flags' report names, and the flag that sets it.
+_REPORT_FLAGS = (
     ("total_rounds", "--rounds"),
     ("min_sep", "--min-sep"),
     ("max_part", "--max-part"),
     ("restart round", "--restarts"),
+    ("sensitivity_scale", "--sensitivity-scale"),
+    ("z must", "--z"),
+    ("delta must", "--delta"),
 )
 
 
-def _schema_from_flags(args: argparse.Namespace) -> ParticipationSchema:
-    """The schema the account flags give; an invalid one fails naming its flag."""
+def _report_from_flags(args: argparse.Namespace) -> dict[str, object]:
+    """The report row the account flags give; an invalid flag fails naming it."""
     try:
         restarts = tuple(int(r) for r in args.restarts.split(",")) if args.restarts else ()
     except ValueError as exc:
         raise ConfigError(f"--restarts: {exc}") from exc
+    scale = 1.0 if args.sensitivity_scale is None else args.sensitivity_scale
     try:
-        return ParticipationSchema(args.rounds, args.min_sep, args.max_part, restarts)
+        schema = ParticipationSchema(args.rounds, args.min_sep, args.max_part, restarts)
+        return harness.privacy_report(schema, args.z, scale, delta=args.delta)
     except ValueError as exc:
-        flag = next((flag for named, flag in _SCHEMA_FLAGS if named in str(exc)), "schema")
+        flag = next((flag for named, flag in _REPORT_FLAGS if named in str(exc)), "schema")
         raise ConfigError(f"{flag}: {exc}") from exc
 
 
@@ -85,8 +90,7 @@ def _cmd_account(args: argparse.Namespace) -> int:
             raise ConfigError(
                 f"account needs --run or explicit schema flags; missing {' '.join(missing)}"
             )
-        scale = 1.0 if args.sensitivity_scale is None else args.sensitivity_scale
-        row = harness.privacy_report(_schema_from_flags(args), args.z, scale, delta=args.delta)
+        row = _report_from_flags(args)
     print(harness.render_report_text(row), end="")
     return 0
 

@@ -52,6 +52,7 @@ __all__ = [
     "batch_orders",
     "cohort_update",
     "select_cohort",
+    "check_exhaustion",
     "run_round",
     "observed_limits",
 ]
@@ -65,6 +66,12 @@ _BLOCK_BYTES = 1 << 20
 
 class CohortExhausted(RuntimeError):
     """Fewer eligible clients than the report goal requires."""
+
+    def __init__(self, round_index: int, eligible: int, goal: int) -> None:
+        super().__init__(
+            f"population exhausted at round {round_index}: {eligible} eligible "
+            f"clients for report_goal {goal}; lower timer_rounds or raise population"
+        )
 
 
 class TrainingDiverged(RuntimeError):
@@ -159,10 +166,7 @@ def select_cohort(
     goal = config.report_goal
     ids = np.flatnonzero(next_eligible <= round_index)
     if ids.shape[0] < goal:
-        raise CohortExhausted(
-            f"population exhausted at round {round_index}: {ids.shape[0]} eligible "
-            f"clients for report_goal {goal}; lower timer_rounds or raise population"
-        )
+        raise CohortExhausted(round_index, ids.shape[0], goal)
     weights = np.maximum(availability_weights(config, ids, round_index), 1e-12)
     rng = seed.child("cohort", round_index).generator()
     # Weighted sampling without replacement: top-m exponential-race keys
@@ -172,6 +176,16 @@ def select_cohort(
     selected = np.sort(ids[chosen])
     next_eligible[selected] = round_index + config.timer_rounds
     return selected.tolist()
+
+
+def check_exhaustion(config: ExperimentConfig) -> None:
+    """Raise, before a run of ``config``, the CohortExhausted its selection
+    would raise.  Round t's pool lacks the last min(t, timer_rounds - 1)
+    cohorts, whoever they were; availability only weights the draw."""
+    goal = config.report_goal
+    spare = (config.population - goal) // goal
+    if min(config.rounds, config.timer_rounds) - 1 > spare:
+        raise CohortExhausted(spare + 1, config.population - (spare + 1) * goal, goal)
 
 
 @dataclass(frozen=True)
@@ -208,7 +222,6 @@ class RunState:
     clip: ClipState | None = field(init=False)
     theta: np.ndarray = field(init=False)
     momentum: np.ndarray = field(init=False)
-    next_eligible: np.ndarray = field(init=False)
     round: int = field(init=False, default=0)
     log: np.ndarray = field(init=False, repr=False)
     history: list[tuple[float, RoundMetrics]] = field(
@@ -236,7 +249,6 @@ class RunState:
         self.theta0 = as_param_vector(self.theta0, d)
         self.theta = self.theta0.copy()
         self.momentum = np.zeros_like(self.theta0)
-        self.next_eligible = np.zeros(config.population, dtype=np.int64)
         self.log = np.empty((config.rounds, config.report_goal), dtype=np.int64)
 
     @property

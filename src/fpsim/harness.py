@@ -11,11 +11,11 @@ A run writes a self-describing directory:
     secagg.csv         per-round pipeline diagnostics (SecAgg runs only)
 
 Everything is a pure function of the config (including its seed): running
-the same config twice produces byte-identical metrics and checkpoints.
-The privacy report is computed from the observed participation log
-(tighter than the schedule's worst case) and is internally consistent:
-re-running the accountant on the logged limits reproduces the reported
-rho exactly.
+the same config twice produces byte-identical metrics and checkpoints, and
+the cohorts, from cohorts(config), never read training.  The privacy report
+is computed from the observed participation log (tighter than the
+schedule's worst case); post_hoc_report replays the config's log and
+accounts only a participation.csv equal to it, byte for byte.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ from __future__ import annotations
 import csv
 import math
 import struct
-import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from itertools import chain, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from fpsim import accounting
 from fpsim.accounting import ParticipationSchema, PrivacyLedger
 from fpsim.config import ExperimentConfig, SweepConfig
 from fpsim.data import synthesize_clients, synthesize_eval_set
-from fpsim.federation import RunState, observed_limits, run_round, select_cohort
+from fpsim.federation import RunState, check_exhaustion, observed_limits, run_round, select_cohort
 from fpsim.models import NextTokenBOW
 from fpsim.seeds import SeedPath
 
@@ -41,6 +42,7 @@ __all__ = [
     "METRICS_COLUMNS",
     "SWEEP_COLUMNS",
     "RunResult",
+    "cohorts",
     "start_run",
     "run_experiment",
     "sweep_privacy",
@@ -113,17 +115,20 @@ def _write_csv(path: Path, header: tuple[str, ...], rows: list[tuple]) -> None:
             writer.writerow([_format(v) for v in row])
 
 
-def _write_participation(path: Path, client_ids: np.ndarray, rounds: np.ndarray) -> None:
-    """Write the (client_id, round) pairs sorted by client, then round,
-    under a ``client_id,round`` header, _PARTICIPATION_CHUNK_ROWS rows per
-    write.  Integers need no csv quoting: each chunk is one joined string."""
+def _participation_text(client_ids: np.ndarray, rounds: np.ndarray) -> Iterator[str]:
+    """participation.csv: a ``client_id,round`` header, then the pairs sorted
+    by client, then round, as one joined string per _PARTICIPATION_CHUNK_ROWS."""
     order = np.lexsort((rounds, client_ids))
+    yield "client_id,round\n"
+    for start in range(0, order.size, _PARTICIPATION_CHUNK_ROWS):
+        rows = order[start : start + _PARTICIPATION_CHUNK_ROWS]
+        pairs = zip(client_ids[rows].tolist(), rounds[rows].tolist())
+        yield "".join(f"{c},{r}\n" for c, r in pairs)
+
+
+def _write_participation(path: Path, client_ids: np.ndarray, rounds: np.ndarray) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write("client_id,round\n")
-        for start in range(0, order.size, _PARTICIPATION_CHUNK_ROWS):
-            rows = order[start : start + _PARTICIPATION_CHUNK_ROWS]
-            pairs = zip(client_ids[rows].tolist(), rounds[rows].tolist())
-            fh.write("".join(f"{c},{r}\n" for c, r in pairs))
+        fh.writelines(_participation_text(client_ids, rounds))
 
 
 def read_metrics(run_dir: str | Path) -> dict[str, list[float]]:
@@ -150,9 +155,19 @@ class RunResult:
     config_hash: str
 
 
+def cohorts(config: ExperimentConfig) -> Iterator[list[int]]:
+    """Each round's cohort of a run of ``config``, drawn as the round starts.
+    Its timers and "selection" seeds never read training: the log is the config's."""
+    next_eligible = np.zeros(config.population, dtype=np.int64)
+    selection = SeedPath(config.seed).child("selection")
+    for t in range(config.rounds):
+        yield select_cohort(next_eligible, config, t, selection)
+
+
 def start_run(config: ExperimentConfig) -> RunState:
     """Synthesize the population and the eval set, read or initialize
     theta0, and build the state of a run about to play its round 0."""
+    check_exhaustion(config)
     root = SeedPath(config.seed)
     model = NextTokenBOW(vocab_size=config.vocab_size, window=config.window)
     data = synthesize_clients(config, root)
@@ -174,12 +189,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunResult:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     state = start_run(config)
-    selection = SeedPath(config.seed).child("selection")
     # Each round scores every distinct eval window once; the same float as
     # the mean of per-example predictions equal to their labels.
     windows, inverse = state.eval_set.distinct_windows()
-    for t in range(config.rounds):
-        cohort_ids = select_cohort(state.next_eligible, config, t, selection)
+    for t, cohort_ids in enumerate(cohorts(config)):
         state.log[t] = cohort_ids
         round_metrics = run_round(state, cohort_ids)
         predictions = state.model.predict(state.theta, windows)[inverse]
@@ -326,56 +339,25 @@ def _observed_report(
 
 def post_hoc_report(run_dir: str | Path, delta: float = REPORT_DELTA) -> dict[str, object]:
     """Recompute a finished run's privacy report, with epsilon at ``delta``,
-    from its participation log and resolved config (the `account --run`
-    path).  A log no run could have written (another header, a malformed
-    row, a row of other than two fields, a round outside the run, an id
-    outside the population, a repeated pair, a round without report_goal
-    clients, a client back before timer_rounds have passed) is a ValueError
-    naming the file."""
+    from its resolved config (the `account --run` path).  Its participation.csv
+    must be, byte for byte, the log the config's cohorts replay to; any other
+    is a ValueError naming the file and its first differing line."""
     run = Path(run_dir)
     config = ExperimentConfig.from_file(run / "config.resolved")
-    path = run / "participation.csv"
-    with open(path) as fh:
-        if (header := fh.readline().rstrip("\r\n")) != "client_id,round":
-            raise ValueError(f"{path}: header {header!r} is not 'client_id,round'")
-    try:
-        # numpy parses a named file in C; a header-only log warns, reads (0, 1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            pairs = np.loadtxt(path, np.int64, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    if pairs.size and pairs.shape[1] != 2:
-        raise ValueError(f"{path}: rows of {pairs.shape[1]} fields, not client_id,round")
-    client_ids, rounds = pairs.reshape(-1, 2).T
-    outside = rounds[(rounds < 0) | (rounds >= config.rounds)]
-    if outside.size:
-        raise ValueError(f"{path}: round {outside[0]} lies outside [0, {config.rounds})")
-    if client_ids.min(initial=0) < 0:
-        raise ValueError(f"{path}: negative client id {client_ids.min()}")
-    if (top := client_ids.max(initial=0)) >= config.population:
-        raise ValueError(f"{path}: client id {top} lies outside population = {config.population}")
-    limits = observed_limits(client_ids, rounds, config.rounds)
-    # A repeated pair is a zero gap between a client's sorted rounds.
-    if limits[1] == 0:
-        ordered = pairs[np.lexsort((rounds, client_ids))]
-        first = np.flatnonzero((ordered[1:] == ordered[:-1]).all(axis=1))[0]
-        client_id, round_index = ordered[first]
-        raise ValueError(f"{path}: client {client_id} is listed twice for round {round_index}")
-    cohort_sizes = np.bincount(rounds, minlength=config.rounds)
-    (short,) = np.nonzero(cohort_sizes != config.report_goal)
-    if short.size:
-        raise ValueError(
-            f"{path}: round {short[0]} lists {cohort_sizes[short[0]]} clients, "
-            f"not report_goal = {config.report_goal}"
-        )
-    # With no client back at all, min_sep reads config.rounds.
-    if limits[1] < min(config.timer_rounds, config.rounds):
-        raise ValueError(
-            f"{path}: a client returns {limits[1]} round(s) after its previous one, "
-            f"under timer_rounds = {config.timer_rounds}"
-        )
-    return _observed_report(config, limits, delta)
+    ids = chain.from_iterable(cohorts(config))
+    client_ids = np.fromiter(ids, np.int64, config.rounds * config.report_goal)
+    rounds = np.repeat(np.arange(config.rounds), config.report_goal)
+    path, line = run / "participation.csv", 1
+    with open(path, "rb") as fh:
+        # The empty last chunk reads whatever the file holds past the log.
+        for chunk in chain(_participation_text(client_ids, rounds), [""]):
+            expected = chunk.encode()
+            if (written := fh.read(len(expected) or -1)) != expected:
+                lines = zip_longest(written.splitlines(True), expected.splitlines(True))
+                line += next(n for n, (got, want) in enumerate(lines) if got != want)
+                raise ValueError(f"{path}: line {line} differs from the config's log")
+            line += chunk.count("\n")
+    return _observed_report(config, observed_limits(client_ids, rounds, config.rounds), delta)
 
 
 def sweep_privacy(sweep_cfg: SweepConfig, out_path: str | Path) -> list[tuple]:

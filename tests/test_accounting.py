@@ -486,6 +486,15 @@ class TestZcdp:
     def test_zero_z_is_non_private(self):
         assert zcdp(0.0, _schema(4)) == math.inf
 
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -1.0])
+    def test_z_not_a_finite_number_at_least_zero_refused(self, z):
+        """A NaN z would print rho = nan, and an infinite one rho = 0 for
+        noise no run adds."""
+        schema = _schema(10, min_sep=2)
+        for account in (zcdp, prefix_zcdp, lambda z, schema: PrivacyLedger(schema, z)):
+            with pytest.raises(ValueError, match=r"^z must be a finite number >= 0, not "):
+                account(z, schema)
+
     def test_strictly_decreasing_in_z(self):
         schema = _schema(8, min_sep=2)
         rhos = [zcdp(z, schema) for z in (0.5, 1.0, 2.0, 4.0)]
@@ -599,6 +608,11 @@ class TestPrivacyLedger:
         # Where the product is finite the bound is the one-root value.
         for rho in (0.0, 0.5, 1e300):
             assert loose_eps(rho, 1e-10) == rho + 2.0 * math.sqrt(rho * log_term)
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -1.0])
+    def test_sensitivity_scale_not_a_finite_positive_number_refused(self, scale):
+        with pytest.raises(ValueError, match=r"^sensitivity_scale must be a finite number > 0, "):
+            PrivacyLedger(_schema(8), z=1.0, sensitivity_scale=scale)
 
     def test_non_private_marker(self):
         ledger = PrivacyLedger(_schema(8), z=0.0)

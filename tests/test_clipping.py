@@ -16,10 +16,10 @@ from fpsim import (
     ExperimentConfig,
     SeedPath,
     TreeState,
+    cohorts,
     combined_multiplier,
     noise_split,
     run_round,
-    select_cohort,
     start_run,
 )
 from fpsim.clipping import MIN_ESTIMATE_FRACTION
@@ -215,10 +215,9 @@ class TestClipState:
             restart_rounds=(3, 5, 9),
         )
         state = start_run(config)
-        selection = SeedPath(config.seed).child("selection")
         positions = []
-        for t in range(config.rounds):
-            run_round(state, select_cohort(state.next_eligible, config, t, selection))
+        for cohort_ids in cohorts(config):
+            run_round(state, cohort_ids)
             count, delta = state.clip.count_tree, state.delta_tree
             assert (count.segment_index, count.round_in_segment) == (
                 delta.segment_index,

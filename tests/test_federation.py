@@ -8,6 +8,7 @@ local updates come from a per-client dense reference kept in this file
 so the stacked cohort step is checked against code it shares nothing with.
 """
 
+import itertools
 import math
 import time
 import tracemalloc
@@ -30,6 +31,7 @@ from fpsim import (
     TrainingDiverged,
     availability_weights,
     batch_orders,
+    check_exhaustion,
     cohort_update,
     observed_limits,
     run_experiment,
@@ -212,6 +214,45 @@ class TestSelectCohort:
             match=r"^population exhausted at round 1: 2 eligible clients for report_goal 4;",
         ):
             select_cohort(population, cfg, 1, seed)
+
+    def test_exhaustion_check_matches_the_selection_loop(self):
+        """check_exhaustion's closed form raises, before the run, the
+        CohortExhausted the selection loop raises (the same round and
+        eligible count), and nothing where every round is drawn, on a grid
+        of populations, goals, timers and run lengths.  Diurnal availability
+        at full amplitude weights some clients near zero, and still moves no
+        boundary."""
+
+        def error(run):
+            try:
+                run()
+            except CohortExhausted as exc:
+                return str(exc)
+            return None
+
+        grid = itertools.product((4, 7, 12), (1, 2, 3, 4), (1, 2, 3, 5, 8), (1, 3, 6, 10))
+        outcomes = set()
+        for (population, goal, timer, rounds), kind in itertools.product(grid, ("uniform", "diurnal")):
+            if goal > population:
+                continue
+            cfg = _config(
+                population,
+                report_goal=goal,
+                timer_rounds=timer,
+                rounds=rounds,
+                availability_kind=kind,
+                availability_amplitude=1.0,
+            )
+
+            def select_every_round():
+                timers = np.zeros(population, dtype=np.int64)
+                for t in range(rounds):
+                    select_cohort(timers, cfg, t, SeedPath(8).child("s"))
+
+            expected = error(select_every_round)
+            assert error(lambda: check_exhaustion(cfg)) == expected, (population, goal, timer, rounds)
+            outcomes.add(expected is None)
+        assert outcomes == {True, False}
 
     def test_participation_log_updated(self):
         """Each pick's timer restarts at the round it reported in; the
@@ -673,7 +714,8 @@ class TestRoundBlocks:
         (200, d) deltas: 16 MB as one float64 array."""
         config = ExperimentConfig(population=400, report_goal=200, rounds=2)
         state = start_run(config)
-        cohort_ids = select_cohort(state.next_eligible, config, 0, SeedPath(0).child("s"))
+        timers = np.zeros(config.population, dtype=np.int64)
+        cohort_ids = select_cohort(timers, config, 0, SeedPath(0).child("s"))
         tracemalloc.start()
         try:
             started = time.perf_counter()
@@ -705,7 +747,8 @@ class TestRoundBlocks:
         assert (d, padded_dim) == (10_000, 16384)
         block_rows = federation._BLOCK_BYTES // (8 * d)
         assert block_rows == 13
-        cohort_ids = select_cohort(state.next_eligible, config, 0, SeedPath(0).child("s"))
+        timers = np.zeros(config.population, dtype=np.int64)
+        cohort_ids = select_cohort(timers, config, 0, SeedPath(0).child("s"))
         tracemalloc.start()
         try:
             steady, _ = tracemalloc.get_traced_memory()

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from fpsim import (
+    CohortExhausted,
     ExperimentConfig,
     ParticipationSchema,
     PrivacyLedger,
@@ -27,6 +28,7 @@ from fpsim import (
     SweepConfig,
     TrainingDiverged,
     compare,
+    observed_limits,
     post_hoc_report,
     run_experiment,
     start_run,
@@ -287,24 +289,58 @@ def _tampered_log(run, tmp_path, edit):
     return tmp_path
 
 
+def _refused(copy, line):
+    """post_hoc_report refuses the copy, naming its participation.csv and the
+    first line that differs from the config's log; no reader warning leaks."""
+    message = f"{copy / 'participation.csv'}: line {line} differs from the config's log"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            post_hoc_report(copy)
+
+
+def _first_difference(rows, edited):
+    """The file line number (header = 1) of the first row ``edited`` changes."""
+    return next(i for i, (a, b) in enumerate(zip(edited, rows)) if a != b) + 2
+
+
+def _log_rows(run):
+    return (run[1].directory / "participation.csv").read_text().splitlines()[1:]
+
+
 class TestParticipationLogValidation:
-    """participation.csv is input from outside the program: post_hoc_report
-    rejects a log no run could have written, naming the file."""
+    """participation.csv is input from outside the program.  A run's log is
+    a function of its config, so post_hoc_report accounts a log only if it
+    is, byte for byte, the one the config's cohorts write; any other is
+    refused, naming the file and its first differing line."""
 
     def test_untampered_copy_accepted(self, small_run, tmp_path):
         _, result = small_run
         copy = _tampered_log(small_run, tmp_path, lambda rows: rows)
         assert post_hoc_report(copy)["rho"] == result.final_rho
 
+    def test_foreign_log_rejected(self, fixed_run, tmp_path):
+        """The log of the same config at another seed is one a run wrote,
+        with every round at report_goal distinct clients of the population
+        and every timer kept; accounted, it would read max_part 4 and rho
+        26.0, not this run's 3 and 22.0."""
+        config, result = fixed_run
+        other = run_experiment(replace(config, seed=9), tmp_path / "seed9")
+        assert (result.observed_max_part, result.final_rho) == (3, 22.0)
+        assert (other.observed_max_part, other.final_rho) == (4, 26.0)
+        foreign = (other.directory / "participation.csv").read_text().splitlines()[1:]
+        copy = _tampered_log(fixed_run, tmp_path, lambda rows: foreign)
+        _refused(copy, _first_difference(_log_rows(fixed_run), foreign))
+
     def test_round_outside_run_rejected(self, small_run, tmp_path):
+        rows = _log_rows(small_run)
         copy = _tampered_log(small_run, tmp_path, lambda rows: [*rows, "119,12"])
-        with pytest.raises(ValueError, match=r"participation\.csv: round 12 lies outside \[0, 12\)"):
-            post_hoc_report(copy)
+        _refused(copy, len(rows) + 2)
 
     def test_negative_client_id_rejected(self, small_run, tmp_path):
+        rows = _log_rows(small_run)
         copy = _tampered_log(small_run, tmp_path, lambda rows: ["-1,0", *rows])
-        with pytest.raises(ValueError, match=r"participation\.csv: negative client id -1"):
-            post_hoc_report(copy)
+        _refused(copy, 2)
 
     def test_client_id_outside_population_rejected(self, fixed_run, tmp_path):
         """Every repeat participation moved to a fresh id at or above the
@@ -323,52 +359,42 @@ class TestParticipationLogValidation:
 
         config, result = fixed_run
         assert (config.population, result.observed_max_part, result.observed_min_sep) == (120, 3, 3)
-        copy = _tampered_log(fixed_run, tmp_path, repeats_to_fresh_ids)
+        rows = _log_rows(fixed_run)
+        edited = repeats_to_fresh_ids(rows)
+        copy = _tampered_log(fixed_run, tmp_path, lambda rows: edited)
         assert next(fresh) == 146  # the repeats moved to ids 120-145
-        with pytest.raises(
-            ValueError, match=r"participation\.csv: client id 145 lies outside population = 120$"
-        ):
-            post_hoc_report(copy)
+        line = _first_difference(rows, edited)
+        assert edited[line - 2].startswith("120,")  # the first fresh id
+        _refused(copy, line)
 
     def test_repeated_pair_rejected(self, small_run, tmp_path):
+        rows = _log_rows(small_run)
         copy = _tampered_log(small_run, tmp_path, lambda rows: [rows[0], *rows])
-        client_id, round_index = (copy / "participation.csv").read_text().splitlines()[1].split(",")
-        with pytest.raises(
-            ValueError,
-            match=rf"participation\.csv: client {client_id} is listed twice for round {round_index}",
-        ):
-            post_hoc_report(copy)
+        _refused(copy, 3)
 
     def test_lowest_repeated_pair_named(self, small_run, tmp_path):
-        """With two pairs repeated, the error names the lower in (client,
-        round) order, whichever comes first in the file."""
+        """With two pairs repeated ahead of the log, the error names line
+        2, the first line that differs, not the lower pair's."""
+        rows = _log_rows(small_run)
         copy = _tampered_log(small_run, tmp_path, lambda rows: [rows[-1], rows[3], *rows])
-        _, *rows = (copy / "participation.csv").read_text().splitlines()
-        high, low = (tuple(map(int, row.split(","))) for row in rows[:2])
-        assert low < high
-        with pytest.raises(
-            ValueError,
-            match=rf"participation\.csv: client {low[0]} is listed twice for round {low[1]}$",
-        ):
-            post_hoc_report(copy)
+        _refused(copy, 2)
 
     def test_header_only_log_rejected(self, small_run, tmp_path):
+        rows = _log_rows(small_run)
         copy = _tampered_log(small_run, tmp_path, lambda rows: [])
-        with pytest.raises(
-            ValueError, match=r"participation\.csv: round 0 lists 0 clients, not report_goal = 8"
-        ):
-            post_hoc_report(copy)
+        _refused(copy, 2)
 
     def test_thinned_log_rejected(self, small_run, tmp_path):
         """Keeping one row per client would account every client as a
-        single participation; each round must list report_goal clients."""
+        single participation."""
 
         def first_row_per_client(rows):
             return list({row.split(",")[0]: row for row in reversed(rows)}.values())
 
-        copy = _tampered_log(small_run, tmp_path, first_row_per_client)
-        with pytest.raises(ValueError, match=r"participation\.csv: round \d+ lists \d+ clients"):
-            post_hoc_report(copy)
+        rows = _log_rows(small_run)
+        edited = first_row_per_client(rows)
+        copy = _tampered_log(small_run, tmp_path, lambda rows: edited)
+        _refused(copy, _first_difference(rows, edited))
 
     def test_client_back_before_its_timer_rejected(self, fixed_run, tmp_path):
         """One client swapped into every round keeps each round at
@@ -389,13 +415,10 @@ class TestParticipationLogValidation:
 
         config, result = fixed_run
         assert (config.rounds, config.timer_rounds, result.observed_min_sep) == (12, 3, 3)
-        copy = _tampered_log(fixed_run, tmp_path, one_client_every_round)
-        with pytest.raises(
-            ValueError,
-            match=r"participation\.csv: a client returns 1 round\(s\) after its previous one, "
-            r"under timer_rounds = 3",
-        ):
-            post_hoc_report(copy)
+        rows = _log_rows(fixed_run)
+        edited = one_client_every_round(rows)
+        copy = _tampered_log(fixed_run, tmp_path, lambda rows: edited)
+        _refused(copy, _first_difference(rows, edited))
 
     def test_timer_longer_than_the_run_accepted(self, tmp_path):
         """With no client back at all, the observed separation reads the run
@@ -407,49 +430,57 @@ class TestParticipationLogValidation:
         assert post_hoc_report(result.directory)["rho"] == result.final_rho
 
     def test_malformed_log_rejected(self, small_run, tmp_path):
-        """A log under another header, or with a row that is not two
-        integers, is refused naming the file; no reader warning leaks."""
+        """A log under another header, with a row that is not two integers,
+        with a third field on every row or with other line endings is
+        refused naming the file and the line; no reader warning leaks."""
         copy = _tampered_log(small_run, tmp_path, lambda rows: rows)
         log = copy / "participation.csv"
         text = log.read_text()
+        header, *rows = text.splitlines()
         log.write_text(text.replace("client_id,round", "round,client_id", 1))
-        with pytest.raises(ValueError, match=r"participation\.csv: header 'round,client_id'"):
-            post_hoc_report(copy)
+        _refused(copy, 1)
         for row in ("3,x", "3", "2.5,1", "0,5,junk", "0,5,7", "0,5,"):
             log.write_text(text + row + "\n")
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(ValueError, match=r"participation\.csv: "):
-                    post_hoc_report(copy)
-        header, *rows = text.splitlines()
+            _refused(copy, len(rows) + 2)
         log.write_text("\n".join([header, *(row + ",0" for row in rows)]) + "\n")
-        with pytest.raises(ValueError, match=r"participation\.csv: rows of 3 fields"):
-            post_hoc_report(copy)
-        log.write_text("client_id,round\n")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=r"participation\.csv: round 0 lists 0 clients"):
-                post_hoc_report(copy)
+        _refused(copy, 2)
+        log.write_bytes(text.replace("\n", "\r\n").encode())
+        _refused(copy, 1)
+        log.write_bytes(text.encode()[:-1])  # the last line's newline cut off
+        _refused(copy, len(rows) + 1)
+        log.write_bytes(b"client_id,round\n\xff\xfe\n")
+        _refused(copy, 2)
+
+    def test_line_named_past_the_first_chunk(self, small_run, tmp_path, monkeypatch):
+        """The log is compared a chunk at a time; a difference in a later
+        chunk, or at a chunk's edge, still names its line in the file."""
+        monkeypatch.setattr(harness, "_PARTICIPATION_CHUNK_ROWS", 7)
+        rows = _log_rows(small_run)
+        for index in (0, 6, 7, 50, len(rows) - 1):
+            edited = [*rows[:index], "-1,0", *rows[index + 1 :]]
+            _refused(_tampered_log(small_run, tmp_path, lambda rows: edited), index + 2)
+        for kept in (7, 50):
+            _refused(_tampered_log(small_run, tmp_path, lambda rows: rows[:kept]), kept + 2)
 
     def test_log_read_peaks_under_100_bytes_per_row(self, tmp_path):
-        """A valid 2048-round log of 100 clients a round (round t lists
-        clients 100 t onward, modulo the population) is read, checked and
-        accounted in under 100 bytes per row at the traced peak, not as a
-        list of Python int pairs (~190 bytes per row)."""
-        config = ExperimentConfig(rounds=2048, population=100_000, report_goal=100)
+        """The log of a 2048-round run of 100 clients a round is replayed,
+        checked and accounted in under 100 bytes per row at the traced
+        peak, not as a list of Python int pairs (~190 bytes per row)."""
+        config = ExperimentConfig(rounds=2048, population=10_000, report_goal=100)
         rows = config.rounds * config.report_goal
         (tmp_path / "config.resolved").write_text(config.canonical_text())
+        log = np.array(list(harness.cohorts(config)))
         rounds = np.repeat(np.arange(config.rounds), config.report_goal)
-        harness._write_participation(
-            tmp_path / "participation.csv", np.arange(rows) % config.population, rounds
-        )
+        harness._write_participation(tmp_path / "participation.csv", log.ravel(), rounds)
         tracemalloc.start()
         try:
             report = post_hoc_report(tmp_path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert (report["observed_max_part"], report["observed_min_sep"]) == (3, 1000)
+        limits = observed_limits(log.ravel(), rounds, config.rounds)
+        assert (report["observed_max_part"], report["observed_min_sep"]) == limits
+        assert report["observed_min_sep"] >= config.timer_rounds
         assert peak < 100 * rows
 
 
@@ -505,9 +536,34 @@ class TestStartRun:
         assert state.eval_set.labels.shape == (1, config.eval_examples)
         assert state.round == 0 and state.history == []
         assert state.log.shape == (config.rounds, config.report_goal)
-        np.testing.assert_array_equal(state.next_eligible, np.zeros(config.population))
+        assert not hasattr(state, "next_eligible")  # the timers live in cohorts(config)
         np.testing.assert_array_equal(state.theta, state.theta0)
         assert state.clip is not None and state.active_clip == config.clip_c0
+
+
+    def test_exhausting_config_fails_before_synthesis(self, tmp_path, monkeypatch):
+        """Timers of 20 rounds over 60 clients, 8 a round, leave 4 eligible
+        at round 7: the run raises CohortExhausted naming that round before
+        it synthesizes the population or draws a cohort."""
+
+        def refuse(name):
+            def called(*args, **kwargs):
+                raise AssertionError(f"{name} called before the exhaustion check")
+
+            return called
+
+        for name, module in list(sys.modules.items()):
+            if name == "fpsim" or name.startswith("fpsim."):
+                for attribute, value in list(vars(module).items()):
+                    if value is synthesize_clients or value is harness.select_cohort:
+                        monkeypatch.setattr(module, attribute, refuse(attribute))
+        text = SMALL_CONFIG.replace("population = 120", "population = 60")
+        config = ExperimentConfig.from_text(text.replace("timer_rounds = 3", "timer_rounds = 20"))
+        with pytest.raises(
+            CohortExhausted,
+            match=r"^population exhausted at round 7: 4 eligible clients for report_goal 8;",
+        ):
+            run_experiment(config, tmp_path / "run")
 
 
 class TestRoundClock:
@@ -764,6 +820,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag}: ")
         assert why in err
+
+    @pytest.mark.parametrize(
+        "flag, value, why",
+        [
+            ("--z", "nan", "z must be a finite number >= 0, not nan"),
+            ("--z", "inf", "z must be a finite number >= 0, not inf"),
+            ("--z", "-1", "z must be a finite number >= 0, not -1.0"),
+            ("--sensitivity-scale", "inf", "sensitivity_scale must be a finite number > 0, not inf"),
+            ("--sensitivity-scale", "nan", "sensitivity_scale must be a finite number > 0, not nan"),
+            ("--delta", "1", "delta must be in (0, 1)"),
+        ],
+    )
+    def test_account_ledger_errors_name_the_flag(self, capsys, flag, value, why):
+        """A noise multiplier or a sensitivity scale that is not a finite
+        number is refused before any rho is printed, naming its flag."""
+        flags = {"--rounds": "10", "--min-sep": "2", "--max-part": "2", "--z": "1"}
+        flags[flag] = value
+        assert cli_main(["account", *(item for pair in flags.items() for item in pair)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag}: {why}\n"
+        assert captured.out == ""
 
     def test_account_prints_the_schema_it_accounts(self, capsys):
         """A --max-part above ceil(rounds / min_sep) is capped by the schema,
