@@ -23,9 +23,15 @@ from fpsim import accounting, harness
 from fpsim.accounting import ParticipationSchema
 from fpsim.config import SweepConfig
 
-# The timer's worst case for a 700-round run with a 20-round timer and the
-# periodic restart at round 128: the cumulative_zcdp column of such a run.
-COLUMN_SCHEMA = ParticipationSchema(700, 20, 35, (128,))
+# The cumulative_zcdp column of perfbench's long_small run at seed 0: 700
+# rounds, a 20-round timer, the periodic restart at round 128, and the
+# observed limits of its log (max_part 14, min_sep 20).
+COLUMN_SCHEMA = ParticipationSchema(700, 20, 14, (128,))
+
+# The same run's timer worst case, max_part ceil(700 / 20) = 35: what the
+# column accounted before it read the log, and what `fpsim sweep` and
+# `fpsim account` with flags report for that timer.
+TIMER_SCHEMA = ParticipationSchema(700, 20, 35, (128,))
 
 # One 2048-round tree at min_sep 1000: the wide-table cold solve.
 WIDE_SCHEMA = ParticipationSchema(2048, 1000, 3)
@@ -43,8 +49,8 @@ TINY_SCHEMA = ParticipationSchema(1024, 1, 1024)
 
 # The production shape of acceptance test 11: min_sep 313, at most 7
 # participations, the periodic restarts (first 128, period 1024) over 2048
-# rounds.  Its prefix column is
-# where the fold's split sums run on wide tables.
+# rounds.  Its prefix column is the case where the fold's split sums run
+# on wide tables.
 PRODUCTION_SCHEMA = ParticipationSchema(2048, 313, 7, (128, 1152))
 
 # Acceptance test 10's grid: populations 10^5, 3 * 10^5 and 10^6 at report
@@ -101,11 +107,15 @@ def main() -> None:
     sweep_dir = tempfile.TemporaryDirectory()
     cases = tuple(
         (
-            f"prefix column, {schema.total_rounds} rounds",
+            f"{label}, {schema.total_rounds} rounds",
             schema,
             lambda schema=schema: accounting.prefix_sensitivity_sq(schema),
         )
-        for schema in (COLUMN_SCHEMA, PRODUCTION_SCHEMA)
+        for label, schema in (
+            ("prefix column", COLUMN_SCHEMA),
+            ("prefix, timer worst case", TIMER_SCHEMA),
+            ("prefix column", PRODUCTION_SCHEMA),
+        )
     ) + tuple(
         (
             f"cold solve, {schema.total_rounds} rounds",
@@ -119,7 +129,7 @@ def main() -> None:
         "peak traced MB and cached-table MB of one more cold call)"
     )
     print(
-        f"  {'case':<28}{'min_sep':>8}{'max_part':>9}{'restarts':>9}"
+        f"  {'case':<36}{'min_sep':>8}{'max_part':>9}{'restarts':>9}"
         f"{'seconds':>10}{'peak MB':>10}{'tables MB':>11}"
     )
     for label, schema, call in cases:
@@ -130,7 +140,7 @@ def main() -> None:
         if schema is not None:
             shape = (schema.min_sep, schema.max_part, len(schema.restart_rounds))
         print(
-            f"  {label:<28}{shape[0]:>8}{shape[1]:>9}{shape[2]:>9}"
+            f"  {label:<36}{shape[0]:>8}{shape[1]:>9}{shape[2]:>9}"
             f"{seconds:>10.3f}{peak / 1e6:>10.1f}{tables / 1e6:>11.3f}"
         )
     sweep_dir.cleanup()

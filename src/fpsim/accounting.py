@@ -598,6 +598,8 @@ class PrivacyLedger:
     def __post_init__(self) -> None:
         if not (math.isfinite(scale := self.sensitivity_scale) and scale > 0):
             raise ValueError(f"sensitivity_scale must be a finite number > 0, not {scale!r}")
+        if not math.isfinite(scale * scale):  # gaussian_zcdp's scale**2 would overflow
+            raise ValueError(f"sensitivity_scale must have a finite square, not {scale!r}")
         self.rho = zcdp(self.z, self.schema, self.sensitivity_scale)
 
     @property

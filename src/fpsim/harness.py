@@ -12,10 +12,10 @@ A run writes a self-describing directory:
 
 Everything is a pure function of the config (including its seed): running
 the same config twice produces byte-identical metrics and checkpoints, and
-the cohorts, from cohorts(config), never read training.  The privacy report
-is computed from the observed participation log (tighter than the
-schedule's worst case); post_hoc_report replays the config's log and
-accounts only a participation.csv equal to it, byte for byte.
+the cohorts, from cohorts(config), never read training.  The rho column
+and the privacy report account the limits the participation log attains
+(never above the timer's worst case); post_hoc_report replays the config's
+log and accounts only a participation.csv equal to it, byte for byte.
 """
 
 from __future__ import annotations
@@ -204,11 +204,11 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunResult:
 def _finish(state: RunState, out: Path) -> RunResult:
     """Write a finished run's artifacts and report."""
     config, terms = state.config, state.terms
-    # The worst case the timer allows after each round, all prefixes in one
-    # accountant pass.
-    cumulative_rho = accounting.prefix_zcdp(
-        terms.z_equiv, terms.timer_schema, terms.sensitivity_scale
-    )
+    client_ids = state.log.ravel()
+    rounds = np.repeat(np.arange(config.rounds), config.report_goal)
+    # Every prefix at the whole run's limits, in one pass: the config fixes the log.
+    schema = _observed_schema(config, client_ids, rounds)
+    cumulative_rho = accounting.prefix_zcdp(terms.z_equiv, schema, terms.sensitivity_scale)
     metrics_rows = [
         (
             m.round,
@@ -224,8 +224,6 @@ def _finish(state: RunState, out: Path) -> RunResult:
     ]
     _write_csv(out / "metrics.csv", METRICS_COLUMNS, metrics_rows)
     write_checkpoint(out / "checkpoint.bin", state.theta)
-    client_ids = state.log.ravel()
-    rounds = np.repeat(np.arange(config.rounds), config.report_goal)
     _write_participation(out / "participation.csv", client_ids, rounds)
     if terms.secagg is not None:
         _write_csv(
@@ -238,7 +236,7 @@ def _finish(state: RunState, out: Path) -> RunResult:
         )
     (out / "config.resolved").write_text(config.canonical_text())
 
-    row = _observed_report(config, observed_limits(client_ids, rounds, config.rounds))
+    row = privacy_report(schema, terms.z_equiv, terms.sensitivity_scale, config)
     _write_csv(out / "report.csv", REPORT_COLUMNS, [tuple(row[k] for k in REPORT_COLUMNS)])
     (out / "report.txt").write_text(render_report_text(row))
 
@@ -326,15 +324,13 @@ def privacy_report(
     }
 
 
-def _observed_report(
-    config: ExperimentConfig, limits: tuple[int, int], delta: float = REPORT_DELTA
-) -> dict[str, object]:
-    """A run's report row from the (max_part, min_sep) its participation log
-    attains (observed_limits), accounted at the run's privacy terms."""
-    terms = config.privacy_terms()
-    max_part, min_sep = limits
-    schema = replace(terms.timer_schema, max_part=max_part, min_sep=min_sep)
-    return privacy_report(schema, terms.z_equiv, terms.sensitivity_scale, config, delta)
+def _observed_schema(
+    config: ExperimentConfig, client_ids: np.ndarray, rounds: np.ndarray
+) -> ParticipationSchema:
+    """The one schema a run is accounted at: the timer's, at the (max_part,
+    min_sep) its participation log attains (observed_limits)."""
+    max_part, min_sep = observed_limits(client_ids, rounds, config.rounds)
+    return replace(config.privacy_terms().timer_schema, max_part=max_part, min_sep=min_sep)
 
 
 def post_hoc_report(run_dir: str | Path, delta: float = REPORT_DELTA) -> dict[str, object]:
@@ -357,14 +353,16 @@ def post_hoc_report(run_dir: str | Path, delta: float = REPORT_DELTA) -> dict[st
                 line += next(n for n, (got, want) in enumerate(lines) if got != want)
                 raise ValueError(f"{path}: line {line} differs from the config's log")
             line += chunk.count("\n")
-    return _observed_report(config, observed_limits(client_ids, rounds, config.rounds), delta)
+    terms = config.privacy_terms()
+    schema = _observed_schema(config, client_ids, rounds)
+    return privacy_report(schema, terms.z_equiv, terms.sensitivity_scale, config, delta)
 
 
 def sweep_privacy(sweep_cfg: SweepConfig, out_path: str | Path) -> list[tuple]:
     """Write the sweep table (SWEEP_COLUMNS), one row per run config of the
     grid (SweepConfig.run_configs): its rounds, report goal and noise
-    multiplier, and the timer's worst case with its rho, which is the last
-    cumulative_zcdp of a run of that config."""
+    multiplier, and the timer's worst case with its rho, the most rho a run
+    of that config can report."""
     rows = []
     for config in sweep_cfg.run_configs():
         terms = config.privacy_terms()

@@ -42,6 +42,10 @@ class TestParser:
         with pytest.raises(ConfigError, match="line 3"):
             parse_kv_text("a = 1\nb = 2\na = 3\n")
 
+    def test_empty_key_rejected_with_line_number(self):
+        with pytest.raises(ConfigError, match="^line 2: empty key$"):
+            parse_kv_text("a = 1\n = 2\n")
+
     def test_missing_equals_rejected(self):
         with pytest.raises(ConfigError, match="line 2"):
             parse_kv_text("a = 1\nnot a pair\n")
@@ -238,6 +242,68 @@ class TestExperimentConfig:
     def test_availability_kind_validated(self):
         with pytest.raises(ConfigError, match=r"'availability\.kind'"):
             ExperimentConfig.from_text("availability.kind = weekly\n")
+
+
+# A valid sweep grid, each key overridable by a case of test_bad_value_names_its_key.
+_SWEEP_GRID = "sweep.z = 7\nsweep.report_goal = 100\nsweep.population = 10000\nsweep.rounds = 128\n"
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("seed = -1", "seed"),
+        ("seed = 18446744073709551616", "seed"),
+        ("rounds = 0", "rounds"),
+        ("report_goal = 0", "report_goal"),
+        ("population = 50\nreport_goal = 100", "population"),
+        ("noise_multiplier = nan", "noise_multiplier"),
+        ("noise_multiplier = -1", "noise_multiplier"),
+        ("timer_rounds = -1", "timer_rounds"),
+        ("availability.kind = weekly", "availability.kind"),
+        ("availability.period = 0", "availability.period"),
+        ("availability.amplitude = 1.5", "availability.amplitude"),
+        ("eta_c = 0", "eta_c"),
+        ("eta_s = 0", "eta_s"),
+        ("beta = 1", "beta"),
+        ("batch_size = 0", "batch_size"),
+        ("epochs = 0", "epochs"),
+        ("clip.mode = bogus", "clip.mode"),
+        ("clip.c0 = 0", "clip.c0"),
+        ("clip.c0 = inf", "clip.c0"),
+        ("clip.gamma = 2", "clip.gamma"),
+        ("clip.eta_gamma = -1", "clip.eta_gamma"),
+        ("clip.sigma_b_fraction = 0", "clip.sigma_b_fraction"),
+        ("restart.mode = bogus", "restart.mode"),
+        ("restart.first = 0", "restart.first"),
+        ("restart.period = 0", "restart.period"),
+        ("restart.mode = explicit\nrestart.rounds = 5, 3", "restart.rounds"),
+        ("model.kind = transformer", "model.kind"),
+        ("model.vocab_size = 1", "model.vocab_size"),
+        ("model.window = 0", "model.window"),
+        ("data.examples_per_client = 0", "data.examples_per_client"),
+        ("data.heterogeneity = 2", "data.heterogeneity"),
+        ("data.concentration = 0", "data.concentration"),
+        ("data.eval_examples = 0", "data.eval_examples"),
+        ("secagg.enabled = true", "secagg.enabled"),
+        ("secagg.enabled = true\nclip.mode = fixed\nsecagg.s = 0", "secagg.s"),
+        ("secagg.retry_cap = 0", "secagg.retry_cap"),
+        ("sweep.z = 0", "sweep.z"),
+        ("sweep.report_goal = 0", "sweep.report_goal"),
+        ("sweep.population = 50", "sweep.population"),
+        ("sweep.rounds = 128, 0", "sweep.rounds"),
+        ("sweep.rounds =", "sweep.rounds"),
+        ("sweep.scaling = 1, 0", "sweep.scaling"),
+    ],
+)
+def test_bad_value_names_its_key(text, key):
+    """Each range check of ExperimentConfig and SweepConfig fails as a
+    ConfigError whose message starts with the dotted key at fault."""
+    match = rf"^config key '{re.escape(key)}': "
+    with pytest.raises(ConfigError, match=match):
+        if key.startswith("sweep."):
+            SweepConfig.from_mapping({**parse_kv_text(_SWEEP_GRID), **parse_kv_text(text)})
+        else:
+            ExperimentConfig.from_text(text + "\n")
 
 
 def _floats(low=None, high=None, **kwargs):

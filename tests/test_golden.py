@@ -70,7 +70,7 @@ GOLDEN = {
     "adaptive": (
         ADAPTIVE_CONFIG,
         {
-            "metrics.csv": "da9f4476b172cd66d020809c47f79e684181f128250836dfc3b5c881434a5fb4",
+            "metrics.csv": "90cbfa514d2c608e4152b9ef9b5d1f3c533162f89ffdf3ab2ea0570aa78acce3",
             "checkpoint.bin": "21761255383aec6563d0a8cf8874bd2ee4c0594ce3e1395e73017d2655d2f0a6",
             "report.csv": "1e1b613fcae33d55b7ed7a5aab992e96b42bd75c5cbb8300b47b1b7c75398feb",
             "participation.csv": "51e83eb51ef2a9609e1246969536d14b66f469e93f179fe350a7ae071bc6163d",
@@ -79,7 +79,7 @@ GOLDEN = {
     "fixed": (
         FIXED_CONFIG,
         {
-            "metrics.csv": "466d62f98bb31266ebb9bac4178328e64f8ef0f8e9d09303685a3b19012fe6e8",
+            "metrics.csv": "c94a516ce6899801f705948e89a10fe30b6a25e2e3a04de1a8c09d511de16647",
             "checkpoint.bin": "ac68ff66cd0de82306177e6124280b78c3c95b3a88cf44ec3fe2605b3c5ce2ef",
             "report.csv": "9ac8c4d9ddd799ba5a12bfb8d9aa03617d197304a78438c5c7db6d6ae23af59c",
             "participation.csv": "51e83eb51ef2a9609e1246969536d14b66f469e93f179fe350a7ae071bc6163d",
@@ -88,7 +88,7 @@ GOLDEN = {
     "secagg": (
         SECAGG_CONFIG,
         {
-            "metrics.csv": "8e7851ffade921ba17bf23ad99d3f92796264dcddedde3041886d581f6f90700",
+            "metrics.csv": "e772d7faab5be4a7e571cf61f4187d0316a3305ccd4c61fe1ddc635801c2b593",
             "checkpoint.bin": "593f128690a1727c34e82b2ca00a24e1e7575615a02254f7dac180fa2894f493",
             "report.csv": "11cb4e404c44f33a2bd5b3c84e4de1d0303f0265da06ba006e381bf571cdb063",
             "participation.csv": "bc079d68c703287a21dc50dbac1b8036e1606a30854638dc7a3699ef8f11766d",

@@ -163,12 +163,13 @@ class TestRunArtifacts:
         assert metrics["round"] == list(range(12))
 
     def test_cumulative_zcdp_nondecreasing(self, small_run):
-        """The running column tracks the worst case the timer allows, so it
-        can only tighten when the final report reads the actual log."""
+        """Every prefix is accounted at the same observed limits, so the
+        running column only grows, and the whole run's prefix is the
+        report's rho."""
         _, result = small_run
         rho = read_metrics(result.directory)["cumulative_zcdp"]
-        assert all(a <= b + 1e-12 for a, b in zip(rho, rho[1:]))
-        assert result.final_rho <= rho[-1] + 1e-12
+        assert all(a <= b for a, b in zip(rho, rho[1:]))
+        assert result.final_rho == rho[-1]
 
     def test_cohorts_hit_report_goal_every_round(self, small_run):
         _, result = small_run
@@ -197,32 +198,59 @@ class TestRunArtifacts:
         assert set(changes) <= {5, 9}
 
 
-def _timer_prefix_rhos(config, run_dir):
-    """cumulative_zcdp recomputed round by round: zcdp of each prefix's
-    timer-worst-case schema, scaled like the run's final report."""
-    report = post_hoc_report(run_dir)
+def _prefix_rhos(config, report, max_part, min_sep):
+    """cumulative_zcdp recomputed round by round: zcdp of each prefix at
+    (max_part, min_sep) with the run's restarts, scaled like the run's
+    report."""
     z, scale = report["z_equivalent"], report["sensitivity_scale"]
-    worst_max_part = math.ceil(config.rounds / config.timer_rounds)
     restarts = reference_restart_rounds(config)
-    rhos = [
-        zcdp(z, ParticipationSchema(n, config.timer_rounds, worst_max_part, restarts)) * scale**2
+    return [
+        zcdp(z, ParticipationSchema(n, min_sep, max_part, restarts)) * scale**2
         for n in range(1, config.rounds + 1)
     ]
-    return rhos, scale
 
 
 class TestCumulativeZcdp:
+    """One rho per run: the column accounts every prefix at the whole run's
+    observed limits, so its last entry is the report's rho, and no row
+    exceeds the timer's worst case for that prefix."""
+
+    @staticmethod
+    def _check_column(config, result):
+        column = read_metrics(result.directory)["cumulative_zcdp"]
+        report = post_hoc_report(result.directory)
+        observed = (report["observed_max_part"], report["observed_min_sep"])
+        assert column == _prefix_rhos(config, report, *observed)
+        timer = math.ceil(config.rounds / config.timer_rounds), config.timer_rounds
+        assert observed != timer
+        assert all(a <= b for a, b in zip(column, _prefix_rhos(config, report, *timer)))
+        header, values = (result.directory / "report.csv").read_text().splitlines()
+        written = float(dict(zip(header.split(","), values.split(",")))["rho"])
+        assert column[-1] == written == report["rho"] == result.final_rho
+        return report
+
     def test_adaptive_run_with_restarts(self, small_run):
-        config, result = small_run
-        expected, _ = _timer_prefix_rhos(config, result.directory)
-        assert read_metrics(result.directory)["cumulative_zcdp"] == expected
+        self._check_column(*small_run)
+
+    def test_fixed_clip_run(self, tmp_path):
+        config = ExperimentConfig.from_text(
+            SMALL_CONFIG.replace("clip.mode = adaptive", "clip.mode = fixed")
+        )
+        self._check_column(config, run_experiment(config, tmp_path / "fixed"))
 
     def test_secagg_run_scales_every_row(self, tmp_path):
         config = ExperimentConfig.from_text(SECAGG_CONFIG)
-        result = run_experiment(config, tmp_path / "secagg")
-        expected, scale = _timer_prefix_rhos(config, result.directory)
-        assert scale != 1.0
-        assert read_metrics(result.directory)["cumulative_zcdp"] == expected
+        report = self._check_column(config, run_experiment(config, tmp_path / "secagg"))
+        assert report["sensitivity_scale"] != 1.0
+
+    def test_sparse_run_below_the_timer_on_both_limits(self, tmp_path):
+        """At population 2000 the log attains max_part 2 and min_sep 4
+        against the timer's 4 and 3: a wider solver than the timer's."""
+        config = ExperimentConfig.from_text(
+            SMALL_CONFIG.replace("population = 120", "population = 2000")
+        )
+        report = self._check_column(config, run_experiment(config, tmp_path / "sparse"))
+        assert (report["observed_max_part"], report["observed_min_sep"]) == (2, 4)
 
 
 class TestReportConsistency:
@@ -788,6 +816,20 @@ class TestCli:
         assert "delta: 1e-06" in lines
         assert f"epsilon: {post_hoc_report(run, 1e-6)['epsilon']!r}" in lines
 
+    @pytest.mark.parametrize(
+        "flags, missing",
+        [
+            ([], "--rounds --min-sep --max-part --z"),
+            (["--rounds", "8", "--z", "7", "--restarts", "3"], "--min-sep --max-part"),
+        ],
+    )
+    def test_account_without_run_names_the_missing_schema_flags(self, capsys, flags, missing):
+        assert cli_main(["account", *flags]) == 1
+        captured = capsys.readouterr()
+        why = f"account needs --run or explicit schema flags; missing {missing}"
+        assert captured.err == f"error: {why}\n"
+        assert captured.out == ""
+
     def test_account_from_flags(self, capsys):
         rc = cli_main(
             ["account", "--rounds", "4", "--min-sep", "1", "--max-part", "1", "--z", "7"]
@@ -829,6 +871,8 @@ class TestCli:
             ("--z", "-1", "z must be a finite number >= 0, not -1.0"),
             ("--sensitivity-scale", "inf", "sensitivity_scale must be a finite number > 0, not inf"),
             ("--sensitivity-scale", "nan", "sensitivity_scale must be a finite number > 0, not nan"),
+            # Finite, but gaussian_zcdp's scale**2 would raise OverflowError.
+            ("--sensitivity-scale", "1e200", "sensitivity_scale must have a finite square, not 1e+200"),
             ("--delta", "1", "delta must be in (0, 1)"),
         ],
     )
