@@ -17,7 +17,9 @@ import time
 
 import numpy as np
 
-from fpsim import ExperimentConfig, cohorts, run_round, start_run
+from fpsim import ExperimentConfig
+from fpsim.federation import run_round
+from fpsim.harness import cohorts, start_run
 from fpsim._kernels import fwht_inplace, stochastic_round
 from fpsim.secagg import SecAggConfig, SecAggRound
 from fpsim.seeds import SeedPath

@@ -55,23 +55,14 @@ from pathlib import Path
 
 import numpy as np
 
-from fpsim import (
-    ExperimentConfig,
-    NextTokenBOW,
-    SeedPath,
-    TreeState,
-    batch_orders,
-    cohort_update,
-    cohorts,
-    post_hoc_report,
-    run_round,
-    start_run,
-    synthesize_clients,
-    synthesize_eval_set,
-)
+from fpsim import ExperimentConfig, post_hoc_report
 from fpsim.data import _global_table, _guide_table, _shifted_table
-from fpsim.federation import _BLOCK_BYTES
-from fpsim.harness import _write_participation
+from fpsim.data import synthesize_clients, synthesize_eval_set
+from fpsim.federation import _BLOCK_BYTES, batch_orders, cohort_update, run_round
+from fpsim.harness import _write_participation, cohorts, start_run
+from fpsim.models import NextTokenBOW
+from fpsim.seeds import SeedPath
+from fpsim.tree import TreeState
 
 COHORT = 100
 BATCH_SIZE = 16

@@ -17,44 +17,58 @@ The pieces, bottom up:
 - ``harness``    full runs, sweeps, comparison, artifacts
 - ``cli``        the ``fpsim`` command
 
-The package root re-exports every module's ``__all__`` except ``cli``'s, so
-that ``import fpsim`` does not import argparse.
+The package root exports the public surface, and ``fpsim.__all__`` lists
+exactly these names:
+
+- the configs and their errors: ``ExperimentConfig``, ``SweepConfig``,
+  ``PrivacyTerms``, ``ConfigError``;
+- the entry points that run, account, sweep and compare:
+  ``run_experiment``, ``post_hoc_report``, ``privacy_report``,
+  ``sweep_privacy``, ``compare``, and the artifact readers and writers
+  ``read_checkpoint``, ``write_checkpoint``, ``read_metrics``;
+- the accountant: ``ParticipationSchema``, ``PrivacyLedger``,
+  ``worst_case_sensitivity_sq``, ``prefix_sensitivity_sq``,
+  ``gaussian_zcdp``, ``zcdp``, ``prefix_zcdp``, ``zcdp_to_eps``,
+  ``zcdp_to_delta``, ``loose_eps``;
+- the result type and the run errors: ``RunResult``, ``CohortExhausted``,
+  ``TrainingDiverged``, ``RoundingRetriesExhausted``;
+- ``BACKEND`` and ``__version__``.
+
+These validate what they are given.  Everything else (the noise tree, the
+clip state, the SecAgg round, the round loop, the model, the seeds) is an
+internal that trusts the invariants a validated ExperimentConfig and the
+run's own checks give it; each stays importable from its module, e.g.
+``fpsim.tree.TreeState``.  The root does not import ``cli``, so ``import
+fpsim`` does not import argparse.
 
 The hot kernels (Hadamard transform, stochastic rounding) live in
 ``fpsim._kernels`` and have one implementation, in numpy; ``BACKEND`` names
-it and is always ``"numpy"``.
+it and is always ``"numpy"``.  It stays in the surface because the
+benchmark records it with every run.
 """
 
-from fpsim import accounting, clipping, config, data, federation, harness, models
-from fpsim import secagg, seeds, tree, vectors
-from fpsim.accounting import *  # noqa: F403
-from fpsim.clipping import *  # noqa: F403
-from fpsim.config import *  # noqa: F403
-from fpsim.data import *  # noqa: F403
-from fpsim.federation import *  # noqa: F403
-from fpsim.harness import *  # noqa: F403
-from fpsim.models import *  # noqa: F403
-from fpsim.secagg import *  # noqa: F403
-from fpsim.seeds import *  # noqa: F403
-from fpsim.tree import *  # noqa: F403
-from fpsim.vectors import *  # noqa: F403
+from fpsim.accounting import (
+    ParticipationSchema, PrivacyLedger, gaussian_zcdp, loose_eps, prefix_sensitivity_sq,
+    prefix_zcdp, worst_case_sensitivity_sq, zcdp, zcdp_to_delta, zcdp_to_eps,
+)
+from fpsim.config import ConfigError, ExperimentConfig, PrivacyTerms, SweepConfig
+from fpsim.federation import CohortExhausted, TrainingDiverged
+from fpsim.harness import (
+    RunResult, compare, post_hoc_report, privacy_report, read_checkpoint, read_metrics,
+    run_experiment, sweep_privacy, write_checkpoint,
+)
+from fpsim.secagg import RoundingRetriesExhausted
 
 __version__ = "0.1.0"
 
 BACKEND = "numpy"
 
 __all__ = [
-    "BACKEND",
-    "__version__",
-    *accounting.__all__,
-    *clipping.__all__,
-    *config.__all__,
-    *data.__all__,
-    *federation.__all__,
-    *harness.__all__,
-    *models.__all__,
-    *secagg.__all__,
-    *seeds.__all__,
-    *tree.__all__,
-    *vectors.__all__,
+    "ExperimentConfig", "SweepConfig", "PrivacyTerms", "ConfigError",
+    "run_experiment", "post_hoc_report", "privacy_report", "sweep_privacy", "compare",
+    "read_checkpoint", "write_checkpoint", "read_metrics",
+    "ParticipationSchema", "PrivacyLedger", "worst_case_sensitivity_sq", "prefix_sensitivity_sq",
+    "gaussian_zcdp", "zcdp", "prefix_zcdp", "zcdp_to_eps", "zcdp_to_delta", "loose_eps",
+    "RunResult", "CohortExhausted", "TrainingDiverged", "RoundingRetriesExhausted",
+    "BACKEND", "__version__",
 ]

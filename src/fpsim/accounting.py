@@ -587,7 +587,9 @@ class PrivacyLedger:
 
     ``sensitivity_scale`` multiplies the per-participation sensitivity (in
     clip units); secure-aggregation runs pass inflated_clip / clip to
-    account for the rounding inflation.
+    account for the rounding inflation.  rho is infinite only through z:
+    z = 0, or a z whose 2 z^2 underflows; a rho that overflows at any other
+    z is refused, naming the sensitivity scale.
     """
 
     schema: ParticipationSchema
@@ -600,7 +602,12 @@ class PrivacyLedger:
             raise ValueError(f"sensitivity_scale must be a finite number > 0, not {scale!r}")
         if not math.isfinite(scale * scale):  # gaussian_zcdp's scale**2 would overflow
             raise ValueError(f"sensitivity_scale must have a finite square, not {scale!r}")
-        self.rho = zcdp(self.z, self.schema, self.sensitivity_scale)
+        self.rho = zcdp(self.z, self.schema, scale)
+        if math.isinf(self.rho) and 2.0 * self.z * self.z > 0:
+            raise ValueError(
+                f"sensitivity_scale {scale!r} overflows rho at z {self.z!r}: "
+                "sensitivity^2 * sensitivity_scale^2 / (2 z^2) is not finite"
+            )
 
     @property
     def non_private(self) -> bool:

@@ -52,13 +52,10 @@ def noise_split(z: float, sigma_b: float) -> float:
         z_delta = (z^-2 - (2 sigma_b)^-2)^(-1/2).
     Requires 2 * sigma_b > z: the count noise alone must be strictly weaker
     than the target guarantee, otherwise no vector noise can meet it.
+    z >= 0 and sigma_b >= 0 are the config's.
     """
-    if z < 0:
-        raise ValueError("z must be >= 0")
     if z == 0:
         return 0.0
-    if not sigma_b > 0:
-        raise ValueError("sigma_b must be > 0")
     if not 2.0 * sigma_b > z:
         raise ValueError("clip-count noise too small to absorb")
     return (z**-2 - (2.0 * sigma_b) ** -2) ** -0.5
@@ -71,14 +68,11 @@ def combined_multiplier(z_delta: float, sigma_b: float) -> float:
 
     Inverse of noise_split: combined_multiplier(noise_split(z, s), s) == z.
     A zero z_delta (no vector noise at all) passes through as zero, the
-    non-private marker used throughout.
+    non-private marker used throughout.  A nonzero z_delta comes with a
+    sigma_b > 0 (noise_split's).
     """
-    if z_delta < 0:
-        raise ValueError("z_delta must be >= 0")
     if z_delta == 0:
         return 0.0
-    if not sigma_b > 0:
-        raise ValueError("sigma_b must be > 0")
     return (z_delta**-2 + (2.0 * sigma_b) ** -2) ** -0.5
 
 
@@ -88,7 +82,8 @@ class ClipState:
 
     ``estimate`` follows the noised clip statistics every round; restart
     returns it as the next segment's clip norm, which the update tree then
-    holds (RunState.active_clip).
+    holds (RunState.active_clip).  The fields are the run's validated
+    clip.* keys, cohort size and sigma_b, and are not re-checked.
     """
 
     initial_estimate: float
@@ -102,16 +97,6 @@ class ClipState:
     count_tree: TreeState = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.initial_estimate > 0:
-            raise ValueError("initial_estimate must be > 0")
-        if not 0.0 <= self.target_quantile <= 1.0:
-            raise ValueError("target_quantile must be in [0, 1]")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
-        if self.sigma_b < 0:
-            raise ValueError("sigma_b must be >= 0")
-        if self.cohort_size < 1:
-            raise ValueError("cohort_size must be >= 1")
         self.estimate = float(self.initial_estimate)
         # A d = 1 tree over raw indicator sums, prefix-decomposed like the
         # update tree and restarted with it: z=sigma_b with a unit clip

@@ -41,15 +41,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from fpsim.config import ExperimentConfig
 from fpsim.seeds import SeedPath
-
-if TYPE_CHECKING:
-    from fpsim.config import ExperimentConfig
 
 __all__ = ["TokenDataset", "synthesize_clients", "synthesize_eval_set", "token_dtype"]
 

@@ -28,20 +28,17 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from fpsim.clipping import ClipState
+from fpsim.config import ExperimentConfig, PrivacyTerms
 from fpsim.data import TokenDataset
 from fpsim.models import NextTokenBOW
 from fpsim.secagg import SecAggRound
 from fpsim.seeds import SeedPath
 from fpsim.tree import TreeState
 from fpsim.vectors import as_param_vector
-
-if TYPE_CHECKING:
-    from fpsim.config import ExperimentConfig, PrivacyTerms
 
 __all__ = [
     "RunState",
@@ -100,8 +97,6 @@ def batch_orders(
     shuffles each client's order of its n examples from ``rng``, one row
     of ``rng.permuted`` per client, starting from the last epoch's order;
     None gives sequential order."""
-    if epochs < 1:
-        raise ValueError("epochs must be >= 1")
     orders = np.empty((epochs, cohort, n), dtype=np.intp)
     orders[0] = np.arange(n)
     for epoch in range(epochs):
@@ -131,13 +126,11 @@ def cohort_update(
 
     Client c's data is ``contexts[c]`` (n, window) and ``labels[c]`` (n,);
     ``orders[e, c]`` is its batch order in epoch e (see batch_orders), so
-    a block of a cohort takes its rows of the cohort's orders.
+    a block of a cohort takes its rows of the cohort's orders.  The
+    arguments are the run's: its validated config's eta_c and batch size,
+    its clip norm, and a finite ``params``, which run_round checks at the
+    end of each round.
     """
-    if not eta_c > 0:
-        raise ValueError("eta_c must be > 0")
-    if not clip_active > 0:
-        raise ValueError("clip_active must be > 0")
-    params = as_param_vector(params, model.num_params)
     stack = np.empty((labels.shape[0], params.shape[0]))
     stack[...] = params
     losses = model.local_sgd(stack, contexts, labels, orders, eta_c, batch_size)
@@ -161,8 +154,6 @@ def select_cohort(
     availability-weighted via exponential-race keys, and deterministic in
     (seed, round).  Returns the ids in ascending (aggregation) order.
     """
-    if round_index < 0:
-        raise ValueError("round_index must be >= 0")
     goal = config.report_goal
     ids = np.flatnonzero(next_eligible <= round_index)
     if ids.shape[0] < goal:
@@ -376,12 +367,8 @@ def observed_limits(
     gap between any client's consecutive participations).  When no client
     participated twice the separation is reported as total_rounds.
     """
-    if total_rounds < 1:
-        raise ValueError("total_rounds must be >= 1")
     client_ids = np.asarray(client_ids, dtype=np.int64)
     rounds = np.asarray(rounds, dtype=np.int64)
-    if client_ids.ndim != 1 or client_ids.shape != rounds.shape:
-        raise ValueError("client_ids and rounds must be 1-d arrays of equal length")
     order = np.lexsort((rounds, client_ids))
     client_ids = client_ids[order]
     repeat = client_ids[1:] == client_ids[:-1]

@@ -278,7 +278,8 @@ def render_report_text(row: dict[str, object]) -> str:
     for key in REPORT_COLUMNS:
         lines.append(f"{key}: {_format(row[key])}")
     if isinstance(row["rho"], float) and math.isinf(row["rho"]):
-        # A nonzero z can still leave rho infinite when 2 z^2 underflows.
+        # Only z makes a reported rho infinite (PrivacyLedger): z = 0, or a
+        # nonzero z whose 2 z^2 underflows.
         cause = (
             "noise multiplier 0"
             if row["z_equivalent"] == 0

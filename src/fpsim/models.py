@@ -63,16 +63,6 @@ class NextTokenBOW:
         """Zero weights: the canonical convex starting point."""
         return np.zeros(self.num_params, dtype=np.float64)
 
-    def _check_stack(self, stack: np.ndarray) -> None:
-        if stack.ndim != 2 or stack.shape[1] != self.num_params:
-            raise ValueError("params must be (rows, num_params) for this model")
-        if not stack.flags.c_contiguous:
-            raise ValueError("params must be C-contiguous")
-
-    def _check_tokens(self, tokens: np.ndarray) -> None:
-        if tokens.size and (tokens.min() < 0 or tokens.max() >= self.vocab_size):
-            raise ValueError("token ids out of vocabulary range")
-
     def _column_base(self, rows: int) -> np.ndarray:
         """(rows, 1, 1, vocab_size) flat offsets into a stack of ``rows``
         parameter rows: row r's class-c weights start at r * num_params +
@@ -93,11 +83,12 @@ class NextTokenBOW:
 
     def logits(self, stack: np.ndarray, contexts: np.ndarray) -> np.ndarray:
         """(rows, batch, vocab_size) logits of row r's parameters on row r's
-        windows: the mean of the window tokens' weight columns."""
-        self._check_stack(stack)
-        if contexts.ndim != 3 or contexts.shape[::2] != (stack.shape[0], self.window):
-            raise ValueError("inputs must be (rows, batch, window) token ids")
-        self._check_tokens(contexts)
+        windows (rows, batch, window): the mean of the window tokens' weight
+        columns.  Only the parameter width and the token range are checked."""
+        if stack.ndim != 2 or stack.shape[1] != self.num_params:
+            raise ValueError("params must be (rows, num_params) for this model")
+        if contexts.size and (contexts.min() < 0 or contexts.max() >= self.vocab_size):
+            raise ValueError("token ids out of vocabulary range")
         contexts = contexts.astype(np.intp, copy=False)
         columns = self._column_base(stack.shape[0]) + contexts[..., None]
         return self._window_logits(stack.reshape(-1), columns)
@@ -120,21 +111,13 @@ class NextTokenBOW:
         epoch's minibatches are its consecutive slices of batch_size
         examples, the last one possibly short.  Each row is computed
         alone, so its outputs do not depend on the other rows.
+
+        Nothing is re-checked: ``stack`` is a C-contiguous (rows,
+        num_params) float64 array, n >= 1, and every token id is below
+        vocab_size, as the run's validated config and its synthesized data
+        make them.
         """
-        self._check_stack(stack)
-        if labels.ndim != 2 or labels.shape[0] != stack.shape[0]:
-            raise ValueError("labels must be (rows, n) token ids")
         rows, n = labels.shape
-        if n == 0:
-            raise ValueError("client datasets are empty")
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if orders.ndim != 3 or orders.shape[0] < 1 or orders.shape[1:] != (rows, n):
-            raise ValueError("orders must be (epochs >= 1, rows, n)")
-        if contexts.shape != (rows, n, self.window):
-            raise ValueError("contexts must be (rows, n, window) token ids")
-        self._check_tokens(contexts)
-        self._check_tokens(labels)
         contexts = contexts.astype(np.intp, copy=False)
         labels = labels.astype(np.intp, copy=False)
         # The column base is built once; each epoch's examples are gathered

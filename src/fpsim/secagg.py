@@ -166,7 +166,9 @@ class SecAggRound:
         """Encode a block of client updates and fold their codes into ``total``.
 
         Row i of ``deltas`` is client ``client_ids[i]``'s real update,
-        config.model_dim wide.  Each row's codes are checked to lie in
+        config.model_dim wide; a row with an entry that is not finite once
+        scaled is refused (run_round stops a round whose delta norms are
+        not finite before it encodes).  Each row's codes are checked to lie in
         [0, M) and added into one int64 block sum; the round admits at most
         cohort_size clients, which the config checked to sum within int64.
         total becomes (total + block % M) mod M, by one conditional
@@ -187,8 +189,6 @@ class SecAggRound:
             raise ValueError(
                 f"{self.clients + rows} clients exceed the cohort size {config.cohort_size}"
             )
-        if not np.all(np.isfinite(deltas)):
-            raise ValueError("update contains NaN or Inf")
         scaled_clip = config.scale * config.clip_norm
         bound = float(config.infinity_bound)
         # One padded row carries each update through scale, clip, rotation and
@@ -213,7 +213,7 @@ class SecAggRound:
             row[d:] = 0.0
             norm = float(np.linalg.norm(head))
             if not math.isfinite(norm):
-                as_param_vector(head)  # raises when the scaling overflowed an entry
+                as_param_vector(head)  # raises when a scaled entry is not finite
             if norm > scaled_clip:
                 head *= scaled_clip / norm
             _rotate(row, self.signs, scratch)

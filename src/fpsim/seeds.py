@@ -35,10 +35,6 @@ class SeedPath:
     def __post_init__(self) -> None:
         if not 0 <= int(self.master_seed) < 2**64:
             raise ValueError("master_seed must be an integer in [0, 2**64)")
-        for pair in self.labels:
-            label, index = pair
-            if not isinstance(label, str) or not isinstance(index, int):
-                raise TypeError("labels must be (str, int) pairs")
 
     def child(self, label: str, index: int = 0) -> "SeedPath":
         """Return the sub-path (self.labels + [(label, index)])."""
@@ -69,18 +65,12 @@ def gaussian_vector(seed: SeedPath, sigma: float, d: int) -> np.ndarray:
       sigma: standard deviation, >= 0.  sigma == 0 returns exact zeros.
       d: output length, >= 1.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
-    if d < 1:
-        raise ValueError("d must be >= 1")
     if sigma == 0:
         return np.zeros(d, dtype=np.float64)
     return seed.generator().standard_normal(d) * float(sigma)
 
 
 def sign_vector(seed: SeedPath, d: int) -> np.ndarray:
-    """Uniform random vector over {-1, +1}^d, determined by ``seed``."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    """Uniform random vector over {-1, +1}^d, d >= 1, determined by ``seed``."""
     bits = seed.generator().integers(0, 2, size=d, dtype=np.int64)
     return (2 * bits - 1).astype(np.float64)

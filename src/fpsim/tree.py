@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from fpsim.seeds import SeedPath, gaussian_vector
-from fpsim.vectors import as_param_vector
 
 __all__ = ["TreeState", "closing_node"]
 
@@ -54,7 +53,8 @@ class TreeState:
     Node noise for (segment, level, index) is a pure function of ``seed``,
     so any prefix can be replayed.  After n rounds in a segment the reported
     total equals finalized_totals + running_true_prefix + the sum of the
-    open nodes' noises, the decomposition of [0, n).
+    open nodes' noises, the decomposition of [0, n).  Its arguments are a
+    validated config's (z >= 0, clip_norm > 0, d >= 1) and are not re-checked.
     """
 
     z: float
@@ -65,12 +65,6 @@ class TreeState:
     round_in_segment: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.z < 0:
-            raise ValueError("noise multiplier z must be >= 0")
-        if not self.clip_norm > 0:
-            raise ValueError("clip_norm must be > 0")
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
         self.segment_index = self.round_in_segment = 0
         self.finalized_totals = np.zeros(self.d, dtype=np.float64)
         self.running_true_prefix = np.zeros(self.d, dtype=np.float64)
@@ -88,9 +82,8 @@ class TreeState:
 
         The return value is un-normalized (no division by cohort size) and
         cumulative across segments.  The caller is responsible for clipping
-        ``x``; the tree does not re-clip.
+        ``x``, a float64 vector of length d; the tree does not re-clip.
         """
-        x = as_param_vector(x, self.d)
         self.running_true_prefix = self.running_true_prefix + x
         self.round_in_segment += 1
         level, index = closing_node(self.round_in_segment)
@@ -110,8 +103,6 @@ class TreeState:
         true sum plus the noise of its open nodes. With z = 0 a restart
         therefore never changes reported sums.
         """
-        if not new_clip_norm > 0:
-            raise ValueError("new_clip_norm must be > 0")
         if self.round_in_segment < 1:
             raise ValueError("cannot restart an empty segment")
         self.finalized_totals = self.finalized_totals + self.running_true_prefix + self._open_noise()

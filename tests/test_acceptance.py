@@ -13,29 +13,23 @@ import numpy as np
 import pytest
 
 from fpsim import (
-    ClipState,
     ExperimentConfig,
-    NextTokenBOW,
     ParticipationSchema,
-    RunState,
-    SecAggConfig,
-    SecAggRound,
-    SeedPath,
     SweepConfig,
-    TreeState,
-    combined_multiplier,
     loose_eps,
-    noise_split,
     run_experiment,
-    run_round,
-    select_cohort,
     sweep_privacy,
-    synthesize_clients,
-    synthesize_eval_set,
     worst_case_sensitivity_sq,
     zcdp,
     zcdp_to_eps,
 )
+from fpsim.clipping import ClipState, combined_multiplier, noise_split
+from fpsim.data import synthesize_clients, synthesize_eval_set
+from fpsim.federation import RunState, run_round, select_cohort
+from fpsim.models import NextTokenBOW
+from fpsim.secagg import SecAggConfig, SecAggRound
+from fpsim.seeds import SeedPath
+from fpsim.tree import TreeState
 from fpsim.harness import read_metrics
 from oracles import brute_force_sensitivity_sq, clip_l2, naive_private_sum, rounded_norm_bound_sq
 

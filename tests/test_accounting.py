@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fpsim import (
-    SWEEP_COLUMNS,
     ParticipationSchema,
     PrivacyLedger,
     SweepConfig,
@@ -33,6 +32,7 @@ from fpsim import (
     zcdp_to_delta,
     zcdp_to_eps,
 )
+from fpsim.harness import SWEEP_COLUMNS
 from fpsim import accounting
 from fpsim.accounting import (
     _solver_for,
@@ -569,6 +569,22 @@ class TestConversion:
         assert 0.0 < zcdp_to_delta(1.0, 5.0) < 1.0
         # Very generous epsilon drives delta toward zero.
         assert zcdp_to_delta(0.1, 50.0) < 1e-30
+
+    def test_public_conversions_check_their_arguments(self):
+        """The exported conversions refuse a negative rho or epsilon and a
+        delta outside (0, 1), and answer an infinite or a zero rho exactly."""
+        refused = [
+            (zcdp_to_delta, -1.0, 1.0, "rho must be >= 0"),
+            (zcdp_to_delta, 1.0, -1.0, "eps must be >= 0"),
+            (zcdp_to_eps, -1.0, 1e-5, "rho must be >= 0"),
+            (loose_eps, 1.0, 1.0, "delta must be in"),
+            (loose_eps, -1.0, 1e-5, "rho must be >= 0"),
+        ]
+        for convert, rho, other, why in refused:
+            with pytest.raises(ValueError, match=why):
+                convert(rho, other)
+        assert zcdp_to_delta(math.inf, 1.0) == 1.0
+        assert (zcdp_to_delta(0.0, 1.0), zcdp_to_delta(0.0, 0.0)) == (0.0, 1.0)
 
 
 class TestPrivacyLedger:

@@ -11,18 +11,12 @@ import math
 import numpy as np
 import pytest
 
-from fpsim import (
-    ClipState,
-    ExperimentConfig,
-    SeedPath,
-    TreeState,
-    cohorts,
-    combined_multiplier,
-    noise_split,
-    run_round,
-    start_run,
-)
-from fpsim.clipping import MIN_ESTIMATE_FRACTION
+from fpsim import ExperimentConfig
+from fpsim.clipping import MIN_ESTIMATE_FRACTION, ClipState, combined_multiplier, noise_split
+from fpsim.federation import run_round
+from fpsim.harness import cohorts, start_run
+from fpsim.seeds import SeedPath
+from fpsim.tree import TreeState
 
 
 class TestNoiseSplit:

@@ -15,16 +15,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fpsim import (
-    ExperimentConfig,
-    ParticipationSchema,
-    PrivacyLedger,
-    SecAggConfig,
-    SweepConfig,
-    availability_weights,
-    combined_multiplier,
-    noise_split,
-)
+from fpsim import ExperimentConfig, ParticipationSchema, PrivacyLedger, SweepConfig
+from fpsim.clipping import combined_multiplier, noise_split
+from fpsim.federation import availability_weights
+from fpsim.secagg import SecAggConfig
 from fpsim.config import ConfigError, _sensitivity_sq_bound, parse_kv_text
 from oracles import BRUTE_FORCE_MAX_ROUNDS, brute_force_sensitivity_sq, reference_restart_rounds
 
@@ -147,6 +141,13 @@ class TestExperimentConfig:
         rho = inf for a noised run: a configuration error at parse time."""
         with pytest.raises(ConfigError, match="noise_multiplier"):
             ExperimentConfig.from_text("clip.mode = fixed\nnoise_multiplier = 6e-155\n")
+
+    def test_rho_bound_past_the_float_range_names_the_key(self):
+        """A run so long that its sensitivity^2 bound, an int, has no float
+        (the bound's division raises OverflowError) fails the same way."""
+        text = f"clip.mode = fixed\nrestart.mode = none\nrounds = {10**200}\n"
+        with pytest.raises(ConfigError, match="'noise_multiplier': too small to account"):
+            ExperimentConfig.from_text(text)
 
     def test_infinite_clip_only_in_a_non_private_plain_run(self):
         """clip.c0 = inf clips nothing, which is legal only without noise

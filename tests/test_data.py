@@ -18,8 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpsim import ExperimentConfig, SeedPath, synthesize_clients, synthesize_eval_set
+from fpsim import ExperimentConfig
 from fpsim.data import _GUIDE_BYTES, _chains, _global_table, _guide_table, _walk, token_dtype
+from fpsim.data import synthesize_clients, synthesize_eval_set
+from fpsim.seeds import SeedPath
 from oracles import reference_chains
 
 

@@ -22,25 +22,25 @@ from scipy.linalg import hadamard
 from fpsim import (
     CohortExhausted,
     ExperimentConfig,
-    NextTokenBOW,
     RoundingRetriesExhausted,
-    RunState,
-    SecAggConfig,
-    SecAggRound,
-    SeedPath,
     TrainingDiverged,
+    run_experiment,
+)
+from fpsim.data import synthesize_clients, synthesize_eval_set
+from fpsim.federation import (
+    RunState,
     availability_weights,
     batch_orders,
     check_exhaustion,
     cohort_update,
     observed_limits,
-    run_experiment,
     run_round,
     select_cohort,
-    start_run,
-    synthesize_clients,
-    synthesize_eval_set,
 )
+from fpsim.harness import start_run
+from fpsim.models import NextTokenBOW
+from fpsim.secagg import SecAggConfig, SecAggRound
+from fpsim.seeds import SeedPath
 from fpsim import federation, secagg
 from fpsim._kernels import stochastic_round
 from oracles import clip_l2, reference_cohort_update
@@ -342,34 +342,6 @@ class TestClientUpdate:
             np.testing.assert_array_equal(x, y)
         assert not np.array_equal(a[0], other[0])
 
-    def test_validation(self):
-        data = _data(population=1)
-        model = NextTokenBOW(vocab_size=8)
-        params = model.init_params()
-        orders = _orders(data)
-        args = (model, params, data.contexts, data.labels, orders)
-        with pytest.raises(ValueError):
-            cohort_update(*args, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            cohort_update(*args, 0.5, 1.0, batch_size=0)
-        with pytest.raises(ValueError):
-            cohort_update(*args, 0.5, 0.0)
-        empty = (data.contexts[:, :0], data.labels[:, :0], orders[..., :0])
-        with pytest.raises(ValueError):
-            cohort_update(model, params, *empty, 0.5, 1.0)
-        with pytest.raises(ValueError, match="orders"):
-            cohort_update(*args[:4], orders[:, :, :-1], 0.5, 1.0)
-        with pytest.raises(ValueError, match="orders"):
-            cohort_update(*args[:4], orders[:0], 0.5, 1.0)
-        with pytest.raises(ValueError, match="contexts"):
-            cohort_update(model, params, data.contexts[:, 1:], *args[3:], 0.5, 1.0)
-        with pytest.raises(ValueError, match="vocabulary range"):
-            cohort_update(model, params, data.contexts + 8, *args[3:], 0.5, 1.0)
-        with pytest.raises(ValueError, match="vocabulary range"):
-            cohort_update(model, params, data.contexts, -data.labels - 1, orders, 0.5, 1.0)
-        with pytest.raises(ValueError):
-            batch_orders(None, 1, 30, 0)
-
     @settings(max_examples=60, deadline=None)
     @given(
         window=st.integers(1, 3),
@@ -539,6 +511,26 @@ class TestRunRound:
         with np.errstate(over="ignore"), pytest.raises(TrainingDiverged):
             for t in range(4):
                 run_round(server, [0, 1, 2, 3])
+
+    def test_overflowed_round_sum_stops_the_run_naming_the_round(self, monkeypatch):
+        """Should a round's sum overflow although every delta norm is
+        finite, the noise tree takes the infinite sum as it is (it does not
+        re-check its input), and the round's check on theta stops the run
+        there with TrainingDiverged naming the round."""
+        server = _server(_data(), m=4, z=1.0, clip=1.0, seed=51)
+        run_round(server, [0, 1, 2, 3])
+        real = federation.cohort_update
+
+        def overflowing(*args):
+            deltas, norms, losses = real(*args)
+            deltas[...] = np.finfo(np.float64).max
+            return deltas, norms, losses
+
+        monkeypatch.setattr(federation, "cohort_update", overflowing)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            TrainingDiverged, match=r"^non-finite loss or parameters at round 1$"
+        ):
+            run_round(server, [0, 1, 2, 3])
 
     def test_metrics_fields(self):
         server = _server(_data(), m=4)

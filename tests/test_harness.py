@@ -9,6 +9,7 @@ whole file stays fast.
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -24,19 +25,18 @@ from fpsim import (
     ExperimentConfig,
     ParticipationSchema,
     PrivacyLedger,
-    SeedPath,
     SweepConfig,
     TrainingDiverged,
     compare,
-    observed_limits,
     post_hoc_report,
     run_experiment,
-    start_run,
     sweep_privacy,
-    synthesize_clients,
     zcdp,
     zcdp_to_eps,
 )
+from fpsim.data import synthesize_clients
+from fpsim.federation import observed_limits
+from fpsim.seeds import SeedPath
 from fpsim import harness
 from fpsim.cli import main as cli_main
 from fpsim.harness import (
@@ -44,6 +44,7 @@ from fpsim.harness import (
     REPORT_DELTA,
     read_checkpoint,
     read_metrics,
+    start_run,
     write_checkpoint,
 )
 from oracles import reference_participation_csv, reference_restart_rounds
@@ -744,6 +745,17 @@ class TestCompare:
         unreachable = compare(result.directory, result.directory, threshold=2.0)
         assert unreachable[0]["rounds_to_threshold"] is None
 
+    def test_runs_of_different_models_refused(self, small_run, tmp_path):
+        """compare reads two run directories from disk; runs whose
+        checkpoints hold different model widths do not align."""
+        _, result = small_run
+        other = tmp_path / "other"
+        shutil.copytree(result.directory, other)
+        write_checkpoint(other / "checkpoint.bin", np.zeros(9))
+        width = read_checkpoint(result.directory / "checkpoint.bin").shape[0]
+        with pytest.raises(ValueError, match=f"model dimensions differ: {width} vs 9"):
+            compare(result.directory, other)
+
 
 class TestSweepPrivacy:
     def test_writes_table(self, tmp_path):
@@ -873,6 +885,13 @@ class TestCli:
             ("--sensitivity-scale", "nan", "sensitivity_scale must be a finite number > 0, not nan"),
             # Finite, but gaussian_zcdp's scale**2 would raise OverflowError.
             ("--sensitivity-scale", "1e200", "sensitivity_scale must have a finite square, not 1e+200"),
+            # A finite square that still overflows rho at z = 1.
+            (
+                "--sensitivity-scale",
+                "1e154",
+                "sensitivity_scale 1e+154 overflows rho at z 1.0: "
+                "sensitivity^2 * sensitivity_scale^2 / (2 z^2) is not finite",
+            ),
             ("--delta", "1", "delta must be in (0, 1)"),
         ],
     )

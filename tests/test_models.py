@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpsim import NextTokenBOW, TokenDataset, batch_orders
+from fpsim.data import TokenDataset
+from fpsim.federation import batch_orders
+from fpsim.models import NextTokenBOW
 from oracles import accuracy, reference_local_sgd, reference_logits
 
 
@@ -119,28 +121,10 @@ class TestLocalSGD:
         assert acc == pytest.approx((labels == 0).mean())
 
     def test_input_validation(self):
+        """The model's constructor and predict check their arguments;
+        local_sgd trusts the run's validated config and data."""
         m = NextTokenBOW(vocab_size=3, window=2)
         contexts = np.zeros((1, 2, 2), dtype=np.int64)
-        labels = np.zeros((1, 2), dtype=np.int64)
-        orders = batch_orders(None, 1, 2, 1)
-        with pytest.raises(ValueError):
-            m.local_sgd(np.zeros((1, 7)), contexts, labels, orders, 0.1, 2)
-        with pytest.raises(ValueError):
-            m.local_sgd(np.zeros((1, 9)), contexts[:, :, :1], labels, orders, 0.1, 2)
-        with pytest.raises(ValueError):
-            m.local_sgd(np.zeros((2, 9)), contexts, labels, orders, 0.1, 2)
-        with pytest.raises(ValueError):
-            m.local_sgd(np.zeros((9, 2)).T, contexts, labels, orders, 0.1, 2)
-        with pytest.raises(ValueError):
-            m.local_sgd(np.zeros((1, 9)), contexts, labels[:, :1], orders, 0.1, 2)
-        with pytest.raises(ValueError):
-            m.local_sgd(np.zeros((1, 9)), contexts[0], labels, orders, 0.1, 2)
-        with pytest.raises(ValueError, match="orders"):
-            m.local_sgd(np.zeros((1, 9)), contexts, labels, orders[:, :, :1], 0.1, 2)
-        with pytest.raises(ValueError, match="batch_size"):
-            m.local_sgd(np.zeros((1, 9)), contexts, labels, orders, 0.1, 0)
-        with pytest.raises(ValueError, match="empty"):
-            m.local_sgd(np.zeros((1, 9)), contexts[:, :0], labels[:, :0], orders[..., :0], 0.1, 2)
         with pytest.raises(ValueError):
             m.predict(np.zeros(7), contexts[0])
         with pytest.raises(ValueError):
@@ -292,10 +276,3 @@ class TestMatchesReferenceStep:
         assert losses.tobytes() == want_losses.tobytes()
         assert got.tobytes() == want.tobytes()
 
-    def test_label_range_validated(self):
-        m = NextTokenBOW(vocab_size=4)
-        contexts = np.zeros((1, 2, 1), dtype=np.int64)
-        orders = batch_orders(None, 1, 2, 1)
-        for bad in (4, -1):
-            with pytest.raises(ValueError, match="vocabulary range"):
-                m.local_sgd(np.zeros((1, 16)), contexts, np.array([[0, bad]]), orders, 0.1, 2)

@@ -17,16 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import hadamard
 
-from fpsim import (
-    RoundingRetriesExhausted,
-    SecAggConfig,
-    SecAggRound,
-    SeedPath,
-    sign_vector,
-)
+from fpsim import RoundingRetriesExhausted
+from fpsim.seeds import SeedPath, sign_vector
 from fpsim import secagg
 from fpsim._kernels import stochastic_round
-from fpsim.secagg import ROUNDING_NORM_ALPHA, _sum_fits_int64
+from fpsim.secagg import ROUNDING_NORM_ALPHA, SecAggConfig, SecAggRound, _sum_fits_int64
 from oracles import clip_l2, reference_encode, reference_fwht, rounded_norm_bound_sq
 
 

@@ -9,7 +9,7 @@ statistically unrelated streams, and the zero-noise special case is exact.
 import numpy as np
 import pytest
 
-from fpsim import SeedPath, gaussian_vector, sign_vector
+from fpsim.seeds import SeedPath, gaussian_vector, sign_vector
 
 
 class TestDerivation:

@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fpsim.tree
-from fpsim import ConfigError, ExperimentConfig, ParticipationSchema, SeedPath, TreeState
-from fpsim.tree import closing_node
+from fpsim import ConfigError, ExperimentConfig, ParticipationSchema
+from fpsim.seeds import SeedPath
+from fpsim.tree import TreeState, closing_node
 from oracles import (
     forest_nodes,
     forest_trees,
@@ -323,13 +324,6 @@ class TestNoiseStructure:
         x = np.ones(5)
         for _ in range(17):
             np.testing.assert_array_equal(a.add_round(x), b.add_round(x))
-
-    def test_input_validation(self):
-        tree = TreeState(1.0, 1.0, 3, SeedPath(24).child("t"))
-        with pytest.raises(ValueError):
-            tree.add_round(np.ones(4))
-        with pytest.raises(ValueError):
-            TreeState(-1.0, 1.0, 3, SeedPath(0).child("x"))
 
     def test_position_is_state_not_an_argument(self):
         """A tree starts at round 0 of segment 0; its position cannot be set."""

@@ -7,14 +7,9 @@ against live in tests/oracles.py and are pinned here.
 import numpy as np
 import pytest
 
-from fpsim import (
-    SecAggConfig,
-    SecAggRound,
-    SeedPath,
-    as_param_vector,
-    sign_vector,
-)
-from fpsim.secagg import _rotate
+from fpsim.secagg import SecAggConfig, SecAggRound, _rotate
+from fpsim.seeds import SeedPath, sign_vector
+from fpsim.vectors import as_param_vector
 from oracles import clip_l2, randomized_hadamard
 
 
