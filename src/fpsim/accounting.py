@@ -520,7 +520,6 @@ def zcdp_to_delta(rho: float, eps: float) -> float:
     d = a + inv_phi * (b - a)
     fc, fd = log_objective(c), log_objective(d)
     for _ in range(200):
-        state = (a, b, c, d, fc, fd)
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -529,9 +528,6 @@ def zcdp_to_delta(rho: float, eps: float) -> float:
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
             fd = log_objective(d)
-        # A step that changes nothing is repeated by every later step.
-        if (a, b, c, d, fc, fd) == state:
-            break
     # A rho too large for any delta below 1 would overflow exp.
     return math.exp(min(fc, fd, 0.0))
 

@@ -148,7 +148,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, RuntimeError, OSError) as exc:
+    except (ConfigError, ValueError, OverflowError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

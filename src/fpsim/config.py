@@ -11,8 +11,11 @@ runs to the end of the line.
 Keys are dotted, lowercase; values are integers, floats, booleans
 (true/false), strings, or comma-separated lists.  Unknown keys are errors
 (they are almost always typos), and every validation failure names the
-offending key.  Each key, its type and its default are declared once, on
-the fields of the config dataclasses below.  A config resolves to a
+offending key.  Each key, its type, its default and its valid values are
+declared once, on the fields of the config dataclasses below; only rules
+that join keys are written out, in ``__post_init__``.  Every float must be
+finite, except ``clip.c0 = inf`` (no clipping), which only a run without
+noise and without secure aggregation allows.  A config resolves to a
 canonical sorted text rendering, whose SHA-256 is the config hash recorded
 in run outputs: any field change changes the hash.
 """
@@ -25,7 +28,7 @@ import re
 from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
 from pathlib import Path
-from typing import Any, NoReturn, get_args, get_origin, get_type_hints
+from typing import Any, Callable, NoReturn, get_args, get_origin, get_type_hints
 
 from fpsim.accounting import ParticipationSchema, gaussian_zcdp
 from fpsim.clipping import combined_multiplier, noise_split
@@ -97,24 +100,61 @@ def _render(value: object) -> str:
     return str(value)
 
 
-def _keyed(key: str, default: object = MISSING) -> Any:
-    """A config field whose key differs from its attribute name."""
-    return field(default=default, metadata={"key": key})
+# A field's rule: (test, its valid values).  A value passes when test(value)
+# is true; a failure reads "must be <valid values>".  NaN fails every
+# comparison, so each float rule below refuses it.
+_Rule = tuple[Callable[[Any], bool], str]
+
+
+def _at_least(n: int) -> _Rule:
+    return (lambda v: v >= n, f">= {n}")
+
+
+def _one_of(*choices: str) -> _Rule:
+    return (lambda v: v in choices, "one of " + ", ".join(map(repr, choices)))
+
+
+def _each(rule: _Rule) -> _Rule:
+    """A non-empty list whose every item passes ``rule``."""
+    test, valid = rule
+    return (lambda v: bool(v) and all(map(test, v)), f"a non-empty list, each {valid}")
+
+
+_FINITE: _Rule = (math.isfinite, "finite")
+_POSITIVE: _Rule = (lambda v: 0 < v < math.inf, "finite and > 0")
+_NON_NEGATIVE: _Rule = (lambda v: 0 <= v < math.inf, "finite and >= 0")
+_UNIT: _Rule = (lambda v: 0 <= v <= 1, "in [0, 1]")
+_UNIT_OPEN: _Rule = (lambda v: 0 <= v < 1, "in [0, 1)")
+
+
+def _field(default: object = MISSING, rule: _Rule | None = None, key: str | None = None) -> Any:
+    """A config field: its default, the rule its values pass (None: any value
+    of its type), and its config key where that differs from its name."""
+    return field(default=default, metadata={"rule": rule, "key": key})
 
 
 def _key(config_cls: type, name: str) -> str:
     """The config key of field ``name``: its declared key, or else its name."""
-    return config_cls.__dataclass_fields__[name].metadata.get("key", name)
+    return config_cls.__dataclass_fields__[name].metadata.get("key") or name
 
 
 def _fail(config: object, name: str, why: str) -> NoReturn:
     raise ConfigError(f"config key {_key(type(config), name)!r}: {why}")
 
 
+def _check_fields(config: object) -> None:
+    """Check each field of ``config`` against its rule, in declaration order."""
+    for f in fields(config):
+        rule = f.metadata.get("rule")
+        if rule and not rule[0](getattr(config, f.name)):
+            _fail(config, f.name, f"must be {rule[1]}")
+
+
 def _from_mapping(config_cls: type, mapping: dict[str, str]) -> Any:
     """Build a config dataclass from raw strings.  Its fields are the
-    schema: each key, its type (the annotation) and its default (the field
-    default) are declared once, on the dataclass."""
+    schema: each key, its type (the annotation), its default (the field
+    default) and its rule (the field metadata) are declared once, on the
+    dataclass."""
     types = get_type_hints(config_cls)
     by_key = {_key(config_cls, f.name): f for f in fields(config_cls)}
     for key in mapping:
@@ -153,122 +193,70 @@ class PrivacyTerms:
 class ExperimentConfig:
     """Fully resolved, validated run configuration."""
 
-    seed: int = 0
-    rounds: int = 200
-    report_goal: int = 100
-    population: int = 10_000
-    noise_multiplier: float = 1.0
-    timer_rounds: int = 0  # 0 means: derive the default in __post_init__
-    availability_kind: str = _keyed("availability.kind", "uniform")
-    availability_period: float = _keyed("availability.period", 24.0)
-    availability_amplitude: float = _keyed("availability.amplitude", 0.5)
-    eta_c: float = 0.1
-    eta_s: float = 1.0
-    beta: float = 0.9
-    batch_size: int = 16
-    epochs: int = 1
-    clip_mode: str = _keyed("clip.mode", "adaptive")
-    clip_c0: float = _keyed("clip.c0", 1.0)
-    clip_gamma: float = _keyed("clip.gamma", 0.5)
-    clip_eta_gamma: float = _keyed("clip.eta_gamma", 0.2)
-    clip_sigma_b_fraction: float = _keyed("clip.sigma_b_fraction", 0.05)
-    restart_mode: str = _keyed("restart.mode", "periodic")
-    restart_first: int = _keyed("restart.first", 128)
-    restart_period: int = _keyed("restart.period", 1024)
-    restart_rounds: tuple[int, ...] = _keyed("restart.rounds", ())
-    model_kind: str = _keyed("model.kind", "next_token_bow")
-    vocab_size: int = _keyed("model.vocab_size", 100)
-    window: int = _keyed("model.window", 1)
-    examples_per_client: int = _keyed("data.examples_per_client", 50)
-    heterogeneity: float = _keyed("data.heterogeneity", 0.3)
-    concentration: float = _keyed("data.concentration", 0.1)
-    eval_examples: int = _keyed("data.eval_examples", 1000)
-    secagg_enabled: bool = _keyed("secagg.enabled", False)
-    secagg_scale: float = _keyed("secagg.s", 100.0)
-    secagg_retry_cap: int = _keyed("secagg.retry_cap", DEFAULT_RETRY_CAP)
+    seed: int = _field(0, (lambda v: 0 <= v < 2**64, "in [0, 2^64)"))
+    rounds: int = _field(200, _at_least(1))
+    report_goal: int = _field(100, _at_least(1))
+    population: int = 10_000  # at least report_goal
+    noise_multiplier: float = _field(1.0, _NON_NEGATIVE)
+    timer_rounds: int = _field(0, _at_least(0))  # 0 means: derive the default in __post_init__
+    availability_kind: str = _field("uniform", _one_of("uniform", "diurnal"), "availability.kind")
+    availability_period: float = _field(24.0, _POSITIVE, "availability.period")
+    availability_amplitude: float = _field(0.5, _UNIT, "availability.amplitude")
+    eta_c: float = _field(0.1, _POSITIVE)
+    eta_s: float = _field(1.0, _POSITIVE)
+    beta: float = _field(0.9, _UNIT_OPEN)
+    batch_size: int = _field(16, _at_least(1))
+    epochs: int = _field(1, _at_least(1))
+    clip_mode: str = _field("adaptive", _one_of("fixed", "adaptive"), "clip.mode")
+    # +inf clips nothing, which only a run without noise and SecAgg allows.
+    clip_c0: float = _field(1.0, (lambda v: v > 0, "> 0"), "clip.c0")
+    clip_gamma: float = _field(0.5, _UNIT, "clip.gamma")
+    clip_eta_gamma: float = _field(0.2, _NON_NEGATIVE, "clip.eta_gamma")
+    clip_sigma_b_fraction: float = _field(0.05, _POSITIVE, "clip.sigma_b_fraction")
+    restart_mode: str = _field(
+        "periodic", _one_of("periodic", "explicit", "none"), "restart.mode"
+    )
+    # Checked only under the restart.mode that reads them.
+    restart_first: int = _field(128, key="restart.first")
+    restart_period: int = _field(1024, key="restart.period")
+    restart_rounds: tuple[int, ...] = _field((), key="restart.rounds")
+    model_kind: str = _field("next_token_bow", _one_of("next_token_bow"), "model.kind")
+    vocab_size: int = _field(100, _at_least(2), "model.vocab_size")
+    window: int = _field(1, _at_least(1), "model.window")
+    examples_per_client: int = _field(50, _at_least(1), "data.examples_per_client")
+    heterogeneity: float = _field(0.3, _UNIT, "data.heterogeneity")
+    concentration: float = _field(0.1, _POSITIVE, "data.concentration")
+    eval_examples: int = _field(1000, _at_least(1), "data.eval_examples")
+    secagg_enabled: bool = _field(False, key="secagg.enabled")
+    secagg_scale: float = _field(100.0, _FINITE, "secagg.s")  # and > 0 with SecAgg on
+    secagg_retry_cap: int = _field(DEFAULT_RETRY_CAP, _at_least(1), "secagg.retry_cap")
     warm_start: str = ""
 
     def __post_init__(self) -> None:
+        _check_fields(self)
         fail = partial(_fail, self)
-        if self.seed < 0 or self.seed >= 2**64:
-            fail("seed", "must be in [0, 2^64)")
-        if self.rounds < 1:
-            fail("rounds", "must be >= 1")
-        if self.report_goal < 1:
-            fail("report_goal", "must be >= 1")
         if self.population < self.report_goal:
             fail("population", "must be >= report_goal")
-        if not math.isfinite(self.noise_multiplier):
-            fail("noise_multiplier", "must be finite")
-        if self.noise_multiplier < 0:
-            fail("noise_multiplier", "must be >= 0")
         if self.timer_rounds == 0:
             object.__setattr__(
                 self, "timer_rounds", max(1, self.population // (2 * self.report_goal))
             )
-        if self.timer_rounds < 1:
-            fail("timer_rounds", "must be >= 1")
-        if self.availability_kind not in ("uniform", "diurnal"):
-            fail("availability_kind", "must be 'uniform' or 'diurnal'")
-        if not self.availability_period > 0:
-            fail("availability_period", "must be > 0")
-        if not 0.0 <= self.availability_amplitude <= 1.0:
-            fail("availability_amplitude", "must be in [0, 1]")
-        if not self.eta_c > 0:
-            fail("eta_c", "must be > 0")
-        if not self.eta_s > 0:
-            fail("eta_s", "must be > 0")
-        if not 0.0 <= self.beta < 1.0:
-            fail("beta", "must be in [0, 1)")
-        if self.batch_size < 1:
-            fail("batch_size", "must be >= 1")
-        if self.epochs < 1:
-            fail("epochs", "must be >= 1")
-        if self.clip_mode not in ("fixed", "adaptive"):
-            fail("clip_mode", "must be 'fixed' or 'adaptive'")
-        if not self.clip_c0 > 0:
-            fail("clip_c0", "must be > 0")
         if math.isinf(self.clip_c0) and (self.noise_multiplier > 0 or self.secagg_enabled):
             fail("clip_c0", "must be finite in a private or secure-aggregation run")
-        if not 0.0 <= self.clip_gamma <= 1.0:
-            fail("clip_gamma", "must be in [0, 1]")
-        if self.clip_eta_gamma < 0:
-            fail("clip_eta_gamma", "must be >= 0")
-        if not self.clip_sigma_b_fraction > 0:
-            fail("clip_sigma_b_fraction", "must be > 0")
-        if self.restart_mode not in ("periodic", "explicit", "none"):
-            fail("restart_mode", "must be 'periodic', 'explicit', or 'none'")
         if self.restart_mode == "periodic":
-            if self.restart_first < 1:
-                fail("restart_first", "must be >= 1")
-            if self.restart_period < 1:
-                fail("restart_period", "must be >= 1")
+            for name in ("restart_first", "restart_period"):
+                if getattr(self, name) < 1:
+                    fail(name, "must be >= 1")
         if self.restart_mode == "explicit":
             try:  # the whole list, also the rounds past the run's end
                 ParticipationSchema(self.rounds, 1, 1, self.restart_rounds)
             except ValueError as exc:
                 fail("restart_rounds", str(exc))
-        if self.model_kind != "next_token_bow":
-            fail("model_kind", "the only built-in model is 'next_token_bow'")
-        if self.vocab_size < 2:
-            fail("vocab_size", "must be >= 2")
-        if self.window < 1:
-            fail("window", "must be >= 1")
-        if self.examples_per_client < 1:
-            fail("examples_per_client", "must be >= 1")
-        if not 0.0 <= self.heterogeneity <= 1.0:
-            fail("heterogeneity", "must be in [0, 1]")
-        if not self.concentration > 0:
-            fail("concentration", "must be > 0")
-        if self.eval_examples < 1:
-            fail("eval_examples", "must be >= 1")
         if self.secagg_enabled and self.clip_mode != "fixed":
             clip_mode = _key(ExperimentConfig, "clip_mode")
             fail("secagg_enabled", f"secure aggregation requires {clip_mode}=fixed")
-        if self.secagg_enabled and not 0 < self.secagg_scale < math.inf:
-            fail("secagg_scale", "must be finite and > 0")
-        if self.secagg_retry_cap < 1:
-            fail("secagg_retry_cap", "must be >= 1")
+        if self.secagg_enabled and not self.secagg_scale > 0:
+            fail("secagg_scale", "must be > 0 with secure aggregation on")
         if _COMMENT.search(self.warm_start):
             fail("warm_start", "a '#' at its start or after whitespace would read as a comment")
         # Derived once, here, and shared by the run, its report and the
@@ -373,24 +361,16 @@ class SweepConfig:
     a fixed clip and no restarts.  A grid point no run config accepts fails
     here, naming the sweep key and the point."""
 
-    z: float = _keyed("sweep.z")
-    report_goal: int = _keyed("sweep.report_goal")
-    population: int = _keyed("sweep.population")
-    rounds: tuple[int, ...] = _keyed("sweep.rounds")
-    scaling: tuple[float, ...] = _keyed("sweep.scaling", (1.0,))
+    z: float = _field(rule=_POSITIVE, key="sweep.z")
+    report_goal: int = _field(rule=_at_least(1), key="sweep.report_goal")
+    population: int = _field(key="sweep.population")  # at least sweep.report_goal
+    rounds: tuple[int, ...] = _field(rule=_each(_at_least(1)), key="sweep.rounds")
+    scaling: tuple[float, ...] = _field((1.0,), _each(_POSITIVE), "sweep.scaling")
 
     def __post_init__(self) -> None:
-        fail = partial(_fail, self)
-        if not self.z > 0:
-            fail("z", "must be > 0")
-        if self.report_goal < 1:
-            fail("report_goal", "must be >= 1")
+        _check_fields(self)
         if self.population < self.report_goal:
-            fail("population", f"must be >= {_key(SweepConfig, 'report_goal')}")
-        if not self.rounds or any(r < 1 for r in self.rounds):
-            fail("rounds", "need a list of integers >= 1")
-        if not self.scaling or any(not f > 0 for f in self.scaling):
-            fail("scaling", "need a list of factors > 0")
+            _fail(self, "population", f"must be >= {_key(SweepConfig, 'report_goal')}")
         runs = tuple(self._run_config(rounds, f) for rounds in self.rounds for f in self.scaling)
         object.__setattr__(self, "_runs", runs)
 

@@ -558,8 +558,9 @@ class TestConversion:
     @settings(max_examples=40, deadline=None)
     @given(log_rho=st.floats(-6.0, 4.0), log_delta=st.floats(-15.0, math.log10(0.5)))
     def test_stops_where_all_200_steps_end(self, log_rho, log_delta):
-        """Both searches stop once a step no longer moves them; epsilon and
-        delta must equal, with ==, what all 200 steps of each give."""
+        """The epsilon bisection stops once a step no longer moves it, and
+        the delta search runs its 200 steps; epsilon and delta must equal,
+        with ==, what all 200 steps of each give."""
         rho, delta = 10.0**log_rho, 10.0**log_delta
         eps = zcdp_to_eps(rho, delta)
         assert eps == reference_zcdp_to_eps(rho, delta)

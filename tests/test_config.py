@@ -247,6 +247,23 @@ class TestExperimentConfig:
 
 # A valid sweep grid, each key overridable by a case of test_bad_value_names_its_key.
 _SWEEP_GRID = "sweep.z = 7\nsweep.report_goal = 100\nsweep.population = 10000\nsweep.rounds = 128\n"
+# Every float key but clip.c0, whose +inf (no clipping) a plain run allows.
+_FLOAT_KEYS = (
+    "noise_multiplier",
+    "availability.period",
+    "availability.amplitude",
+    "eta_c",
+    "eta_s",
+    "beta",
+    "clip.gamma",
+    "clip.eta_gamma",
+    "clip.sigma_b_fraction",
+    "data.heterogeneity",
+    "data.concentration",
+    "secagg.s",
+    "sweep.z",
+    "sweep.scaling",
+)
 
 
 @pytest.mark.parametrize(
@@ -257,7 +274,6 @@ _SWEEP_GRID = "sweep.z = 7\nsweep.report_goal = 100\nsweep.population = 10000\ns
         ("rounds = 0", "rounds"),
         ("report_goal = 0", "report_goal"),
         ("population = 50\nreport_goal = 100", "population"),
-        ("noise_multiplier = nan", "noise_multiplier"),
         ("noise_multiplier = -1", "noise_multiplier"),
         ("timer_rounds = -1", "timer_rounds"),
         ("availability.kind = weekly", "availability.kind"),
@@ -294,11 +310,13 @@ _SWEEP_GRID = "sweep.z = 7\nsweep.report_goal = 100\nsweep.population = 10000\ns
         ("sweep.rounds = 128, 0", "sweep.rounds"),
         ("sweep.rounds =", "sweep.rounds"),
         ("sweep.scaling = 1, 0", "sweep.scaling"),
+        *((f"{key} = {value}", key) for key in _FLOAT_KEYS for value in ("nan", "inf", "-inf")),
     ],
 )
 def test_bad_value_names_its_key(text, key):
     """Each range check of ExperimentConfig and SweepConfig fails as a
-    ConfigError whose message starts with the dotted key at fault."""
+    ConfigError whose message starts with the dotted key at fault; a float
+    key that is not finite fails at parse time, before any run starts."""
     match = rf"^config key '{re.escape(key)}': "
     with pytest.raises(ConfigError, match=match):
         if key.startswith("sweep."):

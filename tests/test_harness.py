@@ -37,7 +37,7 @@ from fpsim import (
 from fpsim.data import synthesize_clients
 from fpsim.federation import observed_limits
 from fpsim.seeds import SeedPath
-from fpsim import harness
+from fpsim import accounting, harness
 from fpsim.cli import main as cli_main
 from fpsim.harness import (
     METRICS_COLUMNS,
@@ -903,6 +903,22 @@ class TestCli:
         assert cli_main(["account", *(item for pair in flags.items() for item in pair)]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: {flag}: {why}\n"
+        assert captured.out == ""
+
+    def test_account_reports_an_accountant_overflow(self, capsys, monkeypatch):
+        """A schema whose worst case passes the solver's 2^30 range (as at
+        --rounds 33000 --min-sep 1 --max-part 33000) exits 1 with the
+        accountant's message, not a traceback."""
+        why = "table F[14][1] exceeds the int32 range, 2^30"
+
+        def overflow(*args):
+            raise OverflowError(why)
+
+        monkeypatch.setattr(accounting._SensitivitySolver, "solve", overflow)
+        flags = ["--rounds", "10", "--min-sep", "1", "--max-part", "10", "--z", "1"]
+        assert cli_main(["account", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {why}\n"
         assert captured.out == ""
 
     def test_account_prints_the_schema_it_accounts(self, capsys):
