@@ -4,7 +4,6 @@ differential privacy.
 The pieces, bottom up:
 
 - ``seeds``      labeled deterministic randomness (SeedPath)
-- ``vectors``    parameter-vector checks
 - ``tree``       tree-aggregated private prefix sums with restarts
 - ``clipping``   adaptive quantile clip estimation and the noise split
 - ``secagg``     integer encoding pipeline for modular secure aggregation,

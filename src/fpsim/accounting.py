@@ -237,9 +237,8 @@ class _SensitivitySolver:
         ``state[p]`` is H[p] over the right-margin requirement; p past the
         last row is infeasible.  The new state stops at the most
         participations rounds [0, end) can hold, capped at ``max_part``.
+        The tree fits the margin axis, sized by _solver_for for the tallest.
         """
-        if self.width < min(self.min_sep, (1 << k) + 1):
-            raise ValueError("tree is wider than this solver's margin axis")
         size = 1 << k
         count, length = state.shape
         margins = np.arange(length)

@@ -38,7 +38,6 @@ from fpsim.models import NextTokenBOW
 from fpsim.secagg import SecAggRound
 from fpsim.seeds import SeedPath
 from fpsim.tree import TreeState
-from fpsim.vectors import as_param_vector
 
 __all__ = [
     "RunState",
@@ -196,9 +195,10 @@ class RoundMetrics:
 @dataclass
 class RunState:
     """One run in progress.  ``data``, ``eval_set`` and the anchor ``theta0``
-    are given; the model, the privacy ``terms``, the round loop's ``seed``,
-    the update tree and, under adaptive clipping, the ClipState are derived
-    from ``config`` here.  ``log`` row t holds round t's cohort (the
+    (finite float64 of the model's width; start_run checks a warm start) are
+    given; the model, the privacy ``terms``, the round loop's ``seed``, the
+    update tree and, under adaptive clipping, the ClipState are derived from
+    ``config`` here.  ``log`` row t holds round t's cohort (the
     participation log) and ``history`` one (eval accuracy, RoundMetrics)
     pair per round, both filled by the caller's loop."""
 
@@ -237,7 +237,6 @@ class RunState:
                 cohort_size=config.report_goal,
                 seed=root.child("clip"),
             )
-        self.theta0 = as_param_vector(self.theta0, d)
         self.theta = self.theta0.copy()
         self.momentum = np.zeros_like(self.theta0)
         self.log = np.empty((config.rounds, config.report_goal), dtype=np.int64)
@@ -269,8 +268,6 @@ def run_round(state: RunState, cohort_ids: Sequence[int]) -> RoundMetrics:
     every norm is finite so is every entry and every sum of them.
     """
     config = state.config
-    if len(cohort_ids) != config.report_goal:
-        raise ValueError("cohort size must equal the report goal")
     t = state.round
     active = state.active_clip
     quantile = state.clip.estimate if state.clip is not None else math.inf

@@ -32,7 +32,7 @@ import numpy as np
 
 from fpsim import accounting
 from fpsim.accounting import ParticipationSchema, PrivacyLedger
-from fpsim.config import ExperimentConfig, SweepConfig
+from fpsim.config import ExperimentConfig, SweepConfig, _sensitivity_sq_bound
 from fpsim.data import synthesize_clients, synthesize_eval_set
 from fpsim.federation import RunState, check_exhaustion, observed_limits, run_round, select_cohort
 from fpsim.models import NextTokenBOW
@@ -165,30 +165,38 @@ def cohorts(config: ExperimentConfig) -> Iterator[list[int]]:
 
 
 def start_run(config: ExperimentConfig) -> RunState:
-    """Synthesize the population and the eval set, read or initialize
-    theta0, and build the state of a run about to play its round 0."""
+    """The state of a run about to play its round 0.  The run's one check of
+    what its config cannot vouch for, before synthesis: the timers must not
+    exhaust the population, a private worst case must fit the accountant's
+    range, and a warm start must have the model's width and finite entries."""
     check_exhaustion(config)
-    root = SeedPath(config.seed)
+    terms = config.privacy_terms()
+    schema = terms.timer_schema
+    if terms.z_equiv > 0 and _sensitivity_sq_bound(config.rounds, schema.max_part) >= 1 << 30:
+        # The bound is loose, so solve: no run's accounted schema exceeds the timer's.
+        accounting.worst_case_sensitivity_sq(schema)
     model = NextTokenBOW(vocab_size=config.vocab_size, window=config.window)
-    data = synthesize_clients(config, root)
-    eval_set = synthesize_eval_set(config, root)
     if config.warm_start:
         theta0 = read_checkpoint(config.warm_start)
-        if theta0.shape[0] != model.num_params:
+        bad = np.count_nonzero(~np.isfinite(theta0))
+        if theta0.shape[0] != model.num_params or bad:
             raise ValueError(
-                f"warm_start checkpoint has {theta0.shape[0]} parameters, "
-                f"model needs {model.num_params}"
+                f"{config.warm_start}: warm_start checkpoint has {theta0.shape[0]} parameters, "
+                f"{bad} of them not finite; the model needs {model.num_params}, all finite"
             )
     else:
         theta0 = model.init_params()
+    root = SeedPath(config.seed)
+    data = synthesize_clients(config, root)
+    eval_set = synthesize_eval_set(config, root)
     return RunState(config, data, eval_set, theta0)
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunResult:
     """Execute the full training loop and write the run directory."""
+    state = start_run(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    state = start_run(config)
     # Each round scores every distinct eval window once; the same float as
     # the mean of per-example predictions equal to their labels.
     windows, inverse = state.eval_set.distinct_windows()

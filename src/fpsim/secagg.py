@@ -20,13 +20,13 @@ codes into the total, so no array of per-client codes is built:
 
 The sum is taken modulo M = 2 * infinity_bound * cohort_size + 1, which is
 wide enough that no wraparound occurs; SecAggRound.decode then undoes
-shift, rotation, scale and padding.  SecAggConfig takes the run's choices
-(clip norm, scale, model width, cohort size, retry cap) and derives every
-other encoding quantity once, when it is built; the sum runs in int64, so
-it refuses a modulus with cohort_size * (M - 1) >= 2**63, and a round
-admits at most cohort_size clients.  Noise calibrated for central DP must
-use the rounded vectors' inflated norm bound
-(SecAggConfig.inflated_clip_norm) rather than the raw clip norm.
+shift, rotation, scale and padding.  SecAggConfig trusts the run's
+validated choices (clip norm, scale, model width, cohort size, retry cap)
+and derives every other encoding quantity once, when it is built; it
+refuses a non-finite s * C, and, as the sum runs in int64, a modulus with
+cohort_size * (M - 1) >= 2**63.  A round admits at most cohort_size
+clients.  Noise calibrated for central DP must use the rounded vectors'
+inflated norm bound (SecAggConfig.inflated_clip_norm), not the clip norm.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from fpsim.seeds import SeedPath, sign_vector
-from fpsim.vectors import as_param_vector
 from fpsim._kernels import fwht_inplace, stochastic_round
 
 __all__ = [
@@ -95,14 +94,6 @@ class SecAggConfig:
 
     def __post_init__(self) -> None:
         scale, clip_norm = self.scale, self.clip_norm
-        if self.model_dim < 1:
-            raise ValueError("model_dim must be >= 1")
-        if not clip_norm > 0 or not scale > 0:
-            raise ValueError("clip_norm and scale must be > 0")
-        if self.cohort_size < 1:
-            raise ValueError("cohort_size must be >= 1")
-        if self.retry_cap < 1:
-            raise ValueError("retry_cap must be >= 1")
         padded_dim = 1 << (int(self.model_dim) - 1).bit_length()
         real_bound = 2.0 * scale * clip_norm * math.log(padded_dim) / math.sqrt(padded_dim)
         if not math.isfinite(real_bound):
@@ -167,8 +158,9 @@ class SecAggRound:
 
         Row i of ``deltas`` is client ``client_ids[i]``'s real update,
         config.model_dim wide; a row with an entry that is not finite once
-        scaled is refused (run_round stops a round whose delta norms are
-        not finite before it encodes).  Each row's codes are checked to lie in
+        scaled is a ValueError naming the round and the client (run_round
+        stops a round whose delta norms are not finite before it encodes).
+        Each row's codes are checked to lie in
         [0, M) and added into one int64 block sum; the round admits at most
         cohort_size clients, which the config checked to sum within int64.
         total becomes (total + block % M) mod M, by one conditional
@@ -212,8 +204,11 @@ class SecAggRound:
             np.multiply(deltas[i], config.scale, out=head)
             row[d:] = 0.0
             norm = float(np.linalg.norm(head))
-            if not math.isfinite(norm):
-                as_param_vector(head)  # raises when a scaled entry is not finite
+            if not math.isfinite(norm) and not np.isfinite(head).all():
+                raise ValueError(
+                    f"round {self.round_index}, client {client_id}: "
+                    "update contains NaN or Inf once scaled"
+                )
             if norm > scaled_clip:
                 head *= scaled_clip / norm
             _rotate(row, self.signs, scratch)

@@ -32,10 +32,6 @@ class SeedPath:
     master_seed: int
     labels: tuple[tuple[str, int], ...] = field(default_factory=tuple)
 
-    def __post_init__(self) -> None:
-        if not 0 <= int(self.master_seed) < 2**64:
-            raise ValueError("master_seed must be an integer in [0, 2**64)")
-
     def child(self, label: str, index: int = 0) -> "SeedPath":
         """Return the sub-path (self.labels + [(label, index)])."""
         return SeedPath(self.master_seed, self.labels + ((label, index),))

@@ -34,10 +34,8 @@ def closing_node(n: int) -> tuple[int, int]:
     of its segment.  Round n (counted from 1) closes the node at n's lowest
     set bit, ending at n, and that node replaces every open node of a lower
     level.  The open nodes, highest level first, are then the set bits of n
-    from the most significant down: popcount(n) nodes tiling [0, n).
+    from the most significant down: popcount(n) nodes tiling [0, n).  n >= 1.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     level = (n & -n).bit_length() - 1
     return level, (n >> level) - 1
 

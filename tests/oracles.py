@@ -16,7 +16,6 @@ from fpsim.accounting import (
 from fpsim.secagg import ROUNDING_NORM_ALPHA, SecAggConfig
 from fpsim.seeds import SeedPath, gaussian_vector
 from fpsim.tree import _node_seed
-from fpsim.vectors import as_param_vector
 from fpsim._kernels import stochastic_round
 
 
@@ -28,7 +27,7 @@ def clip_l2(v: np.ndarray, clip_norm: float) -> np.ndarray:
     """
     if not clip_norm > 0:
         raise ValueError("clip_norm must be > 0")
-    v = as_param_vector(v)
+    v = np.asarray(v, dtype=np.float64)
     norm = float(np.linalg.norm(v))
     if norm <= clip_norm:
         return v.copy()
@@ -37,9 +36,9 @@ def clip_l2(v: np.ndarray, clip_norm: float) -> np.ndarray:
 
 def randomized_hadamard(v: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """The normalized Hadamard rotation (1/sqrt(d)) * H_d * diag(signs) v
-    of a validated copy of ``v``: the sign flip, reference_fwht and the
+    of a float64 copy of ``v``: the sign flip, reference_fwht and the
     scale."""
-    out = as_param_vector(v) * signs
+    out = np.asarray(v, dtype=np.float64) * signs
     reference_fwht(out)
     out *= 1.0 / np.sqrt(out.shape[0])
     return out
@@ -517,7 +516,7 @@ def naive_private_sum(
     if len(clip_norms_per_segment) != len(seg_lengths):
         raise ValueError("need one clip norm per segment")
 
-    d = as_param_vector(history[0]).shape[0]
+    d = np.asarray(history[0], dtype=np.float64).shape[0]
     reports = np.zeros((total_rounds, d), dtype=np.float64)
     frozen = np.zeros(d, dtype=np.float64)
     t_global = 0
@@ -533,7 +532,7 @@ def naive_private_sum(
         true_prefix = np.zeros(d, dtype=np.float64)
         last = np.zeros(d, dtype=np.float64)
         for t_seg in range(seg_len):
-            true_prefix = true_prefix + as_param_vector(history[t_global], d)
+            true_prefix = true_prefix + np.asarray(history[t_global], dtype=np.float64)
             last = np.zeros(d, dtype=np.float64)
             for level, index in prefix_decomposition(t_seg + 1):
                 last += node_noise[(level, index)]

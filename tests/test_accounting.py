@@ -415,14 +415,6 @@ class TestPrefixAccounting:
         assert _solver_for(tall) is solver
         assert all(solver._levels[k] is level for k, level in enumerate(built))
 
-    def test_tree_wider_than_the_margin_axis_refused(self):
-        """A solver of margin width 3 at min_sep 5 serves trees of up to 2
-        leaves; a 4-leaf tree needs width 5."""
-        solver = accounting._SensitivitySolver(5, 3)
-        state = solver.fold(solver.empty_state(6), 1, 2, 2)
-        with pytest.raises(ValueError, match="margin axis"):
-            solver.fold(state, 2, 6, 2)
-
 
 class TestPatternSensitivity:
     def test_explicit_pattern_value(self):

@@ -570,14 +570,14 @@ class TestStartRun:
         assert state.clip is not None and state.active_clip == config.clip_c0
 
 
-    def test_exhausting_config_fails_before_synthesis(self, tmp_path, monkeypatch):
-        """Timers of 20 rounds over 60 clients, 8 a round, leave 4 eligible
-        at round 7: the run raises CohortExhausted naming that round before
-        it synthesizes the population or draws a cohort."""
+    @staticmethod
+    def _refuse_synthesis(monkeypatch):
+        """Make every fpsim binding of synthesize_clients and select_cohort
+        fail the test if called."""
 
         def refuse(name):
             def called(*args, **kwargs):
-                raise AssertionError(f"{name} called before the exhaustion check")
+                raise AssertionError(f"{name} called before start_run's checks")
 
             return called
 
@@ -586,6 +586,12 @@ class TestStartRun:
                 for attribute, value in list(vars(module).items()):
                     if value is synthesize_clients or value is harness.select_cohort:
                         monkeypatch.setattr(module, attribute, refuse(attribute))
+
+    def test_exhausting_config_fails_before_synthesis(self, tmp_path, monkeypatch):
+        """Timers of 20 rounds over 60 clients, 8 a round, leave 4 eligible
+        at round 7: the run raises CohortExhausted naming that round before
+        it synthesizes the population or draws a cohort."""
+        self._refuse_synthesis(monkeypatch)
         text = SMALL_CONFIG.replace("population = 120", "population = 60")
         config = ExperimentConfig.from_text(text.replace("timer_rounds = 3", "timer_rounds = 20"))
         with pytest.raises(
@@ -593,6 +599,49 @@ class TestStartRun:
             match=r"^population exhausted at round 7: 4 eligible clients for report_goal 8;",
         ):
             run_experiment(config, tmp_path / "run")
+
+    def test_non_finite_warm_start_fails_before_synthesis(self, tmp_path, monkeypatch):
+        """A warm start of the model's width with one NaN is refused, naming
+        the file, before the population is synthesized."""
+        theta0 = np.zeros(100)
+        theta0[37] = np.nan
+        path = tmp_path / "nan.bin"
+        write_checkpoint(path, theta0)
+        self._refuse_synthesis(monkeypatch)
+        config = ExperimentConfig.from_text(SMALL_CONFIG + f"warm_start = {path}\n")
+        with pytest.raises(ValueError) as caught:
+            start_run(config)
+        assert str(caught.value) == (
+            f"{path}: warm_start checkpoint has 100 parameters, 1 of them not finite; "
+            "the model needs 100, all finite"
+        )
+
+    def test_accountant_range_fails_before_synthesis(self, monkeypatch):
+        """A private run whose sensitivity bound reaches 2^30 (33000 rounds,
+        one client a round, timer 1: 33000^2 * 16) has its timer worst case
+        solved before synthesis, so the solver's OverflowError stops it
+        there; a run below the bound never calls the solver."""
+        solved = []
+
+        def overflow(solver, tree_levels, max_part):
+            solved.append(max_part)
+            raise OverflowError("table F[15][21279] exceeds the int32 range, 2^30")
+
+        monkeypatch.setattr(accounting._SensitivitySolver, "solve", overflow)
+        state = start_run(ExperimentConfig.from_text(SMALL_CONFIG))
+        assert solved == [] and state.round == 0
+        self._refuse_synthesis(monkeypatch)
+        config = ExperimentConfig(
+            rounds=33000,
+            report_goal=1,
+            population=1,
+            timer_rounds=1,
+            clip_mode="fixed",
+            restart_mode="none",
+        )
+        with pytest.raises(OverflowError, match="int32 range"):
+            start_run(config)
+        assert solved == [33000]
 
 
 class TestRoundClock:
@@ -711,11 +760,13 @@ class TestWarmStart:
         cfg = ExperimentConfig.from_text(
             SMALL_CONFIG + f"warm_start = {tmp_path / 'tiny.bin'}\n"
         )
-        with pytest.raises(
-            ValueError, match=r"^warm_start checkpoint has 4 parameters, model needs 100$"
-        ):
+        with pytest.raises(ValueError) as caught:
             run_experiment(cfg, tmp_path / "run")
-        assert not (tmp_path / "run" / "metrics.csv").exists()
+        assert str(caught.value) == (
+            f"{tmp_path / 'tiny.bin'}: warm_start checkpoint has 4 parameters, "
+            "0 of them not finite; the model needs 100, all finite"
+        )
+        assert not (tmp_path / "run").exists()
 
     def test_malformed_checkpoint_fails_cleanly_in_cli(self, tmp_path, capsys):
         """A warm_start file too short for its header exits 1 with the

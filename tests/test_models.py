@@ -120,18 +120,6 @@ class TestLocalSGD:
         acc = accuracy(m, m.init_params(), contexts, labels)
         assert acc == pytest.approx((labels == 0).mean())
 
-    def test_input_validation(self):
-        """The model's constructor and predict check their arguments;
-        local_sgd trusts the run's validated config and data."""
-        m = NextTokenBOW(vocab_size=3, window=2)
-        contexts = np.zeros((1, 2, 2), dtype=np.int64)
-        with pytest.raises(ValueError):
-            m.predict(np.zeros(7), contexts[0])
-        with pytest.raises(ValueError):
-            NextTokenBOW(vocab_size=1)
-        with pytest.raises(ValueError):
-            NextTokenBOW(vocab_size=3, window=0)
-
 
 class TestNextTokenBOW:
     def test_dimensions(self):
@@ -183,14 +171,6 @@ class TestNextTokenBOW:
         contexts = rng.integers(0, 3, size=(4, 5, 2))
         labels = rng.integers(0, 3, size=(4, 5))
         _check_finite_differences(m, stack, contexts, labels, rng)
-
-    def test_token_range_validated(self):
-        m = NextTokenBOW(vocab_size=4)
-        stack = np.zeros((1, 16))
-        with pytest.raises(ValueError):
-            m.logits(stack, np.array([[[4]]]))
-        with pytest.raises(ValueError):
-            m.logits(stack, np.array([[[-1]]]))
 
 
 class TestDistinctWindowEval:

@@ -54,12 +54,6 @@ class TestDerivation:
         child = root.child("a").child("a").generator().integers(0, 2**63, size=8)
         assert not np.array_equal(parent, child)
 
-    def test_master_seed_range_validated(self):
-        with pytest.raises(ValueError):
-            SeedPath(-1)
-        with pytest.raises(ValueError):
-            SeedPath(2**64)
-
     def test_path_is_hashable_and_frozen(self):
         s = SeedPath(0).child("x", 3)
         assert s in {s}

@@ -1,36 +1,13 @@
-"""Tests for parameter-vector validation and for the sign-randomized
-Hadamard rotation of the secure-aggregation codec (fpsim.secagg).  The
-L2 clip and the copying rotation the encoder's arithmetic is checked
-against live in tests/oracles.py and are pinned here.
+"""Tests for the sign-randomized Hadamard rotation of the secure-aggregation
+codec (fpsim.secagg).  The L2 clip and the copying rotation the encoder's
+arithmetic is checked against live in tests/oracles.py and are pinned here.
 """
 
 import numpy as np
-import pytest
 
 from fpsim.secagg import SecAggConfig, SecAggRound, _rotate
 from fpsim.seeds import SeedPath, sign_vector
-from fpsim.vectors import as_param_vector
 from oracles import clip_l2, randomized_hadamard
-
-
-class TestAsParamVector:
-    def test_converts_to_float64(self):
-        v = as_param_vector([1, 2, 3])
-        assert v.dtype == np.float64
-        np.testing.assert_array_equal(v, [1.0, 2.0, 3.0])
-
-    def test_rejects_matrices(self):
-        with pytest.raises(ValueError):
-            as_param_vector(np.zeros((2, 2)))
-
-    def test_dimension_check(self):
-        as_param_vector([1.0, 2.0], d=2)
-        with pytest.raises(ValueError):
-            as_param_vector([1.0, 2.0], d=3)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            as_param_vector([1.0, np.nan])
 
 
 class TestClipL2:
