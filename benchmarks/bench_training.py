@@ -23,9 +23,10 @@ allocates (tracemalloc, in MiB): the round works in fixed-size blocks of
 clients, so the peak does not grow with the report goal.  Each round row
 also counts the minor page faults per timed round (``ru_minflt``), so a
 change that makes the round's large arrays come from fresh mmaps instead
-of reused heap shows as a count.  ``participation_2048x100`` writes the
-participation.csv of a 2048-round, 100-client log (uniform ids below
-10^5), with the writer's traced peak beyond its input arrays;
+of reused heap shows as a count.  ``participation_2048x100`` sorts a
+2048-round, 100-client log (uniform ids below 10^5) by client and writes
+its participation.csv, as a finished run does, with the traced peak of
+the sort and the write beyond the log itself;
 ``post_hoc_report_2048x100`` is its reader, ``post_hoc_report`` on the
 log a run of that size writes (population 10^5), with its traced peak;
 most of its time is the replay of the config's cohorts that checks the log.
@@ -59,7 +60,7 @@ from fpsim import ExperimentConfig, post_hoc_report
 from fpsim.data import _global_table, _guide_table, _shifted_table
 from fpsim.data import synthesize_clients, synthesize_eval_set
 from fpsim.federation import _BLOCK_BYTES, batch_orders, cohort_update, run_round
-from fpsim.harness import _write_participation, cohorts, start_run
+from fpsim.harness import _by_client, _write_participation, cohorts, start_run
 from fpsim.models import NextTokenBOW
 from fpsim.seeds import SeedPath
 from fpsim.tree import TreeState
@@ -153,16 +154,16 @@ def _time_round(record: dict, report_goal: int, repeats: int) -> None:
 def _time_participation(
     record: dict, repeats: int, rounds: int = 2048, report_goal: int = 100
 ) -> None:
-    """Record the participation.csv writer's best time and traced peak on
-    a log of ``rounds`` x ``report_goal`` uniform client ids below 10^5."""
-    client_ids = np.random.default_rng(0).integers(100_000, size=rounds * report_goal)
-    rounds_column = np.repeat(np.arange(rounds), report_goal)
+    """Record the best time and traced peak of sorting a log of ``rounds``
+    x ``report_goal`` uniform client ids below 10^5 by client and writing
+    its participation.csv."""
+    log = np.random.default_rng(0).integers(100_000, size=(rounds, report_goal))
     name = f"participation_{rounds}x{report_goal}"
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "participation.csv"
 
         def write():
-            _write_participation(path, client_ids, rounds_column)
+            _write_participation(path, *_by_client(log))
 
         record[f"{name}_peak_mb"] = _traced_peak_mb(write)
         record[f"{name}_ms"] = _best_ms(write, repeats)
@@ -176,13 +177,12 @@ def _time_post_hoc(
     written as the run writes it.  The report replays the config's cohorts
     to check the log, so the time and the peak include that replay."""
     cfg = ExperimentConfig(rounds=rounds, population=100_000, report_goal=report_goal)
-    rounds_column = np.repeat(np.arange(rounds), report_goal)
     log = np.array(list(cohorts(cfg)))
     name = f"post_hoc_report_{rounds}x{report_goal}"
     with tempfile.TemporaryDirectory() as tmp:
         run = Path(tmp)
         (run / "config.resolved").write_text(cfg.canonical_text())
-        _write_participation(run / "participation.csv", log.ravel(), rounds_column)
+        _write_participation(run / "participation.csv", *_by_client(log))
         record[f"{name}_peak_mb"] = _traced_peak_mb(lambda: post_hoc_report(run))
         record[f"{name}_ms"] = _best_ms(lambda: post_hoc_report(run), repeats)
 

@@ -50,7 +50,6 @@ __all__ = [
     "select_cohort",
     "check_exhaustion",
     "run_round",
-    "observed_limits",
 ]
 
 
@@ -180,14 +179,12 @@ def check_exhaustion(config: ExperimentConfig) -> None:
 
 @dataclass(frozen=True)
 class RoundMetrics:
-    """Per-round scalars the harness logs."""
+    """What one round measures.  The harness adds the round index, the
+    cohort size (report_goal) and the run's SecAgg bits per update."""
 
-    round: int
     train_loss: float
-    cohort_size: int
     active_clip: float
     quantile_estimate: float
-    bits_per_update: int = 0
     secagg_residual: float = 0.0
     secagg_clamp_fraction: float = 0.0
 
@@ -198,9 +195,8 @@ class RunState:
     (finite float64 of the model's width; start_run checks a warm start) are
     given; the model, the privacy ``terms``, the round loop's ``seed``, the
     update tree and, under adaptive clipping, the ClipState are derived from
-    ``config`` here.  ``log`` row t holds round t's cohort (the
-    participation log) and ``history`` one (eval accuracy, RoundMetrics)
-    pair per round, both filled by the caller's loop."""
+    ``config`` here; a round changes only theta, momentum, the round, the
+    trees and the ClipState."""
 
     config: ExperimentConfig
     data: TokenDataset
@@ -214,10 +210,6 @@ class RunState:
     theta: np.ndarray = field(init=False)
     momentum: np.ndarray = field(init=False)
     round: int = field(init=False, default=0)
-    log: np.ndarray = field(init=False, repr=False)
-    history: list[tuple[float, RoundMetrics]] = field(
-        init=False, repr=False, default_factory=list
-    )
 
     def __post_init__(self) -> None:
         config = self.config
@@ -239,17 +231,12 @@ class RunState:
             )
         self.theta = self.theta0.copy()
         self.momentum = np.zeros_like(self.theta0)
-        self.log = np.empty((config.rounds, config.report_goal), dtype=np.int64)
 
     @property
     def active_clip(self) -> float:
         """The clip norm applied to updates: the one the tree's noise is
         calibrated to, replaced only at restarts."""
         return self.delta_tree.clip_norm
-
-    @property
-    def quantile_estimate(self) -> float:
-        return self.clip.estimate if self.clip is not None else self.config.clip_c0
 
 
 def run_round(state: RunState, cohort_ids: Sequence[int]) -> RoundMetrics:
@@ -315,16 +302,11 @@ def run_round(state: RunState, cohort_ids: Sequence[int]) -> RoundMetrics:
             secagg.add(deltas, ids)
         del deltas  # freed before the next block is trained
 
-    bits = 0
-    residual = 0.0
-    clamp_fraction = 0.0
+    round_sum, residual, clamp_fraction = plain_sum, 0.0, 0.0
     if secagg is not None:
         round_sum = secagg.decode()
-        bits = cfg.bits_per_update
         residual = float(np.linalg.norm(round_sum - plain_sum))
         clamp_fraction = secagg.clamped / (cohort * cfg.padded_dim)
-    else:
-        round_sum = plain_sum
 
     noised_cumulative = state.delta_tree.add_round(round_sum)
     state.momentum = config.beta * state.momentum + noised_cumulative / config.report_goal
@@ -343,32 +325,10 @@ def run_round(state: RunState, cohort_ids: Sequence[int]) -> RoundMetrics:
         state.delta_tree.restart(new_clip)
 
     return RoundMetrics(
-        round=t,
         train_loss=train_loss,
-        cohort_size=cohort,
         active_clip=active,
-        quantile_estimate=state.quantile_estimate,
-        bits_per_update=bits,
+        quantile_estimate=state.clip.estimate if state.clip is not None else config.clip_c0,
         secagg_residual=residual,
         secagg_clamp_fraction=clamp_fraction,
     )
 
-
-def observed_limits(
-    client_ids: np.ndarray, rounds: np.ndarray, total_rounds: int
-) -> tuple[int, int]:
-    """Post-hoc participation statistics for the accountant.
-
-    The log is (client_id, round) pair arrays in any order, as in
-    participation.csv.  Returns (max participations of any client, minimum
-    gap between any client's consecutive participations).  When no client
-    participated twice the separation is reported as total_rounds.
-    """
-    client_ids = np.asarray(client_ids, dtype=np.int64)
-    rounds = np.asarray(rounds, dtype=np.int64)
-    order = np.lexsort((rounds, client_ids))
-    client_ids = client_ids[order]
-    repeat = client_ids[1:] == client_ids[:-1]
-    min_sep = int(np.diff(rounds[order])[repeat].min(initial=total_rounds))
-    max_part = int(np.unique(client_ids, return_counts=True)[1].max(initial=0))
-    return max_part, min_sep

@@ -12,10 +12,12 @@ A run writes a self-describing directory:
 
 Everything is a pure function of the config (including its seed): running
 the same config twice produces byte-identical metrics and checkpoints, and
-the cohorts, from cohorts(config), never read training.  The rho column
-and the privacy report account the limits the participation log attains
-(never above the timer's worst case); post_hoc_report replays the config's
-log and accounts only a participation.csv equal to it, byte for byte.
+the cohorts, from cohorts(config), never read training.  The harness owns
+the participation log (row t is round t's cohort) and sorts it by client
+once (_by_client): participation.csv is that order, and the rho column and
+the privacy report account the limits read from it (never above the
+timer's worst case).  post_hoc_report replays the config's log and accounts
+only a participation.csv equal to it, byte for byte.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from fpsim import accounting
 from fpsim.accounting import ParticipationSchema, PrivacyLedger
 from fpsim.config import ExperimentConfig, SweepConfig, _sensitivity_sq_bound
 from fpsim.data import synthesize_clients, synthesize_eval_set
-from fpsim.federation import RunState, check_exhaustion, observed_limits, run_round, select_cohort
+from fpsim.federation import RoundMetrics, RunState, check_exhaustion, run_round, select_cohort
 from fpsim.models import NextTokenBOW
 from fpsim.seeds import SeedPath
 
@@ -115,13 +117,20 @@ def _write_csv(path: Path, header: tuple[str, ...], rows: list[tuple]) -> None:
             writer.writerow([_format(v) for v in row])
 
 
+def _by_client(log: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The participation ``log``'s (client_ids, rounds) pairs sorted by client,
+    then round: a stable sort of its round-major ids (row t is round t's
+    cohort, in which a client is at most once)."""
+    order = np.argsort(log, axis=None, kind="stable")
+    return log.ravel()[order], order // log.shape[1]
+
+
 def _participation_text(client_ids: np.ndarray, rounds: np.ndarray) -> Iterator[str]:
-    """participation.csv: a ``client_id,round`` header, then the pairs sorted
-    by client, then round, as one joined string per _PARTICIPATION_CHUNK_ROWS."""
-    order = np.lexsort((rounds, client_ids))
+    """participation.csv: a ``client_id,round`` header, then the pairs as
+    _by_client sorts them, as one joined string per _PARTICIPATION_CHUNK_ROWS."""
     yield "client_id,round\n"
-    for start in range(0, order.size, _PARTICIPATION_CHUNK_ROWS):
-        rows = order[start : start + _PARTICIPATION_CHUNK_ROWS]
+    for start in range(0, client_ids.size, _PARTICIPATION_CHUNK_ROWS):
+        rows = slice(start, start + _PARTICIPATION_CHUNK_ROWS)
         pairs = zip(client_ids[rows].tolist(), rounds[rows].tolist())
         yield "".join(f"{c},{r}\n" for c, r in pairs)
 
@@ -200,35 +209,31 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunResult:
     # Each round scores every distinct eval window once; the same float as
     # the mean of per-example predictions equal to their labels.
     windows, inverse = state.eval_set.distinct_windows()
+    log = np.empty((config.rounds, config.report_goal), dtype=np.int64)
+    history = []
     for t, cohort_ids in enumerate(cohorts(config)):
-        state.log[t] = cohort_ids
+        log[t] = cohort_ids
         round_metrics = run_round(state, cohort_ids)
         predictions = state.model.predict(state.theta, windows)[inverse]
         eval_acc = float((predictions == state.eval_set.labels).mean())
-        state.history.append((eval_acc, round_metrics))
-    return _finish(state, out)
+        history.append((eval_acc, round_metrics))
+    return _finish(state, log, history, out)
 
 
-def _finish(state: RunState, out: Path) -> RunResult:
-    """Write a finished run's artifacts and report."""
+def _finish(
+    state: RunState, log: np.ndarray, history: list[tuple[float, RoundMetrics]], out: Path
+) -> RunResult:
+    """Write a finished run's artifacts and report from its participation
+    ``log`` and its ``history``, one (eval accuracy, RoundMetrics) a round."""
     config, terms = state.config, state.terms
-    client_ids = state.log.ravel()
-    rounds = np.repeat(np.arange(config.rounds), config.report_goal)
+    client_ids, rounds = _by_client(log)
     # Every prefix at the whole run's limits, in one pass: the config fixes the log.
     schema = _observed_schema(config, client_ids, rounds)
     cumulative_rho = accounting.prefix_zcdp(terms.z_equiv, schema, terms.sensitivity_scale)
+    bits = 0 if terms.secagg is None else terms.secagg.bits_per_update
     metrics_rows = [
-        (
-            m.round,
-            eval_acc,
-            m.train_loss,
-            m.active_clip,
-            m.quantile_estimate,
-            m.cohort_size,
-            rho,
-            m.bits_per_update,
-        )
-        for (eval_acc, m), rho in zip(state.history, cumulative_rho)
+        (t, acc, m.train_loss, m.active_clip, m.quantile_estimate, config.report_goal, rho, bits)
+        for t, ((acc, m), rho) in enumerate(zip(history, cumulative_rho))
     ]
     _write_csv(out / "metrics.csv", METRICS_COLUMNS, metrics_rows)
     write_checkpoint(out / "checkpoint.bin", state.theta)
@@ -238,8 +243,8 @@ def _finish(state: RunState, out: Path) -> RunResult:
             out / "secagg.csv",
             ("round", "bits_per_update", "linf_clamp_fraction", "roundtrip_residual"),
             [
-                (m.round, m.bits_per_update, m.secagg_clamp_fraction, m.secagg_residual)
-                for _, m in state.history
+                (t, bits, m.secagg_clamp_fraction, m.secagg_residual)
+                for t, (_, m) in enumerate(history)
             ],
         )
     (out / "config.resolved").write_text(config.canonical_text())
@@ -337,8 +342,11 @@ def _observed_schema(
     config: ExperimentConfig, client_ids: np.ndarray, rounds: np.ndarray
 ) -> ParticipationSchema:
     """The one schema a run is accounted at: the timer's, at the (max_part,
-    min_sep) its participation log attains (observed_limits)."""
-    max_part, min_sep = observed_limits(client_ids, rounds, config.rounds)
+    min_sep) its participation log attains, read from the pairs _by_client
+    sorted (min_sep is the run's length when no client takes part twice)."""
+    repeat = client_ids[1:] == client_ids[:-1]
+    min_sep = int(np.diff(rounds)[repeat].min(initial=config.rounds))
+    max_part = int(np.bincount(client_ids).max())
     return replace(config.privacy_terms().timer_schema, max_part=max_part, min_sep=min_sep)
 
 
@@ -350,8 +358,9 @@ def post_hoc_report(run_dir: str | Path, delta: float = REPORT_DELTA) -> dict[st
     run = Path(run_dir)
     config = ExperimentConfig.from_file(run / "config.resolved")
     ids = chain.from_iterable(cohorts(config))
-    client_ids = np.fromiter(ids, np.int64, config.rounds * config.report_goal)
-    rounds = np.repeat(np.arange(config.rounds), config.report_goal)
+    log = np.fromiter(ids, np.int64, config.rounds * config.report_goal)
+    client_ids, rounds = _by_client(log.reshape(config.rounds, config.report_goal))
+    del log  # the file is read holding only the sorted pairs
     path, line = run / "participation.csv", 1
     with open(path, "rb") as fh:
         # The empty last chunk reads whatever the file holds past the log.

@@ -238,6 +238,24 @@ def reference_chains(
     return tokens[:, 1:]
 
 
+def reference_limits(client_ids, rounds, total_rounds):
+    """(max_part, min_sep) of (client_id, round) pairs in any order, by
+    per-client sort-and-gap: group the pairs by client, sort each client's
+    rounds, and take the largest count and the smallest gap (total_rounds
+    when no client repeats)."""
+    by_client = {}
+    for client_id, r in zip(client_ids, rounds):
+        by_client.setdefault(client_id, []).append(r)
+    max_part = 0
+    min_sep = total_rounds
+    for history in by_client.values():
+        history = sorted(history)
+        max_part = max(max_part, len(history))
+        for a, b in zip(history, history[1:]):
+            min_sep = min(min_sep, b - a)
+    return max_part, min_sep
+
+
 def reference_participation_csv(client_ids: np.ndarray, rounds: np.ndarray) -> str:
     """participation.csv as one string: a ``client_id,round`` header, then
     every (client_id, round) pair sorted by client and then round, one

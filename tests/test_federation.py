@@ -8,6 +8,7 @@ local updates come from a per-client dense reference kept in this file
 so the stacked cohort step is checked against code it shares nothing with.
 """
 
+import dataclasses
 import itertools
 import math
 import time
@@ -33,17 +34,21 @@ from fpsim.federation import (
     batch_orders,
     check_exhaustion,
     cohort_update,
-    observed_limits,
     run_round,
     select_cohort,
 )
-from fpsim.harness import start_run
+from fpsim.harness import _by_client, _observed_schema, _participation_text, start_run
 from fpsim.models import NextTokenBOW
 from fpsim.secagg import SecAggConfig, SecAggRound
 from fpsim.seeds import SeedPath
 from fpsim import federation, secagg
 from fpsim._kernels import stochastic_round
-from oracles import clip_l2, reference_cohort_update
+from oracles import (
+    clip_l2,
+    reference_cohort_update,
+    reference_limits,
+    reference_participation_csv,
+)
 
 
 def _config(population=20, vocab=8, examples=30, window=1, **kw):
@@ -528,13 +533,20 @@ class TestRunRound:
             run_round(server, [0, 1, 2, 3])
 
     def test_metrics_fields(self):
-        server = _server(_data(), m=4)
+        """A round reports only what it measures; the round index, the
+        cohort size and the bits per update are the harness's columns."""
+        server = _server(_data(), m=4, clip=1.0)
         metrics = run_round(server, [0, 1, 2, 3])
-        assert metrics.round == 0
-        assert metrics.cohort_size == 4
+        assert [f.name for f in dataclasses.fields(metrics)] == [
+            "train_loss",
+            "active_clip",
+            "quantile_estimate",
+            "secagg_residual",
+            "secagg_clamp_fraction",
+        ]
         assert math.isfinite(metrics.train_loss)
-        assert metrics.bits_per_update == 0
-        assert metrics.secagg_residual == 0.0
+        assert metrics.active_clip == metrics.quantile_estimate == 1.0
+        assert metrics.secagg_residual == metrics.secagg_clamp_fraction == 0.0
 
 
 class TestSecureAggregationRound:
@@ -550,10 +562,9 @@ class TestSecureAggregationRound:
         metrics_plain = run_round(plain, cohort_ids)
         metrics_coded = run_round(coded, cohort_ids)
         assert np.linalg.norm(plain.theta - coded.theta) <= m * math.sqrt(cfg.padded_dim) / 100.0
-        assert metrics_coded.bits_per_update > 0
         assert metrics_coded.secagg_residual <= m * math.sqrt(cfg.padded_dim) / 100.0
         assert 0.0 <= metrics_coded.secagg_clamp_fraction <= 1.0
-        assert metrics_plain.bits_per_update == 0
+        assert metrics_plain.secagg_residual == metrics_plain.secagg_clamp_fraction == 0.0
 
     def test_exhausted_rounding_names_the_round_and_client(self, monkeypatch):
         """A client whose rounding retries run out stops the round with an
@@ -746,60 +757,59 @@ class TestRoundBlocks:
         assert peak - steady < 8 * (block_rows * d + 12 * padded_dim)
 
 
-def _reference_limits(client_ids, rounds, total_rounds):
-    """Per-client sort-and-gap: group the pairs by client, sort each
-    client's rounds, and take the largest count and the smallest gap."""
-    by_client = {}
-    for client_id, r in zip(client_ids, rounds):
-        by_client.setdefault(client_id, []).append(r)
-    max_part = 0
-    min_sep = total_rounds
-    for history in by_client.values():
-        history = sorted(history)
-        max_part = max(max_part, len(history))
-        for a, b in zip(history, history[1:]):
-            min_sep = min(min_sep, b - a)
-    return max_part, min_sep
-
-
 @st.composite
 def _participation_logs(draw):
-    """(client_ids, rounds, total_rounds): distinct pairs in shuffled order,
-    from empty logs and logs with no repeats to crowded ones."""
-    total_rounds = draw(st.integers(1, 40))
-    population = draw(st.integers(1, 12))
-    pairs = draw(
-        st.lists(
-            st.tuples(st.integers(0, population - 1), st.integers(0, total_rounds - 1)),
-            unique=True,
-            max_size=60,
-        )
-    )
+    """(log, population): a participation log of 1 to 40 rounds, row t
+    round t's cohort of report_goal distinct ids below population, from
+    logs where no client repeats to crowded ones."""
+    rounds = draw(st.integers(1, 40))
+    report_goal = draw(st.integers(1, 4))
     if draw(st.booleans()):
         # One participation per client: the no-repeat convention.
-        pairs = list({client_id: (client_id, r) for client_id, r in pairs}.values())
-    client_ids = [client_id for client_id, _ in pairs]
-    rounds = [r for _, r in pairs]
-    return client_ids, rounds, total_rounds
+        population = rounds * report_goal
+        ids = draw(st.permutations(range(population)))
+    else:
+        population = draw(st.integers(report_goal, 12))
+        cohort = st.permutations(range(population)).map(lambda p: p[:report_goal])
+        ids = [i for _ in range(rounds) for i in draw(cohort)]
+    return np.array(ids, dtype=np.int64).reshape(rounds, report_goal), population
 
 
 class TestObservedLimits:
+    """The harness sorts a run's participation log by client once
+    (_by_client); the observed limits and participation.csv are read from
+    that order."""
+
+    @staticmethod
+    def _limits(log, population):
+        rounds, report_goal = log.shape
+        config = _config(population, rounds=rounds, report_goal=report_goal, timer_rounds=1)
+        schema = _observed_schema(config, *_by_client(log))
+        return schema.max_part, schema.min_sep
+
     def test_repeating_participant(self):
-        max_part, min_sep = observed_limits([0, 0, 0, 1], [0, 5, 8, 2], total_rounds=10)
-        assert max_part == 3
-        assert min_sep == 3  # the 5 -> 8 gap
+        # Client 0 takes part in rounds 0, 5 and 8, every other client once.
+        log = np.array([[0], [3], [1], [4], [5], [0], [6], [7], [0], [8]])
+        assert self._limits(log, 9) == (3, 3)  # the 5 -> 8 gap
 
     def test_no_repeats_defaults_to_horizon(self):
-        max_part, min_sep = observed_limits([0, 1], [1, 4], total_rounds=12)
-        assert max_part == 1
-        assert min_sep == 12
+        assert self._limits(np.arange(24).reshape(12, 2), 24) == (1, 12)
 
     @settings(max_examples=300, deadline=None)
     @given(_participation_logs())
-    def test_matches_per_client_reference(self, log):
-        client_ids, rounds, total_rounds = log
-        got = observed_limits(
-            np.array(client_ids, dtype=np.int64), np.array(rounds, dtype=np.int64), total_rounds
-        )
-        assert got == _reference_limits(client_ids, rounds, total_rounds)
+    def test_matches_per_client_reference(self, drawn):
+        """_by_client is the lexsort order of the round-major pairs, the
+        limits read from it are the per-client reference's, and the
+        participation.csv written from it is the one-string formula's."""
+        log, population = drawn
+        ids = log.ravel()
+        rounds = np.repeat(np.arange(log.shape[0]), log.shape[1])
+        order = np.lexsort((rounds, ids))
+        client_ids, sorted_rounds = _by_client(log)
+        np.testing.assert_array_equal(client_ids, ids[order])
+        np.testing.assert_array_equal(sorted_rounds, rounds[order])
+        got = self._limits(log, population)
+        assert got == reference_limits(ids.tolist(), rounds.tolist(), log.shape[0])
         assert all(type(v) is int for v in got)
+        text = "".join(_participation_text(client_ids, sorted_rounds))
+        assert text == reference_participation_csv(ids, rounds)

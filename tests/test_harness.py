@@ -6,16 +6,14 @@ under the same seed. These runs use tiny populations and vocabularies so the
 whole file stays fast.
 """
 
+import csv
 import math
-import os
 import re
 import shutil
-import subprocess
 import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +33,6 @@ from fpsim import (
     zcdp_to_eps,
 )
 from fpsim.data import synthesize_clients
-from fpsim.federation import observed_limits
 from fpsim.seeds import SeedPath
 from fpsim import accounting, harness
 from fpsim.cli import main as cli_main
@@ -47,7 +44,7 @@ from fpsim.harness import (
     start_run,
     write_checkpoint,
 )
-from oracles import reference_participation_csv, reference_restart_rounds
+from oracles import reference_limits, reference_participation_csv, reference_restart_rounds
 
 SMALL_CONFIG = """
 seed = 7
@@ -162,6 +159,7 @@ class TestRunArtifacts:
         assert tuple(metrics.keys()) == METRICS_COLUMNS
         assert len(metrics["round"]) == 12
         assert metrics["round"] == list(range(12))
+        assert set(metrics["bits_per_update"]) == {0.0}
 
     def test_cumulative_zcdp_nondecreasing(self, small_run):
         """Every prefix is accounted at the same observed limits, so the
@@ -241,8 +239,17 @@ class TestCumulativeZcdp:
 
     def test_secagg_run_scales_every_row(self, tmp_path):
         config = ExperimentConfig.from_text(SECAGG_CONFIG)
-        report = self._check_column(config, run_experiment(config, tmp_path / "secagg"))
+        result = run_experiment(config, tmp_path / "secagg")
+        report = self._check_column(config, result)
         assert report["sensitivity_scale"] != 1.0
+        # The run's one bits per update fills both files' columns.
+        bits = config.privacy_terms().secagg.bits_per_update
+        assert read_metrics(result.directory)["bits_per_update"] == [bits] * config.rounds
+        with open(result.directory / "secagg.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(int(r["round"]), int(r["bits_per_update"])) for r in rows] == [
+            (t, bits) for t in range(config.rounds)
+        ]
 
     def test_sparse_run_below_the_timer_on_both_limits(self, tmp_path):
         """At population 2000 the log attains max_part 2 and min_sep 4
@@ -499,15 +506,15 @@ class TestParticipationLogValidation:
         rows = config.rounds * config.report_goal
         (tmp_path / "config.resolved").write_text(config.canonical_text())
         log = np.array(list(harness.cohorts(config)))
-        rounds = np.repeat(np.arange(config.rounds), config.report_goal)
-        harness._write_participation(tmp_path / "participation.csv", log.ravel(), rounds)
+        harness._write_participation(tmp_path / "participation.csv", *harness._by_client(log))
         tracemalloc.start()
         try:
             report = post_hoc_report(tmp_path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        limits = observed_limits(log.ravel(), rounds, config.rounds)
+        rounds = np.repeat(np.arange(config.rounds), config.report_goal)
+        limits = reference_limits(log.ravel().tolist(), rounds.tolist(), config.rounds)
         assert (report["observed_max_part"], report["observed_min_sep"]) == limits
         assert report["observed_min_sep"] >= config.timer_rounds
         assert peak < 100 * rows
@@ -563,9 +570,10 @@ class TestStartRun:
         assert state.model.num_params == config.vocab_size**2
         assert state.data.labels.shape == (config.population, config.examples_per_client)
         assert state.eval_set.labels.shape == (1, config.eval_examples)
-        assert state.round == 0 and state.history == []
-        assert state.log.shape == (config.rounds, config.report_goal)
-        assert not hasattr(state, "next_eligible")  # the timers live in cohorts(config)
+        assert state.round == 0
+        # The timers live in cohorts(config), the log and the history in the harness's loop.
+        for name in ("next_eligible", "log", "history"):
+            assert not hasattr(state, name)
         np.testing.assert_array_equal(state.theta, state.theta0)
         assert state.clip is not None and state.active_clip == config.clip_c0
 
