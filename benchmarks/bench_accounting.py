@@ -1,5 +1,5 @@
-"""Benchmark the accountant layer: the per-round column, cold solves and
-a cold privacy sweep.
+"""Benchmark the accountant layer: the per-round column, cold solves, a
+range refusal and a cold privacy sweep.
 
 Every timing starts from an empty solver cache, so it includes building the
 DP tables the computation needs, as a fresh process would.  One more cold
@@ -47,6 +47,11 @@ WIDEST_SCHEMAS = (ParticipationSchema(8192, 4000, 3), ParticipationSchema(16384,
 # cost of the build dominates, not its arithmetic.
 TINY_SCHEMA = ParticipationSchema(1024, 1, 1024)
 
+# One participation a round over 33000 rounds (``fpsim account --rounds
+# 33000 --min-sep 1 --max-part 33000``): past the solver's int32 range, so
+# the call is the refusal.
+REFUSED_SCHEMA = ParticipationSchema(33000, 1, 33000)
+
 # The production shape of acceptance test 11: min_sep 313, at most 7
 # participations, the periodic restarts (first 128, period 1024) over 2048
 # rounds.  Its prefix column is the case where the fold's split sums run
@@ -66,6 +71,15 @@ def _sweep(out: Path) -> None:
     """The sweep of every grid in SWEEP_GRIDS, each written to ``out``."""
     for grid in SWEEP_GRIDS:
         harness.sweep_privacy(grid, out / "sweep.csv")
+
+
+def _refused(schema: ParticipationSchema) -> None:
+    """worst_case_sensitivity_sq of ``schema``, which must be refused."""
+    try:
+        accounting.worst_case_sensitivity_sq(schema)
+    except OverflowError:
+        return
+    raise AssertionError(f"{schema} was not refused")
 
 
 def _time_cold(fn, repeats: int) -> float:
@@ -115,6 +129,7 @@ def main() -> None:
             ("prefix column", COLUMN_SCHEMA),
             ("prefix, timer worst case", TIMER_SCHEMA),
             ("prefix column", PRODUCTION_SCHEMA),
+            ("prefix column", WIDEST_SCHEMAS[1]),
         )
     ) + tuple(
         (
@@ -123,7 +138,14 @@ def main() -> None:
             lambda schema=schema: accounting.worst_case_sensitivity_sq(schema),
         )
         for schema in (WIDE_SCHEMA, WIDER_SCHEMA, *WIDEST_SCHEMAS, TINY_SCHEMA, PRODUCTION_SCHEMA)
-    ) + (("sweep_privacy, test_10 grid", None, lambda: _sweep(Path(sweep_dir.name))),)
+    ) + (
+        (
+            f"range refusal, {REFUSED_SCHEMA.total_rounds} rounds",
+            REFUSED_SCHEMA,
+            lambda: _refused(REFUSED_SCHEMA),
+        ),
+        ("sweep_privacy, test_10 grid", None, lambda: _sweep(Path(sweep_dir.name))),
+    )
     print(
         f"accountant (seconds per call, best of {args.repeats}, cold solver cache; "
         "peak traced MB and cached-table MB of one more cold call)"
@@ -141,7 +163,7 @@ def main() -> None:
             shape = (schema.min_sep, schema.max_part, len(schema.restart_rounds))
         print(
             f"  {label:<36}{shape[0]:>8}{shape[1]:>9}{shape[2]:>9}"
-            f"{seconds:>10.3f}{peak / 1e6:>10.1f}{tables / 1e6:>11.3f}"
+            f"{seconds:>10.4f}{peak / 1e6:>10.1f}{tables / 1e6:>11.3f}"
         )
     sweep_dir.cleanup()
 

@@ -24,7 +24,8 @@ clients, so the peak does not grow with the report goal.  Each round row
 also counts the minor page faults per timed round (``ru_minflt``), so a
 change that makes the round's large arrays come from fresh mmaps instead
 of reused heap shows as a count.  ``participation_2048x100`` sorts a
-2048-round, 100-client log (uniform ids below 10^5) by client and writes
+2048-round, 100-client log (each round 100 distinct uniform ids below
+10^5, as a cohort holds a client once) by client and writes
 its participation.csv, as a finished run does, with the traced peak of
 the sort and the write beyond the log itself;
 ``post_hoc_report_2048x100`` is its reader, ``post_hoc_report`` on the
@@ -155,9 +156,10 @@ def _time_participation(
     record: dict, repeats: int, rounds: int = 2048, report_goal: int = 100
 ) -> None:
     """Record the best time and traced peak of sorting a log of ``rounds``
-    x ``report_goal`` uniform client ids below 10^5 by client and writing
-    its participation.csv."""
-    log = np.random.default_rng(0).integers(100_000, size=(rounds, report_goal))
+    rows of ``report_goal`` distinct uniform client ids below 10^5 by client
+    and writing its participation.csv."""
+    rng = np.random.default_rng(0)
+    log = np.stack([rng.choice(100_000, report_goal, replace=False) for _ in range(rounds)])
     name = f"participation_{rounds}x{report_goal}"
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "participation.csv"

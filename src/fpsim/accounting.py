@@ -23,8 +23,8 @@ folds the forest's trees left to right, and the fold state after each tree
 answers for the forest up to that tree.  ``prefix_sensitivity_sq`` (and
 ``prefix_zcdp`` on top of it) keeps those states on a stack, one per tree,
 and so returns the value of every prefix of a run in one pass: each new
-round pops the trees it changes and refolds only those: the same
-``tree.closing_node`` step the noise mechanism takes.
+round pops the trees its closing node replaces and folds that one tree,
+the same ``tree.closing_node`` step the noise mechanism takes.
 """
 
 from __future__ import annotations
@@ -51,9 +51,9 @@ __all__ = [
     "loose_eps",
 ]
 
-# The solver's tables and fold states mark an infeasible entry with this
-# value (see _SensitivitySolver); every negative entry is infeasible.
-_INFEASIBLE = -(1 << 30)
+# Every table and fold-state value (a sum of squared node counts) stays
+# below this, so that a table fits int32; the solver refuses the rest.
+_RANGE = 1 << 30
 
 @dataclass(frozen=True)
 class ParticipationSchema:
@@ -112,6 +112,12 @@ class ParticipationSchema:
             if n >> level & 1
         )
 
+    def sensitivity_sq_bound(self) -> int:
+        """An upper bound on worst_case_sensitivity_sq (clip units): each
+        tree node counts at most max_part participations, and each round
+        lies in at most total_rounds.bit_length() nodes."""
+        return self.max_part**2 * self.total_rounds.bit_length()
+
 
 class _SensitivitySolver:
     """Exact worst-case sensitivity via dynamic programming over subtrees.
@@ -148,31 +154,33 @@ class _SensitivitySolver:
     A forest (trees left to right, adjacent in time) is folded left to
     right: H[j][p][b] is the best total over trees 0..j with exactly p
     placements and right margin >= b (empty leaves after the last one, up
-    to the end of tree j), choosing per tree to skip it, fill it, or split
-    with the same complementary-margin coupling across tree boundaries.
-    The fold state is int64, one row per p, non-increasing in b, an entry
-    >= 0 feasible and an infeasible one exactly ``_INFEASIBLE`` = -2^30.
-    A sum with a sentinel stays negative while every state value is below
-    2^30, which ``_best`` checks, so every sum is exact.  The fold state
-    after each tree is a complete answer for the forest so far, which is
-    what lets ``prefix_sensitivity_sq`` keep one state per tree and refold
-    only the trees a new round changes.
+    to the end of tree j).  H[j][p] is non-increasing in b, so a fold
+    state is step ends too: flat (rows, ends, values), sorted by p, then
+    by end, its margin axis stopping at min_sep - 1, where an end covers
+    every larger margin (no split asks for more).  The new state is the
+    ``_envelope`` (the routine that also builds the tables) of candidates
+    from each old entry (p, b, v):
+
+      skip the tree    (p, min(b + 2^k, min_sep - 1), v);
+      q placements     after u = min_sep - 1 - b empty leaves, the fewest
+                       b allows and the best, as tables are non-increasing
+                       in u: F[k][q] row u's step ends (its right margins,
+                       by symmetry) lifted by v, at row p + q; for q = 1
+                       the closed form (2^k - 1 - u, k + 1) if u < 2^k.
+
+    Every value is an exact int64 total of some pattern, so the forest's
+    answer is the state's largest value, and the fold refuses 2^30.  The
+    state after each tree answers for the forest so far, which lets
+    ``prefix_sensitivity_sq`` keep one state per tree and fold one tree a
+    round.
     """
 
     def __init__(self, min_sep: int, width: int) -> None:
         self.min_sep = min_sep
         self.width = width
         self._levels: list[_StepRows] = []
-
-    def empty_state(self, total_rounds: int) -> np.ndarray:
-        """Fold state of an empty forest, for forests of at most total_rounds.
-
-        The fold's right-margin axis stops at min(min_sep, total_rounds + 1):
-        requirements beyond min_sep - 1 never arise, and past total_rounds
-        every requirement is equally infeasible, so ``fold`` reads the last
-        entry for any larger one.
-        """
-        return np.zeros((1, min(self.min_sep, total_rounds + 1)), dtype=np.int64)
+        # The fold state of no trees: no placement, at any right margin.
+        self.empty = (np.zeros(1, np.int64), np.full(1, min_sep - 1), np.zeros(1, np.int64))
 
     def capacity(self, k: int) -> int:
         """Most participations 2^k adjacent rounds can hold at this min_sep."""
@@ -223,80 +231,62 @@ class _SensitivitySolver:
             rows = np.concatenate([left_row, right_row, pair[cand[lifted]]])
             values = np.concatenate([left_value, right_value, lift[lifted] + split_value])
             values = values + p[rows] ** 2  # int64, so an overflow shows
-            if values.size and values.max() >= -_INFEASIBLE:
+            if values.size and values.max() >= _RANGE:
                 worst = p[rows[values.argmax()]]
                 raise OverflowError(f"table F[{k}][{worst}] exceeds the int32 range, 2^30")
             ends = np.concatenate([np.minimum(left_end + half, width - 1), right_end, split_end])
             parts.append(_StepRows.upper(chunk.size, width, rows, ends, values))
         return _StepRows.concat(parts)
 
-    def fold(self, state: np.ndarray, k: int, end: int, max_part: int) -> np.ndarray:
+    def fold(self, state: tuple, k: int, end: int, max_part: int) -> tuple:
         """Fold one tree of 2^k leaves, ending at round ``end``, onto the
-        state of the trees before it.
-
-        ``state[p]`` is H[p] over the right-margin requirement; p past the
-        last row is infeasible.  The new state stops at the most
+        state of the trees before it.  The new state stops at the most
         participations rounds [0, end) can hold, capped at ``max_part``.
-        The tree fits the margin axis, sized by _solver_for for the tallest.
-        """
-        size = 1 << k
-        count, length = state.shape
-        margins = np.arange(length)
-        new_cap = min(max_part, 1 + (end - 1) // self.min_sep)
-        # With u < u_count = min(min_sep, size) empty leaves before this tree's
-        # first placement, the earlier trees need right margin min_sep - 1 - u.
-        complement = np.minimum(self.min_sep - 1 - np.arange(min(self.min_sep, size)), length - 1)
-        rest = state[:, complement]
-        # inside[p, b]: the best total with p placements, at least one of
-        # them in this tree, and right margin b in it (by table row b; the
-        # tree-side column u is its left margin, by symmetry of the tables).
-        inside = np.full((new_cap + 1, self.width), _INFEASIBLE, dtype=np.int64)
-        # One placement here and p - 1 before (none for p = 1: rest[0] is 0).
-        top = min(new_cap, count)
-        inside[1 : top + 1] = _one_placement(rest[:top], k, self.width)
-        q_top = min(self.capacity(k), new_cap)
+        The tree is no taller than the one _solver_for sized the tables for."""
+        rows, ends, values = state
+        size, top = 1 << k, self.min_sep - 1
+        cap = min(max_part, 1 + (end - 1) // self.min_sep)
+        u = top - ends
+        one = (u < size) & (rows < cap)
+        new = self._merge(
+            (rows, np.minimum(ends + size, top), values),
+            (rows[one] + 1, np.minimum(size - 1 - u[one], top), values[one] + k + 1),
+        )
+        q_top = min(self.capacity(k), cap)
+        if q_top < 2:
+            return new
+        # Tables exist only where 2^k > min_sep, so width is min_sep and every
+        # u is a row.  F[k][q] is at row (q - 2) * width + u.  The (entry, q)
+        # pairs are merged in chunks, so memory stays flat in max_part.
         tables = self._level(k, q_top)
-        for q in range(2, q_top + 1):
-            # q here and r = 0 .. r_top before: inside[q + r, b] is the max
-            # over u of F[k][q][b, u] + rest[r, u] (every u < width <= u_count).
-            rows, u, value = tables.entries(np.arange((q - 2) * self.width, (q - 1) * self.width))
-            r_top = min(count - 1, new_cap - q)
-            _step_end_maxplus(rows, value, u, rest[: r_top + 1].T, inside[q : q + r_top + 1].T)
-        # Margins past width - 1 read the last row.
-        new_state = inside[:, np.minimum(margins, self.width - 1)]
-        # This tree left empty: the earlier placements' margin shrinks by size.
-        kept = min(count, new_cap + 1)
-        skipped = np.maximum(margins - size, 0)
-        np.maximum(new_state[:kept], state[:kept, skipped], out=new_state[:kept])
-        new_state[new_state < 0] = _INFEASIBLE
-        return new_state
+        step = max(1, _CHUNK_SPLITS // rows.size)
+        for q_lo in range(2, q_top + 1, step):
+            qs = np.arange(q_lo, min(q_lo + step, q_top + 1))
+            entry, column = np.nonzero(rows[:, None] + qs <= cap)
+            q = qs[column]
+            owner, table_end, table_value = tables.entries((q - 2) * self.width + u[entry])
+            entry = entry[owner]
+            new = self._merge(new, (rows[entry] + q[owner], table_end, values[entry] + table_value))
+        return new
+
+    def _merge(self, *parts: tuple) -> tuple:
+        """The fold state that is the _envelope of the candidate sets
+        ``parts``; a value of 2^30 or more is refused."""
+        rows, ends, values = (np.concatenate(column) for column in zip(*parts))
+        if values.max() >= _RANGE:
+            raise OverflowError("worst-case sensitivity^2 exceeds the int32 range, 2^30")
+        return _envelope(rows, ends, values, self.min_sep)
 
     def solve(self, tree_levels: tuple[int, ...], max_part: int) -> float:
-        state = self.empty_state(sum(1 << k for k in tree_levels))
-        end = 0
+        state, end = self.empty, 0
         for k in tree_levels:
             end += 1 << k
             state = self.fold(state, k, end, max_part)
-        return _best(state)
+        return float(state[2].max())
 
 
-def _one_placement(rest: np.ndarray, k: int, width: int) -> np.ndarray:
-    """max over u of F[k][1][b, u] + rest[j, u], for each row j of the int64
-    ``rest`` and each table row b < width.
-
-    F[k][1][b, u] is k + 1 where b + u <= 2^k - 1, so the max is k + 1 plus
-    a running max of rest up to u = 2^k - 1 - b, since adding a constant
-    commutes with max.  Rows b >= 2^k, and rows whose running max is
-    infeasible, come out negative while rest stays below 2^30.
-    """
-    size = 1 << k
-    rows = np.arange(width)
-    single = np.where(rows < size, k + 1, _INFEASIBLE)
-    reach = np.clip(size - 1 - rows, 0, rest.shape[1] - 1)
-    return np.maximum.accumulate(rest, axis=1)[:, reach] + single
-
-
-# (row, split) pairs per chunk of the table build; in-half terms count as one.
+# (row, split) pairs per chunk of the table build, in-half terms counting as
+# one, and (state entry, q) pairs per chunk of the fold.
 _CHUNK_SPLITS = 1 << 14
 
 
@@ -316,23 +306,10 @@ class _StepRows(NamedTuple):
     def upper(
         cls, n_rows: int, width: int, rows: np.ndarray, ends: np.ndarray, values: np.ndarray
     ) -> _StepRows:
-        """Rows 0 .. n_rows - 1 whose row r at column b is the largest
-        values[j] with rows[j] == r and ends[j] >= b (infeasible if none):
-        read from the right, it steps up at each end that passes every value
-        right of it, and those are its step ends."""
-        key = rows * width + ends
-        order = np.argsort(key)[::-1]  # by row, then by end, from the last
-        key, values = key[order], values[order]
-        group = np.flatnonzero(np.diff(key, prepend=-1))  # one (row, end) each
-        best = np.maximum.reduceat(values, group) if key.size else values
-        key = key[group]
-        # Lifted above the rows before it in this order, a row's running max
-        # is the max of its values at or right of each end.
-        lift = (n_rows - key // width) << 32
-        running = np.maximum.accumulate(best + lift)
-        steps = np.flatnonzero(np.diff(running, prepend=-1))[::-1]
-        offsets = np.cumsum(np.bincount(key[steps] // width + 1, minlength=n_rows + 1))
-        return cls(offsets, (key[steps] % width).astype(np.int32), best[steps].astype(np.int32))
+        """Rows 0 .. n_rows - 1 of the _envelope of (rows, ends, values)."""
+        row, end, value = _envelope(rows, ends, values, width)
+        offsets = np.cumsum(np.bincount(row + 1, minlength=n_rows + 1))
+        return cls(offsets, end.astype(np.int32), value.astype(np.int32))
 
     @classmethod
     def concat(cls, parts: list[_StepRows]) -> _StepRows:
@@ -360,45 +337,67 @@ def _ragged(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndar
     return owner, starts[owner] + (np.arange(owner.size) - first[owner])
 
 
-# Cells of right rows gathered per chunk by _step_end_maxplus: 2 MB of int64.
-_CANDIDATE_CELLS = 1 << 18
+def _envelope(
+    rows: np.ndarray, ends: np.ndarray, values: np.ndarray, width: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The step ends of the rows whose row r at column b < width is the
+    largest values[j] with rows[j] == r and ends[j] >= b (infeasible if
+    none), as (rows, ends, values) sorted by row, then by end: read from
+    the right, a row steps up at each end that passes every value right
+    of it.  Values lie in [0, 2^32)."""
+    key = rows * width + ends
+    order = np.argsort(key)[::-1]  # by row, then by end, from the last
+    key, values = key[order], values[order]
+    group = _changes(key)  # one (row, end) each
+    best = np.maximum.reduceat(values, group) if key.size else values
+    row, end = np.divmod(key[group], width)
+    # Lifted above the rows after it in this order, a row's running max
+    # is the max of its values at or right of each end.
+    running = np.maximum.accumulate(best + ((row[:1] + 1 - row) << 32))
+    steps = _changes(running)[::-1]
+    return row[steps], end[steps], best[steps]
 
 
-def _step_end_maxplus(
-    rows: np.ndarray, weights: np.ndarray, sources: np.ndarray, right: np.ndarray, out: np.ndarray
-) -> None:
-    """out[rows[j]] = max(out[rows[j]], weights[j] + right[sources[j]]) for
-    every j (``rows`` non-decreasing), in chunks of _CANDIDATE_CELLS cells:
-    for the step ends (a, left[a, u], u) of a left side non-increasing in u
-    and every right column non-decreasing, the max-plus product out[a, b] =
-    max over u of left[a, u] + right[u, b], as the last u of each run of
-    equal left[a, u] attains its max.  Negative entries stay infeasible.
-    """
-    step = max(1, _CANDIDATE_CELLS // out.shape[1])
-    for lo in range(0, rows.size, step):
-        block = right[sources[lo : lo + step]]
-        block += weights[lo : lo + step, None]
-        chunk_rows = rows[lo : lo + step]
-        starts = np.flatnonzero(np.diff(chunk_rows, prepend=-1))
-        targets = chunk_rows[starts]
-        reduced = np.maximum.reduceat(block, starts, axis=0)
-        out[targets] = np.maximum(out[targets], reduced, out=reduced)
+def _changes(a: np.ndarray) -> np.ndarray:
+    """The indices where ``a`` differs from the entry before, 0 included."""
+    changed = np.empty(a.size, dtype=bool)
+    changed[:1] = True
+    np.not_equal(a[1:], a[:-1], out=changed[1:])
+    return changed.nonzero()[0]
 
 
-def _best(state: np.ndarray) -> float:
-    """Forest answer from a fold state: the best p at right margin 0."""
-    value = int(state[:, 0].max())
-    if value >= -_INFEASIBLE:
-        # Past 2^30 a table sentinel plus a state value could read as
-        # feasible in the fold.
-        raise OverflowError("worst-case sensitivity^2 exceeds the fold's range, 2^30")
-    return float(value)
+def _spread_sensitivity_sq(schema: ParticipationSchema) -> int:
+    """sensitivity^2 of the allowed pattern of max_part rounds 0, min_sep,
+    2 min_sep, ...: a lower bound on the worst case, in closed form.  The
+    level-l nodes of a segment of n rounds tile its first n >> l << l
+    rounds, and a node [s, e) holds min(ceil(e / min_sep), max_part) -
+    min(ceil(s / min_sep), max_part) of the pattern's rounds."""
+    lengths = np.array(schema.segment_lengths())
+    firsts = np.cumsum(lengths) - lengths
+    total = 0
+    for level in range(int(lengths.max()).bit_length()):
+        owner, index = _ragged(np.zeros_like(lengths), lengths >> level)
+        starts = firsts[owner] + (index << level)
+        edges = np.stack([starts, starts + (1 << level)])
+        held = np.minimum(-(-edges // schema.min_sep), schema.max_part)
+        counts = held[1] - held[0]
+        total += int(counts @ counts)
+    return total
 
 
 _SOLVER_CACHE: dict[tuple[int, int], _SensitivitySolver] = {}
 
 
 def _solver_for(schema: ParticipationSchema) -> _SensitivitySolver:
+    """The cached solver for ``schema``.  Where the loose bound reaches
+    2^30, a schema whose spread pattern already does is refused at once,
+    before any table is built."""
+    bound = schema.sensitivity_sq_bound()
+    if bound >= _RANGE and (spread := _spread_sensitivity_sq(schema)) >= _RANGE:
+        raise OverflowError(
+            f"worst-case sensitivity^2 exceeds the int32 range, 2^30: participating "
+            f"every {schema.min_sep} rounds from round 0 already gives {spread}"
+        )
     max_level = max(schema.tree_levels(), default=0)
     key = (schema.min_sep, min(schema.min_sep, (1 << max_level) + 1))
     solver = _SOLVER_CACHE.get(key)
@@ -427,13 +426,12 @@ def prefix_sensitivity_sq(schema: ParticipationSchema) -> list[float]:
     n - 1 rounds to n replaces the open segment's trees below the node its
     new length closes (``tree.closing_node``) by that one tree, so the fold
     state after each tree of the prefix is kept on a stack: each round pops
-    the replaced trees and folds the new one, about two tree folds per
-    round amortised.
+    the replaced trees and folds the new one: one fold per round.
     """
     solver = _solver_for(schema)
     restarts = set(schema.restart_rounds)
-    stack: list[tuple[int, np.ndarray]] = []  # (level, state after it)
-    segment_start = segment_base = 0
+    stack = [(-1, solver.empty)]  # (level, state after it), over no trees
+    segment_start, segment_base = 0, 1
     values = []
     for n in range(1, schema.total_rounds + 1):
         if n - 1 in restarts:
@@ -441,10 +439,9 @@ def prefix_sensitivity_sq(schema: ParticipationSchema) -> list[float]:
         level, _ = closing_node(n - segment_start)
         while len(stack) > segment_base and stack[-1][0] < level:
             stack.pop()
-        state = stack[-1][1] if stack else solver.empty_state(schema.total_rounds)
-        state = solver.fold(state, level, n, schema.max_part)
+        state = solver.fold(stack[-1][1], level, n, schema.max_part)
         stack.append((level, state))
-        values.append(_best(state))
+        values.append(float(state[2].max()))
     return values
 
 

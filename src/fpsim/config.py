@@ -167,13 +167,6 @@ def _from_mapping(config_cls: type, mapping: dict[str, str]) -> Any:
     return config_cls(**kwargs)
 
 
-def _sensitivity_sq_bound(total_rounds: int, max_part: int) -> int:
-    """An upper bound on the accountant's worst-case sensitivity^2 (clip
-    units): each tree node counts at most max_part participations, and each
-    round lies in at most total_rounds.bit_length() nodes."""
-    return max_part**2 * total_rounds.bit_length()
-
-
 @dataclass(frozen=True)
 class PrivacyTerms:
     """A run's privacy quantities, derived once from its config
@@ -329,7 +322,7 @@ class ExperimentConfig:
         if z_equiv > 0:
             # The run's rho is gaussian_zcdp of its sensitivity^2, at most
             # this bound, so the bound's rho is at least every run's rho.
-            bound = _sensitivity_sq_bound(self.rounds, timer_schema.max_part)
+            bound = timer_schema.sensitivity_sq_bound()
             try:
                 rho_bound = gaussian_zcdp(bound, z_equiv, scale)
             except OverflowError:

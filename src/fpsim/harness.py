@@ -34,7 +34,7 @@ import numpy as np
 
 from fpsim import accounting
 from fpsim.accounting import ParticipationSchema, PrivacyLedger
-from fpsim.config import ExperimentConfig, SweepConfig, _sensitivity_sq_bound
+from fpsim.config import ExperimentConfig, SweepConfig
 from fpsim.data import synthesize_clients, synthesize_eval_set
 from fpsim.federation import RoundMetrics, RunState, check_exhaustion, run_round, select_cohort
 from fpsim.models import NextTokenBOW
@@ -181,8 +181,9 @@ def start_run(config: ExperimentConfig) -> RunState:
     check_exhaustion(config)
     terms = config.privacy_terms()
     schema = terms.timer_schema
-    if terms.z_equiv > 0 and _sensitivity_sq_bound(config.rounds, schema.max_part) >= 1 << 30:
-        # The bound is loose, so solve: no run's accounted schema exceeds the timer's.
+    if terms.z_equiv > 0 and schema.sensitivity_sq_bound() >= 1 << 30:
+        # The bound is loose, so solve (or refuse at once where one allowed
+        # pattern passes the range): no run's accounted schema exceeds the timer's.
         accounting.worst_case_sensitivity_sq(schema)
     model = NextTokenBOW(vocab_size=config.vocab_size, window=config.window)
     if config.warm_start:

@@ -7,16 +7,17 @@ import math
 
 import numpy as np
 
-from fpsim.accounting import (
-    _INFEASIBLE,
-    ParticipationSchema,
-    _StepRows,
-    loose_eps,
-)
+from fpsim.accounting import ParticipationSchema, _StepRows, loose_eps
 from fpsim.secagg import ROUNDING_NORM_ALPHA, SecAggConfig
 from fpsim.seeds import SeedPath, gaussian_vector
 from fpsim.tree import _node_seed
 from fpsim._kernels import stochastic_round
+
+
+# The dense tables and fold states below mark an infeasible entry with this
+# value; a sum with it stays negative while every feasible value is below
+# 2^30, and every negative entry is infeasible.
+INFEASIBLE = -(1 << 30)
 
 
 def clip_l2(v: np.ndarray, clip_norm: float) -> np.ndarray:
@@ -478,10 +479,10 @@ class ReferenceTables:
         margins = np.arange(self.width)
         if p == 1:
             feasible = margins[:, None] + margins[None, :] <= (1 << k) - 1
-            return np.where(feasible, k + 1, _INFEASIBLE).astype(np.int32)
+            return np.where(feasible, k + 1, INFEASIBLE).astype(np.int32)
         half = 1 << (k - 1)
         half_cap = self.capacity(k - 1)
-        table = np.full((self.width, self.width), _INFEASIBLE, dtype=np.int64)
+        table = np.full((self.width, self.width), INFEASIBLE, dtype=np.int64)
         if p <= half_cap:
             shifted = np.maximum(margins - half, 0)
             same = self.table(k - 1, p)
@@ -492,20 +493,55 @@ class ReferenceTables:
             left = self.table(k - 1, i)[:, :u_count].astype(np.int64)
             right = self.table(k - 1, p - i)[complement, :]
             table = np.maximum(table, (left[:, :, None] + right[None, :, :]).max(axis=1))
-        return np.where(table < 0, _INFEASIBLE, table + p * p).astype(np.int32)
+        return np.where(table < 0, INFEASIBLE, table + p * p).astype(np.int32)
 
 
 def dense_step_rows(rows: _StepRows, width: int) -> np.ndarray:
     """Every row of a step-row store as a dense (rows, width) int32 array,
     entry by entry: each value fills the columns after the previous end
     through its own end, and the sentinel fills the columns after the last."""
-    dense = np.full((rows.offsets.size - 1, width), _INFEASIBLE, dtype=np.int32)
+    dense = np.full((rows.offsets.size - 1, width), INFEASIBLE, dtype=np.int32)
     for r in range(dense.shape[0]):
         start = 0
         for j in range(rows.offsets[r], rows.offsets[r + 1]):
             dense[r, start : rows.ends[j] + 1] = rows.values[j]
             start = rows.ends[j] + 1
     return dense
+
+
+def dense_fold(
+    tables: ReferenceTables, state: np.ndarray, k: int, end: int, max_part: int
+) -> np.ndarray:
+    """The fold of accounting._SensitivitySolver on dense states: one tree
+    of 2^k leaves, ending at round ``end``, onto ``state``.
+
+    ``state[p, b]`` is the best total with exactly p placements and right
+    margin >= b, over b < length = min(min_sep, total_rounds + 1), with the
+    sentinel where infeasible; a margin past length - 1 reads column
+    length - 1.  The state of no trees is zeros((1, length)).  The new
+    state has a row for each p up to the most participations rounds
+    [0, end) can hold, capped at ``max_part``: each p either skips the tree
+    (the earlier right margin grows by 2^k) or puts q >= 1 placements in
+    it after u empty leaves, max over u of F[k][q][b, u] + state[p - q,
+    min_sep - 1 - u], every u < min(min_sep, 2^k) tried.
+    """
+    size = 1 << k
+    count, length = state.shape
+    min_sep, width = tables.min_sep, tables.width
+    cap = min(max_part, 1 + (end - 1) // min_sep)
+    u = np.arange(min(min_sep, size))
+    rest = state[:, np.minimum(min_sep - 1 - u, length - 1)].astype(np.int64)
+    inside = np.full((cap + 1, width), INFEASIBLE, dtype=np.int64)
+    for q in range(1, min(tables.capacity(k), cap) + 1):
+        table = tables.table(k, q)[:, : u.size].astype(np.int64)
+        for r in range(min(count, cap - q + 1)):
+            best = (table + rest[r]).max(axis=1)
+            inside[q + r] = np.maximum(inside[q + r], best)
+    margins = np.arange(length)
+    new = inside[:, np.minimum(margins, width - 1)]
+    kept = min(count, cap + 1)
+    new[:kept] = np.maximum(new[:kept], state[:kept, np.maximum(margins - size, 0)])
+    return np.where(new < 0, INFEASIBLE, new)
 
 
 def naive_private_sum(

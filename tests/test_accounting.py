@@ -14,9 +14,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from fpsim import (
     ParticipationSchema,
@@ -34,14 +33,12 @@ from fpsim import (
 )
 from fpsim.harness import SWEEP_COLUMNS
 from fpsim import accounting
-from fpsim.accounting import (
-    _solver_for,
-    _step_end_maxplus,
-    _StepRows,
-)
+from fpsim.accounting import _solver_for, _StepRows
 from oracles import (
+    INFEASIBLE,
     ReferenceTables,
     brute_force_sensitivity_sq,
+    dense_fold,
     dense_step_rows,
     pattern_sensitivity_sq,
     reference_zcdp_to_delta,
@@ -53,6 +50,19 @@ def _schema(t, min_sep=1, max_part=None, restarts=()):
     if max_part is None:
         max_part = math.ceil(t / min_sep)
     return ParticipationSchema(t, min_sep, max_part, restarts)
+
+
+@st.composite
+def _schemas(draw, max_rounds, max_sep, max_part):
+    """Random schemas; restarts may fall past the horizon (they never fire)."""
+    total_rounds = draw(st.integers(1, max_rounds))
+    restarts = draw(st.sets(st.integers(1, max_rounds + 20), max_size=3))
+    return ParticipationSchema(
+        total_rounds,
+        draw(st.integers(1, max_sep)),
+        draw(st.integers(1, max_part)),
+        tuple(sorted(restarts)),
+    )
 
 
 class TestBruteForce:
@@ -159,21 +169,47 @@ class TestSolverExactness:
         assert peak < 10_000_000
 
     def test_values_past_the_int32_range_are_refused(self):
-        """With the sentinel lowered to -64, a table value or a forest
-        total of 64 or more raises instead of being read wrongly."""
+        """With the range lowered to 64, a spread pattern, a table value or
+        a forest total of 64 or more raises instead of being read wrongly."""
         accounting._SOLVER_CACHE.clear()
         try:
-            with mock.patch.object(accounting, "_INFEASIBLE", -(1 << 6)):
+            with mock.patch.object(accounting, "_RANGE", 1 << 6):
+                # Every one of 16 rounds gives 16 * (1 + 2 + 4 + 8 + 16), and
+                # the bound 16^2 * 5 passes 64: refused before any table.
+                with pytest.raises(OverflowError, match="already gives 496$"):
+                    worst_case_sensitivity_sq(ParticipationSchema(16, 1, 16))
+                assert not accounting._SOLVER_CACHE
                 # F[3][8] at min_sep 1 is 8 * 15 = 120.
                 with pytest.raises(OverflowError, match="table F"):
-                    worst_case_sensitivity_sq(ParticipationSchema(16, 1, 16))
-                accounting._SOLVER_CACHE.clear()
-                # Four 4-round segments: each tree is 28, the forest 112.
-                with pytest.raises(OverflowError, match="worst-case"):
-                    worst_case_sensitivity_sq(ParticipationSchema(16, 1, 16, (4, 8, 12)))
+                    accounting._SensitivitySolver(1, 1).solve((4,), 16)
+                # Four 4-round trees: each is 28, the forest 112.
+                with pytest.raises(OverflowError, match="worst-case .* 2\\^30$"):
+                    accounting._SensitivitySolver(1, 1).solve((2, 2, 2, 2), 16)
         finally:
             accounting._SOLVER_CACHE.clear()
         assert worst_case_sensitivity_sq(ParticipationSchema(16, 1, 16, (4, 8, 12))) == 112.0
+
+    def test_refuses_past_the_range_before_building(self):
+        """33000 rounds at min_sep 1: one participation a round already
+        gives 2147493784 >= 2^30, so the column and the solve are refused
+        before any table is built."""
+        accounting._SOLVER_CACHE.clear()
+        schema = ParticipationSchema(33000, 1, 33000)
+        for call in (worst_case_sensitivity_sq, prefix_sensitivity_sq):
+            with pytest.raises(OverflowError, match="int32 range, 2\\^30: .* 2147493784$"):
+                call(schema)
+        assert not accounting._SOLVER_CACHE
+
+    @settings(max_examples=100, deadline=None)
+    @given(_schemas(max_rounds=200, max_sep=45, max_part=12))
+    def test_spread_pattern_bounds_the_worst_case(self, schema):
+        """The closed-form lower bound is the sensitivity^2 of the pattern
+        0, min_sep, 2 min_sep, ... (max_part rounds), and at most the worst
+        case."""
+        rounds = tuple(range(0, schema.min_sep * schema.max_part, schema.min_sep))
+        spread = accounting._spread_sensitivity_sq(schema)
+        assert spread == pattern_sensitivity_sq(schema, rounds)
+        assert spread <= worst_case_sensitivity_sq(schema)
 
     def test_restart_splits_the_horizon(self):
         """With a restart, patterns confined to one segment accumulate only
@@ -182,60 +218,6 @@ class TestSolverExactness:
         split = worst_case_sensitivity_sq(_schema(16, max_part=1, restarts=(8,)))
         assert whole == 5.0  # 16-round tree: depth 4 path -> 5 nodes
         assert split == 4.0  # best segment is an 8-round tree: 4 nodes
-
-
-_STEPS = st.sampled_from([0, 0, 0, 1, 3, 250])
-_INFEASIBLE = accounting._INFEASIBLE
-_TOP = (1 << 30) - 1  # the largest value a table may store
-
-
-def _feasible_or_sentinel(values):
-    """Map every negative (infeasible) entry to the sentinel, as int32."""
-    return np.where(values < 0, _INFEASIBLE, values).astype(np.int32)
-
-
-@st.composite
-def _monotone_stacks(draw):
-    """(left, right, out) stacks with every left row non-increasing and
-    every right column non-decreasing along the shared axis u: random
-    integer steps (many zero, so ties) from a base that is 0, small, or at
-    the top of the stored range (left rows floored at the feasible 0), a
-    sentinel tail on left rows and a sentinel head on right columns, 1-4
-    stacked splits, sides 1-40.  All int32 as in the table build, or, as
-    in the fold, one split with an int64 right side and ``out`` an int64
-    transposed view."""
-    splits = draw(st.integers(1, 4))
-    rows, inner, cols = (draw(st.integers(1, 40)) for _ in range(3))
-    u = np.arange(inner)
-    left_top = draw(st.sampled_from([0, 300, 10_000, _TOP]))
-    left_steps = draw(arrays(np.int64, (splits, rows, inner), elements=_STEPS))
-    left_ends = draw(arrays(np.int64, (splits, rows, 1), elements=st.integers(0, inner)))
-    left_values = np.maximum(left_top - np.cumsum(left_steps, axis=2), 0)
-    left = np.where(u < left_ends, left_values, _INFEASIBLE)
-    right_base = draw(st.sampled_from([0, _TOP - 250 * 40]))
-    right_steps = draw(arrays(np.int64, (splits, inner, cols), elements=_STEPS))
-    right_starts = draw(arrays(np.int64, (splits, 1, cols), elements=st.integers(0, inner)))
-    right = np.where(
-        u[:, None] >= right_starts, right_base + np.cumsum(right_steps, axis=1), _INFEASIBLE
-    )
-    out = draw(
-        arrays(np.int64, (rows, cols), elements=st.sampled_from([_INFEASIBLE, 0, 9_500, _TOP]))
-    )
-    if draw(st.booleans()):  # the fold's call shape
-        return left[:1].astype(np.int32), right[:1], out.T.copy().T
-    return left.astype(np.int32), right.astype(np.int32), out.astype(np.int32)
-
-
-def _step_ends(left):
-    """A (splits, rows, inner) left stack in the step-end form the fold
-    reads from a table: per row a and split i, (u, left[i, a, u]) at the
-    last u of each run of equal feasible values, row a by row a.  Returned
-    as _step_end_maxplus's (row a, weight, right source i * inner + u)."""
-    splits, rows, inner = left.shape
-    a, i, u = np.nonzero(left.transpose(1, 0, 2) >= 0)
-    store = _StepRows.upper(rows * splits, inner, a * splits + i, u, left[i, a, u].astype(np.int64))
-    row, end, value = store.entries(np.arange(rows * splits))
-    return row // splits, value, row % splits * inner + end
 
 
 def _tables(solver):
@@ -248,29 +230,8 @@ def _tables(solver):
 
 
 class TestStepEndMaxplus:
-    """Tables are kept as the step ends of their rows, and the fold's
-    max-plus reads only those; the product must equal the dense one bit for
-    bit, every infeasible (negative) entry read as the sentinel, and every
-    table must equal the dense build."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(_monotone_stacks())
-    def test_matches_dense_maxplus(self, case):
-        left, right, out = case
-        wide = left[:, :, :, None].astype(np.int64) + right[:, None, :, :]
-        expected = _feasible_or_sentinel(np.maximum(out, wide.max(axis=(0, 2))))
-        chunked = out.copy(order="K")  # a transposed view stays one
-        dtype = out.dtype
-        rows, weights, sources = _step_ends(left)
-        flat_right = right.reshape(-1, right.shape[2])
-        _step_end_maxplus(rows, weights, sources, flat_right, out)
-        assert out.dtype == dtype
-        assert _feasible_or_sentinel(out).tobytes() == expected.tobytes()
-        # Chunks of a few candidate rows split one row's candidates across
-        # chunks; the result must not change.
-        with mock.patch.object(accounting, "_CANDIDATE_CELLS", 3 * right.shape[2]):
-            _step_end_maxplus(rows, weights, sources, flat_right, chunked)
-        assert _feasible_or_sentinel(chunked).tobytes() == expected.tobytes()
+    """Tables are kept as the step ends of their rows, and the build and
+    the fold read only those; every table must equal the dense build."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -317,7 +278,7 @@ class TestStepEndMaxplus:
             assert table.dtype == np.int32, key
             assert np.all(table[1:, :] <= table[:-1, :]), key
             assert np.all(table[:, 1:] <= table[:, :-1]), key
-            assert np.all((table >= 0) | (table == _INFEASIBLE)), key
+            assert np.all((table >= 0) | (table == INFEASIBLE)), key
             assert (table >= 0).any(), key
         # Only step ends are stored: int32 values >= 0, and within a row
         # ends rising and values falling from entry to entry.
@@ -329,49 +290,48 @@ class TestStepEndMaxplus:
             assert np.all(np.diff(level.ends)[same_row] > 0)
             assert np.all(np.diff(level.values)[same_row] < 0)
 
+
+def _densify(state, n_rows, length):
+    """A step-end fold state as an (n_rows, length) int64 array with the
+    reference's sentinel; an end past length - 1 fills the row."""
+    rows, ends, values = state
+    offsets = np.cumsum(np.bincount(rows + 1, minlength=n_rows + 1))
+    return dense_step_rows(_StepRows(offsets, ends, values), length).astype(np.int64)
+
+
+class TestStepEndFold:
+    """The fold keeps its states as step ends: each state, densified, must
+    equal the dense reference fold's, and the forest's answer is the
+    largest state value."""
+
     @settings(max_examples=150, deadline=None)
-    @given(
-        k=st.integers(0, 6),
-        extra_rows=st.integers(0, 4),
-        data=st.data(),
-    )
-    def test_one_placement_matches_dense(self, k, extra_rows, data):
-        """The fold's closed-form q = 1 term equals the dense max over u of
-        the p = 1 table plus rest, bit for bit, on any int64 rest (sentinel
-        entries included, not necessarily monotone), every negative entry
-        read as the sentinel."""
-        size = 1 << k
-        width = data.draw(st.integers(1, size + extra_rows))
-        u_count = data.draw(st.integers(1, size))
-        count = data.draw(st.integers(1, 5))
-        rest = data.draw(
-            arrays(
-                np.int64,
-                (count, u_count),
-                elements=st.one_of(st.just(_INFEASIBLE), st.integers(0, _TOP - k - 1)),
-            )
-        )
-        b = np.arange(width)[:, None]
-        u = np.arange(u_count)[None, :]
-        single = np.where(b + u <= size - 1, k + 1, _INFEASIBLE)
-        dense = (single[None, :, :] + rest[:, None, :]).max(axis=2)
-        closed = accounting._one_placement(rest, k, width)
-        assert closed.dtype == np.int64
-        assert closed.shape == dense.shape
-        assert _feasible_or_sentinel(closed).tobytes() == _feasible_or_sentinel(dense).tobytes()
-
-
-@st.composite
-def _schemas(draw, max_rounds, max_sep, max_part):
-    """Random schemas; restarts may fall past the horizon (they never fire)."""
-    total_rounds = draw(st.integers(1, max_rounds))
-    restarts = draw(st.sets(st.integers(1, max_rounds + 20), max_size=3))
-    return ParticipationSchema(
-        total_rounds,
-        draw(st.integers(1, max_sep)),
-        draw(st.integers(1, max_part)),
-        tuple(sorted(restarts)),
-    )
+    @given(schema=_schemas(max_rounds=48, max_sep=60, max_part=12), chunked=st.booleans())
+    # width = tallest + 1 < min_sep
+    @example(schema=ParticipationSchema(24, 20, 2, (16,)), chunked=False)
+    # T + 1 < min_sep: row 0 ends past length - 1
+    @example(schema=ParticipationSchema(10, 40, 1), chunked=False)
+    # max_part caps a tree's capacity
+    @example(schema=ParticipationSchema(48, 3, 5, (32,)), chunked=True)
+    def test_states_match_the_dense_fold(self, schema, chunked):
+        """Also with the fold's (entry, q) pairs merged one at a time."""
+        solver = _solver_for(schema)
+        reference = ReferenceTables(solver.min_sep, solver.width)
+        state, end = solver.empty, 0
+        dense = np.zeros((1, min(schema.min_sep, schema.total_rounds + 1)), dtype=np.int64)
+        for k in schema.tree_levels():
+            end += 1 << k
+            chunk = 1 if chunked else accounting._CHUNK_SPLITS
+            with mock.patch.object(accounting, "_CHUNK_SPLITS", chunk):
+                state = solver.fold(state, k, end, schema.max_part)
+            dense = dense_fold(reference, dense, k, end, schema.max_part)
+            rows, ends, values = state
+            # Sorted by p, then by end; within a row ends rise and values fall.
+            same_row = rows[1:] == rows[:-1]
+            assert np.all(np.diff(rows) >= 0) and np.all(values >= 0)
+            assert np.all(np.diff(ends)[same_row] > 0)
+            assert np.all(np.diff(values)[same_row] < 0)
+            assert _densify(state, *dense.shape).tobytes() == dense.tobytes(), end
+        assert worst_case_sensitivity_sq(schema) == values.max() == dense[:, 0].max()
 
 
 class TestPrefixAccounting:

@@ -19,7 +19,7 @@ from fpsim import ExperimentConfig, ParticipationSchema, PrivacyLedger, SweepCon
 from fpsim.clipping import combined_multiplier, noise_split
 from fpsim.federation import availability_weights
 from fpsim.secagg import SecAggConfig
-from fpsim.config import ConfigError, _sensitivity_sq_bound, parse_kv_text
+from fpsim.config import ConfigError, parse_kv_text
 from oracles import BRUTE_FORCE_MAX_ROUNDS, brute_force_sensitivity_sq, reference_restart_rounds
 
 
@@ -433,7 +433,7 @@ class TestPrivacyTerms:
         exact = brute_force_sensitivity_sq(
             schema.total_rounds, schema.min_sep, schema.max_part, schema.restart_rounds
         )
-        assert exact <= _sensitivity_sq_bound(schema.total_rounds, schema.max_part)
+        assert exact <= schema.sensitivity_sq_bound()
 
     def test_adaptive_terms(self):
         """The noise split and the timer schema of the default config."""

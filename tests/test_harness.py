@@ -626,9 +626,11 @@ class TestStartRun:
 
     def test_accountant_range_fails_before_synthesis(self, monkeypatch):
         """A private run whose sensitivity bound reaches 2^30 (33000 rounds,
-        one client a round, timer 1: 33000^2 * 16) has its timer worst case
-        solved before synthesis, so the solver's OverflowError stops it
-        there; a run below the bound never calls the solver."""
+        one client a round, timer 1: 33000^2 * 16) is refused before
+        synthesis.  One participation a round already passes the range, so
+        the refusal comes without a solve; with that lower bound below the
+        range, the timer worst case is solved and the solver's OverflowError
+        stops the run.  A run below the bound never calls the solver."""
         solved = []
 
         def overflow(solver, tree_levels, max_part):
@@ -647,7 +649,11 @@ class TestStartRun:
             clip_mode="fixed",
             restart_mode="none",
         )
-        with pytest.raises(OverflowError, match="int32 range"):
+        with pytest.raises(OverflowError, match="int32 range, 2\\^30: .* 2147493784$"):
+            start_run(config)
+        assert solved == []
+        monkeypatch.setattr(accounting, "_spread_sensitivity_sq", lambda schema: 0)
+        with pytest.raises(OverflowError, match="table F"):
             start_run(config)
         assert solved == [33000]
 
@@ -979,6 +985,19 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == f"error: {why}\n"
         assert captured.out == ""
+
+    def test_account_refuses_past_the_range_at_once(self, capsys):
+        """--rounds 33000 --min-sep 1 --max-part 33000: one participation a
+        round passes 2^30, so the refusal needs no table."""
+        accounting._SOLVER_CACHE.clear()
+        flags = ["--rounds", "33000", "--min-sep", "1", "--max-part", "33000", "--z", "1"]
+        assert cli_main(["account", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: worst-case sensitivity^2 exceeds the int32 range, 2^30: "
+            "participating every 1 rounds from round 0 already gives 2147493784\n"
+        )
+        assert captured.out == "" and not accounting._SOLVER_CACHE
 
     def test_account_prints_the_schema_it_accounts(self, capsys):
         """A --max-part above ceil(rounds / min_sep) is capped by the schema,
