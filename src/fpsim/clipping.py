@@ -1,13 +1,13 @@
-"""Adaptive clip-norm estimation from privately counted clip indicators.
+"""Clip-norm estimation from privately counted clip indicators.
 
 Each round every cohort client reports, alongside its update, an indicator
 b in {0, 1} of whether its update norm stayed below the current quantile
 estimate.  The indicators are summed through their own noise tree:
 ``ClipState.count_tree`` is a d = 1 TreeState with the same prefix
-decomposition as the update tree, noise std sigma_b per node, and it
-restarts on the update tree's restart rounds (run_round restarts both), so
-the two trees' nodes span the same rounds.  Its output is a running noised
-count, and the geometric update
+decomposition as the update tree, noise std sigma_b per node, and
+run_round restarts both trees together on every restart round, in every
+clip mode, so the two trees' nodes span the same rounds.  Its output is a
+running noised count, and the geometric update
 
     estimate(t+1) = estimate(0) * exp(-eta * (mean_b(t) - target_quantile * t))
 
@@ -17,7 +17,9 @@ round counter t runs over the whole run and does not reset at restarts.
 
 The estimate adapts every round, but the clip norm actually applied to
 updates ("active") only jumps to the current estimate at restarts, because
-mid-segment the tree noise is calibrated to the segment's clip scale.
+mid-segment the tree noise is calibrated to the segment's clip scale.  A
+fixed clip (clip.mode = fixed) is this estimate at eta = 0 with sigma_b = 0:
+it stays at estimate(0) = clip.c0 exactly, and an infinite c0 stays infinite.
 
 Publishing both the noised vector sum (noise multiplier z_delta) and the
 noised indicator count (noise std sigma_b) is, by a standard argument,

@@ -1,22 +1,26 @@
 """The federated training round loop.
 
 Each round the server selects a cohort of exactly ``report_goal`` clients
-among those whose re-participation timer has expired, runs the cohort's
-local SGD in blocks of clients, one stacked step per block and minibatch,
-aggregates each block's clipped updates as they are made (plainly, and
-under secure aggregation also into the round's SecAggRound, one running
-modular total), feeds the round's un-normalized sum to the noise tree, and
-applies the anchored momentum update
+among those whose re-participation timer has expired, and run_round plays
+DP-FTRL's stages over the RunState.  _aggregate runs the cohort's local SGD
+in blocks of clients and sums each block's clipped updates as they are
+made (plainly, and under secure aggregation also into the round's
+SecAggRound).  _release feeds the round's un-normalized sum to the update
+tree and its count of norms below the clip estimate to the ClipState's
+count tree, and applies the anchored momentum update
 
     momentum <- beta * momentum + (noised cumulative sum) / report_goal
     theta    <- theta0 + eta_s * momentum
 
 which keeps the model a deterministic function of the released cumulative
-sums (theta0 is the fixed anchor; restarts do not move it).  Timers make
-participation limits structural: a timer of w rounds enforces a minimum
-separation of w between any client's participations, which is what the
-privacy accountant consumes post hoc.  RunState derives a run's model,
-seeds and noise trees from its ExperimentConfig and holds what a round changes.
+sums (theta0 is the fixed anchor; restarts do not move it).  On a restart
+round both trees restart, in every clip mode, and the update tree takes the
+clip estimate: a fixed clip is the estimate at learning rate 0, c0 for good.
+Timers make participation limits structural: a timer of w rounds enforces
+a minimum separation of w between any client's participations, which is
+what the privacy accountant consumes post hoc.  RunState derives a run's
+model, seeds and noise trees from its ExperimentConfig and holds what a
+round changes.
 
 A block holds _BLOCK_BYTES (1 MB) of deltas, whatever the report goal, so
 a round's memory is a few blocks and the model, not the cohort times the
@@ -194,9 +198,9 @@ class RunState:
     """One run in progress.  ``data``, ``eval_set`` and the anchor ``theta0``
     (finite float64 of the model's width; start_run checks a warm start) are
     given; the model, the privacy ``terms``, the round loop's ``seed``, the
-    update tree and, under adaptive clipping, the ClipState are derived from
-    ``config`` here; a round changes only theta, momentum, the round, the
-    trees and the ClipState."""
+    update tree, the ClipState and the set of restart rounds are derived
+    from ``config`` here; a round changes only theta, momentum, the round,
+    the trees and the ClipState."""
 
     config: ExperimentConfig
     data: TokenDataset
@@ -206,7 +210,8 @@ class RunState:
     model: NextTokenBOW = field(init=False)
     seed: SeedPath = field(init=False)
     delta_tree: TreeState = field(init=False)
-    clip: ClipState | None = field(init=False)
+    clip: ClipState = field(init=False)
+    restarts: frozenset[int] = field(init=False)
     theta: np.ndarray = field(init=False)
     momentum: np.ndarray = field(init=False)
     round: int = field(init=False, default=0)
@@ -219,16 +224,16 @@ class RunState:
         self.seed = root.child("federation")
         d = self.model.num_params
         self.delta_tree = TreeState(terms.z_delta, config.clip_c0, d, root.child("delta-tree"))
-        self.clip = None
-        if config.clip_mode == "adaptive":
-            self.clip = ClipState(
-                initial_estimate=config.clip_c0,
-                target_quantile=config.clip_gamma,
-                learning_rate=config.clip_eta_gamma,
-                sigma_b=terms.sigma_b,
-                cohort_size=config.report_goal,
-                seed=root.child("clip"),
-            )
+        # A fixed clip is the estimate at rate 0 (and sigma_b 0): c0 for good.
+        self.clip = ClipState(
+            initial_estimate=config.clip_c0,
+            target_quantile=config.clip_gamma,
+            learning_rate=config.clip_eta_gamma if config.clip_mode == "adaptive" else 0.0,
+            sigma_b=terms.sigma_b,
+            cohort_size=config.report_goal,
+            seed=root.child("clip"),
+        )
+        self.restarts = frozenset(terms.timer_schema.restart_rounds)
         self.theta = self.theta0.copy()
         self.momentum = np.zeros_like(self.theta0)
 
@@ -239,35 +244,29 @@ class RunState:
         return self.delta_tree.clip_norm
 
 
-def run_round(state: RunState, cohort_ids: Sequence[int]) -> RoundMetrics:
-    """Advance one round: local updates, aggregation, tree noise, anchored
-    momentum step, clip-estimate update, and scheduled restarts.  The cohort
-    is its client ids (Python ints), rows of ``state.data``.
+def _aggregate(
+    state: RunState, cohort_ids: Sequence[int], orders: np.ndarray
+) -> tuple[np.ndarray, int, float, float, float]:
+    """Train, check and sum the cohort in blocks, in its batch ``orders``
+    (see batch_orders): returns the round's sum (SecAgg's decode under
+    SecAgg), how many delta norms were at most the clip estimate, the mean
+    client loss, and SecAgg's roundtrip residual and clamp fraction (0
+    without SecAgg).
 
-    The cohort is trained, summed and (under SecAgg) encoded in blocks of
-    _BLOCK_BYTES of deltas.  The outputs equal one whole-cohort block's, to
-    the byte: the batch orders are drawn for the whole cohort before any
-    block, each client's row is computed alone, the plain sum adds the rows
-    in cohort order as numpy's axis-0 sum does, and the SecAgg total is an
-    exact sum of residues mod M.  A client whose delta norm is not finite
-    stops the run with TrainingDiverged, naming the round, before its block
-    is summed: clipping would scale an overflowed delta to zero, and while
-    every norm is finite so is every entry and every sum of them.
+    A block holds _BLOCK_BYTES of deltas.  The outputs equal one
+    whole-cohort block's, to the byte: the batch orders are drawn for the
+    whole cohort before any block, each client's row is computed alone, the
+    plain sum adds the rows in cohort order as numpy's axis-0 sum does, and
+    the SecAgg total is an exact sum of residues mod M.  A client whose
+    delta norm is not finite stops the run with TrainingDiverged, naming the
+    round, before its block is summed: clipping would scale an overflowed
+    delta to zero, and while every norm is finite so is every entry and
+    every sum of them.
     """
-    config = state.config
-    t = state.round
-    active = state.active_clip
-    quantile = state.clip.estimate if state.clip is not None else math.inf
+    config, t = state.config, state.round
     cohort = len(cohort_ids)
-    d = state.model.num_params
-    block = max(1, _BLOCK_BYTES // (8 * d))
-    orders = batch_orders(
-        state.seed.child("local-order", t).generator(),
-        cohort,
-        state.data.labels.shape[1],
-        config.epochs,
-    )
-    indicators = np.empty(cohort, dtype=np.int64)
+    block = max(1, _BLOCK_BYTES // (8 * state.model.num_params))
+    below = 0
     losses = np.empty(cohort)
     plain_sum = None
     cfg = state.terms.secagg
@@ -282,12 +281,12 @@ def run_round(state: RunState, cohort_ids: Sequence[int]) -> RoundMetrics:
             state.data.labels[ids],
             orders[:, lo:hi],
             config.eta_c,
-            active,
+            state.active_clip,
             config.batch_size,
         )
         if not np.isfinite(norms).all():
             raise TrainingDiverged(f"non-finite client updates at round {t}")
-        indicators[lo:hi] = norms <= quantile
+        below += int(np.count_nonzero(norms <= state.clip.estimate))
         # Each block is summed and encoded as soon as it exists, so no array
         # of the whole cohort's deltas is ever built, and the SecAgg round
         # adds its clients' codes straight into its total.  The rows are
@@ -302,33 +301,39 @@ def run_round(state: RunState, cohort_ids: Sequence[int]) -> RoundMetrics:
             secagg.add(deltas, ids)
         del deltas  # freed before the next block is trained
 
-    round_sum, residual, clamp_fraction = plain_sum, 0.0, 0.0
-    if secagg is not None:
-        round_sum = secagg.decode()
-        residual = float(np.linalg.norm(round_sum - plain_sum))
-        clamp_fraction = secagg.clamped / (cohort * cfg.padded_dim)
+    train_loss = float(losses.mean())
+    if secagg is None:
+        return plain_sum, below, train_loss, 0.0, 0.0
+    round_sum = secagg.decode()
+    residual = float(np.linalg.norm(round_sum - plain_sum))
+    return round_sum, below, train_loss, residual, secagg.clamped / (cohort * cfg.padded_dim)
 
+
+def _release(state: RunState, round_sum: np.ndarray, below: int) -> None:
+    """Feed the round's sum and its below-estimate count to their noise
+    trees, and take the anchored momentum step from the released sum."""
+    config = state.config
     noised_cumulative = state.delta_tree.add_round(round_sum)
+    state.clip.add_round(float(below))
     state.momentum = config.beta * state.momentum + noised_cumulative / config.report_goal
     state.theta = state.theta0 + config.eta_s * state.momentum
 
-    if state.clip is not None:
-        state.clip.add_round(float(indicators.sum()))
 
-    train_loss = float(losses.mean())
+def run_round(state: RunState, cohort_ids: Sequence[int]) -> RoundMetrics:
+    """Advance one round: draw the cohort's batch orders, aggregate its
+    clipped local updates (_aggregate), release them through the noise trees
+    and take the server step (_release), then restart both trees on a
+    restart round.  The cohort is its client ids (Python ints), rows of
+    ``state.data``.  A non-finite loss or θ stops the run with
+    TrainingDiverged, naming the round."""
+    t, active = state.round, state.active_clip
+    rng = state.seed.child("local-order", t).generator()
+    orders = batch_orders(rng, len(cohort_ids), state.data.labels.shape[1], state.config.epochs)
+    round_sum, below, train_loss, residual, clamp_fraction = _aggregate(state, cohort_ids, orders)
+    _release(state, round_sum, below)
     if not math.isfinite(train_loss) or not np.isfinite(state.theta).all():
         raise TrainingDiverged(f"non-finite loss or parameters at round {t}")
-
     state.round = t + 1
-    if state.round in state.terms.timer_schema.restart_rounds:
-        new_clip = state.clip.restart() if state.clip is not None else config.clip_c0
-        state.delta_tree.restart(new_clip)
-
-    return RoundMetrics(
-        train_loss=train_loss,
-        active_clip=active,
-        quantile_estimate=state.clip.estimate if state.clip is not None else config.clip_c0,
-        secagg_residual=residual,
-        secagg_clamp_fraction=clamp_fraction,
-    )
-
+    if state.round in state.restarts:
+        state.delta_tree.restart(state.clip.restart())
+    return RoundMetrics(train_loss, active, state.clip.estimate, residual, clamp_fraction)

@@ -4,10 +4,12 @@ They are kept simple rather than fast, and are not part of the package.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
 from fpsim.accounting import ParticipationSchema, _StepRows, loose_eps
+from fpsim.harness import cohorts
 from fpsim.secagg import ROUNDING_NORM_ALPHA, SecAggConfig
 from fpsim.seeds import SeedPath, gaussian_vector
 from fpsim.tree import _node_seed
@@ -594,3 +596,165 @@ def naive_private_sum(
             t_global += 1
         frozen = frozen + true_prefix + last
     return reports
+
+
+def reference_secagg_encoding(config) -> SimpleNamespace:
+    """The SecAgg encoding of an ExperimentConfig from its formulas, with
+    the fields reference_encode reads: the padded width (the power of two at
+    or above d = V^2), the L-infinity bound ceil(2 s C ln(d) / sqrt(d)) (at
+    least 1) at that width, the modulus 2 * bound * report_goal + 1 and the
+    bits per update, width * ceil(log2(modulus))."""
+    padded_dim = 1 << (config.vocab_size**2 - 1).bit_length()
+    s, c = config.secagg_scale, config.clip_c0
+    bound = max(1, math.ceil(2.0 * s * c * math.log(padded_dim) / math.sqrt(padded_dim)))
+    modulus = 2 * bound * config.report_goal + 1
+    return SimpleNamespace(
+        clip_norm=c,
+        scale=s,
+        padded_dim=padded_dim,
+        infinity_bound=bound,
+        modulus=modulus,
+        retry_cap=config.secagg_retry_cap,
+        bits_per_update=padded_dim * math.ceil(math.log2(modulus)),
+    )
+
+
+def reference_secagg_sum(updates, client_ids, encoding, seed: SeedPath, t: int) -> np.ndarray:
+    """Round t's SecAgg sum of the clipped ``updates``: reference_encode's
+    codes of each client, summed mod M, then decoded by dropping the
+    clients' shifts, rotating back by reference_fwht and the signs, and
+    undoing the scale and the padding.  The round's signs are drawn from
+    seed/rotation/t, client c's roundings from seed/rounding/t/client/c."""
+    width = encoding.padded_dim
+    bits = seed.child("rotation", t).generator().integers(0, 2, size=width, dtype=np.int64)
+    signs = 2.0 * bits - 1.0
+    total = np.zeros(width, dtype=np.int64)
+    for update, client in zip(updates, client_ids):
+        client_seed = seed.child("rounding", t).child("client", client)
+        codes, _, _ = reference_encode(update, encoding, signs, client_seed)
+        total = (total + codes) % encoding.modulus
+    out = total.astype(np.float64) - float(len(client_ids) * encoding.infinity_bound)
+    reference_fwht(out)
+    out *= 1.0 / np.sqrt(width)
+    out *= signs
+    return out[: updates[0].shape[0]] / encoding.scale
+
+
+def reference_population(config, seed: SeedPath):
+    """A run's clients and eval set as (contexts, labels) pairs, from the
+    seeds data.synthesize_clients and data.synthesize_eval_set read: the
+    global chain's CDF rows are Dirichlet(concentration) draws from
+    seed/global-table, summed along each row; the clients are
+    reference_chains of examples_per_client + window tokens from
+    seed/client-streams, and the eval stream is its one client at
+    heterogeneity 0 from seed/eval-stream.  Example i of a token row has
+    the context tokens[i : i + window] and the label tokens[i + window]."""
+    vocab, window = config.vocab_size, config.window
+    rows = seed.child("global-table").generator().dirichlet(
+        np.full(vocab, config.concentration), size=vocab
+    )
+    cdf = rows.cumsum(axis=1)
+
+    def examples(tokens, n):
+        contexts = np.stack([tokens[:, i : i + window] for i in range(n)], axis=1)
+        return contexts, tokens[:, window:]
+
+    n, e = config.examples_per_client, config.eval_examples
+    clients = reference_chains(
+        cdf,
+        config.concentration,
+        config.population,
+        n + window,
+        config.heterogeneity,
+        seed.child("client-streams").generator(),
+    )
+    stream = reference_chains(
+        cdf, config.concentration, 1, e + window, 0.0, seed.child("eval-stream").generator()
+    )
+    return examples(clients, n), examples(stream, e)
+
+
+def reference_run(config) -> tuple[np.ndarray, list[dict[str, float]]]:
+    """A whole run of ``config`` as straight-line DP-FTRL, round by round:
+    θ after every round, (rounds, V^2), and each round's metrics.csv row
+    but the accountant's cumulative_zcdp column.
+
+    The cohorts are harness.cohorts'; θ starts at zero (no warm start).
+    The rest is written here from its formula or taken from the oracles
+    above: the population by reference_population, the batch orders drawn
+    per epoch from federation/local-order/t, reference_cohort_update and
+    clip_l2 for the updates, the plain sum or reference_secagg_sum, both
+    noise trees replayed whole every round by naive_private_sum over
+    reference_restart_rounds, and the momentum step on the released sum
+    over report_goal.
+    """
+    vocab, m = config.vocab_size, config.report_goal
+    d = vocab * vocab
+    root = SeedPath(config.seed)
+    federation = root.child("federation")
+    (contexts, labels), (eval_contexts, eval_labels) = reference_population(config, root)
+    restarts = reference_restart_rounds(config)
+    # The noise split (Andrew et al. 2021): the sum at z_delta and the count
+    # at sigma_b release as one sum at z, z^-2 = z_delta^-2 + (2 sigma_b)^-2.
+    z = config.noise_multiplier
+    adaptive = config.clip_mode == "adaptive"
+    sigma_b = m * config.clip_sigma_b_fraction if adaptive and z > 0 else 0.0
+    z_delta = (z**-2 - (2.0 * sigma_b) ** -2) ** -0.5 if sigma_b > 0 else z
+    # A fixed clip is the quantile estimate at learning rate 0.
+    eta = config.clip_eta_gamma if adaptive else 0.0
+    encoding = reference_secagg_encoding(config) if config.secagg_enabled else None
+    theta0 = np.zeros(d)
+    theta, momentum = theta0, np.zeros(d)
+    estimate, clips = config.clip_c0, [config.clip_c0]  # one clip a segment
+    sums, counts, thetas, rows = [], [], [], []
+    for t, ids in enumerate(cohorts(config)):
+        rng = federation.child("local-order", t).generator()
+        order = np.tile(np.arange(config.examples_per_client), (m, 1))
+        orders = []
+        for _ in range(config.epochs):
+            rng.permuted(order, axis=1, out=order)
+            orders.append(order.copy())
+        deltas, losses = reference_cohort_update(
+            vocab,
+            config.window,
+            theta,
+            contexts[ids],
+            labels[ids],
+            np.array(orders),
+            config.eta_c,
+            config.batch_size,
+        )
+        below = sum(float(np.linalg.norm(delta)) <= estimate for delta in deltas)
+        updates = [clip_l2(delta, clips[-1]) for delta in deltas]
+        if encoding is None:
+            sums.append(np.sum(updates, axis=0))
+        else:
+            sums.append(reference_secagg_sum(updates, ids, encoding, federation, t))
+        counts.append(np.array([float(below)]))
+        delta_tree = root.child("delta-tree")
+        released = naive_private_sum(sums, z_delta, clips[0], delta_tree, restarts, clips)[-1]
+        count_tree = root.child("clip").child("clip-count")
+        count = naive_private_sum(counts, sigma_b, 1.0, count_tree, restarts)[-1, 0]
+        # The geometric quantile update in fpsim's cumulative form
+        # (clipping.py): the noised count of rounds 0..t over m, against
+        # gamma * t, floored at 1e-6 * c0 and with its exponent capped at 700.
+        exponent = -eta * (count / m - config.clip_gamma * t)
+        estimate = max(config.clip_c0 * math.exp(min(exponent, 700.0)), 1e-6 * config.clip_c0)
+        momentum = config.beta * momentum + released / m
+        theta = theta0 + config.eta_s * momentum
+        logits = reference_logits(vocab, theta[None], eval_contexts)
+        rows.append(
+            {
+                "round": t,
+                "eval_acc": float((logits.argmax(axis=-1) == eval_labels).mean()),
+                "train_loss": float(losses.mean()),
+                "active_clip": clips[-1],
+                "quantile_estimate": estimate,
+                "cohort_size": m,
+                "bits_per_update": 0 if encoding is None else encoding.bits_per_update,
+            }
+        )
+        thetas.append(theta)
+        if t + 1 in restarts:
+            clips.append(estimate)
+    return np.array(thetas), rows

@@ -163,7 +163,7 @@ def test_03_zero_noise_run_reduces_to_fedavgm():
     pool = np.zeros(population, dtype=np.int64)  # next_eligible timers
     eval_set = synthesize_eval_set(config, SeedPath(0).child("data"))
     server = RunState(config, data, eval_set, NextTokenBOW(vocab_size=vocab).init_params())
-    assert server.clip is None and server.delta_tree.z == 0.0
+    assert server.clip.learning_rate == 0.0 and server.delta_tree.z == 0.0
     sel_seed = server.seed.child("selection")
 
     twins = make_data()

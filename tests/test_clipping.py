@@ -6,12 +6,13 @@ overall noise multiplier between the model-delta channel and the count
 channel so that their combination is exactly the configured multiplier.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from fpsim import ExperimentConfig
+from fpsim import ExperimentConfig, run_experiment
 from fpsim.clipping import MIN_ESTIMATE_FRACTION, ClipState, combined_multiplier, noise_split
 from fpsim.federation import run_round
 from fpsim.harness import cohorts, start_run
@@ -220,6 +221,33 @@ class TestClipState:
             positions.append((delta.segment_index, delta.round_in_segment))
         assert positions[-1] == (3, 3)
         assert [p for p in positions if p[1] == 0] == [(1, 0), (2, 0), (3, 0)]
+
+
+def test_fixed_clip_is_the_adaptive_estimate_at_rate_zero(tmp_path):
+    """At z = 0 a fixed clip and an adaptive one at clip.eta_gamma = 0 are
+    one clip path: with restarts at 5 and 9 and a clip that binds
+    (c0 = 0.05), both runs write the same metrics.csv and checkpoint.bin."""
+    fixed = ExperimentConfig(
+        rounds=12,
+        report_goal=4,
+        population=24,
+        noise_multiplier=0.0,
+        vocab_size=6,
+        examples_per_client=10,
+        eval_examples=20,
+        clip_mode="fixed",
+        clip_c0=0.05,
+        restart_mode="explicit",
+        restart_rounds=(5, 9),
+    )
+    adaptive = dataclasses.replace(fixed, clip_mode="adaptive", clip_eta_gamma=0.0)
+    written = []
+    for name, config in (("fixed", fixed), ("adaptive", adaptive)):
+        out = tmp_path / name
+        run_experiment(config, out)
+        written.append([(out / f).read_bytes() for f in ("metrics.csv", "checkpoint.bin")])
+    assert written[0] == written[1]
+
 
 def _plain_state(initial, gamma, eta, m=10, sigma_b=0.0, seed=0):
     return ClipState(

@@ -11,12 +11,13 @@ so the stacked cohort step is checked against code it shares nothing with.
 import dataclasses
 import itertools
 import math
+import tempfile
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import hadamard
 
@@ -37,7 +38,14 @@ from fpsim.federation import (
     run_round,
     select_cohort,
 )
-from fpsim.harness import _by_client, _observed_schema, _participation_text, start_run
+from fpsim.harness import (
+    _by_client,
+    _observed_schema,
+    _participation_text,
+    cohorts,
+    read_metrics,
+    start_run,
+)
 from fpsim.models import NextTokenBOW
 from fpsim.secagg import SecAggConfig, SecAggRound
 from fpsim.seeds import SeedPath
@@ -48,6 +56,7 @@ from oracles import (
     reference_cohort_update,
     reference_limits,
     reference_participation_csv,
+    reference_run,
 )
 
 
@@ -503,6 +512,33 @@ class TestRunRound:
         assert server.active_clip == clip.estimate
         assert server.delta_tree.segment_index == 1
 
+    def test_restart_every_round_keeps_both_trees_in_step(self):
+        """restart.first = restart.period = 1 restarts both trees after
+        each of 3000 rounds, a set lookup a round: after round t both sit
+        at the start of segment t + 1, the update tree at the clip
+        estimate, and the last round, which no restart follows, stays in
+        its segment."""
+        rounds = 3000
+        config = _config(
+            rounds=rounds,
+            clip_mode="adaptive",
+            clip_c0=0.5,
+            restart_mode="periodic",
+            restart_first=1,
+            restart_period=1,
+        )
+        state = _state(config, _data())
+        assert state.restarts == frozenset(range(1, rounds))
+        for t, cohort_ids in enumerate(cohorts(config)):
+            run_round(state, cohort_ids)
+            restarted = t + 1 < rounds
+            position = (t + restarted, 1 - restarted)
+            count, delta = state.clip.count_tree, state.delta_tree
+            assert (delta.segment_index, delta.round_in_segment) == position
+            assert (count.segment_index, count.round_in_segment) == position
+            if restarted:
+                assert state.active_clip == state.clip.estimate
+
     def test_divergence_detected(self):
         """A noise multiplier so large its Gaussian draws overflow float64
         must stop the run with the divergence diagnostic, not march on with
@@ -755,6 +791,119 @@ class TestRoundBlocks:
         finally:
             tracemalloc.stop()
         assert peak - steady < 8 * (block_rows * d + 12 * padded_dim)
+
+
+@st.composite
+def _tiny_runs(draw):
+    """Tiny run configs over every wiring of the round: z in {0, 0.5, 3},
+    fixed and adaptive clip, periodic, explicit and no restarts, SecAgg on
+    (with a fixed clip) and off; population <= 60, rounds <= 48, V <= 8."""
+    report_goal = draw(st.integers(1, 5))
+    population = draw(st.integers(report_goal, 60))
+    spare = (population - report_goal) // report_goal
+    z = draw(st.sampled_from([0.0, 0.5, 3.0]))
+    secagg_enabled = draw(st.booleans())
+    clip_c0 = [0.05, 0.3, 1.0] + ([math.inf] if z == 0 and not secagg_enabled else [])
+    restart_mode = draw(st.sampled_from(["periodic", "explicit", "none"]))
+    restarts = {}
+    if restart_mode == "periodic":
+        restarts = dict(
+            restart_first=draw(st.integers(1, 48)), restart_period=draw(st.integers(1, 16))
+        )
+    elif restart_mode == "explicit":
+        rounds = draw(st.sets(st.integers(1, 50), max_size=5))
+        restarts = dict(restart_rounds=tuple(sorted(rounds)))
+    return ExperimentConfig(
+        seed=draw(st.integers(0, 2**32)),
+        rounds=draw(st.integers(1, 48)),
+        report_goal=report_goal,
+        population=population,
+        timer_rounds=draw(st.integers(1, spare + 1)),
+        noise_multiplier=z,
+        availability_kind=draw(st.sampled_from(["uniform", "diurnal"])),
+        eta_c=draw(st.sampled_from([0.1, 0.5])),
+        eta_s=draw(st.sampled_from([0.5, 1.0])),
+        beta=draw(st.sampled_from([0.0, 0.9])),
+        batch_size=draw(st.integers(1, 8)),
+        epochs=draw(st.integers(1, 2)),
+        clip_mode="fixed" if secagg_enabled else draw(st.sampled_from(["fixed", "adaptive"])),
+        clip_c0=draw(st.sampled_from(clip_c0)),
+        clip_gamma=draw(st.sampled_from([0.2, 0.5, 0.9])),
+        clip_eta_gamma=draw(st.sampled_from([0.0, 0.2, 1.0])),
+        clip_sigma_b_fraction=2.0,  # 2 * sigma_b >= 4 > z at every report goal
+        restart_mode=restart_mode,
+        **restarts,
+        vocab_size=draw(st.integers(2, 8)),
+        window=draw(st.integers(1, 2)),
+        examples_per_client=draw(st.integers(2, 12)),
+        eval_examples=draw(st.integers(5, 40)),
+        secagg_enabled=secagg_enabled,
+    )
+
+
+# Two runs that reach the wirings few random draws reach, pinned so that
+# every run of the test checks them: an adaptive private run whose clip
+# moves at its restarts, and a private SecAgg run.
+_ADAPTIVE_RUN = """
+seed = 7
+rounds = 24
+report_goal = 3
+population = 30
+timer_rounds = 4
+noise_multiplier = 0.5
+clip.mode = adaptive
+clip.c0 = 0.3
+clip.sigma_b_fraction = 2.0
+restart.first = 5
+restart.period = 6
+model.vocab_size = 5
+data.examples_per_client = 8
+data.eval_examples = 20
+"""
+
+_SECAGG_RUN = """
+seed = 8
+rounds = 12
+report_goal = 4
+population = 24
+timer_rounds = 3
+noise_multiplier = 3.0
+clip.mode = fixed
+clip.c0 = 0.05
+restart.mode = explicit
+restart.rounds = 3, 8
+model.vocab_size = 6
+model.window = 2
+data.examples_per_client = 6
+data.eval_examples = 20
+secagg.enabled = true
+"""
+
+
+class TestWholeRunReference:
+    """A run's θ after every round and its metrics.csv equal a straight-line
+    DP-FTRL reference (oracles.reference_run) built from the oracles of its
+    pieces: the noise split, each tree's multiplier and clip across
+    restarts, the count tree's restarts, SecAgg's decode into the tree and
+    the division by report_goal."""
+
+    @settings(max_examples=20, deadline=None)
+    @example(ExperimentConfig.from_text(_ADAPTIVE_RUN))
+    @example(ExperimentConfig.from_text(_SECAGG_RUN))
+    @given(_tiny_runs())
+    def test_run_matches_reference(self, config):
+        state = start_run(config)
+        thetas, rows = reference_run(config)
+        for t, cohort_ids in enumerate(cohorts(config)):
+            run_round(state, cohort_ids)
+            np.testing.assert_allclose(state.theta, thetas[t], rtol=0, atol=1e-9)
+        with tempfile.TemporaryDirectory() as out:
+            run_experiment(config, out)
+            metrics = read_metrics(out)
+        # cumulative_zcdp is the accountant's, checked against its own oracles.
+        for name in rows[0]:
+            want = [row[name] for row in rows]
+            np.testing.assert_allclose(metrics[name], want, rtol=0, atol=1e-12, err_msg=name)
 
 
 @st.composite

@@ -575,7 +575,9 @@ class TestStartRun:
         for name in ("next_eligible", "log", "history"):
             assert not hasattr(state, name)
         np.testing.assert_array_equal(state.theta, state.theta0)
-        assert state.clip is not None and state.active_clip == config.clip_c0
+        assert state.clip.learning_rate == config.clip_eta_gamma
+        assert state.active_clip == state.clip.estimate == config.clip_c0
+        assert state.restarts == frozenset(terms.timer_schema.restart_rounds)
 
 
     @staticmethod
