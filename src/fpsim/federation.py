@@ -160,11 +160,12 @@ def select_cohort(
     ids = np.flatnonzero(next_eligible <= round_index)
     if ids.shape[0] < goal:
         raise CohortExhausted(round_index, ids.shape[0], goal)
-    weights = np.maximum(availability_weights(config, ids, round_index), 1e-12)
     rng = seed.child("cohort", round_index).generator()
-    # Weighted sampling without replacement: top-m exponential-race keys
-    # (with uniform weights this reduces to a uniform m-subset).
-    keys = np.log(rng.random(ids.shape[0])) / weights
+    # Weighted sampling without replacement: top-m exponential-race keys.
+    # Uniform weights are all 1, so the logs are the keys (a uniform m-subset).
+    keys = np.log(rng.random(ids.shape[0]))
+    if config.availability_kind == "diurnal":
+        keys /= np.maximum(availability_weights(config, ids, round_index), 1e-12)
     chosen = np.argpartition(keys, -goal)[-goal:]
     selected = np.sort(ids[chosen])
     next_eligible[selected] = round_index + config.timer_rounds
@@ -305,7 +306,8 @@ def _aggregate(
     if secagg is None:
         return plain_sum, below, train_loss, 0.0, 0.0
     round_sum = secagg.decode()
-    residual = float(np.linalg.norm(round_sum - plain_sum))
+    plain_sum -= round_sum
+    residual = math.sqrt(np.einsum("i,i->", plain_sum, plain_sum))
     return round_sum, below, train_loss, residual, secagg.clamped / (cohort * cfg.padded_dim)
 
 

@@ -203,7 +203,7 @@ class SecAggRound:
         for i, client_id in enumerate(client_ids):
             np.multiply(deltas[i], config.scale, out=head)
             row[d:] = 0.0
-            norm = float(np.linalg.norm(head))
+            norm = math.sqrt(np.einsum("i,i->", head, head))
             if not math.isfinite(norm) and not np.isfinite(head).all():
                 raise ValueError(
                     f"round {self.round_index}, client {client_id}: "
@@ -219,7 +219,7 @@ class SecAggRound:
             for attempt in range(config.retry_cap):
                 seed.child("round-attempt", attempt).generator().random(out=uniforms)
                 stochastic_round(row, uniforms, rounded, scratch)
-                if float(rounded @ rounded) <= config.norm_bound_sq:
+                if np.einsum("i,i->", rounded, rounded) <= config.norm_bound_sq:
                     break
             else:
                 raise RoundingRetriesExhausted(

@@ -26,12 +26,14 @@ def clip_l2(v: np.ndarray, clip_norm: float) -> np.ndarray:
     """Scale ``v`` by min(1, clip_norm / ||v||_2).
 
     Direction is preserved and the output norm never exceeds clip_norm.
-    clip_norm = inf disables clipping.  Idempotent.
+    clip_norm = inf disables clipping.  Idempotent.  ||v||_2 is summed by
+    the one einsum that cohort_update and SecAggRound.add use, so the
+    clipped bytes match theirs.
     """
     if not clip_norm > 0:
         raise ValueError("clip_norm must be > 0")
     v = np.asarray(v, dtype=np.float64)
-    norm = float(np.linalg.norm(v))
+    norm = math.sqrt(np.einsum("i,i->", v, v))
     if norm <= clip_norm:
         return v.copy()
     return v * (clip_norm / norm)
@@ -195,7 +197,7 @@ def reference_encode(
         uniforms = seed.child("round-attempt", attempt).generator().random(config.padded_dim)
         rounded = np.empty(config.padded_dim)
         stochastic_round(clamped, uniforms, rounded)
-        if float(rounded @ rounded) <= rounded_norm_bound_sq(config):
+        if np.einsum("i,i->", rounded, rounded) <= rounded_norm_bound_sq(config):
             return (rounded + bound).astype(np.int64), clamped_count, clamped
     raise AssertionError("rounding retries exhausted")
 
@@ -724,7 +726,7 @@ def reference_run(config) -> tuple[np.ndarray, list[dict[str, float]]]:
             config.eta_c,
             config.batch_size,
         )
-        below = sum(float(np.linalg.norm(delta)) <= estimate for delta in deltas)
+        below = sum(math.sqrt(np.einsum("i,i->", delta, delta)) <= estimate for delta in deltas)
         updates = [clip_l2(delta, clips[-1]) for delta in deltas]
         if encoding is None:
             sums.append(np.sum(updates, axis=0))

@@ -890,6 +890,31 @@ class TestWholeRunReference:
     @settings(max_examples=20, deadline=None)
     @example(ExperimentConfig.from_text(_ADAPTIVE_RUN))
     @example(ExperimentConfig.from_text(_SECAGG_RUN))
+    # A clip whose norm sums differ in the last bit between a BLAS dot and
+    # einsum: θ was 1.7e-18 off and eval_acc 1/21 against 2/21.
+    @example(
+        ExperimentConfig(
+            seed=2654435761,
+            rounds=1,
+            report_goal=2,
+            population=35,
+            noise_multiplier=0.0,
+            timer_rounds=1,
+            eta_c=0.5,
+            eta_s=0.5,
+            beta=0.0,
+            batch_size=1,
+            clip_mode="fixed",
+            clip_c0=0.05,
+            clip_gamma=0.2,
+            clip_eta_gamma=0.0,
+            clip_sigma_b_fraction=2.0,
+            restart_mode="explicit",
+            vocab_size=5,
+            examples_per_client=2,
+            eval_examples=21,
+        )
+    )
     @given(_tiny_runs())
     def test_run_matches_reference(self, config):
         state = start_run(config)

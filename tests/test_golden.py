@@ -92,7 +92,7 @@ GOLDEN = {
             "checkpoint.bin": "593f128690a1727c34e82b2ca00a24e1e7575615a02254f7dac180fa2894f493",
             "report.csv": "11cb4e404c44f33a2bd5b3c84e4de1d0303f0265da06ba006e381bf571cdb063",
             "participation.csv": "bc079d68c703287a21dc50dbac1b8036e1606a30854638dc7a3699ef8f11766d",
-            "secagg.csv": "2c3aa49679d926133e8087f613663391863293826419b147184e2e051b278198",
+            "secagg.csv": "da9af561a97c3e3a57e10ef9f428fb752d2f4d6b307e4a75a3b9854869d39553",
         },
     ),
 }

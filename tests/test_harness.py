@@ -8,12 +8,15 @@ whole file stays fast.
 
 import csv
 import math
+import os
 import re
 import shutil
+import subprocess
 import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -747,6 +750,34 @@ class TestDeterminism:
         b = run_experiment(config, tmp_path / "b")
         for name in ("metrics.csv", "checkpoint.bin", "participation.csv", "report.csv"):
             assert (a.directory / name).read_bytes() == (b.directory / name).read_bytes(), name
+
+    def test_artifacts_do_not_follow_the_blas_thread_count(self, tmp_path):
+        """A SecAgg run at d = 16 384, where OpenBLAS would split a dot
+        product across its threads, writes the same bytes at one and two
+        BLAS threads: fpsim's float reductions never call BLAS."""
+        (tmp_path / "run.cfg").write_text(
+            "rounds = 8\nreport_goal = 6\npopulation = 120\nnoise_multiplier = 0.5\n"
+            "model.vocab_size = 128\nclip.mode = fixed\nclip.c0 = 0.05\nsecagg.enabled = true\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            out = tmp_path / threads
+            command = ["run", "--config", str(tmp_path / "run.cfg"), "--out", str(out)]
+            done = subprocess.run(
+                [sys.executable, "-m", "fpsim.cli", *command],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+        names = sorted(path.name for path in (tmp_path / "1").iterdir())
+        assert "secagg.csv" in names
+        assert names == sorted(path.name for path in (tmp_path / "2").iterdir())
+        for name in names:
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
     def test_seed_changes_the_outputs(self, tmp_path):
         base = ExperimentConfig.from_text(SMALL_CONFIG)
