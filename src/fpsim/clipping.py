@@ -7,13 +7,13 @@ estimate.  The indicators are summed through their own noise tree:
 decomposition as the update tree, noise std sigma_b per node, and
 run_round restarts both trees together on every restart round, in every
 clip mode, so the two trees' nodes span the same rounds.  Its output is a
-running noised count, and the geometric update
+running noised count, and after t rounds counted the geometric update
 
-    estimate(t+1) = estimate(0) * exp(-eta * (mean_b(t) - target_quantile * t))
+    estimate = estimate(0) * exp(-eta * (mean_b - target_quantile * t))
 
-tracks the target quantile of the client norm distribution, where mean_b(t)
-is the cumulative noised indicator count divided by the cohort size.  The
-round counter t runs over the whole run and does not reset at restarts.
+(Andrew et al. 2021's per-round step, unrolled) tracks the target quantile
+of the client norm distribution, where mean_b is the noised count of those
+t rounds over the cohort size.  t does not reset at restarts.
 
 The estimate adapts every round, but the clip norm actually applied to
 updates ("active") only jumps to the current estimate at restarts, because
@@ -114,8 +114,8 @@ class ClipState:
             self.count_tree.add_round(np.array([indicator_sum], dtype=np.float64))[0]
         )
         noised_mean = noised_cumulative / self.cohort_size
-        self.update_estimate(noised_mean, self.rounds_seen)
         self.rounds_seen += 1
+        self.update_estimate(noised_mean, self.rounds_seen)
         return noised_mean
 
     def update_estimate(self, noised_mean_count: float, t: int) -> float:
@@ -123,10 +123,10 @@ class ClipState:
 
             estimate = initial * exp(-eta * (noised_mean_count - q * t))
 
-        noised_mean_count is the cumulative noised indicator count over
-        rounds 0..t, already divided by the cohort size; t counts rounds
-        since the start of the run (restarts do not reset it).  The result
-        is floored at MIN_ESTIMATE_FRACTION * initial and stored.
+        noised_mean_count is the cumulative noised indicator count of the t
+        rounds counted since the start of the run (restarts do not reset
+        it), already divided by the cohort size.  The result is floored at
+        MIN_ESTIMATE_FRACTION * initial and stored.
         """
         if t < 0:
             raise ValueError("t must be >= 0")

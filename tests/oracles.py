@@ -738,9 +738,10 @@ def reference_run(config) -> tuple[np.ndarray, list[dict[str, float]]]:
         count_tree = root.child("clip").child("clip-count")
         count = naive_private_sum(counts, sigma_b, 1.0, count_tree, restarts)[-1, 0]
         # The geometric quantile update in fpsim's cumulative form
-        # (clipping.py): the noised count of rounds 0..t over m, against
-        # gamma * t, floored at 1e-6 * c0 and with its exponent capped at 700.
-        exponent = -eta * (count / m - config.clip_gamma * t)
+        # (clipping.py): the noised count of the t + 1 rounds 0..t over m,
+        # against gamma * (t + 1), floored at 1e-6 * c0 and with its exponent
+        # capped at 700.
+        exponent = -eta * (count / m - config.clip_gamma * (t + 1))
         estimate = max(config.clip_c0 * math.exp(min(exponent, 700.0)), 1e-6 * config.clip_c0)
         momentum = config.beta * momentum + released / m
         theta = theta0 + config.eta_s * momentum

@@ -129,11 +129,12 @@ class TestClipState:
             previous = state.estimate
 
     def test_estimate_increases_under_none_clipped(self):
-        """With zero counts the estimate rises once the target trajectory
-        t * gamma leaves zero (the very first round is a fixed point)."""
+        """With zero counts the estimate rises from the first round on: one
+        round counted puts the target trajectory at gamma, so the estimate
+        is exp(eta * gamma), Andrew et al.'s first step."""
         state = _plain_state(initial=1.0, gamma=0.5, eta=0.2, m=4)
         state.add_round(0)
-        assert state.estimate == 1.0
+        assert state.estimate == pytest.approx(math.exp(0.2 * 0.5), rel=1e-12)
         previous = state.estimate
         for _ in range(20):
             state.add_round(0)

@@ -70,8 +70,8 @@ GOLDEN = {
     "adaptive": (
         ADAPTIVE_CONFIG,
         {
-            "metrics.csv": "90cbfa514d2c608e4152b9ef9b5d1f3c533162f89ffdf3ab2ea0570aa78acce3",
-            "checkpoint.bin": "21761255383aec6563d0a8cf8874bd2ee4c0594ce3e1395e73017d2655d2f0a6",
+            "metrics.csv": "cd871888000577e2ebb9576dfaf5439b76369446951eab9488b4b44930b6a811",
+            "checkpoint.bin": "81cde31f0ae905169afed8c5909aa5b29beb07530cdf4de4a06a731cfdac67d0",
             "report.csv": "1e1b613fcae33d55b7ed7a5aab992e96b42bd75c5cbb8300b47b1b7c75398feb",
             "participation.csv": "51e83eb51ef2a9609e1246969536d14b66f469e93f179fe350a7ae071bc6163d",
         },
