@@ -890,8 +890,9 @@ class TestWholeRunReference:
     @settings(max_examples=20, deadline=None)
     @example(ExperimentConfig.from_text(_ADAPTIVE_RUN))
     @example(ExperimentConfig.from_text(_SECAGG_RUN))
-    # A clip whose norm sums differ in the last bit between a BLAS dot and
-    # einsum: θ was 1.7e-18 off and eval_acc 1/21 against 2/21.
+    # A clipped delta whose norm's last bit depends on the order its squares
+    # are summed, and an eval accuracy that flips on θ's last bits: the
+    # reference must clip with the run's own reduction.
     @example(
         ExperimentConfig(
             seed=2654435761,
