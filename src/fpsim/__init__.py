@@ -25,10 +25,9 @@ exactly these names:
   ``run_experiment``, ``post_hoc_report``, ``privacy_report``,
   ``sweep_privacy``, ``compare``, and the artifact readers and writers
   ``read_checkpoint``, ``write_checkpoint``, ``read_metrics``;
-- the accountant: ``ParticipationSchema``, ``PrivacyLedger``,
-  ``worst_case_sensitivity_sq``, ``prefix_sensitivity_sq``,
-  ``gaussian_zcdp``, ``zcdp``, ``prefix_zcdp``, ``zcdp_to_eps``,
-  ``zcdp_to_delta``, ``loose_eps``;
+- the accountant: ``ParticipationSchema``, ``worst_case_sensitivity_sq``,
+  ``prefix_sensitivity_sq``, ``gaussian_zcdp``, ``zcdp``, ``prefix_zcdp``,
+  ``zcdp_to_eps``, ``zcdp_to_delta``, ``loose_eps``;
 - the result type and the run errors: ``RunResult``, ``CohortExhausted``,
   ``TrainingDiverged``, ``RoundingRetriesExhausted``;
 - ``BACKEND`` and ``__version__``.
@@ -47,8 +46,8 @@ benchmark records it with every run.
 """
 
 from fpsim.accounting import (
-    ParticipationSchema, PrivacyLedger, gaussian_zcdp, loose_eps, prefix_sensitivity_sq,
-    prefix_zcdp, worst_case_sensitivity_sq, zcdp, zcdp_to_delta, zcdp_to_eps,
+    ParticipationSchema, gaussian_zcdp, loose_eps, prefix_sensitivity_sq, prefix_zcdp,
+    worst_case_sensitivity_sq, zcdp, zcdp_to_delta, zcdp_to_eps,
 )
 from fpsim.config import ConfigError, ExperimentConfig, PrivacyTerms, SweepConfig
 from fpsim.federation import CohortExhausted, TrainingDiverged
@@ -66,7 +65,7 @@ __all__ = [
     "ExperimentConfig", "SweepConfig", "PrivacyTerms", "ConfigError",
     "run_experiment", "post_hoc_report", "privacy_report", "sweep_privacy", "compare",
     "read_checkpoint", "write_checkpoint", "read_metrics",
-    "ParticipationSchema", "PrivacyLedger", "worst_case_sensitivity_sq", "prefix_sensitivity_sq",
+    "ParticipationSchema", "worst_case_sensitivity_sq", "prefix_sensitivity_sq",
     "gaussian_zcdp", "zcdp", "prefix_zcdp", "zcdp_to_eps", "zcdp_to_delta", "loose_eps",
     "RunResult", "CohortExhausted", "TrainingDiverged", "RoundingRetriesExhausted",
     "BACKEND", "__version__",

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -40,7 +40,6 @@ from fpsim.tree import closing_node
 
 __all__ = [
     "ParticipationSchema",
-    "PrivacyLedger",
     "worst_case_sensitivity_sq",
     "prefix_sensitivity_sq",
     "gaussian_zcdp",
@@ -418,6 +417,14 @@ def worst_case_sensitivity_sq(schema: ParticipationSchema) -> float:
     return _solver_for(schema).solve(schema.tree_levels(), schema.max_part)
 
 
+def check_range(schema: ParticipationSchema) -> None:
+    """Raise the OverflowError accounting ``schema``, or a schema below it,
+    would raise: solve it only where its loose bound reaches 2^30 (refused
+    at once where one allowed pattern passes the range)."""
+    if schema.sensitivity_sq_bound() >= _RANGE:
+        worst_case_sensitivity_sq(schema)
+
+
 def prefix_sensitivity_sq(schema: ParticipationSchema) -> list[float]:
     """worst_case_sensitivity_sq of every prefix of ``schema``, in one pass.
 
@@ -445,15 +452,35 @@ def prefix_sensitivity_sq(schema: ParticipationSchema) -> list[float]:
     return values
 
 
+def _check_rho_inputs(z: float, scale: float) -> None:
+    """Refuse a z that is not a finite number >= 0, or a sensitivity scale
+    that is not a finite number > 0 with a finite square."""
+    if not (math.isfinite(z) and z >= 0):
+        raise ValueError(f"z must be a finite number >= 0, not {z!r}")
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"sensitivity_scale must be a finite number > 0, not {scale!r}")
+    if not math.isfinite(scale * scale):
+        raise ValueError(f"sensitivity_scale must have a finite square, not {scale!r}")
+
+
 def gaussian_zcdp(sensitivity_sq: float, z: float, scale: float = 1.0) -> float:
     """rho = sensitivity^2 * scale^2 / (2 z^2), the rho-zCDP of Gaussian
     noise of std z at squared sensitivity ``sensitivity_sq`` (both in clip
-    units) times ``scale``^2 (SecAgg runs pass inflated_clip / clip).  z = 0,
-    or a z whose 2 z^2 underflows to 0, gives infinite rho (non-private).
+    units) times ``scale``^2 (SecAgg runs pass inflated_clip / clip).  rho
+    is infinite only through z: z = 0, or a z whose 2 z^2 underflows to 0
+    (non-private); a rho that overflows at any other z is refused, naming
+    the sensitivity scale.
     """
+    _check_rho_inputs(z, scale)
     if 2.0 * z * z == 0:
         return math.inf
-    return sensitivity_sq / (2.0 * z * z) * scale**2
+    rho = sensitivity_sq / (2.0 * z * z) * scale**2
+    if math.isinf(rho):
+        raise ValueError(
+            f"sensitivity_scale {scale!r} overflows rho at z {z!r}: "
+            "sensitivity^2 * sensitivity_scale^2 / (2 z^2) is not finite"
+        )
+    return rho
 
 
 def zcdp(z: float, schema: ParticipationSchema, scale: float = 1.0) -> float:
@@ -461,10 +488,9 @@ def zcdp(z: float, schema: ParticipationSchema, scale: float = 1.0) -> float:
 
     The clip norm cancels: node noise has std z * clip, sensitivity is in
     clip units.  z = 0 means no noise: rho is infinite (non-private), and
-    the solver does not run.
+    the solver does not run, nor for a z or scale gaussian_zcdp refuses.
     """
-    if not (math.isfinite(z) and z >= 0):
-        raise ValueError(f"z must be a finite number >= 0, not {z!r}")
+    _check_rho_inputs(z, scale)
     if z == 0:
         return math.inf
     return gaussian_zcdp(worst_case_sensitivity_sq(schema), z, scale)
@@ -473,8 +499,7 @@ def zcdp(z: float, schema: ParticipationSchema, scale: float = 1.0) -> float:
 def prefix_zcdp(z: float, schema: ParticipationSchema, scale: float = 1.0) -> list[float]:
     """rho-zCDP after every round: entry n - 1 equals zcdp(z, the n-round
     prefix of ``schema``, scale), from one prefix_sensitivity_sq pass."""
-    if not (math.isfinite(z) and z >= 0):
-        raise ValueError(f"z must be a finite number >= 0, not {z!r}")
+    _check_rho_inputs(z, scale)
     if z == 0:
         return [math.inf] * schema.total_rounds
     return [gaussian_zcdp(value, z, scale) for value in prefix_sensitivity_sq(schema)]
@@ -570,43 +595,3 @@ def loose_eps(rho: float, delta: float) -> float:
     product = rho * log_term
     root = math.sqrt(product) if math.isfinite(product) else math.sqrt(rho) * math.sqrt(log_term)
     return rho + 2.0 * root
-
-
-@dataclass
-class PrivacyLedger:
-    """Privacy position of one run: schema, equivalent noise multiplier,
-    rho, and its (epsilon, delta) conversions.
-
-    ``sensitivity_scale`` multiplies the per-participation sensitivity (in
-    clip units); secure-aggregation runs pass inflated_clip / clip to
-    account for the rounding inflation.  rho is infinite only through z:
-    z = 0, or a z whose 2 z^2 underflows; a rho that overflows at any other
-    z is refused, naming the sensitivity scale.
-    """
-
-    schema: ParticipationSchema
-    z: float
-    sensitivity_scale: float = 1.0
-    rho: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(scale := self.sensitivity_scale) and scale > 0):
-            raise ValueError(f"sensitivity_scale must be a finite number > 0, not {scale!r}")
-        if not math.isfinite(scale * scale):  # gaussian_zcdp's scale**2 would overflow
-            raise ValueError(f"sensitivity_scale must have a finite square, not {scale!r}")
-        self.rho = zcdp(self.z, self.schema, scale)
-        if math.isinf(self.rho) and 2.0 * self.z * self.z > 0:
-            raise ValueError(
-                f"sensitivity_scale {scale!r} overflows rho at z {self.z!r}: "
-                "sensitivity^2 * sensitivity_scale^2 / (2 z^2) is not finite"
-            )
-
-    @property
-    def non_private(self) -> bool:
-        return math.isinf(self.rho)
-
-    def epsilon(self, delta: float) -> float:
-        return zcdp_to_eps(self.rho, delta)
-
-    def loose_epsilon(self, delta: float) -> float:
-        return math.inf if self.non_private else loose_eps(self.rho, delta)

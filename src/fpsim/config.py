@@ -321,11 +321,12 @@ class ExperimentConfig:
         timer_schema = ParticipationSchema(self.rounds, self.timer_rounds, self.rounds, restarts)
         if z_equiv > 0:
             # The run's rho is gaussian_zcdp of its sensitivity^2, at most
-            # this bound, so the bound's rho is at least every run's rho.
+            # this bound, so the bound's rho is at least every run's rho.  An
+            # int bound past the float range raises OverflowError, a rho past it ValueError.
             bound = timer_schema.sensitivity_sq_bound()
             try:
                 rho_bound = gaussian_zcdp(bound, z_equiv, scale)
-            except OverflowError:
+            except (OverflowError, ValueError):
                 rho_bound = math.inf
             if math.isinf(rho_bound):
                 fail(

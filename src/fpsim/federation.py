@@ -80,11 +80,9 @@ class TrainingDiverged(RuntimeError):
 def availability_weights(
     config: ExperimentConfig, client_ids: np.ndarray, round_index: int
 ) -> np.ndarray:
-    """Selection weights of ``client_ids`` at a round: uniform, or a
-    sinusoidal day/night cycle (``availability.kind = diurnal``) where each
-    client's phase is a fixed hash of its id."""
-    if config.availability_kind == "uniform":
-        return np.ones(client_ids.shape[0], dtype=np.float64)
+    """Diurnal selection weights of ``client_ids`` at a round
+    (``availability.kind = diurnal``): a sinusoidal day/night cycle where
+    each client's phase is a fixed hash of its id."""
     # Golden-ratio hash spreads phases evenly and is independent of any
     # run seed: availability is a property of the world, not the run.
     phases = (client_ids.astype(np.uint64) * np.uint64(2654435761) % np.uint64(2**32)) / 2.0**32
@@ -161,8 +159,8 @@ def select_cohort(
     if ids.shape[0] < goal:
         raise CohortExhausted(round_index, ids.shape[0], goal)
     rng = seed.child("cohort", round_index).generator()
-    # Weighted sampling without replacement: top-m exponential-race keys.
-    # Uniform weights are all 1, so the logs are the keys (a uniform m-subset).
+    # Top-m exponential-race keys: weighted sampling without replacement, or
+    # under uniform availability the logs alone (a uniform m-subset).
     keys = np.log(rng.random(ids.shape[0]))
     if config.availability_kind == "diurnal":
         keys /= np.maximum(availability_weights(config, ids, round_index), 1e-12)

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from fpsim import accounting
-from fpsim.accounting import ParticipationSchema, PrivacyLedger
+from fpsim.accounting import ParticipationSchema
 from fpsim.config import ExperimentConfig, SweepConfig
 from fpsim.data import synthesize_clients, synthesize_eval_set
 from fpsim.federation import RoundMetrics, RunState, check_exhaustion, run_round, select_cohort
@@ -180,11 +180,8 @@ def start_run(config: ExperimentConfig) -> RunState:
     range, and a warm start must have the model's width and finite entries."""
     check_exhaustion(config)
     terms = config.privacy_terms()
-    schema = terms.timer_schema
-    if terms.z_equiv > 0 and schema.sensitivity_sq_bound() >= 1 << 30:
-        # The bound is loose, so solve (or refuse at once where one allowed
-        # pattern passes the range): no run's accounted schema exceeds the timer's.
-        accounting.worst_case_sensitivity_sq(schema)
+    if terms.z_equiv > 0:  # no run's accounted schema exceeds the timer's
+        accounting.check_range(terms.timer_schema)
     model = NextTokenBOW(vocab_size=config.vocab_size, window=config.window)
     if config.warm_start:
         theta0 = read_checkpoint(config.warm_start)
@@ -292,8 +289,8 @@ def render_report_text(row: dict[str, object]) -> str:
     for key in REPORT_COLUMNS:
         lines.append(f"{key}: {_format(row[key])}")
     if isinstance(row["rho"], float) and math.isinf(row["rho"]):
-        # Only z makes a reported rho infinite (PrivacyLedger): z = 0, or a
-        # nonzero z whose 2 z^2 underflows.
+        # Only z makes a reported rho infinite (accounting.gaussian_zcdp):
+        # z = 0, or a nonzero z whose 2 z^2 underflows.
         cause = (
             "noise multiplier 0"
             if row["z_equivalent"] == 0
@@ -322,19 +319,19 @@ def privacy_report(
     ``config``, when given, supplies the configured noise multiplier and the
     config hash; without it they are ``z_equiv`` and empty.
     """
-    ledger = PrivacyLedger(schema=schema, z=z_equiv, sensitivity_scale=sensitivity_scale)
+    rho = accounting.zcdp(z_equiv, schema, sensitivity_scale)
     return {
         "total_rounds": schema.total_rounds,
         "observed_max_part": schema.max_part,
         "observed_min_sep": schema.min_sep,
         "restart_rounds": ";".join(str(r) for r in schema.restart_rounds),
-        "noise_multiplier": config.noise_multiplier if config else ledger.z,
-        "z_equivalent": ledger.z,
-        "sensitivity_scale": ledger.sensitivity_scale,
-        "rho": ledger.rho,
+        "noise_multiplier": config.noise_multiplier if config else z_equiv,
+        "z_equivalent": z_equiv,
+        "sensitivity_scale": sensitivity_scale,
+        "rho": rho,
         "delta": delta,
-        "epsilon": ledger.epsilon(delta),
-        "epsilon_loose": ledger.loose_epsilon(delta),
+        "epsilon": accounting.zcdp_to_eps(rho, delta),
+        "epsilon_loose": math.inf if math.isinf(rho) else accounting.loose_eps(rho, delta),
         "config_hash": config.config_hash() if config else "",
     }
 

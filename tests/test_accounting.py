@@ -9,6 +9,7 @@ fixed-count searches in oracles.py that the early-stopping ones must equal.
 """
 
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -19,12 +20,12 @@ from hypothesis import strategies as st
 
 from fpsim import (
     ParticipationSchema,
-    PrivacyLedger,
     SweepConfig,
     gaussian_zcdp,
     loose_eps,
     prefix_sensitivity_sq,
     prefix_zcdp,
+    privacy_report,
     sweep_privacy,
     worst_case_sensitivity_sq,
     zcdp,
@@ -441,11 +442,20 @@ class TestZcdp:
     @pytest.mark.parametrize("z", [math.nan, math.inf, -1.0])
     def test_z_not_a_finite_number_at_least_zero_refused(self, z):
         """A NaN z would print rho = nan, and an infinite one rho = 0 for
-        noise no run adds."""
+        noise no run adds.  Every public rho refuses it before any solve."""
         schema = _schema(10, min_sep=2)
-        for account in (zcdp, prefix_zcdp, lambda z, schema: PrivacyLedger(schema, z)):
-            with pytest.raises(ValueError, match=r"^z must be a finite number >= 0, not "):
-                account(z, schema)
+        sensitivity_sq = worst_case_sensitivity_sq(schema)
+        accounts = (
+            lambda z, schema: gaussian_zcdp(sensitivity_sq, z),
+            zcdp,
+            prefix_zcdp,
+            lambda z, schema: privacy_report(schema, z),
+        )
+        with mock.patch.object(accounting, "_solver_for", wraps=_solver_for) as solver:
+            for account in accounts:
+                with pytest.raises(ValueError, match=r"^z must be a finite number >= 0, not "):
+                    account(z, schema)
+        assert not solver.called
 
     def test_strictly_decreasing_in_z(self):
         schema = _schema(8, min_sep=2)
@@ -453,7 +463,7 @@ class TestZcdp:
         assert all(a > b for a, b in zip(rhos, rhos[1:]))
 
     def test_one_rho_formula(self):
-        """zcdp, its per-round column and the ledger all give
+        """zcdp, its per-round column and the report all give
         sensitivity^2 / (2 z^2) * scale^2 with the same float steps."""
         schema = _schema(24, min_sep=3, restarts=(10,))
         sensitivity_sq = worst_case_sensitivity_sq(schema)
@@ -461,7 +471,7 @@ class TestZcdp:
         assert gaussian_zcdp(sensitivity_sq, 0.7, 1.3) == expected
         assert zcdp(0.7, schema, 1.3) == expected
         assert prefix_zcdp(0.7, schema, 1.3)[-1] == expected
-        assert PrivacyLedger(schema, 0.7, 1.3).rho == expected
+        assert privacy_report(schema, 0.7, 1.3)["rho"] == expected
         assert gaussian_zcdp(sensitivity_sq, 0.7) == sensitivity_sq / (2.0 * 0.7 * 0.7)
         assert gaussian_zcdp(sensitivity_sq, 0.0, 1.3) == math.inf
         # 2 z^2 underflows to 0: rho is past the float range, not a crash.
@@ -540,53 +550,76 @@ class TestConversion:
         assert (zcdp_to_delta(0.0, 1.0), zcdp_to_delta(0.0, 0.0)) == (0.0, 1.0)
 
 
-class TestPrivacyLedger:
+class TestPrivacyReport:
     def test_rho_matches_direct_computation(self):
         schema = _schema(16, min_sep=4)
-        ledger = PrivacyLedger(schema, z=2.0)
-        assert ledger.rho == pytest.approx(zcdp(2.0, schema), rel=1e-12)
+        report = privacy_report(schema, 2.0)
+        assert report["rho"] == pytest.approx(zcdp(2.0, schema), rel=1e-12)
 
     def test_sensitivity_scale_is_squared(self):
         schema = _schema(16, min_sep=4)
-        plain = PrivacyLedger(schema, z=2.0)
-        inflated = PrivacyLedger(schema, z=2.0, sensitivity_scale=1.5)
-        assert inflated.rho == pytest.approx(plain.rho * 1.5**2, rel=1e-12)
+        plain = privacy_report(schema, 2.0)
+        inflated = privacy_report(schema, 2.0, sensitivity_scale=1.5)
+        assert inflated["rho"] == pytest.approx(plain["rho"] * 1.5**2, rel=1e-12)
 
     def test_epsilon_consistent_with_rho(self):
-        ledger = PrivacyLedger(_schema(8, min_sep=2), z=3.0)
-        assert ledger.epsilon(1e-10) == pytest.approx(zcdp_to_eps(ledger.rho, 1e-10), rel=1e-12)
+        report = privacy_report(_schema(8, min_sep=2), 3.0, delta=1e-10)
+        assert report["epsilon"] == pytest.approx(zcdp_to_eps(report["rho"], 1e-10), rel=1e-12)
 
     def test_huge_rho_has_finite_epsilon(self):
         """A tiny z on a many-participation schema gives rho ~ 2e15, where
         the delta conversion's exp overflows unless its exponent is capped
         at 0; every finite rho has a finite epsilon."""
-        ledger = PrivacyLedger(ParticipationSchema(200, 50, 4), 1e-7)
-        assert math.isfinite(ledger.epsilon(1e-10))
+        report = privacy_report(ParticipationSchema(200, 50, 4), 1e-7, delta=1e-10)
+        assert math.isfinite(report["epsilon"])
         assert zcdp_to_delta(1e300, 0.0) == 1.0
 
     def test_rho_past_the_loose_products_overflow_has_finite_epsilon(self):
         """At z = 1e-153 the run's rho is finite but rho * ln(1/delta) is
         not; the loose bound, and the tight epsilon bisected below it, stay
         finite."""
-        ledger = PrivacyLedger(ParticipationSchema(200, 50, 4, (128,)), 1e-153)
-        log_term = math.log(1e10)
-        assert math.isfinite(ledger.rho) and math.isinf(ledger.rho * log_term)
-        loose = ledger.loose_epsilon(1e-10)
-        assert loose == ledger.rho + 2.0 * math.sqrt(ledger.rho) * math.sqrt(log_term)
-        assert ledger.rho <= ledger.epsilon(1e-10) <= loose < math.inf
+        report = privacy_report(ParticipationSchema(200, 50, 4, (128,)), 1e-153, delta=1e-10)
+        rho, loose, log_term = report["rho"], report["epsilon_loose"], math.log(1e10)
+        assert math.isfinite(rho) and math.isinf(rho * log_term)
+        assert loose == rho + 2.0 * math.sqrt(rho) * math.sqrt(log_term)
+        assert rho <= report["epsilon"] <= loose < math.inf
         # Where the product is finite the bound is the one-root value.
         for rho in (0.0, 0.5, 1e300):
             assert loose_eps(rho, 1e-10) == rho + 2.0 * math.sqrt(rho * log_term)
 
-    @pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -1.0])
-    def test_sensitivity_scale_not_a_finite_positive_number_refused(self, scale):
-        with pytest.raises(ValueError, match=r"^sensitivity_scale must be a finite number > 0, "):
-            PrivacyLedger(_schema(8), z=1.0, sensitivity_scale=scale)
+    @pytest.mark.parametrize(
+        "scale, why",
+        [
+            (math.nan, "must be a finite number > 0, not nan"),
+            (math.inf, "must be a finite number > 0, not inf"),
+            (0.0, "must be a finite number > 0, not 0.0"),
+            (-2.0, "must be a finite number > 0, not -2.0"),
+            (1e200, "must have a finite square, not 1e+200"),
+            (1e154, "1e+154 overflows rho at z 1.0: "),
+        ],
+    )
+    def test_sensitivity_scale_not_a_finite_positive_number_refused(self, scale, why):
+        """rho = 0 would read as perfectly private, a negative scale squares
+        to a positive rho, and NaN or infinity passes through; every public
+        rho refuses such a scale before any solve.  A finite scale whose rho
+        overflows at a nonzero z is refused once its sensitivity is known."""
+        schema = _schema(8)
+        sensitivity_sq = worst_case_sensitivity_sq(schema)
+        accounts = (
+            lambda scale: gaussian_zcdp(sensitivity_sq, 1.0, scale),
+            lambda scale: zcdp(1.0, schema, scale),
+            lambda scale: prefix_zcdp(1.0, schema, scale),
+            lambda scale: privacy_report(schema, 1.0, scale),
+        )
+        with mock.patch.object(accounting, "_solver_for", wraps=_solver_for) as solver:
+            for account in accounts:
+                with pytest.raises(ValueError, match="^sensitivity_scale " + re.escape(why)):
+                    account(scale)
+        assert solver.called == why.startswith("1e+154")
 
     def test_non_private_marker(self):
-        ledger = PrivacyLedger(_schema(8), z=0.0)
-        assert ledger.non_private
-        assert ledger.rho == math.inf
+        report = privacy_report(_schema(8), 0.0)
+        assert report["rho"] == report["epsilon"] == report["epsilon_loose"] == math.inf
 
 
 class TestSchemaValidation:

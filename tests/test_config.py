@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fpsim import ExperimentConfig, ParticipationSchema, PrivacyLedger, SweepConfig
+from fpsim import ExperimentConfig, ParticipationSchema, SweepConfig, zcdp
 from fpsim.clipping import combined_multiplier, noise_split
 from fpsim.federation import availability_weights
 from fpsim.secagg import SecAggConfig
@@ -465,8 +465,7 @@ class TestPrivacyTerms:
         case is finite."""
         config = ExperimentConfig.from_text("clip.mode = fixed\nnoise_multiplier = 1e-153\n")
         terms = config.privacy_terms()
-        ledger = PrivacyLedger(terms.timer_schema, terms.z_equiv, terms.sensitivity_scale)
-        assert math.isfinite(ledger.rho)
+        assert math.isfinite(zcdp(terms.z_equiv, terms.timer_schema, terms.sensitivity_scale))
 
 
 class TestCanonicalization:

@@ -20,7 +20,7 @@ SURFACE = {
     "ExperimentConfig", "SweepConfig", "PrivacyTerms", "ConfigError",
     "run_experiment", "post_hoc_report", "privacy_report", "sweep_privacy", "compare",
     "read_checkpoint", "write_checkpoint", "read_metrics",
-    "ParticipationSchema", "PrivacyLedger", "worst_case_sensitivity_sq", "prefix_sensitivity_sq",
+    "ParticipationSchema", "worst_case_sensitivity_sq", "prefix_sensitivity_sq",
     "gaussian_zcdp", "zcdp", "prefix_zcdp", "zcdp_to_eps", "zcdp_to_delta", "loose_eps",
     "RunResult", "CohortExhausted", "TrainingDiverged", "RoundingRetriesExhausted",
     "BACKEND", "__version__",

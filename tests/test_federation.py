@@ -165,9 +165,16 @@ def _server(data, z=0.0, clip=math.inf, m=4, beta=0.0, eta_s=1.0, seed=11, **kw)
 
 
 class TestAvailabilityModel:
-    def test_uniform_weights_are_ones(self):
-        w = availability_weights(_config(), np.arange(10), 3)
-        np.testing.assert_array_equal(w, np.ones(10))
+    def test_uniform_selects_as_flat_diurnal(self):
+        """Uniform availability takes the exponential-race keys unweighted:
+        the cohorts of diurnal weights all 1 (amplitude 0), round by round."""
+        uniform = _config(report_goal=4, timer_rounds=2)
+        flat = dataclasses.replace(uniform, availability_kind="diurnal", availability_amplitude=0)
+        picks = []
+        for config in (uniform, flat):
+            population, seed = _population(_data()), SeedPath(3).child("sel")
+            picks.append([select_cohort(population, config, t, seed) for t in range(8)])
+        assert picks[0] == picks[1]
 
     def test_diurnal_weights_bounded(self):
         config = _config(

@@ -25,7 +25,6 @@ from fpsim import (
     CohortExhausted,
     ExperimentConfig,
     ParticipationSchema,
-    PrivacyLedger,
     SweepConfig,
     TrainingDiverged,
     compare,
@@ -266,8 +265,8 @@ class TestCumulativeZcdp:
 
 class TestReportConsistency:
     def test_rho_recomputable_from_participation_log(self, small_run):
-        """The reported rho must equal an independent ledger built from the
-        observed participation limits in the run's own log."""
+        """The reported rho must equal an independent zcdp of the observed
+        participation limits in the run's own log."""
         _, result = small_run
         report = post_hoc_report(result.directory)
         schema = ParticipationSchema(
@@ -276,13 +275,9 @@ class TestReportConsistency:
             int(report["observed_max_part"]),
             (5, 9),
         )
-        ledger = PrivacyLedger(
-            schema,
-            z=float(report["z_equivalent"]),
-            sensitivity_scale=float(report["sensitivity_scale"]),
-        )
-        assert float(report["rho"]) == pytest.approx(ledger.rho, rel=1e-12)
-        assert result.final_rho == pytest.approx(ledger.rho, rel=1e-12)
+        rho = zcdp(float(report["z_equivalent"]), schema, float(report["sensitivity_scale"]))
+        assert float(report["rho"]) == pytest.approx(rho, rel=1e-12)
+        assert result.final_rho == pytest.approx(rho, rel=1e-12)
 
     def test_epsilon_consistent_with_rho(self, small_run):
         _, result = small_run
