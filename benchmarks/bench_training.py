@@ -251,7 +251,7 @@ def main() -> None:
     block = _BLOCK_BYTES // (8 * model.num_params)
     stack = np.tile(theta, (block, 1))
     block_contexts, block_labels = contexts[:block, :BATCH_SIZE], labels[:block, :BATCH_SIZE]
-    block_orders = batch_orders(None, block, BATCH_SIZE, 1)
+    block_orders = np.broadcast_to(np.arange(BATCH_SIZE), (1, block, BATCH_SIZE))
     record["sgd_step_ms"] = _best_ms(
         lambda: model.local_sgd(stack, block_contexts, block_labels, block_orders, 0.1, BATCH_SIZE),
         args.repeats,

@@ -129,26 +129,27 @@ class _SensitivitySolver:
     p - i with complementary margin requirements u and min_sep - 1 - u
     around the midline; the root itself always contributes p^2.
 
-    Margins only matter up to ``width`` = min(min_sep, tallest tree size +
-    1), past which every margin is equally infeasible: tables are clamped
-    there and serve every tree that fits.  Every table is non-increasing in
-    both margins (a larger requirement only removes patterns), so a left
-    row F[k-1][i][a, u] is non-increasing in u while the right side,
-    F[k-1][p-i] read at row min_sep - 1 - u, is non-decreasing in u: only
-    the last u of each constant step of a left row can attain the max.
+    Margins stop at min_sep - 1, the most a split or the fold asks for: a
+    table has min_sep rows, an end of min_sep - 1 covers every larger
+    margin, and one solver serves every tree at its min_sep.  Every table
+    is non-increasing in both margins (a larger requirement only removes
+    patterns), so a left row F[k-1][i][a, u] is non-increasing in u while
+    the right side, F[k-1][p-i] read at row min_sep - 1 - u, is
+    non-decreasing in u: only the last u of each constant step of a left
+    row can attain the max.
 
     Tables are stored as those step ends (_StepRows), never dense: a row
     holds few distinct values (at most three at min_sep 1000).  One store
-    per level k holds F[k][p] row a at row (p - 2) * width + a, for p up to
-    the largest max_part asked so far.  A table row is the max of step
+    per level k holds F[k][p] row a at row (p - 2) * min_sep + a, for p up
+    to the largest max_part asked so far.  A table row is the max of step
     functions (the two all-in-one-half terms, and per split and left step
     end the right row lifted by the left value), so the build finds its
     step ends from theirs alone, in chunks of rows.  Tables with p >= 2
-    exist only where 2^k > min_sep, so every midline margin u < width <=
-    min_sep is a row.  F[k][1] is k + 1 where a + b <= 2^k - 1 (one
-    placement is covered by its root path): never stored, it is written
-    out to build the level above and used in closed form by the fold.
-    Values (sums of squared node counts) are int32; the build refuses 2^30.
+    exist only where 2^k > min_sep.  F[k][1] is k + 1 where a + b <=
+    2^k - 1 (one placement is covered by its root path): never stored, it
+    is written out to build the level above and used in closed form by the
+    fold.  Values (sums of squared node counts) are int32; the build
+    refuses 2^30.
 
     A forest (trees left to right, adjacent in time) is folded left to
     right: H[j][p][b] is the best total over trees 0..j with exactly p
@@ -174,9 +175,8 @@ class _SensitivitySolver:
     round.
     """
 
-    def __init__(self, min_sep: int, width: int) -> None:
+    def __init__(self, min_sep: int) -> None:
         self.min_sep = min_sep
-        self.width = width
         self._levels: list[_StepRows] = []
         # The fold state of no trees: no placement, at any right margin.
         self.empty = (np.zeros(1, np.int64), np.full(1, min_sep - 1), np.zeros(1, np.int64))
@@ -190,42 +190,41 @@ class _SensitivitySolver:
         capacity(k)): only feasible tables are built, so a split that puts
         more than a half's capacity on one side is skipped."""
         self._levels.extend(_StepRows.concat([]) for _ in range(len(self._levels), k + 1))
-        built = 1 + (self._levels[k].offsets.size - 1) // self.width
+        built = 1 + (self._levels[k].offsets.size - 1) // self.min_sep
         wanted = min(max_part, self.capacity(k))
         if built < wanted:
             # F[k-1][1]: row a <= 2^(k-1) - 1 is k up to b = 2^(k-1) - 1 - a.
-            a = np.arange(min(self.width, 1 << (k - 1)))
-            ends = np.minimum((1 << (k - 1)) - 1 - a, self.width - 1)
-            single = _StepRows.upper(self.width, self.width, a, ends, np.full(a.size, k))
+            a = np.arange(min(self.min_sep, 1 << (k - 1)))
+            ends = np.minimum((1 << (k - 1)) - 1 - a, self.min_sep - 1)
+            single = _StepRows.upper(self.min_sep, self.min_sep, a, ends, np.full(a.size, k))
             below = _StepRows.concat([single, self._level(k - 1, wanted)])
             new = self._build(k, built + 1, wanted, below)
             self._levels[k] = _StepRows.concat([self._levels[k], new])
         return self._levels[k]
 
     def _build(self, k: int, p_lo: int, p_hi: int, below: _StepRows) -> _StepRows:
-        """F[k][p] for 2 <= p_lo <= p <= p_hi at row (p - p_lo) * width + a,
-        from ``below``, F[k-1][p] at row (p - 1) * width + a for p >= 1."""
-        width, half, half_cap = self.width, 1 << (k - 1), self.capacity(k - 1)
-        shifted = np.maximum(np.arange(width) - half, 0)
-        total = (p_hi - p_lo + 1) * width
+        """F[k][p] for 2 <= p_lo <= p <= p_hi at row (p - p_lo) * min_sep + a,
+        from ``below``, F[k-1][p] at row (p - 1) * min_sep + a for p >= 1."""
+        min_sep, half, half_cap = self.min_sep, 1 << (k - 1), self.capacity(k - 1)
+        shifted = np.maximum(np.arange(min_sep) - half, 0)
+        total = (p_hi - p_lo + 1) * min_sep
         step = max(1, _CHUNK_SPLITS // (1 + min(p_hi - 1, half_cap)))
         parts = []
         for lo in range(0, total, step):
             chunk = np.arange(lo, min(total, lo + step))
-            p, a = p_lo + chunk // width, chunk % width
+            p, a = p_lo + chunk // min_sep, chunk % min_sep
             # All p in the left half, F[k-1][p][a, b - half] (each end moves
             # right by half), or all in the right half, F[k-1][p][a - half, b].
-            same = (p[: np.searchsorted(p, half_cap, side="right")] - 1) * width
+            same = (p[: np.searchsorted(p, half_cap, side="right")] - 1) * min_sep
             left_row, left_end, left_value = below.entries(same + a[: same.size])
             right_row, right_end, right_value = below.entries(same + shifted[a[: same.size]])
             # Split i / p - i: each step end (u, value) of F[k-1][i] row a
             # lifts F[k-1][p-i] row min_sep - 1 - u by that value.
             first = np.maximum(p - half_cap, 1)
             pair, i = _ragged(first, np.maximum(np.minimum(p - 1, half_cap) - first + 1, 0))
-            cand, u, lift = below.entries((i - 1) * width + a[pair])
-            complement = np.minimum(self.min_sep - 1 - u, width - 1)
+            cand, u, lift = below.entries((i - 1) * min_sep + a[pair])
             lifted, split_end, split_value = below.entries(
-                (p[pair[cand]] - i[cand] - 1) * width + complement
+                (p[pair[cand]] - i[cand]) * min_sep - 1 - u
             )
             rows = np.concatenate([left_row, right_row, pair[cand[lifted]]])
             values = np.concatenate([left_value, right_value, lift[lifted] + split_value])
@@ -233,15 +232,14 @@ class _SensitivitySolver:
             if values.size and values.max() >= _RANGE:
                 worst = p[rows[values.argmax()]]
                 raise OverflowError(f"table F[{k}][{worst}] exceeds the int32 range, 2^30")
-            ends = np.concatenate([np.minimum(left_end + half, width - 1), right_end, split_end])
-            parts.append(_StepRows.upper(chunk.size, width, rows, ends, values))
+            ends = np.concatenate([np.minimum(left_end + half, min_sep - 1), right_end, split_end])
+            parts.append(_StepRows.upper(chunk.size, min_sep, rows, ends, values))
         return _StepRows.concat(parts)
 
     def fold(self, state: tuple, k: int, end: int, max_part: int) -> tuple:
         """Fold one tree of 2^k leaves, ending at round ``end``, onto the
         state of the trees before it.  The new state stops at the most
-        participations rounds [0, end) can hold, capped at ``max_part``.
-        The tree is no taller than the one _solver_for sized the tables for."""
+        participations rounds [0, end) can hold, capped at ``max_part``."""
         rows, ends, values = state
         size, top = 1 << k, self.min_sep - 1
         cap = min(max_part, 1 + (end - 1) // self.min_sep)
@@ -254,8 +252,7 @@ class _SensitivitySolver:
         q_top = min(self.capacity(k), cap)
         if q_top < 2:
             return new
-        # Tables exist only where 2^k > min_sep, so width is min_sep and every
-        # u is a row.  F[k][q] is at row (q - 2) * width + u.  The (entry, q)
+        # F[k][q] row u is at row (q - 2) * min_sep + u.  The (entry, q)
         # pairs are merged in chunks, so memory stays flat in max_part.
         tables = self._level(k, q_top)
         step = max(1, _CHUNK_SPLITS // rows.size)
@@ -263,7 +260,7 @@ class _SensitivitySolver:
             qs = np.arange(q_lo, min(q_lo + step, q_top + 1))
             entry, column = np.nonzero(rows[:, None] + qs <= cap)
             q = qs[column]
-            owner, table_end, table_value = tables.entries((q - 2) * self.width + u[entry])
+            owner, table_end, table_value = tables.entries((q - 2) * self.min_sep + u[entry])
             entry = entry[owner]
             new = self._merge(new, (rows[entry] + q[owner], table_end, values[entry] + table_value))
         return new
@@ -384,7 +381,7 @@ def _spread_sensitivity_sq(schema: ParticipationSchema) -> int:
     return total
 
 
-_SOLVER_CACHE: dict[tuple[int, int], _SensitivitySolver] = {}
+_SOLVER_CACHE: dict[int, _SensitivitySolver] = {}
 
 
 def _solver_for(schema: ParticipationSchema) -> _SensitivitySolver:
@@ -397,15 +394,11 @@ def _solver_for(schema: ParticipationSchema) -> _SensitivitySolver:
             f"worst-case sensitivity^2 exceeds the int32 range, 2^30: participating "
             f"every {schema.min_sep} rounds from round 0 already gives {spread}"
         )
-    max_level = max(schema.tree_levels(), default=0)
-    key = (schema.min_sep, min(schema.min_sep, (1 << max_level) + 1))
-    solver = _SOLVER_CACHE.get(key)
-    if solver is None:
-        solver = _SensitivitySolver(*key)
+    if schema.min_sep not in _SOLVER_CACHE:
         if len(_SOLVER_CACHE) > 32:
             _SOLVER_CACHE.clear()
-        _SOLVER_CACHE[key] = solver
-    return solver
+        _SOLVER_CACHE[schema.min_sep] = _SensitivitySolver(schema.min_sep)
+    return _SOLVER_CACHE[schema.min_sep]
 
 
 def worst_case_sensitivity_sq(schema: ParticipationSchema) -> float:
@@ -469,9 +462,12 @@ def gaussian_zcdp(sensitivity_sq: float, z: float, scale: float = 1.0) -> float:
     units) times ``scale``^2 (SecAgg runs pass inflated_clip / clip).  rho
     is infinite only through z: z = 0, or a z whose 2 z^2 underflows to 0
     (non-private); a rho that overflows at any other z is refused, naming
-    the sensitivity scale.
+    the sensitivity scale, and so is a sensitivity_sq that is not a finite
+    number >= 0, naming it.
     """
     _check_rho_inputs(z, scale)
+    if not (math.isfinite(sensitivity_sq) and sensitivity_sq >= 0):
+        raise ValueError(f"sensitivity_sq must be a finite number >= 0, not {sensitivity_sq!r}")
     if 2.0 * z * z == 0:
         return math.inf
     rho = sensitivity_sq / (2.0 * z * z) * scale**2
@@ -553,11 +549,16 @@ def zcdp_to_delta(rho: float, eps: float) -> float:
     return math.exp(min(fc, fd, 0.0))
 
 
+def _check_delta(delta: float) -> None:
+    """Refuse a delta outside (0, 1), nan included."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must be in (0, 1)")
+
+
 def zcdp_to_eps(rho: float, delta: float) -> float:
     """Smallest epsilon such that rho-zCDP implies (epsilon, delta)-DP,
     under the tight conversion (bisecting zcdp_to_delta in epsilon)."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must be in (0, 1)")
+    _check_delta(delta)
     if rho < 0:
         raise ValueError("rho must be >= 0")
     if math.isinf(rho):
@@ -587,8 +588,7 @@ def loose_eps(rho: float, delta: float) -> float:
     factor, so a finite rho keeps a finite bound; every other result is
     the one-root value.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must be in (0, 1)")
+    _check_delta(delta)
     if rho < 0:
         raise ValueError("rho must be >= 0")
     log_term = math.log(1.0 / delta)

@@ -90,21 +90,16 @@ def availability_weights(
     return 1.0 + config.availability_amplitude * np.sin(cycle)
 
 
-def batch_orders(
-    rng: np.random.Generator | None, cohort: int, n: int, epochs: int
-) -> np.ndarray:
+def batch_orders(rng: np.random.Generator, cohort: int, n: int, epochs: int) -> np.ndarray:
     """The cohort's local batch orders, (epochs, cohort, n): every epoch
     shuffles each client's order of its n examples from ``rng``, one row
-    of ``rng.permuted`` per client, starting from the last epoch's order;
-    None gives sequential order."""
+    of ``rng.permuted`` per client, starting from the last epoch's order."""
     orders = np.empty((epochs, cohort, n), dtype=np.intp)
-    orders[0] = np.arange(n)
-    for epoch in range(epochs):
-        current = orders[epoch]
-        if epoch:
-            current[...] = orders[epoch - 1]
-        if rng is not None:
-            rng.permuted(current, axis=1, out=current)
+    previous = np.arange(n)
+    for current in orders:
+        current[...] = previous
+        rng.permuted(current, axis=1, out=current)
+        previous = current
     return orders
 
 
@@ -255,19 +250,18 @@ def _aggregate(
     A block holds _BLOCK_BYTES of deltas.  The outputs equal one
     whole-cohort block's, to the byte: the batch orders are drawn for the
     whole cohort before any block, each client's row is computed alone, the
-    plain sum adds the rows in cohort order as numpy's axis-0 sum does, and
-    the SecAgg total is an exact sum of residues mod M.  A client whose
-    delta norm is not finite stops the run with TrainingDiverged, naming the
-    round, before its block is summed: clipping would scale an overflowed
-    delta to zero, and while every norm is finite so is every entry and
-    every sum of them.
+    plain sum adds the rows in cohort order, and the SecAgg total is an
+    exact sum of residues mod M.  A client whose delta norm is not finite
+    stops the run with TrainingDiverged, naming the round, before its block
+    is summed: clipping would scale an overflowed delta to zero, and while
+    every norm is finite so is every entry and every sum of them.
     """
     config, t = state.config, state.round
     cohort = len(cohort_ids)
     block = max(1, _BLOCK_BYTES // (8 * state.model.num_params))
     below = 0
     losses = np.empty(cohort)
-    plain_sum = None
+    plain_sum = np.zeros(state.model.num_params)
     cfg = state.terms.secagg
     secagg = None if cfg is None else SecAggRound(cfg, state.seed, t)
     for lo in range(0, cohort, block):
@@ -288,14 +282,10 @@ def _aggregate(
         below += int(np.count_nonzero(norms <= state.clip.estimate))
         # Each block is summed and encoded as soon as it exists, so no array
         # of the whole cohort's deltas is ever built, and the SecAgg round
-        # adds its clients' codes straight into its total.  The rows are
-        # added in cohort order: numpy's axis-0 sum of the first block is
-        # its rows added one by one into a copy of its first row.
-        if plain_sum is None:
-            plain_sum = deltas.sum(axis=0)
-        else:
-            for i in range(hi - lo):
-                plain_sum += deltas[i]
+        # adds its clients' codes straight into its total.  Rows are indexed,
+        # as a loop variable's view would keep the block past the del below.
+        for i in range(hi - lo):
+            plain_sum += deltas[i]
         if secagg is not None:
             secagg.add(deltas, ids)
         del deltas  # freed before the next block is trained

@@ -317,8 +317,10 @@ def privacy_report(
     schema's, the ones rho is accounted at.
 
     ``config``, when given, supplies the configured noise multiplier and the
-    config hash; without it they are ``z_equiv`` and empty.
+    config hash; without it they are ``z_equiv`` and empty.  A delta outside
+    (0, 1) is refused before any solve.
     """
+    accounting._check_delta(delta)
     rho = accounting.zcdp(z_equiv, schema, sensitivity_scale)
     return {
         "total_rounds": schema.total_rounds,
@@ -352,7 +354,9 @@ def post_hoc_report(run_dir: str | Path, delta: float = REPORT_DELTA) -> dict[st
     """Recompute a finished run's privacy report, with epsilon at ``delta``,
     from its resolved config (the `account --run` path).  Its participation.csv
     must be, byte for byte, the log the config's cohorts replay to; any other
-    is a ValueError naming the file and its first differing line."""
+    is a ValueError naming the file and its first differing line.  A delta
+    outside (0, 1) is refused before the log is replayed."""
+    accounting._check_delta(delta)
     run = Path(run_dir)
     config = ExperimentConfig.from_file(run / "config.resolved")
     ids = chain.from_iterable(cohorts(config))

@@ -455,8 +455,8 @@ def brute_force_sensitivity_sq(
 
 class ReferenceTables:
     """The dense table build the solver's step-end tables are checked
-    against: F[k][p] as a (width, width) int32 array over the (a, b) margin
-    grid, infeasible entries exactly the sentinel.
+    against: F[k][p] as a (min_sep, min_sep) int32 array over the (a, b)
+    margin grid, infeasible entries exactly the sentinel.
 
     The recursion of accounting._SensitivitySolver, one memoised table at a
     time: the p = 1 tables from their closed form, the all-in-one-half max
@@ -464,9 +464,8 @@ class ReferenceTables:
     midline margin u < min(min_sep, half size), not only the step ends.
     """
 
-    def __init__(self, min_sep: int, width: int) -> None:
+    def __init__(self, min_sep: int) -> None:
         self.min_sep = min_sep
-        self.width = width
         self._tables: dict[tuple[int, int], np.ndarray] = {}
 
     def capacity(self, k: int) -> int:
@@ -480,19 +479,19 @@ class ReferenceTables:
 
     def _build(self, k: int, p: int) -> np.ndarray:
         assert 1 <= p <= self.capacity(k)
-        margins = np.arange(self.width)
+        margins = np.arange(self.min_sep)
         if p == 1:
             feasible = margins[:, None] + margins[None, :] <= (1 << k) - 1
             return np.where(feasible, k + 1, INFEASIBLE).astype(np.int32)
         half = 1 << (k - 1)
         half_cap = self.capacity(k - 1)
-        table = np.full((self.width, self.width), INFEASIBLE, dtype=np.int64)
+        table = np.full((self.min_sep, self.min_sep), INFEASIBLE, dtype=np.int64)
         if p <= half_cap:
             shifted = np.maximum(margins - half, 0)
             same = self.table(k - 1, p)
             table = np.maximum(table, np.maximum(same[:, shifted], same[shifted, :]))
         u_count = min(self.min_sep, half)
-        complement = np.clip(self.min_sep - 1 - np.arange(u_count), 0, self.width - 1)
+        complement = self.min_sep - 1 - np.arange(u_count)
         for i in range(max(1, p - half_cap), min(p - 1, half_cap) + 1):
             left = self.table(k - 1, i)[:, :u_count].astype(np.int64)
             right = self.table(k - 1, p - i)[complement, :]
@@ -531,18 +530,18 @@ def dense_fold(
     """
     size = 1 << k
     count, length = state.shape
-    min_sep, width = tables.min_sep, tables.width
+    min_sep = tables.min_sep
     cap = min(max_part, 1 + (end - 1) // min_sep)
     u = np.arange(min(min_sep, size))
     rest = state[:, np.minimum(min_sep - 1 - u, length - 1)].astype(np.int64)
-    inside = np.full((cap + 1, width), INFEASIBLE, dtype=np.int64)
+    inside = np.full((cap + 1, min_sep), INFEASIBLE, dtype=np.int64)
     for q in range(1, min(tables.capacity(k), cap) + 1):
         table = tables.table(k, q)[:, : u.size].astype(np.int64)
         for r in range(min(count, cap - q + 1)):
             best = (table + rest[r]).max(axis=1)
             inside[q + r] = np.maximum(inside[q + r], best)
     margins = np.arange(length)
-    new = inside[:, np.minimum(margins, width - 1)]
+    new = inside[:, :length]
     kept = min(count, cap + 1)
     new[:kept] = np.maximum(new[:kept], state[:kept, np.maximum(margins - size, 0)])
     return np.where(new < 0, INFEASIBLE, new)

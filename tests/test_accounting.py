@@ -23,6 +23,7 @@ from fpsim import (
     SweepConfig,
     gaussian_zcdp,
     loose_eps,
+    post_hoc_report,
     prefix_sensitivity_sq,
     prefix_zcdp,
     privacy_report,
@@ -152,7 +153,7 @@ class TestSolverExactness:
         (solver,) = accounting._SOLVER_CACHE.values()
         for k, level in enumerate(solver._levels):
             stored_p = min(3, solver.capacity(k)) - 1  # p = 2 .. 3
-            assert level.offsets.size - 1 == stored_p * solver.width, k
+            assert level.offsets.size - 1 == stored_p * solver.min_sep, k
         stored = sum(array.nbytes for level in solver._levels for array in level)
         assert stored <= 200_000
 
@@ -182,10 +183,10 @@ class TestSolverExactness:
                 assert not accounting._SOLVER_CACHE
                 # F[3][8] at min_sep 1 is 8 * 15 = 120.
                 with pytest.raises(OverflowError, match="table F"):
-                    accounting._SensitivitySolver(1, 1).solve((4,), 16)
+                    accounting._SensitivitySolver(1).solve((4,), 16)
                 # Four 4-round trees: each is 28, the forest 112.
                 with pytest.raises(OverflowError, match="worst-case .* 2\\^30$"):
-                    accounting._SensitivitySolver(1, 1).solve((2, 2, 2, 2), 16)
+                    accounting._SensitivitySolver(1).solve((2, 2, 2, 2), 16)
         finally:
             accounting._SOLVER_CACHE.clear()
         assert worst_case_sensitivity_sq(ParticipationSchema(16, 1, 16, (4, 8, 12))) == 112.0
@@ -223,11 +224,11 @@ class TestSolverExactness:
 
 def _tables(solver):
     """Every table a solver stores, as ((k, p), dense int32 table)."""
-    width = solver.width
+    min_sep = solver.min_sep
     for k, level in enumerate(solver._levels):
-        dense = dense_step_rows(level, width)
-        for p in range(2, 2 + dense.shape[0] // width):
-            yield (k, p), dense[(p - 2) * width : (p - 1) * width]
+        dense = dense_step_rows(level, min_sep)
+        for p in range(2, 2 + dense.shape[0] // min_sep):
+            yield (k, p), dense[(p - 2) * min_sep : (p - 1) * min_sep]
 
 
 class TestStepEndMaxplus:
@@ -235,26 +236,20 @@ class TestStepEndMaxplus:
     the fold read only those; every table must equal the dense build."""
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        min_sep=st.integers(1, 40),
-        k=st.integers(1, 7),
-        taller=st.integers(0, 3),
-        data=st.data(),
-    )
-    def test_step_tables_match_the_dense_build(self, min_sep, k, taller, data):
+    @given(min_sep=st.integers(1, 40), k=st.integers(1, 7), data=st.data())
+    def test_step_tables_match_the_dense_build(self, min_sep, k, data):
         """Every table of a level, densified, equals the dense reference
         build byte for byte, also after the level grew from a smaller
         max_part; no p = 1 table is stored."""
-        width = min(min_sep, (1 << min(k + taller, 7)) + 1)
-        solver = accounting._SensitivitySolver(min_sep, width)
+        solver = accounting._SensitivitySolver(min_sep)
         capacity = solver.capacity(k)
         solver._level(k, data.draw(st.integers(1, capacity)))
         level = solver._level(k, capacity)
-        assert level.offsets.size - 1 == (capacity - 1) * width
-        reference = ReferenceTables(min_sep, width)
+        assert level.offsets.size - 1 == (capacity - 1) * min_sep
+        reference = ReferenceTables(min_sep)
         for (level_k, p), table in _tables(solver):
             expected = reference.table(level_k, p)
-            assert table.tobytes() == expected.tobytes(), (min_sep, width, level_k, p)
+            assert table.tobytes() == expected.tobytes(), (min_sep, level_k, p)
 
     @pytest.mark.parametrize(
         "schema",
@@ -285,7 +280,7 @@ class TestStepEndMaxplus:
         # ends rising and values falling from entry to entry.
         for level in solver._levels:
             assert level.ends.dtype == level.values.dtype == np.int32
-            assert np.all(level.values >= 0) and np.all(level.ends < solver.width)
+            assert np.all(level.values >= 0) and np.all(level.ends < solver.min_sep)
             row = np.repeat(np.arange(level.offsets.size - 1), np.diff(level.offsets))
             same_row = row[1:] == row[:-1]
             assert np.all(np.diff(level.ends)[same_row] > 0)
@@ -307,7 +302,7 @@ class TestStepEndFold:
 
     @settings(max_examples=150, deadline=None)
     @given(schema=_schemas(max_rounds=48, max_sep=60, max_part=12), chunked=st.booleans())
-    # width = tallest + 1 < min_sep
+    # every tree is shorter than min_sep
     @example(schema=ParticipationSchema(24, 20, 2, (16,)), chunked=False)
     # T + 1 < min_sep: row 0 ends past length - 1
     @example(schema=ParticipationSchema(10, 40, 1), chunked=False)
@@ -316,7 +311,7 @@ class TestStepEndFold:
     def test_states_match_the_dense_fold(self, schema, chunked):
         """Also with the fold's (entry, q) pairs merged one at a time."""
         solver = _solver_for(schema)
-        reference = ReferenceTables(solver.min_sep, solver.width)
+        reference = ReferenceTables(solver.min_sep)
         state, end = solver.empty, 0
         dense = np.zeros((1, min(schema.min_sep, schema.total_rounds + 1)), dtype=np.int64)
         for k in schema.tree_levels():
@@ -365,16 +360,22 @@ class TestPrefixAccounting:
         assert prefix_zcdp(0.0, schema) == [math.inf] * 40
 
     def test_taller_schedule_keeps_built_tables(self):
-        """Tables depend on (min_sep, width, level, p) alone: a longer
-        schedule at the same min_sep reuses the solver and its tables."""
+        """Tables depend on (min_sep, level, p) alone: a longer schedule at
+        the same min_sep reuses the solver and its tables, also where its
+        trees are shorter than min_sep or taller."""
         accounting._SOLVER_CACHE.clear()
-        short, tall = _schema(64, min_sep=5), _schema(128, min_sep=5)
-        worst_case_sensitivity_sq(short)
-        solver = _solver_for(short)
-        built = list(solver._levels)
-        worst_case_sensitivity_sq(tall)
-        assert _solver_for(tall) is solver
-        assert all(solver._levels[k] is level for k, level in enumerate(built))
+        pairs = [
+            (_schema(64, min_sep=5), _schema(128, min_sep=5)),
+            (ParticipationSchema(64, 100, 1), ParticipationSchema(1024, 100, 11)),
+        ]
+        for short, tall in pairs:
+            worst_case_sensitivity_sq(short)
+            solver = _solver_for(short)
+            built = list(solver._levels)
+            worst_case_sensitivity_sq(tall)
+            assert _solver_for(tall) is solver, (short, tall)
+            assert all(solver._levels[k] is level for k, level in enumerate(built))
+        assert sorted(accounting._SOLVER_CACHE) == [5, 100]
 
 
 class TestPatternSensitivity:
@@ -534,9 +535,14 @@ class TestConversion:
         assert zcdp_to_delta(0.1, 50.0) < 1e-30
 
     def test_public_conversions_check_their_arguments(self):
-        """The exported conversions refuse a negative rho or epsilon and a
-        delta outside (0, 1), and answer an infinite or a zero rho exactly."""
+        """The exported conversions refuse a negative rho or epsilon, a
+        sensitivity^2 that is not a finite number >= 0 and a delta outside
+        (0, 1), and answer an infinite or a zero rho exactly."""
+        not_sq = "^sensitivity_sq must be a finite number >= 0, not "
         refused = [
+            (gaussian_zcdp, math.nan, 1.0, not_sq + "nan$"),
+            (gaussian_zcdp, -4.0, 1.0, not_sq + "-4.0$"),
+            (gaussian_zcdp, math.inf, 1.0, not_sq + "inf$"),
             (zcdp_to_delta, -1.0, 1.0, "rho must be >= 0"),
             (zcdp_to_delta, 1.0, -1.0, "eps must be >= 0"),
             (zcdp_to_eps, -1.0, 1e-5, "rho must be >= 0"),
@@ -616,6 +622,24 @@ class TestPrivacyReport:
                 with pytest.raises(ValueError, match="^sensitivity_scale " + re.escape(why)):
                     account(scale)
         assert solver.called == why.startswith("1e+154")
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0, math.nan])
+    def test_delta_outside_the_unit_interval_refused_before_any_solve(self, delta, tmp_path):
+        """Both conversions and both reports refuse a delta outside (0, 1),
+        nan included; the reports do so before any solve, and post_hoc_report
+        before it reads the run directory (here one with no files)."""
+        schema = ParticipationSchema(2048, 313, 7, (128, 1152))
+        refusals = (
+            lambda: zcdp_to_eps(1.0, delta),
+            lambda: loose_eps(1.0, delta),
+            lambda: privacy_report(schema, 1.0, delta=delta),
+            lambda: post_hoc_report(tmp_path, delta),
+        )
+        with mock.patch.object(accounting, "_solver_for", wraps=_solver_for) as solver:
+            for refuse in refusals:
+                with pytest.raises(ValueError, match=r"^delta must be in \(0, 1\)$"):
+                    refuse()
+        assert not solver.called
 
     def test_non_private_marker(self):
         report = privacy_report(_schema(8), 0.0)

@@ -89,6 +89,8 @@ def _data(population=20, vocab=8, examples=30, seed=0, window=1):
 def _orders(data, epochs=1, rng=None):
     """Batch orders for every client of ``data``: sequential by default."""
     cohort, n = data.labels.shape
+    if rng is None:
+        return np.broadcast_to(np.arange(n), (epochs, cohort, n))
     return batch_orders(rng, cohort, n, epochs)
 
 
@@ -389,7 +391,10 @@ class TestClientUpdate:
         def order_rng():
             return np.random.default_rng(seed + 1) if shuffle else None
 
-        orders = batch_orders(order_rng(), cohort, n, epochs)
+        if shuffle:
+            orders = batch_orders(order_rng(), cohort, n, epochs)
+        else:
+            orders = np.broadcast_to(np.arange(n), (epochs, cohort, n))
         deltas, norms, losses = cohort_update(
             model, theta, contexts, labels, orders, 0.3, math.inf, batch_size
         )

@@ -23,7 +23,8 @@ def _step(model, stack, contexts, labels, lr):
     """One full-batch local SGD step of every row, in place; each row's
     loss before it."""
     rows, n = labels.shape
-    return model.local_sgd(stack, contexts, labels, batch_orders(None, rows, n, 1), lr, n)
+    orders = np.broadcast_to(np.arange(n), (1, rows, n))
+    return model.local_sgd(stack, contexts, labels, orders, lr, n)
 
 
 def _loss_grad(model, stack, contexts, labels):
